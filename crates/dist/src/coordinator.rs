@@ -29,7 +29,7 @@ use fgc_query::{Binding, ConjunctiveQuery, RoutePlan, ShardRouter, ShardSet};
 use fgc_relation::sharded::{ShardKeySpec, ShardedDatabase};
 use fgc_relation::{Database, Tuple};
 use fgc_server::wire::{encode_response_with, error_body, QueryKind};
-use fgc_server::{decode_cite_request, parse_json};
+use fgc_server::{decode_cite_body, parse_json};
 use fgc_views::{CitationFunction, CitationView, Json, ViewRegistry};
 use std::collections::HashMap;
 use std::net::SocketAddr;
@@ -186,43 +186,22 @@ impl Coordinator {
         self.shards
     }
 
-    /// Per-replica pool/circuit state for `GET /stats`.
-    pub fn pool_json(&self) -> Json {
-        self.pool.to_json()
-    }
-
-    /// The replica connection pool (for `GET /metrics` exposition).
+    /// The replica connection pool (per-replica circuit state for
+    /// `GET /stats`, counters for `GET /metrics`).
     pub fn pool(&self) -> &ReplicaPool {
         &self.pool
     }
 
-    /// Serve one `POST /cite` / `/cite_sql` body end to end:
-    /// decode, scatter, gather, encode. Returns `(status, body)` —
-    /// 200 with the standard response, 400 with the engine's error
-    /// relayed verbatim, or a structured 503 naming the dead shard
-    /// and every replica tried when a replica set is exhausted.
-    pub fn serve_cite(&self, body: &[u8], kind: QueryKind) -> (u16, String) {
-        self.serve_cite_with_id(body, kind, &fgc_obs::next_request_id())
-    }
-
-    /// [`Coordinator::serve_cite`] under the front door's request ID:
-    /// the ID rides as `x-request-id` on every replica call this
-    /// request scatters, and lands in the structured 503 body when a
-    /// replica set is exhausted.
-    pub fn serve_cite_with_id(
-        &self,
-        body: &[u8],
-        kind: QueryKind,
-        request_id: &str,
-    ) -> (u16, String) {
-        self.serve_cite_with_deadline(body, kind, request_id, None)
-    }
-
-    /// [`Coordinator::serve_cite_with_id`] under an end-to-end
-    /// deadline: the remaining budget rides as `x-deadline-ms` on
-    /// every `/fragment/*` call, bounds each replica read, and stops
-    /// the retry/failover ladder — exhaustion answers a structured
-    /// 504 instead of hanging or burning dead replicas' cooldowns.
+    /// Serve one `POST /cite` / `/cite_sql` body end to end under
+    /// the front door's request ID and deadline: decode, scatter,
+    /// gather, encode. Returns `(status, body)` — 200 with the
+    /// standard response, 400 with the engine's error relayed
+    /// verbatim, a structured 503 naming the dead shard and every
+    /// replica tried when a replica set is exhausted, or a structured
+    /// 504 when the budget ran out mid-scatter. The ID rides as
+    /// `x-request-id` and the remaining budget as `x-deadline-ms` on
+    /// every `/fragment/*` call; the budget also bounds each replica
+    /// read and stops the retry/failover ladder.
     pub fn serve_cite_with_deadline(
         &self,
         body: &[u8],
@@ -230,21 +209,16 @@ impl Coordinator {
         request_id: &str,
         deadline: Option<Instant>,
     ) -> (u16, String) {
-        let decoded = self.engine.stage_stats().time("parse", || {
-            let text =
-                std::str::from_utf8(body).map_err(|_| "body is not valid utf-8".to_string())?;
-            let parsed = parse_json(text).map_err(|e| format!("invalid JSON: {e}"))?;
-            decode_cite_request(&parsed, kind, self.engine.policy()).map_err(|e| e.0)
-        });
-        let request = match decoded {
-            Ok(r) => r.with_request_id(request_id),
-            Err(message) => return (400, error_body(&message)),
-        };
-        self.serve_request_with_deadline(&request, deadline)
+        match decode_cite_body(&self.engine, body, kind) {
+            Ok(request) => {
+                self.serve_request_with_deadline(&request.with_request_id(request_id), deadline)
+            }
+            Err(message) => (400, error_body(&message)),
+        }
     }
 
-    /// [`Coordinator::serve_cite`] over an already-decoded request.
-    /// Honors `request.request_id` when set, assigns one otherwise.
+    /// Serve an already-decoded request with no deadline. Honors
+    /// `request.request_id` when set, assigns one otherwise.
     pub fn serve_request(&self, request: &CiteRequest) -> (u16, String) {
         self.serve_request_with_deadline(request, None)
     }

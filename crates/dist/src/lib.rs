@@ -8,8 +8,8 @@
 //!   partitioning the in-process sharded store uses, and *owns* shard
 //!   `i`: it answers per-shard fragment requests (`/fragment/answers`,
 //!   `/fragment/bindings`, `/fragment/tokens`) plus a `/fragment/meta`
-//!   bootstrap route, all layered onto the ordinary [`fgc_server`]
-//!   request loop via its route-handler hook.
+//!   bootstrap route — four extra rows in the route table of an
+//!   ordinary [`fgc_server::CiteServer`].
 //! - **Coordinator** (`fgcite serve --role coordinator --replicas
 //!   a,b,...`): holds **no data** — it bootstraps schemas (keys and
 //!   foreign keys included, so the rewriting search is identical) and
@@ -18,7 +18,9 @@
 //!   shards its [`RoutePlan`] implicates, gathering over keep-alive
 //!   connections, and merging in global `(gid, seq)` tuple order, so
 //!   rendered citations are **byte-identical** to single-process
-//!   output.
+//!   output. Its front end ([`DistServer`]) is the same
+//!   [`fgc_server::HttpService`] every role runs, with the
+//!   coordinator's rows.
 //!
 //! Robustness: per-replica health tracking, bounded retry with
 //! backoff, failover to a configured twin replica, per-replica read

@@ -217,14 +217,8 @@ impl ReplicaPool {
         self.circuit_open(&self.slots[index])
     }
 
-    /// How many replica circuits currently fail fast — the
-    /// coordinator's `/healthz` degradation signal.
-    pub fn open_circuits(&self) -> usize {
-        self.slots.iter().filter(|s| self.circuit_open(s)).count()
-    }
-
-    /// Addresses whose circuit is currently open, for degradation
-    /// cause reporting.
+    /// Addresses whose circuit currently fails fast — the
+    /// coordinator's `/healthz` degradation signal and its causes.
     pub fn open_addrs(&self) -> Vec<SocketAddr> {
         self.slots
             .iter()

@@ -1,9 +1,9 @@
-//! The replica side: a [`RouteHandler`] adding the `/fragment/*`
-//! endpoints to an ordinary [`fgc_server::CiteServer`].
+//! The replica side: the `/fragment/*` [`Route`] rows an ordinary
+//! [`fgc_server::CiteServer`] adds to its route table.
 //!
 //! A replica is a full citation server (it still answers `/cite`,
 //! `/views`, `/stats`, `/healthz`) whose engine runs over a sharded
-//! store; the handler exposes the per-shard fragment evaluation a
+//! store; the rows expose the per-shard fragment evaluation a
 //! coordinator scatters to. Engine-reported errors (unknown relation,
 //! out-of-range shard, budget blown) answer 400 with the exact
 //! message, which the coordinator relays verbatim so distributed
@@ -11,29 +11,31 @@
 
 use crate::proto;
 use fgc_core::CitationEngine;
-use fgc_server::http::HttpRequest;
-use fgc_server::{error_body, parse_json, RouteHandler};
+use fgc_server::{parse_body, Call, Response, Route};
 use fgc_views::Json;
 use std::sync::Arc;
 
-/// Build the `/fragment/*` route handler for a replica serving
-/// `engine` (which must be sharded — unsharded engines answer every
-/// fragment call with a 400).
-pub fn fragment_handler(engine: Arc<CitationEngine>) -> RouteHandler {
-    Arc::new(move |request: &HttpRequest| {
-        let method = request.method.as_str();
-        match (method, request.path.as_str()) {
-            ("GET", "/fragment/meta") => Some((200, serve_meta(&engine))),
-            ("POST", "/fragment/answers") => Some(serve_rows(&engine, &request.body, false)),
-            ("POST", "/fragment/bindings") => Some(serve_rows(&engine, &request.body, true)),
-            ("POST", "/fragment/tokens") => Some(serve_tokens(&engine, &request.body)),
-            (_, "/fragment/meta") => Some((405, error_body("use GET on /fragment/meta"))),
-            (_, "/fragment/answers" | "/fragment/bindings" | "/fragment/tokens") => {
-                Some((405, error_body(&format!("use POST on {}", request.path))))
-            }
-            _ => None,
-        }
-    })
+/// The `/fragment/*` route rows for a replica serving `engine` (which
+/// must be sharded — unsharded engines answer every fragment call
+/// with a 400). All four record into the one `/fragment` endpoint.
+pub fn fragment_handler(engine: Arc<CitationEngine>) -> Vec<Route> {
+    let row = |method, path, handler: fn(&CitationEngine, &Call<'_>) -> Response| {
+        Route::new(method, path, |s| &s.fragment, &engine, handler)
+    };
+    vec![
+        row("GET", "/fragment/meta", |e, _| {
+            Response::json(200, serve_meta(e))
+        }),
+        row("POST", "/fragment/answers", |e, call| {
+            Response::ok_or_400(serve_rows(e, &call.request.body, false))
+        }),
+        row("POST", "/fragment/bindings", |e, call| {
+            Response::ok_or_400(serve_rows(e, &call.request.body, true))
+        }),
+        row("POST", "/fragment/tokens", |e, call| {
+            Response::ok_or_400(serve_tokens(e, &call.request.body))
+        }),
+    ]
 }
 
 /// `GET /fragment/meta`: everything a stateless coordinator needs to
@@ -75,84 +77,62 @@ fn serve_meta(engine: &CitationEngine) -> String {
 }
 
 /// `POST /fragment/answers` and `/fragment/bindings`: evaluate one
-/// query's `(gid, seq, ...)` fragment for the requested shard.
-fn serve_rows(engine: &CitationEngine, body: &[u8], bindings: bool) -> (u16, String) {
+/// query's `(gid, seq, ...)` fragment for the requested shard. The
+/// error (a decode failure, or the engine's message) is the 400 body.
+fn serve_rows(engine: &CitationEngine, body: &[u8], bindings: bool) -> Result<String, String> {
     // fragment decode is the replica's share of the `parse` stage
-    let decoded = engine
+    let (query, shard) = engine
         .stage_stats()
-        .time("parse", || decode_query_shard(body));
-    let (query, shard) = match decoded {
-        Ok(qs) => qs,
-        Err(message) => return (400, error_body(&message)),
-    };
-    if bindings {
+        .time("parse", || decode_query_shard(body))?;
+    let body = if bindings {
         let vars = proto::query_vars(&query);
-        match engine.fragment_bindings(&query, shard) {
-            Ok(rows) => {
-                let rows: Vec<Json> = rows
-                    .iter()
-                    .map(|(gid, seq, t, b)| proto::binding_row_to_json(*gid, *seq, t, b, &vars))
-                    .collect();
-                let body = Json::from_pairs([
-                    (
-                        "vars",
-                        Json::Array(vars.into_iter().map(Json::str).collect()),
-                    ),
-                    ("rows", Json::Array(rows)),
-                ]);
-                (200, body.to_compact())
-            }
-            Err(e) => (400, error_body(&e.to_string())),
-        }
+        let rows: Vec<Json> = engine
+            .fragment_bindings(&query, shard)
+            .map_err(|e| e.to_string())?
+            .iter()
+            .map(|(gid, seq, t, b)| proto::binding_row_to_json(*gid, *seq, t, b, &vars))
+            .collect();
+        Json::from_pairs([
+            (
+                "vars",
+                Json::Array(vars.into_iter().map(Json::str).collect()),
+            ),
+            ("rows", Json::Array(rows)),
+        ])
     } else {
-        match engine.fragment_answers(&query, shard) {
-            Ok(rows) => {
-                let rows: Vec<Json> = rows
-                    .iter()
-                    .map(|(gid, seq, t)| proto::answer_row_to_json(*gid, *seq, t))
-                    .collect();
-                let body = Json::from_pairs([("rows", Json::Array(rows))]);
-                (200, body.to_compact())
-            }
-            Err(e) => (400, error_body(&e.to_string())),
-        }
-    }
+        let rows: Vec<Json> = engine
+            .fragment_answers(&query, shard)
+            .map_err(|e| e.to_string())?
+            .iter()
+            .map(|(gid, seq, t)| proto::answer_row_to_json(*gid, *seq, t))
+            .collect();
+        Json::from_pairs([("rows", Json::Array(rows))])
+    };
+    Ok(body.to_compact())
 }
 
 /// `POST /fragment/tokens`: interpret a token batch through the
 /// replica's shared citation cache.
-fn serve_tokens(engine: &CitationEngine, body: &[u8]) -> (u16, String) {
-    let parsed = match decode_body(body) {
-        Ok(p) => p,
-        Err(message) => return (400, error_body(&message)),
-    };
+fn serve_tokens(engine: &CitationEngine, body: &[u8]) -> Result<String, String> {
+    let parsed = parse_body(body)?;
     let Some(Json::Array(items)) = parsed.get("tokens") else {
-        return (400, error_body("missing `tokens` array"));
+        return Err("missing `tokens` array".into());
     };
-    let tokens = match items
+    let tokens = items
         .iter()
         .map(proto::json_to_token)
-        .collect::<Result<Vec<_>, _>>()
-    {
-        Ok(tokens) => tokens,
-        Err(message) => return (400, error_body(&message)),
-    };
+        .collect::<Result<Vec<_>, _>>()?;
     let (citations, hits, misses) = engine.token_citations(&tokens);
     let body = Json::from_pairs([
         ("citations", Json::Array(citations)),
         ("hits", Json::Int(hits as i64)),
         ("misses", Json::Int(misses as i64)),
     ]);
-    (200, body.to_compact())
-}
-
-fn decode_body(body: &[u8]) -> Result<Json, String> {
-    let text = std::str::from_utf8(body).map_err(|_| "body is not valid utf-8".to_string())?;
-    parse_json(text).map_err(|e| format!("invalid JSON: {e}"))
+    Ok(body.to_compact())
 }
 
 fn decode_query_shard(body: &[u8]) -> Result<(fgc_query::ConjunctiveQuery, usize), String> {
-    let parsed = decode_body(body)?;
+    let parsed = parse_body(body)?;
     let Some(Json::Str(text)) = parsed.get("query") else {
         return Err("missing `query` string".into());
     };

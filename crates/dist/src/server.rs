@@ -1,10 +1,7 @@
-//! The coordinator's HTTP front end.
-//!
-//! [`fgc_server::CiteServer`] cannot serve a coordinator — its
-//! admission batcher drives `CitationEngine::cite_batch_threads`
-//! straight into the local store — so [`DistServer`] runs the same
-//! acceptor → bounded queue → worker topology with the scatter
-//! engine behind it, speaking the identical wire format:
+//! The coordinator role: the one [`HttpService`] front door — the
+//! same acceptor → bounded queue → worker loop, framing, request-ID,
+//! deadline, slow-log and routing code every role runs — plus the
+//! coordinator's route rows, speaking the single server's wire format:
 //!
 //! | route            | body                                     |
 //! |------------------|------------------------------------------|
@@ -14,138 +11,58 @@
 //! | `GET /stats`     | endpoint stats + per-replica circuit state |
 //! | `GET /healthz`   | role, shard topology, liveness           |
 //! | `GET /metrics`   | Prometheus exposition (incl. replica pool) |
-//! | `GET /debug/slow`| slowest requests seen, with request IDs  |
+//! | `GET /debug/slow`| slowest requests seen (the service's own row) |
 //!
-//! Every response echoes an `x-request-id` header (honored from the
-//! client or assigned here); the same ID is propagated on every
-//! `/fragment/*` call the request scatters.
+//! There is no batcher here: scatter calls are per-request, and the
+//! request ID and remaining deadline the front door assigned ride on
+//! every `/fragment/*` call the request scatters.
 //!
-//! Shutdown is graceful and total: the listener stops accepting, the
-//! queued connections drain, and every worker finishes its in-flight
-//! scattered request before joining — an `in_flight` gauge (also in
-//! `GET /stats`) makes the drain observable.
+//! Shutdown is graceful and total: every worker finishes its in-flight
+//! scattered request before joining — the `in_flight` gauge on
+//! `GET /stats` and `GET /metrics` makes the drain observable.
 
 use crate::coordinator::Coordinator;
-use fgc_obs::{next_request_id, PromWriter, SlowEntry, SlowLog};
-use fgc_server::http::{
-    deadline_from, read_request_with_deadline, remaining_ms, write_response, write_response_with,
-    HttpError, HttpRequest,
-};
-use fgc_server::wire::{error_body, QueryKind};
+use fgc_obs::PromWriter;
+use fgc_server::wire::QueryKind;
 use fgc_server::{
-    slow_log_body, write_engine_metrics, EndpointStats, ServerConfig, ServerStats,
-    SLOW_LOG_CAPACITY,
+    views_body, write_engine_metrics, Call, HttpService, Response, Route, ServerConfig, ServerStats,
 };
 use fgc_views::Json;
-use std::io::{self, BufReader};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::Receiver;
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::io;
+use std::net::SocketAddr;
+use std::sync::Arc;
 
 /// A running coordinator service. Dropping the handle shuts it down.
 #[derive(Debug)]
 pub struct DistServer {
-    addr: SocketAddr,
+    service: HttpService,
     coordinator: Arc<Coordinator>,
-    stats: Arc<ServerStats>,
-    slow: Arc<SlowLog>,
-    in_flight: Arc<AtomicUsize>,
-    shutdown: Arc<AtomicBool>,
-    acceptor: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
-}
-
-struct WorkerContext {
-    coordinator: Arc<Coordinator>,
-    stats: Arc<ServerStats>,
-    slow: Arc<SlowLog>,
-    in_flight: Arc<AtomicUsize>,
-    shutdown: Arc<AtomicBool>,
-    max_body_bytes: usize,
-    /// Total budget for one request head; overrun answers 408.
-    header_read_timeout: Duration,
-    /// Deadline assigned when `x-deadline-ms` is absent.
-    default_deadline: Duration,
-    /// Ceiling clamped onto any client-supplied `x-deadline-ms`.
-    max_deadline: Duration,
 }
 
 impl DistServer {
-    /// Bind and serve `coordinator` under `config` (its `addr`,
-    /// `threads`, `max_body_bytes`, `read_timeout`, and `queue_depth`
-    /// fields apply; the batching fields do not — scatter calls are
-    /// per-request).
+    /// Bind and serve `coordinator` under `config` (`batch_window`,
+    /// `role` and `shard` do not apply: there is no batcher, and a
+    /// coordinator always reports itself as one).
     pub fn start(coordinator: Arc<Coordinator>, config: ServerConfig) -> io::Result<DistServer> {
-        let listener = TcpListener::bind(&config.addr)?;
-        let addr = listener.local_addr()?;
-        let stats = Arc::new(ServerStats::default());
-        let slow = Arc::new(SlowLog::new(SLOW_LOG_CAPACITY));
-        let in_flight = Arc::new(AtomicUsize::new(0));
-        let shutdown = Arc::new(AtomicBool::new(false));
-
-        let (conn_tx, conn_rx) = std::sync::mpsc::sync_channel::<TcpStream>(config.queue_depth);
-        let conn_rx = Arc::new(Mutex::new(conn_rx));
-        let threads = config.threads.max(1);
-        let workers = (0..threads)
-            .map(|i| {
-                let ctx = WorkerContext {
-                    coordinator: Arc::clone(&coordinator),
-                    stats: Arc::clone(&stats),
-                    slow: Arc::clone(&slow),
-                    in_flight: Arc::clone(&in_flight),
-                    shutdown: Arc::clone(&shutdown),
-                    max_body_bytes: config.max_body_bytes,
-                    header_read_timeout: config.header_read_timeout,
-                    default_deadline: config.default_deadline,
-                    max_deadline: config.max_deadline,
-                };
-                let conn_rx = Arc::clone(&conn_rx);
-                std::thread::Builder::new()
-                    .name(format!("fgcite-coord-{i}"))
-                    .spawn(move || worker_loop(&ctx, &conn_rx))
-                    .expect("spawn coordinator worker")
-            })
-            .collect();
-
-        let acceptor = {
-            let shutdown = Arc::clone(&shutdown);
-            let read_timeout = config.read_timeout;
-            std::thread::Builder::new()
-                .name("fgcite-coord-acceptor".into())
-                .spawn(move || {
-                    for stream in listener.incoming() {
-                        if shutdown.load(Ordering::SeqCst) {
-                            return;
-                        }
-                        let Ok(stream) = stream else { continue };
-                        let _ = stream.set_nodelay(true);
-                        let _ = stream.set_read_timeout(Some(read_timeout));
-                        if conn_tx.send(stream).is_err() {
-                            return;
-                        }
-                    }
-                })
-                .expect("spawn coordinator acceptor")
-        };
-
+        let state = &coordinator;
+        let routes = vec![
+            Route::new("POST", "/cite", |s| &s.cite, state, serve_datalog).budgeted(),
+            Route::new("POST", "/cite_sql", |s| &s.cite_sql, state, serve_sql).budgeted(),
+            Route::new("GET", "/views", |s| &s.views, state, serve_views),
+            Route::new("GET", "/stats", |s| &s.stats, state, serve_stats),
+            Route::new("GET", "/healthz", |s| &s.healthz, state, serve_healthz),
+            Route::new("GET", "/metrics", |s| &s.observe, state, serve_metrics),
+        ];
+        let service = HttpService::start(&config, Arc::default(), routes)?;
         Ok(DistServer {
-            addr,
+            service,
             coordinator,
-            stats,
-            slow,
-            in_flight,
-            shutdown,
-            acceptor: Some(acceptor),
-            workers,
         })
     }
 
     /// The actual bound address (resolves port 0).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.service.addr()
     }
 
     /// The coordinator being served.
@@ -155,245 +72,57 @@ impl DistServer {
 
     /// The shared serving counters.
     pub fn stats(&self) -> Arc<ServerStats> {
-        Arc::clone(&self.stats)
-    }
-
-    /// The bounded slowest-requests ring surfaced at `GET /debug/slow`.
-    pub fn slow_log(&self) -> Arc<SlowLog> {
-        Arc::clone(&self.slow)
-    }
-
-    /// Scattered requests currently being served.
-    pub fn in_flight(&self) -> usize {
-        self.in_flight.load(Ordering::SeqCst)
+        self.service.stats()
     }
 
     /// Graceful shutdown: stop accepting, drain the connection queue,
     /// and join every worker — each finishes the scattered request it
     /// is serving before exiting.
-    pub fn shutdown(mut self) {
-        self.stop();
+    pub fn shutdown(self) {
+        self.service.shutdown();
     }
 
     /// Block until the server is shut down from elsewhere.
-    pub fn wait(mut self) {
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
-        }
-        self.stop();
-    }
-
-    fn stop(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        let _ = TcpStream::connect(self.addr);
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
-        }
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
+    pub fn wait(self) {
+        self.service.wait();
     }
 }
 
-impl Drop for DistServer {
-    fn drop(&mut self) {
-        self.stop();
-    }
+fn serve_datalog(coordinator: &Coordinator, call: &Call<'_>) -> Response {
+    serve_cite(coordinator, call, QueryKind::Datalog)
 }
 
-fn worker_loop(ctx: &WorkerContext, conn_rx: &Arc<Mutex<Receiver<TcpStream>>>) {
-    loop {
-        let stream = {
-            let rx = conn_rx.lock().expect("connection queue lock");
-            rx.recv()
-        };
-        match stream {
-            Ok(stream) => handle_connection(ctx, stream),
-            Err(_) => return,
-        }
-    }
+fn serve_sql(coordinator: &Coordinator, call: &Call<'_>) -> Response {
+    serve_cite(coordinator, call, QueryKind::Sql)
 }
 
-fn handle_connection(ctx: &WorkerContext, stream: TcpStream) {
-    let Ok(mut write_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(stream);
-    loop {
-        let head_deadline = Instant::now() + ctx.header_read_timeout;
-        match read_request_with_deadline(&mut reader, ctx.max_body_bytes, Some(head_deadline)) {
-            Ok(request) => {
-                let keep_alive = request.keep_alive() && !ctx.shutdown.load(Ordering::SeqCst);
-                let rid = request
-                    .header("x-request-id")
-                    .map(str::to_string)
-                    .unwrap_or_else(next_request_id);
-                let deadline = deadline_from(&request, ctx.default_deadline, ctx.max_deadline);
-                let started = Instant::now();
-                ctx.stats.in_flight.fetch_add(1, Ordering::Relaxed);
-                let (status, body) = route(ctx, &request, &rid, deadline);
-                if status == 504 {
-                    ctx.stats.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
-                }
-                ctx.stats.in_flight.fetch_sub(1, Ordering::Relaxed);
-                ctx.slow.observe(SlowEntry {
-                    request_id: rid.clone(),
-                    endpoint: request.path.clone(),
-                    status,
-                    total: started.elapsed(),
-                    stages: Vec::new(),
-                });
-                let content_type = if request.path == "/metrics" {
-                    "text/plain; version=0.0.4"
-                } else {
-                    "application/json"
-                };
-                if write_response_with(
-                    &mut write_half,
-                    status,
-                    &body,
-                    keep_alive,
-                    content_type,
-                    &[("x-request-id", &rid)],
-                )
-                .is_err()
-                {
-                    return;
-                }
-                if !keep_alive {
-                    return;
-                }
-            }
-            Err(HttpError::Closed) | Err(HttpError::Io(_)) => return,
-            Err(HttpError::HeaderTimeout) => {
-                ctx.stats.malformed.fetch_add(1, Ordering::Relaxed);
-                let _ = write_response(
-                    &mut write_half,
-                    408,
-                    &error_body("request head not received within the server's header deadline"),
-                    false,
-                );
-                return;
-            }
-            Err(HttpError::BadRequest(message)) => {
-                ctx.stats.malformed.fetch_add(1, Ordering::Relaxed);
-                let _ = write_response(&mut write_half, 400, &error_body(&message), false);
-                return;
-            }
-            Err(HttpError::LengthRequired) => {
-                ctx.stats.malformed.fetch_add(1, Ordering::Relaxed);
-                let _ = write_response(
-                    &mut write_half,
-                    411,
-                    &error_body("POST requires a Content-Length header"),
-                    false,
-                );
-                return;
-            }
-            Err(HttpError::PayloadTooLarge(n)) => {
-                ctx.stats.malformed.fetch_add(1, Ordering::Relaxed);
-                let message = format!("body of {n} bytes exceeds limit of {}", ctx.max_body_bytes);
-                let _ = write_response(&mut write_half, 413, &error_body(&message), false);
-                return;
-            }
-        }
-    }
+/// `GET /views`: identical body to a single-process server's.
+fn serve_views(coordinator: &Coordinator, _: &Call<'_>) -> Response {
+    Response::json(200, views_body(coordinator.engine()))
 }
 
-/// Decrements the in-flight gauge on every exit path.
-struct FlightGuard<'a>(&'a AtomicUsize);
-
-impl Drop for FlightGuard<'_> {
-    fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::SeqCst);
-    }
-}
-
-fn route(
-    ctx: &WorkerContext,
-    request: &HttpRequest,
-    rid: &str,
-    deadline: Instant,
-) -> (u16, String) {
-    let method = request.method.as_str();
-    let expected = match request.path.as_str() {
-        "/cite" if method == "POST" => {
-            return timed(&ctx.stats.cite, || {
-                if remaining_ms(deadline) == 0 {
-                    return (504, error_body("deadline exceeded before scatter began"));
-                }
-                ctx.in_flight.fetch_add(1, Ordering::SeqCst);
-                let _guard = FlightGuard(&ctx.in_flight);
-                ctx.coordinator.serve_cite_with_deadline(
-                    &request.body,
-                    QueryKind::Datalog,
-                    rid,
-                    Some(deadline),
-                )
-            })
-        }
-        "/cite_sql" if method == "POST" => {
-            return timed(&ctx.stats.cite_sql, || {
-                if remaining_ms(deadline) == 0 {
-                    return (504, error_body("deadline exceeded before scatter began"));
-                }
-                ctx.in_flight.fetch_add(1, Ordering::SeqCst);
-                let _guard = FlightGuard(&ctx.in_flight);
-                ctx.coordinator.serve_cite_with_deadline(
-                    &request.body,
-                    QueryKind::Sql,
-                    rid,
-                    Some(deadline),
-                )
-            })
-        }
-        "/views" if method == "GET" => return timed(&ctx.stats.views, || (200, serve_views(ctx))),
-        "/stats" if method == "GET" => return timed(&ctx.stats.stats, || (200, serve_stats(ctx))),
-        "/healthz" if method == "GET" => {
-            return timed(&ctx.stats.healthz, || (200, serve_healthz(ctx)))
-        }
-        "/metrics" if method == "GET" => {
-            return timed(&ctx.stats.observe, || (200, serve_metrics(ctx)))
-        }
-        "/debug/slow" if method == "GET" => {
-            return timed(&ctx.stats.observe, || (200, slow_log_body(&ctx.slow)))
-        }
-        "/cite" | "/cite_sql" => "POST",
-        "/views" | "/stats" | "/healthz" | "/metrics" | "/debug/slow" => "GET",
-        path => {
-            ctx.stats.unrouted.fetch_add(1, Ordering::Relaxed);
-            return (404, error_body(&format!("no such route `{path}`")));
-        }
-    };
-    ctx.stats.unrouted.fetch_add(1, Ordering::Relaxed);
-    (
-        405,
-        error_body(&format!(
-            "method {method} not allowed on {} (use {expected})",
-            request.path
-        )),
-    )
-}
-
-fn timed(endpoint: &EndpointStats, serve: impl FnOnce() -> (u16, String)) -> (u16, String) {
-    let started = Instant::now();
-    let (status, body) = serve();
-    endpoint.record(started.elapsed(), status < 400);
-    (status, body)
+fn serve_cite(coordinator: &Coordinator, call: &Call<'_>, kind: QueryKind) -> Response {
+    let (status, body) = coordinator.serve_cite_with_deadline(
+        &call.request.body,
+        kind,
+        call.request_id,
+        Some(call.deadline),
+    );
+    Response::json(status, body)
 }
 
 /// `GET /healthz`: the same shape a replica reports, with the
 /// coordinator's role and topology. The coordinator is `degraded`
 /// while any replica circuit is open — it still serves (failover,
 /// partial capacity) but cannot promise every shard is reachable.
-fn serve_healthz(ctx: &WorkerContext) -> String {
-    let open = ctx.coordinator.pool().open_addrs();
+fn serve_healthz(coordinator: &Coordinator, _: &Call<'_>) -> Response {
+    let open = coordinator.pool().open_addrs();
     let degraded = !open.is_empty();
     let causes: Vec<Json> = open
         .iter()
         .map(|addr| Json::str(format!("replica circuit open: {addr}")))
         .collect();
-    Json::from_pairs([
+    let body = Json::from_pairs([
         (
             "status",
             Json::str(if degraded { "degraded" } else { "ok" }),
@@ -402,59 +131,33 @@ fn serve_healthz(ctx: &WorkerContext) -> String {
         ("causes", Json::Array(causes)),
         ("role", Json::str("coordinator")),
         ("shard", Json::Null),
-        ("shards", Json::Int(ctx.coordinator.shards() as i64)),
+        ("shards", Json::Int(coordinator.shards() as i64)),
         ("versions", Json::Int(1)),
-    ])
-    .to_compact()
-}
-
-/// `GET /views`: identical body to a single-process server's.
-fn serve_views(ctx: &WorkerContext) -> String {
-    let views: Vec<Json> = ctx
-        .coordinator
-        .engine()
-        .registry()
-        .iter()
-        .map(|v| {
-            Json::from_pairs([
-                ("name", Json::str(v.name.clone())),
-                ("definition", Json::str(v.view.to_string())),
-                ("citation_query", Json::str(v.citation_query.to_string())),
-            ])
-        })
-        .collect();
-    Json::from_pairs([
-        ("count", Json::Int(views.len() as i64)),
-        ("views", Json::Array(views)),
-    ])
-    .to_compact()
+    ]);
+    Response::json(200, body.to_compact())
 }
 
 /// `GET /stats`: endpoint counters plus the scatter tier's state —
 /// per-replica circuit/traffic and the in-flight gauge.
-fn serve_stats(ctx: &WorkerContext) -> String {
-    let mut body = ctx.stats.to_json();
+fn serve_stats(coordinator: &Coordinator, call: &Call<'_>) -> Response {
+    let mut body = call.stats.to_json();
     body.set("role", Json::str("coordinator"));
-    body.set("shards", Json::Int(ctx.coordinator.shards() as i64));
-    body.set(
-        "in_flight",
-        Json::Int(ctx.in_flight.load(Ordering::SeqCst) as i64),
-    );
-    body.set("replicas", ctx.coordinator.pool_json());
-    body.set("served", Json::Int(ctx.stats.served() as i64));
-    body.to_compact()
+    body.set("shards", Json::Int(coordinator.shards() as i64));
+    body.set("replicas", coordinator.pool().to_json());
+    body.set("served", Json::Int(call.stats.served() as i64));
+    Response::json(200, body.to_compact())
 }
 
 /// `GET /metrics`: Prometheus exposition of the coordinator's serving
 /// tier, its schema-only engine (stage histograms), and the
 /// per-replica scatter pool.
-fn serve_metrics(ctx: &WorkerContext) -> String {
+fn serve_metrics(coordinator: &Coordinator, call: &Call<'_>) -> Response {
     let mut w = PromWriter::new();
     let base = [("role", "coordinator"), ("shard", "")];
-    ctx.stats.write_prometheus(&mut w, &base);
-    write_engine_metrics(&mut w, &base, ctx.coordinator.engine());
-    ctx.coordinator.pool().write_prometheus(&mut w, &base);
+    call.stats.write_prometheus(&mut w, &base);
+    write_engine_metrics(&mut w, &base, coordinator.engine());
+    coordinator.pool().write_prometheus(&mut w, &base);
     // Per-fault-point counters (empty unless the plane is armed).
     fgc_fault::global().write_prometheus(&mut w, &base);
-    w.finish()
+    Response::prometheus(w.finish())
 }

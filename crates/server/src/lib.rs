@@ -2,12 +2,17 @@
 //!
 //! The network front-end over the `&self` serving API of
 //! [`fgc_core::CitationEngine`] (the production-scale direction of
-//! §4): a dependency-free HTTP/1.1 service on
-//! [`std::net::TcpListener`] with a fixed worker pool and a
-//! **batching admission queue** — concurrent `POST /cite` requests
-//! are coalesced into [`CitationEngine::cite_batch_threads`] calls
-//! over one shared engine, so every worker shares the same token
-//! cache and materialized extents.
+//! §4), dependency-free on [`std::net::TcpListener`]. There is **one
+//! front door**: [`HttpService`] owns everything between the socket
+//! and a route's handler (acceptor, worker pool, framing errors,
+//! request IDs, deadlines, slow log, per-route stats, 404/405), and
+//! every role is that service plus a table of [`Route`] rows —
+//! [`CiteServer`] adds the engine routes and a **batching admission
+//! queue** (concurrent `POST /cite` requests are coalesced into
+//! [`CitationEngine::cite_batch_threads`] calls over one shared
+//! engine, so every worker shares the same token cache and
+//! materialized extents); `fgc-dist` adds a replica's `/fragment/*`
+//! rows and the coordinator's scatter routes.
 //!
 //! Routes:
 //!
@@ -21,7 +26,7 @@
 //! | `GET /stats`     | per-endpoint latency/throughput + cache|
 //! | `GET /healthz`   | liveness probe                         |
 //! | `GET /metrics`   | Prometheus text exposition             |
-//! | `GET /debug/slow`| slowest requests with stage breakdowns |
+//! | `GET /debug/slow`| slowest requests with stage breakdowns (the service's own row, on every role) |
 //!
 //! Every response carries an `x-request-id` header — honored from the
 //! request when the client (or an upstream coordinator) sent one,
@@ -37,7 +42,7 @@
 //! memoization) ride on the JSON body — see [`wire`] for the exact
 //! field set. Malformed HTTP or JSON, oversized bodies, unknown
 //! routes, and bad request fields all answer 4xx without wedging a
-//! worker; a full admission queue answers 503.
+//! worker; a full admission queue answers 503, a spent deadline 504.
 //!
 //! ```no_run
 //! use fgc_core::CitationEngine;
@@ -63,17 +68,17 @@ pub mod client;
 pub mod http;
 pub mod json;
 pub mod server;
+pub mod service;
 pub mod stats;
 pub mod wire;
 
 pub use batch::{Batcher, Overloaded};
 pub use client::{Client, ClientResponse};
 pub use json::{parse_json, JsonError};
-pub use server::{
-    slow_log_body, write_engine_metrics, write_storage_metrics, CiteServer, RouteHandler,
-    ServerConfig, SLOW_LOG_CAPACITY,
-};
+pub use server::{views_body, write_engine_metrics, write_storage_metrics, CiteServer};
+pub use service::{Call, HttpService, Response, Route, ServerConfig};
 pub use stats::{EndpointStats, ServerStats};
 pub use wire::{
-    decode_cite_request, encode_response, encode_response_with, error_body, QueryKind, WireError,
+    decode_cite_body, decode_cite_request, encode_response, encode_response_with, error_body,
+    parse_body, QueryKind, WireError,
 };

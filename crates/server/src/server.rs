@@ -1,202 +1,65 @@
-//! The HTTP citation service: listener, worker pool, router,
-//! graceful shutdown.
-//!
-//! Topology:
+//! The engine role: [`CiteServer`] is the one [`HttpService`] front
+//! door plus the engine's route rows and the batcher.
 //!
 //! ```text
-//! acceptor thread ──► bounded connection queue ──► N worker threads
-//!                                                    │  GET routes answer inline
-//!                                                    ▼
-//!                                          batching admission queue
-//!                                                    │ (coalesce ≤ window)
-//!                                                    ▼
-//!                                 CitationEngine::cite_batch_threads(&self, ..)
+//! HttpService (acceptor ──► bounded queue ──► N workers ──► route table)
+//!     │  GET rows, /cite_at and a replica's /fragment/* rows answer inline
+//!     ▼  POST /cite, /cite_sql
+//! batching admission queue
+//!     │ (coalesce ≤ window)
+//!     ▼
+//! CitationEngine::cite_batch_threads(&self, ..)
 //! ```
 //!
 //! One [`CitationEngine`] is shared by everything (the whole point of
 //! the `&self` serving API): workers decode requests, the batcher
 //! fans batches out over the engine, and all of them share its token
-//! cache and materialized extents.
+//! cache and materialized extents. A replica deployment hands extra
+//! rows (its `/fragment/*` endpoints) to
+//! [`CiteServer::start_with_handler`]; they join the same table.
 //!
 //! Shutdown ([`CiteServer::shutdown`]) is graceful and total: the
-//! accept loop is woken and exits, the connection queue drains,
-//! workers finish their in-flight responses and join, and finally the
-//! batcher answers its last batch and joins.
+//! service stops accepting, drains and joins its workers, and finally
+//! the batcher answers its last batch and joins.
 
 use crate::batch::{BatchFailure, Batcher};
-use crate::http::{
-    deadline_from, read_request_with_deadline, remaining_ms, write_response, write_response_with,
-    HttpError, HttpRequest,
+use crate::service::{
+    Call, HttpService, Response, Route, ServerConfig, DEADLINE_EXCEEDED, MAX_BATCH, QUEUE_DEPTH,
 };
-use crate::json::parse_json;
-use crate::stats::{EndpointStats, ServerStats};
-use crate::wire::{decode_cite_request, encode_response_with, error_body, QueryKind};
+use crate::stats::ServerStats;
+use crate::wire::{decode_cite_body, encode_response_with, parse_body, QueryKind};
 use fgc_core::{CitationEngine, VersionedCitationEngine};
-use fgc_obs::{next_request_id, PromWriter, SlowEntry, SlowLog};
+use fgc_obs::PromWriter;
 use fgc_relation::storage::{StorageHealth, StorageStats};
 use fgc_views::Json;
-use std::io::{self, BufReader};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
+use std::io;
+use std::net::SocketAddr;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Server configuration; the defaults suit a loopback deployment.
-#[derive(Debug, Clone)]
-pub struct ServerConfig {
-    /// Bind address (`host:port`; port 0 picks a free port).
-    pub addr: String,
-    /// Worker threads handling connections (also the fan-out width
-    /// handed to `cite_batch_threads`).
-    pub threads: usize,
-    /// How long the batcher waits for co-travellers after the first
-    /// request of a batch. Zero disables coalescing.
-    pub batch_window: Duration,
-    /// Maximum requests coalesced into one engine batch.
-    pub max_batch: usize,
-    /// Bounded admission-queue depth (overflow → 503).
-    pub queue_depth: usize,
-    /// Largest accepted request body (overflow → 413).
-    pub max_body_bytes: usize,
-    /// Idle keep-alive read timeout before a connection is recycled.
-    pub read_timeout: Duration,
-    /// Total time a client gets to deliver a complete request head
-    /// (request line + headers) once the worker starts reading it. A
-    /// slow-drip head (one byte per `read_timeout`) is cut off with a
-    /// 408 when this budget runs out instead of occupying the worker
-    /// indefinitely.
-    pub header_read_timeout: Duration,
-    /// End-to-end budget assigned to a request that carries no
-    /// `x-deadline-ms` header.
-    pub default_deadline: Duration,
-    /// Ceiling clamped onto any client-supplied `x-deadline-ms` — a
-    /// client cannot pin a worker longer than the operator allows.
-    pub max_deadline: Duration,
-    /// Deployment role reported on `GET /healthz` (`"single"`,
-    /// `"replica"`, or `"coordinator"`).
-    pub role: String,
-    /// Shard ownership `(i, n)` reported on `/healthz` as `"i/n"`
-    /// for replica deployments; `None` otherwise.
-    pub shard: Option<(usize, usize)>,
-}
-
-impl Default for ServerConfig {
-    fn default() -> Self {
-        ServerConfig {
-            addr: "127.0.0.1:8787".into(),
-            threads: std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(4),
-            batch_window: Duration::from_millis(1),
-            max_batch: 64,
-            queue_depth: 1024,
-            max_body_bytes: 1024 * 1024,
-            read_timeout: Duration::from_secs(5),
-            header_read_timeout: Duration::from_secs(10),
-            default_deadline: Duration::from_secs(30),
-            max_deadline: Duration::from_secs(300),
-            role: "single".into(),
-            shard: None,
-        }
-    }
-}
-
-impl ServerConfig {
-    /// Builder: bind address.
-    pub fn with_addr(mut self, addr: impl Into<String>) -> Self {
-        self.addr = addr.into();
-        self
-    }
-
-    /// Builder: worker thread count (clamped to ≥ 1).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// Builder: batch window.
-    pub fn with_batch_window(mut self, window: Duration) -> Self {
-        self.batch_window = window;
-        self
-    }
-
-    /// Builder: default end-to-end deadline for requests without an
-    /// `x-deadline-ms` header.
-    pub fn with_default_deadline(mut self, deadline: Duration) -> Self {
-        self.default_deadline = deadline;
-        self
-    }
-
-    /// Builder: ceiling on any client-supplied `x-deadline-ms`.
-    pub fn with_max_deadline(mut self, deadline: Duration) -> Self {
-        self.max_deadline = deadline;
-        self
-    }
-
-    /// Builder: total budget for receiving one request head.
-    pub fn with_header_read_timeout(mut self, timeout: Duration) -> Self {
-        self.header_read_timeout = timeout;
-        self
-    }
-
-    /// Builder: deployment role reported on `/healthz`.
-    pub fn with_role(mut self, role: impl Into<String>) -> Self {
-        self.role = role.into();
-        self
-    }
-
-    /// Builder: shard ownership `(i, n)` reported on `/healthz`.
-    pub fn with_shard(mut self, shard: usize, shards: usize) -> Self {
-        self.shard = Some((shard, shards));
-        self
-    }
-}
-
-/// An extension hook that serves routes the built-in router does not
-/// know (e.g. a replica's `/fragment/*` endpoints). Consulted before
-/// the built-in routes; `None` falls through to them.
-pub type RouteHandler = Arc<dyn Fn(&HttpRequest) -> Option<(u16, String)> + Send + Sync>;
-
-/// How many of the slowest requests `GET /debug/slow` retains.
-pub const SLOW_LOG_CAPACITY: usize = 32;
-
-/// Per-stage durations attached to a routed response (cite routes
-/// only; other routes report an empty breakdown).
-type Stages = Vec<(&'static str, Duration)>;
 
 /// A running citation service. Dropping the handle shuts it down.
 #[derive(Debug)]
 pub struct CiteServer {
-    addr: SocketAddr,
+    service: HttpService,
     engine: Arc<CitationEngine>,
-    stats: Arc<ServerStats>,
-    slow: Arc<SlowLog>,
-    shutdown: Arc<AtomicBool>,
-    acceptor: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
-    // dropped after the workers join, which is what stops the batcher
-    batcher: Option<Arc<Batcher>>,
 }
 
 impl CiteServer {
     /// Bind and start serving `engine` under `config`.
     pub fn start(engine: Arc<CitationEngine>, config: ServerConfig) -> io::Result<CiteServer> {
-        CiteServer::start_inner(engine, None, config, None)
+        CiteServer::start_inner(engine, None, config, Vec::new())
     }
 
-    /// [`CiteServer::start`] with a route-extension hook: `extra` is
-    /// consulted before the built-in routes, so a replica deployment
-    /// can add its `/fragment/*` endpoints without forking the
-    /// server. (A separate argument because [`ServerConfig`] stays
-    /// plain data — `Debug + Clone` — while the hook is a closure.)
+    /// [`CiteServer::start`] with extra route rows: `extra` joins the
+    /// engine's rows in the one route table, so a replica deployment
+    /// adds its `/fragment/*` endpoints without forking the server.
     pub fn start_with_handler(
         engine: Arc<CitationEngine>,
         config: ServerConfig,
-        extra: RouteHandler,
+        extra: Vec<Route>,
     ) -> io::Result<CiteServer> {
-        CiteServer::start_inner(engine, None, config, Some(extra))
+        CiteServer::start_inner(engine, None, config, extra)
     }
 
     /// Bind and start serving a **versioned** engine: the head
@@ -212,98 +75,59 @@ impl CiteServer {
         let head = versioned
             .head_engine()
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
-        CiteServer::start_inner(head, Some(versioned), config, None)
+        CiteServer::start_inner(head, Some(versioned), config, Vec::new())
     }
 
     fn start_inner(
         engine: Arc<CitationEngine>,
         versioned: Option<Arc<VersionedCitationEngine>>,
         config: ServerConfig,
-        extra: Option<RouteHandler>,
+        extra: Vec<Route>,
     ) -> io::Result<CiteServer> {
-        let listener = TcpListener::bind(&config.addr)?;
-        let addr = listener.local_addr()?;
         let stats = Arc::new(ServerStats::default());
-        let slow = Arc::new(SlowLog::new(SLOW_LOG_CAPACITY));
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let batcher = Arc::new(Batcher::start(
-            Arc::clone(&engine),
-            Arc::clone(&stats),
-            config.batch_window,
-            config.max_batch,
-            config.queue_depth,
-            config.threads,
-        ));
-
-        // Bounded connection queue: when every worker is busy and the
-        // queue is full, `send` blocks the acceptor — kernel-level
-        // backpressure instead of unbounded connection pile-up.
-        let (conn_tx, conn_rx) = std::sync::mpsc::sync_channel::<TcpStream>(config.queue_depth);
-        let conn_rx = Arc::new(Mutex::new(conn_rx));
-
         let threads = config.threads.max(1);
-        let cite_at_inflight = Arc::new(AtomicUsize::new(0));
-        let workers = (0..threads)
-            .map(|i| {
-                let ctx = WorkerContext {
-                    engine: Arc::clone(&engine),
-                    versioned: versioned.clone(),
-                    stats: Arc::clone(&stats),
-                    slow: Arc::clone(&slow),
-                    batcher: Arc::clone(&batcher),
-                    shutdown: Arc::clone(&shutdown),
-                    max_body_bytes: config.max_body_bytes,
-                    header_read_timeout: config.header_read_timeout,
-                    default_deadline: config.default_deadline,
-                    max_deadline: config.max_deadline,
-                    cite_at_inflight: Arc::clone(&cite_at_inflight),
-                    cite_at_limit: threads.saturating_sub(1).max(1),
-                    role: config.role.clone(),
-                    shard: config.shard,
-                    extra: extra.clone(),
-                };
-                let conn_rx = Arc::clone(&conn_rx);
-                std::thread::Builder::new()
-                    .name(format!("fgcite-worker-{i}"))
-                    .spawn(move || worker_loop(&ctx, &conn_rx))
-                    .expect("spawn worker thread")
-            })
-            .collect();
-
-        let acceptor = {
-            let shutdown = Arc::clone(&shutdown);
-            let read_timeout = config.read_timeout;
-            std::thread::Builder::new()
-                .name("fgcite-acceptor".into())
-                .spawn(move || accept_loop(&listener, &conn_tx, &shutdown, read_timeout))
-                .expect("spawn acceptor thread")
-        };
-
-        Ok(CiteServer {
-            addr,
-            engine,
-            stats,
-            slow,
-            shutdown,
-            acceptor: Some(acceptor),
-            workers,
-            batcher: Some(batcher),
-        })
+        let app = Arc::new(App {
+            batcher: Batcher::start(
+                Arc::clone(&engine),
+                Arc::clone(&stats),
+                config.batch_window,
+                MAX_BATCH,
+                QUEUE_DEPTH,
+                threads,
+            ),
+            engine: Arc::clone(&engine),
+            versioned,
+            cite_at_inflight: AtomicUsize::new(0),
+            cite_at_limit: threads.saturating_sub(1).max(1),
+            role: config.role.clone(),
+            shard: config.shard.map(|(i, n)| format!("{i}/{n}")),
+        });
+        let mut routes = vec![
+            Route::new("POST", "/cite", |s| &s.cite, &app, serve_datalog).budgeted(),
+            Route::new("POST", "/cite_sql", |s| &s.cite_sql, &app, serve_sql).budgeted(),
+            Route::new("POST", "/cite_at", |s| &s.cite_at, &app, serve_cite_at).budgeted(),
+            Route::new("GET", "/versions", |s| &s.versions, &app, serve_versions),
+            Route::new("GET", "/views", |s| &s.views, &app, serve_views),
+            Route::new("GET", "/stats", |s| &s.stats, &app, serve_stats),
+            Route::new("GET", "/healthz", |s| &s.healthz, &app, serve_healthz),
+            Route::new("GET", "/metrics", |s| &s.observe, &app, serve_metrics),
+        ];
+        routes.extend(extra);
+        // The route rows hold the only lasting handles on `app`: when
+        // the service's last worker exits, the batcher inside it
+        // answers its last batch and joins too.
+        let service = HttpService::start(&config, stats, routes)?;
+        Ok(CiteServer { service, engine })
     }
 
     /// The actual bound address (resolves port 0).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.service.addr()
     }
 
     /// The shared serving counters.
     pub fn stats(&self) -> Arc<ServerStats> {
-        Arc::clone(&self.stats)
-    }
-
-    /// The bounded slowest-requests ring surfaced at `GET /debug/slow`.
-    pub fn slow_log(&self) -> Arc<SlowLog> {
-        Arc::clone(&self.slow)
+        self.service.stats()
     }
 
     /// The engine being served.
@@ -312,90 +136,35 @@ impl CiteServer {
     }
 
     /// Graceful shutdown: stop accepting, drain, join every thread.
-    pub fn shutdown(mut self) {
-        self.stop();
+    pub fn shutdown(self) {
+        self.service.shutdown();
     }
 
     /// Block until the server is shut down from elsewhere (the
     /// `fgcite serve` foreground mode; runs until the process dies).
-    pub fn wait(mut self) {
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
-        }
-        self.stop();
-    }
-
-    fn stop(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        // wake the blocking accept with a throwaway connection
-        let _ = TcpStream::connect(self.addr);
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
-        }
-        // acceptor gone → its conn_tx is dropped → workers drain the
-        // queue and see Disconnected
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
-        // last handle on the batcher → its Drop joins the thread
-        self.batcher.take();
+    pub fn wait(self) {
+        self.service.wait();
     }
 }
 
-impl Drop for CiteServer {
-    fn drop(&mut self) {
-        self.stop();
-    }
-}
-
-fn accept_loop(
-    listener: &TcpListener,
-    conn_tx: &SyncSender<TcpStream>,
-    shutdown: &AtomicBool,
-    read_timeout: Duration,
-) {
-    for stream in listener.incoming() {
-        if shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        let Ok(stream) = stream else { continue };
-        let _ = stream.set_nodelay(true);
-        let _ = stream.set_read_timeout(Some(read_timeout));
-        if conn_tx.send(stream).is_err() {
-            return; // workers gone
-        }
-    }
-}
-
-/// Everything a worker needs to serve connections.
-struct WorkerContext {
+/// What the engine routes share.
+struct App {
     engine: Arc<CitationEngine>,
     /// Present in versioned deployments; enables `/cite_at`,
     /// `/versions`, and the `fixity` stats block.
     versioned: Option<Arc<VersionedCitationEngine>>,
-    stats: Arc<ServerStats>,
-    slow: Arc<SlowLog>,
-    batcher: Arc<Batcher>,
-    shutdown: Arc<AtomicBool>,
-    max_body_bytes: usize,
-    /// Total budget for one request head; overrun answers 408.
-    header_read_timeout: Duration,
-    /// Deadline assigned when `x-deadline-ms` is absent.
-    default_deadline: Duration,
-    /// Ceiling clamped onto any client-supplied `x-deadline-ms`.
-    max_deadline: Duration,
+    batcher: Batcher,
     /// `/cite_at` runs inline (it does not coalesce like `/cite`'s
     /// batched admission, and a cold version's first touch builds a
     /// whole engine), so concurrent versioned citations are capped at
     /// `threads - 1`: one worker always stays free for the cheap
     /// routes, and the overflow is shed with 503 like the batcher's.
-    cite_at_inflight: Arc<AtomicUsize>,
+    cite_at_inflight: AtomicUsize,
     cite_at_limit: usize,
-    /// Role/shard identity reported on `/healthz`.
+    /// Role and shard (`"i/n"`) identity reported on `/healthz` and as
+    /// `/metrics` labels.
     role: String,
-    shard: Option<(usize, usize)>,
-    /// Route-extension hook, consulted before the built-in routes.
-    extra: Option<RouteHandler>,
+    shard: Option<String>,
 }
 
 /// Decrements the `/cite_at` inflight counter on every exit path.
@@ -407,319 +176,98 @@ impl Drop for InflightGuard<'_> {
     }
 }
 
-fn worker_loop(ctx: &WorkerContext, conn_rx: &Arc<Mutex<Receiver<TcpStream>>>) {
-    loop {
-        // take the lock only to pop one connection
-        let stream = {
-            let rx = conn_rx.lock().expect("connection queue lock");
-            rx.recv()
-        };
-        match stream {
-            Ok(stream) => handle_connection(ctx, stream),
-            Err(_) => return, // acceptor hung up: shutdown
-        }
-    }
+fn serve_datalog(app: &App, call: &Call<'_>) -> Response {
+    serve_cite(app, call, QueryKind::Datalog)
 }
 
-/// Serve requests off one connection until it closes, errors, times
-/// out, or the server shuts down. Never panics on malformed input —
-/// the worker answers 4xx and recycles itself.
-fn handle_connection(ctx: &WorkerContext, stream: TcpStream) {
-    let Ok(write_half) = stream.try_clone() else {
-        return;
-    };
-    let mut write_half = write_half;
-    let mut reader = BufReader::new(stream);
-    loop {
-        // The head deadline starts when we begin waiting for a
-        // request: a client dripping one header byte per read-timeout
-        // can no longer hold a worker forever.
-        let head_deadline = Instant::now() + ctx.header_read_timeout;
-        match read_request_with_deadline(&mut reader, ctx.max_body_bytes, Some(head_deadline)) {
-            Ok(request) => {
-                let keep_alive = request.keep_alive() && !ctx.shutdown.load(Ordering::SeqCst);
-                // Assign (or honor) the request ID at the front door:
-                // it is echoed on the response, carried through the
-                // engine trace, and keyed into the slow log.
-                let rid = request
-                    .header("x-request-id")
-                    .map(str::to_string)
-                    .unwrap_or_else(next_request_id);
-                // Honor (clamped) or assign the end-to-end deadline;
-                // every downstream stage works against this budget.
-                let deadline = deadline_from(&request, ctx.default_deadline, ctx.max_deadline);
-                let started = Instant::now();
-                ctx.stats.in_flight.fetch_add(1, Ordering::Relaxed);
-                let (status, body, stages) = route(ctx, &request, &rid, deadline);
-                ctx.stats.in_flight.fetch_sub(1, Ordering::Relaxed);
-                ctx.slow.observe(SlowEntry {
-                    request_id: rid.clone(),
-                    endpoint: request.path.clone(),
-                    status,
-                    total: started.elapsed(),
-                    stages: stages.iter().map(|(n, d)| (n.to_string(), *d)).collect(),
-                });
-                let content_type = if request.path == "/metrics" {
-                    "text/plain; version=0.0.4"
-                } else {
-                    "application/json"
-                };
-                if write_response_with(
-                    &mut write_half,
-                    status,
-                    &body,
-                    keep_alive,
-                    content_type,
-                    &[("x-request-id", &rid)],
-                )
-                .is_err()
-                {
-                    return;
-                }
-                if !keep_alive {
-                    return;
-                }
-            }
-            Err(HttpError::Closed) => return,
-            Err(HttpError::Io(_)) => return, // timeout or broken pipe
-            Err(HttpError::HeaderTimeout) => {
-                ctx.stats.malformed.fetch_add(1, Ordering::Relaxed);
-                let _ = write_response(
-                    &mut write_half,
-                    408,
-                    &error_body("request head not received within the server's header deadline"),
-                    false,
-                );
-                return; // mid-head: resync is impossible, drop the stream
-            }
-            Err(HttpError::BadRequest(message)) => {
-                ctx.stats.malformed.fetch_add(1, Ordering::Relaxed);
-                let _ = write_response(&mut write_half, 400, &error_body(&message), false);
-                return; // framing is unrecoverable: drop the stream
-            }
-            Err(HttpError::LengthRequired) => {
-                ctx.stats.malformed.fetch_add(1, Ordering::Relaxed);
-                let _ = write_response(
-                    &mut write_half,
-                    411,
-                    &error_body("POST requires a Content-Length header"),
-                    false,
-                );
-                // an undeclared body may still be in flight: resync
-                // is impossible, drop the stream
-                return;
-            }
-            Err(HttpError::PayloadTooLarge(n)) => {
-                ctx.stats.malformed.fetch_add(1, Ordering::Relaxed);
-                let message = format!("body of {n} bytes exceeds limit of {}", ctx.max_body_bytes);
-                let _ = write_response(&mut write_half, 413, &error_body(&message), false);
-                return; // the oversized body was never read: resync is impossible
-            }
-        }
-    }
+fn serve_sql(app: &App, call: &Call<'_>) -> Response {
+    serve_cite(app, call, QueryKind::Sql)
 }
 
-/// Dispatch one request; returns `(status, body, stages)`. Matched on
-/// path first so a known route with the wrong method (any method, not
-/// just GET/POST) answers 405 rather than a misleading 404.
-fn route(
-    ctx: &WorkerContext,
-    request: &HttpRequest,
-    rid: &str,
-    deadline: Instant,
-) -> (u16, String, Stages) {
-    if let Some(extra) = &ctx.extra {
-        if let Some((status, body)) = extra(request) {
-            return (status, body, Vec::new());
-        }
-    }
-    let method = request.method.as_str();
-    let expected = match request.path.as_str() {
-        "/cite" if method == "POST" => {
-            return timed_cite(&ctx.stats.cite, || {
-                serve_cite(ctx, &request.body, QueryKind::Datalog, rid, deadline)
-            })
-        }
-        "/cite_sql" if method == "POST" => {
-            return timed_cite(&ctx.stats.cite_sql, || {
-                serve_cite(ctx, &request.body, QueryKind::Sql, rid, deadline)
-            })
-        }
-        "/cite_at" if method == "POST" => {
-            return timed(&ctx.stats.cite_at, || serve_cite_at(ctx, &request.body))
-        }
-        "/versions" if method == "GET" => {
-            return timed(&ctx.stats.versions, || serve_versions(ctx))
-        }
-        "/views" if method == "GET" => return timed(&ctx.stats.views, || (200, serve_views(ctx))),
-        "/stats" if method == "GET" => return timed(&ctx.stats.stats, || (200, serve_stats(ctx))),
-        "/healthz" if method == "GET" => {
-            return timed(&ctx.stats.healthz, || (200, serve_healthz(ctx)))
-        }
-        "/metrics" if method == "GET" => {
-            return timed(&ctx.stats.observe, || (200, serve_metrics(ctx)))
-        }
-        "/debug/slow" if method == "GET" => {
-            return timed(&ctx.stats.observe, || (200, serve_slow(ctx)))
-        }
-        "/cite" | "/cite_sql" | "/cite_at" => "POST",
-        "/views" | "/versions" | "/stats" | "/healthz" | "/metrics" | "/debug/slow" => "GET",
-        path => {
-            ctx.stats.unrouted.fetch_add(1, Ordering::Relaxed);
-            return (
-                404,
-                error_body(&format!("no such route `{path}`")),
-                Vec::new(),
-            );
-        }
-    };
-    ctx.stats.unrouted.fetch_add(1, Ordering::Relaxed);
-    (
-        405,
-        error_body(&format!(
-            "method {method} not allowed on {} (use {expected})",
-            request.path
-        )),
-        Vec::new(),
-    )
+fn serve_views(app: &App, _: &Call<'_>) -> Response {
+    Response::json(200, views_body(&app.engine))
 }
 
-fn timed(endpoint: &EndpointStats, serve: impl FnOnce() -> (u16, String)) -> (u16, String, Stages) {
-    let started = Instant::now();
-    let (status, body) = serve();
-    endpoint.record(started.elapsed(), status < 400);
-    (status, body, Vec::new())
-}
-
-/// [`timed`] for the cite routes, whose responses carry a per-stage
-/// breakdown for the slow log.
-fn timed_cite(
-    endpoint: &EndpointStats,
-    serve: impl FnOnce() -> (u16, String, Stages),
-) -> (u16, String, Stages) {
-    let started = Instant::now();
-    let (status, body, stages) = serve();
-    endpoint.record(started.elapsed(), status < 400);
-    (status, body, stages)
-}
-
-fn serve_cite(
-    ctx: &WorkerContext,
-    body: &[u8],
-    kind: QueryKind,
-    rid: &str,
-    deadline: Instant,
-) -> (u16, String, Stages) {
-    // A request that arrives with its budget already spent (e.g. a
-    // coordinator hop consumed it) is refused before any work.
-    if remaining_ms(deadline) == 0 {
-        return (504, deadline_exceeded_body(ctx), Vec::new());
-    }
+fn serve_cite(app: &App, call: &Call<'_>, kind: QueryKind) -> Response {
     // Wire decode is this worker's share of the `parse` stage (the
     // engine times the query resolution itself on the batch thread).
-    let decoded = ctx.engine.stage_stats().time("parse", || {
-        let text = std::str::from_utf8(body).map_err(|_| "body is not valid utf-8".to_string())?;
-        let parsed = parse_json(text).map_err(|e| format!("invalid JSON: {e}"))?;
-        decode_cite_request(&parsed, kind, ctx.engine.policy()).map_err(|e| e.0)
-    });
-    let request = match decoded {
+    let request = match decode_cite_body(&app.engine, &call.request.body, kind) {
         Ok(r) => r,
-        Err(message) => return (400, error_body(&message), Vec::new()),
+        Err(message) => return Response::error(400, &message),
     };
     let include_stages = request.include_stages;
-    let request = request.with_request_id(rid);
-    let receiver = match ctx.batcher.submit(request, Some(deadline)) {
+    let request = request.with_request_id(call.request_id);
+    let receiver = match app.batcher.submit(request, Some(call.deadline)) {
         Ok(rx) => rx,
         Err(_) => {
-            ctx.stats.rejected.fetch_add(1, Ordering::Relaxed);
-            return (
-                503,
-                error_body("admission queue full, retry later"),
-                Vec::new(),
-            );
+            call.stats.rejected.fetch_add(1, Ordering::Relaxed);
+            return Response::error(503, "admission queue full, retry later");
         }
     };
     // Block no longer than the request's remaining budget (plus a
     // small grace so a response racing the deadline still lands); a
     // late reply goes to a dropped receiver, which the batcher
     // tolerates.
-    let budget = deadline.saturating_duration_since(Instant::now()) + Duration::from_millis(50);
+    let budget =
+        call.deadline.saturating_duration_since(Instant::now()) + Duration::from_millis(50);
     match receiver.recv_timeout(budget) {
         Ok(Ok(response)) => {
             let body = encode_response_with(&response, include_stages).to_compact();
-            (200, body, response.stages)
+            Response {
+                stages: response.stages,
+                ..Response::json(200, body)
+            }
         }
-        Ok(Err(BatchFailure::DeadlineExceeded)) => (504, deadline_exceeded_body(ctx), Vec::new()),
+        Ok(Err(BatchFailure::DeadlineExceeded))
+        | Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
+            Response::error(504, DEADLINE_EXCEEDED)
+        }
         // engine errors are request-shaped (unknown relation, SQL
         // parse failure against the catalog, ...): the client's fault
-        Ok(Err(BatchFailure::Engine(e))) => (400, error_body(&e.to_string()), Vec::new()),
-        Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
-            (504, deadline_exceeded_body(ctx), Vec::new())
-        }
+        Ok(Err(BatchFailure::Engine(e))) => Response::error(400, &e.to_string()),
         Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
-            (500, error_body("batcher dropped the request"), Vec::new())
+            Response::error(500, "batcher dropped the request")
         }
     }
-}
-
-/// The structured 504 body; also bumps the deadline counter so every
-/// exhaustion path is visible on `/stats` and `/metrics`.
-fn deadline_exceeded_body(ctx: &WorkerContext) -> String {
-    ctx.stats.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
-    error_body("deadline exceeded before a response was produced")
 }
 
 /// `POST /cite_at`: a fixity-stamped citation against a specific
 /// version (`"version": id`), a point in time (`"at": timestamp`),
 /// or the head when neither is given. Body: `{"query": "Q(...) :-
 /// ...", "version": 2}`.
-fn serve_cite_at(ctx: &WorkerContext, body: &[u8]) -> (u16, String) {
-    let Some(versioned) = &ctx.versioned else {
-        return (
-            404,
-            error_body("this deployment is not versioned (start with a commit history)"),
-        );
+fn serve_cite_at(app: &App, call: &Call<'_>) -> Response {
+    let Some(versioned) = &app.versioned else {
+        return Response::error(404, NOT_VERSIONED);
     };
-    let inflight = ctx.cite_at_inflight.fetch_add(1, Ordering::AcqRel);
-    let _guard = InflightGuard(&ctx.cite_at_inflight);
-    if inflight >= ctx.cite_at_limit {
-        ctx.stats.rejected.fetch_add(1, Ordering::Relaxed);
-        return (
-            503,
-            error_body("versioned citation capacity saturated, retry later"),
-        );
+    let inflight = app.cite_at_inflight.fetch_add(1, Ordering::AcqRel);
+    let _guard = InflightGuard(&app.cite_at_inflight);
+    if inflight >= app.cite_at_limit {
+        call.stats.rejected.fetch_add(1, Ordering::Relaxed);
+        return Response::error(503, "versioned citation capacity saturated, retry later");
     }
-    let text = match std::str::from_utf8(body) {
-        Ok(t) => t,
-        Err(_) => return (400, error_body("body is not valid utf-8")),
-    };
-    let parsed = match parse_json(text) {
-        Ok(v) => v,
-        Err(e) => return (400, error_body(&format!("invalid JSON: {e}"))),
-    };
+    Response::ok_or_400(cite_at(versioned, &call.request.body))
+}
+
+/// Decode a `/cite_at` body and cite it; the error is the 400 message.
+fn cite_at(versioned: &VersionedCitationEngine, body: &[u8]) -> Result<String, String> {
+    let parsed = parse_body(body)?;
     // same wire contract as /cite: a typo silently ignored would
     // serve the wrong version with a 200
     let Json::Object(fields) = &parsed else {
-        return (400, error_body("request body must be a JSON object"));
+        return Err("request body must be a JSON object".into());
     };
     if let Some((unknown, _)) = fields
         .iter()
         .find(|(key, _)| !matches!(key.as_str(), "query" | "version" | "at"))
     {
-        return (
-            400,
-            error_body(&format!(
-                "unknown field `{unknown}` (expected query, version, at)"
-            )),
-        );
+        return Err(format!(
+            "unknown field `{unknown}` (expected query, version, at)"
+        ));
     }
     let query = match parsed.get("query") {
-        Some(Json::Str(q)) => match fgc_query::parse_query(q) {
-            Ok(q) => q,
-            Err(e) => return (400, error_body(&format!("bad query: {e}"))),
-        },
-        Some(_) => return (400, error_body("`query` must be a string")),
-        None => return (400, error_body("missing `query` field")),
+        Some(Json::Str(q)) => fgc_query::parse_query(q).map_err(|e| format!("bad query: {e}"))?,
+        Some(_) => return Err("`query` must be a string".into()),
+        None => return Err("missing `query` field".into()),
     };
     let int_field = |name: &str| -> Result<Option<u64>, String> {
         match parsed.get(name) {
@@ -730,36 +278,24 @@ fn serve_cite_at(ctx: &WorkerContext, body: &[u8]) -> (u16, String) {
             )),
         }
     };
-    let (version, at) = match (int_field("version"), int_field("at")) {
-        (Ok(v), Ok(a)) => (v, a),
-        (Err(e), _) | (_, Err(e)) => return (400, error_body(&e)),
-    };
-    let cited = match (version, at) {
-        (Some(_), Some(_)) => {
-            return (400, error_body("`version` and `at` are mutually exclusive"))
-        }
+    let cited = match (int_field("version")?, int_field("at")?) {
+        (Some(_), Some(_)) => return Err("`version` and `at` are mutually exclusive".into()),
         (Some(v), None) => versioned.cite_at_version(v, &query),
         (None, Some(t)) => versioned.cite_at_time(t, &query),
         (None, None) => versioned.cite_head(&query),
-    };
-    match cited {
-        Ok(cited) => {
-            let mut body = cited.stamped_aggregate();
-            body.set("Tuples", Json::Int(cited.citation.tuples.len() as i64));
-            (200, body.to_compact())
-        }
-        // version/query shaped errors are the client's fault
-        Err(e) => (400, error_body(&e.to_string())),
     }
+    .map_err(|e| e.to_string())?;
+    let mut body = cited.stamped_aggregate();
+    body.set("Tuples", Json::Int(cited.citation.tuples.len() as i64));
+    Ok(body.to_compact())
 }
 
+const NOT_VERSIONED: &str = "this deployment is not versioned (start with a commit history)";
+
 /// `GET /versions`: the committed history, oldest first.
-fn serve_versions(ctx: &WorkerContext) -> (u16, String) {
-    let Some(versioned) = &ctx.versioned else {
-        return (
-            404,
-            error_body("this deployment is not versioned (start with a commit history)"),
-        );
+fn serve_versions(app: &App, _: &Call<'_>) -> Response {
+    let Some(versioned) = &app.versioned else {
+        return Response::error(404, NOT_VERSIONED);
     };
     let versions: Vec<Json> = versioned
         .history()
@@ -773,7 +309,7 @@ fn serve_versions(ctx: &WorkerContext) -> (u16, String) {
             ])
         })
         .collect();
-    (
+    Response::json(
         200,
         Json::from_pairs([
             ("count", Json::Int(versions.len() as i64)),
@@ -790,48 +326,45 @@ fn serve_versions(ctx: &WorkerContext) -> (u16, String) {
 /// failed sync, an unreadable manifest, a WAL backlog) the body gains
 /// `degraded: true` plus the cause list while `status` stays a 200 —
 /// the process still serves reads, it just cannot promise durability.
-fn serve_healthz(ctx: &WorkerContext) -> String {
-    let versions = ctx
+fn serve_healthz(app: &App, _: &Call<'_>) -> Response {
+    let versions = app
         .versioned
         .as_ref()
         .map_or(1, |v| v.history().len() as i64);
-    let health = storage_health(ctx);
+    let health = storage_health(app);
     let degraded = health.as_ref().is_some_and(|h| h.degraded);
     let causes: Vec<Json> = health
         .map(|h| h.causes.into_iter().map(Json::str).collect())
         .unwrap_or_default();
-    Json::from_pairs([
+    let body = Json::from_pairs([
         (
             "status",
             Json::str(if degraded { "degraded" } else { "ok" }),
         ),
         ("degraded", Json::Bool(degraded)),
         ("causes", Json::Array(causes)),
-        ("role", Json::str(ctx.role.clone())),
-        (
-            "shard",
-            ctx.shard
-                .map_or(Json::Null, |(i, n)| Json::str(format!("{i}/{n}"))),
-        ),
+        ("role", Json::str(app.role.clone())),
+        ("shard", app.shard.clone().map_or(Json::Null, Json::str)),
         ("versions", Json::Int(versions)),
-    ])
-    .to_compact()
+    ]);
+    Response::json(200, body.to_compact())
 }
 
 /// The storage backend's self-reported health: versioned deployments
 /// hold the handle on the versioned engine, single deployments on the
 /// engine itself; memory backends report nothing.
-fn storage_health(ctx: &WorkerContext) -> Option<StorageHealth> {
-    ctx.versioned
+fn storage_health(app: &App) -> Option<StorageHealth> {
+    app.versioned
         .as_ref()
         .and_then(|v| v.storage())
-        .or_else(|| ctx.engine.storage())
+        .or_else(|| app.engine.storage())
         .and_then(|s| s.health())
 }
 
-fn serve_views(ctx: &WorkerContext) -> String {
-    let views: Vec<Json> = ctx
-        .engine
+/// The `GET /views` body: the registered citation views (identical on
+/// every role — the coordinator calls it on its schema-only engine).
+pub fn views_body(engine: &CitationEngine) -> String {
+    let views: Vec<Json> = engine
         .registry()
         .iter()
         .map(|v| {
@@ -849,11 +382,14 @@ fn serve_views(ctx: &WorkerContext) -> String {
     .to_compact()
 }
 
-fn serve_stats(ctx: &WorkerContext) -> String {
-    let cache = ctx.engine.cache_stats();
-    let plans = ctx.engine.plan_stats();
-    let mut body = ctx.stats.to_json();
-    if let Some(sharding) = ctx.engine.shard_stats() {
+fn serve_stats(app: &App, call: &Call<'_>) -> Response {
+    // ratios are server-computed to three places, so dashboards don't
+    // have to divide
+    let ratio = |r: f64| Json::Float((r * 1000.0).round() / 1000.0);
+    let cache = app.engine.cache_stats();
+    let plans = app.engine.plan_stats();
+    let mut body = call.stats.to_json();
+    if let Some(sharding) = app.engine.shard_stats() {
         body.set(
             "sharding",
             Json::from_pairs([
@@ -884,7 +420,7 @@ fn serve_stats(ctx: &WorkerContext) -> String {
             ]),
         );
     }
-    if let Some(versioned) = &ctx.versioned {
+    if let Some(versioned) = &app.versioned {
         let fixity = versioned.version_stats();
         let memory = versioned.memory_stats();
         body.set(
@@ -922,11 +458,11 @@ fn serve_stats(ctx: &WorkerContext) -> String {
     }
     // backend stats live on the versioned engine when serving a
     // history, otherwise on the single engine's attached handle
-    let storage = ctx
+    let storage = app
         .versioned
         .as_ref()
         .and_then(|v| v.storage_stats())
-        .or_else(|| ctx.engine.storage_stats());
+        .or_else(|| app.engine.storage_stats());
     if let Some(storage) = storage {
         body.set(
             "storage",
@@ -941,17 +477,14 @@ fn serve_stats(ctx: &WorkerContext) -> String {
                 ("cache_pages", Json::Int(storage.cache_pages as i64)),
                 ("cache_hits", Json::Int(storage.cache_hits as i64)),
                 ("cache_misses", Json::Int(storage.cache_misses as i64)),
-                (
-                    "cache_hit_rate",
-                    Json::Float((storage.cache_hit_rate() * 1000.0).round() / 1000.0),
-                ),
+                ("cache_hit_rate", ratio(storage.cache_hit_rate())),
             ]),
         );
     }
-    body.set("served", Json::Int(ctx.stats.served() as i64));
+    body.set("served", Json::Int(call.stats.served() as i64));
     body.set(
         "mean_batch_size",
-        Json::Float((ctx.stats.mean_batch_size() * 100.0).round() / 100.0),
+        Json::Float((call.stats.mean_batch_size() * 100.0).round() / 100.0),
     );
     body.set(
         "engine_cache",
@@ -960,10 +493,7 @@ fn serve_stats(ctx: &WorkerContext) -> String {
             ("misses", Json::Int(cache.misses as i64)),
             ("entries", Json::Int(cache.entries as i64)),
             ("evictions", Json::Int(cache.evictions as i64)),
-            (
-                "hit_rate",
-                Json::Float((cache.hit_rate() * 1000.0).round() / 1000.0),
-            ),
+            ("hit_rate", ratio(cache.hit_rate())),
         ]),
     );
     body.set(
@@ -973,51 +503,38 @@ fn serve_stats(ctx: &WorkerContext) -> String {
             ("misses", Json::Int(plans.misses as i64)),
             ("size", Json::Int(plans.entries as i64)),
             ("evictions", Json::Int(plans.evictions as i64)),
-            (
-                "hit_rate",
-                Json::Float((plans.hit_rate() * 1000.0).round() / 1000.0),
-            ),
+            ("hit_rate", ratio(plans.hit_rate())),
         ]),
     );
-    // server-computed ratios, so dashboards don't have to divide
     body.set(
         "cache_hit_rates",
         Json::from_pairs([
-            (
-                "tokens",
-                Json::Float((cache.hit_rate() * 1000.0).round() / 1000.0),
-            ),
-            (
-                "plans",
-                Json::Float((plans.hit_rate() * 1000.0).round() / 1000.0),
-            ),
+            ("tokens", ratio(cache.hit_rate())),
+            ("plans", ratio(plans.hit_rate())),
         ]),
     );
-    body.to_compact()
+    Response::json(200, body.to_compact())
 }
 
 /// `GET /metrics`: Prometheus text exposition of the serving tier and
 /// the engine (stage histograms, cache counters).
-fn serve_metrics(ctx: &WorkerContext) -> String {
+fn serve_metrics(app: &App, call: &Call<'_>) -> Response {
     let mut w = PromWriter::new();
-    let shard = ctx
-        .shard
-        .map(|(i, n)| format!("{i}/{n}"))
-        .unwrap_or_default();
-    let base = [("role", ctx.role.as_str()), ("shard", shard.as_str())];
-    ctx.stats.write_prometheus(&mut w, &base);
-    write_engine_metrics(&mut w, &base, &ctx.engine);
+    let shard = app.shard.as_deref().unwrap_or_default();
+    let base = [("role", app.role.as_str()), ("shard", shard)];
+    call.stats.write_prometheus(&mut w, &base);
+    write_engine_metrics(&mut w, &base, &app.engine);
     // versioned deployments hold the backend handle on the versioned
     // engine; emit its families when the head engine carries none
-    if ctx.engine.storage_stats().is_none() {
-        if let Some(stats) = ctx.versioned.as_ref().and_then(|v| v.storage_stats()) {
+    if app.engine.storage_stats().is_none() {
+        if let Some(stats) = app.versioned.as_ref().and_then(|v| v.storage_stats()) {
             write_storage_metrics(&mut w, &base, &stats);
         }
     }
     // Per-fault-point hit/injection counters: empty (and free) unless
     // the process-global plane has been armed or set to observe.
     fgc_fault::global().write_prometheus(&mut w, &base);
-    w.finish()
+    Response::prometheus(w.finish())
 }
 
 /// Append the engine-level metric families — per-stage cite pipeline
@@ -1167,46 +684,4 @@ pub fn write_storage_metrics(w: &mut PromWriter, base: &[(&str, &str)], stats: &
         w.help(name, "counter", help);
         w.int(name, &labels, value);
     }
-}
-
-/// `GET /debug/slow`: the slowest requests seen so far, slowest
-/// first, each with its request ID and stage breakdown.
-fn serve_slow(ctx: &WorkerContext) -> String {
-    slow_log_body(&ctx.slow)
-}
-
-/// Render a [`SlowLog`] as the `GET /debug/slow` body (shared with
-/// the coordinator's server).
-pub fn slow_log_body(slow: &SlowLog) -> String {
-    let entries: Vec<Json> = slow
-        .snapshot()
-        .into_iter()
-        .map(|e| {
-            let stages: Vec<(String, Json)> = e
-                .stages
-                .iter()
-                .map(|(n, d)| {
-                    (
-                        n.clone(),
-                        Json::Int(d.as_micros().min(i64::MAX as u128) as i64),
-                    )
-                })
-                .collect();
-            Json::from_pairs([
-                ("request_id", Json::str(e.request_id)),
-                ("endpoint", Json::str(e.endpoint)),
-                ("status", Json::Int(e.status as i64)),
-                (
-                    "total_us",
-                    Json::Int(e.total.as_micros().min(i64::MAX as u128) as i64),
-                ),
-                ("stages", Json::from_pairs(stages)),
-            ])
-        })
-        .collect();
-    Json::from_pairs([
-        ("count", Json::Int(entries.len() as i64)),
-        ("requests", Json::Array(entries)),
-    ])
-    .to_compact()
 }

@@ -83,6 +83,9 @@ pub struct ServerStats {
     pub healthz: EndpointStats,
     /// `GET /metrics` and `GET /debug/slow`.
     pub observe: EndpointStats,
+    /// A replica's `/fragment/*` routes, under one label (bounded
+    /// cardinality however many fragment shapes the wire grows).
+    pub fragment: EndpointStats,
     /// Requests that did not match any route (404/405).
     pub unrouted: AtomicU64,
     /// Requests rejected because the admission queue was full (503).
@@ -119,6 +122,7 @@ impl Default for ServerStats {
             stats: EndpointStats::default(),
             healthz: EndpointStats::default(),
             observe: EndpointStats::default(),
+            fragment: EndpointStats::default(),
             unrouted: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
             malformed: AtomicU64::new(0),
@@ -155,7 +159,7 @@ impl ServerStats {
     }
 
     /// Every route's stats, by exposition label.
-    pub fn endpoints(&self) -> [(&'static str, &EndpointStats); 8] {
+    pub fn endpoints(&self) -> [(&'static str, &EndpointStats); 9] {
         [
             ("/cite", &self.cite),
             ("/cite_sql", &self.cite_sql),
@@ -165,6 +169,7 @@ impl ServerStats {
             ("/stats", &self.stats),
             ("/healthz", &self.healthz),
             ("/metrics", &self.observe),
+            ("/fragment", &self.fragment),
         ]
     }
 
@@ -172,6 +177,7 @@ impl ServerStats {
     /// layer merges those in).
     pub fn to_json(&self) -> Json {
         let wait = self.batch_wait.snapshot();
+        let count = |c: &AtomicU64| Json::Int(c.load(Ordering::Relaxed) as i64);
         Json::from_pairs([
             ("cite", self.cite.to_json()),
             ("cite_sql", self.cite_sql.to_json()),
@@ -180,30 +186,13 @@ impl ServerStats {
             ("views", self.views.to_json()),
             ("stats", self.stats.to_json()),
             ("healthz", self.healthz.to_json()),
-            (
-                "unrouted",
-                Json::Int(self.unrouted.load(Ordering::Relaxed) as i64),
-            ),
-            (
-                "rejected",
-                Json::Int(self.rejected.load(Ordering::Relaxed) as i64),
-            ),
-            (
-                "malformed",
-                Json::Int(self.malformed.load(Ordering::Relaxed) as i64),
-            ),
-            (
-                "deadline_exceeded",
-                Json::Int(self.deadline_exceeded.load(Ordering::Relaxed) as i64),
-            ),
-            (
-                "batches",
-                Json::Int(self.batches.load(Ordering::Relaxed) as i64),
-            ),
-            (
-                "batched_requests",
-                Json::Int(self.batched_requests.load(Ordering::Relaxed) as i64),
-            ),
+            ("fragment", self.fragment.to_json()),
+            ("unrouted", count(&self.unrouted)),
+            ("rejected", count(&self.rejected)),
+            ("malformed", count(&self.malformed)),
+            ("deadline_exceeded", count(&self.deadline_exceeded)),
+            ("batches", count(&self.batches)),
+            ("batched_requests", count(&self.batched_requests)),
             (
                 "batch_wait",
                 Json::from_pairs([
@@ -213,10 +202,7 @@ impl ServerStats {
                 ]),
             ),
             ("uptime_s", Json::Int(self.uptime_s() as i64)),
-            (
-                "in_flight",
-                Json::Int(self.in_flight.load(Ordering::Relaxed) as i64),
-            ),
+            ("in_flight", count(&self.in_flight)),
         ])
     }
 

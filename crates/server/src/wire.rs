@@ -23,7 +23,8 @@
 //! citation semantics). Decode failures carry a message destined for
 //! a 400 body, never a panic.
 
-use fgc_core::{CiteRequest, CiteResponse, OrderChoice, Policy, RewriteMode};
+use crate::json::parse_json;
+use fgc_core::{CitationEngine, CiteRequest, CiteResponse, OrderChoice, Policy, RewriteMode};
 use fgc_query::parse_query;
 use fgc_relation::Value;
 use fgc_rewrite::RewriteOptions;
@@ -97,6 +98,26 @@ fn order_named(name: &str) -> Result<OrderChoice, WireError> {
         "composite" => Ok(OrderChoice::Composite),
         other => Err(WireError(format!("unknown order `{other}`"))),
     }
+}
+
+/// Parse a request body as UTF-8 JSON; the error is the 400 message.
+pub fn parse_body(body: &[u8]) -> Result<Json, String> {
+    let text = std::str::from_utf8(body).map_err(|_| "body is not valid utf-8".to_string())?;
+    parse_json(text).map_err(|e| format!("invalid JSON: {e}"))
+}
+
+/// The body → [`CiteRequest`] decode every cite front door runs
+/// (single server, replica, coordinator), timed as the front door's
+/// share of the served engine's `parse` stage. The error is the 400
+/// message.
+pub fn decode_cite_body(
+    engine: &CitationEngine,
+    body: &[u8],
+    kind: QueryKind,
+) -> Result<CiteRequest, String> {
+    engine.stage_stats().time("parse", || {
+        decode_cite_request(&parse_body(body)?, kind, engine.policy()).map_err(|e| e.0)
+    })
 }
 
 /// Decode a request body into a [`CiteRequest`], applying the wire

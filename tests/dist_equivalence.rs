@@ -347,6 +347,25 @@ fn request_ids_propagate_coordinator_to_replicas() {
         seen >= 1,
         "no replica recorded the coordinator's request id"
     );
+    // ...where the fragment traffic is visible on /metrics under the
+    // one `/fragment` endpoint label (this query's extent evaluation
+    // scatters to every shard, so every replica was touched)
+    for replica in &replicas {
+        let mut rc = Client::connect(replica.addr()).unwrap();
+        let metrics = rc.get("/metrics").unwrap();
+        let fragments = metrics
+            .body
+            .lines()
+            .find(|l| {
+                l.starts_with("fgcite_requests_total{") && l.contains("endpoint=\"/fragment\"")
+            })
+            .and_then(|l| l.split_whitespace().last()?.parse::<u64>().ok());
+        assert!(
+            fragments.is_some_and(|n| n >= 1),
+            "replica fragment traffic not counted in:\n{}",
+            metrics.body
+        );
+    }
 
     // without one, the coordinator assigns a non-empty ID
     let response = client.post("/cite", &cite_body(QUERIES[0])).unwrap();

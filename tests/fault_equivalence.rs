@@ -496,6 +496,47 @@ fn zero_deadline_is_rejected_at_both_front_doors() {
     front.shutdown();
     reference.shutdown();
     replica.shutdown();
+
+    // `/cite_at` sits inside the same deadline plane: a spent budget
+    // is refused before any version is resolved or engine rebuilt
+    let mut history = fgcite::relation::VersionedDatabase::new();
+    history.commit(paper_instance(), 100, "v23").unwrap();
+    let versioned = Arc::new(fgcite::engine::VersionedCitationEngine::new(
+        history,
+        paper_views(),
+    ));
+    let server = CiteServer::start_versioned(
+        Arc::clone(&versioned),
+        ServerConfig::default()
+            .with_addr("127.0.0.1:0")
+            .with_threads(2),
+    )
+    .expect("versioned server starts");
+    let mut client = Client::connect(server.addr()).unwrap();
+    let touches = || {
+        let stats = versioned.version_stats();
+        (stats.hits, stats.derived, stats.rebuilt)
+    };
+    let before = touches();
+    let spent = client
+        .request_with_headers("POST", "/cite_at", Some(&body), &[("x-deadline-ms", "0")])
+        .unwrap();
+    assert_eq!(spent.status, 504, "{}", spent.body);
+    assert!(spent.body.contains("deadline"), "{}", spent.body);
+    assert_eq!(
+        touches(),
+        before,
+        "a spent budget must not reach the versioned engine"
+    );
+    assert_eq!(
+        server.stats().deadline_exceeded.load(Ordering::Relaxed),
+        1,
+        "one 504, one increment"
+    );
+    let fine = client.post("/cite_at", &body).unwrap();
+    assert_eq!(fine.status, 200, "{}", fine.body);
+    drop(client);
+    server.shutdown();
 }
 
 /// A client that dribbles header bytes slower than the server's header

@@ -5,6 +5,7 @@
 //! and malformed input of every flavor must come back 4xx without
 //! panicking or wedging a worker.
 
+use fgcite::dist::{Coordinator, CoordinatorConfig, DistServer};
 use fgcite::prelude::*;
 use fgcite::server::{parse_json, CiteServer, Client, ServerConfig};
 use std::net::SocketAddr;
@@ -369,22 +370,209 @@ fn versioned_routes_serve_history_and_unversioned_deployments_404() {
     server.shutdown();
 }
 
+/// The framing and routing contract of the one `HttpService`, as a
+/// table run against whichever role is listening on `addr`. Opens one
+/// connection at a time, so it also passes against a single worker.
+fn assert_front_door_contract(role: &str, addr: SocketAddr) {
+    let is_error_json = |response: &fgcite::server::ClientResponse, what: &str| {
+        assert_eq!(
+            response.header("content-type"),
+            Some("application/json"),
+            "{role}: {what}"
+        );
+        assert!(
+            parse_json(&response.body).unwrap().get("error").is_some(),
+            "{role}: {what}: error body expected, got {}",
+            response.body
+        );
+    };
+
+    // Routing errors: 404, and 405 for *any* unsupported method on a
+    // known path. A supplied request ID is echoed on every one, the
+    // error is labelled as the JSON it is (`/metrics` included), and
+    // the keep-alive connection survives them all.
+    let mut client = Client::connect(addr).unwrap();
+    for (method, path, body, status) in [
+        ("GET", "/nope", None, 404),
+        ("GET", "/cite", None, 405),
+        ("POST", "/healthz", Some("{}"), 405),
+        ("DELETE", "/cite", None, 405),
+        ("PUT", "/stats", None, 405),
+        ("POST", "/metrics", Some("{}"), 405),
+        ("POST", "/debug/slow", Some("{}"), 405),
+        ("POST", "/cite", Some("{not json"), 400),
+    ] {
+        let what = format!("{method} {path}");
+        let response = client
+            .request_with_headers(method, path, body, &[("x-request-id", "contract-7")])
+            .unwrap_or_else(|e| panic!("{role}: {what}: {e}"));
+        assert_eq!(response.status, status, "{role}: {what}: {}", response.body);
+        assert_eq!(
+            response.header("x-request-id"),
+            Some("contract-7"),
+            "{role}: {what}"
+        );
+        is_error_json(&response, &what);
+    }
+
+    // Framing errors: answered with the right 4xx and an assigned
+    // request ID (no head was parsed, so none could be honored). The
+    // oversized declaration goes down the connection that survived the
+    // routing errors; the rest need a fresh one each.
+    let raws: [(&[u8], u16, &str); 4] = [
+        (
+            b"POST /cite HTTP/1.1\r\nHost: x\r\nContent-Length: 99999999\r\n\r\n",
+            413,
+            "declared body over the limit",
+        ),
+        // regression: used to read an empty body and answer a
+        // confusing JSON parse error
+        (
+            b"POST /cite HTTP/1.1\r\nHost: x\r\n\r\n",
+            411,
+            "POST without Content-Length",
+        ),
+        (
+            b"POST /cite HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n",
+            400,
+            "chunked framing",
+        ),
+        (b"echo hello world\r\n\r\n", 400, "raw garbage"),
+    ];
+    for (raw, status, what) in raws {
+        let response = client.send_raw(raw).unwrap();
+        assert_eq!(response.status, status, "{role}: {what}: {}", response.body);
+        assert!(
+            response
+                .header("x-request-id")
+                .is_some_and(|id| !id.is_empty()),
+            "{role}: {what}: no request id"
+        );
+        is_error_json(&response, what);
+        if status == 411 {
+            assert!(
+                response.body.contains("Content-Length"),
+                "{role}: 411 body should name the missing header: {}",
+                response.body
+            );
+        }
+        client = Client::connect(addr).unwrap();
+    }
+    drop(client);
+
+    // A truncated request: half a request line, then hang up (a raw
+    // stream, not `Client`: nobody waits for a response). The worker
+    // sees EOF mid-head and must recover.
+    {
+        use std::io::Write as _;
+        let mut truncated = std::net::TcpStream::connect(addr).unwrap();
+        truncated.write_all(b"POST /ci").unwrap();
+    }
+
+    // A head dripped slower than the header deadline: 408, not a held
+    // worker. Never complete a line; stop writing as soon as anything
+    // comes back so the buffered 408 can't be discarded by a reset.
+    {
+        use std::io::{Read as _, Write as _};
+        let mut stream = std::net::TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_millis(100)))
+            .unwrap();
+        stream.write_all(b"POST /cite HTTP/1.1\r\n").unwrap();
+        let mut raw = Vec::new();
+        let mut buf = [0u8; 1024];
+        let give_up = std::time::Instant::now() + Duration::from_secs(10);
+        while raw.is_empty() && std::time::Instant::now() < give_up {
+            if stream.write_all(b"x").is_err() {
+                break;
+            }
+            match stream.read(&mut buf) {
+                Ok(0) => break,
+                Ok(n) => raw.extend_from_slice(&buf[..n]),
+                Err(_) => {} // read timeout: keep dripping
+            }
+        }
+        while let Ok(n) = stream.read(&mut buf) {
+            if n == 0 {
+                break;
+            }
+            raw.extend_from_slice(&buf[..n]);
+        }
+        let text = String::from_utf8_lossy(&raw);
+        assert!(
+            text.starts_with("HTTP/1.1 408"),
+            "{role}: expected a 408, got: {text:?}"
+        );
+        assert!(text.contains("x-request-id: "), "{role}: {text:?}");
+    }
+
+    // Nothing above wedged a worker: wellformed traffic still serves,
+    // and every framing error was counted.
+    let mut client = Client::connect(addr).unwrap();
+    let response = client.post("/cite", &cite_body(QUERIES[1])).unwrap();
+    assert_eq!(response.status, 200, "{role}: {}", response.body);
+    let stats = client.get("/stats").unwrap();
+    match parse_json(&stats.body).unwrap().get("malformed") {
+        Some(fgcite::views::Json::Int(n)) => assert!(*n >= 5, "{role}: stats: {}", stats.body),
+        other => panic!("{role}: malformed counter missing: {other:?}"),
+    }
+}
+
 #[test]
 fn malformed_input_is_4xx_and_never_wedges_workers() {
-    // a single worker: if anything wedged it, the follow-up requests
-    // below would hang (the harness timeout would catch it)
-    let (server, addr) = start_server(1);
+    // One conformance table, three roles, each behind a single worker:
+    // if anything wedged it, the follow-up requests would hang (the
+    // harness timeout would catch it). The short header deadline keeps
+    // the 408 drip quick; the replica *behind* the coordinator keeps
+    // the default, because a pooled connection parked on it for longer
+    // than its header deadline would be answered 408.
+    let config = || {
+        ServerConfig::default()
+            .with_addr("127.0.0.1:0")
+            .with_threads(1)
+            .with_header_read_timeout(Duration::from_secs(1))
+    };
+    let start_replica = |config: ServerConfig| {
+        let sharded = Arc::new(
+            CitationEngine::new(
+                fgcite::gtopdb::paper_instance(),
+                fgcite::gtopdb::paper_views(),
+            )
+            .expect("paper views validate")
+            .with_shards(1, fgcite::gtopdb::paper_shard_spec())
+            .expect("spec resolves"),
+        );
+        CiteServer::start_with_handler(
+            Arc::clone(&sharded),
+            config.with_role("replica").with_shard(0, 1),
+            fgcite::dist::fragment_handler(sharded),
+        )
+        .expect("replica starts")
+    };
+    let server = CiteServer::start(engine(), config()).expect("bind loopback");
+    let addr = server.addr();
+    let replica = start_replica(config());
+    let backing = start_replica(
+        ServerConfig::default()
+            .with_addr("127.0.0.1:0")
+            .with_threads(2),
+    );
+    let coordinator = Coordinator::connect(CoordinatorConfig::new(vec![backing.addr()]))
+        .expect("coordinator connects");
+    let front = DistServer::start(Arc::new(coordinator), config()).expect("coordinator serves");
+    for (role, addr) in [
+        ("single", addr),
+        ("replica", replica.addr()),
+        ("coordinator", front.addr()),
+    ] {
+        assert_front_door_contract(role, addr);
+    }
+    front.shutdown();
+    backing.shutdown();
+    replica.shutdown();
 
-    // 1. unknown route and wrong method
+    // The body half: invalid JSON, bad fields, bad query text.
     let mut client = Client::connect(addr).unwrap();
-    assert_eq!(client.get("/nope").unwrap().status, 404);
-    assert_eq!(client.get("/cite").unwrap().status, 405);
-    assert_eq!(client.post("/healthz", "{}").unwrap().status, 405);
-    // a known route with *any* unsupported method is 405, not 404
-    assert_eq!(client.request("DELETE", "/cite", None).unwrap().status, 405);
-    assert_eq!(client.request("PUT", "/stats", None).unwrap().status, 405);
-
-    // 2. invalid JSON, bad fields, bad query text
     for (body, what) in [
         ("{not json", "unparsable JSON"),
         (
@@ -411,57 +599,6 @@ fn malformed_input_is_4xx_and_never_wedges_workers() {
             "{what}: error body expected, got {}",
             response.body
         );
-    }
-
-    // 3. oversized body: declared length over the limit → 413
-    let response = client
-        .send_raw(b"POST /cite HTTP/1.1\r\nHost: x\r\nContent-Length: 99999999\r\n\r\n")
-        .unwrap();
-    assert_eq!(response.status, 413);
-
-    // 3b. POST without Content-Length → 411 Length Required
-    // (regression: used to read an empty body and answer a confusing
-    // JSON parse error); chunked framing stays a 4xx as well
-    {
-        let mut no_length = Client::connect(addr).unwrap();
-        let response = no_length
-            .send_raw(b"POST /cite HTTP/1.1\r\nHost: x\r\n\r\n")
-            .unwrap();
-        assert_eq!(response.status, 411, "{}", response.body);
-        assert!(
-            parse_json(&response.body).unwrap().get("error").is_some(),
-            "411 should carry an error body: {}",
-            response.body
-        );
-        assert!(
-            response.body.contains("Content-Length"),
-            "411 body should name the missing header: {}",
-            response.body
-        );
-    }
-    {
-        let mut chunked = Client::connect(addr).unwrap();
-        let response = chunked
-            .send_raw(b"POST /cite HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n")
-            .unwrap();
-        assert_eq!(response.status, 400, "{}", response.body);
-    }
-
-    // 4. truncated request: half a request line, then hang up
-    // (a raw stream, not `Client`: nobody waits for a response)
-    {
-        use std::io::Write as _;
-        let mut truncated = std::net::TcpStream::connect(addr).unwrap();
-        truncated.write_all(b"POST /ci").unwrap();
-        // dropping the stream closes it; the worker sees EOF
-        // mid-head and must recover
-    }
-
-    // 5. raw garbage
-    {
-        let mut garbage = Client::connect(addr).unwrap();
-        let response = garbage.send_raw(b"echo hello world\r\n\r\n").unwrap();
-        assert_eq!(response.status, 400);
     }
 
     // the single worker still serves wellformed traffic
