@@ -2,11 +2,9 @@
 //!
 //! Where E9 measures `cite_batch` at the engine API, E10 measures the
 //! whole serving stack: TCP accept → HTTP framing → JSON decode →
-//! batching admission queue → `cite_batch_threads` over the shared
-//! engine → response encode. The closed-loop client sweep shows how
-//! throughput scales with concurrent connections; the batching
-//! window is the knob under test (coalesced admission amortizes
-//! fan-out overhead once several clients are in flight).
+//! `cite_request` over the shared engine on the worker → response
+//! encode. The closed-loop client sweep shows how throughput scales
+//! with concurrent connections.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fgc_bench::{cite_bodies, engine_at_scale, run_load, LoadConfig, LoadMode};
@@ -15,7 +13,6 @@ use fgc_gtopdb::WorkloadGenerator;
 use fgc_server::{CiteServer, ServerConfig};
 use std::hint::black_box;
 use std::sync::Arc;
-use std::time::Duration;
 
 fn bench_e10(c: &mut Criterion) {
     let mut group = c.benchmark_group("e10_serving");
@@ -33,8 +30,7 @@ fn bench_e10(c: &mut Criterion) {
         engine,
         ServerConfig::default()
             .with_addr("127.0.0.1:0")
-            .with_threads(8)
-            .with_batch_window(Duration::from_millis(1)),
+            .with_threads(8),
     )
     .expect("bind loopback");
     let addr = server.addr();

@@ -14,7 +14,6 @@ use fgc_gtopdb::WorkloadGenerator;
 use fgc_server::{CiteServer, ServerConfig};
 use std::hint::black_box;
 use std::sync::Arc;
-use std::time::Duration;
 
 fn bench_e11(c: &mut Criterion) {
     let mut group = c.benchmark_group("e11_sharding");
@@ -29,8 +28,7 @@ fn bench_e11(c: &mut Criterion) {
             engine,
             ServerConfig::default()
                 .with_addr("127.0.0.1:0")
-                .with_threads(8)
-                .with_batch_window(Duration::from_millis(1)),
+                .with_threads(8),
         )
         .expect("bind loopback");
         let addr = server.addr();

@@ -26,7 +26,6 @@ use fgc_server::{CiteServer, ServerConfig};
 use std::hint::black_box;
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Duration;
 
 const SERVE_FAMILIES: usize = 1_000; // the E10 serving scale
 const COLD_SCALES: [usize; 2] = [10_000, 100_000]; // 10× and 100×
@@ -92,8 +91,7 @@ fn bench_e16(c: &mut Criterion) {
             engine,
             ServerConfig::default()
                 .with_addr("127.0.0.1:0")
-                .with_threads(8)
-                .with_batch_window(Duration::from_millis(1)),
+                .with_threads(8),
         )
         .expect("bind loopback");
         let addr = server.addr();

@@ -191,9 +191,9 @@ where
 // Shared serving-bench scaffolding (E10 / E11)
 // =====================================================================
 
-/// Start the serving-bench server (loopback, 8 workers, 1ms batch
-/// window) over an engine and a query workload, warm the extents and
-/// token cache with one pass over the bodies, and return the handle.
+/// Start the serving-bench server (loopback, 8 workers) over an
+/// engine and a query workload, warm the extents and token cache
+/// with one pass over the bodies, and return the handle.
 /// E10 and E11 must measure the same protocol — change it here.
 fn start_warmed_server(
     engine: std::sync::Arc<fgc_core::CitationEngine>,
@@ -203,8 +203,7 @@ fn start_warmed_server(
         engine,
         fgc_server::ServerConfig::default()
             .with_addr("127.0.0.1:0")
-            .with_threads(8)
-            .with_batch_window(Duration::from_millis(1)),
+            .with_threads(8),
     )
     .expect("bind loopback");
     let warmup = LoadConfig {
@@ -248,11 +247,11 @@ fn fmt_ms(d: Duration) -> String {
 // =====================================================================
 
 /// E10 table: end-to-end serving latency/throughput through the full
-/// HTTP path (TCP → framing → JSON → batching admission →
-/// `cite_batch` → encode), closed-loop client sweep plus one
-/// open-loop row at a fixed arrival rate. Claim: the batching
-/// admission queue lets one shared engine serve concurrent clients
-/// at near-linear throughput (the network-side complement of E9).
+/// HTTP path (TCP → framing → JSON → `cite_request` on the worker →
+/// encode), closed-loop client sweep plus one open-loop row at a
+/// fixed arrival rate. Claim: one shared engine serves concurrent
+/// clients at near-linear throughput (the network-side complement
+/// of E9).
 pub fn e10_table(families: usize, client_sweep: &[usize]) -> crate::Table {
     use std::sync::Arc;
 
@@ -305,9 +304,7 @@ pub fn e10_table(families: usize, client_sweep: &[usize]) -> crate::Table {
     ]);
     server.shutdown();
     crate::Table {
-        title: format!(
-            "E10 — HTTP serving: closed-loop sweep + open loop ({families} families, batch window 1ms)"
-        ),
+        title: format!("E10 — HTTP serving: closed-loop sweep + open loop ({families} families)"),
         headers: vec![
             "mode".into(),
             "clients".into(),
@@ -404,7 +401,6 @@ pub fn start_dist_cluster(
                 fgc_server::ServerConfig::default()
                     .with_addr("127.0.0.1:0")
                     .with_threads(8)
-                    .with_batch_window(Duration::from_millis(1))
                     .with_role("replica")
                     .with_shard(shard, shards),
                 fgc_dist::fragment_handler(engine),
@@ -607,8 +603,7 @@ mod tests {
             engine,
             ServerConfig::default()
                 .with_addr("127.0.0.1:0")
-                .with_threads(4)
-                .with_batch_window(Duration::from_millis(1)),
+                .with_threads(4),
         )
         .unwrap()
     }

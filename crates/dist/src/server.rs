@@ -13,9 +13,10 @@
 //! | `GET /metrics`   | Prometheus exposition (incl. replica pool) |
 //! | `GET /debug/slow`| slowest requests seen (the service's own row) |
 //!
-//! There is no batcher here: scatter calls are per-request, and the
-//! request ID and remaining deadline the front door assigned ride on
-//! every `/fragment/*` call the request scatters.
+//! As on every role, the worker that read a request serves it:
+//! scatter calls are per-request, and the request ID and remaining
+//! deadline the front door assigned ride on every `/fragment/*` call
+//! the request scatters.
 //!
 //! Shutdown is graceful and total: every worker finishes its in-flight
 //! scattered request before joining — the `in_flight` gauge on
@@ -40,9 +41,9 @@ pub struct DistServer {
 }
 
 impl DistServer {
-    /// Bind and serve `coordinator` under `config` (`batch_window`,
-    /// `role` and `shard` do not apply: there is no batcher, and a
-    /// coordinator always reports itself as one).
+    /// Bind and serve `coordinator` under `config` (`role` and
+    /// `shard` do not apply: a coordinator always reports itself as
+    /// one).
     pub fn start(coordinator: Arc<Coordinator>, config: ServerConfig) -> io::Result<DistServer> {
         let state = &coordinator;
         let routes = vec![

@@ -35,6 +35,7 @@ impl std::error::Error for JsonError {}
 /// error (a request body is exactly one value).
 pub fn parse_json(text: &str) -> Result<Json, JsonError> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
     };
@@ -48,6 +49,7 @@ pub fn parse_json(text: &str) -> Result<Json, JsonError> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -209,13 +211,16 @@ impl<'a> Parser<'a> {
                 }
                 Some(c) if c < 0x20 => return Err(self.err("raw control character in string")),
                 Some(_) => {
-                    // consume one UTF-8 scalar (input is a &str, so
-                    // boundaries are valid)
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid utf-8"))?;
-                    let ch = s.chars().next().unwrap();
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
+                    // Copy the whole run of plain bytes at once. The
+                    // run starts after and stops at an ASCII byte (or
+                    // the end of input), so both ends are char
+                    // boundaries of the `&str` this parser was given.
+                    let run = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                        .unwrap_or(self.bytes.len() - self.pos);
+                    out.push_str(&self.text[self.pos..self.pos + run]);
+                    self.pos += run;
                 }
             }
         }
@@ -323,6 +328,38 @@ mod tests {
         assert_eq!(
             parse_json(r#""\ud83d\ude00""#).unwrap(),
             Json::str("\u{1F600}")
+        );
+    }
+
+    #[test]
+    fn multibyte_text_survives_next_to_escapes_and_the_closing_quote() {
+        // 2-, 3- and 4-byte scalars directly before an escape,
+        // directly after one, and directly before the closing quote
+        let text = "\"é\\n€\\\"\u{1F600}\\\\é€\u{1F600}\"";
+        let expected = "é\n€\"\u{1F600}\\é€\u{1F600}";
+        let parsed = parse_json(text).unwrap();
+        assert_eq!(parsed, Json::str(expected));
+        assert_eq!(parse_json(&parsed.to_compact()).unwrap(), parsed);
+        // as an object key too (keys go through the same path)
+        let object = parse_json("{\"clé€\": \"\\u00e9é\"}").unwrap();
+        assert_eq!(object.get("clé€"), Some(&Json::str("éé")));
+    }
+
+    #[test]
+    fn a_body_limit_sized_string_parses_in_linear_time() {
+        // 1 MiB is `MAX_BODY_BYTES`: any client may send it. Validating
+        // the whole remaining input once per character was quadratic
+        // (12.8 s per MB in a release build, benchmark README); one
+        // pass takes milliseconds.
+        let payload = "citation é".repeat((1 << 20) / "citation é".len());
+        let text = format!("{{\"query\": \"{payload}\"}}");
+        let started = std::time::Instant::now();
+        let parsed = parse_json(&text).unwrap();
+        let elapsed = started.elapsed();
+        assert_eq!(parsed.get("query"), Some(&Json::str(payload)));
+        assert!(
+            elapsed < std::time::Duration::from_secs(5),
+            "1 MiB string took {elapsed:?}"
         );
     }
 

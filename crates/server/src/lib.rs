@@ -7,12 +7,12 @@
 //! and a route's handler (acceptor, worker pool, framing errors,
 //! request IDs, deadlines, slow log, per-route stats, 404/405), and
 //! every role is that service plus a table of [`Route`] rows —
-//! [`CiteServer`] adds the engine routes and a **batching admission
-//! queue** (concurrent `POST /cite` requests are coalesced into
-//! [`CitationEngine::cite_batch_threads`] calls over one shared
-//! engine, so every worker shares the same token cache and
-//! materialized extents); `fgc-dist` adds a replica's `/fragment/*`
-//! rows and the coordinator's scatter routes.
+//! [`CiteServer`] adds the engine routes (acceptor → connection
+//! queue → worker → engine: the worker that read a `POST /cite` calls
+//! [`fgc_core::CitationEngine::cite_request`] on the one shared engine,
+//! so every worker shares the same token cache and materialized
+//! extents); `fgc-dist` adds a replica's `/fragment/*` rows and the
+//! coordinator's scatter routes.
 //!
 //! Routes:
 //!
@@ -42,7 +42,8 @@
 //! memoization) ride on the JSON body — see [`wire`] for the exact
 //! field set. Malformed HTTP or JSON, oversized bodies, unknown
 //! routes, and bad request fields all answer 4xx without wedging a
-//! worker; a full admission queue answers 503, a spent deadline 504.
+//! worker; saturated `/cite_at` capacity answers 503, a spent
+//! deadline 504.
 //!
 //! ```no_run
 //! use fgc_core::CitationEngine;
@@ -63,7 +64,6 @@
 
 #![warn(missing_docs)]
 
-pub mod batch;
 pub mod client;
 pub mod http;
 pub mod json;
@@ -72,7 +72,6 @@ pub mod service;
 pub mod stats;
 pub mod wire;
 
-pub use batch::{Batcher, Overloaded};
 pub use client::{Client, ClientResponse};
 pub use json::{parse_json, JsonError};
 pub use server::{views_body, write_engine_metrics, write_storage_metrics, CiteServer};

@@ -1,31 +1,26 @@
 //! The engine role: [`CiteServer`] is the one [`HttpService`] front
-//! door plus the engine's route rows and the batcher.
+//! door plus the engine's route rows.
 //!
 //! ```text
-//! HttpService (acceptor ──► bounded queue ──► N workers ──► route table)
-//!     │  GET rows, /cite_at and a replica's /fragment/* rows answer inline
+//! HttpService (acceptor ──► connection queue ──► N workers ──► route table)
+//!     │  every row answers on the worker that read the request
 //!     ▼  POST /cite, /cite_sql
-//! batching admission queue
-//!     │ (coalesce ≤ window)
-//!     ▼
-//! CitationEngine::cite_batch_threads(&self, ..)
+//! CitationEngine::cite_request(&self, ..)
 //! ```
 //!
 //! One [`CitationEngine`] is shared by everything (the whole point of
-//! the `&self` serving API): workers decode requests, the batcher
-//! fans batches out over the engine, and all of them share its token
-//! cache and materialized extents. A replica deployment hands extra
+//! the `&self` serving API): each worker decodes its request and calls
+//! the engine itself, and all of them share its token cache and
+//! materialized extents. Two concurrent citations have nothing else
+//! to amortise, so nothing coalesces them; the worker pool bounds
+//! engine concurrency at `threads`. A replica deployment hands extra
 //! rows (its `/fragment/*` endpoints) to
 //! [`CiteServer::start_with_handler`]; they join the same table.
 //!
 //! Shutdown ([`CiteServer::shutdown`]) is graceful and total: the
-//! service stops accepting, drains and joins its workers, and finally
-//! the batcher answers its last batch and joins.
+//! service stops accepting, drains and joins its workers.
 
-use crate::batch::{BatchFailure, Batcher};
-use crate::service::{
-    Call, HttpService, Response, Route, ServerConfig, DEADLINE_EXCEEDED, MAX_BATCH, QUEUE_DEPTH,
-};
+use crate::service::{Call, HttpService, Response, Route, ServerConfig};
 use crate::stats::ServerStats;
 use crate::wire::{decode_cite_body, encode_response_with, parse_body, QueryKind};
 use fgc_core::{CitationEngine, VersionedCitationEngine};
@@ -36,7 +31,6 @@ use std::io;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// A running citation service. Dropping the handle shuts it down.
 #[derive(Debug)]
@@ -63,8 +57,8 @@ impl CiteServer {
     }
 
     /// Bind and start serving a **versioned** engine: the head
-    /// version's engine answers `/cite` and `/cite_sql` (batched, as
-    /// in [`CiteServer::start`]), while `POST /cite_at` serves
+    /// version's engine answers `/cite` and `/cite_sql` (as in
+    /// [`CiteServer::start`]), while `POST /cite_at` serves
     /// fixity-stamped citations against any committed version and
     /// `GET /versions` lists the history. `GET /stats` gains a
     /// `fixity` block with the derived-vs-rebuilt engine counters.
@@ -85,20 +79,11 @@ impl CiteServer {
         extra: Vec<Route>,
     ) -> io::Result<CiteServer> {
         let stats = Arc::new(ServerStats::default());
-        let threads = config.threads.max(1);
         let app = Arc::new(App {
-            batcher: Batcher::start(
-                Arc::clone(&engine),
-                Arc::clone(&stats),
-                config.batch_window,
-                MAX_BATCH,
-                QUEUE_DEPTH,
-                threads,
-            ),
             engine: Arc::clone(&engine),
             versioned,
             cite_at_inflight: AtomicUsize::new(0),
-            cite_at_limit: threads.saturating_sub(1).max(1),
+            cite_at_limit: config.threads.saturating_sub(1).max(1),
             role: config.role.clone(),
             shard: config.shard.map(|(i, n)| format!("{i}/{n}")),
         });
@@ -113,9 +98,6 @@ impl CiteServer {
             Route::new("GET", "/metrics", |s| &s.observe, &app, serve_metrics),
         ];
         routes.extend(extra);
-        // The route rows hold the only lasting handles on `app`: when
-        // the service's last worker exits, the batcher inside it
-        // answers its last batch and joins too.
         let service = HttpService::start(&config, stats, routes)?;
         Ok(CiteServer { service, engine })
     }
@@ -153,12 +135,10 @@ struct App {
     /// Present in versioned deployments; enables `/cite_at`,
     /// `/versions`, and the `fixity` stats block.
     versioned: Option<Arc<VersionedCitationEngine>>,
-    batcher: Batcher,
-    /// `/cite_at` runs inline (it does not coalesce like `/cite`'s
-    /// batched admission, and a cold version's first touch builds a
-    /// whole engine), so concurrent versioned citations are capped at
+    /// A cold version's first touch on `/cite_at` builds a whole
+    /// engine, so concurrent versioned citations are capped at
     /// `threads - 1`: one worker always stays free for the cheap
-    /// routes, and the overflow is shed with 503 like the batcher's.
+    /// routes, and the overflow is shed with 503 (`rejected`).
     cite_at_inflight: AtomicUsize,
     cite_at_limit: usize,
     /// Role and shard (`"i/n"`) identity reported on `/healthz` and as
@@ -190,44 +170,27 @@ fn serve_views(app: &App, _: &Call<'_>) -> Response {
 
 fn serve_cite(app: &App, call: &Call<'_>, kind: QueryKind) -> Response {
     // Wire decode is this worker's share of the `parse` stage (the
-    // engine times the query resolution itself on the batch thread).
+    // engine times the query resolution itself).
     let request = match decode_cite_body(&app.engine, &call.request.body, kind) {
         Ok(r) => r,
         Err(message) => return Response::error(400, &message),
     };
     let include_stages = request.include_stages;
     let request = request.with_request_id(call.request_id);
-    let receiver = match app.batcher.submit(request, Some(call.deadline)) {
-        Ok(rx) => rx,
-        Err(_) => {
-            call.stats.rejected.fetch_add(1, Ordering::Relaxed);
-            return Response::error(503, "admission queue full, retry later");
-        }
-    };
-    // Block no longer than the request's remaining budget (plus a
-    // small grace so a response racing the deadline still lands); a
-    // late reply goes to a dropped receiver, which the batcher
-    // tolerates.
-    let budget =
-        call.deadline.saturating_duration_since(Instant::now()) + Duration::from_millis(50);
-    match receiver.recv_timeout(budget) {
-        Ok(Ok(response)) => {
+    // The engine call is not pre-empted: the service refused a spent
+    // budget before this handler, and an overrun holds this one
+    // worker until the answer is ready.
+    match app.engine.cite_request(&request) {
+        Ok(response) => {
             let body = encode_response_with(&response, include_stages).to_compact();
             Response {
                 stages: response.stages,
                 ..Response::json(200, body)
             }
         }
-        Ok(Err(BatchFailure::DeadlineExceeded))
-        | Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
-            Response::error(504, DEADLINE_EXCEEDED)
-        }
         // engine errors are request-shaped (unknown relation, SQL
         // parse failure against the catalog, ...): the client's fault
-        Ok(Err(BatchFailure::Engine(e))) => Response::error(400, &e.to_string()),
-        Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
-            Response::error(500, "batcher dropped the request")
-        }
+        Err(e) => Response::error(400, &e.to_string()),
     }
 }
 
@@ -482,10 +445,6 @@ fn serve_stats(app: &App, call: &Call<'_>) -> Response {
         );
     }
     body.set("served", Json::Int(call.stats.served() as i64));
-    body.set(
-        "mean_batch_size",
-        Json::Float((call.stats.mean_batch_size() * 100.0).round() / 100.0),
-    );
     body.set(
         "engine_cache",
         Json::from_pairs([

@@ -6,6 +6,9 @@
 //!                                                    │ keep-alive loop: read → route → write
 //!                                                    ▼
 //!                                   route table (method, path, stats, handler)
+//!                                                    │ the handler runs on this worker
+//!                                                    ▼
+//!                                                 engine
 //! ```
 //!
 //! [`HttpService`] owns bind, the accept loop, the worker pool, the
@@ -40,10 +43,8 @@ use std::time::{Duration, Instant};
 
 /// How many of the slowest requests `GET /debug/slow` retains.
 pub const SLOW_LOG_CAPACITY: usize = 32;
-/// Maximum requests the batcher coalesces into one engine batch.
-pub const MAX_BATCH: usize = 64;
 /// Depth of the bounded connection queue (overflow blocks the
-/// acceptor) and of the batcher's admission queue (overflow → 503).
+/// acceptor).
 pub const QUEUE_DEPTH: usize = 1024;
 /// Largest accepted request body (overflow → 413).
 pub const MAX_BODY_BYTES: usize = 1024 * 1024;
@@ -51,7 +52,7 @@ pub const MAX_BODY_BYTES: usize = 1024 * 1024;
 pub const READ_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// The one 504 body, whichever stage noticed the budget was gone.
-pub(crate) const DEADLINE_EXCEEDED: &str = "deadline exceeded before a response was produced";
+const DEADLINE_EXCEEDED: &str = "deadline exceeded before a response was produced";
 
 const JSON_TYPE: &str = "application/json";
 const PROMETHEUS_TYPE: &str = "text/plain; version=0.0.4";
@@ -61,13 +62,10 @@ const PROMETHEUS_TYPE: &str = "text/plain; version=0.0.4";
 pub struct ServerConfig {
     /// Bind address (`host:port`; port 0 picks a free port).
     pub addr: String,
-    /// Worker threads handling connections (also the fan-out width
-    /// handed to `cite_batch_threads`).
+    /// Worker threads handling connections; a handler runs on the
+    /// worker that read its request, so this also bounds how many
+    /// engine calls run at once.
     pub threads: usize,
-    /// How long the batcher waits for co-travellers after the first
-    /// request of a batch. Zero disables coalescing. (Engine roles
-    /// only — a coordinator scatters per request.)
-    pub batch_window: Duration,
     /// Total time a client gets to deliver a complete request head
     /// (request line + headers) once the worker starts reading it. A
     /// slow-drip head (one byte per read timeout) is cut off with a
@@ -95,7 +93,6 @@ impl Default for ServerConfig {
             threads: std::thread::available_parallelism()
                 .map(std::num::NonZeroUsize::get)
                 .unwrap_or(4),
-            batch_window: Duration::from_millis(1),
             header_read_timeout: Duration::from_secs(10),
             default_deadline: Duration::from_secs(30),
             max_deadline: Duration::from_secs(300),
@@ -115,12 +112,6 @@ impl ServerConfig {
     /// Builder: worker thread count (clamped to ≥ 1).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
-        self
-    }
-
-    /// Builder: batch window.
-    pub fn with_batch_window(mut self, window: Duration) -> Self {
-        self.batch_window = window;
         self
     }
 
@@ -255,7 +246,8 @@ impl Route {
     /// Mark the route as working against the request's deadline: a
     /// request that arrives with its budget already spent (e.g. a
     /// coordinator hop consumed it) is answered 504 before the
-    /// handler runs.
+    /// handler runs. A handler that has started is not pre-empted:
+    /// its answer is sent when it returns, however late.
     pub fn budgeted(mut self) -> Route {
         self.budgeted = true;
         self
@@ -534,8 +526,8 @@ fn route(shared: &Shared, call: &Call<'_>) -> Response {
         }
         (route.handler)(call)
     });
-    // every exhaustion path — spent on arrival, expired in the batch
-    // queue, ran out mid-scatter — is counted here and only here
+    // every exhaustion path — spent on arrival, ran out mid-scatter —
+    // is counted here and only here
     if response.status == 504 {
         shared
             .stats

@@ -63,8 +63,8 @@ impl EndpointStats {
 }
 
 /// All serving counters: one [`EndpointStats`] per route plus the
-/// admission/batching figures, the process start time, and the
-/// in-flight request gauge.
+/// admission figures, the process start time, and the in-flight
+/// request gauge.
 #[derive(Debug)]
 pub struct ServerStats {
     /// `POST /cite`.
@@ -88,7 +88,8 @@ pub struct ServerStats {
     pub fragment: EndpointStats,
     /// Requests that did not match any route (404/405).
     pub unrouted: AtomicU64,
-    /// Requests rejected because the admission queue was full (503).
+    /// `/cite_at` requests shed because versioned capacity was
+    /// saturated (503).
     pub rejected: AtomicU64,
     /// Connections whose request could not be parsed (400/413/408).
     pub malformed: AtomicU64,
@@ -96,15 +97,16 @@ pub struct ServerStats {
     /// (`x-deadline-ms`, or the server default) expired before a
     /// response was produced.
     pub deadline_exceeded: AtomicU64,
-    /// `cite_batch` calls issued by the batcher.
+    /// Never written: there is no batcher. `batches`,
+    /// `batched_requests` and `batch_wait` stay only because
+    /// `benchmark/src/layers.rs` reads them (as zero, "no batcher")
+    /// and only a benchmark PR may edit it; they go when one retires
+    /// `server.batch_wait_us` / `server.batch_size_mean`.
     pub batches: AtomicU64,
-    /// Requests served through those batches.
+    /// See [`ServerStats::batches`].
     pub batched_requests: AtomicU64,
-    /// Time a cite request waited in the admission queue before its
-    /// batch started, microseconds.
+    /// See [`ServerStats::batches`].
     pub batch_wait: Histogram,
-    /// Coalesced batch sizes (one sample per batch).
-    pub batch_sizes: Histogram,
     /// Requests currently being served, across all routes.
     pub in_flight: AtomicU64,
     /// When this stats block (i.e. the server) was created.
@@ -130,7 +132,6 @@ impl Default for ServerStats {
             batches: AtomicU64::new(0),
             batched_requests: AtomicU64::new(0),
             batch_wait: Histogram::new(),
-            batch_sizes: Histogram::new(),
             in_flight: AtomicU64::new(0),
             started: Instant::now(),
         }
@@ -141,16 +142,6 @@ impl ServerStats {
     /// Total requests answered across the citation endpoints.
     pub fn served(&self) -> u64 {
         self.cite.requests() + self.cite_sql.requests() + self.cite_at.requests()
-    }
-
-    /// Mean coalesced batch size (1.0 when nothing was batched yet).
-    pub fn mean_batch_size(&self) -> f64 {
-        let batches = self.batches.load(Ordering::Relaxed);
-        if batches == 0 {
-            1.0
-        } else {
-            self.batched_requests.load(Ordering::Relaxed) as f64 / batches as f64
-        }
     }
 
     /// Seconds since the server started.
@@ -176,7 +167,6 @@ impl ServerStats {
     /// The `GET /stats` body (without engine cache stats; the server
     /// layer merges those in).
     pub fn to_json(&self) -> Json {
-        let wait = self.batch_wait.snapshot();
         let count = |c: &AtomicU64| Json::Int(c.load(Ordering::Relaxed) as i64);
         Json::from_pairs([
             ("cite", self.cite.to_json()),
@@ -191,24 +181,14 @@ impl ServerStats {
             ("rejected", count(&self.rejected)),
             ("malformed", count(&self.malformed)),
             ("deadline_exceeded", count(&self.deadline_exceeded)),
-            ("batches", count(&self.batches)),
-            ("batched_requests", count(&self.batched_requests)),
-            (
-                "batch_wait",
-                Json::from_pairs([
-                    ("p50_us", Json::Int(wait.quantile(0.5) as i64)),
-                    ("p99_us", Json::Int(wait.quantile(0.99) as i64)),
-                    ("max_us", Json::Int(wait.max as i64)),
-                ]),
-            ),
             ("uptime_s", Json::Int(self.uptime_s() as i64)),
             ("in_flight", count(&self.in_flight)),
         ])
     }
 
     /// Write the serving-tier metric families (uptime, in-flight,
-    /// per-endpoint counters and latency histograms, admission and
-    /// batching counters) into a Prometheus exposition. `base` labels
+    /// per-endpoint counters and latency histograms, admission
+    /// counters) into a Prometheus exposition. `base` labels
     /// (typically `role` and `shard`) are attached to every sample;
     /// the caller appends engine-level families afterwards.
     pub fn write_prometheus(&self, w: &mut PromWriter, base: &[(&str, &str)]) {
@@ -272,7 +252,7 @@ impl ServerStats {
             ("fgcite_unrouted_total", "404/405 answers.", &self.unrouted),
             (
                 "fgcite_rejected_total",
-                "Admission-queue rejections (503).",
+                "Versioned citations shed at capacity (503).",
                 &self.rejected,
             ),
             (
@@ -285,33 +265,9 @@ impl ServerStats {
                 "Requests whose end-to-end deadline expired (504).",
                 &self.deadline_exceeded,
             ),
-            (
-                "fgcite_batches_total",
-                "Coalesced cite batches executed.",
-                &self.batches,
-            ),
-            (
-                "fgcite_batched_requests_total",
-                "Requests served through batches.",
-                &self.batched_requests,
-            ),
         ] {
             w.help(name, "counter", help);
             w.int(name, base, v.load(Ordering::Relaxed));
-        }
-        let wait = self.batch_wait.snapshot();
-        if wait.count() > 0 {
-            w.help(
-                "fgcite_batch_wait_seconds",
-                "histogram",
-                "Admission-queue wait before a batch started.",
-            );
-            w.histogram("fgcite_batch_wait_seconds", base, &wait, 1e-6);
-        }
-        let sizes = self.batch_sizes.snapshot();
-        if sizes.count() > 0 {
-            w.help("fgcite_batch_size", "histogram", "Coalesced batch sizes.");
-            w.histogram("fgcite_batch_size", base, &sizes, 1.0);
         }
     }
 }
@@ -344,15 +300,6 @@ mod tests {
         }
         assert!(j.get("uptime_s").is_some());
         assert_eq!(j.get("in_flight"), Some(&Json::Int(0)));
-    }
-
-    #[test]
-    fn batch_size_defaults_to_one() {
-        let s = ServerStats::default();
-        assert_eq!(s.mean_batch_size(), 1.0);
-        s.batches.fetch_add(2, Ordering::Relaxed);
-        s.batched_requests.fetch_add(6, Ordering::Relaxed);
-        assert_eq!(s.mean_batch_size(), 3.0);
     }
 
     #[test]

@@ -12,7 +12,6 @@
 use fgcite::prelude::*;
 use fgcite::server::Client;
 use std::sync::Arc;
-use std::time::Duration;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // One shared engine (the `&self` serving API) behind the server.
@@ -24,8 +23,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         engine,
         ServerConfig::default()
             .with_addr("127.0.0.1:0") // port 0: pick any free port
-            .with_threads(4)
-            .with_batch_window(Duration::from_millis(1)),
+            .with_threads(4),
     )?;
     println!("serving on http://{}\n", server.addr());
 

@@ -64,10 +64,16 @@ pub struct Args {
 impl Args {
     /// Parse raw arguments. Both `--name value` and `--name=value`
     /// are accepted; boolean flags get the value `"true"` when no
-    /// `=value` is attached.
+    /// `=value` is attached. An unknown command, or a flag the command
+    /// does not take, is an error naming it.
     pub fn parse<I: IntoIterator<Item = String>>(raw: I) -> Result<Args, CliError> {
         let mut iter = raw.into_iter().peekable();
         let command = iter.next().ok_or_else(|| CliError(USAGE.to_string()))?;
+        let accepted = ACCEPTED_FLAGS
+            .iter()
+            .find(|(name, _)| *name == command)
+            .map(|(_, flags)| *flags)
+            .ok_or_else(|| CliError(format!("unknown command `{command}`\n{USAGE}")))?;
         let mut flags = HashMap::new();
         while let Some(arg) = iter.next() {
             let Some(name) = arg.strip_prefix("--") else {
@@ -76,18 +82,23 @@ impl Args {
             if name.is_empty() || name.starts_with('=') {
                 return Err(CliError(format!("malformed flag `{arg}`\n{USAGE}")));
             }
-            let (name, value) = match name.split_once('=') {
-                Some((name, value)) => (name, value.to_string()),
-                None => {
-                    let is_bool = matches!(name, "exhaustive" | "explain");
-                    let value = if is_bool {
-                        "true".to_string()
-                    } else {
-                        iter.next()
-                            .ok_or_else(|| CliError(format!("flag --{name} needs a value")))?
-                    };
-                    (name, value)
-                }
+            let (name, attached) = match name.split_once('=') {
+                Some((name, value)) => (name, Some(value.to_string())),
+                None => (name, None),
+            };
+            // a flag the command does not take is a typo or a retired
+            // knob: starting anyway would silently drop what it asked for
+            if !accepted.split_whitespace().any(|flag| flag == name) {
+                return Err(CliError(format!(
+                    "unknown flag --{name} for `{command}`\n{USAGE}"
+                )));
+            }
+            let value = match attached {
+                Some(value) => value,
+                None if matches!(name, "exhaustive" | "explain") => "true".to_string(),
+                None => iter
+                    .next()
+                    .ok_or_else(|| CliError(format!("flag --{name} needs a value")))?,
             };
             // `--fault` is repeatable: each occurrence appends another
             // `;`-separated spec instead of overwriting the last one
@@ -124,6 +135,27 @@ impl Args {
     }
 }
 
+/// The flags each command takes (space-separated); [`Args::parse`]
+/// refuses any other, and any command not listed. `USAGE` documents
+/// the same sets — a unit test keeps the two from drifting.
+const ACCEPTED_FLAGS: &[(&str, &str)] = &[
+    (
+        "cite",
+        "data views query sql policy order format exhaustive explain commits version at",
+    ),
+    ("views", "data views"),
+    ("suggest", "data log min-support"),
+    (
+        "serve",
+        "data views addr threads shards shard-key commits storage data-dir role shard-id \
+         deadline-ms max-deadline-ms header-timeout-ms fault fault-seed \
+         replicas twins replica-timeout-ms",
+    ),
+    ("help", ""),
+    ("--help", ""),
+    ("-h", ""),
+];
+
 /// Usage text.
 pub const USAGE: &str = "\
 usage:
@@ -134,7 +166,7 @@ usage:
   fgcite views   --data FILE --views FILE
   fgcite suggest --data FILE --log FILE [--min-support N]
   fgcite serve   --data FILE --views FILE [--addr HOST:PORT]
-                 [--threads N] [--batch-window MS]
+                 [--threads N]
                  [--shards N [--shard-key Rel=Col,Rel2=Col2]]
                  [--commits FILE]
                  [--storage mem|disk [--data-dir DIR]]
@@ -503,7 +535,8 @@ pub fn run_suggest(args: &Args, data: &str, log_text: &str) -> Result<String, Cl
 }
 
 /// Build a [`fgc_server::ServerConfig`] from the `serve` flags
-/// (`--addr`, `--threads`, `--batch-window` in milliseconds).
+/// (`--addr`, `--threads`, and the deadline/timeout flags in
+/// milliseconds).
 pub fn serve_config(args: &Args) -> Result<fgc_server::ServerConfig, CliError> {
     let mut config = fgc_server::ServerConfig::default();
     if let Some(addr) = args.get("addr") {
@@ -516,12 +549,6 @@ pub fn serve_config(args: &Args) -> Result<fgc_server::ServerConfig, CliError> {
             .filter(|&n| n > 0)
             .ok_or_else(|| CliError("--threads must be a positive number".into()))?;
         config = config.with_threads(threads);
-    }
-    if let Some(window) = args.get("batch-window") {
-        let ms: u64 = window
-            .parse()
-            .map_err(|_| CliError("--batch-window must be a number of milliseconds".into()))?;
-        config = config.with_batch_window(std::time::Duration::from_millis(ms));
     }
     let positive_ms = |name: &str| -> Result<Option<std::time::Duration>, CliError> {
         args.get(name)
@@ -851,8 +878,9 @@ pub fn run<I: IntoIterator<Item = String>>(
              fgcite::cli::run_serve for the handle"
                 .into(),
         )),
-        "help" | "--help" | "-h" => Ok(USAGE.to_string()),
-        other => Err(CliError(format!("unknown command `{other}`\n{USAGE}"))),
+        // `Args::parse` refused every command outside its table:
+        // what is left is `help` / `--help` / `-h`
+        _ => Ok(USAGE.to_string()),
     }
 }
 
@@ -1324,28 +1352,67 @@ lambda F. CV1(F, N, Pn) :- Family(F, N, Ty), FC(F, C), Person(C, Pn, A)
     #[test]
     fn serve_config_parses_flags() {
         let args = Args::parse(
-            [
-                "serve",
-                "--addr=127.0.0.1:9900",
-                "--threads=3",
-                "--batch-window=7",
-            ]
-            .iter()
-            .map(|s| s.to_string()),
+            ["serve", "--addr=127.0.0.1:9900", "--threads=3"]
+                .iter()
+                .map(|s| s.to_string()),
         )
         .unwrap();
         let config = serve_config(&args).unwrap();
         assert_eq!(config.addr, "127.0.0.1:9900");
         assert_eq!(config.threads, 3);
-        assert_eq!(config.batch_window, std::time::Duration::from_millis(7));
 
         let bad = Args::parse(["serve".to_string(), "--threads=zero".to_string()]).unwrap();
         assert!(serve_config(&bad).is_err());
         let zero = Args::parse(["serve".to_string(), "--threads=0".to_string()]).unwrap();
         assert!(serve_config(&zero).is_err());
-        let bad_window =
-            Args::parse(["serve".to_string(), "--batch-window=fast".to_string()]).unwrap();
-        assert!(serve_config(&bad_window).is_err());
+    }
+
+    #[test]
+    fn flags_a_command_does_not_take_are_rejected_by_name() {
+        // a retired knob, a typo, and a real flag on the wrong command
+        for (command, flag, name) in [
+            ("serve", "--batch-window=1", "--batch-window"),
+            ("serve", "--thread=8", "--thread"),
+            ("views", "--query=Q(X) :- R(X)", "--query"),
+        ] {
+            let Err(err) = Args::parse([command.to_string(), flag.to_string()]) else {
+                panic!("`{command} {flag}` should be rejected");
+            };
+            let message = err.to_string();
+            assert!(message.contains(name), "{message}");
+            assert!(message.contains("usage:"), "{message}");
+        }
+        // the spaced spelling is refused before it swallows a value
+        let spaced = ["serve", "--thread", "8"].map(String::from);
+        assert!(Args::parse(spaced).is_err());
+    }
+
+    #[test]
+    fn usage_and_accepted_flags_list_the_same_flags() {
+        // a `  fgcite CMD ...` line opens a synopsis block (`serve`
+        // has two) that runs to the blank line ending the synopsis
+        let mut listed: HashMap<&str, std::collections::BTreeSet<&str>> = HashMap::new();
+        let mut command = None;
+        for line in USAGE.lines().skip(1).take_while(|l| !l.is_empty()) {
+            if let Some(rest) = line.strip_prefix("  fgcite ") {
+                command = rest.split_whitespace().next();
+            }
+            let flags = listed.entry(command.expect("synopsis line")).or_default();
+            for word in line.split(|c: char| !(c.is_ascii_lowercase() || c == '-')) {
+                if let Some(flag) = word.strip_prefix("--") {
+                    flags.insert(flag);
+                }
+            }
+        }
+        for (command, accepted) in ACCEPTED_FLAGS {
+            let accepted: std::collections::BTreeSet<&str> = accepted.split_whitespace().collect();
+            assert_eq!(
+                listed.remove(command).unwrap_or_default(),
+                accepted,
+                "USAGE and ACCEPTED_FLAGS disagree on `{command}`"
+            );
+        }
+        assert!(listed.is_empty(), "USAGE-only commands: {listed:?}");
     }
 
     #[test]
@@ -1428,14 +1495,9 @@ lambda F. CV1(F, N, Pn) :- Family(F, N, Ty), FC(F, C), Person(C, Pn, A)
     #[test]
     fn run_serve_starts_and_answers_healthz() {
         let args = Args::parse(
-            [
-                "serve",
-                "--addr=127.0.0.1:0",
-                "--threads=2",
-                "--batch-window=1",
-            ]
-            .iter()
-            .map(|s| s.to_string()),
+            ["serve", "--addr=127.0.0.1:0", "--threads=2"]
+                .iter()
+                .map(|s| s.to_string()),
         )
         .unwrap();
         let server = run_serve(&args, Some(DATA), VIEWS, None).unwrap();

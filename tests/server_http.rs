@@ -25,8 +25,7 @@ fn engine() -> Arc<CitationEngine> {
 fn start_server(threads: usize) -> (CiteServer, SocketAddr) {
     let config = ServerConfig::default()
         .with_addr("127.0.0.1:0")
-        .with_threads(threads)
-        .with_batch_window(Duration::from_millis(1));
+        .with_threads(threads);
     let server = CiteServer::start(engine(), config).expect("bind loopback");
     let addr = server.addr();
     (server, addr)
@@ -695,6 +694,8 @@ fn observability_surface_rides_every_response() {
             metrics.body
         );
     }
+    // there is no batcher, so no batch families to export
+    assert!(!metrics.body.contains("fgcite_batch"), "{}", metrics.body);
 
     // /debug/slow retains the recent requests under their IDs
     let slow = client.get("/debug/slow").unwrap();
@@ -709,6 +710,7 @@ fn observability_surface_rides_every_response() {
     let parsed = parse_json(&stats.body).unwrap();
     assert!(parsed.get("uptime_s").is_some(), "{}", stats.body);
     assert!(parsed.get("in_flight").is_some(), "{}", stats.body);
+    assert!(!stats.body.contains("batch"), "{}", stats.body);
     let rates = parsed.get("cache_hit_rates").expect("cache_hit_rates");
     assert!(
         rates.get("tokens").is_some() && rates.get("plans").is_some(),
@@ -725,27 +727,87 @@ fn observability_surface_rides_every_response() {
     server.shutdown();
 }
 
+/// Independent requests share nothing but the engine, so nothing
+/// queues them behind one another: while one worker is busy with a
+/// join whose reply is MB-scale, another answers a keyed lookup.
 #[test]
-fn batching_coalesces_under_concurrency() {
-    let (server, addr) = start_server(8);
-    let stats = server.stats();
-    let clients = 8;
-    let rounds = 4;
+fn a_slow_cite_does_not_delay_a_fast_one() {
+    use fgcite::gtopdb::{generate, paper_views, GeneratorConfig};
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    let db = generate(&GeneratorConfig::default());
+    let engine = Arc::new(CitationEngine::new(db, paper_views()).expect("views validate"));
+    let slow = "Q(N, Tx) :- Family(F, N, Ty), FamilyIntro(F, Tx)";
+    let fast = "Q(N, Ty) :- Family(F, N, Ty), F = \"f7\"";
+    // The direct renders double as the warm-up: what is left of the
+    // slow request is the per-byte work on its own reply.
+    let direct = |query: &str| {
+        let request = CiteRequest::query(parse_query(query).unwrap());
+        let response = engine.cite_request(&request).expect("direct cite");
+        stable(&fgcite::server::encode_response(&response).to_compact())
+    };
+    let (slow_expected, fast_expected) = (direct(slow), direct(fast));
+    assert!(slow_expected.len() > 1 << 20, "{}", slow_expected.len());
+    // `render` is the last stage of an engine call: its sample count
+    // is the number of citations the engine has finished
+    let finished = || {
+        let mut stages = engine.stage_stats().iter();
+        let (_, render) = stages.find(|(stage, _)| *stage == "render").unwrap();
+        render.count()
+    };
+    let finished_before = finished();
+
+    let config = ServerConfig::default()
+        .with_addr("127.0.0.1:0")
+        .with_threads(2);
+    let server = CiteServer::start(Arc::clone(&engine), config).expect("bind loopback");
+    let (addr, stats) = (server.addr(), server.stats());
+    let slow_done = AtomicBool::new(false);
     std::thread::scope(|scope| {
-        for c in 0..clients {
-            scope.spawn(move || {
-                let mut client = Client::connect(addr).expect("connect");
-                for r in 0..rounds {
-                    let i = (c + r) % QUERIES.len();
-                    let response = client.post("/cite", &cite_body(QUERIES[i])).expect("post");
-                    assert_eq!(response.status, 200);
-                }
-            });
+        let slow_client = scope.spawn(|| {
+            let mut client = Client::connect(addr).expect("connect");
+            let response = client.post("/cite", &cite_body(slow)).expect("post");
+            slow_done.store(true, Ordering::SeqCst);
+            response
+        });
+        // `in_flight` counts routed requests: once it is up the slow
+        // request is inside its handler on one of the two workers
+        while stats.in_flight.load(Ordering::Relaxed) == 0 {
+            assert!(
+                !slow_done.load(Ordering::SeqCst),
+                "the slow request finished before it was seen in flight"
+            );
+            std::thread::yield_now();
         }
+        let mut client = Client::connect(addr).expect("connect");
+        let response = client.post("/cite", &cite_body(fast)).expect("post");
+        // Sampled on arrival of the fast answer. The client-side flag
+        // alone cannot tell: a reply released by the slow request's
+        // engine call still beats that request's MB-scale encode and
+        // write. The engine must have finished the lookup and only it.
+        let (finished, overtook) = (finished(), !slow_done.load(Ordering::SeqCst));
+        assert_eq!(response.status, 200, "{}", response.body);
+        assert!(overtook, "the keyed lookup arrived after the MB-scale join");
+        assert_eq!(
+            finished - finished_before,
+            1,
+            "the keyed lookup waited for the MB-scale join's engine call"
+        );
+        assert_eq!(stable(&response.body), fast_expected);
+
+        let response = slow_client.join().expect("slow client");
+        assert_eq!(response.status, 200);
+        assert!(stable(&response.body) == slow_expected, "slow body differs");
     });
-    let served = stats.served();
-    let batches = stats.batches.load(std::sync::atomic::Ordering::Relaxed);
-    assert_eq!(served, (clients * rounds) as u64);
-    assert!(batches >= 1 && batches <= served);
     server.shutdown();
+}
+
+/// A `/cite` body with its volatile fields (timing, cache counters)
+/// zeroed, so two renders of one citation compare byte for byte.
+fn stable(body: &str) -> String {
+    let mut parsed = parse_json(body).expect("response is valid JSON");
+    for volatile in ["elapsed_us", "cache_hits", "cache_misses"] {
+        parsed.set(volatile, Json::Int(0));
+    }
+    parsed.to_compact()
 }
