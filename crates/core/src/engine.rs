@@ -310,11 +310,11 @@ impl CitationEngine {
             options: EngineOptions::default(),
             inclusion,
             extent_db: RwLock::new(None),
-            cache: CitationCache::new(),
+            cache: CitationCache::default(),
             sharded: None,
             extent_sharded: RwLock::new(None),
             shard_counters: ShardCounters::default(),
-            plans: PlanCache::new(),
+            plans: PlanCache::default(),
             stages: StageSet::new(CITE_STAGES),
             storage: None,
         })
@@ -436,13 +436,13 @@ impl CitationEngine {
     /// Latency distribution of token-cache miss computations
     /// (nanoseconds).
     pub fn cache_compute_latency(&self) -> fgc_obs::HistogramSnapshot {
-        self.cache.compute_latency()
+        self.cache.miss_latency()
     }
 
     /// Latency distribution of plan-cache miss compiles
     /// (nanoseconds).
     pub fn plan_compile_latency(&self) -> fgc_obs::HistogramSnapshot {
-        self.plans.compile_latency()
+        self.plans.miss_latency()
     }
 
     /// Number of shards the base store is partitioned into (1 when

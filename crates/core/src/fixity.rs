@@ -29,10 +29,10 @@ use crate::policy::Policy;
 use fgc_query::ast::ConjunctiveQuery;
 use fgc_relation::storage::{Storage, StorageStats};
 use fgc_relation::version::{VersionId, VersionedDatabase};
-use fgc_relation::{Database, Relation};
+use fgc_relation::{Clock, Database, Relation};
 use fgc_views::{Json, ViewRegistry};
-use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::collections::HashSet;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
 /// Default maximum delta size (effective ops) the engine will replay
@@ -137,85 +137,16 @@ struct VersionCounters {
     engine_evictions: AtomicU64,
 }
 
-/// A warm per-version engine plus its CLOCK reference bit. The bit is
-/// atomic so lookups under the read lock can mark recency without
-/// upgrading to a write lock.
-struct WarmEngine {
-    version: VersionId,
-    engine: Arc<CitationEngine>,
-    referenced: AtomicBool,
-}
-
-/// The warm-engine map with second-chance (CLOCK) retention. Evicted
+/// The warm-engine map, retained second-chance ([`Clock`]). Evicted
 /// engines are rebuilt or re-derived on demand — eviction never loses
 /// information, only warmth, because every engine is a deterministic
-/// function of the history.
-#[derive(Default)]
-struct EngineMap {
-    slots: Vec<WarmEngine>,
-    index: HashMap<VersionId, usize>,
-    hand: usize,
-}
-
-impl EngineMap {
-    fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Look up a warm engine, granting it a second chance.
-    fn get(&self, version: VersionId) -> Option<&Arc<CitationEngine>> {
-        let &i = self.index.get(&version)?;
-        let slot = &self.slots[i];
-        slot.referenced.store(true, Ordering::Relaxed);
-        Some(&slot.engine)
-    }
-
-    fn engines(&self) -> impl Iterator<Item = &Arc<CitationEngine>> {
-        self.slots.iter().map(|s| &s.engine)
-    }
-
-    /// Sweep the hand until an unreferenced slot falls out. Two laps
-    /// bound the sweep: the first clears every reference bit, the
-    /// second must find a victim.
-    fn evict_one(&mut self) {
-        loop {
-            if self.hand >= self.slots.len() {
-                self.hand = 0;
-            }
-            let slot = &self.slots[self.hand];
-            if slot.referenced.swap(false, Ordering::Relaxed) {
-                self.hand += 1;
-                continue;
-            }
-            let victim = self.slots.swap_remove(self.hand);
-            self.index.remove(&victim.version);
-            if let Some(moved) = self.slots.get(self.hand) {
-                self.index.insert(moved.version, self.hand);
-            }
-            return;
-        }
-    }
-
-    /// Insert a freshly built engine, evicting under the capacity
-    /// first (`0` = unbounded) so the newcomer is never its own
-    /// victim. Returns the number of evictions performed.
-    fn insert(&mut self, version: VersionId, engine: Arc<CitationEngine>, capacity: usize) -> u64 {
-        debug_assert!(!self.index.contains_key(&version));
-        let mut evictions = 0;
-        if capacity > 0 {
-            while self.slots.len() >= capacity {
-                self.evict_one();
-                evictions += 1;
-            }
-        }
-        self.index.insert(version, self.slots.len());
-        self.slots.push(WarmEngine {
-            version,
-            engine,
-            referenced: AtomicBool::new(true),
-        });
-        evictions
-    }
+/// function of the history. `engine_capacity` 0 means unbounded here,
+/// where the ring's own 0 means "store nothing".
+fn warm_map(engine_capacity: usize) -> RwLock<Clock<VersionId, Arc<CitationEngine>>> {
+    RwLock::new(Clock::new(match engine_capacity {
+        0 => usize::MAX,
+        bounded => bounded,
+    }))
 }
 
 /// A citation engine over an evolving, versioned database.
@@ -230,7 +161,7 @@ pub struct VersionedCitationEngine {
     registry: ViewRegistry,
     policy: Policy,
     options: EngineOptions,
-    engines: RwLock<EngineMap>,
+    engines: RwLock<Clock<VersionId, Arc<CitationEngine>>>,
     derive_threshold: usize,
     engine_capacity: usize,
     counters: VersionCounters,
@@ -250,7 +181,7 @@ impl VersionedCitationEngine {
             registry,
             policy: Policy::default(),
             options: EngineOptions::default(),
-            engines: RwLock::new(EngineMap::default()),
+            engines: warm_map(0),
             derive_threshold: DEFAULT_DERIVE_THRESHOLD,
             engine_capacity: 0,
             counters: VersionCounters::default(),
@@ -322,8 +253,10 @@ impl VersionedCitationEngine {
     /// or rebuilt on their next touch. `0` (the default) keeps every
     /// engine warm, which is only safe for short histories: without a
     /// bound the map grows with every distinct version ever cited.
+    /// Builder style: replaces the map, dropping any warm engines.
     pub fn with_engine_capacity(mut self, capacity: usize) -> Self {
         self.engine_capacity = capacity;
+        self.engines = warm_map(capacity);
         self
     }
 
@@ -367,7 +300,7 @@ impl VersionedCitationEngine {
             tally(db, &mut seen, &mut stats);
         }
         let map = self.engines.read().expect("engine map poisoned");
-        for engine in map.engines() {
+        for (_, engine) in map.iter() {
             tally(engine.database(), &mut seen, &mut stats);
             if let Some(extent) = engine.extent_database_if_built() {
                 tally(&extent, &mut seen, &mut stats);
@@ -435,7 +368,7 @@ impl VersionedCitationEngine {
             .engines
             .read()
             .expect("engine map poisoned")
-            .get(version - 1)
+            .get(&(version - 1))
             .map(Arc::clone)?;
         // The op threshold alone is blind to removal cost:
         // `Relation::remove` keeps insertion order by compacting, so
@@ -480,7 +413,7 @@ impl VersionedCitationEngine {
             .engines
             .read()
             .expect("engine map poisoned")
-            .get(version)
+            .get(&version)
         {
             self.counters.hits.fetch_add(1, Ordering::Relaxed);
             return Ok(Arc::clone(engine));
@@ -520,18 +453,19 @@ impl VersionedCitationEngine {
             }
         };
         let mut map = self.engines.write().expect("engine map poisoned");
-        if let Some(existing) = map.get(version) {
+        if let Some(existing) = map.get(&version) {
             debug_assert!(
                 existing.database().content_eq(engine.database()),
                 "racing builders derived different databases for version {version}"
             );
             return Ok(Arc::clone(existing));
         }
-        let evictions = map.insert(version, Arc::clone(&engine), self.engine_capacity);
-        if evictions > 0 {
+        let evicted = map.insert(version, Arc::clone(&engine));
+        drop(map); // an evicted engine is freed outside the lock
+        if evicted.is_some() {
             self.counters
                 .engine_evictions
-                .fetch_add(evictions, Ordering::Relaxed);
+                .fetch_add(1, Ordering::Relaxed);
         }
         Ok(engine)
     }

@@ -86,7 +86,7 @@ pub mod suggest;
 pub mod token;
 
 pub use baseline::{baseline_coverage, PageCitationStore, WorkloadItem};
-pub use cache::{CacheStats, CitationCache};
+pub use cache::{CacheStats, CitationCache, ClockCache};
 pub use engine::{
     CitationEngine, CiteDataPlane, EngineOptions, QueryCitation, RewriteMode, ShardServingStats,
     TupleCitation,

@@ -6,15 +6,8 @@
 //! workloads repeat queries (landing pages, dashboards, retries) and
 //! every `cite` call additionally evaluates one extent query per
 //! rewriting, so an engine that caches plans skips
-//! parse-order-validate entirely on the warm path.
-//!
-//! Same concurrency recipe as [`crate::cache::CitationCache`]: the
-//! memo table is sharded across [`SHARDS`] `RwLock`-protected maps
-//! (shard picked by query hash, so unrelated queries never contend),
-//! hit/miss counters are relaxed atomics, and each shard is
-//! size-bounded with second-chance (CLOCK) eviction — hot plans
-//! survive ad-hoc churn. A capacity of 0 disables caching (every
-//! lookup compiles, nothing is stored).
+//! parse-order-validate entirely on the warm path. The table itself
+//! (sharding, bounding, counters) is [`ClockCache`]'s.
 //!
 //! **Key invariant:** plans are keyed by the [`ConjunctiveQuery`]
 //! alone. That is sound inside one engine because every database a
@@ -23,16 +16,14 @@
 //! they share, and relations exclusive to one store (view extents)
 //! can only appear in queries that compile against that store — so a
 //! query never has two distinct valid plans. Engines over different
-//! snapshots ([`crate::fixity`]) each own their cache.
+//! snapshots ([`crate::fixity`]) each own their cache; a derived
+//! engine keeps (by [`ClockCache::filtered_copy`]) only plans whose
+//! queries touch no relation the commit delta changed, because the
+//! greedy order and probe choices depend on relation sizes.
 
+use crate::cache::{CacheStats, ClockCache};
 use fgc_query::{ConjunctiveQuery, QueryPlan};
-use std::collections::HashMap;
-use std::hash::{BuildHasher, RandomState};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
-
-/// Number of independent lock shards.
-pub const SHARDS: usize = 16;
+use std::sync::Arc;
 
 /// Default per-shard plan capacity (total default capacity is
 /// `SHARDS * DEFAULT_SHARD_CAPACITY` plans). Plans are small (a few
@@ -40,96 +31,12 @@ pub const SHARDS: usize = 16;
 /// citation tokens, so the default is modest.
 pub const DEFAULT_SHARD_CAPACITY: usize = 512;
 
-/// Hit/miss/size counters for `GET /stats`, the CLI, and E12.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PlanCacheStats {
-    /// Lookups answered with a cached plan.
-    pub hits: u64,
-    /// Lookups that had to compile.
-    pub misses: u64,
-    /// Plans currently stored.
-    pub entries: usize,
-    /// Plans evicted to make room (CLOCK second-chance).
-    pub evictions: u64,
-}
+/// Plan-cache counters are the one cache stats struct.
+pub type PlanCacheStats = CacheStats;
 
-impl PlanCacheStats {
-    /// Hit rate in `[0, 1]`; 0 when no lookups happened.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
-/// One resident plan plus its CLOCK bit.
-#[derive(Debug)]
-struct Slot {
-    query: ConjunctiveQuery,
-    plan: Arc<QueryPlan>,
-    referenced: AtomicBool,
-}
-
-/// One lock shard: query → slot index, plus the CLOCK ring.
-#[derive(Debug, Default)]
-struct Shard {
-    map: HashMap<ConjunctiveQuery, usize>,
-    slots: Vec<Slot>,
-    hand: usize,
-}
-
-impl Shard {
-    /// Insert `query → plan`, evicting via CLOCK when at capacity.
-    /// Returns whether an entry was evicted.
-    fn insert(&mut self, query: ConjunctiveQuery, plan: Arc<QueryPlan>, capacity: usize) -> bool {
-        if capacity == 0 || self.map.contains_key(&query) {
-            return false;
-        }
-        if self.slots.len() < capacity {
-            let index = self.slots.len();
-            self.slots.push(Slot {
-                query: query.clone(),
-                plan,
-                referenced: AtomicBool::new(false),
-            });
-            self.map.insert(query, index);
-            return false;
-        }
-        loop {
-            let index = self.hand;
-            self.hand = (self.hand + 1) % self.slots.len();
-            let slot = &mut self.slots[index];
-            if slot.referenced.swap(false, Ordering::Relaxed) {
-                continue;
-            }
-            self.map.remove(&slot.query);
-            self.map.insert(query.clone(), index);
-            *slot = Slot {
-                query,
-                plan,
-                referenced: AtomicBool::new(false),
-            };
-            return true;
-        }
-    }
-}
-
-/// A sharded, thread-safe, size-bounded memo table for compiled
-/// query plans. All methods take `&self`.
-#[derive(Debug)]
-pub struct PlanCache {
-    shards: Vec<RwLock<Shard>>,
-    hasher: RandomState,
-    shard_capacity: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    /// Nanosecond latency of miss compiles (what a warm plan saves).
-    compile_latency: fgc_obs::Histogram,
-}
+/// The plan cache: compiled plans by query, `Arc`-shared with every
+/// evaluation in flight and with derived engines.
+pub type PlanCache = ClockCache<ConjunctiveQuery, Arc<QueryPlan>>;
 
 impl Default for PlanCache {
     fn default() -> Self {
@@ -138,140 +45,16 @@ impl Default for PlanCache {
 }
 
 impl PlanCache {
-    /// An empty cache with the default capacity.
-    pub fn new() -> Self {
-        PlanCache::default()
-    }
-
-    /// An empty cache holding at most `capacity` plans **per shard**
-    /// (total is `SHARDS` times this). Capacity 0 disables caching.
-    pub fn with_shard_capacity(capacity: usize) -> Self {
-        PlanCache {
-            shards: (0..SHARDS).map(|_| RwLock::new(Shard::default())).collect(),
-            hasher: RandomState::new(),
-            shard_capacity: capacity,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            compile_latency: fgc_obs::Histogram::new(),
-        }
-    }
-
-    /// Maximum number of plans this cache will hold.
-    pub fn capacity(&self) -> usize {
-        self.shard_capacity * SHARDS
-    }
-
-    fn shard(&self, q: &ConjunctiveQuery) -> &RwLock<Shard> {
-        &self.shards[(self.hasher.hash_one(q) as usize) % SHARDS]
-    }
-
-    /// Fetch the plan for `q`, compiling on miss. `compile` runs
-    /// *outside* any lock (two threads missing the same query may
-    /// both compile; either deterministic result wins harmlessly).
-    /// Compilation errors are returned and never cached, so invalid
-    /// queries keep reporting their error.
-    pub fn get_or_compile<F>(
+    /// Fetch the plan for `q`, compiling on miss. Compilation errors
+    /// are returned and never cached, so invalid queries keep
+    /// reporting their error.
+    pub fn get_or_compile(
         &self,
         q: &ConjunctiveQuery,
-        compile: F,
-    ) -> fgc_query::Result<Arc<QueryPlan>>
-    where
-        F: FnOnce() -> fgc_query::Result<QueryPlan>,
-    {
-        let shard = self.shard(q);
-        {
-            let guard = shard.read().expect("plan cache shard poisoned");
-            if let Some(&index) = guard.map.get(q) {
-                let slot = &guard.slots[index];
-                slot.referenced.store(true, Ordering::Relaxed);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(Arc::clone(&slot.plan));
-            }
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let compiled_at = std::time::Instant::now();
-        let plan = Arc::new(compile()?);
-        self.compile_latency.record_nanos(compiled_at.elapsed());
-        if self.shard_capacity > 0 {
-            let evicted = shard.write().expect("plan cache shard poisoned").insert(
-                q.clone(),
-                Arc::clone(&plan),
-                self.shard_capacity,
-            );
-            if evicted {
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        Ok(plan)
-    }
-
-    /// Latency distribution of miss compiles (nanoseconds), surfaced
-    /// on `GET /metrics`.
-    pub fn compile_latency(&self) -> fgc_obs::HistogramSnapshot {
-        self.compile_latency.snapshot()
-    }
-
-    /// Current statistics (relaxed counters: exact when quiescent,
-    /// monotone under concurrency).
-    pub fn stats(&self) -> PlanCacheStats {
-        PlanCacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            entries: self
-                .shards
-                .iter()
-                .map(|s| s.read().expect("plan cache shard poisoned").map.len())
-                .sum(),
-            evictions: self.evictions.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Drop all plans (keeps counters) — cold-start runs and E12's
-    /// cold sweep.
-    pub fn clear(&self) {
-        for shard in &self.shards {
-            let mut guard = shard.write().expect("plan cache shard poisoned");
-            guard.map.clear();
-            guard.slots.clear();
-            guard.hand = 0;
-        }
-    }
-
-    /// A fresh cache (same capacity, zeroed counters) seeded with the
-    /// plans whose query satisfies `keep`. Plans are `Arc`-shared
-    /// with the source cache. A derived engine keeps plans whose
-    /// queries touch only relations a commit delta left alone —
-    /// plans over touched relations must recompile because the
-    /// greedy order and probe choices depend on relation sizes.
-    /// A survivor landing in a full shard displaces another via the
-    /// CLOCK sweep; those displacements count in the copy's
-    /// [`PlanCacheStats::evictions`] rather than vanishing silently.
-    pub fn filtered_copy<F>(&self, keep: F) -> PlanCache
-    where
-        F: Fn(&ConjunctiveQuery) -> bool,
-    {
-        let copy = PlanCache::with_shard_capacity(self.shard_capacity);
-        for shard in &self.shards {
-            let guard = shard.read().expect("plan cache shard poisoned");
-            for slot in &guard.slots {
-                if keep(&slot.query) {
-                    let evicted = copy
-                        .shard(&slot.query)
-                        .write()
-                        .expect("plan cache shard poisoned")
-                        .insert(
-                            slot.query.clone(),
-                            Arc::clone(&slot.plan),
-                            copy.shard_capacity,
-                        );
-                    if evicted {
-                        copy.evictions.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            }
-        }
-        copy
+        compile: impl FnOnce() -> fgc_query::Result<QueryPlan>,
+    ) -> fgc_query::Result<Arc<QueryPlan>> {
+        self.get_or_compute(q, Arc::clone, || compile().map(Arc::new))
+            .map(|(plan, _hit)| plan)
     }
 }
 
@@ -301,7 +84,7 @@ mod tests {
     #[test]
     fn caches_compiled_plans() {
         let db = db();
-        let cache = PlanCache::new();
+        let cache = PlanCache::default();
         let q = parse_query("Q(A, B) :- R(A, B)").unwrap();
         let mut compiles = 0;
         for _ in 0..3 {
@@ -322,7 +105,7 @@ mod tests {
     #[test]
     fn errors_are_not_cached() {
         let db = db();
-        let cache = PlanCache::new();
+        let cache = PlanCache::default();
         let bad = parse_query("Q(X) :- R(A, B)").unwrap(); // unsafe
         for _ in 0..2 {
             assert!(cache
@@ -335,65 +118,17 @@ mod tests {
     }
 
     #[test]
-    fn capacity_bounds_entries_and_zero_disables() {
+    fn carry_over_keeps_every_plan_and_never_evicts() {
         let db = db();
-        let bounded = PlanCache::with_shard_capacity(2);
-        for i in 0..20 * bounded.capacity() {
+        let cache = PlanCache::with_shard_capacity(4);
+        for i in 0..10 * cache.capacity() {
             let q = nth_query(i);
-            bounded
+            cache
                 .get_or_compile(&q, || QueryPlan::compile(&q, &db))
                 .unwrap();
         }
-        let stats = bounded.stats();
-        assert!(stats.entries <= bounded.capacity());
-        assert!(stats.evictions > 0);
-
-        let disabled = PlanCache::with_shard_capacity(0);
-        let q = nth_query(0);
-        for _ in 0..3 {
-            disabled
-                .get_or_compile(&q, || QueryPlan::compile(&q, &db))
-                .unwrap();
-        }
-        let stats = disabled.stats();
-        assert_eq!((stats.hits, stats.misses, stats.entries), (0, 3, 0));
-    }
-
-    #[test]
-    fn clear_drops_plans() {
-        let db = db();
-        let cache = PlanCache::new();
-        let q = nth_query(1);
-        cache
-            .get_or_compile(&q, || QueryPlan::compile(&q, &db))
-            .unwrap();
-        assert_eq!(cache.stats().entries, 1);
-        cache.clear();
-        assert_eq!(cache.stats().entries, 0);
-    }
-
-    #[test]
-    fn concurrent_lookups_count_every_access() {
-        let db = std::sync::Arc::new(db());
-        let cache = std::sync::Arc::new(PlanCache::new());
-        let threads = 8;
-        let per_thread = 50u64;
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                let cache = std::sync::Arc::clone(&cache);
-                let db = std::sync::Arc::clone(&db);
-                scope.spawn(move || {
-                    for i in 0..per_thread {
-                        let q = nth_query((i % 5) as usize);
-                        cache
-                            .get_or_compile(&q, || QueryPlan::compile(&q, &db))
-                            .unwrap();
-                    }
-                });
-            }
-        });
-        let stats = cache.stats();
-        assert_eq!(stats.hits + stats.misses, threads * per_thread);
-        assert_eq!(stats.entries, 5);
+        let copy = cache.filtered_copy(|_| true);
+        assert_eq!(copy.stats().entries, cache.stats().entries);
+        assert_eq!(copy.stats().evictions, 0);
     }
 }

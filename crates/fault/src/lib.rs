@@ -104,14 +104,39 @@ pub struct PointSnapshot {
     pub armed: bool,
 }
 
-/// FNV-1a 64-bit, for deriving per-point RNG streams from names.
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+/// The workspace's one FNV-1a 64-bit. It derives per-point RNG
+/// streams here, routes values to shards in `fgc-relation` (std's
+/// `RandomState` is seeded per process; routing must be a pure
+/// function of the value) and checksums WAL records — so its output
+/// is wire- and disk-visible and pinned by the standard test vectors.
+#[derive(Debug, Clone)]
+pub struct Fnv64(u64);
+
+impl Default for Fnv64 {
+    fn default() -> Self {
+        Fnv64(0xcbf2_9ce4_8422_2325)
     }
-    h
+}
+
+impl std::hash::Hasher for Fnv64 {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+/// FNV-1a 64-bit of one byte string.
+pub fn fnv64(bytes: &[u8]) -> u64 {
+    use std::hash::Hasher;
+    let mut h = Fnv64::default();
+    h.write(bytes);
+    h.finish()
 }
 
 fn xorshift(state: &mut u64) -> u64 {
@@ -457,6 +482,20 @@ pub fn injected_error(point: &str) -> std::io::Error {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fnv64_matches_the_standard_vectors() {
+        // shard placement and WAL checksums are on the wire and on disk
+        assert_eq!(fnv64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv64(b"foobar"), 0x8594_4171_f739_67e8);
+        // the `Hasher` is the same function fed in pieces
+        use std::hash::Hasher;
+        let mut h = Fnv64::default();
+        h.write(b"foo");
+        h.write(b"bar");
+        assert_eq!(h.finish(), fnv64(b"foobar"));
+    }
 
     #[test]
     fn idle_plane_is_inactive_and_checks_are_none() {

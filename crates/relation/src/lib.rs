@@ -11,7 +11,8 @@
 //! an append-only version chain of immutable snapshots ([`version`]).
 //! For serving beyond one node's memory budget, [`sharded`] partitions
 //! every relation across hash-routed shards while preserving the
-//! global tuple order routed evaluation depends on.
+//! global tuple order routed evaluation depends on. [`clock`] is the
+//! bounded second-chance ring every cache in the workspace is built on.
 //!
 //! ```
 //! use fgc_relation::prelude::*;
@@ -28,6 +29,7 @@
 
 #![warn(missing_docs)]
 
+pub mod clock;
 pub mod database;
 pub mod delta;
 pub mod error;
@@ -55,6 +57,7 @@ pub mod prelude {
     pub use crate::version::{VersionId, VersionInfo, VersionedDatabase};
 }
 
+pub use clock::Clock;
 pub use database::Database;
 pub use delta::{DatabaseDelta, DeltaOp, RelationDelta};
 pub use error::RelationError;

@@ -29,42 +29,17 @@ use crate::relation::Relation;
 use crate::schema::{Catalog, RelationSchema};
 use crate::tuple::Tuple;
 use crate::value::Value;
+use fgc_fault::Fnv64;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-/// Deterministic 64-bit FNV-1a, used for shard routing. The std
-/// `RandomState` is seeded per process, which would scatter the same
-/// key to different shards across runs (and across the engine and the
-/// router); routing must be a pure function of the value.
-#[derive(Debug, Clone)]
-pub struct ShardHasher(u64);
-
-impl Default for ShardHasher {
-    fn default() -> Self {
-        ShardHasher(0xcbf2_9ce4_8422_2325)
-    }
-}
-
-impl Hasher for ShardHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-}
-
 /// The shard a value routes to under `shards`-way partitioning.
 /// Values that compare equal hash identically (`Value`'s `Hash`
 /// contract), so `Int(2)` and `Float(2.0)` route together.
 pub fn shard_of_value(value: &Value, shards: usize) -> usize {
-    let mut h = ShardHasher::default();
+    let mut h = Fnv64::default();
     value.hash(&mut h);
     (h.finish() % shards.max(1) as u64) as usize
 }
@@ -72,7 +47,7 @@ pub fn shard_of_value(value: &Value, shards: usize) -> usize {
 /// The shard a whole tuple routes to (fallback when a relation has no
 /// configured shard-key column).
 pub fn shard_of_tuple(tuple: &Tuple, shards: usize) -> usize {
-    let mut h = ShardHasher::default();
+    let mut h = Fnv64::default();
     tuple.hash(&mut h);
     (h.finish() % shards.max(1) as u64) as usize
 }

@@ -53,6 +53,7 @@
 
 use super::vfs::{RealVfs, Vfs};
 use super::{Storage, StorageHealth, StorageKind, StorageOptions, StorageStats};
+use crate::clock::Clock;
 use crate::database::Database;
 use crate::delta::{DatabaseDelta, DeltaOp, RelationDelta};
 use crate::error::{RelationError, Result};
@@ -60,9 +61,9 @@ use crate::schema::{Attribute, ForeignKey, RelationSchema};
 use crate::tuple::Tuple;
 use crate::value::{DataType, Value};
 use crate::version::{VersionId, VersionInfo, VersionedDatabase};
-use std::collections::HashMap;
+use fgc_fault::fnv64;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 const MANIFEST_MAGIC: &[u8; 8] = b"FGCMANI1";
@@ -77,17 +78,6 @@ fn io_err(context: impl std::fmt::Display, e: std::io::Error) -> RelationError {
 
 fn corrupt(what: impl std::fmt::Display) -> RelationError {
     RelationError::Storage(format!("corrupt {what}"))
-}
-
-/// FNV-1a 64-bit — the same family the shard router uses; good
-/// enough to catch torn or bit-rotted WAL records.
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 // ---------------------------------------------------------------
@@ -410,99 +400,9 @@ fn decode_segment(bytes: &[u8]) -> Result<Database> {
 // Buffer cache
 // ---------------------------------------------------------------
 
-/// Page key: (segment version id, page number).
+/// Page key: (segment version id, page number). A version's segment
+/// is its snapshot's encoding, so a cached page never goes stale.
 type PageKey = (u64, u64);
-
-#[derive(Debug)]
-struct PageSlot {
-    key: PageKey,
-    data: Arc<Vec<u8>>,
-    referenced: bool,
-}
-
-/// A small CLOCK (second-chance) page cache over segment files.
-/// Capacity 0 disables it outright — `get` and `put` return
-/// immediately and no arithmetic ever involves the capacity, the
-/// same degenerate-capacity contract as the citation token cache.
-#[derive(Debug)]
-struct PageCache {
-    capacity: usize,
-    slots: Vec<PageSlot>,
-    map: HashMap<PageKey, usize>,
-    hand: usize,
-    hits: u64,
-    misses: u64,
-}
-
-impl PageCache {
-    fn new(capacity: usize) -> Self {
-        PageCache {
-            capacity,
-            slots: Vec::new(),
-            map: HashMap::new(),
-            hand: 0,
-            hits: 0,
-            misses: 0,
-        }
-    }
-
-    fn get(&mut self, key: PageKey) -> Option<Arc<Vec<u8>>> {
-        if self.capacity == 0 {
-            return None;
-        }
-        match self.map.get(&key) {
-            Some(&i) => {
-                self.slots[i].referenced = true;
-                self.hits += 1;
-                Some(Arc::clone(&self.slots[i].data))
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
-    }
-
-    fn put(&mut self, key: PageKey, data: Arc<Vec<u8>>) {
-        if self.capacity == 0 {
-            return;
-        }
-        if let Some(&i) = self.map.get(&key) {
-            self.slots[i].data = data;
-            self.slots[i].referenced = true;
-            return;
-        }
-        if self.slots.len() < self.capacity {
-            self.map.insert(key, self.slots.len());
-            self.slots.push(PageSlot {
-                key,
-                data,
-                referenced: true,
-            });
-            return;
-        }
-        loop {
-            if self.hand >= self.slots.len() {
-                self.hand = 0;
-            }
-            if self.slots[self.hand].referenced {
-                self.slots[self.hand].referenced = false;
-                self.hand += 1;
-            } else {
-                let victim = self.hand;
-                self.map.remove(&self.slots[victim].key);
-                self.map.insert(key, victim);
-                self.slots[victim] = PageSlot {
-                    key,
-                    data,
-                    referenced: true,
-                };
-                self.hand = victim + 1;
-                return;
-            }
-        }
-    }
-}
 
 // ---------------------------------------------------------------
 // DiskStorage
@@ -547,7 +447,11 @@ pub struct DiskStorage {
     /// crash-consistency harness.
     vfs: Arc<dyn Vfs>,
     inner: Mutex<DiskInner>,
-    cache: Mutex<PageCache>,
+    /// Page-granular buffer cache over segment files; the ring (and
+    /// its capacity-0 = off rule) is [`Clock`]'s.
+    cache: Mutex<Clock<PageKey, Arc<Vec<u8>>>>,
+    cache_hits: AtomicU64,
+    cache_misses: AtomicU64,
     /// Whether the most recent [`Storage::sync`] succeeded — part of
     /// the `/healthz` degradation report.
     last_sync_ok: AtomicBool,
@@ -628,7 +532,9 @@ impl DiskStorage {
         Ok(DiskStorage {
             dir,
             vfs,
-            cache: Mutex::new(PageCache::new(options.cache_pages)),
+            cache: Mutex::new(Clock::new(options.cache_pages)),
+            cache_hits: AtomicU64::new(0),
+            cache_misses: AtomicU64::new(0),
             options,
             inner: Mutex::new(DiskInner {
                 entries,
@@ -682,6 +588,22 @@ impl DiskStorage {
         self.write_atomic(&self.dir.join(MANIFEST_FILE), &encode_manifest(entries))
     }
 
+    /// Probe the buffer cache, counting the hit or miss. A disabled
+    /// cache (capacity 0) is never probed, so it reports no traffic.
+    fn cached_page(&self, key: PageKey) -> Option<Arc<Vec<u8>>> {
+        if self.options.cache_pages == 0 {
+            return None;
+        }
+        let cache = self.cache.lock().expect("page cache poisoned");
+        let page = cache.get(&key).cloned();
+        let counter = match page {
+            Some(_) => &self.cache_hits,
+            None => &self.cache_misses,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        page
+    }
+
     /// Read one segment file page-by-page through the buffer cache.
     fn read_segment_bytes(&self, id: VersionId) -> Result<Vec<u8>> {
         let path = self.segment_path(id);
@@ -694,8 +616,7 @@ impl DiskStorage {
         let mut out = Vec::with_capacity(len);
         for page_no in 0..len.div_ceil(page_size) {
             let key = (id, page_no as u64);
-            let cached = self.cache.lock().expect("page cache poisoned").get(key);
-            let data = match cached {
+            let data = match self.cached_page(key) {
                 Some(d) => d,
                 None => {
                     let start = page_no * page_size;
@@ -710,7 +631,7 @@ impl DiskStorage {
                     self.cache
                         .lock()
                         .expect("page cache poisoned")
-                        .put(key, Arc::clone(&arc));
+                        .insert(key, Arc::clone(&arc));
                     arc
                 }
             };
@@ -1035,7 +956,6 @@ impl Storage for DiskStorage {
             disk_bytes += self.vfs.len(&path).unwrap_or(0);
         }
         disk_bytes += self.vfs.dir_size(&self.dir.join(SEGMENT_DIR));
-        let cache = self.cache.lock().expect("page cache poisoned");
         StorageStats {
             kind: StorageKind::Disk,
             versions: inner.entries.len(),
@@ -1043,9 +963,9 @@ impl Storage for DiskStorage {
             wal_records,
             wal_bytes: inner.wal_len,
             disk_bytes,
-            cache_pages: cache.capacity,
-            cache_hits: cache.hits,
-            cache_misses: cache.misses,
+            cache_pages: self.options.cache_pages,
+            cache_hits: self.cache_hits.load(Ordering::Relaxed),
+            cache_misses: self.cache_misses.load(Ordering::Relaxed),
             compactions: inner.compactions,
         }
     }
