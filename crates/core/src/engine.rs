@@ -26,8 +26,8 @@ use fgc_obs::{StageSet, Trace, CITE_STAGES};
 use fgc_query::ast::{ConjunctiveQuery, Term};
 use fgc_query::eval::EvalOptions;
 use fgc_query::{
-    evaluate_grouped_plan_with, evaluate_grouped_sharded_compiled, evaluate_plan_with,
-    evaluate_sharded_compiled, parse_sql, Binding, QueryPlan, RoutePlan, ShardRouter,
+    evaluate_grouped_plan_with, evaluate_plan_with, parse_sql, Binding, QueryPlan, RoutePlan,
+    ShardRouter, Source,
 };
 use fgc_relation::schema::RelationSchema;
 use fgc_relation::sharded::{ShardKeySpec, ShardStats, ShardedDatabase};
@@ -482,7 +482,7 @@ impl CitationEngine {
     /// * view extents are recomputed only for views whose *view query*
     ///   mentions a touched relation, and even then single-atom
     ///   injective views are patched row-by-row from the delta ops
-    ///   ([`Self::incremental_extent`]) instead of re-evaluated;
+    ///   (`incremental_extent`) instead of re-evaluated;
     /// * the token cache keeps every entry except those of affected
     ///   views (view *or* citation query mentions a touched
     ///   relation); the plan cache keeps every plan whose query
@@ -886,8 +886,8 @@ impl CitationEngine {
     }
 
     /// Plan a query's routing and record it in the serving counters;
-    /// the returned plan is handed straight to the routed evaluator
-    /// so planning happens once per evaluation.
+    /// the returned plan is handed straight to the evaluator's
+    /// [`Source`] so planning happens once per evaluation.
     fn plan_and_count(&self, sharded: &ShardedDatabase, q: &ConjunctiveQuery) -> RoutePlan {
         let plan = ShardRouter::new(sharded).plan(q);
         self.shard_counters
@@ -912,26 +912,29 @@ impl CitationEngine {
         })?)
     }
 
+    /// What a plan for `q` scans: `sharded` under `q`'s route when the
+    /// engine is sharded, `whole` otherwise. Timed even when trivial
+    /// (unsharded), so the `route` stage measures exactly what routing
+    /// costs this engine.
+    fn source<'a>(
+        &self,
+        whole: &'a Database,
+        sharded: Option<&'a ShardedDatabase>,
+        q: &ConjunctiveQuery,
+    ) -> Source<'a> {
+        self.stages.time("route", || match sharded {
+            Some(s) => Source::Routed(s, Some(self.plan_and_count(s, q))),
+            None => Source::Whole(whole),
+        })
+    }
+
     /// The answer set of `q` — routed over the shards when the engine
     /// is sharded, byte-identical to the unsharded evaluation either
     /// way. Plans come from the engine's plan cache.
     fn answers(&self, q: &ConjunctiveQuery) -> Result<Vec<Tuple>> {
         let plan = self.cached_plan(q, &self.db)?;
-        // The routing decision is timed even when it is trivial
-        // (unsharded store): the `route` stage then measures exactly
-        // what routing costs this engine.
-        let route = self.stages.time("route", || {
-            self.sharded.as_ref().map(|s| self.plan_and_count(s, q))
-        });
-        match (&self.sharded, route) {
-            (Some(sharded), Some(route)) => Ok(evaluate_sharded_compiled(
-                sharded,
-                &plan,
-                &route,
-                EvalOptions::default(),
-            )?),
-            _ => Ok(evaluate_plan_with(&self.db, &plan, EvalOptions::default())?),
-        }
+        let source = self.source(&self.db, self.sharded.as_deref(), q);
+        Ok(evaluate_plan_with(source, &plan, EvalOptions::default())?)
     }
 
     /// The rewritings used for citations, labelled `Q1, Q2, ...` in
@@ -979,25 +982,14 @@ impl CitationEngine {
     fn extent_groups(&self, q: &ConjunctiveQuery) -> Result<Vec<(Tuple, Vec<Binding>)>> {
         let extent_db = self.extent_database()?;
         let plan = self.cached_plan(q, &extent_db)?;
-        match &self.sharded {
-            Some(base) => {
-                let sharded = self.extent_sharded_database(base)?;
-                let route = self
-                    .stages
-                    .time("route", || self.plan_and_count(&sharded, q));
-                Ok(evaluate_grouped_sharded_compiled(
-                    &sharded,
-                    &plan,
-                    &route,
-                    EvalOptions::default(),
-                )?)
-            }
-            None => Ok(evaluate_grouped_plan_with(
-                &extent_db,
-                &plan,
-                EvalOptions::default(),
-            )?),
-        }
+        let sharded = self
+            .sharded
+            .as_ref()
+            .map(|base| self.extent_sharded_database(base))
+            .transpose()?;
+        let source = self.source(&extent_db, sharded.as_deref(), q);
+        let groups = evaluate_grouped_plan_with(source, &plan, EvalOptions::default())?;
+        Ok(groups)
     }
 
     /// The symbolic citation expressions for every output tuple of

@@ -6,7 +6,7 @@
 //! the engine. A [`CiteRequest`] carries the query plus optional
 //! overrides — policy, rewrite mode, rewrite budgets, interpretation
 //! memoization — and a [`CiteResponse`] wraps the resulting
-//! [`QueryCitation`](crate::engine::QueryCitation) with timing and
+//! [`QueryCitation`] with timing and
 //! cache metadata, so callers (and the E9 benchmark) can observe the
 //! cost of each citation.
 

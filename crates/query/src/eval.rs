@@ -1,7 +1,13 @@
-//! Evaluation of conjunctive queries over a [`Database`].
+//! Evaluation of conjunctive queries: one evaluator over a [`Source`].
 //!
 //! The evaluator is a backtracking index-nested-loop join with a
-//! greedy atom order (most-bound atom first). Three entry points:
+//! greedy atom order (most-bound atom first), compiled once into a
+//! [`QueryPlan`]. *What the plan scans* is a value, not a function
+//! name: a [`Source`] is an unsharded [`Database`] or a
+//! [`ShardedDatabase`] under a [`RoutePlan`]. Three collectors fold
+//! the one enumeration of bindings per distinct output tuple, in
+//! first-derivation order — each compiling a plan per call, with a
+//! `_plan_with` form that runs a plan compiled earlier:
 //!
 //! * [`evaluate`] — distinct output tuples (set semantics);
 //! * [`evaluate_grouped`] — output tuples with *all* their bindings,
@@ -15,10 +21,14 @@
 
 use crate::ast::{ConjunctiveQuery, Term};
 use crate::error::{QueryError, Result};
-use crate::plan::{for_each_frame, QueryPlan};
+use crate::plan::{for_each_frame, Frame, PlanMatchedRows, QueryPlan};
 use crate::safety::{check_against_catalog, check_safety};
+use crate::sharded::{RoutePlan, ShardRouter, ShardSet};
+use fgc_relation::schema::Catalog;
+use fgc_relation::sharded::ShardedDatabase;
 use fgc_relation::{Database, Tuple, Value};
 use fgc_semiring::CommutativeSemiring;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 /// A total assignment of values to the query's variables.
@@ -146,6 +156,107 @@ impl AtomView<'_> {
     }
 }
 
+/// What a plan scans. An unsharded database is the one-fragment case
+/// of the same evaluation: both stores present the same catalog and
+/// the same **global** relation sizes to [`QueryPlan::compile`], so
+/// one plan serves every source, and the collectors below never ask
+/// which store they run over.
+#[derive(Debug, Clone)]
+pub enum Source<'a> {
+    /// An unsharded database: every atom scans its whole relation.
+    Whole(&'a Database),
+    /// A sharded store and the per-atom route that prunes its scans;
+    /// the route must come from the query the plan was compiled from.
+    /// `None` is a store nobody routed yet (what `From` yields): the
+    /// compile-then-run entry points route it from their query, and
+    /// under a pre-compiled plan every atom fans out to all shards —
+    /// routing only ever prunes, so the output is the same.
+    Routed(&'a ShardedDatabase, Option<RoutePlan>),
+}
+
+impl<'a> From<&'a Database> for Source<'a> {
+    fn from(db: &'a Database) -> Self {
+        Source::Whole(db)
+    }
+}
+
+impl<'a> From<&'a ShardedDatabase> for Source<'a> {
+    fn from(db: &'a ShardedDatabase) -> Self {
+        Source::Routed(db, None)
+    }
+}
+
+impl<'a> Source<'a> {
+    /// The catalog queries are checked against.
+    pub(crate) fn catalog(&self) -> &'a Catalog {
+        match self {
+            Source::Whole(db) => db.catalog(),
+            Source::Routed(db, _) => db.catalog(),
+        }
+    }
+
+    /// Global size of a relation (all shards) — the statistic the
+    /// greedy join order is frozen from.
+    pub(crate) fn relation_len(&self, relation: &str) -> Result<usize> {
+        Ok(match self {
+            Source::Whole(db) => db.relation(relation)?.len(),
+            Source::Routed(db, _) => db.placement(relation)?.len(),
+        })
+    }
+
+    /// The view each atom of `plan` scans, in original atom order.
+    pub(crate) fn views(&self, plan: &QueryPlan) -> Result<Vec<AtomView<'a>>> {
+        let relations = plan.atom_relations().iter();
+        match self {
+            Source::Whole(db) => relations
+                .map(|r| Ok(AtomView::Whole(db.relation(r)?)))
+                .collect(),
+            Source::Routed(db, None) => relations
+                .map(|r| routed_view(db, r, ShardSet::All))
+                .collect(),
+            Source::Routed(db, Some(route)) => {
+                // A plan/route pair from different queries would
+                // zip-truncate here and index out of bounds (or scan
+                // wrong fragments) in the executor — fail fast
+                // instead, in release builds too.
+                assert_eq!(
+                    relations.len(),
+                    route.atoms.len(),
+                    "QueryPlan and RoutePlan must come from the same query"
+                );
+                relations
+                    .zip(&route.atoms)
+                    .map(|(r, set)| routed_view(db, r, *set))
+                    .collect()
+            }
+        }
+    }
+}
+
+fn routed_view<'a>(db: &'a ShardedDatabase, relation: &str, set: ShardSet) -> Result<AtomView<'a>> {
+    match set {
+        // a single shard holds the whole relation: the fragment *is*
+        // the relation, in global order already
+        ShardSet::All if db.shard_count() == 1 => {
+            Ok(AtomView::Whole(db.shards()[0].relation(relation)?))
+        }
+        ShardSet::All => Ok(AtomView::Scatter {
+            fragments: db.fragments(relation)?,
+            placement: db.placement(relation)?,
+            global_ids: db
+                .shard_global_ids(relation)?
+                .iter()
+                .map(Vec::as_slice)
+                .collect(),
+        }),
+        ShardSet::One(s) => Ok(AtomView::Fragment {
+            fragment: db.shards()[s].relation(relation)?,
+            global_ids: &db.shard_global_ids(relation)?[s],
+            planned_len: db.placement(relation)?.len(),
+        }),
+    }
+}
+
 /// Core enumeration of the **seed interpreter**, over pre-built atom
 /// views: call `sink` once per complete binding.
 ///
@@ -210,6 +321,7 @@ pub(crate) fn for_each_binding_views<'q>(
         comp_done: &mut [bool],
         matched: &mut MatchedRows<'q>,
         budget: &mut usize,
+        limit: usize,
         sink: &mut dyn FnMut(&Binding, &MatchedRows<'q>) -> Result<()>,
     ) -> Result<()> {
         // Apply every not-yet-applied comparison whose terms are bound.
@@ -237,7 +349,7 @@ pub(crate) fn for_each_binding_views<'q>(
             if *budget == 0 {
                 return Err(QueryError::BudgetExceeded {
                     what: "bindings".into(),
-                    limit: 0,
+                    limit,
                 });
             }
             *budget -= 1;
@@ -317,7 +429,7 @@ pub(crate) fn for_each_binding_views<'q>(
             }
             matched.push((idx, atom.relation.as_str(), rel.global_id(pos)));
             let r = walk(
-                q, relations, residual, binding, used, comp_done, matched, budget, sink,
+                q, relations, residual, binding, used, comp_done, matched, budget, limit, sink,
             );
             matched.pop();
             let owned: Vec<String> = newly_bound.iter().map(|s| s.to_string()).collect();
@@ -348,6 +460,7 @@ pub(crate) fn for_each_binding_views<'q>(
         &mut comp_done,
         &mut matched,
         &mut budget,
+        options.max_bindings,
         &mut counting_sink,
     )?;
     Ok(count)
@@ -365,69 +478,134 @@ fn project_head(q: &ConjunctiveQuery, binding: &Binding) -> Tuple {
         .collect()
 }
 
-/// How much to pre-size output containers: the bindings budget is
-/// the only statically known bound on distinct outputs, capped so a
-/// large default budget does not translate into a large upfront
-/// allocation.
-fn capacity_hint(options: EvalOptions) -> usize {
-    options.max_bindings.min(1024)
+/// The one collector under all three entry points: enumerate the
+/// plan's bindings over the source, fold them per distinct head tuple
+/// (`first` opens a tuple's accumulator with its first derivation's
+/// item, `more` absorbs each later one, in enumeration order), and
+/// yield the tuples in first-derivation order. The map *owns* each
+/// distinct tuple — nothing is cloned per emission — and the order is
+/// restored from insertion ranks at the end.
+fn fold_by_head<I, X>(
+    source: Source<'_>,
+    plan: &QueryPlan,
+    options: EvalOptions,
+    mut item: impl FnMut(&Frame, &PlanMatchedRows<'_>) -> I,
+    first: impl Fn(I) -> X,
+    more: impl Fn(&mut X, I),
+) -> Result<impl Iterator<Item = (Tuple, X)>> {
+    let views = source.views(plan)?;
+    // Pre-sized by the only statically known bound on distinct outputs,
+    // the bindings budget — capped, so a large default budget is not a
+    // large upfront allocation.
+    let mut acc = HashMap::<Tuple, (usize, X)>::with_capacity(options.max_bindings.min(1024));
+    for_each_frame(plan, &views, options, &mut |frame, matched| {
+        let rank = acc.len();
+        match acc.entry(plan.project_head(frame)) {
+            Entry::Occupied(mut e) => more(&mut e.get_mut().1, item(frame, matched)),
+            Entry::Vacant(e) => {
+                e.insert((rank, first(item(frame, matched))));
+            }
+        }
+        Ok(())
+    })?;
+    let mut out: Vec<(usize, Tuple, X)> = acc.into_iter().map(|(t, (i, x))| (i, t, x)).collect();
+    out.sort_unstable_by_key(|(i, _, _)| *i);
+    Ok(out.into_iter().map(|(_, t, x)| (t, x)))
 }
 
-/// Distinct-output collection over a compiled plan and pre-built
-/// views (shared by the whole-database and sharded entry points).
-/// The dedup map *owns* each distinct tuple — nothing is cloned per
-/// emission — and first-derivation order is restored from insertion
-/// ranks at the end.
-pub(crate) fn evaluate_frames(
+/// The compile half of the compile-then-run entry points: compile `q`
+/// and route a sharded store nobody routed yet (via [`ShardRouter`]).
+fn compiled<'a>(source: Source<'a>, q: &ConjunctiveQuery) -> Result<(Source<'a>, QueryPlan)> {
+    let plan = QueryPlan::compile(q, source.clone())?;
+    let source = match source {
+        Source::Routed(db, None) => Source::Routed(db, Some(ShardRouter::new(db).plan(q))),
+        routed => routed,
+    };
+    Ok((source, plan))
+}
+
+/// Evaluate a query over either store, returning distinct output
+/// tuples (set semantics) in first-derivation order — identical bytes
+/// whether the source is sharded or not. Compiles a [`QueryPlan`] and
+/// executes it; callers evaluating the same query repeatedly should
+/// compile once (or use the engine's plan cache) and call
+/// [`evaluate_plan_with`].
+pub fn evaluate<'a>(source: impl Into<Source<'a>>, q: &ConjunctiveQuery) -> Result<Vec<Tuple>> {
+    let (source, plan) = compiled(source.into(), q)?;
+    evaluate_plan_with(source, &plan, EvalOptions::default())
+}
+
+/// Execute a pre-compiled plan: the distinct output tuples.
+pub fn evaluate_plan_with<'a>(
+    source: impl Into<Source<'a>>,
     plan: &QueryPlan,
-    views: &[AtomView<'_>],
     options: EvalOptions,
 ) -> Result<Vec<Tuple>> {
-    let mut seen: HashMap<Tuple, usize> = HashMap::with_capacity(capacity_hint(options));
-    for_each_frame(plan, views, options, &mut |frame, _| {
-        let t = plan.project_head(frame);
-        let rank = seen.len();
-        seen.entry(t).or_insert(rank);
-        Ok(())
-    })?;
-    let mut out: Vec<(usize, Tuple)> = seen.into_iter().map(|(t, i)| (i, t)).collect();
-    out.sort_unstable_by_key(|(i, _)| *i);
-    Ok(out.into_iter().map(|(_, t)| t).collect())
+    distinct(source.into(), plan, options)
 }
 
-/// Grouped-bindings collection over a compiled plan. Frames convert
-/// to name-keyed [`Binding`]s only at emission — the public grouped
-/// API is unchanged.
-pub(crate) fn evaluate_grouped_frames(
+/// [`evaluate_plan_with`] proper. Like [`grouped`], not generic: the
+/// evaluator is compiled once, in this crate, and a caller's crate
+/// instantiates only the `impl Into<Source>` shim above.
+fn distinct(source: Source<'_>, plan: &QueryPlan, options: EvalOptions) -> Result<Vec<Tuple>> {
+    let tuples = fold_by_head(source, plan, options, |_, _| (), |()| (), |(), ()| ())?;
+    Ok(tuples.map(|(t, ())| t).collect())
+}
+
+/// Evaluate and group *all* bindings by output tuple — Definition 3.2
+/// needs "the set of all bindings for Q' that yield a tuple t".
+pub fn evaluate_grouped<'a>(
+    source: impl Into<Source<'a>>,
+    q: &ConjunctiveQuery,
+) -> Result<Vec<(Tuple, Vec<Binding>)>> {
+    let (source, plan) = compiled(source.into(), q)?;
+    evaluate_grouped_plan_with(source, &plan, EvalOptions::default())
+}
+
+/// [`evaluate_grouped`] over a pre-compiled plan. Frames convert to
+/// name-keyed [`Binding`]s only at emission.
+pub fn evaluate_grouped_plan_with<'a>(
+    source: impl Into<Source<'a>>,
     plan: &QueryPlan,
-    views: &[AtomView<'_>],
     options: EvalOptions,
 ) -> Result<Vec<(Tuple, Vec<Binding>)>> {
-    let mut groups: HashMap<Tuple, (usize, Vec<Binding>)> =
-        HashMap::with_capacity(capacity_hint(options));
-    for_each_frame(plan, views, options, &mut |frame, _| {
-        let t = plan.project_head(frame);
-        let rank = groups.len();
-        groups
-            .entry(t)
-            .or_insert_with(|| (rank, Vec::new()))
-            .1
-            .push(plan.binding(frame));
-        Ok(())
-    })?;
-    let mut out: Vec<(usize, Tuple, Vec<Binding>)> =
-        groups.into_iter().map(|(t, (i, b))| (i, t, b)).collect();
-    out.sort_unstable_by_key(|(i, _, _)| *i);
-    Ok(out.into_iter().map(|(_, t, b)| (t, b)).collect())
+    grouped(source.into(), plan, options)
 }
 
-/// Semiring-annotated collection over a compiled plan. Products run
-/// over each binding's matched rows (by global row id), sums over the
-/// bindings of one output tuple — in enumeration order, so sharded
-/// and unsharded runs accumulate identically.
-pub(crate) fn evaluate_annotated_frames<S, F>(
+/// [`evaluate_grouped_plan_with`] proper.
+fn grouped(
+    source: Source<'_>,
     plan: &QueryPlan,
-    views: &[AtomView<'_>],
+    options: EvalOptions,
+) -> Result<Vec<(Tuple, Vec<Binding>)>> {
+    let binding = |frame: &Frame, _: &PlanMatchedRows<'_>| plan.binding(frame);
+    Ok(fold_by_head(source, plan, options, binding, |b| vec![b], Vec::push)?.collect())
+}
+
+/// Semiring-annotated evaluation (§3.1): `annotate(relation, row)`
+/// supplies the base annotation of each tuple; per binding the atom
+/// annotations are multiplied, per output tuple the binding products
+/// are summed. Output order is first-derivation order. Row ids handed
+/// to `annotate` are **global** insertion ranks and the sums
+/// accumulate in enumeration order, so provenance polynomials come
+/// out byte-identical over a sharded and an unsharded source.
+pub fn evaluate_annotated<'a, S, F>(
+    source: impl Into<Source<'a>>,
+    q: &ConjunctiveQuery,
+    annotate: F,
+) -> Result<Vec<(Tuple, S)>>
+where
+    S: CommutativeSemiring,
+    F: FnMut(&str, usize) -> S,
+{
+    let (source, plan) = compiled(source.into(), q)?;
+    evaluate_annotated_plan_with(source, &plan, EvalOptions::default(), annotate)
+}
+
+/// [`evaluate_annotated`] over a pre-compiled plan.
+pub fn evaluate_annotated_plan_with<'a, S, F>(
+    source: impl Into<Source<'a>>,
+    plan: &QueryPlan,
     options: EvalOptions,
     mut annotate: F,
 ) -> Result<Vec<(Tuple, S)>>
@@ -435,124 +613,13 @@ where
     S: CommutativeSemiring,
     F: FnMut(&str, usize) -> S,
 {
-    let mut acc: HashMap<Tuple, (usize, S)> = HashMap::with_capacity(capacity_hint(options));
-    for_each_frame(plan, views, options, &mut |frame, matched| {
-        let product = matched
+    let product = |_: &Frame, matched: &PlanMatchedRows<'_>| {
+        matched
             .iter()
-            .fold(S::one(), |p, (_, rel, row)| p.times(&annotate(rel, *row)));
-        let t = plan.project_head(frame);
-        let rank = acc.len();
-        match acc.entry(t) {
-            std::collections::hash_map::Entry::Occupied(mut e) => {
-                let (_, s) = e.get_mut();
-                *s = s.plus(&product);
-            }
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert((rank, product));
-            }
-        }
-        Ok(())
-    })?;
-    let mut out: Vec<(usize, Tuple, S)> = acc.into_iter().map(|(t, (i, s))| (i, t, s)).collect();
-    out.sort_unstable_by_key(|(i, _, _)| *i);
-    Ok(out.into_iter().map(|(_, t, s)| (t, s)).collect())
-}
-
-/// Evaluate a query, returning distinct output tuples (set
-/// semantics), in first-derivation order. Compiles a [`QueryPlan`]
-/// and executes it; callers evaluating the same query repeatedly
-/// should compile once (or use the engine's plan cache) and call
-/// [`evaluate_plan_with`].
-pub fn evaluate(db: &Database, q: &ConjunctiveQuery) -> Result<Vec<Tuple>> {
-    evaluate_with(db, q, EvalOptions::default())
-}
-
-/// [`evaluate`] with explicit limits.
-pub fn evaluate_with(
-    db: &Database,
-    q: &ConjunctiveQuery,
-    options: EvalOptions,
-) -> Result<Vec<Tuple>> {
-    evaluate_plan_with(db, &QueryPlan::compile(q, db)?, options)
-}
-
-/// Execute a pre-compiled plan against an unsharded database.
-pub fn evaluate_plan_with(
-    db: &Database,
-    plan: &QueryPlan,
-    options: EvalOptions,
-) -> Result<Vec<Tuple>> {
-    evaluate_frames(plan, &plan.whole_views(db)?, options)
-}
-
-/// Evaluate and group *all* bindings by output tuple — Definition 3.2
-/// needs "the set of all bindings for Q' that yield a tuple t".
-pub fn evaluate_grouped(db: &Database, q: &ConjunctiveQuery) -> Result<Vec<(Tuple, Vec<Binding>)>> {
-    evaluate_grouped_with(db, q, EvalOptions::default())
-}
-
-/// [`evaluate_grouped`] with explicit limits.
-pub fn evaluate_grouped_with(
-    db: &Database,
-    q: &ConjunctiveQuery,
-    options: EvalOptions,
-) -> Result<Vec<(Tuple, Vec<Binding>)>> {
-    evaluate_grouped_plan_with(db, &QueryPlan::compile(q, db)?, options)
-}
-
-/// [`evaluate_grouped_with`] over a pre-compiled plan.
-pub fn evaluate_grouped_plan_with(
-    db: &Database,
-    plan: &QueryPlan,
-    options: EvalOptions,
-) -> Result<Vec<(Tuple, Vec<Binding>)>> {
-    evaluate_grouped_frames(plan, &plan.whole_views(db)?, options)
-}
-
-/// Semiring-annotated evaluation (§3.1): `annotate(relation, row)`
-/// supplies the base annotation of each tuple; per binding the atom
-/// annotations are multiplied, per output tuple the binding products
-/// are summed. Output order is first-derivation order.
-pub fn evaluate_annotated<S, F>(
-    db: &Database,
-    q: &ConjunctiveQuery,
-    annotate: F,
-) -> Result<Vec<(Tuple, S)>>
-where
-    S: CommutativeSemiring,
-    F: FnMut(&str, usize) -> S,
-{
-    evaluate_annotated_plan_with(
-        db,
-        &QueryPlan::compile(q, db)?,
-        EvalOptions::default(),
-        annotate,
-    )
-}
-
-/// [`evaluate_annotated`] over a pre-compiled plan.
-pub fn evaluate_annotated_plan_with<S, F>(
-    db: &Database,
-    plan: &QueryPlan,
-    options: EvalOptions,
-    annotate: F,
-) -> Result<Vec<(Tuple, S)>>
-where
-    S: CommutativeSemiring,
-    F: FnMut(&str, usize) -> S,
-{
-    evaluate_annotated_frames(plan, &plan.whole_views(db)?, options, annotate)
-}
-
-/// Count bindings without materializing anything (diagnostics).
-pub fn count_bindings(db: &Database, q: &ConjunctiveQuery) -> Result<usize> {
-    let plan = QueryPlan::compile(q, db)?;
-    for_each_frame(
-        &plan,
-        &plan.whole_views(db)?,
-        EvalOptions::default(),
-        &mut |_, _| Ok(()),
-    )
+            .fold(S::one(), |p, (_, rel, row)| p.times(&annotate(rel, *row)))
+    };
+    let sum = |s: &mut S, p: S| *s = s.plus(&p);
+    Ok(fold_by_head(source.into(), plan, options, product, |p| p, sum)?.collect())
 }
 
 // =====================================================================
@@ -869,8 +936,11 @@ mod tests {
     fn budget_enforced() {
         let db = sample_db();
         let q = parse_query("Q(A, B) :- Family(A, X, Y), Family(B, Z, W)").unwrap();
-        let err = evaluate_with(&db, &q, EvalOptions { max_bindings: 4 }).unwrap_err();
-        assert!(matches!(err, QueryError::BudgetExceeded { .. }));
+        let plan = QueryPlan::compile(&q, &db).unwrap();
+        let err = evaluate_plan_with(&db, &plan, EvalOptions { max_bindings: 4 }).unwrap_err();
+        assert!(matches!(err, QueryError::BudgetExceeded { limit: 4, .. }));
+        // the client reads the limit it set, not "more than 0 bindings"
+        assert!(err.to_string().contains('4'), "{err}");
     }
 
     #[test]
@@ -886,7 +956,12 @@ mod tests {
     fn count_bindings_counts_derivations() {
         let db = sample_db();
         let q = parse_query("Q(Ty) :- Family(F, N, Ty)").unwrap();
-        assert_eq!(count_bindings(&db, &q).unwrap(), 3);
+        // three derivations fold into two distinct tuples; the count
+        // the executor returns is of derivations
+        let plan = QueryPlan::compile(&q, &db).unwrap();
+        let views = Source::from(&db).views(&plan).unwrap();
+        let count = for_each_frame(&plan, &views, EvalOptions::default(), &mut |_, _| Ok(()));
+        assert_eq!(count.unwrap(), 3);
     }
 
     #[test]

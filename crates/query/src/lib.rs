@@ -11,12 +11,16 @@
 //! * [`parser`] — the Datalog-style syntax used throughout the paper;
 //! * [`sql`] — an SPJ SQL front-end translating to CQs;
 //! * [`safety`] — range restriction and schema checks;
-//! * [`eval`] — backtracking evaluation: plain, grouped-by-output
-//!   bindings (Def. 3.2), and semiring-annotated (§3.1);
-//! * [`sharded`] — shard routing ([`ShardRouter`]) and the same three
-//!   evaluations over a horizontally partitioned
-//!   [`ShardedDatabase`](fgc_relation::sharded::ShardedDatabase),
-//!   byte-compatible with the unsharded evaluator;
+//! * [`eval`] — the one evaluator: [`evaluate`] (distinct tuples),
+//!   [`evaluate_grouped`] (all bindings per tuple, Def. 3.2) and
+//!   [`evaluate_annotated`] (semiring annotations, §3.1) collect the
+//!   same enumeration of bindings over a [`Source`] — an unsharded
+//!   [`Database`](fgc_relation::Database), or a partitioned
+//!   [`ShardedDatabase`](fgc_relation::sharded::ShardedDatabase)
+//!   under a [`RoutePlan`] — with identical bytes either way;
+//! * [`plan`] — the compiled [`QueryPlan`] every source executes;
+//! * [`sharded`] — shard routing ([`ShardRouter`]) and the per-shard
+//!   fragments of an evaluation a coordinator merges;
 //! * [`containment`] — homomorphism-based containment/equivalence
 //!   (needed by Def. 2.2 rewriting validity and Ex. 3.8 view
 //!   inclusion);
@@ -48,9 +52,8 @@ pub use chase::{chase_keys, equivalent_under, is_contained_in_under, Chased, Dep
 pub use containment::{equivalent, is_contained_in, normalize, Normalized};
 pub use error::{QueryError, Result};
 pub use eval::{
-    count_bindings, evaluate, evaluate_annotated, evaluate_annotated_plan_with, evaluate_grouped,
-    evaluate_grouped_plan_with, evaluate_grouped_with, evaluate_plan_with, evaluate_with, Binding,
-    EvalOptions,
+    evaluate, evaluate_annotated, evaluate_annotated_plan_with, evaluate_grouped,
+    evaluate_grouped_plan_with, evaluate_plan_with, Binding, EvalOptions, Source,
 };
 #[allow(deprecated)]
 pub use eval::{
@@ -63,11 +66,7 @@ pub use plan::QueryPlan;
 pub use reference::reference_evaluate;
 pub use safety::{check_against_catalog, check_safety};
 pub use sharded::{
-    evaluate_annotated_sharded, evaluate_annotated_sharded_compiled, evaluate_grouped_sharded,
-    evaluate_grouped_sharded_compiled, evaluate_grouped_sharded_with,
-    evaluate_grouped_sharded_with_plan, evaluate_sharded, evaluate_sharded_compiled,
-    evaluate_sharded_with, evaluate_sharded_with_plan, lead_fragment_answers,
-    lead_fragment_bindings, RoutePlan, ShardRouter, ShardSet,
+    lead_fragment_answers, lead_fragment_bindings, RoutePlan, ShardRouter, ShardSet,
 };
 pub use sql::parse_sql;
 pub use subst::Substitution;

@@ -16,7 +16,7 @@
 //!   after k join steps never depends on the data — so freezing it
 //!   is exactly equivalent to the interpreter's per-step choice;
 //! * each ordered atom step carries a precomputed per-column op
-//!   ([`ColOp`]): match a constant, check an already-bound slot, or
+//!   (`ColOp`): match a constant, check an already-bound slot, or
 //!   bind a free slot — plus the secondary-index probe column chosen
 //!   at plan time;
 //! * comparisons are compiled to slot form and scheduled at the
@@ -31,18 +31,18 @@
 //! global row ids) are byte-identical. `tests/plan_equivalence.rs`
 //! holds that bar differentially against the retained interpreter.
 //!
-//! A plan compiled against a database remains valid for any store
-//! presenting the same catalog and per-relation (global) sizes — in
-//! particular one plan is reused across all shard fragments of a
-//! routed query, because [`AtomView`]s report *global* relation
-//! sizes to the planner.
+//! A plan compiled against one [`Source`] remains valid for any
+//! source presenting the same catalog and per-relation (global)
+//! sizes — in particular one plan serves the unsharded database and
+//! every routing of a sharded one, because the router prunes *which
+//! fragments* each atom scans while the plan fixes the join order and
+//! slot layout from global sizes.
 
 use crate::ast::{CompOp, Comparison, ConjunctiveQuery, Term};
 use crate::error::{QueryError, Result};
-use crate::eval::{AtomView, Binding, EvalOptions};
+use crate::eval::{AtomView, Binding, EvalOptions, Source};
 use crate::safety::{check_against_catalog, check_safety};
-use fgc_relation::sharded::ShardedDatabase;
-use fgc_relation::{Database, Tuple, Value};
+use fgc_relation::{Tuple, Value};
 use std::collections::HashMap;
 
 /// A dense variable slot. Queries are small; `u16` keeps the frame
@@ -136,8 +136,7 @@ enum HeadSource {
 
 /// A compiled, reusable evaluation plan for one conjunctive query.
 ///
-/// Build with [`QueryPlan::compile`] (unsharded store) or
-/// [`QueryPlan::compile_sharded`]; execute through
+/// Build with [`QueryPlan::compile`]; execute through
 /// [`crate::evaluate_plan_with`] and friends, or the engine's plan
 /// cache. Compilation runs the safety and catalog checks the
 /// interpreter used to repeat per evaluation.
@@ -166,39 +165,26 @@ pub struct QueryPlan {
 }
 
 impl QueryPlan {
-    /// Compile `q` against an unsharded database: safety check,
-    /// catalog check, then slot assignment and join ordering from
-    /// the database's relation sizes. Error order matches the
-    /// interpreter (`Unsafe` before catalog errors).
-    pub fn compile(q: &ConjunctiveQuery, db: &Database) -> Result<QueryPlan> {
+    /// Compile `q` against a source: safety check, catalog check,
+    /// then slot assignment and join ordering from the source's
+    /// **global** relation sizes (all shards) — so a sharded store
+    /// yields the very plan the unsharded database would. Error order
+    /// matches the interpreter (`Unsafe` before catalog errors).
+    pub fn compile<'a>(q: &ConjunctiveQuery, source: impl Into<Source<'a>>) -> Result<QueryPlan> {
+        Self::compile_from(q, &source.into())
+    }
+
+    /// [`Self::compile`] proper — not generic, so it is compiled once,
+    /// here, and a caller's crate instantiates only the shim above.
+    fn compile_from(q: &ConjunctiveQuery, source: &Source<'_>) -> Result<QueryPlan> {
         check_safety(q)?;
-        check_against_catalog(q, db.catalog())?;
+        check_against_catalog(q, source.catalog())?;
         let sizes: Vec<usize> = q
             .atoms
             .iter()
-            .map(|a| db.relation(&a.relation).map(|r| r.len()))
-            .collect::<std::result::Result<_, _>>()?;
-        Self::compile_ordered(q, &sizes)
-    }
+            .map(|a| source.relation_len(&a.relation))
+            .collect::<Result<_>>()?;
 
-    /// Compile `q` against a sharded store. Sizes are **global**
-    /// relation sizes (all shards), so the plan is identical to the
-    /// one the unsharded database would produce — which is what lets
-    /// one plan serve every routing of the query.
-    pub fn compile_sharded(q: &ConjunctiveQuery, db: &ShardedDatabase) -> Result<QueryPlan> {
-        check_safety(q)?;
-        check_against_catalog(q, db.catalog())?;
-        let sizes: Vec<usize> = q
-            .atoms
-            .iter()
-            .map(|a| db.placement(&a.relation).map(|p| p.len()))
-            .collect::<std::result::Result<_, _>>()?;
-        Self::compile_ordered(q, &sizes)
-    }
-
-    /// Core compilation once checks have passed; `sizes[i]` is the
-    /// (global) size of atom `i`'s relation.
-    fn compile_ordered(q: &ConjunctiveQuery, sizes: &[usize]) -> Result<QueryPlan> {
         // Slot assignment: all variables (atoms, comparisons, head,
         // params), in sorted order for determinism.
         let var_names: Vec<String> = q.all_vars().into_iter().map(str::to_string).collect();
@@ -416,16 +402,6 @@ impl QueryPlan {
             })
             .collect()
     }
-
-    /// Build whole-relation views for executing this plan against an
-    /// unsharded database (atom order = original query order).
-    pub(crate) fn whole_views<'a>(&self, db: &'a Database) -> Result<Vec<AtomView<'a>>> {
-        self.atom_relations
-            .iter()
-            .map(|r| db.relation(r).map(AtomView::Whole))
-            .collect::<std::result::Result<_, _>>()
-            .map_err(Into::into)
-    }
 }
 
 /// Candidate row positions for one step: a borrowed index posting
@@ -447,7 +423,9 @@ struct Exec<'p, 'v> {
     /// Per-depth scratch: slots bound by the current row of that
     /// depth's atom (rolled back on mismatch/backtrack).
     scratch: Vec<Vec<Slot>>,
-    budget: usize,
+    /// [`EvalOptions::max_bindings`].
+    limit: usize,
+    /// Bindings emitted so far.
     count: usize,
 }
 
@@ -468,13 +446,12 @@ impl<'p, 'v> Exec<'p, 'v> {
             }
         }
         if depth == plan.steps.len() {
-            if self.budget == 0 {
+            if self.count == self.limit {
                 return Err(QueryError::BudgetExceeded {
                     what: "bindings".into(),
-                    limit: 0,
+                    limit: self.limit,
                 });
             }
-            self.budget -= 1;
             self.count += 1;
             return sink(&self.frame, &self.matched);
         }
@@ -576,7 +553,7 @@ pub(crate) fn for_each_frame<'p>(
         frame: vec![None; plan.var_names.len()],
         matched: Vec::with_capacity(plan.steps.len()),
         scratch: vec![Vec::new(); plan.steps.len()],
-        budget: options.max_bindings,
+        limit: options.max_bindings,
         count: 0,
     };
     for (s, v) in &plan.seeds {
@@ -620,7 +597,7 @@ mod tests {
     use super::*;
     use crate::parser::parse_query;
     use fgc_relation::schema::RelationSchema;
-    use fgc_relation::{tuple, DataType};
+    use fgc_relation::{tuple, DataType, Database};
 
     fn sample_db() -> Database {
         let mut db = Database::new();
@@ -705,7 +682,7 @@ mod tests {
         let db = sample_db();
         let q = parse_query("Q(N) :- Family(F, N, Ty), Ty = \"gpcr\"").unwrap();
         let plan = QueryPlan::compile(&q, &db).unwrap();
-        let views = plan.whole_views(&db).unwrap();
+        let views = Source::from(&db).views(&plan).unwrap();
         let mut bindings: Vec<Binding> = Vec::new();
         for_each_frame(&plan, &views, EvalOptions::default(), &mut |frame, _| {
             bindings.push(plan.binding(frame));

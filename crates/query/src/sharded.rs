@@ -7,26 +7,25 @@
 //! one shard (`hash(const) % N`), so that atom scans a single
 //! fragment; anything else fans out to all shards.
 //!
-//! Evaluation then runs the standard backtracking join over per-shard
-//! fragments presented in **global insertion order** (see
-//! [`crate::eval`]'s `AtomView`). Derivations whose rows live on
-//! different shards merge exactly where the unsharded evaluator
-//! merges them: set-semantics union in [`evaluate_sharded`], and the
-//! semiring `+` over bindings in [`evaluate_annotated_sharded`] —
-//! Definition 3.2's sum over bindings is accumulated in the identical
-//! sequence, which keeps citations **byte-for-byte** equal to the
-//! unsharded engine (not merely set-equal).
+//! A [`RoutePlan`] is one half of a routed [`Source`]: evaluation is
+//! the standard backtracking join, through the same [`crate::evaluate`]
+//! family a plain database uses, over per-shard fragments presented
+//! in **global insertion order** (see [`crate::eval`]'s `AtomView`).
+//! Derivations whose rows live on different shards merge exactly where
+//! the unsharded source merges them — set-semantics union, and the
+//! semiring `+` over bindings of Definition 3.2, accumulated in the
+//! identical sequence — which keeps citations **byte-for-byte** equal
+//! to the unsharded engine (not merely set-equal).
+//!
+//! [`lead_fragment_answers`] and [`lead_fragment_bindings`] cut that
+//! one enumeration into per-shard pieces a coordinator can merge.
 
 use crate::ast::{CompOp, ConjunctiveQuery, Term};
 use crate::error::Result;
-use crate::eval::{
-    evaluate_annotated_frames, evaluate_frames, evaluate_grouped_frames, AtomView, Binding,
-    EvalOptions,
-};
-use crate::plan::{for_each_frame, QueryPlan};
+use crate::eval::{Binding, EvalOptions, Source};
+use crate::plan::{for_each_frame, Frame, QueryPlan};
 use fgc_relation::sharded::{shard_of_value, ShardedDatabase};
 use fgc_relation::{Tuple, Value};
-use fgc_semiring::CommutativeSemiring;
 use std::collections::{HashMap, HashSet};
 
 /// The shards one atom's scan must touch.
@@ -133,211 +132,33 @@ impl<'a> ShardRouter<'a> {
     }
 }
 
-/// Build the per-atom views a route prescribes, in global order.
-/// Validation already ran when the [`QueryPlan`] was compiled; the
-/// route must come from the same query the plan was compiled from.
-fn routed_views<'a>(
-    db: &'a ShardedDatabase,
-    plan: &QueryPlan,
-    route: &RoutePlan,
-) -> Result<Vec<AtomView<'a>>> {
-    // A plan/route pair from different queries would zip-truncate
-    // here and index out of bounds (or scan wrong fragments) in the
-    // executor — fail fast instead, in release builds too.
-    assert_eq!(
-        plan.atom_relations().len(),
-        route.atoms.len(),
-        "QueryPlan and RoutePlan must come from the same query"
-    );
-    plan.atom_relations()
-        .iter()
-        .zip(&route.atoms)
-        .map(|(relation, set)| routed_view(db, relation, *set))
-        .collect()
-}
-
-fn routed_view<'a>(db: &'a ShardedDatabase, relation: &str, set: ShardSet) -> Result<AtomView<'a>> {
-    // everything borrows from the store's precomputed placement maps:
-    // building a view costs O(shards), not O(tuples), so a pruned
-    // lookup pays only for the fragment it actually scans
-    match set {
-        // a single shard holds the whole relation: the fragment *is*
-        // the relation, in global order already
-        ShardSet::All if db.shard_count() == 1 => {
-            Ok(AtomView::Whole(db.shards()[0].relation(relation)?))
-        }
-        ShardSet::All => Ok(AtomView::Scatter {
-            fragments: db.fragments(relation)?,
-            placement: db.placement(relation)?,
-            global_ids: db
-                .shard_global_ids(relation)?
-                .iter()
-                .map(Vec::as_slice)
-                .collect(),
-        }),
-        ShardSet::One(s) => Ok(AtomView::Fragment {
-            fragment: db.shards()[s].relation(relation)?,
-            global_ids: &db.shard_global_ids(relation)?[s],
-            planned_len: db.placement(relation)?.len(),
-        }),
-    }
-}
-
-/// [`crate::evaluate`] over a sharded store: identical output (tuples
-/// *and* order) to evaluating the assembled unsharded database.
-pub fn evaluate_sharded(db: &ShardedDatabase, q: &ConjunctiveQuery) -> Result<Vec<Tuple>> {
-    evaluate_sharded_with(db, q, EvalOptions::default())
-}
-
-/// [`evaluate_sharded`] with explicit limits.
-pub fn evaluate_sharded_with(
-    db: &ShardedDatabase,
-    q: &ConjunctiveQuery,
-    options: EvalOptions,
-) -> Result<Vec<Tuple>> {
-    evaluate_sharded_with_plan(db, q, &ShardRouter::new(db).plan(q), options)
-}
-
-/// [`evaluate_sharded_with`] under a caller-supplied [`RoutePlan`]
-/// (callers that inspect the route — e.g. for routing counters —
-/// pass it back instead of planning twice). Compiles a [`QueryPlan`]
-/// per call; use [`evaluate_sharded_compiled`] to reuse one.
-pub fn evaluate_sharded_with_plan(
-    db: &ShardedDatabase,
-    q: &ConjunctiveQuery,
-    route: &RoutePlan,
-    options: EvalOptions,
-) -> Result<Vec<Tuple>> {
-    evaluate_sharded_compiled(db, &QueryPlan::compile_sharded(q, db)?, route, options)
-}
-
-/// [`evaluate_sharded_with_plan`] over a pre-compiled [`QueryPlan`].
-/// One plan serves every routing of its query: the router prunes
-/// *which fragments* each atom scans, while the plan fixes the join
-/// order and slot layout from global sizes, so the two compose
-/// without recompilation.
-pub fn evaluate_sharded_compiled(
-    db: &ShardedDatabase,
-    plan: &QueryPlan,
-    route: &RoutePlan,
-    options: EvalOptions,
-) -> Result<Vec<Tuple>> {
-    evaluate_frames(plan, &routed_views(db, plan, route)?, options)
-}
-
-/// [`crate::evaluate_grouped`] over a sharded store.
-pub fn evaluate_grouped_sharded(
-    db: &ShardedDatabase,
-    q: &ConjunctiveQuery,
-) -> Result<Vec<(Tuple, Vec<Binding>)>> {
-    evaluate_grouped_sharded_with(db, q, EvalOptions::default())
-}
-
-/// [`evaluate_grouped_sharded`] with explicit limits.
-pub fn evaluate_grouped_sharded_with(
-    db: &ShardedDatabase,
-    q: &ConjunctiveQuery,
-    options: EvalOptions,
-) -> Result<Vec<(Tuple, Vec<Binding>)>> {
-    evaluate_grouped_sharded_with_plan(db, q, &ShardRouter::new(db).plan(q), options)
-}
-
-/// [`evaluate_grouped_sharded_with`] under a caller-supplied route.
-pub fn evaluate_grouped_sharded_with_plan(
-    db: &ShardedDatabase,
-    q: &ConjunctiveQuery,
-    route: &RoutePlan,
-    options: EvalOptions,
-) -> Result<Vec<(Tuple, Vec<Binding>)>> {
-    evaluate_grouped_sharded_compiled(db, &QueryPlan::compile_sharded(q, db)?, route, options)
-}
-
-/// [`evaluate_grouped_sharded_with_plan`] over a pre-compiled plan.
-pub fn evaluate_grouped_sharded_compiled(
-    db: &ShardedDatabase,
-    plan: &QueryPlan,
-    route: &RoutePlan,
-    options: EvalOptions,
-) -> Result<Vec<(Tuple, Vec<Binding>)>> {
-    evaluate_grouped_frames(plan, &routed_views(db, plan, route)?, options)
-}
-
-/// [`crate::evaluate_annotated`] over a sharded store. Row ids handed
-/// to `annotate` are **global** insertion ranks — the same ids the
-/// unsharded evaluator reports — and per-tuple sums accumulate in the
-/// same order, so provenance polynomials come out byte-identical.
-pub fn evaluate_annotated_sharded<S, F>(
-    db: &ShardedDatabase,
-    q: &ConjunctiveQuery,
-    annotate: F,
-) -> Result<Vec<(Tuple, S)>>
-where
-    S: CommutativeSemiring,
-    F: FnMut(&str, usize) -> S,
-{
-    let route = ShardRouter::new(db).plan(q);
-    evaluate_annotated_sharded_compiled(
-        db,
-        &QueryPlan::compile_sharded(q, db)?,
-        &route,
-        EvalOptions::default(),
-        annotate,
-    )
-}
-
-/// [`evaluate_annotated_sharded`] over a pre-compiled plan and
-/// route.
-pub fn evaluate_annotated_sharded_compiled<S, F>(
-    db: &ShardedDatabase,
-    plan: &QueryPlan,
-    route: &RoutePlan,
-    options: EvalOptions,
-    annotate: F,
-) -> Result<Vec<(Tuple, S)>>
-where
-    S: CommutativeSemiring,
-    F: FnMut(&str, usize) -> S,
-{
-    evaluate_annotated_frames(plan, &routed_views(db, plan, route)?, options, annotate)
-}
-
-/// Restrict a route so only `shard`'s fragment of the join-order
-/// lead atom is scanned. Every derivation's lead row lives on exactly
-/// one shard, so the fragments of all shards partition the global
-/// enumeration; non-lead atoms keep their original routing (which is
-/// a pure function of the query, hence identical on every replica).
-fn lead_route(plan: &QueryPlan, route: &RoutePlan, shard: usize) -> RoutePlan {
-    let mut lead = route.clone();
-    if let Some(&first) = plan.join_order().first() {
-        lead.atoms[first] = ShardSet::One(shard);
-    }
-    lead
-}
-
-/// This shard's fragment of [`evaluate_sharded_compiled`]'s output:
-/// `(gid, seq, tuple)` rows where `gid` is the lead atom's global row
-/// id and `seq` the emission index under that lead row. Concatenating
-/// all shards' fragments, sorting by `(gid, seq)` and deduplicating
-/// keep-first reproduces the global evaluation byte-for-byte (the
-/// per-shard keep-first dedup here is sound because every lead row —
-/// and with it a tuple's globally first derivation — lives on exactly
-/// one shard).
-pub fn lead_fragment_answers(
+/// Walk this shard's piece of the global enumeration: the route is
+/// restricted so only `shard`'s fragment of the join-order lead atom
+/// is scanned, and `sink` receives each derivation as `(gid, seq,
+/// frame)` — `gid` the lead atom's global row id, `seq` the emission
+/// index under that lead row. Every derivation's lead row lives on
+/// exactly one shard, so the pieces of all shards partition the
+/// global enumeration and `(gid, seq)` restores its order; non-lead
+/// atoms keep their original routing (a pure function of the query,
+/// hence identical on every replica).
+fn for_each_lead_frame(
     db: &ShardedDatabase,
     plan: &QueryPlan,
     route: &RoutePlan,
     shard: usize,
     options: EvalOptions,
-) -> Result<Vec<(usize, usize, Tuple)>> {
-    // Zero-atom plans have no lead row to partition on: shard 0
-    // serves the (at most one) constant answer, the rest stay empty.
-    if plan.join_order().is_empty() && shard != 0 {
-        return Ok(Vec::new());
+    sink: &mut dyn FnMut(usize, usize, &Frame),
+) -> Result<()> {
+    let mut lead = route.clone();
+    match plan.join_order().first() {
+        Some(&first) => lead.atoms[first] = ShardSet::One(shard),
+        // Zero-atom plans have no lead row to partition on: shard 0
+        // serves the (at most one) constant answer, the rest stay
+        // empty.
+        None if shard != 0 => return Ok(()),
+        None => {}
     }
-    let lead = lead_route(plan, route, shard);
-    let views = routed_views(db, plan, &lead)?;
-    let mut rows = Vec::new();
-    let mut seen = HashSet::new();
+    let views = Source::Routed(db, Some(lead)).views(plan)?;
     let mut last_gid = None;
     let mut seq = 0usize;
     for_each_frame(plan, &views, options, &mut |frame, matched| {
@@ -346,17 +167,39 @@ pub fn lead_fragment_answers(
             last_gid = Some(gid);
             seq = 0;
         }
+        sink(gid, seq, frame);
+        seq += 1;
+        Ok(())
+    })?;
+    Ok(())
+}
+
+/// This shard's fragment of [`crate::evaluate_plan_with`]'s output
+/// over the routed store: `(gid, seq, tuple)` rows (see
+/// `for_each_lead_frame`). Concatenating all shards' fragments,
+/// sorting by `(gid, seq)` and deduplicating keep-first reproduces
+/// the global evaluation byte-for-byte (the per-shard keep-first
+/// dedup here is sound because every lead row — and with it a tuple's
+/// globally first derivation — lives on exactly one shard).
+pub fn lead_fragment_answers(
+    db: &ShardedDatabase,
+    plan: &QueryPlan,
+    route: &RoutePlan,
+    shard: usize,
+    options: EvalOptions,
+) -> Result<Vec<(usize, usize, Tuple)>> {
+    let mut rows = Vec::new();
+    let mut seen = HashSet::new();
+    for_each_lead_frame(db, plan, route, shard, options, &mut |gid, seq, frame| {
         let t = plan.project_head(frame);
         if seen.insert(t.clone()) {
             rows.push((gid, seq, t));
         }
-        seq += 1;
-        Ok(())
     })?;
     Ok(rows)
 }
 
-/// This shard's fragment of [`evaluate_grouped_sharded_compiled`]'s
+/// This shard's fragment of [`crate::evaluate_grouped_plan_with`]'s
 /// emissions: `(gid, seq, head tuple, binding)` per derivation, no
 /// dedup. Sorting the union of all shards' fragments by `(gid, seq)`
 /// and grouping by head tuple in first-appearance order reproduces
@@ -368,23 +211,9 @@ pub fn lead_fragment_bindings(
     shard: usize,
     options: EvalOptions,
 ) -> Result<Vec<(usize, usize, Tuple, Binding)>> {
-    if plan.join_order().is_empty() && shard != 0 {
-        return Ok(Vec::new());
-    }
-    let lead = lead_route(plan, route, shard);
-    let views = routed_views(db, plan, &lead)?;
     let mut rows = Vec::new();
-    let mut last_gid = None;
-    let mut seq = 0usize;
-    for_each_frame(plan, &views, options, &mut |frame, matched| {
-        let gid = matched.first().map(|m| m.2).unwrap_or(0);
-        if last_gid != Some(gid) {
-            last_gid = Some(gid);
-            seq = 0;
-        }
+    for_each_lead_frame(db, plan, route, shard, options, &mut |gid, seq, frame| {
         rows.push((gid, seq, plan.project_head(frame), plan.binding(frame)));
-        seq += 1;
-        Ok(())
     })?;
     Ok(rows)
 }
@@ -393,7 +222,7 @@ pub fn lead_fragment_bindings(
 mod tests {
     use super::*;
     use crate::parser::parse_query;
-    use crate::{evaluate, evaluate_annotated, evaluate_grouped};
+    use crate::{evaluate, evaluate_annotated, evaluate_grouped, evaluate_plan_with};
     use fgc_relation::schema::RelationSchema;
     use fgc_relation::sharded::ShardKeySpec;
     use fgc_relation::{tuple, DataType, Database};
@@ -464,10 +293,10 @@ mod tests {
     fn sharded_evaluation_matches_unsharded_exactly() {
         let db = plain_db(23);
         for shards in [1, 2, 4, 7] {
-            let sharded = ShardedDatabase::from_database(&db, shards, spec()).unwrap();
+            let store = ShardedDatabase::from_database(&db, shards, spec()).unwrap();
             for q in queries() {
                 let plain = evaluate(&db, &q).unwrap();
-                let routed = evaluate_sharded(&sharded, &q).unwrap();
+                let routed = evaluate(&store, &q).unwrap();
                 assert_eq!(plain, routed, "shards={shards} q={q}");
             }
         }
@@ -477,10 +306,10 @@ mod tests {
     fn sharded_grouped_matches_unsharded_exactly() {
         let db = plain_db(17);
         for shards in [2, 5] {
-            let sharded = ShardedDatabase::from_database(&db, shards, spec()).unwrap();
+            let store = ShardedDatabase::from_database(&db, shards, spec()).unwrap();
             for q in queries() {
                 let plain = evaluate_grouped(&db, &q).unwrap();
-                let routed = evaluate_grouped_sharded(&sharded, &q).unwrap();
+                let routed = evaluate_grouped(&store, &q).unwrap();
                 assert_eq!(plain, routed, "shards={shards} q={q}");
             }
         }
@@ -490,7 +319,7 @@ mod tests {
     fn sharded_annotated_polynomials_are_byte_identical() {
         let db = plain_db(17);
         for shards in [1, 2, 4, 7] {
-            let sharded = ShardedDatabase::from_database(&db, shards, spec()).unwrap();
+            let store = ShardedDatabase::from_database(&db, shards, spec()).unwrap();
             for q in queries() {
                 let plain: Vec<(Tuple, Polynomial<String>)> =
                     evaluate_annotated(&db, &q, |rel, row| {
@@ -498,7 +327,7 @@ mod tests {
                     })
                     .unwrap();
                 let routed: Vec<(Tuple, Polynomial<String>)> =
-                    evaluate_annotated_sharded(&sharded, &q, |rel, row| {
+                    evaluate_annotated(&store, &q, |rel, row| {
                         Polynomial::token(format!("{rel}:{row}"))
                     })
                     .unwrap();
@@ -518,8 +347,8 @@ mod tests {
     #[test]
     fn router_prunes_constant_selections_on_the_shard_key() {
         let db = plain_db(12);
-        let sharded = ShardedDatabase::from_database(&db, 4, spec()).unwrap();
-        let router = ShardRouter::new(&sharded);
+        let store = ShardedDatabase::from_database(&db, 4, spec()).unwrap();
+        let router = ShardRouter::new(&store);
 
         // constant in the atom's shard-key position
         let plan = router.plan(&parse_query("Q(N) :- Family(\"f3\", N, Ty)").unwrap());
@@ -552,25 +381,22 @@ mod tests {
     #[test]
     fn whole_tuple_fallback_never_prunes() {
         let db = plain_db(12);
-        let sharded = ShardedDatabase::from_database(&db, 4, ShardKeySpec::new()).unwrap();
-        let router = ShardRouter::new(&sharded);
+        let store = ShardedDatabase::from_database(&db, 4, ShardKeySpec::new()).unwrap();
+        let router = ShardRouter::new(&store);
         let plan = router.plan(&parse_query("Q(N) :- Family(\"f3\", N, Ty)").unwrap());
         assert_eq!(plan.atoms, vec![ShardSet::All]);
         // ... but evaluation is still exact
         let q = parse_query("Q(N) :- Family(\"f3\", N, Ty)").unwrap();
-        assert_eq!(
-            evaluate(&db, &q).unwrap(),
-            evaluate_sharded(&sharded, &q).unwrap()
-        );
+        assert_eq!(evaluate(&db, &q).unwrap(), evaluate(&store, &q).unwrap());
     }
 
     #[test]
     fn pruned_scan_sees_only_one_fragment_yet_stays_exact() {
         // indexes on each shard so the pruned path exercises probes
         let db = plain_db(40);
-        let mut sharded = ShardedDatabase::from_database(&db, 4, spec()).unwrap();
-        sharded.build_index("Family", 0).unwrap();
-        sharded.build_index("FamilyIntro", 0).unwrap();
+        let mut store = ShardedDatabase::from_database(&db, 4, spec()).unwrap();
+        store.build_index("Family", 0).unwrap();
+        store.build_index("FamilyIntro", 0).unwrap();
         for fid in ["f0", "f7", "f13", "f39"] {
             let q = parse_query(&format!(
                 "Q(N, Tx) :- Family(F, N, Ty), FamilyIntro(F, Tx), F = \"{fid}\""
@@ -578,7 +404,7 @@ mod tests {
             .unwrap();
             assert_eq!(
                 evaluate(&db, &q).unwrap(),
-                evaluate_sharded(&sharded, &q).unwrap(),
+                evaluate(&store, &q).unwrap(),
                 "{fid}"
             );
         }
@@ -588,14 +414,14 @@ mod tests {
     fn merged_answer_fragments_reproduce_global_evaluation() {
         let db = plain_db(23);
         for shards in [1, 2, 4, 7] {
-            let sharded = ShardedDatabase::from_database(&db, shards, spec()).unwrap();
+            let store = ShardedDatabase::from_database(&db, shards, spec()).unwrap();
             for q in queries() {
-                let plan = QueryPlan::compile_sharded(&q, &sharded).unwrap();
-                let route = ShardRouter::new(&sharded).plan(&q);
+                let plan = QueryPlan::compile(&q, &store).unwrap();
+                let route = ShardRouter::new(&store).plan(&q);
                 let mut frags = Vec::new();
                 for s in 0..shards {
                     frags.extend(
-                        lead_fragment_answers(&sharded, &plan, &route, s, EvalOptions::default())
+                        lead_fragment_answers(&store, &plan, &route, s, EvalOptions::default())
                             .unwrap(),
                     );
                 }
@@ -616,14 +442,14 @@ mod tests {
     fn merged_binding_fragments_reproduce_grouped_evaluation() {
         let db = plain_db(17);
         for shards in [1, 2, 5] {
-            let sharded = ShardedDatabase::from_database(&db, shards, spec()).unwrap();
+            let store = ShardedDatabase::from_database(&db, shards, spec()).unwrap();
             for q in queries() {
-                let plan = QueryPlan::compile_sharded(&q, &sharded).unwrap();
-                let route = ShardRouter::new(&sharded).plan(&q);
+                let plan = QueryPlan::compile(&q, &store).unwrap();
+                let route = ShardRouter::new(&store).plan(&q);
                 let mut frags = Vec::new();
                 for s in 0..shards {
                     frags.extend(
-                        lead_fragment_bindings(&sharded, &plan, &route, s, EvalOptions::default())
+                        lead_fragment_bindings(&store, &plan, &route, s, EvalOptions::default())
                             .unwrap(),
                     );
                 }
@@ -647,16 +473,21 @@ mod tests {
     #[test]
     fn errors_match_the_unsharded_evaluator() {
         let db = plain_db(5);
-        let sharded = ShardedDatabase::from_database(&db, 3, spec()).unwrap();
+        let store = ShardedDatabase::from_database(&db, 3, spec()).unwrap();
         let unsafe_q = parse_query("Q(X) :- Family(F, N, Ty)").unwrap();
         assert!(matches!(
-            evaluate_sharded(&sharded, &unsafe_q).unwrap_err(),
+            evaluate(&store, &unsafe_q).unwrap_err(),
             crate::QueryError::Unsafe { .. }
         ));
         let unknown = parse_query("Q(X) :- Nope(X)").unwrap();
-        assert!(evaluate_sharded(&sharded, &unknown).is_err());
+        assert!(evaluate(&store, &unknown).is_err());
         let q = parse_query("Q(A, B) :- Family(A, X, Y), Family(B, Z, W)").unwrap();
-        let err = evaluate_sharded_with(&sharded, &q, EvalOptions { max_bindings: 4 }).unwrap_err();
-        assert!(matches!(err, crate::QueryError::BudgetExceeded { .. }));
+        let plan = QueryPlan::compile(&q, &store).unwrap();
+        let routed = Source::Routed(&store, Some(ShardRouter::new(&store).plan(&q)));
+        let err = evaluate_plan_with(routed, &plan, EvalOptions { max_bindings: 4 }).unwrap_err();
+        assert!(matches!(
+            err,
+            crate::QueryError::BudgetExceeded { limit: 4, .. }
+        ));
     }
 }

@@ -14,10 +14,11 @@ use fgcite::gtopdb::{
     generate, paper_instance, paper_shard_spec, GeneratorConfig, WorkloadGenerator,
 };
 use fgcite::query::{
-    evaluate, evaluate_annotated, evaluate_annotated_interpreted, evaluate_annotated_sharded,
-    evaluate_grouped, evaluate_grouped_interpreted, evaluate_interpreted,
-    evaluate_interpreted_with, evaluate_sharded, evaluate_with, parse_query, reference_evaluate,
-    ConjunctiveQuery, EvalOptions, QueryError, QueryPlan,
+    evaluate, evaluate_annotated, evaluate_annotated_interpreted, evaluate_annotated_plan_with,
+    evaluate_grouped, evaluate_grouped_interpreted, evaluate_grouped_plan_with,
+    evaluate_interpreted, evaluate_interpreted_with, evaluate_plan_with, parse_query,
+    reference_evaluate, Binding, ConjunctiveQuery, EvalOptions, QueryError, QueryPlan, ShardRouter,
+    Source,
 };
 use fgcite::relation::sharded::ShardedDatabase;
 use fgcite::relation::{Database, Tuple};
@@ -51,14 +52,22 @@ fn paper_queries() -> Vec<ConjunctiveQuery> {
         .collect()
 }
 
-fn assert_equivalent(db: &Database, q: &ConjunctiveQuery, context: &str) {
+/// All three collectors over `source` — the unsharded `db` itself or
+/// any sharding of it — against the interpreter over `db`.
+fn assert_equivalent<'a>(
+    source: impl Into<Source<'a>>,
+    db: &Database,
+    q: &ConjunctiveQuery,
+    context: &str,
+) {
+    let source = source.into();
     // distinct outputs, first-derivation order
-    let compiled = evaluate(db, q).expect("compiled evaluation");
+    let compiled = evaluate(source.clone(), q).expect("compiled evaluation");
     let interpreted = evaluate_interpreted(db, q).expect("interpreted evaluation");
     assert_eq!(compiled, interpreted, "evaluate diverges: {context} q={q}");
 
     // grouped bindings, tuple order and binding order
-    let compiled_g = evaluate_grouped(db, q).expect("compiled grouped");
+    let compiled_g = evaluate_grouped(source.clone(), q).expect("compiled grouped");
     let interpreted_g = evaluate_grouped_interpreted(db, q).expect("interpreted grouped");
     assert_eq!(
         compiled_g, interpreted_g,
@@ -67,9 +76,10 @@ fn assert_equivalent(db: &Database, q: &ConjunctiveQuery, context: &str) {
 
     // provenance polynomials, term for term (Debug formatting is the
     // canonical monomial order)
-    let compiled_a: Vec<(Tuple, Polynomial<String>)> =
-        evaluate_annotated(db, q, |rel, row| Polynomial::token(format!("{rel}:{row}")))
-            .expect("compiled annotated");
+    let compiled_a: Vec<(Tuple, Polynomial<String>)> = evaluate_annotated(source, q, |rel, row| {
+        Polynomial::token(format!("{rel}:{row}"))
+    })
+    .expect("compiled annotated");
     let interpreted_a: Vec<(Tuple, Polynomial<String>)> =
         evaluate_annotated_interpreted(db, q, |rel, row| Polynomial::token(format!("{rel}:{row}")))
             .expect("interpreted annotated");
@@ -92,7 +102,7 @@ fn assert_equivalent(db: &Database, q: &ConjunctiveQuery, context: &str) {
 fn paper_instance_queries_are_byte_identical() {
     let db = paper_instance();
     for q in paper_queries() {
-        assert_equivalent(&db, &q, "paper instance");
+        assert_equivalent(&db, &db, &q, "paper instance");
     }
 }
 
@@ -115,7 +125,7 @@ fn randomized_gtopdb_instances_are_byte_identical() {
             qs
         };
         for q in &queries {
-            assert_equivalent(&db, q, &format!("seed={seed} families={families}"));
+            assert_equivalent(&db, &db, q, &format!("seed={seed} families={families}"));
         }
     }
 }
@@ -124,7 +134,7 @@ fn randomized_gtopdb_instances_are_byte_identical() {
 fn hand_written_queries_survive_generated_instances() {
     let db = generate(&GeneratorConfig::default().with_families(50).with_seed(7));
     for q in paper_queries() {
-        assert_equivalent(&db, &q, "generated instance");
+        assert_equivalent(&db, &db, &q, "generated instance");
     }
 }
 
@@ -140,23 +150,54 @@ fn compiled_sharded_evaluation_matches_the_interpreter() {
     for shards in [1usize, 2, 4, 7] {
         let store = ShardedDatabase::from_database(&db, shards, paper_shard_spec()).unwrap();
         for q in queries.iter().chain(&paper_queries()) {
-            let interpreted = evaluate_interpreted(&db, q).unwrap();
-            let routed = evaluate_sharded(&store, q).unwrap();
-            assert_eq!(interpreted, routed, "shards={shards} q={q}");
-            let interpreted_a: Vec<(Tuple, Polynomial<String>)> =
-                evaluate_annotated_interpreted(&db, q, |rel, row| {
-                    Polynomial::token(format!("{rel}:{row}"))
-                })
-                .unwrap();
-            let routed_a: Vec<(Tuple, Polynomial<String>)> =
-                evaluate_annotated_sharded(&store, q, |rel, row| {
-                    Polynomial::token(format!("{rel}:{row}"))
-                })
-                .unwrap();
+            assert_equivalent(&store, &db, q, &format!("shards={shards}"));
+        }
+    }
+}
+
+#[test]
+fn one_plan_serves_every_source() {
+    // compile once from the unsharded database, then run that plan
+    // over the database, over every sharding of it unrouted (each
+    // atom fans out) and under the router's pruned route: the plan
+    // fixes join order and slots from global sizes, the source only
+    // picks which fragments are scanned, so all outputs coincide
+    type Collected = (Vec<Tuple>, Vec<(Tuple, Vec<Binding>)>, String);
+    fn collect(source: Source<'_>, plan: &QueryPlan) -> Collected {
+        let options = EvalOptions::default();
+        let tuples = evaluate_plan_with(source.clone(), plan, options).unwrap();
+        let grouped = evaluate_grouped_plan_with(source.clone(), plan, options).unwrap();
+        let annotated: Vec<(Tuple, Polynomial<String>)> =
+            evaluate_annotated_plan_with(source, plan, options, |rel, row| {
+                Polynomial::token(format!("{rel}:{row}"))
+            })
+            .unwrap();
+        (tuples, grouped, format!("{annotated:?}"))
+    }
+    let db = generate(&GeneratorConfig::default().with_families(60).with_seed(41));
+    let queries: Vec<ConjunctiveQuery> = {
+        let mut w = WorkloadGenerator::new(&db, 43);
+        w.ad_hoc_batch(6)
+    };
+    let stores: Vec<ShardedDatabase> = [1usize, 2, 4, 7]
+        .iter()
+        .map(|&n| ShardedDatabase::from_database(&db, n, paper_shard_spec()).unwrap())
+        .collect();
+    for q in queries.iter().chain(&paper_queries()) {
+        let plan = QueryPlan::compile(q, &db).unwrap();
+        let whole = collect(Source::Whole(&db), &plan);
+        for store in &stores {
+            let shards = store.shard_count();
             assert_eq!(
-                format!("{interpreted_a:?}"),
-                format!("{routed_a:?}"),
-                "shards={shards} q={q}"
+                whole,
+                collect(Source::from(store), &plan),
+                "unrouted: shards={shards} q={q}"
+            );
+            let route = ShardRouter::new(store).plan(q);
+            assert_eq!(
+                whole,
+                collect(Source::Routed(store, Some(route)), &plan),
+                "routed: shards={shards} q={q}"
             );
         }
     }
@@ -200,15 +241,23 @@ fn errors_match_the_interpreter() {
     // budget exhaustion fires at the same binding count
     let q = parse_query("Q(A, B) :- Family(A, X, Y), Family(B, Z, W)").unwrap();
     let options = EvalOptions { max_bindings: 4 };
-    let compiled = evaluate_with(&db, &q, options).unwrap_err();
+    let plan = QueryPlan::compile(&q, &db).unwrap();
+    let compiled = evaluate_plan_with(&db, &plan, options).unwrap_err();
     let interpreted = evaluate_interpreted_with(&db, &q, options).unwrap_err();
-    assert!(matches!(compiled, QueryError::BudgetExceeded { .. }));
-    assert!(matches!(interpreted, QueryError::BudgetExceeded { .. }));
+    // ...and both report the limit the caller set
+    assert!(matches!(
+        compiled,
+        QueryError::BudgetExceeded { limit: 4, .. }
+    ));
+    assert!(matches!(
+        interpreted,
+        QueryError::BudgetExceeded { limit: 4, .. }
+    ));
     // ...and a budget exactly at the binding count (5 × 5 families)
     // succeeds on both
     let enough = EvalOptions { max_bindings: 25 };
     assert_eq!(
-        evaluate_with(&db, &q, enough).unwrap(),
+        evaluate_plan_with(&db, &plan, enough).unwrap(),
         evaluate_interpreted_with(&db, &q, enough).unwrap()
     );
 }
@@ -220,9 +269,9 @@ fn plans_are_reusable_across_evaluations() {
     let db = generate(&GeneratorConfig::default().with_families(40).with_seed(11));
     let q = parse_query("Q(N, Tx) :- Family(F, N, Ty), FamilyIntro(F, Tx), Ty = \"gpcr\"").unwrap();
     let plan = QueryPlan::compile(&q, &db).unwrap();
-    let first = fgcite::query::evaluate_plan_with(&db, &plan, EvalOptions::default()).unwrap();
+    let first = evaluate_plan_with(&db, &plan, EvalOptions::default()).unwrap();
     for _ in 0..3 {
-        let again = fgcite::query::evaluate_plan_with(&db, &plan, EvalOptions::default()).unwrap();
+        let again = evaluate_plan_with(&db, &plan, EvalOptions::default()).unwrap();
         assert_eq!(first, again);
     }
     assert_eq!(first, evaluate_interpreted(&db, &q).unwrap());

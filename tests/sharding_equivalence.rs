@@ -125,7 +125,7 @@ fn annotated_provenance_polynomials_are_byte_identical() {
                 })
                 .unwrap();
             let routed: Vec<(Tuple, Polynomial<String>)> =
-                fgcite::query::evaluate_annotated_sharded(&store, q, |rel, row| {
+                fgcite::query::evaluate_annotated(&store, q, |rel, row| {
                     Polynomial::token(format!("{rel}:{row}"))
                 })
                 .unwrap();
