@@ -10,7 +10,7 @@
 //! [`PageCitationStore`] materializes the citation of every
 //! (view, valuation) *page* up front. It can answer exactly those
 //! page lookups — general queries fall outside its coverage, which is
-//! what experiment E5 quantifies against the engine.
+//! what `claim_5_*` in `tests/reproduce.rs` counts against the engine.
 
 use crate::error::Result;
 use fgc_query::evaluate;
@@ -98,7 +98,7 @@ impl PageCitationStore {
     }
 }
 
-/// A workload item for E5: either a page request (baseline can try)
+/// A workload item: either a page request (baseline can try)
 /// or a general ad-hoc query (baseline cannot).
 #[derive(Debug, Clone)]
 pub enum WorkloadItem {
@@ -125,8 +125,7 @@ pub fn baseline_coverage(store: &PageCitationStore, workload: &[WorkloadItem]) -
 }
 
 /// Result rows a page lookup corresponds to (the page's instance) —
-/// used by E5 to verify the baseline and engine agree where both
-/// apply.
+/// used to verify the baseline and engine agree where both apply.
 pub fn page_instance(
     db: &Database,
     registry: &ViewRegistry,

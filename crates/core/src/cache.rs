@@ -1,6 +1,5 @@
 //! Citation caching and materialization (§4: "caching and
-//! materialization" is one of the paper's open directions; E7
-//! measures its effect).
+//! materialization" is one of the paper's open directions).
 //!
 //! [`ClockCache`] is the engine's one concurrent memo table: the
 //! entries are spread over [`SHARDS`] `RwLock`-protected

@@ -54,26 +54,12 @@ pub enum RewriteMode {
 }
 
 /// Engine configuration.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct EngineOptions {
     /// Budgets for the rewriting search.
     pub rewrite: RewriteOptions,
     /// Exhaustive vs pruned.
     pub mode: RewriteMode,
-    /// Memoize the interpretation of identical citation expressions
-    /// within one `cite` call (on by default; the A1 ablation
-    /// measures its effect).
-    pub memoize_interpretation: bool,
-}
-
-impl Default for EngineOptions {
-    fn default() -> Self {
-        EngineOptions {
-            rewrite: RewriteOptions::default(),
-            mode: RewriteMode::default(),
-            memoize_interpretation: true,
-        }
-    }
 }
 
 /// The citation for one output tuple.
@@ -115,7 +101,7 @@ pub struct QueryCitation {
 
 impl QueryCitation {
     /// Total number of monomials across all tuple citations — the
-    /// symbolic citation size of experiment E3.
+    /// symbolic citation size the §3.4 orders shrink.
     pub fn total_monomials(&self) -> usize {
         self.tuples.iter().map(|t| t.expr.total_monomials()).sum()
     }
@@ -136,7 +122,6 @@ struct EffectiveConfig<'a> {
     policy: &'a Policy,
     mode: RewriteMode,
     rewrite: RewriteOptions,
-    memoize_interpretation: bool,
 }
 
 /// Token-cache traffic attributable to a single request.
@@ -233,7 +218,7 @@ struct ShardCounters {
 }
 
 /// Snapshot of a sharded engine's store layout and routing activity
-/// (surfaced on `GET /stats` and by the E11 table).
+/// (surfaced on `GET /stats`).
 #[derive(Debug, Clone)]
 pub struct ShardServingStats {
     /// Static distribution of the base-relation store.
@@ -345,8 +330,7 @@ impl CitationEngine {
     /// shard (builder style; replaces the cache, dropping any
     /// plans). A capacity of 0 disables plan caching: every
     /// evaluation re-compiles — the interpreter-era cost model,
-    /// kept switchable for the E12 ablation and the equivalence
-    /// tests.
+    /// kept switchable for the equivalence tests.
     pub fn with_plan_cache_capacity(mut self, per_shard: usize) -> Self {
         self.plans = PlanCache::with_shard_capacity(per_shard);
         self
@@ -409,19 +393,19 @@ impl CitationEngine {
         &self.policy
     }
 
-    /// Citation-cache statistics (experiment E7).
+    /// Citation-cache statistics.
     pub fn cache_stats(&self) -> CacheStats {
         self.cache.stats()
     }
 
-    /// Compiled-plan cache statistics (experiment E12; surfaced on
-    /// `GET /stats` as `plan_cache` and by `fgcite cite --explain`).
+    /// Compiled-plan cache statistics (surfaced on `GET /stats` as
+    /// `plan_cache` and by `fgcite cite --explain`).
     pub fn plan_stats(&self) -> PlanCacheStats {
         self.plans.stats()
     }
 
-    /// Drop cached plans only (token/extent caches stay warm) — the
-    /// E12 cold-plan sweep isolates the planning cost this way.
+    /// Drop cached plans only (token/extent caches stay warm), which
+    /// isolates the planning cost of the next cite.
     pub fn clear_plan_cache(&self) {
         self.plans.clear();
     }
@@ -776,15 +760,11 @@ impl CitationEngine {
                 policy: &self.policy,
                 mode: self.options.mode,
                 rewrite: self.options.rewrite,
-                memoize_interpretation: self.options.memoize_interpretation,
             },
             Some(r) => EffectiveConfig {
                 policy: r.policy.as_ref().unwrap_or(&self.policy),
                 mode: r.mode.unwrap_or(self.options.mode),
                 rewrite: r.rewrite.unwrap_or(self.options.rewrite),
-                memoize_interpretation: r
-                    .memoize_interpretation
-                    .unwrap_or(self.options.memoize_interpretation),
             },
         }
     }
@@ -1108,12 +1088,7 @@ impl CitationEngine {
                 for tuple in answers {
                     let expr = exprs.remove(&tuple).unwrap_or_else(CitationExpr::zero_r);
                     let normalized = policy.normalize(&expr, &self.inclusion);
-                    let memo_hit = if config.memoize_interpretation {
-                        interp_memo.get(&normalized).cloned()
-                    } else {
-                        None
-                    };
-                    let citation = match memo_hit {
+                    let citation = match interp_memo.get(&normalized).cloned() {
                         Some(hit) => hit,
                         None => {
                             // `interpret_expr`'s token valuation is infallible
@@ -1242,8 +1217,7 @@ impl CitationEngine {
     /// own overrides; all threads share the engine's caches.
     ///
     /// The pool is sized `min(batch len, available parallelism)`;
-    /// pass `threads` through [`Self::cite_batch_threads`] to pin it
-    /// (the E9 benchmark sweeps 1/2/4/8).
+    /// pass `threads` through [`Self::cite_batch_threads`] to pin it.
     pub fn cite_batch(&self, requests: &[CiteRequest]) -> Vec<Result<CiteResponse>> {
         let parallelism = std::thread::available_parallelism()
             .map(std::num::NonZeroUsize::get)

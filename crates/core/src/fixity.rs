@@ -73,7 +73,7 @@ impl VersionedCitation {
 
 /// How a versioned engine has served its versions so far — the
 /// derived-vs-rebuilt accounting surfaced as the `fixity` block of
-/// `GET /stats` and asserted by the E13 experiment.
+/// `GET /stats` and counted by `claim_8_*` in `tests/reproduce.rs`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct VersionStats {
     /// Committed versions in the history.
@@ -107,9 +107,9 @@ pub struct VersionStats {
 /// Approximate memory footprint of the history plus all warm
 /// engines, deduplicating structurally-shared relations by `Arc`
 /// identity. `relation_refs - unique_relations` is the number of
-/// references that cost a pointer instead of a copy — the figure the
-/// E13 experiment tracks to show resident memory grows with
-/// O(changed), not O(versions × |DB|).
+/// references that cost a pointer instead of a copy — the figure
+/// that shows resident memory grows with O(changed), not
+/// O(versions × |DB|).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct VersionMemoryStats {
     /// Bytes held by distinct relation instances (rows + indexes).
@@ -237,7 +237,7 @@ impl VersionedCitationEngine {
     /// Replace the derivation threshold: deltas with more effective
     /// ops than this rebuild from the snapshot instead of replaying.
     /// `0` disables derivation entirely (every first touch rebuilds —
-    /// the E13 baseline). Independently of this knob, removal-heavy
+    /// the rebuild reference). Independently of this knob, removal-heavy
     /// deltas rebuild when their size-weighted removal cost (each
     /// removal compacts its relation, O(rows)) exceeds a few database
     /// scans, since replay would then be slower than the rebuild it

@@ -27,7 +27,7 @@
 //! * [`fixity`] — versioned citations with timestamps (§4: fixity);
 //! * [`suggest`] — citation-view suggestion from query logs (§4);
 //! * [`baseline`] — GtoPdb's current practice (hard-coded per-page
-//!   citations), the comparison baseline of experiment E5.
+//!   citations), the engine's comparison baseline.
 //!
 //! ```
 //! use fgc_core::{CitationEngine, Policy};

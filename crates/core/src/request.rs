@@ -4,11 +4,10 @@
 //! with a default policy and options; real query traffic (§4's
 //! scaling discussion) needs *per-call* variation without rebuilding
 //! the engine. A [`CiteRequest`] carries the query plus optional
-//! overrides — policy, rewrite mode, rewrite budgets, interpretation
-//! memoization — and a [`CiteResponse`] wraps the resulting
-//! [`QueryCitation`] with timing and
-//! cache metadata, so callers (and the E9 benchmark) can observe the
-//! cost of each citation.
+//! overrides — policy, rewrite mode, rewrite budgets — and a
+//! [`CiteResponse`] wraps the resulting [`QueryCitation`] with timing
+//! and cache metadata, so callers can observe the cost of each
+//! citation.
 
 use crate::engine::{QueryCitation, RewriteMode};
 use crate::policy::Policy;
@@ -37,8 +36,7 @@ pub enum QuerySpec {
 /// let q = parse_query("Q(N) :- Family(F, N, Ty)").unwrap();
 /// let request = CiteRequest::query(q)
 ///     .with_policy(Policy::join_all())
-///     .with_mode(RewriteMode::Exhaustive)
-///     .with_memoize(false);
+///     .with_mode(RewriteMode::Exhaustive);
 /// assert!(request.mode.is_some());
 /// ```
 #[derive(Debug, Clone)]
@@ -51,9 +49,6 @@ pub struct CiteRequest {
     pub mode: Option<RewriteMode>,
     /// Override the rewriting search budgets.
     pub rewrite: Option<RewriteOptions>,
-    /// Override whether identical citation expressions share one
-    /// interpretation within the call.
-    pub memoize_interpretation: Option<bool>,
     /// The request ID assigned (or honored from `x-request-id`) at
     /// the front door; the engine's [`fgc_obs::Trace`] is started
     /// under it and the response echoes it back.
@@ -72,7 +67,6 @@ impl CiteRequest {
             policy: None,
             mode: None,
             rewrite: None,
-            memoize_interpretation: None,
             request_id: None,
             include_stages: false,
         }
@@ -85,7 +79,6 @@ impl CiteRequest {
             policy: None,
             mode: None,
             rewrite: None,
-            memoize_interpretation: None,
             request_id: None,
             include_stages: false,
         }
@@ -106,12 +99,6 @@ impl CiteRequest {
     /// Use these rewriting budgets instead of the engine default.
     pub fn with_rewrite(mut self, options: RewriteOptions) -> Self {
         self.rewrite = Some(options);
-        self
-    }
-
-    /// Toggle per-call interpretation memoization.
-    pub fn with_memoize(mut self, memoize: bool) -> Self {
-        self.memoize_interpretation = Some(memoize);
         self
     }
 
@@ -175,12 +162,10 @@ mod tests {
         let r = CiteRequest::query(q)
             .with_policy(Policy::union_all())
             .with_mode(RewriteMode::Exhaustive)
-            .with_rewrite(RewriteOptions::default())
-            .with_memoize(false);
+            .with_rewrite(RewriteOptions::default());
         assert!(r.policy.is_some());
         assert_eq!(r.mode, Some(RewriteMode::Exhaustive));
         assert!(r.rewrite.is_some());
-        assert_eq!(r.memoize_interpretation, Some(false));
     }
 
     #[test]

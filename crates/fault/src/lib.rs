@@ -623,6 +623,22 @@ mod tests {
         }
     }
 
+    /// Every guarded site calls `check` unconditionally, which is only
+    /// sound if an idle plane is close to free (~30 ns optimised). The
+    /// bound leaves 20x headroom for a debug build on a shared box.
+    #[test]
+    fn idle_check_costs_well_under_two_microseconds() {
+        use std::hint::black_box;
+        let plane = FaultPlane::new();
+        let calls = 1_000_000u32;
+        let start = std::time::Instant::now();
+        for _ in 0..calls {
+            black_box(plane.check(black_box("idle.point")));
+        }
+        let mean = start.elapsed() / calls;
+        assert!(mean < std::time::Duration::from_micros(2), "{mean:?}");
+    }
+
     #[test]
     fn reset_clears_everything() {
         let plane = FaultPlane::new();

@@ -16,8 +16,7 @@
 //!   base tuple carries an annotation, joins multiply (`·`), multiple
 //!   derivations of the same output add (`+`) — §3.1 of the paper.
 //!   This is the "changes ... in terms of query processing (to
-//!   combine citation annotations)" the paper anticipates in §4;
-//!   experiment E6 measures its overhead.
+//!   combine citation annotations)" the paper anticipates in §4.
 
 use crate::ast::{ConjunctiveQuery, Term};
 use crate::error::{QueryError, Result};
@@ -639,12 +638,12 @@ fn whole_views<'a>(db: &'a Database, q: &ConjunctiveQuery) -> Result<Vec<AtomVie
 }
 
 /// [`evaluate`] on the seed interpreter (per-step `HashMap` bindings,
-/// no compiled plan). Kept so `tests/plan_equivalence.rs` and the
-/// E12 benchmark can diff the compiled executor against the original
-/// semantics; not a serving path.
+/// no compiled plan). Kept so `tests/plan_equivalence.rs` can diff
+/// the compiled executor against the original semantics; not a
+/// serving path.
 #[deprecated(
     note = "superseded by compiled QueryPlan execution; retained only as the \
-            differential-testing and E12 baseline"
+            differential-testing baseline"
 )]
 pub fn evaluate_interpreted(db: &Database, q: &ConjunctiveQuery) -> Result<Vec<Tuple>> {
     #[allow(deprecated)]
@@ -654,7 +653,7 @@ pub fn evaluate_interpreted(db: &Database, q: &ConjunctiveQuery) -> Result<Vec<T
 /// [`evaluate_interpreted`] with explicit limits.
 #[deprecated(
     note = "superseded by compiled QueryPlan execution; retained only as the \
-            differential-testing and E12 baseline"
+            differential-testing baseline"
 )]
 pub fn evaluate_interpreted_with(
     db: &Database,
@@ -677,7 +676,7 @@ pub fn evaluate_interpreted_with(
 /// [`evaluate_grouped`] on the seed interpreter.
 #[deprecated(
     note = "superseded by compiled QueryPlan execution; retained only as the \
-            differential-testing and E12 baseline"
+            differential-testing baseline"
 )]
 pub fn evaluate_grouped_interpreted(
     db: &Database,
@@ -707,7 +706,7 @@ pub fn evaluate_grouped_interpreted(
 /// [`evaluate_annotated`] on the seed interpreter.
 #[deprecated(
     note = "superseded by compiled QueryPlan execution; retained only as the \
-            differential-testing and E12 baseline"
+            differential-testing baseline"
 )]
 pub fn evaluate_annotated_interpreted<S, F>(
     db: &Database,

@@ -141,8 +141,7 @@ impl fmt::Display for ShardKeySpec {
 /// shard's relation.
 pub type Placement = (u32, u32);
 
-/// Static distribution figures for diagnostics, `GET /stats`, and the
-/// E11 table.
+/// Static distribution figures for diagnostics and `GET /stats`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardStats {
     /// Number of shards.

@@ -10,15 +10,14 @@
 //! `Arc`; at the scale of curated scientific databases (GtoPdb has
 //! tens of versions, released quarterly) snapshot-per-version is the
 //! honest baseline, and sharing `Arc<str>` values keeps copies cheap.
-//! Experiment E8 measures this design.
 //!
 //! Commits made through [`VersionedDatabase::commit_with`]
 //! additionally record a [`DatabaseDelta`] — the effective inserts
 //! and removals the commit performed — retrievable via
 //! [`VersionedDatabase::delta`]. Consumers holding state for version
 //! *v* (e.g. a citation engine) can replay the delta to reach *v+1*
-//! instead of rebuilding from the snapshot; experiment E13 measures
-//! that path.
+//! instead of rebuilding from the snapshot (`tests/reproduce.rs`,
+//! `claim_8_*`, counts what that path derives and shares).
 
 use crate::database::Database;
 use crate::delta::DatabaseDelta;

@@ -2,9 +2,10 @@
 //!
 //! The paper warns that "going through all rewritings would be an
 //! impractical implementation" — this module does it anyway (it is
-//! the formal semantics, and experiment E1 measures exactly how
-//! impractical), but under explicit budgets and with the pruned
-//! search of [`crate::prefer`] as the practical alternative.
+//! the formal semantics, and `claim_1_*` in `tests/reproduce.rs`
+//! counts exactly how impractical), but under explicit budgets and
+//! with the pruned search of [`crate::prefer`] as the practical
+//! alternative.
 
 use crate::bucket::{candidates, Candidate};
 use crate::error::Result;

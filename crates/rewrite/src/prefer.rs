@@ -10,7 +10,7 @@
 //! implements the pruned search as iterative deepening on the number
 //! of views — when a 1-view total rewriting exists (the common case
 //! the owner designed the views for) the exponential tail is never
-//! explored. Experiment E1 compares the two.
+//! explored. `claim_1_*` in `tests/reproduce.rs` counts both.
 
 use crate::enumerate::{enumerate_rewritings, Enumeration, RewriteOptions};
 use crate::error::Result;

@@ -22,7 +22,7 @@
 
 use crate::service::{Call, HttpService, Response, Route, ServerConfig};
 use crate::stats::ServerStats;
-use crate::wire::{decode_cite_body, encode_response_with, parse_body, QueryKind};
+use crate::wire::{decode_cite_body, encode_response_with, parse_body, repeated_key, QueryKind};
 use fgc_core::{CitationEngine, VersionedCitationEngine};
 use fgc_obs::PromWriter;
 use fgc_relation::storage::{StorageHealth, StorageStats};
@@ -219,6 +219,9 @@ fn cite_at(versioned: &VersionedCitationEngine, body: &[u8]) -> Result<String, S
     let Json::Object(fields) = &parsed else {
         return Err("request body must be a JSON object".into());
     };
+    if let Some(key) = repeated_key(fields) {
+        return Err(format!("duplicate field `{key}`"));
+    }
     if let Some((unknown, _)) = fields
         .iter()
         .find(|(key, _)| !matches!(key.as_str(), "query" | "version" | "at"))

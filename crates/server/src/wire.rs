@@ -13,15 +13,15 @@
 //!   "mode": "exhaustive" | "pruned",
 //!   "max_views": 6,
 //!   "max_combinations": 200000,
-//!   "memoize": true,
 //!   "stages": true
 //! }
 //! ```
 //!
-//! Every field except the query itself is optional; **unknown fields
-//! are rejected** (a typo silently ignored would serve the wrong
-//! citation semantics). Decode failures carry a message destined for
-//! a 400 body, never a panic.
+//! Every field except the query itself is optional; **unknown and
+//! repeated fields are rejected** (a typo silently ignored, or a
+//! second `"query"` read differently by another JSON reader, would
+//! serve the wrong citation semantics). Decode failures carry a
+//! message destined for a 400 body, never a panic.
 
 use crate::json::parse_json;
 use fgc_core::{CitationEngine, CiteRequest, CiteResponse, OrderChoice, Policy, RewriteMode};
@@ -139,9 +139,11 @@ pub fn decode_cite_request(
     let mut order: Option<OrderChoice> = None;
     let mut rewrite: Option<RewriteOptions> = None;
     let mut mode: Option<RewriteMode> = None;
-    let mut memoize: Option<bool> = None;
     let mut stages: Option<bool> = None;
 
+    if let Some(key) = repeated_key(fields) {
+        return Err(WireError(format!("duplicate field `{key}`")));
+    }
     for (key, value) in fields {
         match key.as_str() {
             "query" => {
@@ -179,7 +181,6 @@ pub fn decode_cite_request(
                 let opts = rewrite.get_or_insert_with(RewriteOptions::default);
                 opts.max_combinations = expect_usize(key, value)?;
             }
-            "memoize" => memoize = Some(expect_bool(key, value)?),
             "stages" => stages = Some(expect_bool(key, value)?),
             other => return Err(WireError(format!("unknown field `{other}`"))),
         }
@@ -204,13 +205,21 @@ pub fn decode_cite_request(
     if let Some(r) = rewrite {
         request = request.with_rewrite(r);
     }
-    if let Some(m) = memoize {
-        request = request.with_memoize(m);
-    }
     if let Some(s) = stages {
         request = request.with_stages(s);
     }
     Ok(request)
+}
+
+/// The first key that appears twice in an object's fields. Readers
+/// disagree on which copy wins (a decode loop keeps the last,
+/// [`Json::get`] the first), so a body that repeats a key is refused.
+pub fn repeated_key(fields: &[(String, Json)]) -> Option<&str> {
+    let mut seen = std::collections::HashSet::with_capacity(fields.len());
+    fields
+        .iter()
+        .map(|(key, _)| key.as_str())
+        .find(|key| !seen.insert(*key))
 }
 
 /// Render a database value for the wire.
@@ -297,7 +306,7 @@ mod tests {
         let r = decode(
             r#"{"query": "Q(N) :- Family(F, N, Ty)", "policy": "join",
                "order": "composite", "mode": "exhaustive",
-               "max_views": 3, "max_combinations": 500, "memoize": false}"#,
+               "max_views": 3, "max_combinations": 500}"#,
             QueryKind::Datalog,
         )
         .unwrap();
@@ -307,7 +316,6 @@ mod tests {
         let opts = r.rewrite.unwrap();
         assert_eq!(opts.max_views, 3);
         assert_eq!(opts.max_combinations, 500);
-        assert_eq!(r.memoize_interpretation, Some(false));
     }
 
     #[test]
@@ -343,7 +351,8 @@ mod tests {
             r#"{"query": "Q(X) :- Family(X, N, T)", "policy": "maximal"}"#,
             r#"{"query": "Q(X) :- Family(X, N, T)", "mode": "fast"}"#,
             r#"{"query": "Q(X) :- Family(X, N, T)", "max_views": -1}"#,
-            r#"{"query": "Q(X) :- Family(X, N, T)", "memoize": "yes"}"#,
+            r#"{"query": "Q(X) :- Family(X, N, T)", "memoize": false}"#,
+            r#"{"query": "Q(X) :- Family(X, N, T)", "mode": "pruned", "mode": "exhaustive"}"#,
             r#"{"query": "this is not datalog"}"#,
             r#"{}"#,
             r#"[1, 2]"#,
@@ -353,6 +362,17 @@ mod tests {
                 "should reject {bad}"
             );
         }
+    }
+
+    #[test]
+    fn a_repeated_field_is_named_not_resolved() {
+        // last-wins here and first-wins in `Json::get` would disagree
+        let err = decode(
+            r#"{"query": "Q(X) :- Family(X, N, T)", "query": "Q(N) :- Family(X, N, T)"}"#,
+            QueryKind::Datalog,
+        )
+        .unwrap_err();
+        assert_eq!(err.0, "duplicate field `query`");
     }
 
     #[test]

@@ -119,7 +119,8 @@ impl Json {
     }
 
     /// Approximate size in bytes of the compact serialization —
-    /// the "size of the resulting citation" measured by experiment E3.
+    /// the "size of the resulting citation" that `claim_3_*` in
+    /// `tests/reproduce.rs` compares across orders.
     pub fn size_bytes(&self) -> usize {
         self.to_compact().len()
     }

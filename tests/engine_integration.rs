@@ -205,6 +205,41 @@ fn global_citation_survives_every_policy() {
     }
 }
 
+/// Def. 3.4: the aggregate is `Agg` over the global citations, then
+/// over every output tuple's citation. The render stage folds each
+/// distinct citation once, which is only the same value because both
+/// `Agg` interpretations are idempotent; this pins that claim.
+#[test]
+fn aggregate_equals_agg_folded_over_every_tuple_citation() {
+    let nar = Json::from_pairs([("NARIssue", Json::str("Pawson et al. 2014"))]);
+    let generated = scale_db(60, 7);
+    let mut workload = WorkloadGenerator::new(&generated, 5);
+    let mut queries =
+        vec![
+            parse_query("Q(N, Tx) :- Family(F, N, Ty), FamilyIntro(F, Tx), Ty = \"gpcr\"").unwrap(),
+        ];
+    queries.extend((0..3).map(|t| workload.query_from_template(t)));
+    for db in [fgcite::gtopdb::paper_instance(), generated.clone()] {
+        for policy in [Policy::union_all(), Policy::join_all(), Policy::default()] {
+            let policy = policy.with_global(nar.clone());
+            let engine = CitationEngine::new(db.clone(), paper_views())
+                .unwrap()
+                .with_policy(policy.clone());
+            for q in &queries {
+                let cited = engine.cite(q).unwrap();
+                let mut folded = Json::Null;
+                for g in &policy.global_citations {
+                    folded = policy.agg.apply(&folded, g);
+                }
+                for tc in &cited.tuples {
+                    folded = policy.agg.apply(&folded, &tc.citation);
+                }
+                assert_eq!(cited.aggregate, folded, "{q}");
+            }
+        }
+    }
+}
+
 #[test]
 fn dump_load_round_trip_preserves_citations() {
     let db = scale_db(40, 41);

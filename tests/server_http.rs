@@ -336,6 +336,7 @@ fn versioned_routes_serve_history_and_unversioned_deployments_404() {
         r#"{"query": "Q(N) :- Family(F, N, Ty)", "version": -3}"#,
         // a typo'd selector must not silently serve the head version
         r#"{"query": "Q(N) :- Family(F, N, Ty)", "verison": 2}"#,
+        r#"{"query": "Q(N) :- Family(F, N, Ty)", "version": 0, "version": 1}"#,
     ] {
         let response = client.post("/cite_at", bad).expect("response");
         assert_eq!(response.status, 400, "{bad} -> {}", response.body);
@@ -583,6 +584,14 @@ fn malformed_input_is_4xx_and_never_wedges_workers() {
             "bad policy",
         ),
         (r#"{"query": "not datalog at all"}"#, "bad query"),
+        (
+            r#"{"query": "Q(N) :- Family(F, N, Ty)", "memoize": false}"#,
+            "retired memoize field",
+        ),
+        (
+            r#"{"query": "Q(N) :- Family(F, N, Ty)", "query": "Q(F) :- Family(F, N, Ty)"}"#,
+            "repeated field",
+        ),
         (r#"{"sql": "SELECT 1"}"#, "sql on /cite"),
         (r#"{}"#, "missing query"),
         (r#"[1,2,3]"#, "non-object body"),

@@ -323,9 +323,8 @@ fn over_threshold_commits_fall_back_and_stay_identical() {
 /// Tentpole: the 1,000-commit randomized walk. Every non-root version
 /// is served by delta replay (or pure sharing) off its warm neighbor,
 /// and sampled versions cite byte-identically to a threshold-0
-/// rebuild reference. The full-sweep timing/memory companion lives in
-/// the E13 bench; debug builds walk a shorter history so the tier-1
-/// suite stays fast — CI runs the full length in release.
+/// rebuild reference. Debug builds walk a shorter history so the
+/// tier-1 suite stays fast — CI runs the full length in release.
 #[test]
 fn thousand_commit_walk_derives_and_matches_rebuild_at_samples() {
     const COMMITS: usize = if cfg!(debug_assertions) { 250 } else { 1_000 };
