@@ -15,9 +15,9 @@
 //! citation` — the result of `F_V(C_V(...))`, the hot path of
 //! citation interpretation, where a miss costs one citation query
 //! against the database. [`crate::plan_cache::PlanCache`] is the
-//! other instance. Each engine owns its caches; a derived engine
-//! starts from a [`ClockCache::filtered_copy`] of its parent's
-//! (curated databases change by release, §4's fixity).
+//! other instance. Each engine owns its caches; an engine rebased
+//! onto another version's snapshot (§4's fixity) starts them empty
+//! ([`ClockCache::empty_like`]).
 
 use crate::token::CiteToken;
 use fgc_relation::Clock;
@@ -63,8 +63,8 @@ impl CacheStats {
 ///
 /// All methods take `&self`; an engine holding one of these can be
 /// shared across threads (`Arc<CitationEngine>`) with every thread
-/// reading from and filling the same cache. Values are cloned out and
-/// carried between caches by `clone`, so instances store `Arc`s.
+/// reading from and filling the same cache. Values are cloned out,
+/// so instances store `Arc`s.
 #[derive(Debug)]
 pub struct ClockCache<K, V> {
     shards: Vec<RwLock<Clock<K, V>>>,
@@ -83,16 +83,11 @@ impl<K: Hash + Eq + Clone, V: Clone> ClockCache<K, V> {
     /// of 0 disables caching entirely: every lookup computes, nothing
     /// is stored, and no eviction runs.
     pub fn with_shard_capacity(capacity: usize) -> Self {
-        Self::from_parts(
-            RandomState::new(),
-            (0..SHARDS).map(|_| Clock::new(capacity)),
-        )
-    }
-
-    fn from_parts(hasher: RandomState, shards: impl Iterator<Item = Clock<K, V>>) -> Self {
         ClockCache {
-            shards: shards.map(RwLock::new).collect(),
-            hasher,
+            shards: (0..SHARDS)
+                .map(|_| RwLock::new(Clock::new(capacity)))
+                .collect(),
+            hasher: RandomState::new(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
@@ -171,30 +166,17 @@ impl<K: Hash + Eq + Clone, V: Clone> ClockCache<K, V> {
         }
     }
 
-    /// A fresh cache (same capacity, zeroed counters) seeded with the
-    /// entries whose key satisfies `keep` — how a derived engine
-    /// invalidates only the entries a commit delta touched while the
-    /// rest stay warm. Survivors carry over by `clone` (pointers, for
-    /// the `Arc` values the instances store), so carry-over is
-    /// O(entries). The copy shares the source's hasher, so shard *i*
-    /// carries to shard *i*: no shard of the copy can hold more than
-    /// its source did, and carry-over never evicts.
-    pub fn filtered_copy(&self, keep: impl Fn(&K) -> bool) -> Self {
-        let carried = self.shards.iter().map(|shard| {
-            let source = shard.read().expect("cache shard poisoned");
-            let mut copy = Clock::new(source.capacity());
-            for (key, value) in source.iter().filter(|(key, _)| keep(key)) {
-                copy.insert(key.clone(), value.clone());
-            }
-            copy
-        });
-        Self::from_parts(self.hasher.clone(), carried)
+    /// A fresh, empty cache (zeroed counters) with this one's
+    /// capacity — what an engine rebased onto another snapshot starts
+    /// from. Carrying entries over would deep-copy every key, which
+    /// costs more than refilling them.
+    pub fn empty_like(&self) -> Self {
+        let shard = self.shards[0].read().expect("cache shard poisoned");
+        Self::with_shard_capacity(shard.capacity())
     }
 }
 
-/// The token cache: interpreted citation tokens, `Arc`-shared so a
-/// derived engine carries survivors by pointer instead of deep-cloning
-/// every cached citation.
+/// The token cache: the interpreted citation of each token.
 pub type CitationCache = ClockCache<CiteToken, Arc<Json>>;
 
 impl Default for CitationCache {
@@ -361,26 +343,14 @@ mod tests {
     }
 
     #[test]
-    fn carry_over_keeps_every_survivor_in_its_shard_and_never_evicts() {
-        // regression: the copy used to re-hash survivors under a fresh
-        // `RandomState`, overfilling some shards and displacing entries
+    fn empty_like_keeps_the_capacity_and_nothing_else() {
         let cache = CitationCache::with_shard_capacity(4);
         for i in 0..10 * cache.capacity() {
             get(&cache, &nth_token(i), || Json::str("v"));
         }
-        let copy = cache.filtered_copy(|_| true);
-        assert_eq!(copy.stats().entries, cache.stats().entries);
-        assert_eq!(copy.stats().evictions, 0);
-        assert_eq!(copy.capacity(), cache.capacity());
-        // survivors are found where the shared hasher looks for them
-        // (a failing compute stores nothing, so the probe cannot evict)
-        let hits = (0..10 * cache.capacity())
-            .filter(|&i| {
-                copy.get_or_compute(&nth_token(i), |_| (), || Err(()))
-                    .is_ok()
-            })
-            .count();
-        assert_eq!(hits, cache.stats().entries);
+        let fresh = cache.empty_like();
+        assert_eq!(fresh.capacity(), cache.capacity());
+        assert_eq!(fresh.stats(), CacheStats::default());
     }
 
     #[test]

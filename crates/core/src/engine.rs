@@ -23,7 +23,7 @@ use crate::policy::{interpret_expr, Policy};
 use crate::request::{CiteRequest, CiteResponse, QuerySpec};
 use crate::token::CiteToken;
 use fgc_obs::{StageSet, Trace, CITE_STAGES};
-use fgc_query::ast::{ConjunctiveQuery, Term};
+use fgc_query::ast::{Atom, ConjunctiveQuery, Term};
 use fgc_query::eval::EvalOptions;
 use fgc_query::{
     evaluate_grouped_plan_with, evaluate_plan_with, parse_sql, Binding, QueryPlan, RoutePlan,
@@ -36,7 +36,7 @@ use fgc_relation::{DataType, Database, DatabaseDelta, Tuple, Value};
 use fgc_rewrite::{best_rewritings, enumerate_rewritings, RewriteOptions, Rewriting, ViewDefs};
 use fgc_semiring::{CitationExpr, CommutativeSemiring, Monomial, Polynomial};
 use fgc_views::{Json, ViewRegistry};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, RwLock};
 use std::time::Instant;
@@ -278,6 +278,12 @@ impl CitationEngine {
     /// Build an engine. Validates every view against the database
     /// catalog and precomputes the view-inclusion matrix (Ex. 3.8).
     pub fn new(db: Database, registry: ViewRegistry) -> Result<Self> {
+        Self::build(Arc::new(db), registry)
+    }
+
+    /// [`Self::new`] over a snapshot that is already shared, so the
+    /// engine holds the caller's relation instances.
+    pub(crate) fn build(db: Arc<Database>, registry: ViewRegistry) -> Result<Self> {
         registry.validate(db.catalog())?;
         for v in registry.iter() {
             if db.catalog().contains(&v.name) {
@@ -287,14 +293,26 @@ impl CitationEngine {
         let view_defs = ViewDefs::new(registry.iter().map(|v| v.view.clone()))
             .with_dependencies(fgc_query::Dependencies::from_catalog(db.catalog()));
         let inclusion = fgc_rewrite::view_inclusion_matrix(&view_defs);
-        Ok(CitationEngine {
-            db: Arc::new(db),
+        Ok(Self::assemble(db, registry, view_defs, inclusion, None))
+    }
+
+    /// An engine with default policy, options and caches over already
+    /// validated parts.
+    fn assemble(
+        db: Arc<Database>,
+        registry: ViewRegistry,
+        view_defs: ViewDefs,
+        inclusion: BTreeMap<(String, String), bool>,
+        extent: Option<Arc<Database>>,
+    ) -> Self {
+        CitationEngine {
+            db,
             registry,
             view_defs,
             policy: Policy::default(),
             options: EngineOptions::default(),
             inclusion,
-            extent_db: RwLock::new(None),
+            extent_db: RwLock::new(extent),
             cache: CitationCache::default(),
             sharded: None,
             extent_sharded: RwLock::new(None),
@@ -302,7 +320,7 @@ impl CitationEngine {
             plans: PlanCache::default(),
             stages: StageSet::new(CITE_STAGES),
             storage: None,
-        })
+        }
     }
 
     /// Replace the policy (builder style).
@@ -446,298 +464,102 @@ impl CitationEngine {
         })
     }
 
-    /// Derive the engine for the *next* database version from this
-    /// one by replaying a commit delta — the incremental alternative
-    /// to `CitationEngine::new` over the child snapshot.
-    ///
-    /// Cost is O(changed): the relation store is copy-on-write
-    /// ([`Database`] holds `Arc<Relation>` entries), so cloning the
-    /// parent shares every relation structurally and replay
-    /// deep-copies only the relations the delta touches. The same
-    /// holds for the extent store (untouched view extents are adopted
-    /// by `Arc`), the sharded store (deltas replay into the existing
-    /// fragments instead of re-partitioning), and the caches
-    /// (survivors carry over by `Arc`-shared value). Concretely:
-    ///
-    /// * the relation store (rows and indexes) is updated by replay,
-    ///   which reproduces the child snapshot structurally — same row
-    ///   order, same index state — so citations stay **byte-identical**
-    ///   to a full rebuild (global row order included);
-    /// * view extents are recomputed only for views whose *view query*
-    ///   mentions a touched relation, and even then single-atom
-    ///   injective views are patched row-by-row from the delta ops
-    ///   (`incremental_extent`) instead of re-evaluated;
-    /// * the token cache keeps every entry except those of affected
-    ///   views (view *or* citation query mentions a touched
-    ///   relation); the plan cache keeps every plan whose query
-    ///   avoids touched relations and recomputed view extents (plans
-    ///   encode size-dependent join orders, so stale sizes must
-    ///   recompile);
-    /// * an empty delta short-circuits to pure structural sharing —
-    ///   the derived engine shares every store and cache wholesale.
+    /// The engine for the database `delta` produces from this one's:
+    /// clone the store (every relation stays shared until replay
+    /// touches it), replay the delta, and rebase onto the result, so
+    /// only the view extents that read a replayed relation are
+    /// materialized again.
     ///
     /// Errors with [`fgc_relation::RelationError::DeltaMismatch`]
     /// (via [`CoreError::Relation`]) when the delta is structural or
-    /// this engine's database is not the delta's parent; callers fall
-    /// back to a full rebuild.
+    /// this engine's database is not the delta's parent.
     pub fn derive_with_delta(&self, delta: &DatabaseDelta) -> Result<CitationEngine> {
-        if delta.is_empty() {
-            return self.derive_shared();
-        }
         let mut db = (*self.db).clone();
         db.apply_delta(delta)?;
-        let db = Arc::new(db);
+        self.rebase(Arc::new(db))
+    }
 
-        let touched: HashSet<&str> = delta.touched().collect();
-        // Views whose extent rows can change: the *view query*
-        // mentions a touched relation. A view whose citation query
-        // alone is affected keeps its extent (the extent is the view
-        // query's evaluation) but must drop cached citations.
-        let extent_affected: HashSet<&str> = self
-            .registry
-            .iter()
-            .filter(|v| {
-                v.view
-                    .atoms
-                    .iter()
-                    .any(|a| touched.contains(a.relation.as_str()))
-            })
-            .map(|v| v.name.as_str())
-            .collect();
-        let token_affected: HashSet<&str> = self
-            .registry
-            .iter()
-            .filter(|v| {
-                v.view
-                    .atoms
-                    .iter()
-                    .chain(v.citation_query.atoms.iter())
-                    .any(|a| touched.contains(a.relation.as_str()))
-            })
-            .map(|v| v.name.as_str())
-            .collect();
+    /// This engine's registry, policy, options, view definitions,
+    /// inclusion matrix and storage handle over another snapshot.
+    ///
+    /// Identity decides what is reused: when the catalogs are equal,
+    /// every view extent whose view-query inputs are the same
+    /// `Arc<Relation>` instances in both databases is adopted by
+    /// pointer (an extent is a function of those inputs alone), and
+    /// the rest are materialized over the snapshot. A different
+    /// catalog changes the view definitions' dependencies and the
+    /// inclusion matrix, so it means a from-scratch build. A sharded
+    /// engine partitions the snapshot the same way.
+    ///
+    /// The token and plan caches start empty at this engine's
+    /// capacities: carrying them over would deep-copy every key, which
+    /// costs more than refilling them.
+    pub(crate) fn rebase(&self, snapshot: Arc<Database>) -> Result<CitationEngine> {
+        let mut engine = if self.db.catalog() == snapshot.catalog() {
+            let extent = self
+                .extent_database_if_built()
+                .map(|donor| self.borrow_extents(&donor, &snapshot))
+                .transpose()?;
+            Self::assemble(
+                snapshot,
+                self.registry.clone(),
+                self.view_defs.clone(),
+                self.inclusion.clone(),
+                extent,
+            )
+        } else {
+            Self::build(snapshot, self.registry.clone())?
+        };
+        engine.policy = self.policy.clone();
+        engine.options = self.options;
+        engine.cache = self.cache.empty_like();
+        engine.plans = self.plans.empty_like();
+        engine.storage = self.storage.clone();
+        match &self.sharded {
+            None => Ok(engine),
+            Some(s) => engine.with_shards(s.shard_count(), s.spec().clone()),
+        }
+    }
 
-        let cache = self.cache.filtered_copy(|token| match token {
-            CiteToken::View { view, .. } => !token_affected.contains(view.as_str()),
-            // base-relation citations carry no data, only the name
-            CiteToken::Base { .. } => true,
-        });
-        let plans = self.plans.filtered_copy(|q| {
-            !q.atoms.iter().any(|a| {
-                touched.contains(a.relation.as_str())
-                    || extent_affected.contains(a.relation.as_str())
-            })
-        });
-
-        // Carry the extent store forward only if this engine built
-        // one; otherwise the derived engine builds it lazily as usual.
-        let extent = match self
-            .extent_db
-            .read()
-            .expect("extent lock poisoned")
-            .as_ref()
-        {
-            None => None,
-            Some(parent) => {
-                // Shares every base relation with `db` (CoW), so this
-                // clone costs pointers.
-                let mut extended = (*db).clone();
-                for view in self.registry.iter() {
-                    if !extent_affected.contains(view.name.as_str()) {
-                        extended
-                            .adopt_relation_arc(Arc::clone(parent.relation_arc(&view.name)?))?;
-                    } else if !Self::incremental_extent(&mut extended, view, parent, delta)? {
-                        Self::materialize_extent(&mut extended, view, &db)?;
-                    }
-                }
-                Some(Arc::new(extended))
+    /// The extent store over `snapshot`: the donor's extent relation
+    /// for every view whose inputs `snapshot` shares with this
+    /// engine's store, a fresh materialization for the rest.
+    fn borrow_extents(&self, donor: &Database, snapshot: &Database) -> Result<Arc<Database>> {
+        // Shares every base relation with the snapshot, so this clone
+        // costs pointers.
+        let mut extended = snapshot.clone();
+        for view in self.registry.iter() {
+            if Self::same_instances(&self.db, snapshot, &view.view.atoms) {
+                extended.adopt_relation_arc(Arc::clone(donor.relation_arc(&view.name)?))?;
+            } else {
+                Self::materialize_extent(&mut extended, view, snapshot)?;
             }
-        };
+        }
+        Ok(Arc::new(extended))
+    }
 
-        // A sharded parent replays the delta into its existing
-        // fragments (structurally identical to re-partitioning the
-        // derived store — `ShardedDatabase::derive_with_delta`); a
-        // replay mismatch falls back to re-partitioning from scratch.
-        let sharded = match &self.sharded {
-            None => None,
-            Some(s) => Some(Arc::new(match s.derive_with_delta(delta) {
-                Ok(derived) => derived,
-                Err(_) => ShardedDatabase::from_database(&db, s.shard_count(), s.spec().clone())?,
-            })),
-        };
-
-        Ok(CitationEngine {
-            db,
-            registry: self.registry.clone(),
-            view_defs: self.view_defs.clone(),
-            policy: self.policy.clone(),
-            options: self.options,
-            inclusion: self.inclusion.clone(),
-            extent_db: RwLock::new(extent),
-            cache,
-            sharded,
-            extent_sharded: RwLock::new(None),
-            shard_counters: ShardCounters::default(),
-            plans,
-            stages: StageSet::new(CITE_STAGES),
-            storage: self.storage.clone(),
+    /// Whether `snapshot` holds the very relation instances that every
+    /// view and citation query reads in this engine's store — a rebase
+    /// onto it changes nothing a citation can see.
+    pub(crate) fn cites_same_relations(&self, snapshot: &Database) -> bool {
+        self.registry.iter().all(|v| {
+            Self::same_instances(&self.db, snapshot, &v.view.atoms)
+                && Self::same_instances(&self.db, snapshot, &v.citation_query.atoms)
         })
     }
 
-    /// The empty-delta derivation: nothing changed, so the derived
-    /// engine structurally shares every store (base, extent, sharded)
-    /// and every cache entry with the parent. O(1) in the database
-    /// size. [`Self::delta_affects_views`] tells callers when this
-    /// path was (or will be) taken, for stats accounting.
-    fn derive_shared(&self) -> Result<CitationEngine> {
-        Ok(CitationEngine {
-            db: Arc::clone(&self.db),
-            registry: self.registry.clone(),
-            view_defs: self.view_defs.clone(),
-            policy: self.policy.clone(),
-            options: self.options,
-            inclusion: self.inclusion.clone(),
-            extent_db: RwLock::new(self.extent_db.read().expect("extent lock poisoned").clone()),
-            cache: self.cache.filtered_copy(|_| true),
-            sharded: self.sharded.clone(),
-            extent_sharded: RwLock::new(
-                self.extent_sharded
-                    .read()
-                    .expect("extent shard lock poisoned")
-                    .clone(),
-            ),
-            shard_counters: ShardCounters::default(),
-            plans: self.plans.filtered_copy(|_| true),
-            stages: StageSet::new(CITE_STAGES),
-            storage: self.storage.clone(),
+    /// Whether every relation `atoms` read is one `Arc` instance in
+    /// both databases.
+    fn same_instances(a: &Database, b: &Database, atoms: &[Atom]) -> bool {
+        atoms.iter().all(|atom| {
+            match (
+                a.relation_arc(&atom.relation),
+                b.relation_arc(&atom.relation),
+            ) {
+                (Ok(x), Ok(y)) => Arc::ptr_eq(x, y),
+                _ => false,
+            }
         })
-    }
-
-    /// Whether a delta affects any registered view (its view or
-    /// citation query mentions a touched relation). An empty delta
-    /// affects none. Versioned serving counts derivations where this
-    /// is `false` as pure structural sharing.
-    pub fn delta_affects_views(&self, delta: &DatabaseDelta) -> bool {
-        let touched: HashSet<&str> = delta.touched().collect();
-        self.registry.iter().any(|v| {
-            v.view
-                .atoms
-                .iter()
-                .chain(v.citation_query.atoms.iter())
-                .any(|a| touched.contains(a.relation.as_str()))
-        })
-    }
-
-    /// Patch one view's extent relation from the delta ops instead of
-    /// re-evaluating the view — the delta-aware extent path. Applies
-    /// only where it is provably byte-identical to re-evaluation: the
-    /// view query is a single atom with no comparisons and its head
-    /// projection is *injective* on the atom's rows (the head's
-    /// variable positions cover all columns or a primary key), so
-    /// each base-row insert/remove maps one-to-one to an extent-row
-    /// append/order-preserving removal, reproducing exactly the rows,
-    /// order, and index state evaluation would build. Constants and
-    /// repeated variables in the atom act as per-row selections.
-    /// Returns `false` (and adds nothing) when the view doesn't
-    /// qualify; the caller then re-materializes wholesale.
-    fn incremental_extent(
-        extended: &mut Database,
-        view: &fgc_views::CitationView,
-        parent_extent: &Database,
-        delta: &DatabaseDelta,
-    ) -> Result<bool> {
-        let q = &view.view;
-        if q.atoms.len() != 1 || !q.comparisons.is_empty() {
-            return Ok(false);
-        }
-        let atom = &q.atoms[0];
-        // First atom position of each variable.
-        let mut var_pos: HashMap<&str, usize> = HashMap::new();
-        for (i, t) in atom.terms.iter().enumerate() {
-            if let Some(v) = t.as_var() {
-                var_pos.entry(v).or_insert(i);
-            }
-        }
-        // Head projection plan: base-column index or literal constant.
-        enum Slot {
-            Pos(usize),
-            Lit(Value),
-        }
-        let mut slots: Vec<Slot> = Vec::with_capacity(q.head.len());
-        let mut covered: HashSet<usize> = HashSet::new();
-        for term in &q.head {
-            match term {
-                Term::Var(v) => {
-                    let Some(&p) = var_pos.get(v.as_str()) else {
-                        return Ok(false); // unsafe head var; bail
-                    };
-                    covered.insert(p);
-                    slots.push(Slot::Pos(p));
-                }
-                Term::Const(c) => slots.push(Slot::Lit(c.clone())),
-            }
-        }
-        let schema = extended.relation(&atom.relation)?.schema().clone();
-        let injective = (0..schema.arity()).all(|i| covered.contains(&i))
-            || (schema.has_key() && schema.key.iter().all(|p| covered.contains(p)));
-        if !injective {
-            return Ok(false);
-        }
-        // The atom pattern as a per-row selection: constants must
-        // match, repeated variables must bind consistently.
-        let matches = |t: &Tuple| -> bool {
-            let mut bound: HashMap<&str, &Value> = HashMap::new();
-            for (i, term) in atom.terms.iter().enumerate() {
-                match term {
-                    Term::Const(c) => {
-                        if &t[i] != c {
-                            return false;
-                        }
-                    }
-                    Term::Var(v) => match bound.get(v.as_str()) {
-                        Some(prev) => {
-                            if *prev != &t[i] {
-                                return false;
-                            }
-                        }
-                        None => {
-                            bound.insert(v.as_str(), &t[i]);
-                        }
-                    },
-                }
-            }
-            true
-        };
-        let project = |t: &Tuple| -> Tuple {
-            slots
-                .iter()
-                .map(|s| match s {
-                    Slot::Pos(p) => t[*p].clone(),
-                    Slot::Lit(v) => v.clone(),
-                })
-                .collect()
-        };
-        // Adopt the parent's extent relation by Arc; the first patch
-        // below unshares it (CoW), costing one extent copy instead of
-        // a full re-evaluation + index rebuild.
-        extended.adopt_relation_arc(Arc::clone(parent_extent.relation_arc(&view.name)?))?;
-        for rd in delta.relations() {
-            if rd.relation != atom.relation {
-                continue;
-            }
-            for op in &rd.ops {
-                match op {
-                    fgc_relation::DeltaOp::Insert(t) if matches(t) => {
-                        extended.relation_mut(&view.name)?.insert(project(t))?;
-                    }
-                    fgc_relation::DeltaOp::Remove(t) if matches(t) => {
-                        extended.relation_mut(&view.name)?.remove(&project(t))?;
-                    }
-                    _ => {}
-                }
-            }
-        }
-        Ok(true)
     }
 
     /// Drop cached citations, extents, and compiled plans (e.g. for
@@ -1812,6 +1634,50 @@ mod tests {
         // the unsharded engine has no shard stats
         assert!(engine().shard_stats().is_none());
         assert_eq!(engine().shard_count(), 1);
+    }
+
+    #[test]
+    fn rebase_adopts_unchanged_extents_and_rebuilds_on_a_new_catalog() {
+        let q =
+            parse_query("Q(N, Tx) :- Family(F, N, Ty), FamilyIntro(F, Tx), Ty = \"gpcr\"").unwrap();
+        let donor = engine().with_shards(2, paper_shard_spec()).unwrap();
+        donor.cite(&q).unwrap(); // materializes the extents
+        let scratch = |db: &Database| {
+            let e = CitationEngine::new(db.clone(), paper_registry()).unwrap();
+            render(&e.cite(&q).unwrap())
+        };
+
+        // same catalog, FamilyIntro changed: only V2 and V5 read it
+        let mut changed = (**donor.database()).clone();
+        changed
+            .insert("FamilyIntro", tuple!["13", "The kinase family"])
+            .unwrap();
+        let borrowed = donor.rebase(Arc::new(changed.clone())).unwrap();
+        let (before, after) = (
+            donor.extent_database_if_built().unwrap(),
+            borrowed.extent_database_if_built().unwrap(),
+        );
+        for (view, adopted) in [("V1", true), ("V2", false), ("V5", false)] {
+            let same = Arc::ptr_eq(
+                before.relation_arc(view).unwrap(),
+                after.relation_arc(view).unwrap(),
+            );
+            assert_eq!(same, adopted, "{view}");
+        }
+        assert_eq!(borrowed.shard_count(), 2);
+        assert_eq!(borrowed.cache_stats().entries, 0);
+        assert_eq!(render(&borrowed.cite(&q).unwrap()), scratch(&changed));
+
+        // a new relation changes the catalog: nothing is borrowed
+        let mut extended = changed;
+        extended
+            .create_relation(
+                RelationSchema::with_names("Extra", &[("x", DataType::Int)], &[]).unwrap(),
+            )
+            .unwrap();
+        let rebuilt = donor.rebase(Arc::new(extended.clone())).unwrap();
+        assert!(rebuilt.extent_database_if_built().is_none());
+        assert_eq!(render(&rebuilt.cite(&q).unwrap()), scratch(&extended));
     }
 
     #[test]

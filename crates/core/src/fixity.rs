@@ -9,19 +9,18 @@
 //! committed snapshot (built lazily) and stamps every citation with
 //! the version id, label, and timestamp it was computed against.
 //!
-//! First touch of a version no longer always pays O(|DB|): when the
-//! previous version's engine is warm and the commit recorded a
-//! [`fgc_relation::DatabaseDelta`], the new engine is **derived** by
-//! replaying the delta ([`CitationEngine::derive_with_delta`]) —
-//! updating the relation store, recomputing only affected view
-//! extents, and invalidating only the touched entries of the token
-//! and plan caches. Derivation falls back to a full rebuild when no
-//! warm neighbor exists, the delta is structural, or it exceeds the
-//! [`derive threshold`](VersionedCitationEngine::with_derive_threshold).
-//! Either path produces byte-identical citations (the differential
-//! suite in `tests/versioned_equivalence.rs` pins this); the
-//! [`VersionStats`] counters report which path served each first
-//! touch.
+//! A version's first touch **borrows** from the nearest warm engine
+//! whose catalog matches (min `|w − v|`, ties to the lower version;
+//! before or after, adjacent or not): the new engine runs over the
+//! history's own snapshot and adopts by `Arc` every view extent whose
+//! input relations are the very instances the donor's store holds.
+//! Snapshots share every relation a commit did not touch, so pointer
+//! identity alone says which extents are still valid; no delta is
+//! read or replayed. Only when no warm engine shares the catalog is an
+//! engine built from scratch. Either path cites byte-identically to an
+//! engine built directly on the snapshot (the differential suite in
+//! `tests/versioned_equivalence.rs` pins this); the [`VersionStats`]
+//! counters report which path served each first touch.
 
 use crate::engine::{CitationEngine, EngineOptions, QueryCitation};
 use crate::error::{CoreError, Result};
@@ -34,14 +33,6 @@ use fgc_views::{Json, ViewRegistry};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
-
-/// Default maximum delta size (effective ops) the engine will replay
-/// instead of rebuilding. Curated-database commits are far smaller.
-/// The op count is not the whole story — removals compact their
-/// relation, so the engine additionally falls back when a delta's
-/// size-weighted removal cost exceeds a few database scans (see
-/// [`VersionedCitationEngine::with_derive_threshold`]).
-pub const DEFAULT_DERIVE_THRESHOLD: usize = 4096;
 
 /// A citation together with its fixity stamp.
 #[derive(Debug, Clone)]
@@ -72,7 +63,7 @@ impl VersionedCitation {
 }
 
 /// How a versioned engine has served its versions so far — the
-/// derived-vs-rebuilt accounting surfaced as the `fixity` block of
+/// borrowed-vs-rebuilt accounting surfaced as the `fixity` block of
 /// `GET /stats` and counted by `claim_8_*` in `tests/reproduce.rs`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct VersionStats {
@@ -82,24 +73,22 @@ pub struct VersionStats {
     pub warm_engines: usize,
     /// `engine_for` calls answered from the warm map.
     pub hits: u64,
-    /// First touches served by delta replay from a warm neighbor.
+    /// First touches borrowed from a warm engine of any version —
+    /// before or after, adjacent or not — whose store differs from
+    /// the snapshot in some relation a view or citation query reads.
     pub derived: u64,
-    /// First touches served by a full rebuild from the snapshot.
+    /// First touches built from scratch: no warm engine shared the
+    /// snapshot's catalog.
     pub rebuilt: u64,
-    /// Rebuilds forced although a delta existed (structural delta,
-    /// over-threshold delta, or replay mismatch) — a warm-neighbor
-    /// miss is counted only under `rebuilt`.
-    pub fallbacks: u64,
-    /// First touches whose delta was empty or touched no view — the
-    /// engine is pure structural sharing of its warm neighbor (no
-    /// extent recomputation, caches carried whole). A subset of
-    /// what `derived` would otherwise count, reported separately.
+    /// First touches borrowed from a warm engine whose store holds the
+    /// snapshot's own instance of every relation a view or citation
+    /// query reads (an empty commit, or one that touched only uncited
+    /// relations), so nothing a citation can see changed. Counted
+    /// apart from `derived`.
     pub shared: u64,
     /// Warm engines evicted by the retention policy (see
     /// [`VersionedCitationEngine::with_engine_capacity`]).
     pub engine_evictions: u64,
-    /// Current derivation threshold (max delta ops to replay).
-    pub derive_threshold: usize,
     /// Warm-engine retention capacity (`0` = unbounded).
     pub engine_capacity: usize,
 }
@@ -132,16 +121,15 @@ struct VersionCounters {
     hits: AtomicU64,
     derived: AtomicU64,
     rebuilt: AtomicU64,
-    fallbacks: AtomicU64,
     shared: AtomicU64,
     engine_evictions: AtomicU64,
 }
 
 /// The warm-engine map, retained second-chance ([`Clock`]). Evicted
-/// engines are rebuilt or re-derived on demand — eviction never loses
-/// information, only warmth, because every engine is a deterministic
-/// function of the history. `engine_capacity` 0 means unbounded here,
-/// where the ring's own 0 means "store nothing".
+/// engines are borrowed or built again on demand — eviction never
+/// loses information, only warmth, because every engine is a
+/// deterministic function of the history. `engine_capacity` 0 means
+/// unbounded here, where the ring's own 0 means "store nothing".
 fn warm_map(engine_capacity: usize) -> RwLock<Clock<VersionId, Arc<CitationEngine>>> {
     RwLock::new(Clock::new(match engine_capacity {
         0 => usize::MAX,
@@ -162,7 +150,6 @@ pub struct VersionedCitationEngine {
     policy: Policy,
     options: EngineOptions,
     engines: RwLock<Clock<VersionId, Arc<CitationEngine>>>,
-    derive_threshold: usize,
     engine_capacity: usize,
     counters: VersionCounters,
     /// Write-behind persistence: after every successful
@@ -182,7 +169,6 @@ impl VersionedCitationEngine {
             policy: Policy::default(),
             options: EngineOptions::default(),
             engines: warm_map(0),
-            derive_threshold: DEFAULT_DERIVE_THRESHOLD,
             engine_capacity: 0,
             counters: VersionCounters::default(),
             storage: None,
@@ -234,23 +220,10 @@ impl VersionedCitationEngine {
         self
     }
 
-    /// Replace the derivation threshold: deltas with more effective
-    /// ops than this rebuild from the snapshot instead of replaying.
-    /// `0` disables derivation entirely (every first touch rebuilds —
-    /// the rebuild reference). Independently of this knob, removal-heavy
-    /// deltas rebuild when their size-weighted removal cost (each
-    /// removal compacts its relation, O(rows)) exceeds a few database
-    /// scans, since replay would then be slower than the rebuild it
-    /// replaces.
-    pub fn with_derive_threshold(mut self, max_ops: usize) -> Self {
-        self.derive_threshold = max_ops;
-        self
-    }
-
     /// Bound the warm-engine map: at most `capacity` per-version
     /// engines stay warm, evicted second-chance (CLOCK) — recently
-    /// cited versions survive, cold ones fall out and are re-derived
-    /// or rebuilt on their next touch. `0` (the default) keeps every
+    /// cited versions survive, cold ones fall out and are borrowed
+    /// again on their next touch. `0` (the default) keeps every
     /// engine warm, which is only safe for short histories: without a
     /// bound the map grows with every distinct version ever cited.
     /// Builder style: replaces the map, dropping any warm engines.
@@ -260,7 +233,7 @@ impl VersionedCitationEngine {
         self
     }
 
-    /// Derived-vs-rebuilt serving counters.
+    /// Borrowed-vs-rebuilt serving counters.
     pub fn version_stats(&self) -> VersionStats {
         VersionStats {
             versions: self.history.len(),
@@ -268,10 +241,8 @@ impl VersionedCitationEngine {
             hits: self.counters.hits.load(Ordering::Relaxed),
             derived: self.counters.derived.load(Ordering::Relaxed),
             rebuilt: self.counters.rebuilt.load(Ordering::Relaxed),
-            fallbacks: self.counters.fallbacks.load(Ordering::Relaxed),
             shared: self.counters.shared.load(Ordering::Relaxed),
             engine_evictions: self.counters.engine_evictions.load(Ordering::Relaxed),
-            derive_threshold: self.derive_threshold,
             engine_capacity: self.engine_capacity,
         }
     }
@@ -349,63 +320,18 @@ impl VersionedCitationEngine {
             .map_err(|_| CoreError::NoSuchVersion(format!("version id {version}")))
     }
 
-    /// Try to derive `version`'s engine by replaying its commit delta
-    /// onto the previous version's warm engine. `None` (with the
-    /// fallback accounting) sends the caller to the rebuild path; the
-    /// flag is `true` when the delta was empty or touched no view, so
-    /// derivation was pure structural sharing.
-    fn derive_from_neighbor(&self, version: VersionId) -> Option<(Arc<CitationEngine>, bool)> {
-        let delta = self.history.delta(version)?;
-        // threshold 0 is a full disable (even empty deltas rebuild)
-        if self.derive_threshold == 0
-            || delta.is_structural()
-            || delta.op_count() > self.derive_threshold
-        {
-            self.counters.fallbacks.fetch_add(1, Ordering::Relaxed);
-            return None;
-        }
-        let parent = self
-            .engines
-            .read()
-            .expect("engine map poisoned")
-            .get(&(version - 1))
-            .map(Arc::clone)?;
-        // The op threshold alone is blind to removal cost:
-        // `Relation::remove` keeps insertion order by compacting, so
-        // each removal is O(relation size). Weight removals by their
-        // relation's size and rebuild when replay would cost several
-        // database scans — the point past which the rebuild's own
-        // O(|DB|) work is the cheaper path.
-        let parent_db = parent.database();
-        let removal_cost: usize = delta
-            .relations()
-            .map(|rd| {
-                let removes = rd
-                    .ops
-                    .iter()
-                    .filter(|op| matches!(op, fgc_relation::DeltaOp::Remove(_)))
-                    .count();
-                let rows = parent_db.relation(&rd.relation).map_or(0, |r| r.len());
-                removes.saturating_mul(rows)
-            })
-            .fold(0usize, usize::saturating_add);
-        if removal_cost > parent_db.total_tuples().saturating_mul(4) {
-            self.counters.fallbacks.fetch_add(1, Ordering::Relaxed);
-            return None;
-        }
-        let shared = delta.is_empty() || !parent.delta_affects_views(delta);
-        match parent.derive_with_delta(delta) {
-            Ok(engine) => Some((Arc::new(engine), shared)),
-            Err(_) => {
-                // replay mismatch: evidence the warm neighbor diverged
-                // from its snapshot — rebuild from the source of truth
-                self.counters.fallbacks.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+    /// The warm engine nearest `version` (min `|w − v|`, ties to the
+    /// lower version) among those whose catalog is `snapshot`'s — the
+    /// donor a first touch borrows from.
+    fn nearest_warm(&self, version: VersionId, snapshot: &Database) -> Option<Arc<CitationEngine>> {
+        let map = self.engines.read().expect("engine map poisoned");
+        map.iter()
+            .filter(|(_, engine)| engine.database().catalog() == snapshot.catalog())
+            .min_by_key(|(w, _)| (w.abs_diff(version), **w))
+            .map(|(_, engine)| Arc::clone(engine))
     }
 
-    /// The engine serving `version`, derived or (re)built on first
+    /// The engine serving `version`, borrowed or built on first
     /// touch. Public so servers can pin the head engine and tests can
     /// inspect per-version cache counters.
     pub fn engine_for_version(&self, version: VersionId) -> Result<Arc<CitationEngine>> {
@@ -418,45 +344,49 @@ impl VersionedCitationEngine {
             self.counters.hits.fetch_add(1, Ordering::Relaxed);
             return Ok(Arc::clone(engine));
         }
-        // Build outside any lock: derivation is O(delta) and rebuild
-        // O(|DB|), and holding the write lock for either would stall
-        // concurrent citations against warm versions. Both paths are
-        // deterministic functions of the history, so when two threads
-        // race — even one deriving while the other rebuilds — the
-        // loser's work is wasted, not divergent; the first insert
-        // wins so all callers share one (cache-warm) engine. The
-        // debug assertion below checks the agreement that reasoning
-        // relies on.
-        let engine = match self.derive_from_neighbor(version) {
-            Some((derived, shared)) => {
-                if shared {
-                    self.counters.shared.fetch_add(1, Ordering::Relaxed);
+        // Build outside any lock: a borrow materializes the extents
+        // its snapshot changed and a rebuild all of them, and holding
+        // the write lock for either would stall concurrent citations
+        // against warm versions. Both are deterministic functions of
+        // the history, so when two threads race the loser's work is
+        // wasted, not divergent; the first insert wins so all callers
+        // share one (cache-warm) engine.
+        let (_, snapshot) = self.snapshot_of(version)?;
+        let (engine, counter) = match self.nearest_warm(version, snapshot) {
+            Some(donor) => {
+                let counter = if donor.cites_same_relations(snapshot) {
+                    &self.counters.shared
                 } else {
-                    self.counters.derived.fetch_add(1, Ordering::Relaxed);
-                }
-                derived
+                    &self.counters.derived
+                };
+                (donor.rebase(Arc::clone(snapshot))?, counter)
             }
             None => {
-                let (_, db) = self.snapshot_of(version)?;
-                let mut built = CitationEngine::new((**db).clone(), self.registry.clone())?
+                let mut built = CitationEngine::build(Arc::clone(snapshot), self.registry.clone())?
                     .with_policy(self.policy.clone())
                     .with_options(self.options);
                 // Hand the backend handle down so per-version serving
-                // stats can report storage counters; derived engines
-                // inherit it from their parent.
+                // stats can report storage counters; borrowed engines
+                // inherit it from their donor.
                 if let Some(storage) = &self.storage {
                     built = built.with_storage(Arc::clone(storage));
                 }
-                let rebuilt = Arc::new(built);
-                self.counters.rebuilt.fetch_add(1, Ordering::Relaxed);
-                rebuilt
+                (built, &self.counters.rebuilt)
             }
         };
+        counter.fetch_add(1, Ordering::Relaxed);
+        let engine = Arc::new(engine);
         let mut map = self.engines.write().expect("engine map poisoned");
         if let Some(existing) = map.get(&version) {
+            // every engine for a version runs over that snapshot's own
+            // relation instances, whichever path built it
             debug_assert!(
-                existing.database().content_eq(engine.database()),
-                "racing builders derived different databases for version {version}"
+                existing
+                    .database()
+                    .relation_arcs()
+                    .zip(engine.database().relation_arcs())
+                    .all(|(a, b)| Arc::ptr_eq(a, b)),
+                "racing builders of version {version} hold different relations"
             );
             return Ok(Arc::clone(existing));
         }
@@ -670,12 +600,11 @@ mod tests {
     fn warm_neighbor_derives_instead_of_rebuilding() {
         let e = VersionedCitationEngine::new(history(), registry());
         let q = parse_query("Q(N) :- Family(F, N, Ty)").unwrap();
-        e.cite_at_version(0, &q).unwrap(); // rebuild (no delta for v0)
-        e.cite_at_version(1, &q).unwrap(); // derive from warm v0
+        e.cite_at_version(0, &q).unwrap(); // rebuild (nothing warm)
+        e.cite_at_version(1, &q).unwrap(); // borrow from warm v0
         let stats = e.version_stats();
         assert_eq!(stats.rebuilt, 1, "{stats:?}");
         assert_eq!(stats.derived, 1, "{stats:?}");
-        assert_eq!(stats.fallbacks, 0, "{stats:?}");
         assert_eq!(stats.warm_engines, 2);
         assert_eq!(stats.versions, 2);
         // second touch hits the warm map
@@ -686,30 +615,26 @@ mod tests {
     #[test]
     fn derived_engine_cites_identically_to_rebuilt() {
         let q = parse_query("Q(N) :- Family(F, N, Ty)").unwrap();
-        let incremental = VersionedCitationEngine::new(history(), registry());
-        let rebuild_only =
-            VersionedCitationEngine::new(history(), registry()).with_derive_threshold(0);
+        let h = history();
+        let incremental = VersionedCitationEngine::new(h.clone(), registry());
         for v in 0..2 {
-            incremental.cite_at_version(0, &q).unwrap(); // keep neighbor warm
-            let a = incremental.cite_at_version(v, &q).unwrap();
-            let b = rebuild_only.cite_at_version(v, &q).unwrap();
-            assert_eq!(
-                a.stamped_aggregate().to_compact(),
-                b.stamped_aggregate().to_compact()
-            );
-            assert_eq!(a.citation.tuples.len(), b.citation.tuples.len());
-            for (ta, tb) in a.citation.tuples.iter().zip(&b.citation.tuples) {
+            incremental.cite_at_version(0, &q).unwrap(); // keep the donor warm
+            let a = incremental.cite_at_version(v, &q).unwrap().citation;
+            // the reference: an engine built directly on the snapshot
+            let (_, snapshot) = h.snapshot(v).unwrap();
+            let b = CitationEngine::new((**snapshot).clone(), registry())
+                .unwrap()
+                .cite(&q)
+                .unwrap();
+            assert_eq!(a.aggregate.to_compact(), b.aggregate.to_compact());
+            assert_eq!(a.tuples.len(), b.tuples.len());
+            for (ta, tb) in a.tuples.iter().zip(&b.tuples) {
                 assert_eq!(ta.tuple, tb.tuple);
                 assert_eq!(ta.citation.to_compact(), tb.citation.to_compact());
             }
         }
-        assert!(incremental.version_stats().derived >= 1);
-        let stats = rebuild_only.version_stats();
-        assert_eq!(stats.derived, 0);
-        assert_eq!(stats.rebuilt, 2);
-        // threshold 0 counts the skipped replayable delta as fallback
-        assert_eq!(stats.fallbacks, 1);
-        assert_eq!(stats.derive_threshold, 0);
+        let stats = incremental.version_stats();
+        assert_eq!((stats.rebuilt, stats.derived), (1, 1), "{stats:?}");
     }
 
     #[test]
@@ -722,66 +647,27 @@ mod tests {
         .unwrap();
         let e = VersionedCitationEngine::new(h, registry());
         let q = parse_query("Q(N) :- Family(F, N, Ty)").unwrap();
-        // first touch of v1 has no warm neighbor: rebuild
+        // first touch of v1 has nothing warm to borrow from: rebuild
         e.cite_at_version(1, &q).unwrap();
-        // v2 derives from the now-warm v1
+        // v2 borrows from the now-warm v1
         e.cite_at_version(2, &q).unwrap();
         let stats = e.version_stats();
         assert_eq!(stats.rebuilt, 1, "{stats:?}");
         assert_eq!(stats.derived, 1, "{stats:?}");
-        assert_eq!(stats.fallbacks, 0, "{stats:?}");
     }
 
     #[test]
-    fn snapshot_commits_have_no_delta_and_rebuild() {
+    fn snapshot_commits_borrow_when_the_catalog_is_unchanged() {
         let mut h = history();
         h.commit(base_db(), 300, "whole-snapshot").unwrap();
         let e = VersionedCitationEngine::new(h, registry());
         let q = parse_query("Q(N) :- Family(F, N, Ty)").unwrap();
         e.cite_at_version(1, &q).unwrap();
-        e.cite_at_version(2, &q).unwrap(); // no delta: rebuild despite warm v1
+        // no delta, but the catalog matches the warm v1: borrow
+        let whole = e.cite_at_version(2, &q).unwrap();
+        assert_eq!(whole.citation.tuples.len(), 1);
         let stats = e.version_stats();
-        assert_eq!(stats.rebuilt, 2);
-        assert_eq!(stats.derived, 0);
-    }
-
-    #[test]
-    fn removal_heavy_commit_falls_back_even_under_the_op_threshold() {
-        let mut db = base_db();
-        for i in 0..50 {
-            db.insert(
-                "Family",
-                tuple![format!("b{i}"), format!("Bulk-{i}"), "gpcr"],
-            )
-            .unwrap();
-        }
-        let mut h = VersionedDatabase::new();
-        h.commit(db, 100, "v0").unwrap();
-        h.commit_with(200, "purge", |db| {
-            let doomed: Vec<_> = db
-                .relation("Family")?
-                .rows()
-                .iter()
-                .take(25)
-                .cloned()
-                .collect();
-            for t in doomed {
-                db.remove("Family", &t)?;
-            }
-            Ok(())
-        })
-        .unwrap();
-        // 25 ops is far under the op threshold, but 25 removals × ~50
-        // rows ≫ 4×|DB|: replay would out-cost the rebuild
-        let e = VersionedCitationEngine::new(h, registry());
-        let q = parse_query("Q(N) :- Family(F, N, Ty)").unwrap();
-        e.cite_at_version(0, &q).unwrap();
-        let cited = e.cite_at_version(1, &q).unwrap();
-        assert_eq!(cited.citation.tuples.len(), 26);
-        let stats = e.version_stats();
-        assert_eq!(stats.derived, 0, "{stats:?}");
-        assert_eq!(stats.fallbacks, 1, "{stats:?}");
-        assert_eq!(stats.rebuilt, 2, "{stats:?}");
+        assert_eq!((stats.rebuilt, stats.derived), (1, 1), "{stats:?}");
     }
 
     #[test]
@@ -812,10 +698,64 @@ mod tests {
         assert_eq!(stats.rebuilt, 1, "{stats:?}");
         assert_eq!(stats.shared, 2, "{stats:?}");
         assert_eq!(stats.derived, 1, "{stats:?}");
-        assert_eq!(stats.fallbacks, 0, "{stats:?}");
         // shared engines still answer correctly
         assert_eq!(e.cite_at_version(1, &q).unwrap().citation.tuples.len(), 1);
         assert_eq!(e.cite_at_version(3, &q).unwrap().citation.tuples.len(), 2);
+    }
+
+    #[test]
+    fn first_touch_borrows_from_the_nearest_warm_engine_ties_to_the_lower() {
+        // Family (which V1 reads) changes only at v2; every other
+        // commit touches a relation no view or citation query reads
+        let mut db = base_db();
+        db.create_relation(
+            RelationSchema::with_names("Unrelated", &[("x", DataType::Int)], &[]).unwrap(),
+        )
+        .unwrap();
+        let mut h = VersionedDatabase::new();
+        h.commit(db, 0, "v0").unwrap();
+        for i in 1..5i64 {
+            h.commit_with(i as u64 * 100, format!("v{i}"), |db| {
+                let inserted = if i == 2 {
+                    db.insert("Family", tuple!["12", "Orexin", "gpcr"])
+                } else {
+                    db.insert("Unrelated", tuple![i])
+                };
+                inserted.map(|_| ())
+            })
+            .unwrap();
+        }
+        let e = VersionedCitationEngine::new(h, registry());
+        let q = parse_query("Q(N) :- Family(F, N, Ty)").unwrap();
+        // (rebuilt, derived, shared) after citing `v`: `shared` means
+        // the donor held this version's Family, `derived` that it did not
+        let touch = |v: VersionId| {
+            e.cite_at_version(v, &q).unwrap();
+            let stats = e.version_stats();
+            (stats.rebuilt, stats.derived, stats.shared)
+        };
+        assert_eq!(touch(0), (1, 0, 0));
+        // backward across a gap: v0 is the only donor
+        assert_eq!(touch(4), (1, 1, 0));
+        // v4 (distance 1) lends, not v0 (distance 3)
+        assert_eq!(touch(3), (1, 1, 1));
+        // v0 (distance 1) lends, not v3 (distance 2)
+        assert_eq!(touch(1), (1, 1, 2));
+        // v1 and v3 tie at distance 1 and the lower one lends: its
+        // Family predates v2's insert (v3's would have been shared)
+        assert_eq!(touch(2), (1, 2, 2));
+        // a backward borrow adopts the donor's unchanged extent
+        let extent = |v| {
+            e.engine_for_version(v)
+                .unwrap()
+                .extent_database_if_built()
+                .expect("cited, so the extents exist")
+        };
+        let (v3, v4) = (extent(3), extent(4));
+        assert!(Arc::ptr_eq(
+            v3.relation_arc("V1").unwrap(),
+            v4.relation_arc("V1").unwrap()
+        ));
     }
 
     #[test]
@@ -829,14 +769,14 @@ mod tests {
         let e = VersionedCitationEngine::new(h, registry()).with_engine_capacity(2);
         let q = parse_query("Q(N) :- Family(F, N, Ty)").unwrap();
         e.cite_at_version(0, &q).unwrap(); // rebuild
-        e.cite_at_version(1, &q).unwrap(); // derive from warm v0
-        e.cite_at_version(2, &q).unwrap(); // derive from warm v1, evict one
+        e.cite_at_version(1, &q).unwrap(); // borrow from warm v0
+        e.cite_at_version(2, &q).unwrap(); // borrow from warm v1, evict one
         let stats = e.version_stats();
         assert_eq!(stats.warm_engines, 2, "{stats:?}");
         assert_eq!(stats.engine_evictions, 1, "{stats:?}");
         assert_eq!(stats.engine_capacity, 2);
         // eviction loses only warmth: every version still answers,
-        // re-derived or rebuilt on demand, and the bound holds
+        // borrowed again on demand, and the bound holds
         for v in 0..3 {
             let cited = e.cite_at_version(v, &q).unwrap();
             assert_eq!(cited.citation.tuples.len(), (v as usize) + 1);
@@ -845,7 +785,7 @@ mod tests {
         assert!(after.warm_engines <= 2, "{after:?}");
         assert!(
             after.rebuilt + after.derived + after.shared > stats.rebuilt + stats.derived,
-            "evicted versions must be rebuilt or re-derived: {after:?}"
+            "evicted versions must be borrowed again: {after:?}"
         );
     }
 
@@ -874,8 +814,7 @@ mod tests {
         e.cite_at_version(0, &q).unwrap();
         e.cite_at_version(1, &q).unwrap();
         let warm = e.memory_stats();
-        // warm engines share relation instances with their snapshots
-        // (and, after derivation, with their parent engine)
+        // warm engines hold their snapshots' relation instances
         assert!(
             warm.relation_refs > warm.unique_relations,
             "warm engines should structurally share relations: {warm:?}"
@@ -920,7 +859,6 @@ mod tests {
 
     #[test]
     fn structural_commit_falls_back_to_rebuild() {
-        use fgc_relation::schema::RelationSchema;
         let mut h = history();
         h.commit_with(300, "schema-change", |db| {
             db.create_relation(
@@ -933,7 +871,28 @@ mod tests {
         e.cite_at_version(1, &q).unwrap();
         e.cite_at_version(2, &q).unwrap();
         let stats = e.version_stats();
-        assert_eq!(stats.derived, 0);
-        assert_eq!(stats.fallbacks, 1, "{stats:?}");
+        // a new catalog cannot borrow, even from a warm neighbor
+        assert_eq!(
+            (stats.rebuilt, stats.derived, stats.shared),
+            (2, 0, 0),
+            "{stats:?}"
+        );
+        // so every extent is materialized afresh, even V1's over the
+        // Family relation both versions share
+        let extent = |v| {
+            e.engine_for_version(v)
+                .unwrap()
+                .extent_database_if_built()
+                .expect("cited, so the extents exist")
+        };
+        let (v1, v2) = (extent(1), extent(2));
+        assert!(Arc::ptr_eq(
+            v1.relation_arc("Family").unwrap(),
+            v2.relation_arc("Family").unwrap()
+        ));
+        assert!(!Arc::ptr_eq(
+            v1.relation_arc("V1").unwrap(),
+            v2.relation_arc("V1").unwrap()
+        ));
     }
 }

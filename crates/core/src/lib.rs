@@ -94,10 +94,7 @@ pub use engine::{
 pub use error::{CoreError, Result};
 pub use explain::explain;
 pub use fgc_relation::sharded::{ShardKeySpec, ShardStats};
-pub use fixity::{
-    VersionMemoryStats, VersionStats, VersionedCitation, VersionedCitationEngine,
-    DEFAULT_DERIVE_THRESHOLD,
-};
+pub use fixity::{VersionMemoryStats, VersionStats, VersionedCitation, VersionedCitationEngine};
 pub use plan_cache::{PlanCache, PlanCacheStats};
 pub use policy::{CombineOp, OrderChoice, Policy};
 pub use request::{CiteRequest, CiteResponse, QuerySpec};

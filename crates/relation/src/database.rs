@@ -259,8 +259,8 @@ impl Database {
 
     /// Structural equality of the stored data: same catalog (names,
     /// registration order) and, per relation, the same rows in the
-    /// same order. Used by debug assertions that independent
-    /// derivations of one version agree.
+    /// same order. Used by the disk backend's fork check and to check
+    /// that replaying a delta reproduces a snapshot.
     pub fn content_eq(&self, other: &Database) -> bool {
         let mine: Vec<&str> = self.catalog.iter().map(|s| s.name.as_str()).collect();
         let theirs: Vec<&str> = other.catalog.iter().map(|s| s.name.as_str()).collect();

@@ -182,7 +182,7 @@ impl fmt::Display for RelationSchema {
 ///
 /// Schemas are `Arc`-shared between the catalog, relations, versions,
 /// and query plans.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Catalog {
     schemas: HashMap<String, Arc<RelationSchema>>,
     /// Insertion order, so iteration and dumps are deterministic.

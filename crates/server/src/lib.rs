@@ -34,9 +34,11 @@
 //!
 //! A versioned deployment ([`CiteServer::start_versioned`]) serves
 //! `/cite` from the head version's engine and historical citations
-//! from per-version engines that are *derived* incrementally from
-//! warm neighbors when the commit recorded a delta (`GET /stats`
-//! reports the derived-vs-rebuilt counters under `fixity`).
+//! from per-version engines, each *borrowed* on first touch from the
+//! nearest warm engine — adopting every view extent its snapshot did
+//! not change — or built from scratch when no warm engine shares its
+//! catalog (`GET /stats` reports the derived-vs-rebuilt counters
+//! under `fixity`).
 //!
 //! Per-request overrides (policy, order, mode, rewrite budgets,
 //! memoization) ride on the JSON body — see [`wire`] for the exact

@@ -136,9 +136,11 @@ struct App {
     /// `/versions`, and the `fixity` stats block.
     versioned: Option<Arc<VersionedCitationEngine>>,
     /// A cold version's first touch on `/cite_at` builds a whole
-    /// engine, so concurrent versioned citations are capped at
-    /// `threads - 1`: one worker always stays free for the cheap
-    /// routes, and the overflow is shed with 503 (`rejected`).
+    /// engine when no warm engine shares its catalog (otherwise it
+    /// borrows one and materializes only what its snapshot changed),
+    /// so concurrent versioned citations are capped at `threads - 1`:
+    /// one worker always stays free for the cheap routes, and the
+    /// overflow is shed with 503 (`rejected`).
     cite_at_inflight: AtomicUsize,
     cite_at_limit: usize,
     /// Role and shard (`"i/n"`) identity reported on `/healthz` and as
@@ -397,15 +399,10 @@ fn serve_stats(app: &App, call: &Call<'_>) -> Response {
                 ("hits", Json::Int(fixity.hits as i64)),
                 ("derived", Json::Int(fixity.derived as i64)),
                 ("rebuilt", Json::Int(fixity.rebuilt as i64)),
-                ("fallbacks", Json::Int(fixity.fallbacks as i64)),
                 ("shared", Json::Int(fixity.shared as i64)),
                 (
                     "engine_evictions",
                     Json::Int(fixity.engine_evictions as i64),
-                ),
-                (
-                    "derive_threshold",
-                    Json::Int(fixity.derive_threshold.min(i64::MAX as usize) as i64),
                 ),
                 (
                     "engine_capacity",

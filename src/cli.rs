@@ -191,8 +191,8 @@ files: --data uses the fgc-relation text format (@create/@fk/@relation),
 cite with --commits answers against the commit history (--version id,
        --at timestamp, default head) and stamps the citation with the
        version fixity fields (§4). A one-shot cite builds the one
-       engine it needs from scratch; the incremental neighbor-derived
-       engines pay off under `serve --commits`, where versions stay
+       engine it needs from scratch; engines borrowed from warm
+       versions pay off under `serve --commits`, where versions stay
        warm across requests (see `fixity` in GET /stats).
 serve: HTTP routes POST /cite, POST /cite_sql, GET /views, GET /stats,
        GET /healthz, GET /metrics (Prometheus text exposition),
@@ -478,8 +478,8 @@ fn run_cite_versioned(
         let stats = engine.version_stats();
         let _ = writeln!(
             out,
-            "fixity: versions={} derived={} rebuilt={} fallbacks={}",
-            stats.versions, stats.derived, stats.rebuilt, stats.fallbacks
+            "fixity: versions={} derived={} rebuilt={}",
+            stats.versions, stats.derived, stats.rebuilt
         );
     }
     Ok(out)

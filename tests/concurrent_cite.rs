@@ -152,11 +152,11 @@ fn per_request_overrides_isolated_under_concurrency() {
 #[test]
 fn eight_threads_racing_to_derive_one_version_agree() {
     // Build a short history, pre-warm version 1, then race 8 threads
-    // at versions 2 and 3: every thread tries to derive from the same
-    // neighbor (or rebuilds if it loses the race), first insert wins,
-    // and the debug assertion inside `engine_for_version` checks the
-    // racers produced identical databases. All results must be
-    // byte-identical to a cold single-threaded engine.
+    // at versions 2 and 3: every thread borrows from a warm engine,
+    // first insert wins, and the debug assertion inside
+    // `engine_for_version` checks the racers hold the same snapshot
+    // relations. All results must be byte-identical to a cold
+    // single-threaded engine.
     let mut history = VersionedDatabase::new();
     history
         .commit(
@@ -202,8 +202,8 @@ fn eight_threads_racing_to_derive_one_version_agree() {
             let q = q.clone();
             let expected = &expected;
             scope.spawn(move || {
-                // half the threads start at v2, half at v3, so both
-                // derive-from-warm and rebuild-on-cold race paths run
+                // half the threads start at v2, half at v3, so racers
+                // borrow from different donors
                 for &version in &[2 + (thread % 2) as u64, 3, 2, 0, 1] {
                     let cited = engine.cite_at_version(version, &q).unwrap();
                     assert_eq!(

@@ -85,8 +85,9 @@ fn engine(db: Database, policy: Policy, mode: RewriteMode) -> CitationEngine {
 
 /// A history of `commits` small deltas over a generated instance:
 /// contributor churn on `FIC` (one row added, the first row removed
-/// per commit). `FIC` feeds only V2 and V5, so a derived engine keeps
-/// V1/V3/V4's extents.
+/// per commit). No view query reads `FIC` (only the citation queries
+/// CV2 and CV5 do), so an engine borrowed for the next version adopts
+/// all five view extents.
 fn commit_history(families: usize, commits: usize) -> VersionedDatabase {
     let mut history = VersionedDatabase::new();
     history.commit(db_at_scale(families), 0, "v0").unwrap();
