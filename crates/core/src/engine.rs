@@ -133,7 +133,7 @@ struct RequestCounters {
 
 /// The data-access half of the citation pipeline.
 ///
-/// [`CitationEngine::cite_with_plane`] drives the *whole* Def.
+/// [`CitationEngine::cite_request_with`] drives the *whole* Def.
 /// 3.1–3.4 control plane — rewriting search, polynomial construction,
 /// normalization, interpretation, aggregation — through this trait,
 /// so a data plane only answers three questions: what are the answer
@@ -420,12 +420,6 @@ impl CitationEngine {
     /// `plan_cache` and by `fgcite cite --explain`).
     pub fn plan_stats(&self) -> PlanCacheStats {
         self.plans.stats()
-    }
-
-    /// Drop cached plans only (token/extent caches stay warm), which
-    /// isolates the planning cost of the next cite.
-    pub fn clear_plan_cache(&self) {
-        self.plans.clear();
     }
 
     /// Per-stage latency histograms over the cite pipeline, exposed
@@ -981,20 +975,6 @@ impl CitationEngine {
     pub fn cite_sql(&self, sql: &str) -> Result<QueryCitation> {
         let q = parse_sql(self.db.catalog(), sql)?;
         self.cite(&q)
-    }
-
-    /// [`Self::cite`] with the data plane supplied by the caller:
-    /// the engine runs the whole control plane (rewriting search,
-    /// polynomials, normalization, interpretation, aggregation) and
-    /// reads rows and token citations through `plane`. Optional
-    /// request overrides apply as in [`Self::cite_request`].
-    pub fn cite_with_plane(
-        &self,
-        q: &ConjunctiveQuery,
-        request: Option<&CiteRequest>,
-        plane: &mut dyn CiteDataPlane,
-    ) -> Result<QueryCitation> {
-        self.cite_under(q, &self.effective(request), plane)
     }
 
     /// Serve one [`CiteRequest`]: apply its per-call overrides on top

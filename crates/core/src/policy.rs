@@ -6,9 +6,7 @@
 //! > the combining functions +, ·, +R, and Agg."
 
 use crate::token::CiteToken;
-use fgc_semiring::order::{
-    FewestUncovered, FewestViews, Lexicographic, MonomialOrder, NoOrder, TokenDominance,
-};
+use fgc_semiring::order::{FewestUncovered, FewestViews, Lexicographic, NoOrder, TokenDominance};
 use fgc_semiring::{CitationExpr, Monomial};
 use fgc_views::{join_records, union_records, Json};
 use std::collections::BTreeMap;
@@ -157,12 +155,6 @@ impl Policy {
                 expr.normal_form(&order)
             }
         }
-    }
-
-    /// The monomial order corresponding to [`OrderChoice::FewestViews`]
-    /// (exposed for diagnostics and tests).
-    pub fn fewest_views_order() -> impl MonomialOrder<CiteToken> {
-        FewestViews::new(CiteToken::is_view)
     }
 }
 

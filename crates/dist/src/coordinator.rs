@@ -10,12 +10,12 @@
 //! (routing is a pure function of query and spec, independent of the
 //! stored tuples).
 //!
-//! Serving a request drives the engine through a [`ScatterPlane`]:
-//! answer and extent evaluations scatter to the implicated shards'
-//! replicas in parallel, fragments come back as `(gid, seq, ...)`
-//! rows, and gathering is a sort-merge in global tuple order — which
-//! is exactly the single-process enumeration order, so citations are
-//! byte-identical. Per shard the coordinator tries the primary, then
+//! Serving a request drives the engine through a scatter
+//! [`CiteDataPlane`]: answer and extent evaluations scatter to the
+//! implicated shards' replicas in parallel, fragments come back as
+//! `(gid, seq, ...)` rows, and gathering is a sort-merge in global
+//! tuple order — which is exactly the single-process enumeration
+//! order, so citations are byte-identical. Per shard the coordinator tries the primary, then
 //! its twin, each with the pool's bounded retry; when every candidate
 //! is down the request fails with a structured outage the server
 //! layer maps to 503.

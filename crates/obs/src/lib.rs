@@ -31,7 +31,7 @@
 #![forbid(unsafe_code)]
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -245,21 +245,6 @@ pub const CITE_STAGES: &[&str] = &[
     "parse", "plan", "route", "evaluate", "rewrite", "extent", "render",
 ];
 
-/// Global switch for stage timing (`StageSet::time` and trace notes).
-/// On by default; turning it off gives the span-free baseline. Raw
-/// [`Histogram::record`] calls are never gated.
-static STAGES_ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Enable or disable stage timing process-wide (see [`stages_enabled`]).
-pub fn set_stages_enabled(enabled: bool) {
-    STAGES_ENABLED.store(enabled, Ordering::Relaxed);
-}
-
-/// Whether stage timing is currently enabled.
-pub fn stages_enabled() -> bool {
-    STAGES_ENABLED.load(Ordering::Relaxed)
-}
-
 /// A fixed set of named stage histograms (nanosecond samples).
 ///
 /// [`time`](Self::time) wraps a closure: it records the elapsed time
@@ -279,13 +264,8 @@ impl StageSet {
         }
     }
 
-    /// Run `f`, recording its wall-clock time under `stage`. When
-    /// stage timing is disabled this is a plain call with no clock
-    /// reads.
+    /// Run `f`, recording its wall-clock time under `stage`.
     pub fn time<T>(&self, stage: &'static str, f: impl FnOnce() -> T) -> T {
-        if !stages_enabled() {
-            return f();
-        }
         let started = Instant::now();
         let out = f();
         let elapsed = started.elapsed();
@@ -387,9 +367,6 @@ impl Drop for Trace {
 /// Add `elapsed` under `stage` to the innermost active trace on this
 /// thread, if any. No-op (and no allocation) otherwise.
 pub fn note(stage: &'static str, elapsed: Duration) {
-    if !stages_enabled() {
-        return;
-    }
     TRACES.with(|t| {
         if let Some(active) = t.borrow_mut().last_mut() {
             match active.stages.iter_mut().find(|(n, _)| *n == stage) {

@@ -272,11 +272,6 @@ impl ConjunctiveQuery {
         self.atoms.iter().flat_map(Atom::vars).collect()
     }
 
-    /// Head variables in order (duplicates preserved).
-    pub fn head_vars(&self) -> impl Iterator<Item = &str> {
-        self.head.iter().filter_map(Term::as_var)
-    }
-
     /// Arity of the head.
     pub fn arity(&self) -> usize {
         self.head.len()

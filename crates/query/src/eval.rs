@@ -18,10 +18,9 @@
 //!   This is the "changes ... in terms of query processing (to
 //!   combine citation annotations)" the paper anticipates in §4.
 
-use crate::ast::{ConjunctiveQuery, Term};
-use crate::error::{QueryError, Result};
+use crate::ast::ConjunctiveQuery;
+use crate::error::Result;
 use crate::plan::{for_each_frame, Frame, PlanMatchedRows, QueryPlan};
-use crate::safety::{check_against_catalog, check_safety};
 use crate::sharded::{RoutePlan, ShardRouter, ShardSet};
 use fgc_relation::schema::Catalog;
 use fgc_relation::sharded::ShardedDatabase;
@@ -37,7 +36,8 @@ pub type Binding = HashMap<String, Value>;
 #[derive(Debug, Clone, Copy)]
 pub struct EvalOptions {
     /// Maximum number of bindings enumerated before
-    /// [`QueryError::BudgetExceeded`] is raised.
+    /// [`QueryError::BudgetExceeded`](crate::QueryError::BudgetExceeded)
+    /// is raised.
     pub max_bindings: usize,
 }
 
@@ -48,12 +48,6 @@ impl Default for EvalOptions {
         }
     }
 }
-
-/// Row provenance: which row of which relation each atom matched.
-/// Entries are `(atom index, relation name, row position)` — for a
-/// sharded store the position is the **global** insertion rank, equal
-/// to the row position the unsharded database would report.
-pub type MatchedRows<'q> = Vec<(usize, &'q str, usize)>;
 
 /// What one atom scans: the whole relation, or the routed shard
 /// fragments presented in **global insertion order**. Keeping the
@@ -77,9 +71,6 @@ pub(crate) enum AtomView<'a> {
         fragment: &'a fgc_relation::Relation,
         /// Local position → global row id (ascending).
         global_ids: &'a [usize],
-        /// Global relation size (all shards), so the greedy atom
-        /// order sees the same statistics as the unsharded planner.
-        planned_len: usize,
     },
     /// Fan-out over every shard: view position = global rank.
     Scatter {
@@ -93,18 +84,6 @@ pub(crate) enum AtomView<'a> {
 }
 
 impl AtomView<'_> {
-    /// Size used by the greedy atom-order heuristic. For routed views
-    /// this is the *global* relation size: the plan must not depend
-    /// on how much routing pruned, or sharded and unsharded runs
-    /// could pick different join orders (and different output order).
-    fn planned_len(&self) -> usize {
-        match self {
-            AtomView::Whole(rel) => rel.len(),
-            AtomView::Fragment { planned_len, .. } => *planned_len,
-            AtomView::Scatter { placement, .. } => placement.len(),
-        }
-    }
-
     /// Number of rows this view actually scans.
     pub(crate) fn scan_len(&self) -> usize {
         match self {
@@ -130,28 +109,13 @@ impl AtomView<'_> {
         }
     }
 
-    /// The global row id at a view position (what [`MatchedRows`]
-    /// reports).
+    /// The global row id at a view position (what
+    /// [`PlanMatchedRows`] reports).
     pub(crate) fn global_id(&self, pos: usize) -> usize {
         match self {
             AtomView::Whole(_) | AtomView::Scatter { .. } => pos,
             AtomView::Fragment { global_ids, .. } => global_ids[pos],
         }
-    }
-
-    /// Index probe: view positions whose `column` equals `value`, in
-    /// ascending (global) order — `None` when any underlying fragment
-    /// lacks the index (caller scans). Thin materializing wrapper
-    /// over [`Self::probe_positions`] (the one authoritative probe
-    /// implementation, in [`crate::plan`]) so the interpreter and
-    /// the compiled executor can never diverge here.
-    fn probe(&self, column: usize, value: &Value) -> Option<Vec<usize>> {
-        use crate::plan::Candidates;
-        self.probe_positions(column, value).map(|c| match c {
-            Candidates::Borrowed(positions) => positions.to_vec(),
-            Candidates::Owned(positions) => positions,
-            Candidates::Scan(_) => unreachable!("probe_positions never returns Scan"),
-        })
     }
 }
 
@@ -251,230 +215,8 @@ fn routed_view<'a>(db: &'a ShardedDatabase, relation: &str, set: ShardSet) -> Re
         ShardSet::One(s) => Ok(AtomView::Fragment {
             fragment: db.shards()[s].relation(relation)?,
             global_ids: &db.shard_global_ids(relation)?[s],
-            planned_len: db.placement(relation)?.len(),
         }),
     }
-}
-
-/// Core enumeration of the **seed interpreter**, over pre-built atom
-/// views: call `sink` once per complete binding.
-///
-/// The atom order is chosen greedily: at each step pick the atom with
-/// the most already-bound argument positions (constants count as
-/// bound), breaking ties by smaller relation. Comparisons run as soon
-/// as both sides are bound. Safety and catalog checks are the
-/// caller's responsibility.
-///
-/// The serving paths no longer run this; [`crate::plan`] compiles
-/// the same choices once and executes them over slot frames. This
-/// interpreter is the ground truth the compiled executor is diffed
-/// against (`tests/plan_equivalence.rs`).
-pub(crate) fn for_each_binding_views<'q>(
-    q: &'q ConjunctiveQuery,
-    relations: &[AtomView<'_>],
-    options: EvalOptions,
-    sink: &mut dyn FnMut(&Binding, &MatchedRows<'q>) -> Result<()>,
-) -> Result<usize> {
-    let mut binding: Binding = Binding::new();
-    // Seed bindings from `Var = Const` equality comparisons so they
-    // act as selections, and collect residual comparisons.
-    let mut residual = Vec::new();
-    for c in &q.comparisons {
-        let n = c.normalized();
-        if n.op == crate::ast::CompOp::Eq {
-            if let (Term::Var(v), Term::Const(val)) = (&n.left, &n.right) {
-                if let Some(prev) = binding.get(v.as_str()) {
-                    if prev != val {
-                        return Ok(0); // contradictory selections
-                    }
-                } else {
-                    binding.insert(v.clone(), val.clone());
-                }
-                continue;
-            }
-        }
-        residual.push(n);
-    }
-
-    let mut used = vec![false; q.atoms.len()];
-    let mut comp_done = vec![false; residual.len()];
-    let mut matched: MatchedRows<'q> = Vec::with_capacity(q.atoms.len());
-    let mut budget = options.max_bindings;
-
-    fn resolve_term(binding: &Binding, t: &Term) -> Option<Value> {
-        match t {
-            Term::Const(v) => Some(v.clone()),
-            Term::Var(v) => binding.get(v.as_str()).cloned(),
-        }
-    }
-
-    // Recursive walker. Implemented with an explicit helper fn to keep
-    // the borrow checker happy about the shared state.
-    #[allow(clippy::too_many_arguments)]
-    fn walk<'q>(
-        q: &'q ConjunctiveQuery,
-        relations: &[AtomView<'_>],
-        residual: &[crate::ast::Comparison],
-        binding: &mut Binding,
-        used: &mut [bool],
-        comp_done: &mut [bool],
-        matched: &mut MatchedRows<'q>,
-        budget: &mut usize,
-        limit: usize,
-        sink: &mut dyn FnMut(&Binding, &MatchedRows<'q>) -> Result<()>,
-    ) -> Result<()> {
-        // Apply every not-yet-applied comparison whose terms are bound.
-        let mut applied_here = Vec::new();
-        for (i, c) in residual.iter().enumerate() {
-            if comp_done[i] {
-                continue;
-            }
-            let l = resolve_term(binding, &c.left);
-            let r = resolve_term(binding, &c.right);
-            if let (Some(l), Some(r)) = (l, r) {
-                comp_done[i] = true;
-                applied_here.push(i);
-                if !c.op.eval(&l, &r) {
-                    for j in applied_here {
-                        comp_done[j] = false;
-                    }
-                    return Ok(());
-                }
-            }
-        }
-
-        // All atoms used: emit the binding.
-        if used.iter().all(|u| *u) {
-            if *budget == 0 {
-                return Err(QueryError::BudgetExceeded {
-                    what: "bindings".into(),
-                    limit,
-                });
-            }
-            *budget -= 1;
-            let result = sink(binding, matched);
-            for j in applied_here {
-                comp_done[j] = false;
-            }
-            return result;
-        }
-
-        // Greedy choice: atom with most bound positions.
-        let mut best: Option<(usize, usize, usize)> = None; // (bound count, -size, idx)
-        for (i, a) in q.atoms.iter().enumerate() {
-            if used[i] {
-                continue;
-            }
-            let bound = a
-                .terms
-                .iter()
-                .filter(|t| resolve_term(binding, t).is_some())
-                .count();
-            let size = relations[i].planned_len();
-            let candidate = (bound, usize::MAX - size, i);
-            if best.is_none_or(|b| candidate > b) {
-                best = Some(candidate);
-            }
-        }
-        let (_, _, idx) = best.expect("at least one unused atom");
-        let atom = &q.atoms[idx];
-        let rel = &relations[idx];
-        used[idx] = true;
-
-        // Candidate rows: probe a secondary index on the first bound
-        // column if available, otherwise scan.
-        let bound_col = atom
-            .terms
-            .iter()
-            .enumerate()
-            .find_map(|(col, t)| resolve_term(binding, t).map(|v| (col, v)));
-        let positions: Vec<usize> = match &bound_col {
-            Some((col, v)) => match rel.probe(*col, v) {
-                Some(p) => p,
-                None => (0..rel.scan_len()).collect(),
-            },
-            None => (0..rel.scan_len()).collect(),
-        };
-
-        'rows: for pos in positions {
-            let row = rel.row(pos);
-            // match atom terms against the row
-            let mut newly_bound: Vec<&str> = Vec::new();
-            for (col, t) in atom.terms.iter().enumerate() {
-                match t {
-                    Term::Const(c) => {
-                        if &row[col] != c {
-                            for v in newly_bound.drain(..) {
-                                binding.remove(v);
-                            }
-                            continue 'rows;
-                        }
-                    }
-                    Term::Var(v) => match binding.get(v.as_str()) {
-                        Some(existing) => {
-                            if existing != &row[col] {
-                                for v in newly_bound.drain(..) {
-                                    binding.remove(v);
-                                }
-                                continue 'rows;
-                            }
-                        }
-                        None => {
-                            binding.insert(v.clone(), row[col].clone());
-                            newly_bound.push(v.as_str());
-                        }
-                    },
-                }
-            }
-            matched.push((idx, atom.relation.as_str(), rel.global_id(pos)));
-            let r = walk(
-                q, relations, residual, binding, used, comp_done, matched, budget, limit, sink,
-            );
-            matched.pop();
-            let owned: Vec<String> = newly_bound.iter().map(|s| s.to_string()).collect();
-            for v in owned {
-                binding.remove(&v);
-            }
-            r?;
-        }
-
-        used[idx] = false;
-        for j in applied_here {
-            comp_done[j] = false;
-        }
-        Ok(())
-    }
-
-    let mut count = 0usize;
-    let mut counting_sink = |b: &Binding, m: &MatchedRows<'q>| {
-        count += 1;
-        sink(b, m)
-    };
-    walk(
-        q,
-        relations,
-        &residual,
-        &mut binding,
-        &mut used,
-        &mut comp_done,
-        &mut matched,
-        &mut budget,
-        options.max_bindings,
-        &mut counting_sink,
-    )?;
-    Ok(count)
-}
-
-/// Project the head of `q` under a binding. Head terms must resolve
-/// (guaranteed by the safety check).
-fn project_head(q: &ConjunctiveQuery, binding: &Binding) -> Tuple {
-    q.head
-        .iter()
-        .map(|t| match t {
-            Term::Const(v) => v.clone(),
-            Term::Var(v) => binding.get(v.as_str()).cloned().unwrap_or(Value::Null),
-        })
-        .collect()
 }
 
 /// The one collector under all three entry points: enumerate the
@@ -621,136 +363,10 @@ where
     Ok(fold_by_head(source.into(), plan, options, product, |p| p, sum)?.collect())
 }
 
-// =====================================================================
-// The seed interpreter — retained as the differential baseline
-// =====================================================================
-
-/// Whole-relation views for an unsharded database (checks first, so
-/// error order matches the historical behavior).
-fn whole_views<'a>(db: &'a Database, q: &ConjunctiveQuery) -> Result<Vec<AtomView<'a>>> {
-    check_safety(q)?;
-    check_against_catalog(q, db.catalog())?;
-    q.atoms
-        .iter()
-        .map(|a| db.relation(&a.relation).map(AtomView::Whole))
-        .collect::<std::result::Result<_, _>>()
-        .map_err(Into::into)
-}
-
-/// [`evaluate`] on the seed interpreter (per-step `HashMap` bindings,
-/// no compiled plan). Kept so `tests/plan_equivalence.rs` can diff
-/// the compiled executor against the original semantics; not a
-/// serving path.
-#[deprecated(
-    note = "superseded by compiled QueryPlan execution; retained only as the \
-            differential-testing baseline"
-)]
-pub fn evaluate_interpreted(db: &Database, q: &ConjunctiveQuery) -> Result<Vec<Tuple>> {
-    #[allow(deprecated)]
-    evaluate_interpreted_with(db, q, EvalOptions::default())
-}
-
-/// [`evaluate_interpreted`] with explicit limits.
-#[deprecated(
-    note = "superseded by compiled QueryPlan execution; retained only as the \
-            differential-testing baseline"
-)]
-pub fn evaluate_interpreted_with(
-    db: &Database,
-    q: &ConjunctiveQuery,
-    options: EvalOptions,
-) -> Result<Vec<Tuple>> {
-    let views = whole_views(db, q)?;
-    let mut seen = std::collections::HashSet::new();
-    let mut out = Vec::new();
-    for_each_binding_views(q, &views, options, &mut |binding, _| {
-        let t = project_head(q, binding);
-        if seen.insert(t.clone()) {
-            out.push(t);
-        }
-        Ok(())
-    })?;
-    Ok(out)
-}
-
-/// [`evaluate_grouped`] on the seed interpreter.
-#[deprecated(
-    note = "superseded by compiled QueryPlan execution; retained only as the \
-            differential-testing baseline"
-)]
-pub fn evaluate_grouped_interpreted(
-    db: &Database,
-    q: &ConjunctiveQuery,
-) -> Result<Vec<(Tuple, Vec<Binding>)>> {
-    let views = whole_views(db, q)?;
-    let mut order: Vec<Tuple> = Vec::new();
-    let mut groups: HashMap<Tuple, Vec<Binding>> = HashMap::new();
-    for_each_binding_views(q, &views, EvalOptions::default(), &mut |binding, _| {
-        let t = project_head(q, binding);
-        let entry = groups.entry(t.clone()).or_default();
-        if entry.is_empty() {
-            order.push(t);
-        }
-        entry.push(binding.clone());
-        Ok(())
-    })?;
-    Ok(order
-        .into_iter()
-        .map(|t| {
-            let b = groups.remove(&t).expect("group exists");
-            (t, b)
-        })
-        .collect())
-}
-
-/// [`evaluate_annotated`] on the seed interpreter.
-#[deprecated(
-    note = "superseded by compiled QueryPlan execution; retained only as the \
-            differential-testing baseline"
-)]
-pub fn evaluate_annotated_interpreted<S, F>(
-    db: &Database,
-    q: &ConjunctiveQuery,
-    mut annotate: F,
-) -> Result<Vec<(Tuple, S)>>
-where
-    S: CommutativeSemiring,
-    F: FnMut(&str, usize) -> S,
-{
-    let views = whole_views(db, q)?;
-    let mut order: Vec<Tuple> = Vec::new();
-    let mut acc: HashMap<Tuple, S> = HashMap::new();
-    for_each_binding_views(
-        q,
-        &views,
-        EvalOptions::default(),
-        &mut |binding, matched| {
-            let product = matched
-                .iter()
-                .fold(S::one(), |p, (_, rel, row)| p.times(&annotate(rel, *row)));
-            let t = project_head(q, binding);
-            match acc.get_mut(&t) {
-                Some(existing) => *existing = existing.plus(&product),
-                None => {
-                    order.push(t.clone());
-                    acc.insert(t, product);
-                }
-            }
-            Ok(())
-        },
-    )?;
-    Ok(order
-        .into_iter()
-        .map(|t| {
-            let s = acc.remove(&t).expect("annotation exists");
-            (t, s)
-        })
-        .collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::QueryError;
     use crate::parser::parse_query;
     use fgc_relation::schema::RelationSchema;
     use fgc_relation::{tuple, DataType};

@@ -28,8 +28,10 @@
 //!   key-respecting databases, which validates rewritings that join
 //!   views on declared keys;
 //! * [`mod@minimize`] — CQ cores (Def. 2.2's non-redundancy);
-//! * [`mod@reference`] — a brute-force oracle evaluator for differential
-//!   testing of the optimized engine.
+//! * [`mod@reference`] — the oracle: [`reference_derivations`]
+//!   enumerates every derivation (head tuple, binding, matched rows)
+//!   by definition, with no index or plan, so the differential tests
+//!   check all three collectors against folds of one list.
 
 #![warn(missing_docs)]
 
@@ -55,15 +57,10 @@ pub use eval::{
     evaluate, evaluate_annotated, evaluate_annotated_plan_with, evaluate_grouped,
     evaluate_grouped_plan_with, evaluate_plan_with, Binding, EvalOptions, Source,
 };
-#[allow(deprecated)]
-pub use eval::{
-    evaluate_annotated_interpreted, evaluate_grouped_interpreted, evaluate_interpreted,
-    evaluate_interpreted_with,
-};
 pub use minimize::{is_minimal, minimize};
 pub use parser::{parse_program, parse_query};
 pub use plan::QueryPlan;
-pub use reference::reference_evaluate;
+pub use reference::{reference_derivations, Derivation};
 pub use safety::{check_against_catalog, check_safety};
 pub use sharded::{
     lead_fragment_answers, lead_fragment_bindings, RoutePlan, ShardRouter, ShardSet,

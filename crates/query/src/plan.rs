@@ -1,11 +1,7 @@
 //! Compiled query plans: compile-once, execute-many evaluation.
 //!
-//! The seed evaluator in [`crate::eval`] interprets a
-//! [`ConjunctiveQuery`] from scratch on every call: bindings live in
-//! a `HashMap<String, Value>` that clones the variable *name* on
-//! every insert, the greedy atom order is recomputed at every
-//! recursion step, and safety/catalog validation re-runs per
-//! evaluation. [`QueryPlan`] hoists all of that to *plan time*:
+//! [`QueryPlan`] does once, at *plan time*, everything about an
+//! evaluation that does not depend on the data:
 //!
 //! * variables are resolved to dense [`Slot`]s (`u16`), so a binding
 //!   becomes a flat `Vec<Option<Value>>` frame — no hashing, no name
@@ -14,22 +10,20 @@
 //!   as tie-break) is fixed once. It is a pure function of the query
 //!   and the per-atom relation sizes — which variables are bound
 //!   after k join steps never depends on the data — so freezing it
-//!   is exactly equivalent to the interpreter's per-step choice;
+//!   loses nothing against choosing per step;
 //! * each ordered atom step carries a precomputed per-column op
 //!   (`ColOp`): match a constant, check an already-bound slot, or
 //!   bind a free slot — plus the secondary-index probe column chosen
 //!   at plan time;
 //! * comparisons are compiled to slot form and scheduled at the
-//!   first join depth where both sides are bound (the same point the
-//!   interpreter would first apply them);
+//!   first join depth where both sides are bound;
 //! * safety and catalog validation run once, at compile time.
 //!
-//! Execution enumerates **exactly the same bindings in exactly the
-//! same order** as the interpreter — first-derivation output order,
-//! grouped binding order, and semiring accumulation order all
-//! coincide, so citations (including provenance polynomials and
-//! global row ids) are byte-identical. `tests/plan_equivalence.rs`
-//! holds that bar differentially against the retained interpreter.
+//! Execution enumerates every binding once, in an order fixed by the
+//! plan and the rows' global insertion order — first-derivation output
+//! order, grouped binding order and semiring accumulation order follow
+//! from it. `tests/plan_equivalence.rs` diffs all three collectors
+//! against the by-definition oracle in [`crate::reference`].
 //!
 //! A plan compiled against one [`Source`] remains valid for any
 //! source presenting the same catalog and per-relation (global)
@@ -54,9 +48,9 @@ pub type Slot = u16;
 pub type Frame = [Option<Value>];
 
 /// Row provenance reported by plan execution: `(original atom index,
-/// relation name, global row id)` — same contract as
-/// [`crate::eval::MatchedRows`], borrowing relation names from the
-/// plan instead of the query.
+/// relation name, row id)`, relation names borrowed from the plan.
+/// For a sharded store the row id is the **global** insertion rank,
+/// equal to the row position the unsharded database would report.
 pub type PlanMatchedRows<'p> = Vec<(usize, &'p str, usize)>;
 
 /// What one column of an ordered atom step does against a candidate
@@ -116,9 +110,8 @@ impl CompiledComparison {
         match (value(&self.left), value(&self.right)) {
             (Some(l), Some(r)) => self.op.eval(&l, &r),
             // Scheduled only at depths where both sides are bound;
-            // an unbound side would be a planner bug. The
-            // interpreter skips comparisons it cannot resolve, so
-            // mirror that (filter nothing) rather than panic.
+            // an unbound side would be a planner bug. Release builds
+            // filter nothing rather than panic.
             _ => {
                 debug_assert!(false, "comparison scheduled before its slots were bound");
                 true
@@ -138,8 +131,7 @@ enum HeadSource {
 ///
 /// Build with [`QueryPlan::compile`]; execute through
 /// [`crate::evaluate_plan_with`] and friends, or the engine's plan
-/// cache. Compilation runs the safety and catalog checks the
-/// interpreter used to repeat per evaluation.
+/// cache. Compilation runs the safety and catalog checks once.
 #[derive(Debug, Clone)]
 pub struct QueryPlan {
     /// Slot → variable name (for the [`Binding`] conversion).
@@ -159,8 +151,7 @@ pub struct QueryPlan {
     /// Head projection.
     head: Vec<HeadSource>,
     /// Contradictory equality selections: the result is empty, no
-    /// enumeration runs (the interpreter short-circuits the same
-    /// way).
+    /// enumeration runs.
     unsatisfiable: bool,
 }
 
@@ -168,8 +159,8 @@ impl QueryPlan {
     /// Compile `q` against a source: safety check, catalog check,
     /// then slot assignment and join ordering from the source's
     /// **global** relation sizes (all shards) — so a sharded store
-    /// yields the very plan the unsharded database would. Error order
-    /// matches the interpreter (`Unsafe` before catalog errors).
+    /// yields the very plan the unsharded database would. `Unsafe`
+    /// is reported before catalog errors.
     pub fn compile<'a>(q: &ConjunctiveQuery, source: impl Into<Source<'a>>) -> Result<QueryPlan> {
         Self::compile_from(q, &source.into())
     }
@@ -201,9 +192,9 @@ impl QueryPlan {
             .collect();
         let slot = |v: &str| -> Slot { slot_of[v] };
 
-        // Seed `Var = Const` equalities, exactly like the
-        // interpreter: first value wins, a contradictory second
-        // value empties the result, duplicates are dropped.
+        // Seed `Var = Const` equalities: first value wins, a
+        // contradictory second value empties the result, duplicates
+        // are dropped.
         let mut seeds: Vec<(Slot, Value)> = Vec::new();
         let mut seeded: HashMap<Slot, Value> = HashMap::new();
         let mut residual: Vec<Comparison> = Vec::new();
@@ -251,10 +242,10 @@ impl QueryPlan {
 
         // Schedule residual comparisons: each runs at the first
         // depth where both sides are bound (residual order preserved
-        // within a depth — the interpreter applies them in that
-        // order too). Comparisons whose variables never bind — legal
-        // when safety is satisfied through an unbound equality chain
-        // — are never applied, exactly like the interpreter.
+        // within a depth). Comparisons whose variables never bind —
+        // legal when safety is satisfied through a `Var = Var` chain
+        // — are never applied. This is a known gap: the oracle in
+        // [`crate::reference`] binds such variables through the chain.
         let mut comp_scheduled = vec![false; residual.len()];
         let mut checks: Vec<Vec<CompiledComparison>> = Vec::with_capacity(q.atoms.len() + 1);
         let schedule = |scheduled: &mut [bool], bound: &[bool]| -> Vec<CompiledComparison> {
@@ -276,8 +267,8 @@ impl QueryPlan {
 
         // Freeze the greedy order: most bound argument positions
         // first, then smaller relation, then the *last* qualifying
-        // atom (the interpreter replaces its candidate only on a
-        // strictly greater key, so ties go to the highest index).
+        // atom (the candidate is replaced only on a strictly greater
+        // key, so ties go to the highest index).
         let mut used = vec![false; q.atoms.len()];
         let mut steps: Vec<AtomStep> = Vec::with_capacity(q.atoms.len());
         for _ in 0..q.atoms.len() {
@@ -380,8 +371,7 @@ impl QueryPlan {
 
     /// The thin slot → name conversion keeping [`Binding`] in the
     /// public API: bound slots become name-keyed entries, unbound
-    /// slots are omitted (matching the interpreter, which never
-    /// inserts an unbound variable).
+    /// slots are omitted.
     pub fn binding(&self, frame: &Frame) -> Binding {
         self.var_names
             .iter()
@@ -391,8 +381,8 @@ impl QueryPlan {
     }
 
     /// Project the head under a frame. Head variables left unbound
-    /// (possible for queries made safe by unbound equality chains)
-    /// project as `Null`, like the interpreter.
+    /// (possible for queries made safe by `Var = Var` chains)
+    /// project as `Null`.
     pub fn project_head(&self, frame: &Frame) -> Tuple {
         self.head
             .iter()
@@ -536,8 +526,7 @@ impl<'p, 'v> Exec<'p, 'v> {
 
 /// Execute a plan over pre-built views (original atom order),
 /// calling `sink` once per complete binding frame. Returns the
-/// number of bindings enumerated — the same count, in the same
-/// order, as the interpreter's [`crate::eval`] core.
+/// number of bindings enumerated.
 pub(crate) fn for_each_frame<'p>(
     plan: &'p QueryPlan,
     views: &[AtomView<'_>],

@@ -1,129 +1,160 @@
-//! A brute-force reference evaluator for differential testing.
+//! The oracle: every derivation of a query, straight from the
+//! definition.
 //!
-//! [`reference_evaluate`] enumerates *every* assignment of the
-//! query's variables to values in the database's active domain and
-//! checks all atoms and comparisons — semantics by definition, no
-//! join ordering, no indexes, no early pruning. It is exponentially
-//! slow and exists purely as an oracle: the optimized evaluator in
-//! [`crate::eval`] must agree with it on every (small) instance.
-//! Property tests in the workspace diff the two.
+//! A *derivation* picks one row of its relation for every atom such
+//! that constants match, a variable takes one value everywhere it
+//! occurs, and every comparison holds. Relations are sets, so a
+//! derivation is exactly one binding. Definition 3.2 sums a citation
+//! over the bindings that yield a tuple, and §3.1's annotated answer
+//! sums, over the same derivations, the product of the matched rows'
+//! annotations — so answers, grouped bindings and annotated
+//! polynomials are all folds of the one list [`reference_derivations`]
+//! returns.
+//!
+//! It is computed by brute force: atoms in the order the query text
+//! gives them, every relation scanned in full, no index, no join
+//! order, no [`QueryPlan`](crate::QueryPlan). Nothing is shared with
+//! [`crate::eval`] or [`crate::plan`] but the [`Binding`] type and the
+//! safety/catalog checks, so an index, routing or join-order bug in
+//! the executor cannot hide in the oracle. It costs a product of
+//! relation sizes (pruned only by repeated variables and constants)
+//! and exists purely for differential tests.
 
-use crate::ast::{ConjunctiveQuery, Term};
+use crate::ast::{Atom, CompOp, ConjunctiveQuery, Term};
 use crate::error::Result;
+use crate::eval::Binding;
 use crate::safety::{check_against_catalog, check_safety};
-use fgc_relation::{Database, Tuple, Value};
-use std::collections::BTreeSet;
+use fgc_relation::{Database, Relation, Tuple, Value};
+use std::collections::hash_map::Entry;
 
-/// The active domain: every value occurring anywhere in the database,
-/// plus every constant occurring in the query.
-fn active_domain(db: &Database, q: &ConjunctiveQuery) -> Vec<Value> {
-    let mut domain: BTreeSet<Value> = BTreeSet::new();
-    for schema in db.catalog().iter() {
-        let rel = db.relation(&schema.name).expect("catalog relation");
-        for row in rel.iter() {
-            for v in row.iter() {
-                domain.insert(v.clone());
-            }
+/// One derivation of a query: the head tuple it yields, the binding,
+/// and the row each atom matched.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Derivation<'q> {
+    /// The head tuple under [`Self::binding`].
+    pub head: Tuple,
+    /// A value for every variable of the query, including those bound
+    /// only through equality comparisons.
+    pub binding: Binding,
+    /// Per atom, in query order: its relation and the position of the
+    /// row it matched (the row id annotated evaluation is handed).
+    pub rows: Vec<(&'q str, usize)>,
+}
+
+/// Every derivation of `q` over `db`, atom 0's row varying slowest.
+/// Errors are the evaluator's: an unsafe query, then an unknown
+/// relation or a wrong arity.
+pub fn reference_derivations<'q>(
+    db: &Database,
+    q: &'q ConjunctiveQuery,
+) -> Result<Vec<Derivation<'q>>> {
+    check_safety(q)?;
+    check_against_catalog(q, db.catalog())?;
+    let relations = q
+        .atoms
+        .iter()
+        .map(|a| db.relation(&a.relation))
+        .collect::<std::result::Result<Vec<_>, _>>()?;
+    let mut out = Vec::new();
+    extend(q, &relations, &Binding::new(), &mut Vec::new(), &mut out);
+    Ok(out)
+}
+
+/// Match atom `rows.len()` against every row of its relation, then
+/// recurse; past the last atom, finish the derivation.
+fn extend<'q>(
+    q: &'q ConjunctiveQuery,
+    relations: &[&Relation],
+    binding: &Binding,
+    rows: &mut Vec<(&'q str, usize)>,
+    out: &mut Vec<Derivation<'q>>,
+) {
+    let Some(atom) = q.atoms.get(rows.len()) else {
+        out.extend(finish(q, binding.clone(), rows.clone()));
+        return;
+    };
+    for (position, row) in relations[rows.len()].iter().enumerate() {
+        if let Some(next) = matched(atom, row, binding) {
+            rows.push((atom.relation.as_str(), position));
+            extend(q, relations, &next, rows, out);
+            rows.pop();
         }
     }
-    for atom in &q.atoms {
-        for t in &atom.terms {
-            if let Term::Const(c) = t {
-                domain.insert(c.clone());
+}
+
+/// `binding` extended by `atom` matching `row`, or `None` when a
+/// constant or an already-bound variable disagrees with the row.
+fn matched(atom: &Atom, row: &Tuple, binding: &Binding) -> Option<Binding> {
+    let mut next = binding.clone();
+    for (term, value) in atom.terms.iter().zip(row.iter()) {
+        match term {
+            Term::Const(c) if c != value => return None,
+            Term::Const(_) => {}
+            Term::Var(v) => match next.entry(v.clone()) {
+                Entry::Occupied(e) if e.get() != value => return None,
+                Entry::Occupied(_) => {}
+                Entry::Vacant(e) => {
+                    e.insert(value.clone());
+                }
+            },
+        }
+    }
+    Some(next)
+}
+
+/// Bind the variables no atom binds through the equality comparisons
+/// (safety guarantees a chain reaches each one), check every
+/// comparison, and project the head.
+fn finish<'q>(
+    q: &ConjunctiveQuery,
+    mut binding: Binding,
+    rows: Vec<(&'q str, usize)>,
+) -> Option<Derivation<'q>> {
+    loop {
+        let bound = binding.len();
+        for c in q.comparisons.iter().filter(|c| c.op == CompOp::Eq) {
+            for (unbound, other) in [(&c.left, &c.right), (&c.right, &c.left)] {
+                if let (Term::Var(v), Some(value)) = (unbound, value_of(&binding, other)) {
+                    binding.entry(v.clone()).or_insert(value);
+                }
             }
+        }
+        if binding.len() == bound {
+            break;
         }
     }
     for c in &q.comparisons {
-        for t in [&c.left, &c.right] {
-            if let Term::Const(v) = t {
-                domain.insert(v.clone());
-            }
+        let (left, right) = (value_of(&binding, &c.left)?, value_of(&binding, &c.right)?);
+        if !c.op.eval(&left, &right) {
+            return None;
         }
     }
-    domain.into_iter().collect()
+    let head = q
+        .head
+        .iter()
+        .map(|t| value_of(&binding, t))
+        .collect::<Option<Tuple>>()?;
+    Some(Derivation {
+        head,
+        binding,
+        rows,
+    })
 }
 
-/// Evaluate by exhaustive assignment enumeration. Returns distinct
-/// output tuples, sorted (the reference order).
-pub fn reference_evaluate(db: &Database, q: &ConjunctiveQuery) -> Result<Vec<Tuple>> {
-    check_safety(q)?;
-    check_against_catalog(q, db.catalog())?;
-    let domain = active_domain(db, q);
-    let vars: Vec<String> = q.all_vars().into_iter().map(str::to_string).collect();
-    let mut out: BTreeSet<Tuple> = BTreeSet::new();
-    let mut assignment: Vec<Value> = Vec::with_capacity(vars.len());
-    enumerate(db, q, &vars, &domain, &mut assignment, &mut out);
-    Ok(out.into_iter().collect())
-}
-
-fn lookup<'a>(vars: &[String], assignment: &'a [Value], t: &'a Term) -> Option<&'a Value> {
-    match t {
-        Term::Const(v) => Some(v),
-        Term::Var(name) => vars
-            .iter()
-            .position(|v| v == name)
-            .and_then(|i| assignment.get(i)),
-    }
-}
-
-fn enumerate(
-    db: &Database,
-    q: &ConjunctiveQuery,
-    vars: &[String],
-    domain: &[Value],
-    assignment: &mut Vec<Value>,
-    out: &mut BTreeSet<Tuple>,
-) {
-    if assignment.len() == vars.len() {
-        // check every atom...
-        for atom in &q.atoms {
-            let tuple: Option<Tuple> = atom
-                .terms
-                .iter()
-                .map(|t| lookup(vars, assignment, t).cloned())
-                .collect::<Option<Vec<Value>>>()
-                .map(Tuple::new);
-            let Some(tuple) = tuple else { return };
-            let rel = db.relation(&atom.relation).expect("checked");
-            if !rel.contains(&tuple) {
-                return;
-            }
-        }
-        // ...and every comparison...
-        for cmp in &q.comparisons {
-            let (Some(l), Some(r)) = (
-                lookup(vars, assignment, &cmp.left),
-                lookup(vars, assignment, &cmp.right),
-            ) else {
-                return;
-            };
-            if !cmp.op.eval(l, r) {
-                return;
-            }
-        }
-        // ...then project the head.
-        let head: Vec<Value> = q
-            .head
-            .iter()
-            .map(|t| lookup(vars, assignment, t).cloned().unwrap_or(Value::Null))
-            .collect();
-        out.insert(Tuple::new(head));
-        return;
-    }
-    for v in domain {
-        assignment.push(v.clone());
-        enumerate(db, q, vars, domain, assignment, out);
-        assignment.pop();
+fn value_of(binding: &Binding, term: &Term) -> Option<Value> {
+    match term {
+        Term::Const(v) => Some(v.clone()),
+        Term::Var(v) => binding.get(v).cloned(),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::evaluate;
     use crate::parser::parse_query;
     use fgc_relation::schema::RelationSchema;
     use fgc_relation::{tuple, DataType};
+    use std::collections::BTreeSet;
 
     fn tiny_db() -> Database {
         let mut db = Database::new();
@@ -147,12 +178,22 @@ mod tests {
         db
     }
 
-    fn diff(db: &Database, src: &str) {
+    /// The distinct answers the oracle derives, sorted.
+    fn answers(db: &Database, src: &str) -> Vec<Tuple> {
         let q = parse_query(src).unwrap();
-        let mut fast = evaluate(db, &q).unwrap();
+        let heads: BTreeSet<Tuple> = reference_derivations(db, &q)
+            .unwrap()
+            .into_iter()
+            .map(|d| d.head)
+            .collect();
+        heads.into_iter().collect()
+    }
+
+    /// The oracle agrees with the compiled evaluator's answer set.
+    fn diff(db: &Database, src: &str) {
+        let mut fast = crate::eval::evaluate(db, &parse_query(src).unwrap()).unwrap();
         fast.sort();
-        let slow = reference_evaluate(db, &q).unwrap();
-        assert_eq!(fast, slow, "divergence on {src}");
+        assert_eq!(fast, answers(db, src), "divergence on {src}");
     }
 
     #[test]
@@ -195,6 +236,27 @@ mod tests {
     #[test]
     fn rejects_unsafe_queries_too() {
         let q = parse_query("Q(X) :- R(A, B)").unwrap();
-        assert!(reference_evaluate(&tiny_db(), &q).is_err());
+        assert!(reference_derivations(&tiny_db(), &q).is_err());
+    }
+
+    #[test]
+    fn one_derivation_per_binding_with_its_rows() {
+        // R(1,x) and R(3,x) both join S(x,u): two derivations of one
+        // tuple, each naming the rows it matched
+        let q = parse_query("Q(C) :- R(A, B), S(B, C), C = \"u\"").unwrap();
+        let derivations = reference_derivations(&tiny_db(), &q).unwrap();
+        let rows: Vec<_> = derivations.iter().map(|d| d.rows.clone()).collect();
+        assert_eq!(rows, [[("R", 0), ("S", 0)], [("R", 2), ("S", 0)]]);
+        assert!(derivations.iter().all(|d| d.head == tuple!["u"]));
+        assert_eq!(derivations[1].binding["A"], Value::str("3"));
+    }
+
+    #[test]
+    fn equality_chains_bind_variables_no_atom_binds() {
+        let q = parse_query("Q(X) :- R(Y, B), X = Z, Z = Y, B = \"y\"").unwrap();
+        let derivations = reference_derivations(&tiny_db(), &q).unwrap();
+        assert_eq!(derivations.len(), 1);
+        assert_eq!(derivations[0].head, tuple!["2"]);
+        assert_eq!(derivations[0].binding["Z"], Value::str("2"));
     }
 }

@@ -439,7 +439,7 @@ mod tests {
         child.insert("FC", tuple!["12", "p2"]).unwrap();
         let delta = child.take_delta();
         assert!(!delta.is_structural());
-        assert_eq!(delta.op_count(), 3);
+        assert_eq!(delta.inserted() + delta.removed(), 3);
 
         let mut replayed = parent.clone();
         replayed.apply_delta(&delta).unwrap();
@@ -460,8 +460,9 @@ mod tests {
             .insert(tuple!["11", "Calcitonin", "gpcr"])
             .unwrap();
         let delta = db.take_delta();
-        assert_eq!(delta.op_count(), 1);
-        assert_eq!(delta.touched().collect::<Vec<_>>(), vec!["Family"]);
+        assert_eq!(delta.inserted() + delta.removed(), 1);
+        let relations: Vec<&str> = delta.relations().map(|r| r.relation.as_str()).collect();
+        assert_eq!(relations, ["Family"]);
     }
 
     #[test]
@@ -528,7 +529,7 @@ mod tests {
         db.insert("Family", tuple!["12", "Orexin", "gpcr"]).unwrap();
         let delta = db.take_delta();
         assert!(delta.is_structural());
-        assert_eq!(delta.op_count(), 1);
+        assert_eq!(delta.inserted() + delta.removed(), 1);
     }
 
     #[test]

@@ -77,16 +77,6 @@ impl DatabaseDelta {
         self.relations.iter()
     }
 
-    /// Names of the relations the commit touched.
-    pub fn touched(&self) -> impl Iterator<Item = &str> {
-        self.relations.iter().map(|r| r.relation.as_str())
-    }
-
-    /// Total number of effective ops.
-    pub fn op_count(&self) -> usize {
-        self.relations.iter().map(|r| r.ops.len()).sum()
-    }
-
     /// Number of recorded inserts.
     pub fn inserted(&self) -> usize {
         self.count(|op| matches!(op, DeltaOp::Insert(_)))
@@ -151,12 +141,12 @@ mod tests {
             }],
             false,
         );
-        assert_eq!(delta.op_count(), 3);
         assert_eq!(delta.inserted(), 2);
         assert_eq!(delta.removed(), 1);
         assert!(!delta.is_empty());
         assert!(!delta.is_structural());
-        assert_eq!(delta.touched().collect::<Vec<_>>(), vec!["R"]);
+        let relations: Vec<&str> = delta.relations().map(|r| r.relation.as_str()).collect();
+        assert_eq!(relations, ["R"]);
         assert_eq!(delta.to_string(), "delta(+2 -1)");
     }
 

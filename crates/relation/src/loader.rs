@@ -223,7 +223,8 @@ pub fn load_commits(history: &mut VersionedDatabase, text: &str) -> Result<usize
 /// Catch a history up to a commits file it may already partially (or
 /// fully) contain: version `i + 1` of the chain is expected to be the
 /// file's section `i`. Sections already in the chain are verified —
-/// timestamp and label must match the recorded [`VersionInfo`], a
+/// timestamp and label must match the recorded
+/// [`VersionInfo`](crate::version::VersionInfo), a
 /// mismatch is a structured error, never a silent skip — and only the
 /// sections past the head are applied (all-or-nothing, like
 /// [`load_commits`]). Returns the number of commits newly applied;

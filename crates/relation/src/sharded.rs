@@ -23,7 +23,6 @@
 //! prune fan-out.
 
 use crate::database::Database;
-use crate::delta::{DatabaseDelta, DeltaOp};
 use crate::error::{RelationError, Result};
 use crate::relation::Relation;
 use crate::schema::{Catalog, RelationSchema};
@@ -171,11 +170,10 @@ impl ShardStats {
 /// the per-relation global placement order.
 ///
 /// The per-relation bookkeeping (placement order, its inverse, the
-/// global key guard) is `Arc`-shared so cloning a sharded database —
-/// the first step of [`ShardedDatabase::derive_with_delta`] — costs
-/// pointers; a relation's bookkeeping is deep-copied only when a
-/// delta actually touches it (the shard [`Database`]s are themselves
-/// copy-on-write at the relation level).
+/// global key guard) is `Arc`-shared so cloning a sharded database
+/// costs pointers; a relation's bookkeeping is deep-copied only when
+/// an insert or removal actually touches it (the shard [`Database`]s
+/// are themselves copy-on-write at the relation level).
 #[derive(Debug, Clone)]
 pub struct ShardedDatabase {
     shards: Vec<Database>,
@@ -385,47 +383,6 @@ impl ShardedDatabase {
             .remove(&key);
         }
         Ok(true)
-    }
-
-    /// Replay a recorded delta onto the fragments in place — the
-    /// sharded twin of [`Database::apply_delta`], with the same
-    /// soundness contract: the base must be the delta's parent, every
-    /// op must be effective again, and structural deltas abort with
-    /// [`RelationError::DeltaMismatch`] (the database may then be
-    /// partially updated and should be discarded).
-    pub fn apply_delta(&mut self, delta: &DatabaseDelta) -> Result<()> {
-        if delta.is_structural() {
-            return Err(RelationError::DeltaMismatch(
-                "structural delta cannot be replayed".into(),
-            ));
-        }
-        for rd in delta.relations() {
-            for op in &rd.ops {
-                let effective = match op {
-                    DeltaOp::Insert(t) => self.insert(&rd.relation, t.clone())?,
-                    DeltaOp::Remove(t) => self.remove(&rd.relation, t)?,
-                };
-                if !effective {
-                    return Err(RelationError::DeltaMismatch(format!(
-                        "op had no effect on `{}`: base is not the delta's parent",
-                        rd.relation
-                    )));
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Derive the child version's sharded database by replaying a
-    /// delta into the existing fragments: an O(changed) alternative
-    /// to [`ShardedDatabase::from_database`] re-partitioning. The
-    /// clone structurally shares every fragment and bookkeeping
-    /// vector with `self`; only delta-touched relations are unshared
-    /// (copy-on-write) during replay.
-    pub fn derive_with_delta(&self, delta: &DatabaseDelta) -> Result<ShardedDatabase> {
-        let mut derived = self.clone();
-        derived.apply_delta(delta)?;
-        Ok(derived)
     }
 
     /// Insert many tuples into one relation, returning the number
@@ -745,89 +702,6 @@ mod tests {
         assert_eq!(fids, expected);
         // the key is reusable after removal (guard was patched)
         assert!(s.insert("Family", tuple!["f7", "Again", "gpcr"]).unwrap());
-    }
-
-    #[test]
-    fn derive_with_delta_matches_repartitioning() {
-        let mut db = Database::new();
-        db.create_relation(family_schema()).unwrap();
-        for i in 0..30 {
-            db.insert(
-                "Family",
-                tuple![format!("f{i}"), format!("Name{i}"), "gpcr"],
-            )
-            .unwrap();
-        }
-        db.relation_mut("Family").unwrap().build_index(2).unwrap();
-        let spec = ShardKeySpec::new().with("Family", "FID");
-        let parent_sharded = ShardedDatabase::from_database(&db, 4, spec.clone()).unwrap();
-
-        let mut child = db.clone();
-        child.begin_delta();
-        child
-            .remove("Family", &tuple!["f3", "Name3", "gpcr"])
-            .unwrap();
-        child
-            .remove("Family", &tuple!["f19", "Name19", "gpcr"])
-            .unwrap();
-        child
-            .insert("Family", tuple!["f99", "Name99", "enzyme"])
-            .unwrap();
-        let delta = child.take_delta();
-
-        let derived = parent_sharded.derive_with_delta(&delta).unwrap();
-        let repartitioned = ShardedDatabase::from_database(&child, 4, spec).unwrap();
-        // identical fragments: same rows in the same local order
-        for (a, b) in derived.shards().iter().zip(repartitioned.shards()) {
-            assert_eq!(
-                a.relation("Family").unwrap().rows(),
-                b.relation("Family").unwrap().rows()
-            );
-            assert_eq!(
-                a.relation("Family").unwrap().indexed_columns(),
-                b.relation("Family").unwrap().indexed_columns()
-            );
-        }
-        // identical bookkeeping
-        assert_eq!(
-            derived.placement("Family").unwrap(),
-            repartitioned.placement("Family").unwrap()
-        );
-        assert_eq!(
-            derived.shard_global_ids("Family").unwrap(),
-            repartitioned.shard_global_ids("Family").unwrap()
-        );
-        // and the parent was untouched (copy-on-write)
-        assert_eq!(parent_sharded.total_tuples(), 30);
-        assert!(parent_sharded
-            .assemble()
-            .unwrap()
-            .relation("Family")
-            .unwrap()
-            .contains(&tuple!["f3", "Name3", "gpcr"]));
-    }
-
-    #[test]
-    fn sharded_apply_delta_rejects_structural_and_diverged() {
-        let mut db = Database::new();
-        db.create_relation(family_schema()).unwrap();
-        db.insert("Family", tuple!["f1", "Name1", "gpcr"]).unwrap();
-        let mut s =
-            ShardedDatabase::from_database(&db, 2, ShardKeySpec::new().with("Family", "FID"))
-                .unwrap();
-        // ineffective op (tuple already present) is divergence
-        let mut child = db.clone();
-        child.begin_delta();
-        child.insert("Family", tuple!["f1", "Name1", "gpcr"]).ok();
-        child
-            .insert("Family", tuple!["f2", "Name2", "gpcr"])
-            .unwrap();
-        let delta = child.take_delta();
-        s.apply_delta(&delta).unwrap();
-        assert!(matches!(
-            s.apply_delta(&delta).unwrap_err(),
-            RelationError::DeltaMismatch(_)
-        ));
     }
 
     #[test]

@@ -37,11 +37,6 @@ impl Tuple {
         &self.values
     }
 
-    /// Consume into the underlying vector.
-    pub fn into_values(self) -> Vec<Value> {
-        self.values
-    }
-
     /// Project onto the given positions (positions must be in range).
     pub fn project(&self, positions: &[usize]) -> Tuple {
         Tuple::new(positions.iter().map(|&i| self.values[i].clone()).collect())

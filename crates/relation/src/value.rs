@@ -126,14 +126,6 @@ impl Value {
         }
     }
 
-    /// View an integer value, if it is one.
-    pub fn as_int(&self) -> Option<i64> {
-        match self {
-            Value::Int(i) => Some(*i),
-            _ => None,
-        }
-    }
-
     /// Render the value the way the loader parses it (round-trips).
     pub fn render(&self) -> Cow<'static, str> {
         match self {

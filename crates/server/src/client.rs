@@ -32,17 +32,16 @@ impl ClientResponse {
     }
 }
 
-/// Default cap on a response body the client will buffer. Large
+/// Cap on a response body the client will buffer. Large
 /// enough for any citation payload this service emits, small enough
 /// that a hostile or corrupted `Content-Length` cannot demand a
 /// multi-gigabyte allocation before a single body byte arrives.
-pub const DEFAULT_MAX_RESPONSE_BYTES: usize = 64 * 1024 * 1024;
+pub const MAX_RESPONSE_BYTES: usize = 64 * 1024 * 1024;
 
 /// A keep-alive connection to the citation service.
 #[derive(Debug)]
 pub struct Client {
     reader: BufReader<TcpStream>,
-    max_response_bytes: usize,
 }
 
 impl Client {
@@ -53,16 +52,7 @@ impl Client {
         stream.set_read_timeout(Some(Duration::from_secs(30)))?;
         Ok(Client {
             reader: BufReader::new(stream),
-            max_response_bytes: DEFAULT_MAX_RESPONSE_BYTES,
         })
-    }
-
-    /// Cap the response body size this client will accept (default
-    /// [`DEFAULT_MAX_RESPONSE_BYTES`]). A longer `Content-Length` is
-    /// a structured [`io::ErrorKind::InvalidData`] error before any
-    /// allocation happens.
-    pub fn set_max_response_bytes(&mut self, max: usize) {
-        self.max_response_bytes = max;
     }
 
     /// Replace the connection's read timeout (the default is 30 s; a
@@ -168,14 +158,14 @@ impl Client {
             }
         }
         // The declared length is untrusted input: refuse it before
-        // allocating, with an error that names both sides of the
-        // comparison.
-        if content_length > self.max_response_bytes {
+        // allocating (a structured `InvalidData` error), naming both
+        // sides of the comparison.
+        if content_length > MAX_RESPONSE_BYTES {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 format!(
-                    "response Content-Length {content_length} exceeds the {}-byte client cap",
-                    self.max_response_bytes
+                    "response Content-Length {content_length} exceeds the \
+                     {MAX_RESPONSE_BYTES}-byte client cap"
                 ),
             ));
         }

@@ -192,8 +192,8 @@ cite with --commits answers against the commit history (--version id,
        --at timestamp, default head) and stamps the citation with the
        version fixity fields (§4). A one-shot cite builds the one
        engine it needs from scratch; engines borrowed from warm
-       versions pay off under `serve --commits`, where versions stay
-       warm across requests (see `fixity` in GET /stats).
+       versions pay off under `serve --commits`, where up to 16
+       versions stay warm across requests (see `fixity` in GET /stats).
 serve: HTTP routes POST /cite, POST /cite_sql, GET /views, GET /stats,
        GET /healthz, GET /metrics (Prometheus text exposition),
        GET /debug/slow (slowest recent requests, with request IDs
@@ -622,6 +622,11 @@ pub fn apply_shards(args: &Args, engine: CitationEngine) -> Result<CitationEngin
     Ok(engine.with_shards(shards, spec)?)
 }
 
+/// Warm per-version engines `fgcite serve --commits` keeps (evicted
+/// CLOCK-wise): without a bound, memory grows with every distinct
+/// version a client cites.
+const SERVE_WARM_ENGINES: usize = 16;
+
 /// `fgcite serve`: build an engine from the data/view files and start
 /// the HTTP citation service. Returns the running server; the binary
 /// blocks on [`fgc_server::CiteServer::wait`]. With `commits`, the
@@ -693,6 +698,7 @@ pub fn run_serve(
                 engine
             }
         };
+        let versioned = versioned.with_engine_capacity(SERVE_WARM_ENGINES);
         return fgc_server::CiteServer::start_versioned(std::sync::Arc::new(versioned), config)
             .map_err(|e| CliError(format!("cannot start server: {e}")));
     }
@@ -1181,7 +1187,14 @@ lambda F. CV1(F, N, Pn) :- Family(F, N, Ty), FC(F, C), Person(C, Pn, A)
         // /stats carries the fixity block
         let stats = client.get("/stats").unwrap();
         let parsed = fgc_server::parse_json(&stats.body).unwrap();
-        assert!(parsed.get("fixity").is_some(), "{}", stats.body);
+        let fixity = parsed.get("fixity").expect("fixity block");
+        // the warm per-version engines are bounded
+        assert_eq!(
+            fixity.get("engine_capacity"),
+            Some(&fgc_views::Json::Int(SERVE_WARM_ENGINES as i64)),
+            "{}",
+            stats.body
+        );
         drop(client);
         server.shutdown();
 

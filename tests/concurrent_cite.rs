@@ -1,67 +1,41 @@
 //! Concurrency tests for the shared-reference serving API: one
 //! engine, many threads, byte-identical citations.
 
-use fgcite::gtopdb::{generate, paper_views, GeneratorConfig, WorkloadGenerator};
+mod common;
+
+use common::{render, Candidate, Reference, Request};
+use fgcite::gtopdb::{paper_views, WorkloadGenerator};
 use fgcite::prelude::*;
 use std::sync::Arc;
 
 fn engine_at(families: usize, seed: u64) -> CitationEngine {
-    let db = generate(
-        &GeneratorConfig::default()
-            .with_families(families)
-            .with_seed(seed),
-    );
-    CitationEngine::new(db, paper_views()).unwrap()
-}
-
-/// Render every byte a citation carries: tuples, symbolic
-/// expressions, interpreted citations, aggregate, rewriting labels.
-fn render(citation: &QueryCitation) -> String {
-    let mut out = String::new();
-    for (label, rewriting) in &citation.rewritings {
-        out.push_str(&format!("{label} := {rewriting}\n"));
-    }
-    for tc in &citation.tuples {
-        out.push_str(&format!(
-            "{} | {} | {}\n",
-            tc.tuple,
-            tc.expr,
-            tc.citation.to_compact()
-        ));
-    }
-    out.push_str(&citation.aggregate.to_compact());
-    out
+    common::engine(common::gtopdb(families, seed))
 }
 
 #[test]
 fn eight_threads_byte_identical_to_serial() {
     let engine = Arc::new(engine_at(200, 11));
     let mut workload = WorkloadGenerator::new(engine.database(), 5);
-    let queries: Vec<ConjunctiveQuery> = (0..WorkloadGenerator::template_count())
-        .map(|t| workload.query_from_template(t))
+    let requests: Vec<Request> = (0..WorkloadGenerator::template_count())
+        .map(|t| Request::cite(&workload.query_from_template(t)))
         .collect();
 
-    // serial ground truth on a *fresh* engine (cold caches), so the
+    // serial ground truth from the reference (caches off), so the
     // comparison also proves cache state never leaks into results
-    let serial_engine = engine_at(200, 11);
-    let serial: Vec<String> = queries
-        .iter()
-        .map(|q| render(&serial_engine.cite(q).unwrap()))
-        .collect();
+    let reference = Reference::new("gtopdb families=200 seed=11", common::gtopdb(200, 11));
+    let serial: Vec<String> = requests.iter().map(|r| reference.answer(r)).collect();
 
     std::thread::scope(|scope| {
         for thread in 0..8 {
             let engine = Arc::clone(&engine);
-            let queries = &queries;
-            let serial = &serial;
+            let (requests, serial) = (&requests, &serial);
             scope.spawn(move || {
                 // each thread walks the workload at a different
                 // offset so the cache interleaving differs per thread
-                for step in 0..queries.len() {
-                    let i = (thread + step) % queries.len();
-                    let cited = engine.cite(&queries[i]).unwrap();
+                for step in 0..requests.len() {
+                    let i = (thread + step) % requests.len();
                     assert_eq!(
-                        render(&cited),
+                        engine.answer(&requests[i]),
                         serial[i],
                         "thread {thread} diverged on query {i}"
                     );
@@ -74,27 +48,22 @@ fn eight_threads_byte_identical_to_serial() {
 #[test]
 fn batch_results_deterministic_across_thread_counts() {
     let engine = engine_at(100, 23);
-    let mut workload = WorkloadGenerator::new(engine.database(), 9);
-    let requests: Vec<CiteRequest> = workload
-        .ad_hoc_batch(24)
-        .into_iter()
-        .map(CiteRequest::query)
+    let queries = common::workload(engine.database(), 9, 24);
+    let requests: Vec<CiteRequest> = queries.iter().cloned().map(CiteRequest::query).collect();
+    let reference = Reference::new("gtopdb families=100 seed=23", common::gtopdb(100, 23));
+    let expected: Vec<String> = common::cites(&queries)
+        .iter()
+        .map(|r| reference.answer(r))
         .collect();
 
-    let reference: Vec<String> = engine
-        .cite_batch_threads(&requests, 1)
-        .into_iter()
-        .map(|r| render(&r.unwrap().citation))
-        .collect();
-
-    for threads in [2usize, 4, 8] {
+    for threads in [1usize, 2, 4, 8] {
         let got: Vec<String> = engine
             .cite_batch_threads(&requests, threads)
             .into_iter()
             .map(|r| render(&r.unwrap().citation))
             .collect();
         assert_eq!(
-            got, reference,
+            got, expected,
             "{threads}-thread batch reordered or changed results"
         );
     }
@@ -106,44 +75,23 @@ fn per_request_overrides_isolated_under_concurrency() {
     // each response must reflect its own request's policy, never a
     // neighbor's.
     let engine = engine_at(60, 3);
-    let q = fgcite::query::parse_query("Q(N, Tx) :- Family(F, N, Ty), FamilyIntro(F, Tx)").unwrap();
-    let requests: Vec<CiteRequest> = (0..16)
-        .map(|i| {
-            let policy = if i % 2 == 0 {
-                Policy::join_all()
-            } else {
-                Policy::union_all()
-            };
-            CiteRequest::query(q.clone()).with_policy(policy)
-        })
-        .collect();
-
-    let join_expected = render(
-        &engine
-            .cite_request(&CiteRequest::query(q.clone()).with_policy(Policy::join_all()))
-            .unwrap()
-            .citation,
-    );
-    let union_expected = render(
-        &engine
-            .cite_request(&CiteRequest::query(q).with_policy(Policy::union_all()))
-            .unwrap()
-            .citation,
-    );
+    let q = parse_query("Q(N, Tx) :- Family(F, N, Ty), FamilyIntro(F, Tx)").unwrap();
+    let under = |policy: Policy| CiteRequest::query(q.clone()).with_policy(policy);
+    let policies = [Policy::join_all(), Policy::union_all()];
+    let reference = Reference::new("gtopdb families=60 seed=3", common::gtopdb(60, 3));
+    let expected = policies
+        .clone()
+        .map(|p| reference.answer(&Request::Cite(under(p))));
     assert_ne!(
-        join_expected, union_expected,
+        expected[0], expected[1],
         "policies must differ on this workload"
     );
 
+    let requests: Vec<CiteRequest> = (0..16).map(|i| under(policies[i % 2].clone())).collect();
     for (i, response) in engine.cite_batch_threads(&requests, 8).iter().enumerate() {
-        let got = render(&response.as_ref().unwrap().citation);
-        let expected = if i % 2 == 0 {
-            &join_expected
-        } else {
-            &union_expected
-        };
         assert_eq!(
-            &got, expected,
+            render(&response.as_ref().unwrap().citation),
+            expected[i % 2],
             "request {i} was served under the wrong policy"
         );
     }
@@ -158,13 +106,7 @@ fn eight_threads_racing_to_derive_one_version_agree() {
     // relations. All results must be byte-identical to a cold
     // single-threaded engine.
     let mut history = VersionedDatabase::new();
-    history
-        .commit(
-            generate(&GeneratorConfig::default().with_families(120).with_seed(7)),
-            0,
-            "v0",
-        )
-        .unwrap();
+    history.commit(common::gtopdb(120, 7), 0, "v0").unwrap();
     for step in 0u64..3 {
         history
             .commit_with((step + 1) * 10, format!("v{}", step + 1), |db| {
@@ -181,33 +123,22 @@ fn eight_threads_racing_to_derive_one_version_agree() {
             })
             .unwrap();
     }
-    let q = fgcite::query::parse_query("Q(N) :- Family(F, N, Ty), Ty = \"gpcr\"").unwrap();
-
-    let reference = VersionedCitationEngine::new(history.clone(), paper_views());
-    let expected: Vec<String> = (0..4u64)
-        .map(|v| {
-            reference
-                .cite_at_version(v, &q)
-                .unwrap()
-                .stamped_aggregate()
-                .to_compact()
-        })
-        .collect();
+    let q = parse_query("Q(N) :- Family(F, N, Ty), Ty = \"gpcr\"").unwrap();
+    let at = |v: u64| Request::At(v, q.clone());
+    let reference = Reference::versioned("gtopdb families=120 seed=7, 3 commits", history.clone());
+    let expected: Vec<String> = (0..4).map(|v| reference.answer(&at(v))).collect();
 
     let engine = Arc::new(VersionedCitationEngine::new(history, paper_views()));
     engine.cite_at_version(1, &q).unwrap(); // warm the shared neighbor
     std::thread::scope(|scope| {
         for thread in 0..8 {
-            let engine = Arc::clone(&engine);
-            let q = q.clone();
-            let expected = &expected;
+            let (engine, expected, at) = (Arc::clone(&engine), &expected, &at);
             scope.spawn(move || {
                 // half the threads start at v2, half at v3, so racers
                 // borrow from different donors
-                for &version in &[2 + (thread % 2) as u64, 3, 2, 0, 1] {
-                    let cited = engine.cite_at_version(version, &q).unwrap();
+                for version in [2 + (thread % 2) as u64, 3, 2, 0, 1] {
                     assert_eq!(
-                        cited.stamped_aggregate().to_compact(),
+                        engine.answer(&at(version)),
                         expected[version as usize],
                         "thread {thread} diverged at version {version}"
                     );
@@ -234,7 +165,7 @@ fn versioned_engine_serves_concurrent_historical_citations() {
         })
         .unwrap();
     let engine = Arc::new(VersionedCitationEngine::new(history, paper_views()));
-    let q = fgcite::query::parse_query("Q(N) :- Family(F, N, Ty)").unwrap();
+    let q = parse_query("Q(N) :- Family(F, N, Ty)").unwrap();
 
     let old_tuples = engine.cite_at_version(0, &q).unwrap().citation.tuples.len();
     let new_tuples = engine.cite_at_version(1, &q).unwrap().citation.tuples.len();

@@ -11,20 +11,15 @@
 //! successful sync for, never a panic, and never silently corrupted
 //! data.
 
+mod common;
+
+use common::TempDir;
 use fgcite::fault::{FaultAction, FaultPlane, Trigger};
 use fgcite::relation::storage::{DiskStorage, FaultVfs, Storage, StorageOptions};
 use fgcite::relation::tuple;
 use fgcite::relation::{DataType, Database, RelationSchema, VersionedDatabase};
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::path::Path;
 use std::sync::Arc;
-
-/// Hand-rolled unique temp dirs (std-only workspace: no tempfile).
-fn temp_dir(tag: &str) -> PathBuf {
-    static COUNTER: AtomicU64 = AtomicU64::new(0);
-    let n = COUNTER.fetch_add(1, Ordering::Relaxed);
-    std::env::temp_dir().join(format!("fgc-crash-{tag}-{}-{n}", std::process::id()))
-}
 
 fn base() -> Database {
     let mut db = Database::new();
@@ -128,15 +123,13 @@ fn verify_recovery(dir: &Path, expected: &VersionedDatabase, floor: usize, site:
 
 /// Enumerate the workload's filesystem mutations via observe-all.
 fn enumerate_sites() -> Vec<(String, u64)> {
-    let dir = temp_dir("enumerate");
+    let dir = TempDir::new("crash-enumerate");
     let plane = Arc::new(FaultPlane::new());
     plane.set_observe_all(true);
     let vfs = Arc::new(FaultVfs::over_real(Arc::clone(&plane)));
     let storage = DiskStorage::open_with_vfs(&dir, StorageOptions::default(), vfs).unwrap();
     let (durable, h) = run_workload(&storage);
     assert_eq!(durable, h.len(), "fault-free run must fully persist");
-    drop(storage);
-    let _ = std::fs::remove_dir_all(&dir);
     plane
         .snapshot()
         .into_iter()
@@ -170,7 +163,7 @@ fn every_crash_point_recovers_to_a_durable_prefix() {
                 modes.push(FaultAction::Torn);
             }
             for mode in modes {
-                let dir = temp_dir("sweep");
+                let dir = TempDir::new("crash-sweep");
                 let plane = Arc::new(FaultPlane::new());
                 plane.arm(point, mode, Trigger::Nth(n));
                 let vfs = Arc::new(FaultVfs::over_real(Arc::clone(&plane)));
@@ -189,7 +182,6 @@ fn every_crash_point_recovers_to_a_durable_prefix() {
                     };
                 verify_recovery(&dir, &expected, floor, &site);
                 swept += 1;
-                let _ = std::fs::remove_dir_all(&dir);
             }
         }
     }
@@ -205,16 +197,13 @@ fn injected_io_errors_surface_as_structured_errors_and_heal() {
     // (fault disarmed) fully recovers without a reopen.
     let sites = enumerate_sites();
     for (point, _) in &sites {
-        let dir = temp_dir("ioerr");
+        let dir = TempDir::new("crash-ioerr");
         let plane = Arc::new(FaultPlane::new());
         plane.arm(point, FaultAction::Error, Trigger::Nth(1));
         let vfs = Arc::new(FaultVfs::over_real(Arc::clone(&plane)));
         let storage = match DiskStorage::open_with_vfs(&dir, StorageOptions::default(), vfs) {
             // Probe-path faults fail open with a structured error.
-            Err(_) => {
-                let _ = std::fs::remove_dir_all(&dir);
-                continue;
-            }
+            Err(_) => continue,
             Ok(s) => s,
         };
         let _ = run_workload(&storage);
@@ -226,6 +215,5 @@ fn injected_io_errors_surface_as_structured_errors_and_heal() {
             .sync(&full)
             .unwrap_or_else(|e| panic!("{point}: retry after one-shot io-error failed: {e}"));
         verify_recovery(&dir, &full, full.len(), point);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -2,26 +2,21 @@
 //! workloads, the suggest→adopt loop, SQL round-trips, and failure
 //! injection.
 
+mod common;
+
+use common::{engine, gtopdb as scale_db, Reference};
 use fgcite::engine::{
-    baseline_coverage, suggest_views, CitationEngine, CoreError, EngineOptions, PageCitationStore,
-    Policy, QueryLog, RewriteMode, WorkloadItem,
+    baseline_coverage, suggest_views, CitationEngine, CoreError, PageCitationStore, Policy,
+    QueryLog, RewriteMode, WorkloadItem,
 };
-use fgcite::gtopdb::{generate, paper_views, GeneratorConfig, WorkloadGenerator};
+use fgcite::gtopdb::{paper_views, WorkloadGenerator};
 use fgcite::prelude::*;
 use fgcite::query::parse_query;
-
-fn scale_db(families: usize, seed: u64) -> Database {
-    generate(
-        &GeneratorConfig::default()
-            .with_families(families)
-            .with_seed(seed),
-    )
-}
 
 #[test]
 fn every_workload_template_is_citable_at_scale() {
     let db = scale_db(200, 1);
-    let engine = CitationEngine::new(db, paper_views()).unwrap();
+    let engine = engine(db);
     let mut workload = WorkloadGenerator::new(engine.database(), 2);
     for t in 0..WorkloadGenerator::template_count() {
         let q = workload.query_from_template(t);
@@ -55,7 +50,7 @@ fn citations_respect_the_data_families_cited_by_their_own_curators() {
     let committee = fgcite::query::evaluate(&db, &committee_q).unwrap();
     assert!(!committee.is_empty());
 
-    let engine = CitationEngine::new(db, paper_views()).unwrap();
+    let engine = engine(db);
     let q = parse_query(&format!(
         "Q(N, Ty) :- Family(F, N, Ty), F = {:?}",
         fid.to_string()
@@ -77,17 +72,14 @@ fn citations_respect_the_data_families_cited_by_their_own_curators() {
 fn pruned_and_exhaustive_agree_on_best_rewriting_score() {
     let db = scale_db(100, 5);
     let mut workload = WorkloadGenerator::new(&db, 5);
+    let engine = engine(db.clone());
     for t in 0..WorkloadGenerator::template_count() {
         let q = workload.query_from_template(t);
-        let pruned = CitationEngine::new(db.clone(), paper_views()).unwrap();
-        let exhaustive = CitationEngine::new(db.clone(), paper_views())
-            .unwrap()
-            .with_options(EngineOptions {
-                mode: RewriteMode::Exhaustive,
-                ..EngineOptions::default()
-            });
-        let cp = pruned.cite(&q).unwrap();
-        let ce = exhaustive.cite(&q).unwrap();
+        let cite = |mode| {
+            let request = CiteRequest::query(q.clone()).with_mode(mode);
+            engine.cite_request(&request).unwrap().citation
+        };
+        let (cp, ce) = (cite(RewriteMode::Pruned), cite(RewriteMode::Exhaustive));
         let best_of = |c: &fgcite::engine::QueryCitation| {
             c.rewritings
                 .iter()
@@ -142,13 +134,11 @@ fn suggest_then_adopt_improves_rewritings() {
 
 #[test]
 fn sql_and_datalog_citations_agree_at_scale() {
-    let db = scale_db(150, 13);
-    let e1 = CitationEngine::new(db.clone(), paper_views()).unwrap();
-    let e2 = CitationEngine::new(db, paper_views()).unwrap();
-    let datalog =
-        parse_query("Q(N, Tx) :- Family(F, N, Ty), FamilyIntro(F, Tx), Ty = \"gpcr\"").unwrap();
-    let a = e1.cite(&datalog).unwrap();
-    let b = e2
+    let engine = engine(scale_db(150, 13));
+    let a = engine
+        .cite(&parse_query(common::QUERIES[0]).unwrap())
+        .unwrap();
+    let b = engine
         .cite_sql(
             "SELECT f.FName, i.Text FROM Family f, FamilyIntro i \
              WHERE f.FID = i.FID AND f.Type = 'gpcr'",
@@ -174,7 +164,7 @@ fn baseline_covers_pages_but_not_ad_hoc() {
 #[test]
 fn engine_rejects_queries_over_unknown_relations() {
     let db = scale_db(20, 30);
-    let engine = CitationEngine::new(db, paper_views()).unwrap();
+    let engine = engine(db);
     let q = parse_query("Q(X) :- Nope(X)").unwrap();
     assert!(matches!(engine.cite(&q).unwrap_err(), CoreError::Query(_)));
 }
@@ -182,7 +172,7 @@ fn engine_rejects_queries_over_unknown_relations() {
 #[test]
 fn engine_rejects_unsafe_queries() {
     let db = scale_db(20, 30);
-    let engine = CitationEngine::new(db, paper_views()).unwrap();
+    let engine = engine(db);
     let q = parse_query("Q(X) :- Family(F, N, Ty)").unwrap();
     assert!(engine.cite(&q).is_err());
 }
@@ -192,9 +182,7 @@ fn global_citation_survives_every_policy() {
     let db = scale_db(50, 31);
     let nar = Json::from_pairs([("NARIssue", Json::str("Pawson et al. 2014"))]);
     for policy in [Policy::union_all(), Policy::join_all(), Policy::default()] {
-        let engine = CitationEngine::new(db.clone(), paper_views())
-            .unwrap()
-            .with_policy(policy.with_global(nar.clone()));
+        let engine = engine(db.clone()).with_policy(policy.with_global(nar.clone()));
         let q = parse_query("Q(N) :- Family(F, N, Ty), Ty = \"gpcr\"").unwrap();
         let cited = engine.cite(&q).unwrap();
         assert!(
@@ -222,9 +210,7 @@ fn aggregate_equals_agg_folded_over_every_tuple_citation() {
     for db in [fgcite::gtopdb::paper_instance(), generated.clone()] {
         for policy in [Policy::union_all(), Policy::join_all(), Policy::default()] {
             let policy = policy.with_global(nar.clone());
-            let engine = CitationEngine::new(db.clone(), paper_views())
-                .unwrap()
-                .with_policy(policy.clone());
+            let engine = engine(db.clone()).with_policy(policy.clone());
             for q in &queries {
                 let cited = engine.cite(q).unwrap();
                 let mut folded = Json::Null;
@@ -247,11 +233,8 @@ fn dump_load_round_trip_preserves_citations() {
     let mut restored = fgcite::gtopdb::create_schema();
     fgcite::relation::loader::load_text(&mut restored, &text).unwrap();
 
+    let reference = Reference::new("gtopdb families=40 seed=41", db);
     let q = parse_query("Q(N) :- Family(F, N, Ty), Ty = \"gpcr\"").unwrap();
-    let e1 = CitationEngine::new(db, paper_views()).unwrap();
-    let e2 = CitationEngine::new(restored, paper_views()).unwrap();
-    let a = e1.cite(&q).unwrap();
-    let b = e2.cite(&q).unwrap();
-    assert_eq!(a.tuples.len(), b.tuples.len());
-    assert!(a.aggregate.equivalent(&b.aggregate));
+    let requests = common::cites(&[q]);
+    common::assert_same(&reference, &[("reloaded", &engine(restored))], &requests);
 }

@@ -8,11 +8,15 @@
 //! `fgc_fault` plane's `dist.pool.send` hook and the deadline /
 //! header-timeout / response-cap hardening ride the same fleet.
 
-use fgcite::dist::{Coordinator, CoordinatorConfig, DistServer, PoolConfig};
-use fgcite::engine::CitationEngine;
-use fgcite::gtopdb::{paper_instance, paper_shard_spec, paper_views};
-use fgcite::relation::Database;
-use fgcite::server::{parse_json, CiteServer, Client, ServerConfig};
+mod common;
+
+use common::{
+    assert_outage, assert_same, cite_body, posts, start_coordinator, start_reference,
+    start_replica, Reference, Request, QUERIES,
+};
+use fgcite::dist::{CoordinatorConfig, DistServer, PoolConfig};
+use fgcite::gtopdb::{paper_instance, paper_views};
+use fgcite::server::{parse_json, CiteServer, Client};
 use fgcite::views::Json;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -20,56 +24,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
-
-const QUERIES: &[&str] = &[
-    "Q(N, Tx) :- Family(F, N, Ty), FamilyIntro(F, Tx), Ty = \"gpcr\"",
-    "Q(N) :- Family(F, N, Ty)",
-    "Q(N, Pn) :- Family(F, N, Ty), FC(F, C), Person(C, Pn, A)",
-];
-
-fn cite_body(query: &str) -> String {
-    format!(r#"{{"query": "{}"}}"#, query.replace('"', "\\\""))
-}
-
-/// Zero the explicitly nondeterministic response fields.
-fn normalized(body: &str) -> String {
-    let mut parsed = parse_json(body).expect("response is JSON");
-    for volatile in ["elapsed_us", "cache_hits", "cache_misses"] {
-        if parsed.get(volatile).is_some() {
-            parsed.set(volatile, Json::Int(0));
-        }
-    }
-    parsed.to_compact()
-}
-
-fn start_replica(db: &Database, shard: usize, shards: usize) -> CiteServer {
-    let engine = CitationEngine::new(db.clone(), paper_views())
-        .expect("views validate")
-        .with_shards(shards, paper_shard_spec())
-        .expect("spec resolves");
-    let engine = Arc::new(engine);
-    CiteServer::start_with_handler(
-        Arc::clone(&engine),
-        ServerConfig::default()
-            .with_addr("127.0.0.1:0")
-            .with_threads(2)
-            .with_role("replica")
-            .with_shard(shard, shards),
-        fgcite::dist::fragment_handler(engine),
-    )
-    .expect("replica starts")
-}
-
-fn start_reference(db: &Database) -> CiteServer {
-    let engine = CitationEngine::new(db.clone(), paper_views()).expect("views validate");
-    CiteServer::start(
-        Arc::new(engine),
-        ServerConfig::default()
-            .with_addr("127.0.0.1:0")
-            .with_threads(2),
-    )
-    .expect("reference starts")
-}
 
 /// Chaos tuning small enough that every failure mode resolves in
 /// single-digit seconds: short read timeouts, tight backoff, a fast
@@ -85,19 +39,11 @@ fn chaos_pool() -> PoolConfig {
 }
 
 fn start_front(addrs: Vec<SocketAddr>, twins: Vec<Option<SocketAddr>>) -> DistServer {
-    let coordinator = Coordinator::connect(
+    start_coordinator(
         CoordinatorConfig::new(addrs)
             .with_twins(twins)
             .with_pool(chaos_pool()),
     )
-    .expect("coordinator connects");
-    DistServer::start(
-        Arc::new(coordinator),
-        ServerConfig::default()
-            .with_addr("127.0.0.1:0")
-            .with_threads(2),
-    )
-    .expect("coordinator serves")
 }
 
 // ---------------------------------------------------------------------------
@@ -271,7 +217,6 @@ fn copy_responses(mut from: TcpStream, mut to: TcpStream, mode: Arc<Mutex<Chaos>
 #[test]
 fn resets_fail_over_to_twin_byte_identically() {
     let db = paper_instance();
-    let reference = start_reference(&db);
     let primary = start_replica(&db, 0, 2);
     let twin = start_replica(&db, 0, 2);
     let other = start_replica(&db, 1, 2);
@@ -280,46 +225,27 @@ fn resets_fail_over_to_twin_byte_identically() {
         vec![proxy.addr, other.addr()],
         vec![Some(twin.addr()), None],
     );
-
-    let mut ref_client = Client::connect(reference.addr()).unwrap();
-    let mut client = Client::connect(front.addr()).unwrap();
+    let reference = Reference::new("paper instance", db);
+    let requests = posts(QUERIES);
 
     // healthy baseline: the proxied cluster matches the reference
-    for q in QUERIES {
-        let expected = ref_client.post("/cite", &cite_body(q)).unwrap();
-        let healthy = client.post("/cite", &cite_body(q)).unwrap();
-        assert_eq!((healthy.status, expected.status), (200, 200));
-        assert_eq!(normalized(&healthy.body), normalized(&expected.body), "{q}");
-    }
+    assert_same(&reference, &[("healthy", &front.addr())], &requests);
 
     // now every primary connection resets; the twin must keep every
-    // answer intact, still byte-identical to the reference
+    // answer intact, still byte-identical to the reference, and the
+    // whole failed-over mix stays bounded
     proxy.set(Chaos::Reset);
-    for q in QUERIES {
-        let start = Instant::now();
-        let expected = ref_client.post("/cite", &cite_body(q)).unwrap();
-        let failed_over = client.post("/cite", &cite_body(q)).unwrap();
-        assert!(
-            start.elapsed() < Duration::from_secs(10),
-            "failover for {q} took {:?}",
-            start.elapsed()
-        );
-        assert_eq!(failed_over.status, 200, "{q}: {}", failed_over.body);
-        assert_eq!(
-            normalized(&failed_over.body),
-            normalized(&expected.body),
-            "{q}"
-        );
-    }
-
-    drop(client);
-    drop(ref_client);
-    front.shutdown();
-    reference.shutdown();
-    drop(proxy);
-    primary.shutdown();
-    twin.shutdown();
-    other.shutdown();
+    let start = Instant::now();
+    assert_same(
+        &reference,
+        &[("primary resetting", &front.addr())],
+        &requests,
+    );
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(10),
+        "failover took {elapsed:?}"
+    );
 }
 
 /// Garbage and truncated responses on a twin-less shard produce the
@@ -328,16 +254,13 @@ fn resets_fail_over_to_twin_byte_identically() {
 #[test]
 fn garbage_and_truncation_yield_structured_503_then_heal() {
     let db = paper_instance();
-    let reference = start_reference(&db);
     let replica = start_replica(&db, 0, 1);
     let proxy = ChaosProxy::start(replica.addr());
     let front = start_front(vec![proxy.addr], vec![None]);
-
-    let mut ref_client = Client::connect(reference.addr()).unwrap();
+    let reference = Reference::new("paper instance", db);
+    let requests = [Request::post(QUERIES[0])];
     let mut client = Client::connect(front.addr()).unwrap();
     let body = cite_body(QUERIES[0]);
-    let expected = ref_client.post("/cite", &body).unwrap();
-    assert_eq!(expected.status, 200);
 
     for chaos in [Chaos::Garbage, Chaos::TruncateAfter(20)] {
         proxy.set(chaos);
@@ -348,15 +271,7 @@ fn garbage_and_truncation_yield_structured_503_then_heal() {
             "{chaos:?} took {:?}",
             start.elapsed()
         );
-        assert_eq!(outage.status, 503, "{chaos:?}: {}", outage.body);
-        let parsed = parse_json(&outage.body).unwrap();
-        assert!(
-            matches!(parsed.get("error"), Some(Json::Str(m)) if m.contains("no live replica")),
-            "{chaos:?}: {}",
-            outage.body
-        );
-        assert_eq!(parsed.get("shard"), Some(&Json::Int(0)), "{}", outage.body);
-        assert!(outage.body.contains("replicas_tried"), "{}", outage.body);
+        assert_outage(&outage, 0);
 
         // while degraded, the coordinator's health check says so
         let health = client.get("/healthz").unwrap();
@@ -372,17 +287,9 @@ fn garbage_and_truncation_yield_structured_503_then_heal() {
         // reference answer again
         proxy.set(Chaos::Passthrough);
         thread::sleep(Duration::from_millis(300));
-        let healed = client.post("/cite", &body).unwrap();
-        assert_eq!(healed.status, 200, "{chaos:?}: {}", healed.body);
-        assert_eq!(normalized(&healed.body), normalized(&expected.body));
+        let healed = format!("healed after {chaos:?}");
+        assert_same(&reference, &[(&healed, &front.addr())], &requests);
     }
-
-    drop(client);
-    drop(ref_client);
-    front.shutdown();
-    reference.shutdown();
-    drop(proxy);
-    replica.shutdown();
 }
 
 /// A stalled replica is bounded twice over: with an `x-deadline-ms`
@@ -447,14 +354,8 @@ fn stalled_replica_is_bounded_by_deadline_and_timeout() {
         "undeadlined stall took {:?}",
         start.elapsed()
     );
-    assert_eq!(outage.status, 503, "{}", outage.body);
-    assert!(outage.body.contains("no live replica"), "{}", outage.body);
-
+    assert_outage(&outage, 0);
     proxy.set(Chaos::Passthrough);
-    drop(client);
-    front.shutdown();
-    drop(proxy);
-    replica.shutdown();
 }
 
 /// A spent budget at the front door — `x-deadline-ms: 0` — is answered
@@ -477,14 +378,12 @@ fn zero_deadline_is_rejected_at_both_front_doors() {
         assert!(spent.body.contains("deadline"), "{}", spent.body);
 
         let metrics = client.get("/metrics").unwrap();
-        let counted = metrics.body.lines().any(|l| {
-            l.starts_with("fgcite_deadline_exceeded_total")
-                && l.split_whitespace()
-                    .last()
-                    .and_then(|v| v.parse::<u64>().ok())
-                    .is_some_and(|v| v >= 1)
-        });
-        assert!(counted, "no nonzero deadline counter in:\n{}", metrics.body);
+        let counted = common::metric(&metrics.body, "fgcite_deadline_exceeded_total", "");
+        assert!(
+            counted >= 1,
+            "no nonzero deadline counter in:\n{}",
+            metrics.body
+        );
 
         // a sane budget on the same connection still serves
         let fine = client
@@ -492,10 +391,6 @@ fn zero_deadline_is_rejected_at_both_front_doors() {
             .unwrap();
         assert_eq!(fine.status, 200, "{}", fine.body);
     }
-
-    front.shutdown();
-    reference.shutdown();
-    replica.shutdown();
 
     // `/cite_at` sits inside the same deadline plane: a spent budget
     // is refused before any version is resolved or engine rebuilt
@@ -505,13 +400,8 @@ fn zero_deadline_is_rejected_at_both_front_doors() {
         history,
         paper_views(),
     ));
-    let server = CiteServer::start_versioned(
-        Arc::clone(&versioned),
-        ServerConfig::default()
-            .with_addr("127.0.0.1:0")
-            .with_threads(2),
-    )
-    .expect("versioned server starts");
+    let server = CiteServer::start_versioned(Arc::clone(&versioned), common::server_config())
+        .expect("versioned server starts");
     let mut client = Client::connect(server.addr()).unwrap();
     let touches = || {
         let stats = versioned.version_stats();
@@ -535,55 +425,16 @@ fn zero_deadline_is_rejected_at_both_front_doors() {
     );
     let fine = client.post("/cite_at", &body).unwrap();
     assert_eq!(fine.status, 200, "{}", fine.body);
-    drop(client);
-    server.shutdown();
 }
 
 /// A client that dribbles header bytes slower than the server's header
 /// deadline gets a 408, not a held worker.
 #[test]
 fn slow_header_drip_is_answered_408() {
-    let db = paper_instance();
-    let engine = CitationEngine::new(db, paper_views()).expect("views validate");
-    let server = CiteServer::start(
-        Arc::new(engine),
-        ServerConfig::default()
-            .with_addr("127.0.0.1:0")
-            .with_threads(2)
-            .with_header_read_timeout(Duration::from_millis(200)),
-    )
-    .expect("server starts");
-
-    let mut stream = TcpStream::connect(server.addr()).unwrap();
-    stream
-        .set_read_timeout(Some(Duration::from_millis(100)))
-        .unwrap();
-    stream.write_all(b"POST /cite HTTP/1.1\r\n").unwrap();
-    // drip one header byte at a time, never completing a line, with a
-    // short read between bytes: the server must cut us off at its
-    // 200 ms header deadline. Stop writing as soon as anything comes
-    // back so the buffered 408 can't be discarded by a reset.
-    let mut raw = Vec::new();
-    let give_up = Instant::now() + Duration::from_secs(5);
-    while raw.is_empty() && Instant::now() < give_up {
-        if stream.write_all(b"x").is_err() {
-            break;
-        }
-        let mut buf = [0u8; 1024];
-        match stream.read(&mut buf) {
-            Ok(0) => break,
-            Ok(n) => raw.extend_from_slice(&buf[..n]),
-            Err(_) => {} // read timeout: keep dripping
-        }
-    }
-    let mut buf = [0u8; 1024];
-    while let Ok(n) = stream.read(&mut buf) {
-        if n == 0 {
-            break;
-        }
-        raw.extend_from_slice(&buf[..n]);
-    }
-    let text = String::from_utf8_lossy(&raw);
+    let engine = common::engine(paper_instance());
+    let config = common::server_config().with_header_read_timeout(Duration::from_millis(200));
+    let server = CiteServer::start(Arc::new(engine), config).expect("server starts");
+    let text = common::drip_header(server.addr());
     assert!(
         text.starts_with("HTTP/1.1 408"),
         "expected a 408, got: {text:?}"
@@ -594,7 +445,6 @@ fn slow_header_drip_is_answered_408() {
     let mut client = Client::connect(server.addr()).unwrap();
     let fine = client.post("/cite", &cite_body(QUERIES[0])).unwrap();
     assert_eq!(fine.status, 200, "{}", fine.body);
-    server.shutdown();
 }
 
 /// The client refuses to buffer a response whose declared
@@ -652,8 +502,4 @@ fn injected_pool_fault_is_retried_and_counted() {
             metrics.body
         );
     }
-
-    drop(client);
-    front.shutdown();
-    replica.shutdown();
 }

@@ -4,7 +4,9 @@
 //! each test states which example it reproduces and asserts the
 //! paper's printed output (or the property the example illustrates).
 
-use fgcite::engine::{CitationEngine, CiteToken, EngineOptions, OrderChoice, Policy, RewriteMode};
+mod common;
+
+use fgcite::engine::{CitationEngine, CiteToken, OrderChoice, Policy};
 use fgcite::gtopdb::{paper_instance, paper_views, v1, v2, v3, v4, v5};
 use fgcite::prelude::*;
 use fgcite::query::parse_query;
@@ -13,17 +15,11 @@ use fgcite::semiring::{CitationExpr, Monomial, Polynomial};
 use fgcite::views::{join_records, union_records};
 
 fn engine() -> CitationEngine {
-    CitationEngine::new(paper_instance(), paper_views()).unwrap()
+    common::engine(paper_instance())
 }
 
-fn exhaustive_engine(policy: Policy) -> CitationEngine {
-    CitationEngine::new(paper_instance(), paper_views())
-        .unwrap()
-        .with_policy(policy)
-        .with_options(EngineOptions {
-            mode: RewriteMode::Exhaustive,
-            ..EngineOptions::default()
-        })
+fn exhaustive_engine() -> CitationEngine {
+    common::exhaustive_union(engine())
 }
 
 fn paper_view_defs() -> ViewDefs {
@@ -176,15 +172,8 @@ fn example_2_2_citation_granularity_differs() {
     // "Q2 leads to a more specific citation than Q1 ... This groups
     // together all tuples sharing the type gpcr, yielding a single
     // citation" — with Q1 (V1), each family id yields its own token.
-    let db = paper_instance();
     let q = parse_query("Q(N) :- Family(F, N, Ty), Ty = \"gpcr\", FamilyIntro(F, Tx)").unwrap();
-    let e = CitationEngine::new(db, paper_views())
-        .unwrap()
-        .with_policy(Policy::union_all())
-        .with_options(EngineOptions {
-            mode: RewriteMode::Exhaustive,
-            ..EngineOptions::default()
-        });
+    let e = exhaustive_engine();
     let result = e.cite(&q).unwrap();
     // collect V4 valuations (one per type) vs V1 valuations (one per family)
     let mut v4_valuations = std::collections::BTreeSet::new();
@@ -273,7 +262,7 @@ fn example_3_1_engine_builds_the_product() {
     // The engine's symbolic expression for the Calcitonin tuple under
     // the V1·V2 rewriting is a single monomial CV1("11")·CV2("11").
     let q = parse_query("Q(N) :- Family(F, N, Ty), F = \"11\", FamilyIntro(F, Tx)").unwrap();
-    let e = exhaustive_engine(Policy::union_all());
+    let e = exhaustive_engine();
     let result = e.cite(&q).unwrap();
     assert_eq!(result.tuples.len(), 1);
     let has_product = result.tuples[0].expr.alternatives().any(|(_, poly)| {
@@ -299,13 +288,7 @@ fn example_3_2_shared_family_name_sums_bindings() {
     db.insert("FamilyIntro", tuple!["16", "Another calcitonin intro"])
         .unwrap();
     db.insert("FIC", tuple!["16", "p4"]).unwrap();
-    let e = CitationEngine::new(db, paper_views())
-        .unwrap()
-        .with_policy(Policy::union_all())
-        .with_options(EngineOptions {
-            mode: RewriteMode::Exhaustive,
-            ..EngineOptions::default()
-        });
+    let e = common::exhaustive_union(common::engine(db));
     let q =
         parse_query("Q(N) :- Family(F, N, Ty), FamilyIntro(F, Tx), N = \"Calcitonin\"").unwrap();
     let result = e.cite(&q).unwrap();
@@ -332,7 +315,7 @@ fn example_3_3_family_13_citation_structure() {
     // (CV1("13") +R CV4("gpcr")) · CV2("13").
     let q = parse_query("Q(N) :- Family(F, N, Ty), Ty = \"gpcr\", FamilyIntro(F, Tx), N = \"b\"")
         .unwrap();
-    let e = exhaustive_engine(Policy::union_all());
+    let e = exhaustive_engine();
     let result = e.cite(&q).unwrap();
     assert_eq!(result.tuples.len(), 1);
     let expr = &result.tuples[0].expr;
@@ -369,8 +352,8 @@ fn example_3_3_citations_insensitive_to_query_plans() {
     // be the same" — atom order and variable names don't matter.
     let qa = parse_query("Q(N) :- Family(F, N, Ty), Ty = \"gpcr\", FamilyIntro(F, Tx)").unwrap();
     let qb = parse_query("Q(Z) :- FamilyIntro(K, W), Family(K, Z, T2), T2 = \"gpcr\"").unwrap();
-    let ea = exhaustive_engine(Policy::union_all());
-    let eb = exhaustive_engine(Policy::union_all());
+    let ea = exhaustive_engine();
+    let eb = exhaustive_engine();
     let ca = ea.cite(&qa).unwrap();
     let cb = eb.cite(&qb).unwrap();
     assert_eq!(ca.tuples.len(), cb.tuples.len());

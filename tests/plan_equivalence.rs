@@ -1,156 +1,99 @@
-//! Compiled-plan vs seed-interpreter equivalence — the acceptance
-//! bar of the compiled [`fgcite::query::QueryPlan`] evaluator: on
-//! every query of every instance, the compiled executor must produce
-//! **byte-identical** results to the seed interpreter it replaced —
-//! same tuples in the same (first-derivation) order, same grouped
-//! bindings in the same order, same provenance polynomials term for
-//! term, same errors. Differential, property-style: the retained
-//! interpreter (`evaluate_interpreted` and friends, deprecated but
-//! kept exactly for this) is the ground truth.
+//! The compiled evaluator against the oracle: on every query of every
+//! instance, over the unsharded database and every sharding of it, the
+//! three collectors — distinct answers, grouped bindings, provenance
+//! polynomials — must equal the folds of
+//! [`fgcite::query::reference_derivations`], which enumerates every
+//! derivation by definition (atoms in text order, full scans, no
+//! index, no plan). The comparison ignores order; what the order *is*
+//! is pinned once, literally, by `first_derivation_order_is_pinned`,
+//! and `one_plan_serves_every_source` holds it byte-identical across
+//! sources.
 
-#![allow(deprecated)]
+mod common;
 
-use fgcite::gtopdb::{
-    generate, paper_instance, paper_shard_spec, GeneratorConfig, WorkloadGenerator,
-};
+use common::{Collected, QUERIES};
+use fgcite::gtopdb::{generate, paper_instance, paper_shard_spec, GeneratorConfig};
 use fgcite::query::{
-    evaluate, evaluate_annotated, evaluate_annotated_interpreted, evaluate_annotated_plan_with,
-    evaluate_grouped, evaluate_grouped_interpreted, evaluate_grouped_plan_with,
-    evaluate_interpreted, evaluate_interpreted_with, evaluate_plan_with, parse_query,
-    reference_evaluate, Binding, ConjunctiveQuery, EvalOptions, QueryError, QueryPlan, ShardRouter,
-    Source,
+    evaluate, evaluate_annotated_plan_with, evaluate_grouped, evaluate_grouped_plan_with,
+    evaluate_plan_with, parse_query, Binding, ConjunctiveQuery, EvalOptions, QueryError, QueryPlan,
+    ShardRouter, Source,
 };
 use fgcite::relation::sharded::ShardedDatabase;
-use fgcite::relation::{Database, Tuple};
+use fgcite::relation::{tuple, Database, Tuple, Value};
 use fgcite::semiring::Polynomial;
 
-/// Hand-written queries covering the shapes the evaluator supports:
-/// scans, selections (atom constants and comparisons), joins,
-/// self-joins, inequalities, duplicate-heavy projections, empty and
-/// contradictory results.
-const PAPER_QUERIES: &[&str] = &[
-    "Q(N) :- Family(F, N, Ty)",
+/// The shared mix plus the shapes only the evaluator needs: a
+/// duplicate-heavy projection, a cross product with `<`, a non-key
+/// comparison, and a head variable bound by a constant alone.
+const MORE_QUERIES: &[&str] = &[
     "Q(N) :- Family(F, N, Ty), Ty = \"gpcr\"",
-    "Q(N) :- Family(\"11\", N, Ty)",
     "Q(N, Tx) :- Family(F, N, Ty), FamilyIntro(F, Tx)",
-    "Q(N, Tx) :- Family(F, N, Ty), FamilyIntro(F, Tx), Ty = \"gpcr\"",
-    "Q(N, Tx) :- Family(F, N, Ty), FamilyIntro(F, Tx), F = \"11\"",
-    "Q(N, Pn) :- Family(F, N, Ty), FC(F, C), Person(C, Pn, A)",
     "Q(Ty) :- Family(F, N, Ty)",
-    "Q(A, B) :- Family(A, N1, T), Family(B, N2, T), A != B",
     "Q(A, B) :- Family(A, N1, T1), Family(B, N2, T2), A < B",
     "Q(N) :- Family(F, N, Ty), F > \"11\"",
-    "Q(N) :- Family(F, N, Ty), Ty = \"nope\"",
-    "Q(N) :- Family(F, N, Ty), Ty = \"a\", Ty = \"b\"",
     "Q(N, X) :- Family(F, N, Ty), X = \"const\"",
 ];
 
 fn paper_queries() -> Vec<ConjunctiveQuery> {
-    PAPER_QUERIES
-        .iter()
-        .map(|q| parse_query(q).expect("static query"))
-        .collect()
+    let all = QUERIES.iter().chain(MORE_QUERIES);
+    all.map(|q| parse_query(q).expect("static query")).collect()
 }
 
-/// All three collectors over `source` — the unsharded `db` itself or
-/// any sharding of it — against the interpreter over `db`.
-fn assert_equivalent<'a>(
-    source: impl Into<Source<'a>>,
-    db: &Database,
-    q: &ConjunctiveQuery,
-    context: &str,
-) {
-    let source = source.into();
-    // distinct outputs, first-derivation order
-    let compiled = evaluate(source.clone(), q).expect("compiled evaluation");
-    let interpreted = evaluate_interpreted(db, q).expect("interpreted evaluation");
-    assert_eq!(compiled, interpreted, "evaluate diverges: {context} q={q}");
-
-    // grouped bindings, tuple order and binding order
-    let compiled_g = evaluate_grouped(source.clone(), q).expect("compiled grouped");
-    let interpreted_g = evaluate_grouped_interpreted(db, q).expect("interpreted grouped");
+/// All three collectors over `source` — `db` itself or any sharding
+/// of it — against the oracle's folds over `db`.
+fn assert_agrees(source: Source<'_>, db: &Database, q: &ConjunctiveQuery, context: &str) {
     assert_eq!(
-        compiled_g, interpreted_g,
-        "evaluate_grouped diverges: {context} q={q}"
+        Collected::by_executor(source, q),
+        Collected::by_definition(db, q),
+        "{context} q={q}"
     );
-
-    // provenance polynomials, term for term (Debug formatting is the
-    // canonical monomial order)
-    let compiled_a: Vec<(Tuple, Polynomial<String>)> = evaluate_annotated(source, q, |rel, row| {
-        Polynomial::token(format!("{rel}:{row}"))
-    })
-    .expect("compiled annotated");
-    let interpreted_a: Vec<(Tuple, Polynomial<String>)> =
-        evaluate_annotated_interpreted(db, q, |rel, row| Polynomial::token(format!("{rel}:{row}")))
-            .expect("interpreted annotated");
-    assert_eq!(
-        compiled_a.len(),
-        interpreted_a.len(),
-        "annotated arity diverges: {context} q={q}"
-    );
-    for ((t1, p1), (t2, p2)) in compiled_a.iter().zip(&interpreted_a) {
-        assert_eq!(t1, t2, "annotated tuple order diverges: {context} q={q}");
-        assert_eq!(
-            format!("{p1:?}"),
-            format!("{p2:?}"),
-            "polynomials diverge: {context} q={q}"
-        );
-    }
 }
 
 #[test]
 fn paper_instance_queries_are_byte_identical() {
     let db = paper_instance();
     for q in paper_queries() {
-        assert_equivalent(&db, &db, &q, "paper instance");
+        assert_agrees(Source::Whole(&db), &db, &q, "paper instance");
     }
 }
 
 #[test]
 fn randomized_gtopdb_instances_are_byte_identical() {
     // property-style sweep: several seeds and scales, template plus
-    // ad-hoc workload queries, with and without secondary indexes
+    // ad-hoc workload queries
     for (seed, families) in [(3u64, 30usize), (17, 75), (91, 140)] {
-        let db = generate(
-            &GeneratorConfig::default()
-                .with_families(families)
-                .with_seed(seed),
+        let db = common::gtopdb(families, seed);
+        let mut w = fgcite::gtopdb::WorkloadGenerator::new(&db, seed ^ 0x5eed);
+        let mut queries = w.ad_hoc_batch(10);
+        queries.extend(
+            (0..fgcite::gtopdb::WorkloadGenerator::template_count())
+                .map(|t| w.query_from_template(t)),
         );
-        let queries: Vec<ConjunctiveQuery> = {
-            let mut w = WorkloadGenerator::new(&db, seed ^ 0x5eed);
-            let mut qs = w.ad_hoc_batch(10);
-            for t in 0..WorkloadGenerator::template_count() {
-                qs.push(w.query_from_template(t));
-            }
-            qs
-        };
         for q in &queries {
-            assert_equivalent(&db, &db, q, &format!("seed={seed} families={families}"));
+            let context = format!("seed={seed} families={families}");
+            assert_agrees(Source::Whole(&db), &db, q, &context);
         }
     }
 }
 
 #[test]
 fn hand_written_queries_survive_generated_instances() {
-    let db = generate(&GeneratorConfig::default().with_families(50).with_seed(7));
+    let db = common::gtopdb(50, 7);
     for q in paper_queries() {
-        assert_equivalent(&db, &db, &q, "generated instance");
+        assert_agrees(Source::Whole(&db), &db, &q, "generated instance");
     }
 }
 
 #[test]
-fn compiled_sharded_evaluation_matches_the_interpreter() {
-    // interpreted unsharded vs compiled routed: both the sharding
-    // layer and the compiled executor must preserve bindings exactly
-    let db = generate(&GeneratorConfig::default().with_families(90).with_seed(23));
-    let queries: Vec<ConjunctiveQuery> = {
-        let mut w = WorkloadGenerator::new(&db, 29);
-        w.ad_hoc_batch(8)
-    };
+fn compiled_sharded_evaluation_matches_the_reference() {
+    // routed over the sharded store vs the oracle over the unsharded
+    // one: routing, scatter and global row ids must all be exact
+    let db = common::gtopdb(90, 23);
+    let queries = common::workload(&db, 29, 8);
     for shards in [1usize, 2, 4, 7] {
         let store = ShardedDatabase::from_database(&db, shards, paper_shard_spec()).unwrap();
         for q in queries.iter().chain(&paper_queries()) {
-            assert_equivalent(&store, &db, q, &format!("shards={shards}"));
+            assert_agrees(Source::from(&store), &db, q, &format!("shards={shards}"));
         }
     }
 }
@@ -168,17 +111,11 @@ fn one_plan_serves_every_source() {
         let tuples = evaluate_plan_with(source.clone(), plan, options).unwrap();
         let grouped = evaluate_grouped_plan_with(source.clone(), plan, options).unwrap();
         let annotated: Vec<(Tuple, Polynomial<String>)> =
-            evaluate_annotated_plan_with(source, plan, options, |rel, row| {
-                Polynomial::token(format!("{rel}:{row}"))
-            })
-            .unwrap();
+            evaluate_annotated_plan_with(source, plan, options, common::row_token).unwrap();
         (tuples, grouped, format!("{annotated:?}"))
     }
-    let db = generate(&GeneratorConfig::default().with_families(60).with_seed(41));
-    let queries: Vec<ConjunctiveQuery> = {
-        let mut w = WorkloadGenerator::new(&db, 43);
-        w.ad_hoc_batch(6)
-    };
+    let db = common::gtopdb(60, 41);
+    let queries = common::workload(&db, 43, 6);
     let stores: Vec<ShardedDatabase> = [1usize, 2, 4, 7]
         .iter()
         .map(|&n| ShardedDatabase::from_database(&db, n, paper_shard_spec()).unwrap())
@@ -205,23 +142,65 @@ fn one_plan_serves_every_source() {
 
 #[test]
 fn agrees_with_the_brute_force_oracle() {
-    // small instance so the exponential oracle stays tractable
-    let db = paper_instance();
-    for src in [
-        "Q(N) :- Family(F, N, Ty), Ty = \"gpcr\"",
-        "Q(N, Tx) :- Family(F, N, Ty), FamilyIntro(F, Tx)",
-        "Q(T1) :- MetaData(T1, X1)",
-    ] {
-        let q = parse_query(src).unwrap();
-        let mut compiled = evaluate(&db, &q).unwrap();
-        compiled.sort();
-        let oracle = reference_evaluate(&db, &q).unwrap();
-        assert_eq!(compiled, oracle, "oracle divergence on {src}");
+    // An index on every column: the executor probes wherever a value
+    // is bound, the oracle never probes, so an index that returned
+    // the wrong rows would show here.
+    let mut db = paper_instance();
+    let columns: Vec<(String, usize)> = db
+        .catalog()
+        .iter()
+        .flat_map(|schema| (0..schema.arity()).map(|c| (schema.name.clone(), c)))
+        .collect();
+    for (relation, column) in columns {
+        db.relation_mut(&relation)
+            .unwrap()
+            .build_index(column)
+            .unwrap();
+    }
+    let store = ShardedDatabase::from_database(&db, 2, paper_shard_spec()).unwrap();
+    let metadata = parse_query("Q(T1) :- MetaData(T1, X1)").unwrap();
+    for q in paper_queries().iter().chain([&metadata]) {
+        assert_agrees(Source::Whole(&db), &db, q, "every column indexed");
+        assert_agrees(
+            Source::from(&store),
+            &db,
+            q,
+            "every column indexed, 2 shards",
+        );
     }
 }
 
+/// The order contract, stated literally: answers and groups come out
+/// in the order of their first derivation, and bindings within a
+/// group in derivation order. Rows are met in insertion order, atoms
+/// in the plan's greedy order: the join scans the smaller
+/// `FamilyIntro` first and probes `Family` by key, so its answers
+/// follow `FamilyIntro`'s rows (families 11, 13, 14), not `Family`'s.
 #[test]
-fn errors_match_the_interpreter() {
+fn first_derivation_order_is_pinned() {
+    let db = paper_instance();
+    let q = parse_query("Q(Ty) :- Family(F, N, Ty)").unwrap();
+    assert_eq!(
+        evaluate(&db, &q).unwrap(),
+        [tuple!["gpcr"], tuple!["enzyme"]]
+    );
+    let families: Vec<Vec<Value>> = evaluate_grouped(&db, &q)
+        .unwrap()
+        .into_iter()
+        .map(|(_, bindings)| bindings.iter().map(|b| b["F"].clone()).collect())
+        .collect();
+    let fid = |ids: &[&str]| ids.iter().map(|id| Value::str(*id)).collect::<Vec<_>>();
+    assert_eq!(families, [fid(&["11", "12", "13", "14"]), fid(&["15"])]);
+    let join = parse_query("Q(N) :- Family(F, N, Ty), FamilyIntro(F, Tx)").unwrap();
+    assert_eq!(QueryPlan::compile(&join, &db).unwrap().join_order(), [1, 0]);
+    assert_eq!(
+        evaluate(&db, &join).unwrap(),
+        [tuple!["Calcitonin"], tuple!["b"], tuple!["Orexin"]]
+    );
+}
+
+#[test]
+fn errors_match_the_reference() {
     let db = paper_instance();
 
     let unsafe_q = parse_query("Q(X) :- Family(F, N, Ty)").unwrap();
@@ -230,36 +209,32 @@ fn errors_match_the_interpreter() {
         QueryError::Unsafe { .. }
     ));
     assert!(matches!(
-        evaluate_interpreted(&db, &unsafe_q).unwrap_err(),
+        fgcite::query::reference_derivations(&db, &unsafe_q).unwrap_err(),
         QueryError::Unsafe { .. }
     ));
 
     let unknown = parse_query("Q(X) :- Nope(X)").unwrap();
     assert!(evaluate(&db, &unknown).is_err());
-    assert!(evaluate_interpreted(&db, &unknown).is_err());
+    assert!(fgcite::query::reference_derivations(&db, &unknown).is_err());
 
-    // budget exhaustion fires at the same binding count
+    // budget exhaustion reports the limit the caller set
     let q = parse_query("Q(A, B) :- Family(A, X, Y), Family(B, Z, W)").unwrap();
-    let options = EvalOptions { max_bindings: 4 };
     let plan = QueryPlan::compile(&q, &db).unwrap();
-    let compiled = evaluate_plan_with(&db, &plan, options).unwrap_err();
-    let interpreted = evaluate_interpreted_with(&db, &q, options).unwrap_err();
-    // ...and both report the limit the caller set
+    let options = EvalOptions { max_bindings: 4 };
     assert!(matches!(
-        compiled,
+        evaluate_plan_with(&db, &plan, options).unwrap_err(),
         QueryError::BudgetExceeded { limit: 4, .. }
     ));
-    assert!(matches!(
-        interpreted,
-        QueryError::BudgetExceeded { limit: 4, .. }
-    ));
-    // ...and a budget exactly at the binding count (5 × 5 families)
-    // succeeds on both
-    let enough = EvalOptions { max_bindings: 25 };
+    // ...and a budget exactly at the derivation count (5 × 5
+    // families) succeeds with the reference's answers
     assert_eq!(
-        evaluate_plan_with(&db, &plan, enough).unwrap(),
-        evaluate_interpreted_with(&db, &q, enough).unwrap()
+        fgcite::query::reference_derivations(&db, &q).unwrap().len(),
+        25
     );
+    let enough = EvalOptions { max_bindings: 25 };
+    let mut answers = evaluate_plan_with(&db, &plan, enough).unwrap();
+    answers.sort();
+    assert_eq!(answers, Collected::by_definition(&db, &q).answers);
 }
 
 #[test]
@@ -267,12 +242,14 @@ fn plans_are_reusable_across_evaluations() {
     // one compiled plan, many executions — the engine plan-cache
     // contract at the query-crate level
     let db = generate(&GeneratorConfig::default().with_families(40).with_seed(11));
-    let q = parse_query("Q(N, Tx) :- Family(F, N, Ty), FamilyIntro(F, Tx), Ty = \"gpcr\"").unwrap();
+    let q = parse_query(QUERIES[0]).unwrap();
     let plan = QueryPlan::compile(&q, &db).unwrap();
     let first = evaluate_plan_with(&db, &plan, EvalOptions::default()).unwrap();
     for _ in 0..3 {
         let again = evaluate_plan_with(&db, &plan, EvalOptions::default()).unwrap();
         assert_eq!(first, again);
     }
-    assert_eq!(first, evaluate_interpreted(&db, &q).unwrap());
+    let mut sorted = first;
+    sorted.sort();
+    assert_eq!(sorted, Collected::by_definition(&db, &q).answers);
 }

@@ -6,6 +6,8 @@
 //! hundred random cases. Failures print the failing case; rerunning
 //! is deterministic because every case derives from its loop index.
 
+mod common;
+
 use fgcite::gtopdb::rng::SmallRng;
 use fgcite::prelude::*;
 use fgcite::query::{equivalent, evaluate, minimize, parse_query};
@@ -428,25 +430,14 @@ fn rewriting_expansions_evaluate_like_the_query() {
 
 #[test]
 fn engine_citations_are_plan_independent() {
-    use fgcite::engine::{CitationEngine, EngineOptions, Policy, RewriteMode};
     for seed in 0u64..10 {
         let db = fgcite::gtopdb::generate(&fgcite::gtopdb::GeneratorConfig::tiny().with_seed(seed));
         let q =
             parse_query("Q(N, Tx) :- Family(F, N, Ty), FamilyIntro(F, Tx), Ty = \"gpcr\"").unwrap();
         let mut permuted = q.clone();
         permuted.atoms.reverse();
-        let opts = EngineOptions {
-            mode: RewriteMode::Exhaustive,
-            ..EngineOptions::default()
-        };
-        let e1 = CitationEngine::new(db.clone(), fgcite::gtopdb::paper_views())
-            .unwrap()
-            .with_policy(Policy::union_all())
-            .with_options(opts);
-        let e2 = CitationEngine::new(db, fgcite::gtopdb::paper_views())
-            .unwrap()
-            .with_policy(Policy::union_all())
-            .with_options(opts);
+        let e1 = common::exhaustive_union(common::engine(db.clone()));
+        let e2 = common::exhaustive_union(common::engine(db));
         let c1 = e1.cite(&q).unwrap();
         let c2 = e2.cite(&permuted).unwrap();
         assert_eq!(c1.tuples.len(), c2.tuples.len());
@@ -500,21 +491,10 @@ fn old_version_citations_unaffected_by_later_commits() {
     };
     let q = parse_query("Q(N, Tx) :- Family(F, N, Ty), FamilyIntro(F, Tx)").unwrap();
     let mut pinned: Vec<String> = Vec::new();
-    let snapshot = |c: &fgcite::engine::VersionedCitation| {
-        let tuples: Vec<String> = c
-            .citation
-            .tuples
-            .iter()
-            .map(|t| format!("{} | {} | {}", t.tuple, t.expr, t.citation.to_compact()))
-            .collect();
-        format!(
-            "{}\n{}",
-            c.stamped_aggregate().to_compact(),
-            tuples.join("\n")
-        )
-    };
     for step in 0u64..5 {
-        pinned.push(snapshot(&engine.cite_at_version(step, &q).unwrap()));
+        pinned.push(common::render_versioned(
+            &engine.cite_at_version(step, &q).unwrap(),
+        ));
         engine
             .commit_with((step + 1) * 10, format!("v{}", step + 1), |db| {
                 let removed = db.relation("FamilyIntro")?.rows().first().cloned();
@@ -529,7 +509,7 @@ fn old_version_citations_unaffected_by_later_commits() {
             })
             .unwrap();
         for (v, expected) in pinned.iter().enumerate() {
-            let again = snapshot(&engine.cite_at_version(v as u64, &q).unwrap());
+            let again = common::render_versioned(&engine.cite_at_version(v as u64, &q).unwrap());
             assert_eq!(&again, expected, "version {v} drifted after commit {step}");
         }
     }
@@ -562,29 +542,27 @@ fn unknown_version_cite_is_a_structured_error_not_a_panic() {
 }
 
 // ---------------------------------------------------------------------
-// Differential testing against the brute-force reference evaluator
+// Differential testing against the by-definition reference
 // ---------------------------------------------------------------------
 
 /// Random tiny databases over a two-relation schema, plus random
-/// small queries; the optimized evaluator must agree with the
-/// exhaustive reference semantics on all of them.
+/// small queries: all three collectors must agree with the folds of
+/// the oracle's derivations on all of them.
 mod differential {
     use super::*;
-    use fgcite::query::reference_evaluate;
+    use common::Collected;
+    use fgcite::query::Source;
     use fgcite::relation::schema::RelationSchema;
 
     fn tiny_random_db(rows_r: &[(i64, i64)], rows_s: &[(i64, i64)]) -> Database {
         let mut db = Database::new();
-        db.create_relation(
-            RelationSchema::with_names("R", &[("a", DataType::Int), ("b", DataType::Int)], &[])
-                .unwrap(),
-        )
-        .unwrap();
-        db.create_relation(
-            RelationSchema::with_names("S", &[("b", DataType::Int), ("c", DataType::Int)], &[])
-                .unwrap(),
-        )
-        .unwrap();
+        for (name, columns) in [
+            ("R", [("a", DataType::Int), ("b", DataType::Int)]),
+            ("S", [("b", DataType::Int), ("c", DataType::Int)]),
+        ] {
+            db.create_relation(RelationSchema::with_names(name, &columns, &[]).unwrap())
+                .unwrap();
+        }
         for (a, b) in rows_r {
             db.insert("R", tuple![*a, *b]).unwrap();
         }
@@ -601,8 +579,8 @@ mod differential {
             .collect()
     }
 
-    fn small_queries() -> Vec<&'static str> {
-        vec![
+    fn small_queries() -> Vec<ConjunctiveQuery> {
+        [
             "Q(A, B) :- R(A, B)",
             "Q(A) :- R(A, B)",
             "Q(A, C) :- R(A, B), S(B, C)",
@@ -614,44 +592,41 @@ mod differential {
             "Q() :- R(A, B), S(B, C)",
             "Q(B) :- R(A, B), R(A2, B), A < A2",
         ]
+        .iter()
+        .map(|src| parse_query(src).unwrap())
+        .collect()
+    }
+
+    fn assert_matches_reference(db: &Database) {
+        for q in small_queries() {
+            let expected = Collected::by_definition(db, &q);
+            assert_eq!(
+                Collected::by_executor(Source::Whole(db), &q),
+                expected,
+                "divergence on {q}"
+            );
+        }
     }
 
     #[test]
     fn optimized_evaluator_matches_reference() {
         forall(48, |g| {
-            let db = tiny_random_db(&random_rows(g), &random_rows(g));
-            for src in small_queries() {
-                let q = parse_query(src).unwrap();
-                let mut fast = evaluate(&db, &q).unwrap();
-                fast.sort();
-                let slow = reference_evaluate(&db, &q).unwrap();
-                assert_eq!(fast, slow, "divergence on {src}");
-            }
+            assert_matches_reference(&tiny_random_db(&random_rows(g), &random_rows(g)));
         });
     }
 
     #[test]
     fn indexes_never_change_semantics() {
+        // an index on every column: the executor probes wherever a
+        // value is bound, the oracle only scans
         forall(48, |g| {
             let mut db = tiny_random_db(&random_rows(g), &random_rows(g));
-            let before: Vec<Vec<Tuple>> = small_queries()
-                .iter()
-                .map(|src| {
-                    let mut r = evaluate(&db, &parse_query(src).unwrap()).unwrap();
-                    r.sort();
-                    r
-                })
-                .collect();
             for rel in ["R", "S"] {
                 for col in 0..2 {
                     db.relation_mut(rel).unwrap().build_index(col).unwrap();
                 }
             }
-            for (src, expected) in small_queries().iter().zip(&before) {
-                let mut after = evaluate(&db, &parse_query(src).unwrap()).unwrap();
-                after.sort();
-                assert_eq!(&after, expected, "divergence on {src}");
-            }
+            assert_matches_reference(&db);
         });
     }
 }

@@ -5,91 +5,48 @@
 //! and malformed input of every flavor must come back 4xx without
 //! panicking or wedging a worker.
 
+mod common;
+
+use common::{cite_body, normalized, server_config, start_replica, start_replica_with, QUERIES};
 use fgcite::dist::{Coordinator, CoordinatorConfig, DistServer};
+use fgcite::gtopdb::paper_instance;
 use fgcite::prelude::*;
-use fgcite::server::{parse_json, CiteServer, Client, ServerConfig};
+use fgcite::server::{encode_response, parse_json, Client};
 use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::Duration;
 
 fn engine() -> Arc<CitationEngine> {
-    Arc::new(
-        CitationEngine::new(
-            fgcite::gtopdb::paper_instance(),
-            fgcite::gtopdb::paper_views(),
-        )
-        .expect("paper views validate"),
-    )
+    Arc::new(common::engine(paper_instance()))
 }
 
 fn start_server(threads: usize) -> (CiteServer, SocketAddr) {
-    let config = ServerConfig::default()
-        .with_addr("127.0.0.1:0")
-        .with_threads(threads);
-    let server = CiteServer::start(engine(), config).expect("bind loopback");
+    let server =
+        CiteServer::start(engine(), server_config().with_threads(threads)).expect("bind loopback");
     let addr = server.addr();
     (server, addr)
 }
 
-/// The wire queries the concurrency test cycles through, with the
-/// Datalog text the server will parse.
-const QUERIES: &[&str] = &[
-    "Q(N, Tx) :- Family(F, N, Ty), FamilyIntro(F, Tx), Ty = \"gpcr\"",
-    "Q(N) :- Family(F, N, Ty), Ty = \"gpcr\"",
-    "Q(N) :- Family(F, N, Ty), Ty = \"enzyme\"",
-    "Q(N, Tx) :- Family(F, N, Ty), FamilyIntro(F, Tx), F = \"11\"",
-];
-
-fn cite_body(query: &str) -> String {
-    format!(
-        r#"{{"query": "{}"}}"#,
-        query.replace('\\', "\\\\").replace('"', "\\\"")
-    )
+/// What `POST /cite` must answer for `query`: the wire encoding of a
+/// direct `cite_request` call, volatile fields zeroed.
+fn direct(engine: &CitationEngine, query: &str) -> String {
+    let request = CiteRequest::query(parse_query(query).unwrap());
+    let response = engine.cite_request(&request).expect("direct cite");
+    normalized(&encode_response(&response).to_compact())
 }
 
-/// Extract and compact-render the `aggregate` field of a response.
-fn aggregate_of(body: &str) -> String {
-    parse_json(body)
-        .expect("response is valid JSON")
-        .get("aggregate")
-        .expect("response has an aggregate")
-        .to_compact()
-}
-
-/// Compact-render every per-tuple citation of a response.
-fn tuple_citations_of(body: &str) -> Vec<String> {
-    let parsed = parse_json(body).expect("response is valid JSON");
-    let Some(fgcite::views::Json::Array(tuples)) = parsed.get("tuples") else {
-        panic!("response has no tuples array: {body}");
-    };
-    tuples
-        .iter()
-        .map(|t| t.get("citation").expect("tuple has citation").to_compact())
-        .collect()
+/// A `/cite` body with extra fields after the query.
+fn body_with(query: &str, fields: &str) -> String {
+    let escaped = query.replace('"', "\\\"");
+    format!(r#"{{"query": "{escaped}", {fields}}}"#)
 }
 
 #[test]
 fn eight_concurrent_clients_get_byte_identical_citations() {
+    // ground truth from direct &self cite calls
     let reference = engine();
+    let expected: Vec<String> = QUERIES.iter().map(|q| direct(&reference, q)).collect();
     let (server, addr) = start_server(8);
-
-    // ground truth from direct &self cite() calls
-    let expected: Vec<(String, Vec<String>)> = QUERIES
-        .iter()
-        .map(|q| {
-            let cited = reference
-                .cite(&fgcite::query::parse_query(q).unwrap())
-                .unwrap();
-            (
-                cited.aggregate.to_compact(),
-                cited
-                    .tuples
-                    .iter()
-                    .map(|t| t.citation.to_compact())
-                    .collect(),
-            )
-        })
-        .collect();
 
     let clients = 8;
     let rounds = 6;
@@ -103,14 +60,9 @@ fn eight_concurrent_clients_get_byte_identical_citations() {
                     let response = client.post("/cite", &cite_body(QUERIES[i])).expect("post");
                     assert_eq!(response.status, 200, "client {c}: {}", response.body);
                     assert_eq!(
-                        aggregate_of(&response.body),
-                        expected[i].0,
-                        "client {c} round {r}: aggregate differs from direct cite()"
-                    );
-                    assert_eq!(
-                        tuple_citations_of(&response.body),
-                        expected[i].1,
-                        "client {c} round {r}: tuple citations differ from direct cite()"
+                        normalized(&response.body),
+                        expected[i],
+                        "client {c} round {r}: body differs from a direct cite"
                     );
                 }
             });
@@ -124,23 +76,23 @@ fn eight_concurrent_clients_get_byte_identical_citations() {
     let parsed = parse_json(&stats.body).unwrap();
     assert_eq!(
         parsed.get("served"),
-        Some(&fgcite::views::Json::Int((clients * rounds) as i64)),
+        Some(&Json::Int((clients * rounds) as i64)),
         "stats: {}",
         stats.body
     );
     let cite = parsed.get("cite").unwrap();
     assert_eq!(
         cite.get("requests"),
-        Some(&fgcite::views::Json::Int((clients * rounds) as i64))
+        Some(&Json::Int((clients * rounds) as i64))
     );
-    assert_eq!(cite.get("errors"), Some(&fgcite::views::Json::Int(0)));
+    assert_eq!(cite.get("errors"), Some(&Json::Int(0)));
 
     // the plan cache block reports hits/misses/size: the few distinct
     // queries compile once each (misses == size) and every repeat is
     // a hit
     let plans = parsed.get("plan_cache").expect("plan_cache block");
     let int_of = |key: &str| match plans.get(key) {
-        Some(fgcite::views::Json::Int(n)) => *n,
+        Some(Json::Int(n)) => *n,
         other => panic!("plan_cache.{key} missing: {other:?} in {}", stats.body),
     };
     assert!(int_of("misses") >= 1, "stats: {}", stats.body);
@@ -160,8 +112,8 @@ fn eight_concurrent_clients_get_byte_identical_citations() {
 #[test]
 fn sql_endpoint_matches_datalog_citations() {
     let reference = engine();
-    let (server, addr) = start_server(4);
-    let datalog = fgcite::query::parse_query(QUERIES[0]).unwrap();
+    let (_server, addr) = start_server(4);
+    let datalog = parse_query(QUERIES[0]).unwrap();
     let expected = reference.cite(&datalog).unwrap().aggregate;
 
     let mut client = Client::connect(addr).unwrap();
@@ -183,31 +135,24 @@ fn sql_endpoint_matches_datalog_citations() {
         sql_aggregate.equivalent(&expected),
         "{sql_aggregate} vs {expected}"
     );
-    drop(client);
-    server.shutdown();
 }
 
 #[test]
 fn per_request_overrides_ride_the_wire() {
-    let (server, addr) = start_server(4);
+    let (_server, addr) = start_server(4);
     let mut client = Client::connect(addr).unwrap();
 
     let pruned = client.post("/cite", &cite_body(QUERIES[0])).unwrap();
     assert_eq!(pruned.status, 200);
+    let overrides = r#""mode": "exhaustive", "policy": "union""#;
     let exhaustive = client
-        .post(
-            "/cite",
-            &format!(
-                r#"{{"query": "{}", "mode": "exhaustive", "policy": "union"}}"#,
-                QUERIES[0].replace('"', "\\\"")
-            ),
-        )
+        .post("/cite", &body_with(QUERIES[0], overrides))
         .unwrap();
     assert_eq!(exhaustive.status, 200);
 
     let n = |body: &str, field: &str| -> i64 {
         match parse_json(body).unwrap().get(field) {
-            Some(fgcite::views::Json::Int(i)) => *i,
+            Some(Json::Int(i)) => *i,
             other => panic!("field {field} missing or non-int: {other:?}"),
         }
     };
@@ -217,15 +162,13 @@ fn per_request_overrides_ride_the_wire() {
     );
     assert_eq!(
         parse_json(&exhaustive.body).unwrap().get("exhaustive"),
-        Some(&fgcite::views::Json::Bool(true))
+        Some(&Json::Bool(true))
     );
-    drop(client);
-    server.shutdown();
 }
 
 #[test]
 fn views_and_healthz_routes_answer() {
-    let (server, addr) = start_server(2);
+    let (_server, addr) = start_server(2);
     let mut client = Client::connect(addr).unwrap();
 
     let health = client.get("/healthz").unwrap();
@@ -233,38 +176,33 @@ fn views_and_healthz_routes_answer() {
     let parsed = parse_json(&health.body).unwrap();
     assert_eq!(
         parsed.get("status"),
-        Some(&fgcite::views::Json::str("ok")),
+        Some(&Json::str("ok")),
         "{}",
         health.body
     );
     assert_eq!(
         parsed.get("role"),
-        Some(&fgcite::views::Json::str("single")),
+        Some(&Json::str("single")),
         "{}",
         health.body
     );
-    assert_eq!(parsed.get("shard"), Some(&fgcite::views::Json::Null));
-    assert_eq!(parsed.get("versions"), Some(&fgcite::views::Json::Int(1)));
+    assert_eq!(parsed.get("shard"), Some(&Json::Null));
+    assert_eq!(parsed.get("versions"), Some(&Json::Int(1)));
 
     let views = client.get("/views").unwrap();
     assert_eq!(views.status, 200);
     let parsed = parse_json(&views.body).unwrap();
-    assert_eq!(parsed.get("count"), Some(&fgcite::views::Json::Int(5)));
+    assert_eq!(parsed.get("count"), Some(&Json::Int(5)));
     let body = views.body;
     for name in ["V1", "V2", "V3", "V4", "V5"] {
         assert!(body.contains(name), "missing {name} in {body}");
     }
-    drop(client);
-    server.shutdown();
 }
 
-/// Malformed traffic of every flavor: 4xx, no panic, and — the
-/// important part — the worker that handled the garbage keeps
-/// serving wellformed requests afterwards.
 #[test]
 fn versioned_routes_serve_history_and_unversioned_deployments_404() {
     // unversioned: the versioned routes answer 404, /stats has no fixity
-    let (server, addr) = start_server(2);
+    let (_server, addr) = start_server(2);
     let mut client = Client::connect(addr).expect("connect");
     let response = client
         .post("/cite_at", &cite_body(QUERIES[1]))
@@ -273,15 +211,11 @@ fn versioned_routes_serve_history_and_unversioned_deployments_404() {
     assert_eq!(client.get("/versions").expect("response").status, 404);
     let stats = client.get("/stats").expect("response");
     assert!(parse_json(&stats.body).unwrap().get("fixity").is_none());
-    drop(client);
-    server.shutdown();
 
     // versioned: /cite_at serves any committed version, /cite serves
     // the head, and /stats reports the derived/rebuilt counters
     let mut history = VersionedDatabase::new();
-    history
-        .commit(fgcite::gtopdb::paper_instance(), 100, "v23")
-        .unwrap();
+    history.commit(paper_instance(), 100, "v23").unwrap();
     history
         .commit_with(200, "v24", |db| {
             db.insert("Family", tuple!["20", "Melatonin", "gpcr"])
@@ -294,39 +228,19 @@ fn versioned_routes_serve_history_and_unversioned_deployments_404() {
                 .map(|_| ())
         })
         .unwrap();
-    let versioned = Arc::new(VersionedCitationEngine::new(
-        history,
-        fgcite::gtopdb::paper_views(),
-    ));
-    let server = CiteServer::start_versioned(
-        versioned,
-        ServerConfig::default()
-            .with_addr("127.0.0.1:0")
-            .with_threads(2),
-    )
-    .expect("bind loopback");
+    let versioned = VersionedCitationEngine::new(history, fgcite::gtopdb::paper_views());
+    let server =
+        CiteServer::start_versioned(Arc::new(versioned), server_config()).expect("bind loopback");
     let mut client = Client::connect(server.addr()).expect("connect");
     let old = client
-        .post(
-            "/cite_at",
-            &format!(
-                r#"{{"query": "{}", "version": 0}}"#,
-                QUERIES[1].replace('"', "\\\"")
-            ),
-        )
+        .post("/cite_at", &body_with(QUERIES[1], r#""version": 0"#))
         .expect("response");
     assert_eq!(old.status, 200, "{}", old.body);
     let parsed = parse_json(&old.body).unwrap();
     assert_eq!(parsed.get("Version"), Some(&Json::str("v23")));
     // version 1's first touch derives from the now-warm version 0
     let at = client
-        .post(
-            "/cite_at",
-            &format!(
-                r#"{{"query": "{}", "at": 250}}"#,
-                QUERIES[1].replace('"', "\\\"")
-            ),
-        )
+        .post("/cite_at", &body_with(QUERIES[1], r#""at": 250"#))
         .expect("response");
     assert!(at.body.contains("v24"), "{}", at.body);
     for bad in [
@@ -366,8 +280,6 @@ fn versioned_routes_serve_history_and_unversioned_deployments_404() {
         Some(Json::Int(n)) => assert!(*n >= 1, "{}", stats.body),
         other => panic!("derived missing: {other:?}"),
     }
-    drop(client);
-    server.shutdown();
 }
 
 /// The framing and routing contract of the one `HttpService`, as a
@@ -470,41 +382,13 @@ fn assert_front_door_contract(role: &str, addr: SocketAddr) {
     }
 
     // A head dripped slower than the header deadline: 408, not a held
-    // worker. Never complete a line; stop writing as soon as anything
-    // comes back so the buffered 408 can't be discarded by a reset.
-    {
-        use std::io::{Read as _, Write as _};
-        let mut stream = std::net::TcpStream::connect(addr).unwrap();
-        stream
-            .set_read_timeout(Some(Duration::from_millis(100)))
-            .unwrap();
-        stream.write_all(b"POST /cite HTTP/1.1\r\n").unwrap();
-        let mut raw = Vec::new();
-        let mut buf = [0u8; 1024];
-        let give_up = std::time::Instant::now() + Duration::from_secs(10);
-        while raw.is_empty() && std::time::Instant::now() < give_up {
-            if stream.write_all(b"x").is_err() {
-                break;
-            }
-            match stream.read(&mut buf) {
-                Ok(0) => break,
-                Ok(n) => raw.extend_from_slice(&buf[..n]),
-                Err(_) => {} // read timeout: keep dripping
-            }
-        }
-        while let Ok(n) = stream.read(&mut buf) {
-            if n == 0 {
-                break;
-            }
-            raw.extend_from_slice(&buf[..n]);
-        }
-        let text = String::from_utf8_lossy(&raw);
-        assert!(
-            text.starts_with("HTTP/1.1 408"),
-            "{role}: expected a 408, got: {text:?}"
-        );
-        assert!(text.contains("x-request-id: "), "{role}: {text:?}");
-    }
+    // worker.
+    let text = common::drip_header(addr);
+    assert!(
+        text.starts_with("HTTP/1.1 408"),
+        "{role}: expected a 408, got: {text:?}"
+    );
+    assert!(text.contains("x-request-id: "), "{role}: {text:?}");
 
     // Nothing above wedged a worker: wellformed traffic still serves,
     // and every framing error was counted.
@@ -513,7 +397,7 @@ fn assert_front_door_contract(role: &str, addr: SocketAddr) {
     assert_eq!(response.status, 200, "{role}: {}", response.body);
     let stats = client.get("/stats").unwrap();
     match parse_json(&stats.body).unwrap().get("malformed") {
-        Some(fgcite::views::Json::Int(n)) => assert!(*n >= 5, "{role}: stats: {}", stats.body),
+        Some(Json::Int(n)) => assert!(*n >= 5, "{role}: stats: {}", stats.body),
         other => panic!("{role}: malformed counter missing: {other:?}"),
     }
 }
@@ -527,49 +411,27 @@ fn malformed_input_is_4xx_and_never_wedges_workers() {
     // the default, because a pooled connection parked on it for longer
     // than its header deadline would be answered 408.
     let config = || {
-        ServerConfig::default()
-            .with_addr("127.0.0.1:0")
+        server_config()
             .with_threads(1)
             .with_header_read_timeout(Duration::from_secs(1))
     };
-    let start_replica = |config: ServerConfig| {
-        let sharded = Arc::new(
-            CitationEngine::new(
-                fgcite::gtopdb::paper_instance(),
-                fgcite::gtopdb::paper_views(),
-            )
-            .expect("paper views validate")
-            .with_shards(1, fgcite::gtopdb::paper_shard_spec())
-            .expect("spec resolves"),
-        );
-        CiteServer::start_with_handler(
-            Arc::clone(&sharded),
-            config.with_role("replica").with_shard(0, 1),
-            fgcite::dist::fragment_handler(sharded),
-        )
-        .expect("replica starts")
-    };
+    let db = paper_instance();
     let server = CiteServer::start(engine(), config()).expect("bind loopback");
     let addr = server.addr();
-    let replica = start_replica(config());
-    let backing = start_replica(
-        ServerConfig::default()
-            .with_addr("127.0.0.1:0")
-            .with_threads(2),
-    );
-    let coordinator = Coordinator::connect(CoordinatorConfig::new(vec![backing.addr()]))
-        .expect("coordinator connects");
-    let front = DistServer::start(Arc::new(coordinator), config()).expect("coordinator serves");
-    for (role, addr) in [
-        ("single", addr),
-        ("replica", replica.addr()),
-        ("coordinator", front.addr()),
-    ] {
-        assert_front_door_contract(role, addr);
+    {
+        let replica = start_replica_with(&db, 0, 1, config());
+        let backing = start_replica(&db, 0, 1);
+        let coordinator = Coordinator::connect(CoordinatorConfig::new(vec![backing.addr()]))
+            .expect("coordinator connects");
+        let front = DistServer::start(Arc::new(coordinator), config()).expect("coordinator serves");
+        for (role, addr) in [
+            ("single", addr),
+            ("replica", replica.addr()),
+            ("coordinator", front.addr()),
+        ] {
+            assert_front_door_contract(role, addr);
+        }
     }
-    front.shutdown();
-    backing.shutdown();
-    replica.shutdown();
 
     // The body half: invalid JSON, bad fields, bad query text.
     let mut client = Client::connect(addr).unwrap();
@@ -616,11 +478,9 @@ fn malformed_input_is_4xx_and_never_wedges_workers() {
     let stats = client.get("/stats").unwrap();
     let parsed = parse_json(&stats.body).unwrap();
     match parsed.get("malformed") {
-        Some(fgcite::views::Json::Int(n)) => assert!(*n >= 2, "stats: {}", stats.body),
+        Some(Json::Int(n)) => assert!(*n >= 2, "stats: {}", stats.body),
         other => panic!("malformed counter missing: {other:?}"),
     }
-    drop(client);
-    server.shutdown();
 }
 
 /// The observability surface: request IDs ride the response headers
@@ -631,7 +491,7 @@ fn malformed_input_is_4xx_and_never_wedges_workers() {
 /// is strictly opt-in (default bodies stay byte-identical).
 #[test]
 fn observability_surface_rides_every_response() {
-    let (server, addr) = start_server(2);
+    let (_server, addr) = start_server(2);
     let mut client = Client::connect(addr).unwrap();
 
     // a supplied x-request-id comes back verbatim...
@@ -661,10 +521,7 @@ fn observability_surface_rides_every_response() {
     assert!(!assigned.is_empty());
 
     // "stages": true opts the per-request breakdown into the body
-    let body = format!(
-        r#"{{"query": "{}", "stages": true}}"#,
-        QUERIES[1].replace('"', "\\\"")
-    );
+    let body = body_with(QUERIES[1], r#""stages": true"#);
     let response = client.post("/cite", &body).unwrap();
     assert_eq!(response.status, 200, "{}", response.body);
     let stages = parse_json(&response.body)
@@ -731,9 +588,6 @@ fn observability_surface_rides_every_response() {
     for field in ["p50_us", "p90_us", "p99_us", "max_us"] {
         assert!(cite.get(field).is_some(), "missing {field}: {}", stats.body);
     }
-
-    drop(client);
-    server.shutdown();
 }
 
 /// Independent requests share nothing but the engine, so nothing
@@ -741,21 +595,15 @@ fn observability_surface_rides_every_response() {
 /// join whose reply is MB-scale, another answers a keyed lookup.
 #[test]
 fn a_slow_cite_does_not_delay_a_fast_one() {
-    use fgcite::gtopdb::{generate, paper_views, GeneratorConfig};
+    use fgcite::gtopdb::{generate, GeneratorConfig};
     use std::sync::atomic::{AtomicBool, Ordering};
 
-    let db = generate(&GeneratorConfig::default());
-    let engine = Arc::new(CitationEngine::new(db, paper_views()).expect("views validate"));
+    let engine = Arc::new(common::engine(generate(&GeneratorConfig::default())));
     let slow = "Q(N, Tx) :- Family(F, N, Ty), FamilyIntro(F, Tx)";
     let fast = "Q(N, Ty) :- Family(F, N, Ty), F = \"f7\"";
     // The direct renders double as the warm-up: what is left of the
     // slow request is the per-byte work on its own reply.
-    let direct = |query: &str| {
-        let request = CiteRequest::query(parse_query(query).unwrap());
-        let response = engine.cite_request(&request).expect("direct cite");
-        stable(&fgcite::server::encode_response(&response).to_compact())
-    };
-    let (slow_expected, fast_expected) = (direct(slow), direct(fast));
+    let (slow_expected, fast_expected) = (direct(&engine, slow), direct(&engine, fast));
     assert!(slow_expected.len() > 1 << 20, "{}", slow_expected.len());
     // `render` is the last stage of an engine call: its sample count
     // is the number of citations the engine has finished
@@ -766,10 +614,7 @@ fn a_slow_cite_does_not_delay_a_fast_one() {
     };
     let finished_before = finished();
 
-    let config = ServerConfig::default()
-        .with_addr("127.0.0.1:0")
-        .with_threads(2);
-    let server = CiteServer::start(Arc::clone(&engine), config).expect("bind loopback");
+    let server = CiteServer::start(Arc::clone(&engine), server_config()).expect("bind loopback");
     let (addr, stats) = (server.addr(), server.stats());
     let slow_done = AtomicBool::new(false);
     std::thread::scope(|scope| {
@@ -802,21 +647,13 @@ fn a_slow_cite_does_not_delay_a_fast_one() {
             1,
             "the keyed lookup waited for the MB-scale join's engine call"
         );
-        assert_eq!(stable(&response.body), fast_expected);
+        assert_eq!(normalized(&response.body), fast_expected);
 
         let response = slow_client.join().expect("slow client");
         assert_eq!(response.status, 200);
-        assert!(stable(&response.body) == slow_expected, "slow body differs");
+        assert!(
+            normalized(&response.body) == slow_expected,
+            "slow body differs"
+        );
     });
-    server.shutdown();
-}
-
-/// A `/cite` body with its volatile fields (timing, cache counters)
-/// zeroed, so two renders of one citation compare byte for byte.
-fn stable(body: &str) -> String {
-    let mut parsed = parse_json(body).expect("response is valid JSON");
-    for volatile in ["elapsed_us", "cache_hits", "cache_misses"] {
-        parsed.set(volatile, Json::Int(0));
-    }
-    parsed.to_compact()
 }

@@ -1,107 +1,59 @@
 //! Sharded vs. unsharded equivalence — the acceptance bar of the
 //! sharded backend: `cite()` over a `ShardedDatabase` with n ∈
 //! {1, 2, 4, 7} shards must return **byte-identical** results to the
-//! single-store engine — same tuples in the same order, same symbolic
+//! reference — same tuples in the same order, same symbolic
 //! expressions, same interpreted citations and aggregate, same
 //! provenance polynomials under annotated evaluation. Routing is an
 //! execution detail; Definition 3.2's sum over bindings must come out
 //! term for term, not merely set-equal.
 
-use fgcite::engine::{CitationEngine, EngineOptions, Policy, QueryCitation, RewriteMode};
-use fgcite::gtopdb::{generate, paper_instance, paper_shard_spec, paper_views, GeneratorConfig};
+mod common;
+
+use common::{
+    assert_same, both_modes, cites, named, queries, sharded, Candidate, Reference, Request,
+};
+use fgcite::gtopdb::{paper_instance, paper_shard_spec};
 use fgcite::prelude::*;
-use fgcite::query::parse_query;
 use fgcite::semiring::Polynomial;
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 7];
 
-/// The worked-example queries `tests/paper_examples.rs` exercises,
-/// plus shapes that stress routing: keyed constants (prune to one
-/// shard), non-key selections (fan out), self-joins, empty and
-/// unsatisfiable results.
-const QUERIES: &[&str] = &[
-    "Q(N, Tx) :- Family(F, N, Ty), FamilyIntro(F, Tx), Ty = \"gpcr\"",
-    "Q(N) :- Family(F, N, Ty)",
-    "Q(N) :- Family(\"11\", N, Ty)",
-    "Q(N, Tx) :- Family(F, N, Ty), FamilyIntro(F, Tx), F = \"11\"",
-    "Q(N, Pn) :- Family(F, N, Ty), FC(F, C), Person(C, Pn, A)",
-    "Q(A, B) :- Family(A, N1, T), Family(B, N2, T), A != B",
-    "Q(N) :- Family(F, N, Ty), Ty = \"nope\"",
-    "Q(N) :- Family(F, N, Ty), Ty = \"a\", Ty = \"b\"",
-];
-
-/// Render a citation completely: tuple order, symbolic expressions,
-/// interpreted citations, aggregate, rewriting labels and flags.
-fn render(citation: &QueryCitation) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    for tc in &citation.tuples {
-        let _ = writeln!(out, "{} | {:?} | {}", tc.tuple, tc.expr, tc.citation);
-    }
-    let _ = writeln!(out, "aggregate: {}", citation.aggregate.to_compact());
-    for (label, r) in &citation.rewritings {
-        let _ = writeln!(out, "{label}: {r}");
-    }
-    let _ = writeln!(
-        out,
-        "exhaustive={} unsatisfiable={}",
-        citation.exhaustive, citation.unsatisfiable
-    );
-    out
-}
-
-fn engine_with(mode: RewriteMode, policy: Policy) -> CitationEngine {
-    CitationEngine::new(paper_instance(), paper_views())
-        .expect("paper views validate")
-        .with_policy(policy)
-        .with_options(EngineOptions {
-            mode,
-            ..EngineOptions::default()
-        })
+/// One sharded engine per shard count, named for failure messages.
+fn shardings(db: &Database) -> Vec<(String, CitationEngine)> {
+    let each = |&n: &usize| (format!("shards={n}"), sharded(db.clone(), n));
+    SHARD_COUNTS.iter().map(each).collect()
 }
 
 #[test]
 fn paper_instance_citations_are_byte_identical_across_shard_counts() {
-    for (mode, policy) in [
-        (RewriteMode::Pruned, Policy::default()),
-        (RewriteMode::Exhaustive, Policy::union_all()),
-    ] {
-        let reference = engine_with(mode, policy.clone());
-        for shards in SHARD_COUNTS {
-            let sharded = engine_with(mode, policy.clone())
-                .with_shards(shards, paper_shard_spec())
-                .expect("spec resolves");
-            for q in QUERIES {
-                let q = parse_query(q).unwrap();
-                assert_eq!(
-                    render(&reference.cite(&q).unwrap()),
-                    render(&sharded.cite(&q).unwrap()),
-                    "shards={shards} mode={mode:?} q={q}"
-                );
-            }
-        }
-    }
+    let reference = Reference::new("paper instance", paper_instance());
+    let engines = shardings(&paper_instance());
+    assert_same(&reference, &named(&engines), &both_modes(&queries()));
 }
 
 #[test]
 fn generated_gtopdb_workload_is_byte_identical_across_shard_counts() {
-    // property-style: every workload template at a non-trivial scale,
-    // fresh generator per engine so both sides see identical queries
-    let db = generate(&GeneratorConfig::default().with_families(120));
-    let reference = CitationEngine::new(db.clone(), paper_views()).expect("views validate");
-    let queries: Vec<ConjunctiveQuery> = {
-        let mut w = fgcite::gtopdb::WorkloadGenerator::new(&db, 71);
-        w.ad_hoc_batch(12)
-    };
+    // property-style: every workload template at a non-trivial scale
+    let db = common::gtopdb(120, common::default_seed());
+    let reference = Reference::new("gtopdb families=120 default seed", db.clone());
+    let requests = cites(&common::workload(&db, 71, 12));
+    assert_same(&reference, &named(&shardings(&db)), &requests);
+}
+
+#[test]
+fn annotated_provenance_polynomials_are_byte_identical() {
+    let db = common::gtopdb(60, common::default_seed());
     for shards in SHARD_COUNTS {
-        let sharded = CitationEngine::new(db.clone(), paper_views())
-            .expect("views validate")
-            .with_shards(shards, paper_shard_spec())
-            .expect("spec resolves");
-        for q in &queries {
+        let store = ShardedDatabase::from_database(&db, shards, paper_shard_spec()).unwrap();
+        for q in &common::workload(&db, 73, 8) {
+            let annotated = |source: fgcite::query::Source<'_>| {
+                let polynomials: Vec<(Tuple, Polynomial<String>)> =
+                    fgcite::query::evaluate_annotated(source, q, common::row_token).unwrap();
+                format!("{polynomials:?}")
+            };
             assert_eq!(
-                render(&reference.cite(q).unwrap()),
-                render(&sharded.cite(q).unwrap()),
+                annotated((&db).into()),
+                annotated((&store).into()),
                 "shards={shards} q={q}"
             );
         }
@@ -109,76 +61,23 @@ fn generated_gtopdb_workload_is_byte_identical_across_shard_counts() {
 }
 
 #[test]
-fn annotated_provenance_polynomials_are_byte_identical() {
-    let db = generate(&GeneratorConfig::default().with_families(60));
-    let sharded_spec = paper_shard_spec();
-    let queries: Vec<ConjunctiveQuery> = {
-        let mut w = fgcite::gtopdb::WorkloadGenerator::new(&db, 73);
-        w.ad_hoc_batch(8)
-    };
-    for shards in SHARD_COUNTS {
-        let store = ShardedDatabase::from_database(&db, shards, sharded_spec.clone()).unwrap();
-        for q in &queries {
-            let plain: Vec<(Tuple, Polynomial<String>)> =
-                fgcite::query::evaluate_annotated(&db, q, |rel, row| {
-                    Polynomial::token(format!("{rel}:{row}"))
-                })
-                .unwrap();
-            let routed: Vec<(Tuple, Polynomial<String>)> =
-                fgcite::query::evaluate_annotated(&store, q, |rel, row| {
-                    Polynomial::token(format!("{rel}:{row}"))
-                })
-                .unwrap();
-            assert_eq!(plain.len(), routed.len(), "shards={shards} q={q}");
-            for ((t1, p1), (t2, p2)) in plain.iter().zip(&routed) {
-                assert_eq!(t1, t2, "shards={shards} q={q}");
-                assert_eq!(
-                    format!("{p1:?}"),
-                    format!("{p2:?}"),
-                    "shards={shards} q={q}"
-                );
-            }
-        }
-    }
-}
-
-#[test]
 fn plan_cache_on_and_off_cite_byte_identically_across_shard_counts() {
     // the compiled-plan cache is an execution detail: citations must
-    // come out byte-identical with caching enabled (warm AND cold
+    // come out byte-identical with caching enabled (cold AND warm
     // passes) and disabled (every cite re-compiles), sharded or not
-    let reference = engine_with(RewriteMode::Pruned, Policy::default());
-    let expected: Vec<String> = QUERIES
-        .iter()
-        .map(|q| render(&reference.cite(&parse_query(q).unwrap()).unwrap()))
-        .collect();
+    let reference = Reference::new("paper instance", paper_instance());
+    let requests = cites(&queries());
     for shards in SHARD_COUNTS {
-        let cached = engine_with(RewriteMode::Pruned, Policy::default())
-            .with_shards(shards, paper_shard_spec())
-            .expect("spec resolves");
-        let uncached = engine_with(RewriteMode::Pruned, Policy::default())
+        let cached = sharded(paper_instance(), shards);
+        let uncached = common::engine(paper_instance())
             .with_plan_cache_capacity(0)
             .with_shards(shards, paper_shard_spec())
             .expect("spec resolves");
-        for (q, want) in QUERIES.iter().zip(&expected) {
-            let q = parse_query(q).unwrap();
-            // two passes through the cached engine: the second runs
-            // entirely on cached plans
-            assert_eq!(
-                &render(&cached.cite(&q).unwrap()),
-                want,
-                "cold plans, shards={shards} q={q}"
-            );
-            assert_eq!(
-                &render(&cached.cite(&q).unwrap()),
-                want,
-                "warm plans, shards={shards} q={q}"
-            );
-            assert_eq!(
-                &render(&uncached.cite(&q).unwrap()),
-                want,
-                "plan cache disabled, shards={shards} q={q}"
-            );
+        let candidates: [(&str, &dyn Candidate); 2] =
+            [("cached", &cached), ("uncached", &uncached)];
+        // the second pass runs entirely on cached plans
+        for _pass in ["cold", "warm"] {
+            assert_same(&reference, &candidates, &requests);
         }
         let cached_stats = cached.plan_stats();
         assert!(
@@ -193,24 +92,22 @@ fn plan_cache_on_and_off_cite_byte_identically_across_shard_counts() {
 
 #[test]
 fn per_request_overrides_survive_sharding() {
-    let reference = engine_with(RewriteMode::Pruned, Policy::default());
-    let sharded = engine_with(RewriteMode::Pruned, Policy::default())
-        .with_shards(4, paper_shard_spec())
-        .expect("spec resolves");
-    let q = parse_query(QUERIES[0]).unwrap();
+    let reference = Reference::new("paper instance", paper_instance());
+    let engine = sharded(paper_instance(), 4);
+    let q = parse_query(common::QUERIES[0]).unwrap();
     let request = CiteRequest::query(q)
         .with_policy(Policy::union_all())
         .with_mode(RewriteMode::Exhaustive);
-    let a = reference.cite_request(&request).unwrap();
-    let b = sharded.cite_request(&request).unwrap();
-    assert_eq!(render(&a.citation), render(&b.citation));
+    assert_same(
+        &reference,
+        &[("shards=4", &engine)],
+        &[Request::Cite(request)],
+    );
 }
 
 #[test]
 fn routing_counters_account_for_the_workload() {
-    let sharded = engine_with(RewriteMode::Pruned, Policy::default())
-        .with_shards(4, paper_shard_spec())
-        .expect("spec resolves");
+    let sharded = sharded(paper_instance(), 4);
     assert_eq!(sharded.shard_stats().unwrap().routed_evals, 0);
     // keyed constant: the answer scan itself must be pruned
     let q = parse_query("Q(N) :- Family(\"11\", N, Ty)").unwrap();

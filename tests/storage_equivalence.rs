@@ -9,72 +9,25 @@
 //! histories built by `load_commits` must survive a disk round trip
 //! with every version's citation walk unchanged.
 
-use fgcite::engine::{CitationEngine, EngineOptions, Policy, QueryCitation, RewriteMode};
-use fgcite::gtopdb::{generate, paper_instance, paper_shard_spec, paper_views, GeneratorConfig};
+mod common;
+
+use common::{
+    assert_same, both_modes, cites, named, queries, render_versioned, walk, Reference, TempDir,
+};
+use fgcite::engine::{CitationEngine, VersionedCitationEngine};
+use fgcite::gtopdb::{paper_instance, paper_views};
 use fgcite::prelude::*;
-use fgcite::query::parse_query;
 use fgcite::relation::loader::load_commits;
-use fgcite::relation::storage::{open, DiskStorage, StorageKind};
-use fgcite::relation::Database;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use fgcite::relation::storage::{open, DiskStorage};
+use std::path::Path;
 use std::sync::Arc;
 
 const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
 
-/// Same query mix as the sharding suite: keyed constants, fan-out
-/// selections, joins, self-joins, empty and unsatisfiable results.
-const QUERIES: &[&str] = &[
-    "Q(N, Tx) :- Family(F, N, Ty), FamilyIntro(F, Tx), Ty = \"gpcr\"",
-    "Q(N) :- Family(F, N, Ty)",
-    "Q(N) :- Family(\"11\", N, Ty)",
-    "Q(N, Pn) :- Family(F, N, Ty), FC(F, C), Person(C, Pn, A)",
-    "Q(A, B) :- Family(A, N1, T), Family(B, N2, T), A != B",
-    "Q(N) :- Family(F, N, Ty), Ty = \"nope\"",
-    "Q(N) :- Family(F, N, Ty), Ty = \"a\", Ty = \"b\"",
-];
-
-/// Hand-rolled unique temp dirs — the workspace is std-only.
-fn temp_dir(tag: &str) -> PathBuf {
-    static COUNTER: AtomicU64 = AtomicU64::new(0);
-    let n = COUNTER.fetch_add(1, Ordering::Relaxed);
-    std::env::temp_dir().join(format!("fgc-storage-eq-{tag}-{}-{n}", std::process::id()))
-}
-
-/// Render a citation completely: tuple order, symbolic expressions,
-/// interpreted citations, aggregate, rewriting labels and flags.
-fn render(citation: &QueryCitation) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    for tc in &citation.tuples {
-        let _ = writeln!(out, "{} | {:?} | {}", tc.tuple, tc.expr, tc.citation);
-    }
-    let _ = writeln!(out, "aggregate: {}", citation.aggregate.to_compact());
-    for (label, r) in &citation.rewritings {
-        let _ = writeln!(out, "{label}: {r}");
-    }
-    let _ = writeln!(
-        out,
-        "exhaustive={} unsatisfiable={}",
-        citation.exhaustive, citation.unsatisfiable
-    );
-    out
-}
-
-/// Render a versioned citation including the fixity stamp (same bar
-/// as `versioned_equivalence.rs`).
-fn render_versioned(cited: &fgcite::engine::VersionedCitation) -> String {
-    let mut out = String::new();
-    out.push_str(&cited.stamped_aggregate().to_compact());
-    out.push('\n');
-    out.push_str(&render(&cited.citation));
-    out
-}
-
 /// Persist `db` as a 1-version history and read it back through a
 /// fresh cold handle on the same dir — the restart path, byte-wise:
 /// the loader never re-runs, all rows come from segment files.
-fn disk_round_trip(db: &Database, dir: &PathBuf, options: StorageOptions) -> Database {
+fn disk_round_trip(db: &Database, dir: &Path, options: StorageOptions) -> Database {
     let storage = DiskStorage::open(dir, options).expect("open data dir");
     let mut history = VersionedDatabase::new();
     history.commit(db.clone(), 0, "base").unwrap();
@@ -88,41 +41,17 @@ fn disk_round_trip(db: &Database, dir: &PathBuf, options: StorageOptions) -> Dat
 
 #[test]
 fn paper_instance_citations_are_byte_identical_mem_vs_disk() {
-    let dir = temp_dir("paper");
-    let db = paper_instance();
-    let restored = disk_round_trip(&db, &dir, StorageOptions::default());
-    for (mode, policy) in [
-        (RewriteMode::Pruned, Policy::default()),
-        (RewriteMode::Exhaustive, Policy::union_all()),
-    ] {
-        let options = EngineOptions {
-            mode,
-            ..EngineOptions::default()
-        };
-        let reference = CitationEngine::new(db.clone(), paper_views())
-            .unwrap()
-            .with_policy(policy.clone())
-            .with_options(options);
-        let from_disk = CitationEngine::new(restored.clone(), paper_views())
-            .unwrap()
-            .with_policy(policy.clone())
-            .with_options(options);
-        for q in QUERIES {
-            let q = parse_query(q).unwrap();
-            assert_eq!(
-                render(&reference.cite(&q).unwrap()),
-                render(&from_disk.cite(&q).unwrap()),
-                "mode={mode:?} q={q}"
-            );
-        }
-    }
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = TempDir::new("paper");
+    let restored = disk_round_trip(&paper_instance(), &dir, StorageOptions::default());
+    let reference = Reference::new("paper instance", paper_instance());
+    let from_disk = common::engine(restored);
+    assert_same(&reference, &[("disk", &from_disk)], &both_modes(&queries()));
 }
 
 #[test]
 fn generated_gtopdb_is_byte_identical_across_shard_counts_after_cold_reopen() {
-    let dir = temp_dir("gtopdb");
-    let db = generate(&GeneratorConfig::default().with_families(120));
+    let dir = TempDir::new("gtopdb");
+    let db = common::gtopdb(120, common::default_seed());
     // page-size floor + small cache: many pages per segment, evictions
     let options = StorageOptions {
         page_size: 0,   // floored to the 512-byte minimum
@@ -130,49 +59,36 @@ fn generated_gtopdb_is_byte_identical_across_shard_counts_after_cold_reopen() {
         ..StorageOptions::default()
     };
     let restored = disk_round_trip(&db, &dir, options);
-    let queries: Vec<ConjunctiveQuery> = {
-        let mut w = fgcite::gtopdb::WorkloadGenerator::new(&db, 71);
-        w.ad_hoc_batch(10)
-    };
-    let reference = CitationEngine::new(db.clone(), paper_views()).unwrap();
-    for shards in SHARD_COUNTS {
-        let from_disk = CitationEngine::new(restored.clone(), paper_views())
-            .unwrap()
-            .with_shards(shards, paper_shard_spec())
-            .expect("spec resolves");
-        for q in &queries {
-            assert_eq!(
-                render(&reference.cite(q).unwrap()),
-                render(&from_disk.cite(q).unwrap()),
-                "shards={shards} q={q}"
-            );
-        }
-    }
-    let _ = std::fs::remove_dir_all(&dir);
+    let shardings: Vec<(String, CitationEngine)> = SHARD_COUNTS
+        .iter()
+        .map(|&n| {
+            (
+                format!("disk, shards={n}"),
+                common::sharded(restored.clone(), n),
+            )
+        })
+        .collect();
+    let reference = Reference::new("gtopdb families=120 default seed", db.clone());
+    let requests = cites(&common::workload(&db, 71, 10));
+    assert_same(&reference, &named(&shardings), &requests);
 }
 
 #[test]
 fn buffer_cache_disabled_is_still_byte_identical() {
     // capacity 0 fully disables the page cache (the degenerate
     // capacity must not divide by zero or change any byte served)
-    let dir = temp_dir("nocache");
-    let db = paper_instance();
+    let dir = TempDir::new("nocache");
     let options = StorageOptions {
         cache_pages: 0,
         ..StorageOptions::default()
     };
-    let restored = disk_round_trip(&db, &dir, options);
-    let reference = CitationEngine::new(db, paper_views()).unwrap();
-    let from_disk = CitationEngine::new(restored, paper_views()).unwrap();
-    for q in QUERIES {
-        let q = parse_query(q).unwrap();
-        assert_eq!(
-            render(&reference.cite(&q).unwrap()),
-            render(&from_disk.cite(&q).unwrap()),
-            "q={q}"
-        );
-    }
-    let _ = std::fs::remove_dir_all(&dir);
+    let from_disk = common::engine(disk_round_trip(&paper_instance(), &dir, options));
+    let reference = Reference::new("paper instance", paper_instance());
+    assert_same(
+        &reference,
+        &[("disk, no page cache", &from_disk)],
+        &cites(&queries()),
+    );
 }
 
 /// A `load_commits`-style history over the paper instance: inserts,
@@ -195,52 +111,44 @@ fn commit_history() -> VersionedDatabase {
     history
 }
 
+/// A disk store over `dir` with default options.
+fn disk(dir: &Path) -> Arc<dyn Storage> {
+    Arc::new(DiskStorage::open(dir, StorageOptions::default()).expect("open data dir"))
+}
+
+/// Every query at every version of the commit history, in order.
+fn history_walk() -> Vec<common::Request> {
+    walk(&[0, 1, 2, 3], &queries())
+}
+
 #[test]
 fn load_commits_history_walks_identically_after_disk_restart() {
-    let dir = temp_dir("commits");
+    let dir = TempDir::new("commits");
     let history = commit_history();
-    let reference = fgcite::engine::VersionedCitationEngine::new(history.clone(), paper_views());
-    {
-        let storage: Arc<dyn Storage> =
-            Arc::new(DiskStorage::open(&dir, StorageOptions::default()).unwrap());
-        storage.sync(&history).unwrap();
-    }
+    disk(&dir).sync(&history).unwrap();
     // cold restart: fresh handle, history reconstructed from the
     // manifest (v0 from its segment, v1..v3 by WAL delta replay)
-    let storage: Arc<dyn Storage> =
-        Arc::new(DiskStorage::open(&dir, StorageOptions::default()).unwrap());
+    let storage = disk(&dir);
     let stats = storage.stats();
     assert_eq!(stats.versions, 4);
     assert_eq!(stats.segments, 1, "only v0 is a segment: {stats:?}");
     assert_eq!(stats.wal_records, 3, "{stats:?}");
-    let reopened =
-        fgcite::engine::VersionedCitationEngine::from_storage(storage, paper_views()).unwrap();
-    // deltas survive the restart, so the reopened engine still serves
-    // later versions by incremental derivation
+    let reopened = VersionedCitationEngine::from_storage(storage, paper_views()).unwrap();
+    // deltas survive the restart
     assert!(reopened.history().delta(1).is_some());
-    for q in QUERIES {
-        let q = parse_query(q).unwrap();
-        for version in 0..4 {
-            assert_eq!(
-                render_versioned(&reference.cite_at_version(version, &q).unwrap()),
-                render_versioned(&reopened.cite_at_version(version, &q).unwrap()),
-                "version={version} q={q}"
-            );
-        }
-    }
+    let reference = Reference::versioned("load_commits history", history);
+    assert_same(&reference, &[("reopened", &reopened)], &history_walk());
     assert!(
         reopened.version_stats().derived >= 1,
         "sequential walk should derive warm neighbors: {:?}",
         reopened.version_stats()
     );
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn compaction_preserves_versioned_walks() {
-    let dir = temp_dir("compacted");
+    let dir = TempDir::new("compacted");
     let history = commit_history();
-    let reference = fgcite::engine::VersionedCitationEngine::new(history.clone(), paper_views());
     {
         let storage = DiskStorage::open(&dir, StorageOptions::default()).unwrap();
         storage.sync(&history).unwrap();
@@ -249,35 +157,20 @@ fn compaction_preserves_versioned_walks() {
         assert_eq!(stats.segments, 4, "all versions folded: {stats:?}");
         assert_eq!(stats.wal_bytes, 0, "{stats:?}");
     }
-    let storage: Arc<dyn Storage> =
-        Arc::new(DiskStorage::open(&dir, StorageOptions::default()).unwrap());
-    let reopened =
-        fgcite::engine::VersionedCitationEngine::from_storage(storage, paper_views()).unwrap();
-    for q in QUERIES {
-        let q = parse_query(q).unwrap();
-        for version in 0..4 {
-            assert_eq!(
-                render_versioned(&reference.cite_at_version(version, &q).unwrap()),
-                render_versioned(&reopened.cite_at_version(version, &q).unwrap()),
-                "version={version} q={q}"
-            );
-        }
-    }
-    let _ = std::fs::remove_dir_all(&dir);
+    let reopened = VersionedCitationEngine::from_storage(disk(&dir), paper_views()).unwrap();
+    let reference = Reference::versioned("load_commits history", history);
+    assert_same(&reference, &[("compacted", &reopened)], &history_walk());
 }
 
 #[test]
 fn commits_through_the_versioned_engine_persist_write_behind() {
-    let dir = temp_dir("writebehind");
+    let dir = TempDir::new("writebehind");
     let q = parse_query("Q(N) :- Family(F, N, Ty)").unwrap();
     let before;
     {
-        let storage: Arc<dyn Storage> =
-            Arc::new(DiskStorage::open(&dir, StorageOptions::default()).unwrap());
-        let mut engine =
-            fgcite::engine::VersionedCitationEngine::new(commit_history(), paper_views())
-                .with_storage(storage)
-                .unwrap();
+        let mut engine = VersionedCitationEngine::new(commit_history(), paper_views())
+            .with_storage(disk(&dir))
+            .unwrap();
         engine
             .commit_with(400, "GtoPdb 27", |db| {
                 db.insert("Family", tuple!["93", "Orexin-B", "gpcr"])
@@ -288,13 +181,9 @@ fn commits_through_the_versioned_engine_persist_write_behind() {
         assert_eq!(engine.storage_stats().unwrap().versions, 5);
     }
     // the process "dies" here; the commit must already be durable
-    let storage: Arc<dyn Storage> =
-        Arc::new(DiskStorage::open(&dir, StorageOptions::default()).unwrap());
-    let reopened =
-        fgcite::engine::VersionedCitationEngine::from_storage(storage, paper_views()).unwrap();
+    let reopened = VersionedCitationEngine::from_storage(disk(&dir), paper_views()).unwrap();
     assert_eq!(reopened.history().len(), 5);
     assert_eq!(before, render_versioned(&reopened.cite_head(&q).unwrap()));
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -303,29 +192,16 @@ fn mem_backend_mirrors_and_reloads_identically() {
     let storage = open(StorageKind::Mem, None, StorageOptions::default()).unwrap();
     let history = commit_history();
     storage.sync(&history).unwrap();
-    let reloaded = storage.load_history().unwrap();
-    let reference = fgcite::engine::VersionedCitationEngine::new(history, paper_views());
-    let from_mem = fgcite::engine::VersionedCitationEngine::new(reloaded, paper_views());
-    let q = parse_query(QUERIES[0]).unwrap();
-    for version in 0..4 {
-        assert_eq!(
-            render_versioned(&reference.cite_at_version(version, &q).unwrap()),
-            render_versioned(&from_mem.cite_at_version(version, &q).unwrap()),
-            "version={version}"
-        );
-    }
+    let from_mem = VersionedCitationEngine::new(storage.load_history().unwrap(), paper_views());
+    let reference = Reference::versioned("load_commits history", history);
+    assert_same(&reference, &[("mem", &from_mem)], &history_walk());
 }
 
 #[test]
 fn unusable_data_dir_is_a_clear_error_not_a_panic() {
-    let dir = temp_dir("file-in-the-way");
-    std::fs::write(&dir, b"not a directory").unwrap();
-    let err = open(
-        StorageKind::Disk,
-        Some(dir.as_path()),
-        StorageOptions::default(),
-    )
-    .unwrap_err();
+    let dir = TempDir::new("file-in-the-way");
+    std::fs::write(&*dir, b"not a directory").unwrap();
+    let err = open(StorageKind::Disk, Some(&dir), StorageOptions::default()).unwrap_err();
     assert!(
         err.to_string().contains("storage error"),
         "unexpected error: {err}"
@@ -335,5 +211,4 @@ fn unusable_data_dir_is_a_clear_error_not_a_panic() {
     assert!(err.to_string().contains("--data-dir"), "{err}");
     // unknown backend names are a parse error, not a panic
     assert!("papyrus".parse::<StorageKind>().is_err());
-    let _ = std::fs::remove_file(&dir);
 }

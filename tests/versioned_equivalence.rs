@@ -6,70 +6,24 @@
 //! provenance polynomials, interpreted citations, aggregates,
 //! rewriting labels, and the fixity stamp.
 //!
-//! The reference ([`scratch`]) is a plain `CitationEngine` built on
-//! the version's snapshot, not a mode of the engine under test.
+//! The reference is the harness's `Reference`: a plain
+//! `CitationEngine` built from scratch on the version's snapshot, not
+//! a mode of the engine under test.
 //! Randomized histories (seeded, deterministic) cover inserts,
 //! deletes, mixed commits and empty commits; the walks make first
 //! touches in ascending, shuffled, backward and gapped order.
 
+mod common;
+
+use common::{assert_same, render_versioned, walk, Reference};
 use fgcite::gtopdb::rng::SmallRng;
 use fgcite::gtopdb::{generate, paper_views, type_name, GeneratorConfig};
 use fgcite::prelude::*;
 use fgcite::query::parse_query;
 
-/// Render every byte a citation carries (same bar as the sharding and
-/// plan equivalence suites) plus the fixity stamp.
-fn render(cited: &VersionedCitation) -> String {
-    let mut out = String::new();
-    out.push_str(&cited.stamped_aggregate().to_compact());
-    out.push('\n');
-    for (label, rewriting) in &cited.citation.rewritings {
-        out.push_str(&format!("{label} := {rewriting}\n"));
-    }
-    for tc in &cited.citation.tuples {
-        out.push_str(&format!(
-            "{} | {:?} | {}\n",
-            tc.tuple,
-            tc.expr,
-            tc.citation.to_compact()
-        ));
-    }
-    out.push_str(&format!(
-        "exhaustive={} unsatisfiable={}",
-        cited.citation.exhaustive, cited.citation.unsatisfiable
-    ));
-    out
-}
-
-/// The reference: `q` cited by an engine built from scratch on
-/// version `v`'s snapshot (after `configure`), stamped with the
-/// version's label and timestamp.
-fn scratch(
-    history: &VersionedDatabase,
-    v: u64,
-    q: &ConjunctiveQuery,
-    configure: fn(CitationEngine) -> CitationEngine,
-) -> VersionedCitation {
-    let (info, snapshot) = history.snapshot(v).unwrap();
-    let engine = configure(CitationEngine::new((**snapshot).clone(), paper_views()).unwrap());
-    VersionedCitation {
-        citation: engine.cite(q).unwrap(),
-        version: v,
-        label: info.label.clone(),
-        timestamp: info.timestamp,
-    }
-}
-
-/// The reference render of every (version, query) pair.
-fn scratch_renders(history: &VersionedDatabase, queries: &[ConjunctiveQuery]) -> Vec<Vec<String>> {
-    (0..history.len() as u64)
-        .map(|v| {
-            queries
-                .iter()
-                .map(|q| render(&scratch(history, v, q, |e| e)))
-                .collect()
-        })
-        .collect()
+/// The reference over every version of `history`.
+fn reference(seed: u64, history: &VersionedDatabase) -> Reference {
+    Reference::versioned(format!("history seed={seed}"), history.clone())
 }
 
 fn queries() -> Vec<ConjunctiveQuery> {
@@ -163,34 +117,25 @@ fn randomized_histories_derived_equals_rebuilt() {
     for seed in 0..SEEDS {
         let history = history_for_seed(seed, COMMITS);
         let versions = history.len();
-        let expected = scratch_renders(&history, &queries);
+        let reference = reference(seed, &history);
         // ascending walk: every version past 0 borrows from its
         // freshly warmed predecessor
         let ascending = VersionedCitationEngine::new(history.clone(), paper_views());
+        let in_order: Vec<u64> = (0..versions as u64).collect();
+        assert_same(
+            &reference,
+            &[("ascending", &ascending)],
+            &walk(&in_order, &queries),
+        );
         // shuffled walk: first touches out of order, each borrowing
         // from whichever warm engine is nearest
         let shuffled = VersionedCitationEngine::new(history, paper_views());
-        let mut order_rng = SmallRng::seed_from_u64(seed ^ 0x5EED);
-        let order = shuffled_versions(versions, &mut order_rng);
-
-        for v in 0..versions as u64 {
-            for (q, expected) in queries.iter().zip(&expected[v as usize]) {
-                let got = render(&ascending.cite_at_version(v, q).unwrap());
-                assert_eq!(
-                    &got, expected,
-                    "seed {seed} version {v} query {q} (ascending)"
-                );
-            }
-        }
-        for &v in &order {
-            for (q, expected) in queries.iter().zip(&expected[v as usize]) {
-                let got = render(&shuffled.cite_at_version(v, q).unwrap());
-                assert_eq!(
-                    &got, expected,
-                    "seed {seed} version {v} query {q} (shuffled)"
-                );
-            }
-        }
+        let order = shuffled_versions(versions, &mut SmallRng::seed_from_u64(seed ^ 0x5EED));
+        assert_same(
+            &reference,
+            &[("shuffled", &shuffled)],
+            &walk(&order, &queries),
+        );
 
         let asc = ascending.version_stats();
         // empty commits (and deletes that found nothing) borrow with
@@ -231,19 +176,18 @@ fn random_access_borrows_in_both_directions_and_matches_scratch() {
     for seed in 0..SEEDS {
         let history = history_for_seed(seed, COMMITS);
         let versions = history.len();
-        let expected = scratch_renders(&history, &queries);
+        let reference = reference(seed, &history);
         let engine = VersionedCitationEngine::new(history, paper_views()).with_engine_capacity(2);
         let mut rng = SmallRng::seed_from_u64(seed ^ 0xBAC4);
-        let mut walk = vec![versions as u64 - 1, 0];
+        let mut order = vec![versions as u64 - 1, 0];
         for _ in 0..PASSES {
-            walk.extend(shuffled_versions(versions, &mut rng));
+            order.extend(shuffled_versions(versions, &mut rng));
         }
-        for &v in &walk {
-            for (q, expected) in queries.iter().zip(&expected[v as usize]) {
-                let got = render(&engine.cite_at_version(v, q).unwrap());
-                assert_eq!(&got, expected, "seed {seed} version {v} query {q}");
-            }
-        }
+        assert_same(
+            &reference,
+            &[("capacity 2", &engine)],
+            &walk(&order, &queries),
+        );
         let stats = engine.version_stats();
         assert_eq!(
             stats.rebuilt, 1,
@@ -252,7 +196,7 @@ fn random_access_borrows_in_both_directions_and_matches_scratch() {
         assert!(stats.engine_evictions > 0, "{stats:?}");
         assert_eq!(
             stats.hits + stats.derived + stats.shared + stats.rebuilt,
-            (walk.len() * queries.len()) as u64,
+            (order.len() * queries.len()) as u64,
             "every lookup is a hit or one first touch: {stats:?}"
         );
     }
@@ -261,19 +205,20 @@ fn random_access_borrows_in_both_directions_and_matches_scratch() {
 #[test]
 fn timeline_and_timestamp_resolution_match_rebuild() {
     let history = history_for_seed(77, 4);
+    let reference = reference(77, &history);
     let incremental = VersionedCitationEngine::new(history.clone(), paper_views());
     let q = parse_query("Q(N) :- Family(F, N, Ty), Ty = \"gpcr\"").unwrap();
     let timeline = incremental.citation_timeline(&q).unwrap();
     assert_eq!(timeline.len(), history.len());
     for (v, stamped) in &timeline {
-        let expected = scratch(&history, *v, &q, |e| e).stamped_aggregate();
+        let expected = reference.cite_at(*v, &q).unwrap().stamped_aggregate();
         assert_eq!(stamped.to_compact(), expected.to_compact(), "version {v}");
     }
     for at in [0, 150, 250, 10_000] {
         let (info, _) = history.snapshot_at(at).unwrap();
-        let expected = scratch(&history, info.id, &q, |e| e);
-        let got = incremental.cite_at_time(at, &q).unwrap();
-        assert_eq!(render(&got), render(&expected), "at={at}");
+        let expected = render_versioned(&reference.cite_at(info.id, &q).unwrap());
+        let got = render_versioned(&incremental.cite_at_time(at, &q).unwrap());
+        assert_eq!(got, expected, "at={at}");
     }
 }
 
@@ -283,15 +228,6 @@ fn timeline_and_timestamp_resolution_match_rebuild() {
 #[test]
 fn derived_engine_invalidates_stale_plans_and_tokens() {
     use std::sync::Arc;
-
-    fn exhaustive_union(engine: CitationEngine) -> CitationEngine {
-        engine
-            .with_policy(Policy::union_all())
-            .with_options(EngineOptions {
-                mode: RewriteMode::Exhaustive,
-                ..EngineOptions::default()
-            })
-    }
 
     let mut history = VersionedDatabase::new();
     history
@@ -355,11 +291,13 @@ fn derived_engine_invalidates_stale_plans_and_tokens() {
     // result diff: v1 sees the rewritten introduction, v0 does not,
     // and both match the reference byte for byte
     let v1_result = subject.cite_at_version(1, &intro).unwrap();
-    assert_ne!(render(&v0_result), render(&v1_result));
-    for (v, got) in [(0, &v0_result), (1, &v1_result)] {
-        let expected = scratch(&history, v, &intro, exhaustive_union);
-        assert_eq!(render(got), render(&expected), "version {v}");
-    }
+    assert_ne!(render_versioned(&v0_result), render_versioned(&v1_result));
+    let reference = reference(5, &history).configured(common::exhaustive_union);
+    assert_same(
+        &reference,
+        &[("borrowed", &subject)],
+        &walk(&[0, 1], &[intro]),
+    );
 }
 
 /// Tentpole: the 1,000-commit randomized walk. Every non-root version
@@ -397,18 +335,14 @@ fn thousand_commit_walk_derives_and_matches_rebuild_at_samples() {
     );
     // byte-identical citations at sampled versions (a reference build
     // at every version would be O(versions × |DB|))
-    let queries = queries();
     let mut samples: Vec<u64> = (0..versions as u64).step_by(101).collect();
     samples.push(versions as u64 - 1);
-    for &v in &samples {
-        for q in &queries {
-            assert_eq!(
-                render(&ascending.cite_at_version(v, q).unwrap()),
-                render(&scratch(&history, v, q, |e| e)),
-                "version {v} query {q}"
-            );
-        }
-    }
+    let reference = reference(0xC1D2, &history);
+    assert_same(
+        &reference,
+        &[("ascending", &ascending)],
+        &walk(&samples, &queries()),
+    );
 }
 
 /// Satellite: copy-on-write isolation. Mutating a derived child
@@ -455,7 +389,7 @@ fn derived_child_never_mutates_shared_parent() {
     let history = history_for_seed(99, 3);
     let e = VersionedCitationEngine::new(history, paper_views());
     let q = parse_query("Q(N) :- Family(F, N, Ty)").unwrap();
-    let parent_render = render(&e.cite_at_version(0, &q).unwrap());
+    let parent_render = render_versioned(&e.cite_at_version(0, &q).unwrap());
     let v0 = e.engine_for_version(0).unwrap();
     let v0_family = v0.database().relation("Family").unwrap().rows().to_vec();
     for v in 1..4 {
@@ -466,7 +400,10 @@ fn derived_child_never_mutates_shared_parent() {
         &v0_family[..],
         "borrowing children must not disturb the donor's relations"
     );
-    assert_eq!(render(&e.cite_at_version(0, &q).unwrap()), parent_render);
+    assert_eq!(
+        render_versioned(&e.cite_at_version(0, &q).unwrap()),
+        parent_render
+    );
     let v3 = e.engine_for_version(3).unwrap();
     assert!(
         Arc::ptr_eq(
