@@ -69,8 +69,9 @@ pub struct TupleCitation {
     pub tuple: Tuple,
     /// The symbolic citation expression (after normalization).
     pub expr: CitationExpr<String, CiteToken>,
-    /// The interpreted citation.
-    pub citation: Json,
+    /// The interpreted citation, shared by every tuple of the result
+    /// whose normalized expression is equal.
+    pub citation: Arc<Json>,
 }
 
 /// Rewritings labelled `Q1, Q2, ...` plus the (exhaustive,
@@ -892,27 +893,28 @@ impl CitationEngine {
         // Equal symbolic expressions interpret to equal citations, and
         // result sets over curated hierarchies share few distinct
         // expressions (e.g. one per family type) — memoize the
-        // interpretation per normalized expression. The memo is
+        // interpretation per normalized expression and share it by
+        // `Arc`, so a memo hit is a refcount bump. The memo is
         // request-local: it depends on the (possibly overridden)
         // policy, unlike the policy-independent shared token cache.
         self.stages
             .time("render", move || -> Result<QueryCitation> {
-                let mut interp_memo: HashMap<CitationExpr<String, CiteToken>, Json> =
+                let mut interp_memo: HashMap<CitationExpr<String, CiteToken>, Arc<Json>> =
                     HashMap::new();
-                let mut distinct_citations: Vec<Json> = Vec::new();
+                let mut distinct_citations: Vec<Arc<Json>> = Vec::new();
                 let mut tuples = Vec::with_capacity(answers.len());
                 for tuple in answers {
                     let expr = exprs.remove(&tuple).unwrap_or_else(CitationExpr::zero_r);
                     let normalized = policy.normalize(&expr, &self.inclusion);
-                    let citation = match interp_memo.get(&normalized).cloned() {
-                        Some(hit) => hit,
+                    let citation = match interp_memo.get(&normalized) {
+                        Some(hit) => Arc::clone(hit),
                         None => {
                             // `interpret_expr`'s token valuation is infallible
                             // by signature; remote token failures surface
                             // through this side channel instead of silently
                             // citing Null.
                             let mut token_err: Option<CoreError> = None;
-                            let citation = {
+                            let citation = Arc::new({
                                 let mut value_of = |t: &CiteToken| match plane.token_citation(t) {
                                     Ok(json) => json,
                                     Err(e) => {
@@ -922,16 +924,12 @@ impl CitationEngine {
                                 };
                                 interpret_expr(policy, &normalized, &mut value_of)
                                     .unwrap_or(Json::Null)
-                            };
+                            });
                             if let Some(e) = token_err {
                                 return Err(e);
                             }
-                            if interp_memo
-                                .insert(normalized.clone(), citation.clone())
-                                .is_none()
-                            {
-                                distinct_citations.push(citation.clone());
-                            }
+                            interp_memo.insert(normalized.clone(), Arc::clone(&citation));
+                            distinct_citations.push(Arc::clone(&citation));
                             citation
                         }
                     };
@@ -1714,7 +1712,7 @@ mod tests {
         let result = e.cite(&q).unwrap();
         for tc in &result.tuples {
             assert!(
-                matches!(tc.citation, Json::Object(_)),
+                matches!(*tc.citation, Json::Object(_)),
                 "join policy should merge into one record, got {}",
                 tc.citation
             );
@@ -1723,6 +1721,42 @@ mod tests {
             result.tuples[0].citation.get("Type"),
             Some(&Json::str("gpcr"))
         );
+    }
+
+    #[test]
+    fn equal_expressions_share_one_citation() {
+        let queries = [
+            "Q(N, Tx) :- Family(F, N, Ty), FamilyIntro(F, Tx), Ty = \"gpcr\"",
+            "Q(N) :- Family(F, N, Ty)",
+        ];
+        for policy in [Policy::default(), Policy::union_all(), Policy::join_all()] {
+            let e = engine().with_policy(policy.clone());
+            for q in queries {
+                let result = e.cite(&parse_query(q).unwrap()).unwrap();
+                if q == queries[0] {
+                    // both gpcr tuples cite V5("gpcr")
+                    let [a, b] = &result.tuples[..] else {
+                        panic!("two gpcr tuples")
+                    };
+                    assert!(Arc::ptr_eq(&a.citation, &b.citation));
+                }
+                for a in &result.tuples {
+                    for b in &result.tuples {
+                        assert_eq!(a.expr == b.expr, Arc::ptr_eq(&a.citation, &b.citation));
+                    }
+                }
+                // Def. 3.4 by definition: Agg over the global citations,
+                // then over every tuple's citation
+                let mut folded = Json::Null;
+                for g in &policy.global_citations {
+                    folded = policy.agg.apply(&folded, g);
+                }
+                for tc in &result.tuples {
+                    folded = policy.agg.apply(&folded, &tc.citation);
+                }
+                assert_eq!(result.aggregate, folded, "{q}");
+            }
+        }
     }
 
     #[test]

@@ -28,7 +28,7 @@ use fgc_core::{
 use fgc_query::{Binding, ConjunctiveQuery, RoutePlan, ShardRouter, ShardSet};
 use fgc_relation::sharded::{ShardKeySpec, ShardedDatabase};
 use fgc_relation::{Database, Tuple};
-use fgc_server::wire::{encode_response_with, error_body, QueryKind};
+use fgc_server::wire::{error_body, write_response_body, QueryKind};
 use fgc_server::{decode_cite_body, parse_json};
 use fgc_views::{CitationFunction, CitationView, Json, ViewRegistry};
 use std::collections::HashMap;
@@ -236,10 +236,7 @@ impl Coordinator {
         };
         let mut plane = ScatterPlane::new(self, &rid, deadline);
         match self.engine.cite_request_with(request, &mut plane) {
-            Ok(response) => (
-                200,
-                encode_response_with(&response, request.include_stages).to_compact(),
-            ),
+            Ok(response) => (200, write_response_body(&response, request.include_stages)),
             Err(e) if plane.deadline_hit => {
                 let body = Json::from_pairs([
                     ("error", Json::str(e.to_string())),

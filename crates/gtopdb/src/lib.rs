@@ -27,7 +27,7 @@ pub mod views;
 pub mod workload;
 
 pub use generator::{generate, present_types, type_name, GeneratorConfig};
-pub use paper_instance::paper_instance;
+pub use paper_instance::{paper_instance, PAPER_QUERIES};
 pub use schema::{create_schema, paper_shard_spec};
 pub use views::{paper_views, v1, v2, v3, v4, v5};
 pub use workload::WorkloadGenerator;

@@ -8,6 +8,21 @@
 use crate::schema::create_schema;
 use fgc_relation::{tuple, Database};
 
+/// The query mix the tests run over the paper instance: the paper's
+/// worked-example join, a scan, keyed constants (one shard), a
+/// non-key selection and joins (fan out), a self-join, and empty and
+/// unsatisfiable results.
+pub const PAPER_QUERIES: &[&str] = &[
+    "Q(N, Tx) :- Family(F, N, Ty), FamilyIntro(F, Tx), Ty = \"gpcr\"",
+    "Q(N) :- Family(F, N, Ty)",
+    "Q(N) :- Family(\"11\", N, Ty)",
+    "Q(N, Tx) :- Family(F, N, Ty), FamilyIntro(F, Tx), F = \"11\"",
+    "Q(N, Pn) :- Family(F, N, Ty), FC(F, C), Person(C, Pn, A)",
+    "Q(A, B) :- Family(A, N1, T), Family(B, N2, T), A != B",
+    "Q(N) :- Family(F, N, Ty), Ty = \"nope\"",
+    "Q(N) :- Family(F, N, Ty), Ty = \"a\", Ty = \"b\"",
+];
+
 /// Build the paper's example instance.
 pub fn paper_instance() -> Database {
     let mut db = create_schema();

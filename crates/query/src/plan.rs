@@ -134,8 +134,12 @@ enum HeadSource {
 /// cache. Compilation runs the safety and catalog checks once.
 #[derive(Debug, Clone)]
 pub struct QueryPlan {
-    /// Slot → variable name (for the [`Binding`] conversion).
+    /// Variable names in slot order (for the [`Binding`] conversion).
     var_names: Vec<String>,
+    /// The slot holding each variable's value, parallel to
+    /// `var_names`: its own, or for a variable bound only through a
+    /// `Var = Var` chain, the slot of the member that anchors it.
+    value_slots: Vec<Slot>,
     /// Relation name per atom, in *original* atom order (the views
     /// slice the executor receives uses this order).
     atom_relations: Vec<String>,
@@ -185,10 +189,11 @@ impl QueryPlan {
                 limit: Slot::MAX as usize,
             });
         }
+        let value_slots = chain_aliases(q, &var_names);
         let slot_of: HashMap<&str, Slot> = var_names
             .iter()
-            .enumerate()
-            .map(|(i, v)| (v.as_str(), i as Slot))
+            .zip(&value_slots)
+            .map(|(v, s)| (v.as_str(), *s))
             .collect();
         let slot = |v: &str| -> Slot { slot_of[v] };
 
@@ -242,10 +247,8 @@ impl QueryPlan {
 
         // Schedule residual comparisons: each runs at the first
         // depth where both sides are bound (residual order preserved
-        // within a depth). Comparisons whose variables never bind —
-        // legal when safety is satisfied through a `Var = Var` chain
-        // — are never applied. This is a known gap: the oracle in
-        // [`crate::reference`] binds such variables through the chain.
+        // within a depth). Every variable has a slot some seed or
+        // atom binds, so every comparison is scheduled.
         let mut comp_scheduled = vec![false; residual.len()];
         let mut checks: Vec<Vec<CompiledComparison>> = Vec::with_capacity(q.atoms.len() + 1);
         let schedule = |scheduled: &mut [bool], bound: &[bool]| -> Vec<CompiledComparison> {
@@ -333,6 +336,7 @@ impl QueryPlan {
 
         Ok(QueryPlan {
             var_names,
+            value_slots,
             atom_relations: q.atoms.iter().map(|a| a.relation.clone()).collect(),
             steps,
             checks,
@@ -370,19 +374,24 @@ impl QueryPlan {
     }
 
     /// The thin slot → name conversion keeping [`Binding`] in the
-    /// public API: bound slots become name-keyed entries, unbound
-    /// slots are omitted.
+    /// public API: every variable whose value slot is bound becomes a
+    /// name-keyed entry (a chained variable reads its anchor's slot),
+    /// the others are omitted.
     pub fn binding(&self, frame: &Frame) -> Binding {
         self.var_names
             .iter()
-            .zip(frame)
-            .filter_map(|(name, v)| v.as_ref().map(|v| (name.clone(), v.clone())))
+            .zip(&self.value_slots)
+            .filter_map(|(name, s)| {
+                frame[*s as usize]
+                    .as_ref()
+                    .map(|v| (name.clone(), v.clone()))
+            })
             .collect()
     }
 
-    /// Project the head under a frame. Head variables left unbound
-    /// (possible for queries made safe by `Var = Var` chains)
-    /// project as `Null`.
+    /// Project the head under a complete frame, where every head
+    /// slot is bound; an unbound one would be a planner bug and
+    /// projects as `Null`.
     pub fn project_head(&self, frame: &Frame) -> Tuple {
         self.head
             .iter()
@@ -392,6 +401,59 @@ impl QueryPlan {
             })
             .collect()
     }
+}
+
+/// The value slot of each variable (indexed like `var_names`). A
+/// variable that no atom and no `Var = Const` seed binds — safe only
+/// through a `Var = Var` chain — takes the slot of the first variable
+/// of its equality class that one does, so it holds that member's
+/// value; the chain's comparisons stay in the plan as checks. Every
+/// other variable keeps its own slot.
+fn chain_aliases(q: &ConjunctiveQuery, var_names: &[String]) -> Vec<Slot> {
+    let index = |v: &str| {
+        var_names
+            .binary_search_by(|n| n.as_str().cmp(v))
+            .expect("every variable has a slot")
+    };
+    fn root(parent: &mut [usize], mut i: usize) -> usize {
+        while parent[i] != i {
+            parent[i] = parent[parent[i]];
+            i = parent[i];
+        }
+        i
+    }
+    let mut anchored = vec![false; var_names.len()];
+    for v in q.body_vars() {
+        anchored[index(v)] = true;
+    }
+    // Union–find over the `Var = Var` equalities.
+    let mut parent: Vec<usize> = (0..var_names.len()).collect();
+    for c in q.comparisons.iter().filter(|c| c.op == CompOp::Eq) {
+        match (&c.left, &c.right) {
+            (Term::Var(v), Term::Const(_)) | (Term::Const(_), Term::Var(v)) => {
+                anchored[index(v)] = true;
+            }
+            (Term::Var(a), Term::Var(b)) => {
+                let (ra, rb) = (root(&mut parent, index(a)), root(&mut parent, index(b)));
+                parent[ra.max(rb)] = ra.min(rb);
+            }
+            _ => {}
+        }
+    }
+    let mut anchor: Vec<Option<usize>> = vec![None; var_names.len()];
+    for (i, _) in anchored.iter().enumerate().filter(|(_, a)| **a) {
+        anchor[root(&mut parent, i)].get_or_insert(i);
+    }
+    (0..var_names.len())
+        .map(|i| {
+            let slot = if anchored[i] {
+                i
+            } else {
+                anchor[root(&mut parent, i)].unwrap_or(i)
+            };
+            slot as Slot
+        })
+        .collect()
 }
 
 /// Candidate row positions for one step: a borrowed index posting

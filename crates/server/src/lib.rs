@@ -80,6 +80,6 @@ pub use server::{views_body, write_engine_metrics, write_storage_metrics, CiteSe
 pub use service::{Call, HttpService, Response, Route, ServerConfig};
 pub use stats::{EndpointStats, ServerStats};
 pub use wire::{
-    decode_cite_body, decode_cite_request, encode_response, encode_response_with, error_body,
-    parse_body, QueryKind, WireError,
+    decode_cite_body, decode_cite_request, encode_response, error_body, parse_body,
+    write_response_body, QueryKind, WireError,
 };

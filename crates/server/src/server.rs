@@ -22,7 +22,7 @@
 
 use crate::service::{Call, HttpService, Response, Route, ServerConfig};
 use crate::stats::ServerStats;
-use crate::wire::{decode_cite_body, encode_response_with, parse_body, repeated_key, QueryKind};
+use crate::wire::{decode_cite_body, parse_body, repeated_key, write_response_body, QueryKind};
 use fgc_core::{CitationEngine, VersionedCitationEngine};
 use fgc_obs::PromWriter;
 use fgc_relation::storage::{StorageHealth, StorageStats};
@@ -184,7 +184,7 @@ fn serve_cite(app: &App, call: &Call<'_>, kind: QueryKind) -> Response {
     // worker until the answer is ready.
     match app.engine.cite_request(&request) {
         Ok(response) => {
-            let body = encode_response_with(&response, include_stages).to_compact();
+            let body = write_response_body(&response, include_stages);
             Response {
                 stages: response.stages,
                 ..Response::json(200, body)

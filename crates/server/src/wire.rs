@@ -22,6 +22,16 @@
 //! second `"query"` read differently by another JSON reader, would
 //! serve the wrong citation semantics). Decode failures carry a
 //! message destined for a 400 body, never a panic.
+//!
+//! A reply body is written straight to text by
+//! [`write_response_body`], the one writer behind the single server's
+//! and the coordinator's `/cite` and `/cite_sql`. The engine
+//! interprets each distinct normalized citation expression once and
+//! shares the result by `Arc` among the tuples it cites; the writer
+//! prints each shared citation once per body and copies those bytes
+//! for every later tuple. [`encode_response`] builds the same body as
+//! a [`Json`] tree — the by-definition form the writer must match
+//! byte for byte.
 
 use crate::json::parse_json;
 use fgc_core::{CitationEngine, CiteRequest, CiteResponse, OrderChoice, Policy, RewriteMode};
@@ -29,6 +39,11 @@ use fgc_query::parse_query;
 use fgc_relation::Value;
 use fgc_rewrite::RewriteOptions;
 use fgc_views::Json;
+use std::collections::HashMap;
+use std::fmt::Write as _;
+use std::ops::Range;
+use std::sync::Arc;
+use std::time::Duration;
 
 /// Which query field the endpoint expects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -233,21 +248,16 @@ pub fn value_to_json(value: &Value) -> Json {
     }
 }
 
-/// Encode a served [`CiteResponse`] as the `POST /cite` reply body.
+/// A served [`CiteResponse`] as the `POST /cite` reply body, built
+/// as a [`Json`] tree: the by-definition form of the body that
+/// [`write_response_body`] must match byte for byte (its
+/// `to_compact`, plus a trailing `stages` object when asked for).
 ///
 /// The `citation` fields are the engine's own [`Json`] values passed
-/// through untouched, so a response rendered with `to_compact` is
-/// byte-identical to rendering the direct `cite()` result — the
-/// property `tests/server_http.rs` pins down.
+/// through untouched, so the body is byte-identical to rendering the
+/// direct `cite()` result — the property `tests/server_http.rs` pins
+/// down.
 pub fn encode_response(response: &CiteResponse) -> Json {
-    encode_response_with(response, false)
-}
-
-/// [`encode_response`] with an opt-in `stages` object: per-stage
-/// pipeline durations in microseconds, present **only** when the
-/// request asked for them (`"stages": true`) so default response
-/// bodies stay byte-identical across serving topologies.
-pub fn encode_response_with(response: &CiteResponse, include_stages: bool) -> Json {
     let citation = &response.citation;
     let tuples: Vec<Json> = citation
         .tuples
@@ -258,32 +268,88 @@ pub fn encode_response_with(response: &CiteResponse, include_stages: bool) -> Js
                     "row",
                     Json::Array(t.tuple.values().iter().map(value_to_json).collect()),
                 ),
-                ("citation", t.citation.clone()),
+                ("citation", Json::clone(&t.citation)),
             ])
         })
         .collect();
-    let mut body = Json::from_pairs([
+    Json::from_pairs([
         ("tuples", Json::Array(tuples)),
         ("aggregate", citation.aggregate.clone()),
         ("rewritings", Json::Int(citation.rewritings.len() as i64)),
         ("exhaustive", Json::Bool(citation.exhaustive)),
         ("unsatisfiable", Json::Bool(citation.unsatisfiable)),
-        (
-            "elapsed_us",
-            Json::Int(response.elapsed.as_micros().min(i64::MAX as u128) as i64),
-        ),
+        ("elapsed_us", Json::Int(micros(response.elapsed))),
         ("cache_hits", Json::Int(response.cache_hits as i64)),
         ("cache_misses", Json::Int(response.cache_misses as i64)),
-    ]);
-    if include_stages {
-        let stages: Vec<(&str, Json)> = response
-            .stages
-            .iter()
-            .map(|(name, d)| (*name, Json::Int(d.as_micros().min(i64::MAX as u128) as i64)))
-            .collect();
-        body.set("stages", Json::from_pairs(stages));
+    ])
+}
+
+/// Write a served [`CiteResponse`] as the `POST /cite` reply body,
+/// with an opt-in trailing `stages` object (per-stage pipeline
+/// durations in microseconds) present **only** when the request asked
+/// for it (`"stages": true`), so default bodies stay byte-identical
+/// across serving topologies.
+///
+/// Each distinct citation `Arc` is printed once; a later tuple holding
+/// the same `Arc` copies the bytes already written. The pointer is a
+/// sound key because `response` keeps every `Arc` alive meanwhile.
+pub fn write_response_body(response: &CiteResponse, include_stages: bool) -> String {
+    let citation = &response.citation;
+    let mut out = String::new();
+    let mut printed: HashMap<*const Json, Range<usize>> = HashMap::new();
+    out.push_str("{\"tuples\": [");
+    for (i, t) in citation.tuples.iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        out.push_str("{\"row\": [");
+        for (j, value) in t.tuple.values().iter().enumerate() {
+            if j > 0 {
+                out.push_str(", ");
+            }
+            value_to_json(value).write_compact(&mut out);
+        }
+        out.push_str("], \"citation\": ");
+        match printed.get(&Arc::as_ptr(&t.citation)) {
+            Some(bytes) => out.extend_from_within(bytes.clone()),
+            None => {
+                let start = out.len();
+                t.citation.write_compact(&mut out);
+                printed.insert(Arc::as_ptr(&t.citation), start..out.len());
+            }
+        }
+        out.push('}');
     }
-    body
+    out.push_str("], \"aggregate\": ");
+    citation.aggregate.write_compact(&mut out);
+    let _ = write!(
+        out,
+        ", \"rewritings\": {}, \"exhaustive\": {}, \"unsatisfiable\": {}, \
+         \"elapsed_us\": {}, \"cache_hits\": {}, \"cache_misses\": {}",
+        citation.rewritings.len() as i64,
+        citation.exhaustive,
+        citation.unsatisfiable,
+        micros(response.elapsed),
+        response.cache_hits as i64,
+        response.cache_misses as i64,
+    );
+    if include_stages {
+        out.push_str(", \"stages\": {");
+        for (i, (name, d)) in response.stages.iter().enumerate() {
+            if i > 0 {
+                out.push_str(", ");
+            }
+            Json::str(*name).write_compact(&mut out);
+            let _ = write!(out, ": {}", micros(*d));
+        }
+        out.push('}');
+    }
+    out.push('}');
+    out
+}
+
+fn micros(d: Duration) -> i64 {
+    d.as_micros().min(i64::MAX as u128) as i64
 }
 
 /// The uniform error body: `{"error": "..."}`.
@@ -373,6 +439,92 @@ mod tests {
         )
         .unwrap_err();
         assert_eq!(err.0, "duplicate field `query`");
+    }
+
+    /// The by-definition body: the tree's compact print, with the
+    /// `stages` object set on it when asked for.
+    fn by_definition(response: &CiteResponse, include_stages: bool) -> String {
+        let mut body = encode_response(response);
+        if include_stages {
+            let stages = response
+                .stages
+                .iter()
+                .map(|(name, d)| (*name, Json::Int(micros(*d))));
+            body.set("stages", Json::from_pairs(stages));
+        }
+        body.to_compact()
+    }
+
+    fn paper_engine() -> CitationEngine {
+        let db = fgc_gtopdb::paper_instance();
+        CitationEngine::new(db, fgc_gtopdb::paper_views()).unwrap()
+    }
+
+    #[test]
+    fn the_writer_prints_the_tree_byte_for_byte() {
+        let engine = paper_engine();
+        for policy in [Policy::default(), Policy::union_all(), Policy::join_all()] {
+            for text in fgc_gtopdb::PAPER_QUERIES {
+                for include_stages in [false, true] {
+                    let request = CiteRequest::query(parse_query(text).unwrap())
+                        .with_policy(policy.clone())
+                        .with_stages(include_stages);
+                    let response = engine.cite_request(&request).unwrap();
+                    assert_eq!(
+                        write_response_body(&response, include_stages),
+                        by_definition(&response, include_stages),
+                        "{text} stages={include_stages}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_writer_survives_odd_values_and_an_empty_result() {
+        use fgc_relation::Tuple;
+        let engine = paper_engine();
+        let query = parse_query(fgc_gtopdb::PAPER_QUERIES[0]).unwrap();
+        let mut response = engine.cite_request(&CiteRequest::query(query)).unwrap();
+        let expr = response.citation.tuples[0].expr.clone();
+        let odd = Json::from_pairs([
+            ("Title", Json::str("say \"hi\" \\ back\n\t\r\u{1}\u{1f}")),
+            ("Name", Json::str("Caf\u{e9} \u{2713} \u{1d11e}")),
+            ("Scores", Json::Array(vec![Json::Float(0.5), Json::Null])),
+        ]);
+        // two distinct `Arc`s holding equal JSON, the first used twice
+        let shared = Arc::new(odd.clone());
+        let twin = Arc::new(odd);
+        let rows = [
+            vec![Value::str("\"quoted\" \\ slash"), Value::Null],
+            vec![Value::str("ctl \u{0}\u{7}\n"), Value::Float(-0.0)],
+            vec![Value::str("\u{3b1}\u{3b2} \u{1f600}"), Value::Float(1e300)],
+            vec![Value::Int(-7), Value::Bool(true)],
+        ];
+        let citations = [&shared, &twin, &shared, &twin];
+        response.citation.tuples = rows
+            .into_iter()
+            .zip(citations)
+            .map(|(row, citation)| fgc_core::TupleCitation {
+                tuple: Tuple::new(row),
+                expr: expr.clone(),
+                citation: Arc::clone(citation),
+            })
+            .collect();
+        for include_stages in [false, true] {
+            assert_eq!(
+                write_response_body(&response, include_stages),
+                by_definition(&response, include_stages)
+            );
+        }
+
+        response.citation.tuples.clear();
+        let body = write_response_body(&response, false);
+        assert!(
+            body.starts_with(r#"{"tuples": [], "aggregate": "#),
+            "{body}"
+        );
+        assert_eq!(body, by_definition(&response, false));
     }
 
     #[test]

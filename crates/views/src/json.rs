@@ -106,15 +106,23 @@ impl Json {
 
     /// Compact serialization (no whitespace).
     pub fn to_compact(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, None, 0);
-        out
+        self.printed(None)
+    }
+
+    /// Append the compact serialization to `out` — the printer a
+    /// response body is written with, one value after another.
+    pub fn write_compact(&self, out: &mut String) {
+        self.write(out, None, 0);
     }
 
     /// Pretty serialization with 2-space indentation.
     pub fn to_pretty(&self) -> String {
+        self.printed(Some(2))
+    }
+
+    fn printed(&self, indent: Option<usize>) -> String {
         let mut out = String::new();
-        self.write(&mut out, Some(2), 0);
+        self.write(&mut out, indent, 0);
         out
     }
 

@@ -40,19 +40,8 @@ use std::time::{Duration, Instant};
 // Fixtures
 // ---------------------------------------------------------------------
 
-/// The shared query mix: the paper's worked-example join, a scan,
-/// keyed constants (one shard), a non-key selection and joins (fan
-/// out), a self-join, and empty and unsatisfiable results.
-pub const QUERIES: &[&str] = &[
-    "Q(N, Tx) :- Family(F, N, Ty), FamilyIntro(F, Tx), Ty = \"gpcr\"",
-    "Q(N) :- Family(F, N, Ty)",
-    "Q(N) :- Family(\"11\", N, Ty)",
-    "Q(N, Tx) :- Family(F, N, Ty), FamilyIntro(F, Tx), F = \"11\"",
-    "Q(N, Pn) :- Family(F, N, Ty), FC(F, C), Person(C, Pn, A)",
-    "Q(A, B) :- Family(A, N1, T), Family(B, N2, T), A != B",
-    "Q(N) :- Family(F, N, Ty), Ty = \"nope\"",
-    "Q(N) :- Family(F, N, Ty), Ty = \"a\", Ty = \"b\"",
-];
+/// The shared query mix (the crates' own tests use it too).
+pub use fgcite::gtopdb::PAPER_QUERIES as QUERIES;
 
 /// [`QUERIES`], parsed.
 pub fn queries() -> Vec<ConjunctiveQuery> {

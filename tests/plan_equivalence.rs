@@ -32,6 +32,9 @@ const MORE_QUERIES: &[&str] = &[
     "Q(A, B) :- Family(A, N1, T1), Family(B, N2, T2), A < B",
     "Q(N) :- Family(F, N, Ty), F > \"11\"",
     "Q(N, X) :- Family(F, N, Ty), X = \"const\"",
+    // X is bound only through the chain X = Z = Y
+    "Q(X) :- Family(Y, N, T), X = Z, Z = Y",
+    "Q(X, N) :- Family(Y, N, T), X = Z, Z = Y, X > \"11\"",
 ];
 
 fn paper_queries() -> Vec<ConjunctiveQuery> {
