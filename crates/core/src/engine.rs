@@ -2,10 +2,12 @@
 //!
 //! Pipeline for `cite(D, Q, V)`:
 //!
-//! 1. evaluate `Q` over `D` (the result set being cited);
-//! 2. rewrite `Q` using the citation views (exhaustively, or with the
-//!    pruned preference search — the engine's *mode*);
-//! 3. per rewriting `Q'` and output tuple `t`, enumerate the bindings
+//! 1. rewrite `Q` using the citation views (exhaustively, or with the
+//!    pruned preference search — the engine's *mode*); this half reads
+//!    only view definitions and schemas (§3.2);
+//! 2. in one data-plane fetch, evaluate `Q` over `D` (the result set
+//!    being cited) and every rewriting's extent query;
+//! 3. per rewriting `Q'` and output tuple `t`, take the bindings
 //!    `β_t` and build the citation polynomial
 //!    `Σ_B Π_i token(V_i, B_i)` (Defs. 3.1–3.2) — symbolically, over
 //!    [`CiteToken`]s;
@@ -36,7 +38,7 @@ use fgc_relation::{DataType, Database, DatabaseDelta, Tuple, Value};
 use fgc_rewrite::{best_rewritings, enumerate_rewritings, RewriteOptions, Rewriting, ViewDefs};
 use fgc_semiring::{CitationExpr, CommutativeSemiring, Monomial, Polynomial};
 use fgc_views::{Json, ViewRegistry};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, RwLock};
 use std::time::Instant;
@@ -78,12 +80,8 @@ pub struct TupleCitation {
 /// unsatisfiable) flags of the search that produced them.
 type LabelledRewritings = (Vec<(String, Rewriting)>, bool, bool);
 
-/// Per-tuple symbolic citation expressions plus the sorted superset
-/// of tokens they mention.
-type SymbolicCitations = (
-    HashMap<Tuple, CitationExpr<String, CiteToken>>,
-    Vec<CiteToken>,
-);
+/// Per-tuple symbolic citation expressions.
+type SymbolicCitations = HashMap<Tuple, CitationExpr<String, CiteToken>>;
 
 /// The citation for a whole query result (Def. 3.4).
 #[derive(Debug, Clone)]
@@ -132,34 +130,64 @@ struct RequestCounters {
     misses: u64,
 }
 
+/// Grouped bindings of one extent query: each output tuple with the
+/// bindings that derive it, in global derivation order (the order
+/// [`fgc_query::evaluate_grouped`] produces).
+pub type ExtentGroups = Vec<(Tuple, Vec<Binding>)>;
+
+/// Everything a citation reads from the data, fetched in one
+/// [`CiteDataPlane::fetch`].
+#[derive(Debug, Clone)]
+pub struct CiteData {
+    /// The answer set of the cited query, in global first-derivation
+    /// order (the order [`fgc_query::evaluate`] produces).
+    pub answers: Vec<Tuple>,
+    /// Per extent query, in the order they were asked for, its grouped
+    /// bindings over base relations *plus* view extents.
+    pub extents: Vec<ExtentGroups>,
+}
+
+/// One shard's share of a citation exchange, as
+/// [`CitationEngine::cite_fragment`] computes it.
+#[derive(Debug, Clone)]
+pub struct CiteFragment {
+    /// The answer query's `(gid, seq, tuple)` rows on this shard, when
+    /// the exchange carried one.
+    pub answers: Option<Vec<(usize, usize, Tuple)>>,
+    /// Per extent query, its `(gid, seq, tuple, binding)` rows on this
+    /// shard.
+    pub extents: Vec<Vec<(usize, usize, Tuple, Binding)>>,
+    /// Every distinct token those bindings mention, with its citation.
+    pub tokens: Vec<(CiteToken, Json)>,
+    /// Token-cache hits of this exchange.
+    pub hits: u64,
+    /// Token-cache misses of this exchange.
+    pub misses: u64,
+}
+
 /// The data-access half of the citation pipeline.
 ///
 /// [`CitationEngine::cite_request_with`] drives the *whole* Def.
 /// 3.1–3.4 control plane — rewriting search, polynomial construction,
-/// normalization, interpretation, aggregation — through this trait,
-/// so a data plane only answers three questions: what are the answer
-/// tuples, what are a rewriting's extent bindings, and what does a
-/// token cite to. The local implementation reads the engine's own
-/// store; a distributed one scatters the same three questions to
-/// shard replicas. Because every byte of citation assembly is shared,
-/// any data plane that returns the same rows in the same order
-/// produces byte-identical citations.
+/// normalization, interpretation, aggregation — through this trait.
+/// The rewritings come from the view definitions and schemas alone
+/// (§3.2), so the engine finds them first and then asks the plane for
+/// all the data the citation needs in one [`fetch`](Self::fetch): the
+/// answer tuples and each rewriting's extent bindings. The local
+/// implementation reads the engine's own store; a distributed one
+/// makes one exchange per shard replica. Because every byte of
+/// citation assembly is shared, any data plane that returns the same
+/// rows in the same order produces byte-identical citations.
 pub trait CiteDataPlane {
-    /// The answer set of the cited query, in global first-derivation
-    /// order (the order [`fgc_query::evaluate`] produces).
-    fn answer_tuples(&mut self, q: &ConjunctiveQuery) -> Result<Vec<Tuple>>;
-
-    /// The grouped bindings of a rewriting's extent query, evaluated
-    /// over base relations *plus* view extents, in global derivation
-    /// order (the order [`fgc_query::evaluate_grouped`] produces).
-    fn extent_groups(&mut self, q: &ConjunctiveQuery) -> Result<Vec<(Tuple, Vec<Binding>)>>;
-
-    /// Hint that these tokens are about to be interpreted. A remote
-    /// plane batch-fetches them in one round trip; the local plane
-    /// ignores the hint (its token cache is already in-process).
-    fn prefetch_tokens(&mut self, _tokens: &[CiteToken]) -> Result<()> {
-        Ok(())
-    }
+    /// The answers of `q` and the grouped bindings of every query in
+    /// `extent_queries`. Errors keep the single server's precedence:
+    /// an answer-evaluation error first, then the first failing
+    /// extent query in order.
+    fn fetch(
+        &mut self,
+        q: &ConjunctiveQuery,
+        extent_queries: &[ConjunctiveQuery],
+    ) -> Result<CiteData>;
 
     /// Interpret one token to its JSON citation.
     fn token_citation(&mut self, token: &CiteToken) -> Result<Json>;
@@ -189,12 +217,22 @@ impl<'a> LocalDataPlane<'a> {
 }
 
 impl CiteDataPlane for LocalDataPlane<'_> {
-    fn answer_tuples(&mut self, q: &ConjunctiveQuery) -> Result<Vec<Tuple>> {
-        self.engine.answers(q)
-    }
-
-    fn extent_groups(&mut self, q: &ConjunctiveQuery) -> Result<Vec<(Tuple, Vec<Binding>)>> {
-        self.engine.extent_groups(q)
+    fn fetch(
+        &mut self,
+        q: &ConjunctiveQuery,
+        extent_queries: &[ConjunctiveQuery],
+    ) -> Result<CiteData> {
+        let engine = self.engine;
+        // `evaluate` wraps the whole answer evaluation, so the
+        // `plan`/`route` spans recorded inside it nest under it
+        let answers = engine.stages.time("evaluate", || engine.answers(q))?;
+        let extents = engine.stages.time("extent", || {
+            extent_queries
+                .iter()
+                .map(|e| engine.extent_groups(e))
+                .collect::<Result<Vec<_>>>()
+        })?;
+        Ok(CiteData { answers, extents })
     }
 
     fn token_citation(&mut self, token: &CiteToken) -> Result<Json> {
@@ -776,7 +814,7 @@ impl CitationEngine {
     /// (unsharded) extent database — its global sizes equal the
     /// sharded extent store's — and their plans share the engine's
     /// plan cache, so a repeated `cite` re-plans nothing.
-    fn extent_groups(&self, q: &ConjunctiveQuery) -> Result<Vec<(Tuple, Vec<Binding>)>> {
+    fn extent_groups(&self, q: &ConjunctiveQuery) -> Result<ExtentGroups> {
         let extent_db = self.extent_database()?;
         let plan = self.cached_plan(q, &extent_db)?;
         let sharded = self
@@ -790,20 +828,15 @@ impl CitationEngine {
     }
 
     /// The symbolic citation expressions for every output tuple of
-    /// `q` (Defs. 3.1–3.3), before normalization, plus the (sorted)
-    /// superset of tokens they mention — extent bindings come from
-    /// the data plane.
-    fn symbolic_citations_with(
-        &self,
+    /// `q` (Defs. 3.1–3.3), before normalization, from each
+    /// rewriting's grouped extent bindings (`extents[i]` belongs to
+    /// `rewritings[i]`).
+    fn symbolic_citations(
         rewritings: &[(String, Rewriting)],
-        plane: &mut dyn CiteDataPlane,
-    ) -> Result<SymbolicCitations> {
-        let mut exprs: HashMap<Tuple, CitationExpr<String, CiteToken>> = HashMap::new();
-        let mut token_set: std::collections::BTreeSet<CiteToken> =
-            std::collections::BTreeSet::new();
-        for (label, rewriting) in rewritings {
-            let extent_query = rewriting.as_extent_query();
-            let grouped = plane.extent_groups(&extent_query)?;
+        extents: Vec<ExtentGroups>,
+    ) -> SymbolicCitations {
+        let mut exprs: SymbolicCitations = HashMap::new();
+        for ((label, rewriting), grouped) in rewritings.iter().zip(extents) {
             for (tuple, bindings) in grouped {
                 let mut poly: Polynomial<CiteToken> = Polynomial::zero();
                 for binding in &bindings {
@@ -820,7 +853,6 @@ impl CitationEngine {
                             }
                             fgc_rewrite::Subgoal::Base(a) => CiteToken::base(a.relation.clone()),
                         };
-                        token_set.insert(token.clone());
                         monomial = monomial.times(&Monomial::token(token));
                     }
                     poly = poly.plus(&Polynomial::from_monomial(monomial));
@@ -834,7 +866,7 @@ impl CitationEngine {
                     .or_insert(expr);
             }
         }
-        Ok((exprs, token_set.into_iter().collect()))
+        exprs
     }
 
     /// Interpret a token to its JSON citation (memoized in the shared
@@ -869,26 +901,25 @@ impl CitationEngine {
         plane: &mut dyn CiteDataPlane,
     ) -> Result<QueryCitation> {
         let policy = config.policy;
-        // `evaluate` wraps the whole data-plane answer fetch, so the
-        // `plan`/`route` spans recorded inside a local plane nest
-        // under it (a scatter plane's network round-trip lands here
-        // too).
-        let answers = self.stages.time("evaluate", || plane.answer_tuples(q))?;
-        let (rewritings, exhaustive, unsatisfiable) = self.stages.time("rewrite", || {
+        // The rewritings are a function of the views and schemas alone
+        // (§3.2): find them first, so the data plane fetches the
+        // answers and every extent in one call.
+        let rewritten = self.stages.time("rewrite", || {
             self.rewritings(q, config.mode, config.rewrite)
-        })?;
-        let (mut exprs, _tokens) =
-            self.stages
-                .time("extent", || -> Result<SymbolicCitations> {
-                    if rewritings.is_empty() {
-                        return Ok((HashMap::new(), Vec::new()));
-                    }
-                    let (exprs, tokens) = self.symbolic_citations_with(&rewritings, plane)?;
-                    if !tokens.is_empty() {
-                        plane.prefetch_tokens(&tokens)?;
-                    }
-                    Ok((exprs, tokens))
-                })?;
+        });
+        let extent_queries: Vec<ConjunctiveQuery> = match &rewritten {
+            Ok((rewritings, ..)) => rewritings
+                .iter()
+                .map(|(_, r)| r.as_extent_query())
+                .collect(),
+            Err(_) => Vec::new(),
+        };
+        // an answer-evaluation error outranks a rewriting-search one
+        let CiteData { answers, extents } = plane.fetch(q, &extent_queries)?;
+        let (rewritings, exhaustive, unsatisfiable) = rewritten?;
+        let mut exprs = self
+            .stages
+            .time("extent", || Self::symbolic_citations(&rewritings, extents));
 
         // Equal symbolic expressions interpret to equal citations, and
         // result sets over curated hierarchies share few distinct
@@ -1080,36 +1111,74 @@ impl CitationEngine {
         self.sharded.as_ref().map(|s| s.spec())
     }
 
-    /// This shard's `(gid, seq, tuple)` fragment of an answer query's
-    /// global evaluation (see [`fgc_query::lead_fragment_answers`]).
-    /// Errors with [`CoreError::Remote`] when the engine is not
-    /// sharded or `shard` is out of range.
-    pub fn fragment_answers(
+    /// This shard's share of one citation exchange — the one entry
+    /// point a shard replica serves:
+    ///
+    /// - with `answer`, the `(gid, seq, tuple)` fragment of its global
+    ///   evaluation (see [`fgc_query::lead_fragment_answers`]);
+    /// - per extent query, the `(gid, seq, tuple, binding)` fragment of
+    ///   its grouped evaluation over the sharded extent store (base
+    ///   relations + view extents);
+    /// - the citation of every token those bindings mention, memoized
+    ///   in the shared cache.
+    ///
+    /// A failure names its phase: 0 is the answer query, `i + 1` is
+    /// extent query `i`. An engine that is not sharded, or a `shard`
+    /// out of range, fails phase 0 with [`CoreError::Remote`].
+    pub fn cite_fragment(
         &self,
+        answer: Option<&ConjunctiveQuery>,
+        extent_queries: &[ConjunctiveQuery],
+        shard: usize,
+    ) -> std::result::Result<CiteFragment, (usize, CoreError)> {
+        let sharded = self.require_shard(shard).map_err(|e| (0, e))?;
+        let answers = answer
+            .map(|q| self.fragment_answers(&sharded, q, shard))
+            .transpose()
+            .map_err(|e| (0, e))?;
+        let mut extents = Vec::with_capacity(extent_queries.len());
+        for (i, q) in extent_queries.iter().enumerate() {
+            let rows = self
+                .fragment_bindings(&sharded, q, shard)
+                .map_err(|e| (i + 1, e))?;
+            extents.push(rows);
+        }
+        let mut counters = RequestCounters::default();
+        let tokens = self.stages.time("render", || {
+            self.fragment_tokens(extent_queries, &extents, &mut counters)
+        });
+        Ok(CiteFragment {
+            answers,
+            extents,
+            tokens,
+            hits: counters.hits,
+            misses: counters.misses,
+        })
+    }
+
+    fn fragment_answers(
+        &self,
+        sharded: &ShardedDatabase,
         q: &ConjunctiveQuery,
         shard: usize,
     ) -> Result<Vec<(usize, usize, Tuple)>> {
-        let sharded = self.require_shard(shard)?;
         let plan = self.cached_plan(q, &self.db)?;
         let route = self
             .stages
-            .time("route", || self.plan_and_count(&sharded, q));
+            .time("route", || self.plan_and_count(sharded, q));
         Ok(self.stages.time("evaluate", || {
-            fgc_query::lead_fragment_answers(&sharded, &plan, &route, shard, EvalOptions::default())
+            fgc_query::lead_fragment_answers(sharded, &plan, &route, shard, EvalOptions::default())
         })?)
     }
 
-    /// This shard's `(gid, seq, tuple, binding)` fragment of an
-    /// extent query's grouped evaluation, over the sharded extent
-    /// store (base relations + view extents).
-    pub fn fragment_bindings(
+    fn fragment_bindings(
         &self,
+        base: &Arc<ShardedDatabase>,
         q: &ConjunctiveQuery,
         shard: usize,
     ) -> Result<Vec<(usize, usize, Tuple, Binding)>> {
-        let base = self.require_shard(shard)?;
         let extent_db = self.extent_database()?;
-        let sharded = self.extent_sharded_database(&base)?;
+        let sharded = self.extent_sharded_database(base)?;
         let plan = self.cached_plan(q, &extent_db)?;
         let route = self
             .stages
@@ -1125,6 +1194,57 @@ impl CitationEngine {
         })?)
     }
 
+    /// Every distinct token the extent bindings mention, with its
+    /// citation, in first-mention order. An extent atom is a view
+    /// token when its relation names a view — no base relation can
+    /// share a view's name ([`CoreError::ViewNameClash`]) — valuated
+    /// at the view's parameter positions, and a base marker otherwise:
+    /// the tokens [`Self::symbolic_citations`] builds from the
+    /// rewriting's subgoals.
+    fn fragment_tokens(
+        &self,
+        extent_queries: &[ConjunctiveQuery],
+        extents: &[Vec<(usize, usize, Tuple, Binding)>],
+        counters: &mut RequestCounters,
+    ) -> Vec<(CiteToken, Json)> {
+        let mut seen: HashSet<CiteToken> = HashSet::new();
+        let mut tokens = Vec::new();
+        for (q, rows) in extent_queries.iter().zip(extents) {
+            let params: Vec<Option<Vec<usize>>> = q
+                .atoms
+                .iter()
+                .map(|a| {
+                    let view = self.registry.get(&a.relation)?;
+                    // validation put every parameter in the view head
+                    Some(view.param_positions().unwrap_or_default())
+                })
+                .collect();
+            for (_, _, _, binding) in rows {
+                for (atom, positions) in q.atoms.iter().zip(&params) {
+                    let token = match positions {
+                        Some(positions) => CiteToken::view(
+                            atom.relation.clone(),
+                            positions
+                                .iter()
+                                .map(|&p| {
+                                    atom.terms
+                                        .get(p)
+                                        .map_or(Value::Null, |t| Self::resolve(binding, t))
+                                })
+                                .collect(),
+                        ),
+                        None => CiteToken::base(atom.relation.clone()),
+                    };
+                    if seen.insert(token.clone()) {
+                        let citation = self.token_citation(&token, counters);
+                        tokens.push((token, citation));
+                    }
+                }
+            }
+        }
+        tokens
+    }
+
     fn require_shard(&self, shard: usize) -> Result<Arc<ShardedDatabase>> {
         let sharded = self
             .sharded
@@ -1137,20 +1257,6 @@ impl CitationEngine {
             )));
         }
         Ok(Arc::clone(sharded))
-    }
-
-    /// Interpret a batch of tokens (memoized in the shared cache),
-    /// returning the citations in input order plus the request's
-    /// `(hits, misses)` cache traffic.
-    pub fn token_citations(&self, tokens: &[CiteToken]) -> (Vec<Json>, u64, u64) {
-        let mut counters = RequestCounters::default();
-        let citations = self.stages.time("render", || {
-            tokens
-                .iter()
-                .map(|t| self.token_citation(t, &mut counters))
-                .collect()
-        });
-        (citations, counters.hits, counters.misses)
     }
 }
 

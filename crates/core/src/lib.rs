@@ -88,8 +88,8 @@ pub mod token;
 pub use baseline::{baseline_coverage, PageCitationStore, WorkloadItem};
 pub use cache::{CacheStats, CitationCache, ClockCache};
 pub use engine::{
-    CitationEngine, CiteDataPlane, EngineOptions, QueryCitation, RewriteMode, ShardServingStats,
-    TupleCitation,
+    CitationEngine, CiteData, CiteDataPlane, CiteFragment, EngineOptions, ExtentGroups,
+    QueryCitation, RewriteMode, ShardServingStats, TupleCitation,
 };
 pub use error::{CoreError, Result};
 pub use explain::explain;

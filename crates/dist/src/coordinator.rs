@@ -11,19 +11,24 @@
 //! stored tuples).
 //!
 //! Serving a request drives the engine through a scatter
-//! [`CiteDataPlane`]: answer and extent evaluations scatter to the
-//! implicated shards' replicas in parallel, fragments come back as
-//! `(gid, seq, ...)` rows, and gathering is a sort-merge in global
-//! tuple order — which is exactly the single-process enumeration
-//! order, so citations are byte-identical. Per shard the coordinator tries the primary, then
-//! its twin, each with the pool's bounded retry; when every candidate
-//! is down the request fails with a structured outage the server
-//! layer maps to 503.
+//! [`CiteDataPlane`]. The engine finds the rewritings from the schemas
+//! alone, then the plane makes **one** `POST /fragment/cite` per shard
+//! replica, in parallel: the answer query rides only to the shards its
+//! [`RoutePlan`] implicates, every rewriting's extent query to every
+//! shard (view extents carry no shard key), and each replica answers
+//! with its `(gid, seq, ...)` rows plus the citation of every token its
+//! bindings mention. Gathering is a sort-merge in global tuple order —
+//! exactly the single-process enumeration order, so citations are
+//! byte-identical — and no token needs a second round trip. Per shard
+//! the coordinator tries the primary, then its twin, each with the
+//! pool's bounded retry; when every candidate is down the request
+//! fails with a structured outage the server layer maps to 503.
 
 use crate::pool::{CallError, PoolConfig, ReplicaPool};
 use crate::proto;
 use fgc_core::{
-    CitationEngine, CiteDataPlane, CiteRequest, CiteToken, CoreError, Result as CoreResult,
+    CitationEngine, CiteData, CiteDataPlane, CiteFragment, CiteRequest, CiteToken, CoreError,
+    ExtentGroups, Result as CoreResult,
 };
 use fgc_query::{Binding, ConjunctiveQuery, RoutePlan, ShardRouter, ShardSet};
 use fgc_relation::sharded::{ShardKeySpec, ShardedDatabase};
@@ -31,7 +36,7 @@ use fgc_relation::{Database, Tuple};
 use fgc_server::wire::{error_body, write_response_body, QueryKind};
 use fgc_server::{decode_cite_body, parse_json};
 use fgc_views::{CitationFunction, CitationView, Json, ViewRegistry};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::net::SocketAddr;
 use std::time::Instant;
 
@@ -75,20 +80,21 @@ impl CoordinatorConfig {
 /// A shard whose whole replica set (primary and twin) is unreachable.
 #[derive(Debug, Clone)]
 pub struct ShardOutage {
-    /// The shard no candidate could serve, when the failed call was
-    /// shard-addressed (`None` for token interpretation, which any
-    /// replica can serve).
-    pub shard: Option<usize>,
+    /// The shard no candidate could serve.
+    pub shard: usize,
     /// The replica addresses tried, in failover order.
     pub tried: Vec<String>,
 }
 
 /// How one shard-addressed call failed.
+#[derive(Debug)]
 enum ShardCallError {
     /// The replica answered 4xx: a request-shaped error whose message
-    /// must reach the client verbatim. Never retried or failed over —
-    /// every replica would refuse identically.
-    Query(String),
+    /// must reach the client verbatim, raised in the named exchange
+    /// phase (0 the answer query, `i + 1` extent query `i`). Never
+    /// retried or failed over — every replica would refuse
+    /// identically.
+    Query { phase: usize, message: String },
     /// Every candidate failed at the transport layer.
     Exhausted(ShardOutage),
     /// The request's end-to-end budget ran out mid-scatter; the
@@ -253,10 +259,7 @@ impl Coordinator {
                             Json::Array(outage.tried.iter().map(Json::str).collect()),
                         ),
                     ]);
-                    body.set(
-                        "shard",
-                        outage.shard.map_or(Json::Null, |s| Json::Int(s as i64)),
-                    );
+                    body.set("shard", Json::Int(outage.shard as i64));
                     // the outage body is coordinator-only (never
                     // compared against a reference server), so it can
                     // carry the request ID for log correlation
@@ -291,13 +294,70 @@ impl Coordinator {
         one
     }
 
+    /// One `/fragment/cite` per shard replica, in parallel: the answer
+    /// query to the shards in its scatter set, every extent query to
+    /// every shard (view extents carry no shard key — with no extent
+    /// query, only the answer shards are called). Fragments come back
+    /// in shard order. Of several failures the one with the least
+    /// `(phase, shard)` wins, which is the error the single server
+    /// meets first; a call that failed before any phase ran counts at
+    /// the first phase it carried.
+    fn exchange(
+        &self,
+        q: &ConjunctiveQuery,
+        extent_queries: &[ConjunctiveQuery],
+        request_id: &str,
+        deadline: Option<Instant>,
+    ) -> Result<Vec<CiteFragment>, ShardCallError> {
+        let answer_shards = self.scatter_set(q);
+        let shards: Vec<usize> = if extent_queries.is_empty() {
+            answer_shards.clone()
+        } else {
+            (0..self.shards).collect()
+        };
+        let answer = q.to_string();
+        let extents: Vec<String> = extent_queries.iter().map(|e| e.to_string()).collect();
+        let vars: Vec<Vec<String>> = extent_queries.iter().map(proto::query_vars).collect();
+        let call = |shard: usize| {
+            let asks_answer = answer_shards.contains(&shard);
+            let first_phase = usize::from(!asks_answer);
+            let body =
+                proto::encode_cite_request(asks_answer.then_some(answer.as_str()), &extents, shard);
+            let reply = match self.call_shard(shard, &body, request_id, deadline) {
+                Ok(reply) => reply,
+                Err(e @ ShardCallError::Query { phase, .. }) => return Err((phase, e)),
+                Err(e) => return Err((first_phase, e)),
+            };
+            proto::decode_cite_fragment(&reply, asks_answer, &vars).map_err(|message| {
+                let e = ShardCallError::Query {
+                    phase: first_phase,
+                    message,
+                };
+                (first_phase, e)
+            })
+        };
+        let call = &call;
+        let (first, rest) = shards.split_first().expect("a scatter set is never empty");
+        let results: Vec<Result<CiteFragment, (usize, ShardCallError)>> =
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = rest.iter().map(|&s| scope.spawn(move || call(s))).collect();
+                let mut results = vec![call(*first)];
+                results.extend(
+                    handles
+                        .into_iter()
+                        .map(|h| h.join().expect("exchange thread")),
+                );
+                results
+            });
+        gather(results)
+    }
+
     /// Call one shard's replica set in failover order, propagating the
     /// request ID (and remaining deadline budget) so replica-side
     /// logs and admission correlate with the front door.
     fn call_shard(
         &self,
         shard: usize,
-        path: &str,
         body: &str,
         request_id: &str,
         deadline: Option<Instant>,
@@ -313,26 +373,21 @@ impl Coordinator {
         }
         let mut tried = Vec::new();
         for &idx in &self.candidates[shard] {
-            match self
-                .pool
-                .request_with_headers(idx, "POST", path, Some(body), &headers, deadline)
-            {
+            match self.pool.request_with_headers(
+                idx,
+                "POST",
+                "/fragment/cite",
+                Some(body),
+                &headers,
+                deadline,
+            ) {
                 Ok(response) if response.status == 200 => match parse_json(&response.body) {
                     Ok(json) => return Ok(json),
                     // a mangled body means the replica is unhealthy:
                     // fail over like a transport error
                     Err(_) => tried.push(self.pool.addr(idx).to_string()),
                 },
-                Ok(response) => {
-                    let message = parse_json(&response.body)
-                        .ok()
-                        .and_then(|j| match j.get("error") {
-                            Some(Json::Str(m)) => Some(m.clone()),
-                            _ => None,
-                        })
-                        .unwrap_or(response.body);
-                    return Err(ShardCallError::Query(message));
-                }
+                Ok(response) => return Err(query_error(&response.body)),
                 Err(CallError::CircuitOpen) => {
                     tried.push(format!("{} (circuit open)", self.pool.addr(idx)));
                 }
@@ -347,42 +402,46 @@ impl Coordinator {
                 return Err(ShardCallError::Deadline);
             }
         }
-        Err(ShardCallError::Exhausted(ShardOutage {
-            shard: Some(shard),
-            tried,
-        }))
+        Err(ShardCallError::Exhausted(ShardOutage { shard, tried }))
     }
+}
 
-    /// Scatter one fragment query to `shards` in parallel; results
-    /// come back in shard order. The first failure (by shard index,
-    /// for determinism) wins.
-    fn scatter(
-        &self,
-        shards: &[usize],
-        path: &str,
-        query_text: &str,
-        request_id: &str,
-        deadline: Option<Instant>,
-    ) -> Result<Vec<Json>, ShardCallError> {
-        let results: Vec<Result<Json, ShardCallError>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = shards
-                .iter()
-                .map(|&s| {
-                    let body = Json::from_pairs([
-                        ("query", Json::str(query_text)),
-                        ("shard", Json::Int(s as i64)),
-                    ])
-                    .to_compact();
-                    scope.spawn(move || self.call_shard(s, path, &body, request_id, deadline))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("scatter thread"))
-                .collect()
-        });
-        results.into_iter().collect()
+/// Per-shard results in shard order, or the failure with the least
+/// `(phase, shard)`.
+fn gather<T>(results: Vec<Result<T, (usize, ShardCallError)>>) -> Result<Vec<T>, ShardCallError> {
+    let mut gathered = Vec::with_capacity(results.len());
+    let mut failure: Option<(usize, ShardCallError)> = None;
+    // shards ascend, so a strictly lower phase is a lower (phase, shard)
+    for result in results {
+        match result {
+            Ok(value) => gathered.push(value),
+            Err((phase, e)) => {
+                if failure.as_ref().is_none_or(|(first, _)| phase < *first) {
+                    failure = Some((phase, e));
+                }
+            }
+        }
     }
+    match failure {
+        Some((_, e)) => Err(e),
+        None => Ok(gathered),
+    }
+}
+
+/// A replica's 4xx: its message, relayed verbatim, and the phase that
+/// raised it (0 when the body names none).
+fn query_error(body: &str) -> ShardCallError {
+    let parsed = parse_json(body).ok();
+    let field = |name: &str| parsed.as_ref().and_then(|j| j.get(name));
+    let message = match field("error") {
+        Some(Json::Str(m)) => m.clone(),
+        _ => body.to_string(),
+    };
+    let phase = match field("phase") {
+        Some(Json::Int(p)) if *p >= 0 => *p as usize,
+        _ => 0,
+    };
+    ShardCallError::Query { phase, message }
 }
 
 /// Validate one replica's `/healthz` body against its expected role
@@ -463,8 +522,8 @@ fn build_from_meta(body: &str, shards: usize) -> Result<(CitationEngine, Sharded
     Ok((engine, shell))
 }
 
-/// The distributed [`CiteDataPlane`]: every data access the control
-/// plane makes becomes a scatter/gather over the replica set.
+/// The distributed [`CiteDataPlane`]: a citation's data is one
+/// exchange with the replica set.
 struct ScatterPlane<'a> {
     coord: &'a Coordinator,
     /// The front door's request ID, propagated as `x-request-id` on
@@ -473,6 +532,7 @@ struct ScatterPlane<'a> {
     /// The request's end-to-end deadline; its remaining budget is
     /// propagated as `x-deadline-ms` on every replica call.
     deadline: Option<Instant>,
+    /// The citation of every token the replicas' bindings mention.
     prefetched: HashMap<CiteToken, Json>,
     hits: u64,
     misses: u64,
@@ -500,202 +560,156 @@ impl<'a> ScatterPlane<'a> {
 
     fn fail(&mut self, e: ShardCallError) -> CoreError {
         match e {
-            ShardCallError::Query(message) => CoreError::Remote(message),
+            ShardCallError::Query { message, .. } => CoreError::Remote(message),
             ShardCallError::Deadline => {
                 self.deadline_hit = true;
                 CoreError::Remote("deadline exceeded while scattering to replicas".into())
             }
             ShardCallError::Exhausted(outage) => {
-                let message = match outage.shard {
-                    Some(s) => format!(
-                        "shard {s} has no live replica (tried {})",
-                        outage.tried.join(", ")
-                    ),
-                    None => format!(
-                        "no live replica for token interpretation (tried {})",
-                        outage.tried.join(", ")
-                    ),
-                };
+                let message = format!(
+                    "shard {} has no live replica (tried {})",
+                    outage.shard,
+                    outage.tried.join(", ")
+                );
                 self.outage = Some(outage);
                 CoreError::Remote(message)
             }
         }
     }
-
-    /// One POST to *any* live replica (all replicas hold the full
-    /// store, so token interpretation is not shard-addressed).
-    fn call_any(&mut self, path: &str, body: &str) -> CoreResult<Json> {
-        let budget_ms = self.deadline.map(|d| {
-            d.saturating_duration_since(Instant::now())
-                .as_millis()
-                .to_string()
-        });
-        let mut headers = vec![("x-request-id", self.request_id)];
-        if let Some(ms) = &budget_ms {
-            headers.push(("x-deadline-ms", ms.as_str()));
-        }
-        let mut tried = Vec::new();
-        for idx in 0..self.coord.pool.addrs().len() {
-            match self.coord.pool.request_with_headers(
-                idx,
-                "POST",
-                path,
-                Some(body),
-                &headers,
-                self.deadline,
-            ) {
-                Ok(response) if response.status == 200 => match parse_json(&response.body) {
-                    Ok(json) => return Ok(json),
-                    Err(_) => tried.push(self.coord.pool.addr(idx).to_string()),
-                },
-                Ok(response) => {
-                    let message = parse_json(&response.body)
-                        .ok()
-                        .and_then(|j| match j.get("error") {
-                            Some(Json::Str(m)) => Some(m.clone()),
-                            _ => None,
-                        })
-                        .unwrap_or(response.body);
-                    return Err(CoreError::Remote(message));
-                }
-                Err(CallError::DeadlineExceeded) => return Err(self.fail(ShardCallError::Deadline)),
-                Err(_) => tried.push(self.coord.pool.addr(idx).to_string()),
-            }
-        }
-        Err(self.fail(ShardCallError::Exhausted(ShardOutage {
-            shard: None,
-            tried,
-        })))
-    }
 }
 
 impl CiteDataPlane for ScatterPlane<'_> {
-    fn answer_tuples(&mut self, q: &ConjunctiveQuery) -> CoreResult<Vec<Tuple>> {
-        let shards = self.coord.scatter_set(q);
-        let fragments = self
-            .coord
-            .scatter(
-                &shards,
-                "/fragment/answers",
-                &q.to_string(),
-                self.request_id,
-                self.deadline,
-            )
-            .map_err(|e| self.fail(e))?;
-        let mut rows: Vec<(usize, usize, Tuple)> = Vec::new();
-        for fragment in &fragments {
-            let Some(Json::Array(items)) = fragment.get("rows") else {
-                return Err(CoreError::Remote("fragment response missing `rows`".into()));
-            };
-            for item in items {
-                rows.push(proto::json_to_answer_row(item).map_err(CoreError::Remote)?);
+    fn fetch(
+        &mut self,
+        q: &ConjunctiveQuery,
+        extent_queries: &[ConjunctiveQuery],
+    ) -> CoreResult<CiteData> {
+        // the whole exchange is this engine's `evaluate` stage
+        let coord = self.coord;
+        let fragments = coord.engine.stage_stats().time("evaluate", || {
+            coord.exchange(q, extent_queries, self.request_id, self.deadline)
+        });
+        let fragments = fragments.map_err(|e| self.fail(e))?;
+        let mut answers = Vec::new();
+        let mut extents: Vec<Vec<(usize, usize, Tuple, Binding)>> =
+            vec![Vec::new(); extent_queries.len()];
+        for fragment in fragments {
+            answers.extend(fragment.answers.unwrap_or_default());
+            for (gathered, rows) in extents.iter_mut().zip(fragment.extents) {
+                gathered.extend(rows);
             }
+            self.prefetched.extend(fragment.tokens);
+            self.hits += fragment.hits;
+            self.misses += fragment.misses;
         }
-        rows.sort_by_key(|(gid, seq, _)| (*gid, *seq));
-        let mut seen = std::collections::HashSet::new();
-        let mut merged = Vec::new();
-        for (_, _, t) in rows {
-            if seen.insert(t.clone()) {
-                merged.push(t);
-            }
-        }
-        Ok(merged)
-    }
-
-    fn extent_groups(&mut self, q: &ConjunctiveQuery) -> CoreResult<Vec<(Tuple, Vec<Binding>)>> {
-        // extent queries join view extents (not shard-key routed):
-        // always scatter to every shard
-        let shards: Vec<usize> = (0..self.coord.shards).collect();
-        let fragments = self
-            .coord
-            .scatter(
-                &shards,
-                "/fragment/bindings",
-                &q.to_string(),
-                self.request_id,
-                self.deadline,
-            )
-            .map_err(|e| self.fail(e))?;
-        let mut rows: Vec<(usize, usize, Tuple, Binding)> = Vec::new();
-        for fragment in &fragments {
-            let vars = match fragment.get("vars") {
-                Some(Json::Array(vars)) => vars
-                    .iter()
-                    .map(|v| match v {
-                        Json::Str(s) => Ok(s.clone()),
-                        other => Err(CoreError::Remote(format!("bad var name {other}"))),
-                    })
-                    .collect::<CoreResult<Vec<_>>>()?,
-                _ => return Err(CoreError::Remote("fragment response missing `vars`".into())),
-            };
-            let Some(Json::Array(items)) = fragment.get("rows") else {
-                return Err(CoreError::Remote("fragment response missing `rows`".into()));
-            };
-            for item in items {
-                rows.push(proto::json_to_binding_row(item, &vars).map_err(CoreError::Remote)?);
-            }
-        }
-        rows.sort_by_key(|row| (row.0, row.1));
-        let mut merged: Vec<(Tuple, Vec<Binding>)> = Vec::new();
-        let mut index: HashMap<Tuple, usize> = HashMap::new();
-        for (_, _, t, b) in rows {
-            match index.get(&t) {
-                Some(&i) => merged[i].1.push(b),
-                None => {
-                    index.insert(t.clone(), merged.len());
-                    merged.push((t, vec![b]));
-                }
-            }
-        }
-        Ok(merged)
-    }
-
-    fn prefetch_tokens(&mut self, tokens: &[CiteToken]) -> CoreResult<()> {
-        let body = Json::from_pairs([(
-            "tokens",
-            Json::Array(tokens.iter().map(proto::token_to_json).collect()),
-        )])
-        .to_compact();
-        let response = self.call_any("/fragment/tokens", &body)?;
-        let Some(Json::Array(citations)) = response.get("citations") else {
-            return Err(CoreError::Remote(
-                "token response missing `citations`".into(),
-            ));
-        };
-        if citations.len() != tokens.len() {
-            return Err(CoreError::Remote(format!(
-                "token response has {} citations for {} tokens",
-                citations.len(),
-                tokens.len()
-            )));
-        }
-        for (token, citation) in tokens.iter().zip(citations) {
-            self.prefetched.insert(token.clone(), citation.clone());
-        }
-        if let Some(Json::Int(h)) = response.get("hits") {
-            self.hits += (*h).max(0) as u64;
-        }
-        if let Some(Json::Int(m)) = response.get("misses") {
-            self.misses += (*m).max(0) as u64;
-        }
-        Ok(())
+        Ok(CiteData {
+            answers: merge_answers(answers),
+            extents: extents.into_iter().map(merge_groups).collect(),
+        })
     }
 
     fn token_citation(&mut self, token: &CiteToken) -> CoreResult<Json> {
-        if let Some(citation) = self.prefetched.get(token) {
-            return Ok(citation.clone());
-        }
-        // the prefetched superset covers every token the normalized
-        // expressions mention; this path only runs if normalization
-        // surfaces a token the symbolic pass did not (defensive)
-        self.prefetch_tokens(std::slice::from_ref(token))?;
-        self.prefetched
-            .get(token)
-            .cloned()
-            .ok_or_else(|| CoreError::Remote("replica returned no citation for token".into()))
+        // Normalization only drops monomials, so every token it leaves
+        // came from a binding whose replica sent that token's citation.
+        self.prefetched.get(token).cloned().ok_or_else(|| {
+            CoreError::Remote(format!("no replica returned a citation for token {token}"))
+        })
     }
 
     fn cache_traffic(&self) -> (u64, u64) {
         (self.hits, self.misses)
+    }
+}
+
+/// Gathered answer rows in global `(gid, seq)` order, each tuple once
+/// (its first derivation).
+fn merge_answers(mut rows: Vec<(usize, usize, Tuple)>) -> Vec<Tuple> {
+    rows.sort_by_key(|(gid, seq, _)| (*gid, *seq));
+    let mut seen = HashSet::new();
+    rows.into_iter()
+        .filter_map(|(_, _, t)| seen.insert(t.clone()).then_some(t))
+        .collect()
+}
+
+/// Gathered binding rows in global `(gid, seq)` order, grouped by
+/// tuple in first-derivation order.
+fn merge_groups(mut rows: Vec<(usize, usize, Tuple, Binding)>) -> ExtentGroups {
+    rows.sort_by_key(|row| (row.0, row.1));
+    let mut merged: ExtentGroups = Vec::new();
+    let mut index: HashMap<Tuple, usize> = HashMap::new();
+    for (_, _, t, b) in rows {
+        match index.get(&t) {
+            Some(&i) => merged[i].1.push(b),
+            None => {
+                index.insert(t.clone(), merged.len());
+                merged.push((t, vec![b]));
+            }
+        }
+    }
+    merged
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn query(phase: usize, message: &str) -> (usize, ShardCallError) {
+        let message = message.to_string();
+        (phase, ShardCallError::Query { phase, message })
+    }
+
+    fn outage(phase: usize, shard: usize) -> (usize, ShardCallError) {
+        let tried = vec![format!("replica {shard}")];
+        (
+            phase,
+            ShardCallError::Exhausted(ShardOutage { shard, tried }),
+        )
+    }
+
+    /// The single server meets the answer query's error before any
+    /// extent query's, and extent query `i`'s before `i + 1`'s; among
+    /// shards failing in one phase the lowest shard speaks.
+    #[test]
+    fn the_least_phase_then_the_least_shard_wins() {
+        let first = |results: Vec<Result<(), (usize, ShardCallError)>>| match gather(results) {
+            Err(ShardCallError::Query { message, .. }) => message,
+            Err(ShardCallError::Exhausted(outage)) => format!("outage {}", outage.shard),
+            Err(ShardCallError::Deadline) => "deadline".into(),
+            Ok(_) => "ok".into(),
+        };
+        // an extent error on shard 0 loses to an answer error on shard 1
+        let results = vec![Err(query(2, "extent 1")), Err(query(0, "answer"))];
+        assert_eq!(first(results), "answer");
+        // one phase: the lower shard, whatever each failure is
+        let results = vec![Ok(()), Err(outage(1, 1)), Err(query(1, "extent 0 on 2"))];
+        assert_eq!(first(results), "outage 1");
+        // a shard outside the answer scatter set fails at phase 1, so
+        // an answer error on a later shard still wins
+        let results = vec![Err(outage(1, 0)), Err(query(0, "answer on 1"))];
+        assert_eq!(first(results), "answer on 1");
+        let results = vec![
+            Err(query(3, "extent 2")),
+            Err((1, ShardCallError::Deadline)),
+        ];
+        assert_eq!(first(results), "deadline");
+        assert_eq!(first(vec![Ok(()), Ok(())]), "ok");
+    }
+
+    #[test]
+    fn a_replica_error_names_its_phase() {
+        let body = proto::phase_error_body(3, "budget blown");
+        match query_error(&body) {
+            ShardCallError::Query { phase, message } => {
+                assert_eq!((phase, message.as_str()), (3, "budget blown"));
+            }
+            other => panic!("expected a query error, got {other:?}"),
+        }
+        // a body that names no phase is the first phase's
+        match query_error("not json") {
+            ShardCallError::Query { phase, message } => {
+                assert_eq!((phase, message.as_str()), (0, "not json"));
+            }
+            other => panic!("expected a query error, got {other:?}"),
+        }
     }
 }

@@ -6,16 +6,18 @@
 //! - **Replica** (`fgcite serve --role replica --shard-id i/n`): loads
 //!   the full database, shards it with the same [`ShardKeySpec`]
 //!   partitioning the in-process sharded store uses, and *owns* shard
-//!   `i`: it answers per-shard fragment requests (`/fragment/answers`,
-//!   `/fragment/bindings`, `/fragment/tokens`) plus a `/fragment/meta`
-//!   bootstrap route — four extra rows in the route table of an
-//!   ordinary [`fgc_server::CiteServer`].
+//!   `i`: it adds two rows to the route table of an ordinary
+//!   [`fgc_server::CiteServer`] — the `/fragment/meta` bootstrap route
+//!   and `/fragment/cite`, which returns the shard's share of one
+//!   citation (answer rows, extent bindings, and the citations of the
+//!   tokens those bindings mention).
 //! - **Coordinator** (`fgcite serve --role coordinator --replicas
 //!   a,b,...`): holds **no data** — it bootstraps schemas (keys and
 //!   foreign keys included, so the rewriting search is identical) and
 //!   view texts from `/fragment/meta`, then serves `POST /cite` /
-//!   `/cite_sql` by scattering each query's fragments to only the
-//!   shards its [`RoutePlan`] implicates, gathering over keep-alive
+//!   `/cite_sql` by finding the rewritings itself and making one
+//!   `/fragment/cite` call per replica — the answer query only to the
+//!   shards its [`RoutePlan`] implicates — over keep-alive
 //!   connections, and merging in global `(gid, seq)` tuple order, so
 //!   rendered citations are **byte-identical** to single-process
 //!   output. Its front end ([`DistServer`]) is the same

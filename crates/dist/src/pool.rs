@@ -138,9 +138,13 @@ impl ReplicaPool {
     }
 
     /// Issue `method path` against the replica at `index`, with the
-    /// pool's bounded retry and backoff. Responses — any status —
-    /// close the circuit and count as success at this layer; the
-    /// caller maps replica-reported 4xx/5xx to its own semantics.
+    /// pool's bounded retry and backoff. Responses below 500 close the
+    /// circuit and count as success at this layer; the caller maps
+    /// replica-reported 4xx to its own semantics. A 504 is the
+    /// replica refusing a spent budget: it answers
+    /// [`CallError::DeadlineExceeded`] at once, with no retry and no
+    /// strike against the circuit. Any other 5xx is a retried
+    /// transport failure.
     pub fn request(
         &self,
         index: usize,
@@ -188,6 +192,8 @@ impl ReplicaPool {
             }
             let started = Instant::now();
             match self.try_once(slot, method, path, body, extra_headers, deadline) {
+                // the replica is up; the client's budget is what ran out
+                Ok(response) if response.status == 504 => return Err(CallError::DeadlineExceeded),
                 Ok(response) => {
                     slot.latency.record_micros(started.elapsed());
                     slot.consecutive_failures.store(0, Ordering::Relaxed);
@@ -281,7 +287,7 @@ impl ReplicaPool {
         };
         client.set_read_timeout(timeout)?;
         let response = client.request_with_headers(method, path, body, extra_headers)?;
-        if response.status >= 500 {
+        if response.status >= 500 && response.status != 504 {
             // replica-side failure: retryable, and the connection's
             // state is suspect — drop it
             return Err(io::Error::other(format!(
@@ -394,6 +400,53 @@ mod tests {
         // bind-then-drop: the port is closed by the time we dial it
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         listener.local_addr().unwrap()
+    }
+
+    /// A replica refusing a spent budget is the client's deadline, not
+    /// a replica fault: no retry, no twin, no strike on its circuit.
+    #[test]
+    fn a_spent_budget_is_a_deadline_not_a_strike() {
+        use fgc_server::{CiteServer, ServerConfig};
+        use std::sync::Arc;
+        let engine =
+            fgc_core::CitationEngine::new(fgc_gtopdb::paper_instance(), fgc_gtopdb::paper_views())
+                .unwrap()
+                .with_shards(1, fgc_gtopdb::paper_shard_spec())
+                .unwrap();
+        let engine = Arc::new(engine);
+        let config = ServerConfig::default()
+            .with_addr("127.0.0.1:0")
+            .with_threads(1)
+            .with_role("replica")
+            .with_shard(0, 1);
+        let handler = crate::fragment_handler(Arc::clone(&engine));
+        let replica = CiteServer::start_with_handler(engine, config, handler).unwrap();
+        let pool = ReplicaPool::new(
+            vec![replica.addr()],
+            PoolConfig {
+                failure_threshold: 1,
+                ..PoolConfig::default()
+            },
+        );
+        let body = crate::proto::encode_cite_request(Some("Q(N) :- Family(F, N, Ty)"), &[], 0);
+        let spent = [("x-deadline-ms", "0")];
+        for _ in 0..2 {
+            let call =
+                pool.request_with_headers(0, "POST", "/fragment/cite", Some(&body), &spent, None);
+            assert!(matches!(call, Err(CallError::DeadlineExceeded)), "{call:?}");
+        }
+        let Json::Array(slots) = pool.to_json() else {
+            panic!("pool stats are an array");
+        };
+        assert_eq!(slots[0].get("circuit"), Some(&Json::str("closed")));
+        assert_eq!(slots[0].get("failures"), Some(&Json::Int(0)));
+        // one call per request: nothing was retried
+        assert_eq!(slots[0].get("calls"), Some(&Json::Int(2)));
+        // with budget left the same call is served
+        let served = pool
+            .request(0, "POST", "/fragment/cite", Some(&body))
+            .unwrap();
+        assert_eq!(served.status, 200, "{}", served.body);
     }
 
     #[test]

@@ -1,15 +1,20 @@
 //! The fragment wire protocol: JSON encodings shared by the replica
 //! endpoints and the coordinator client.
 //!
-//! Four endpoints ride on the existing HTTP/1.1 JSON dialect of
+//! Two endpoints ride on the existing HTTP/1.1 JSON dialect of
 //! [`fgc_server`]:
 //!
-//! | route                     | request                       | response |
-//! |---------------------------|-------------------------------|----------|
-//! | `GET  /fragment/meta`     | —                             | shard count, key spec, relation schemas, view texts |
-//! | `POST /fragment/answers`  | `{"query", "shard"}`          | `{"rows": [[gid, seq, [values]], ...]}` |
-//! | `POST /fragment/bindings` | `{"query", "shard"}`          | `{"vars": [...], "rows": [[gid, seq, [tuple], [var values]], ...]}` |
-//! | `POST /fragment/tokens`   | `{"tokens": [...]}`           | `{"citations": [...], "hits", "misses"}` |
+//! | route                 | request                                   | response |
+//! |-----------------------|-------------------------------------------|----------|
+//! | `GET  /fragment/meta` | —                                         | shard count, key spec, relation schemas, view texts |
+//! | `POST /fragment/cite` | `{"answer": query or null, "extents": [query, ...], "shard"}` | `{"answer": rows or null, "extents": [rows, ...], "tokens": [[token, citation], ...], "hits", "misses"}` |
+//!
+//! A `/fragment/cite` answer row is `[gid, seq, [values]]`; an extent
+//! row is `[gid, seq, [tuple], [binding values]]`, the binding values
+//! in [`query_vars`] order, which both sides compute from the extent
+//! query. A replica that fails answers 400 with
+//! `{"error": message, "phase": p}`, where phase 0 is the answer
+//! query and `i + 1` extent query `i`.
 //!
 //! Queries travel as Datalog text (the [`std::fmt::Display`] form of
 //! [`ConjunctiveQuery`], which the parser round-trips, string escapes
@@ -18,8 +23,8 @@
 //! which is exact for the string/int-valued paper and GtoPdb
 //! workloads and documented as the protocol's precision limit.
 
-use fgc_core::CiteToken;
-use fgc_query::{Binding, ConjunctiveQuery, Term};
+use fgc_core::{CiteFragment, CiteToken};
+use fgc_query::{parse_query, Binding, ConjunctiveQuery, Term};
 use fgc_relation::schema::RelationSchema;
 use fgc_relation::{DataType, Tuple, Value};
 use fgc_server::wire::value_to_json;
@@ -42,7 +47,7 @@ pub fn json_to_value(j: &Json) -> Result<Value, ProtoError> {
 }
 
 /// The distinct variable names of a query's atoms, sorted — the
-/// binding column order of `/fragment/bindings`, computable
+/// binding column order of an extent query's rows, computable
 /// identically on both sides of the wire.
 pub fn query_vars(q: &ConjunctiveQuery) -> Vec<String> {
     let mut vars: BTreeSet<&str> = BTreeSet::new();
@@ -139,7 +144,7 @@ pub fn json_to_binding_row(
     ))
 }
 
-/// Encode a token for `/fragment/tokens`.
+/// Encode a token.
 pub fn token_to_json(token: &CiteToken) -> Json {
     match token {
         CiteToken::View { view, valuation } => Json::from_pairs([
@@ -169,6 +174,167 @@ pub fn json_to_token(j: &Json) -> Result<CiteToken, ProtoError> {
         .map(json_to_value)
         .collect::<Result<Vec<_>, _>>()?;
     Ok(CiteToken::view(view.clone(), valuation))
+}
+
+/// A decoded `/fragment/cite` request.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CiteExchange {
+    /// The answer query, when this shard is in its scatter set.
+    pub answer: Option<ConjunctiveQuery>,
+    /// The extent query of every rewriting, in rank order.
+    pub extents: Vec<ConjunctiveQuery>,
+    /// The shard whose fragment is asked for.
+    pub shard: usize,
+}
+
+/// Encode a `/fragment/cite` request from query texts.
+pub fn encode_cite_request(answer: Option<&str>, extents: &[String], shard: usize) -> String {
+    Json::from_pairs([
+        ("answer", answer.map_or(Json::Null, Json::str)),
+        (
+            "extents",
+            Json::Array(extents.iter().map(Json::str).collect()),
+        ),
+        ("shard", Json::Int(shard as i64)),
+    ])
+    .to_compact()
+}
+
+/// Decode a `/fragment/cite` request.
+pub fn decode_cite_request(j: &Json) -> Result<CiteExchange, ProtoError> {
+    let parse = |text: &Json| match text {
+        Json::Str(text) => parse_query(text).map_err(|e| format!("bad query: {e}")),
+        other => Err(format!("a query must be a string, got {other}")),
+    };
+    let answer = match j.get("answer") {
+        None | Some(Json::Null) => None,
+        Some(text) => Some(parse(text)?),
+    };
+    let Some(Json::Array(extents)) = j.get("extents") else {
+        return Err("missing `extents` array".into());
+    };
+    let extents = extents.iter().map(parse).collect::<Result<Vec<_>, _>>()?;
+    let shard = match j.get("shard") {
+        Some(shard) => json_to_index(shard, "shard")?,
+        None => return Err("missing `shard`".into()),
+    };
+    Ok(CiteExchange {
+        answer,
+        extents,
+        shard,
+    })
+}
+
+/// Encode a replica's `/fragment/cite` reply; `extents` are the
+/// request's extent queries, which fix each one's binding columns.
+pub fn encode_cite_fragment(extents: &[ConjunctiveQuery], fragment: CiteFragment) -> String {
+    let answer = fragment.answers.map_or(Json::Null, |rows| {
+        Json::Array(
+            rows.iter()
+                .map(|(gid, seq, t)| answer_row_to_json(*gid, *seq, t))
+                .collect(),
+        )
+    });
+    let groups = extents
+        .iter()
+        .zip(&fragment.extents)
+        .map(|(q, rows)| {
+            let vars = query_vars(q);
+            Json::Array(
+                rows.iter()
+                    .map(|(gid, seq, t, b)| binding_row_to_json(*gid, *seq, t, b, &vars))
+                    .collect(),
+            )
+        })
+        .collect();
+    let tokens = fragment
+        .tokens
+        .into_iter()
+        .map(|(token, citation)| Json::Array(vec![token_to_json(&token), citation]))
+        .collect();
+    Json::from_pairs([
+        ("answer", answer),
+        ("extents", Json::Array(groups)),
+        ("tokens", Json::Array(tokens)),
+        ("hits", Json::Int(fragment.hits as i64)),
+        ("misses", Json::Int(fragment.misses as i64)),
+    ])
+    .to_compact()
+}
+
+/// Decode a `/fragment/cite` reply. `vars` holds the [`query_vars`] of
+/// each extent query the request carried; `answer` says whether it
+/// carried the answer query.
+pub fn decode_cite_fragment(
+    j: &Json,
+    answer: bool,
+    vars: &[Vec<String>],
+) -> Result<CiteFragment, ProtoError> {
+    let answers = if answer {
+        let rows = array(j.get("answer"), "answer")?;
+        Some(
+            rows.iter()
+                .map(json_to_answer_row)
+                .collect::<Result<Vec<_>, _>>()?,
+        )
+    } else {
+        None
+    };
+    let groups = array(j.get("extents"), "extents")?;
+    if groups.len() != vars.len() {
+        return Err(format!(
+            "fragment reply has {} extents for {} extent queries",
+            groups.len(),
+            vars.len()
+        ));
+    }
+    let extents = groups
+        .iter()
+        .zip(vars)
+        .map(|(group, vars)| {
+            array(Some(group), "extents")?
+                .iter()
+                .map(|row| json_to_binding_row(row, vars))
+                .collect::<Result<Vec<_>, _>>()
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    let tokens = array(j.get("tokens"), "tokens")?
+        .iter()
+        .map(|pair| match pair {
+            Json::Array(pair) if pair.len() == 2 => Ok((json_to_token(&pair[0])?, pair[1].clone())),
+            other => Err(format!(
+                "a token entry must be [token, citation], got {other}"
+            )),
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    let count = |field: &str| match j.get(field) {
+        Some(Json::Int(n)) => Ok((*n).max(0) as u64),
+        _ => Err(format!("fragment reply is missing `{field}`")),
+    };
+    Ok(CiteFragment {
+        answers,
+        extents,
+        tokens,
+        hits: count("hits")?,
+        misses: count("misses")?,
+    })
+}
+
+fn array<'a>(value: Option<&'a Json>, field: &str) -> Result<&'a [Json], ProtoError> {
+    match value {
+        Some(Json::Array(items)) => Ok(items),
+        _ => Err(format!("fragment reply is missing the `{field}` array")),
+    }
+}
+
+/// The 400 body of a failed `/fragment/cite`: the error message and
+/// the phase that raised it.
+pub fn phase_error_body(phase: usize, message: &str) -> String {
+    Json::from_pairs([
+        ("error", Json::str(message)),
+        ("phase", Json::Int(phase as i64)),
+    ])
+    .to_compact()
 }
 
 /// Encode one relation schema for `/fragment/meta`. Keys **and**
@@ -351,6 +517,53 @@ mod tests {
         assert_eq!(tuple, t);
         assert_eq!(decoded.get("N"), Some(&Value::str("x")));
         assert!(!decoded.contains_key("F"));
+    }
+
+    #[test]
+    fn cite_exchanges_round_trip() {
+        let answer = "Q(N) :- Family(F, N, Ty), F = \"11\"";
+        let extent = parse_query("Q(N) :- V1(F, N, Ty), F = \"11\"").unwrap();
+        let body = encode_cite_request(Some(answer), &[extent.to_string()], 1);
+        let decoded = decode_cite_request(&fgc_server::parse_json(&body).unwrap()).unwrap();
+        assert_eq!(decoded.answer, Some(parse_query(answer).unwrap()));
+        assert_eq!(
+            (decoded.extents.clone(), decoded.shard),
+            (vec![extent.clone()], 1)
+        );
+        let body = encode_cite_request(None, &[], 0);
+        let decoded = decode_cite_request(&fgc_server::parse_json(&body).unwrap()).unwrap();
+        assert_eq!((decoded.answer, decoded.extents.len()), (None, 0));
+
+        let mut binding = Binding::new();
+        binding.insert("F".into(), Value::str("11"));
+        binding.insert("N".into(), Value::str("Calcitonin"));
+        let token = CiteToken::view("V1", vec![Value::str("11")]);
+        let fragment = CiteFragment {
+            answers: Some(vec![(3, 0, tuple!["Calcitonin"])]),
+            extents: vec![vec![(3, 0, tuple!["Calcitonin"], binding)]],
+            tokens: vec![(token.clone(), Json::str("cite me"))],
+            hits: 2,
+            misses: 1,
+        };
+        let vars = vec![query_vars(&extent)];
+        let body = encode_cite_fragment(std::slice::from_ref(&extent), fragment);
+        let decoded =
+            decode_cite_fragment(&fgc_server::parse_json(&body).unwrap(), true, &vars).unwrap();
+        assert_eq!(decoded.answers, Some(vec![(3, 0, tuple!["Calcitonin"])]));
+        let (gid, seq, t, b) = &decoded.extents[0][0];
+        assert_eq!((*gid, *seq, t), (3, 0, &tuple!["Calcitonin"]));
+        assert_eq!(b.get("F"), Some(&Value::str("11")));
+        assert_eq!(decoded.tokens, vec![(token, Json::str("cite me"))]);
+        assert_eq!((decoded.hits, decoded.misses), (2, 1));
+        // a reply short of an extent is refused, not misread
+        let short = Json::from_pairs([
+            ("answer", Json::Null),
+            ("extents", Json::Array(vec![])),
+            ("tokens", Json::Array(vec![])),
+            ("hits", Json::Int(0)),
+            ("misses", Json::Int(0)),
+        ]);
+        assert!(decode_cite_fragment(&short, false, &vars).is_err());
     }
 
     #[test]

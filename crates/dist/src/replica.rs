@@ -3,11 +3,18 @@
 //!
 //! A replica is a full citation server (it still answers `/cite`,
 //! `/views`, `/stats`, `/healthz`) whose engine runs over a sharded
-//! store; the rows expose the per-shard fragment evaluation a
-//! coordinator scatters to. Engine-reported errors (unknown relation,
+//! store. Two rows expose it to a coordinator: `GET /fragment/meta`
+//! bootstraps the coordinator's control plane once, and one
+//! `POST /fragment/cite` per citation returns this shard's answer
+//! rows, its binding rows for every rewriting's extent query, and the
+//! citation of every token those bindings mention (see
+//! [`crate::proto`]). Engine-reported errors (unknown relation,
 //! out-of-range shard, budget blown) answer 400 with the exact
-//! message, which the coordinator relays verbatim so distributed
-//! error bodies match single-process ones byte for byte.
+//! message and the phase that raised it; the coordinator relays the
+//! message verbatim, so distributed error bodies match single-process
+//! ones byte for byte. `/fragment/cite` works against the request's
+//! deadline: a call whose budget the coordinator already spent
+//! answers 504 before any evaluation.
 
 use crate::proto;
 use fgc_core::CitationEngine;
@@ -16,8 +23,9 @@ use fgc_views::Json;
 use std::sync::Arc;
 
 /// The `/fragment/*` route rows for a replica serving `engine` (which
-/// must be sharded — unsharded engines answer every fragment call
-/// with a 400). All four record into the one `/fragment` endpoint.
+/// must be sharded — an unsharded engine answers every
+/// `/fragment/cite` with a 400). Both record into the one `/fragment`
+/// endpoint.
 pub fn fragment_handler(engine: Arc<CitationEngine>) -> Vec<Route> {
     let row = |method, path, handler: fn(&CitationEngine, &Call<'_>) -> Response| {
         Route::new(method, path, |s| &s.fragment, &engine, handler)
@@ -26,15 +34,10 @@ pub fn fragment_handler(engine: Arc<CitationEngine>) -> Vec<Route> {
         row("GET", "/fragment/meta", |e, _| {
             Response::json(200, serve_meta(e))
         }),
-        row("POST", "/fragment/answers", |e, call| {
-            Response::ok_or_400(serve_rows(e, &call.request.body, false))
-        }),
-        row("POST", "/fragment/bindings", |e, call| {
-            Response::ok_or_400(serve_rows(e, &call.request.body, true))
-        }),
-        row("POST", "/fragment/tokens", |e, call| {
-            Response::ok_or_400(serve_tokens(e, &call.request.body))
-        }),
+        row("POST", "/fragment/cite", |e, call| {
+            serve_cite(e, &call.request.body)
+        })
+        .budgeted(),
     ]
 }
 
@@ -76,70 +79,22 @@ fn serve_meta(engine: &CitationEngine) -> String {
     .to_compact()
 }
 
-/// `POST /fragment/answers` and `/fragment/bindings`: evaluate one
-/// query's `(gid, seq, ...)` fragment for the requested shard. The
-/// error (a decode failure, or the engine's message) is the 400 body.
-fn serve_rows(engine: &CitationEngine, body: &[u8], bindings: bool) -> Result<String, String> {
+/// `POST /fragment/cite`: this shard's share of one citation. A
+/// failure is a 400 naming its phase; a body that does not decode
+/// fails phase 0.
+fn serve_cite(engine: &CitationEngine, body: &[u8]) -> Response {
     // fragment decode is the replica's share of the `parse` stage
-    let (query, shard) = engine
-        .stage_stats()
-        .time("parse", || decode_query_shard(body))?;
-    let body = if bindings {
-        let vars = proto::query_vars(&query);
-        let rows: Vec<Json> = engine
-            .fragment_bindings(&query, shard)
-            .map_err(|e| e.to_string())?
-            .iter()
-            .map(|(gid, seq, t, b)| proto::binding_row_to_json(*gid, *seq, t, b, &vars))
-            .collect();
-        Json::from_pairs([
-            (
-                "vars",
-                Json::Array(vars.into_iter().map(Json::str).collect()),
-            ),
-            ("rows", Json::Array(rows)),
-        ])
-    } else {
-        let rows: Vec<Json> = engine
-            .fragment_answers(&query, shard)
-            .map_err(|e| e.to_string())?
-            .iter()
-            .map(|(gid, seq, t)| proto::answer_row_to_json(*gid, *seq, t))
-            .collect();
-        Json::from_pairs([("rows", Json::Array(rows))])
+    let decoded = engine.stage_stats().time("parse", || {
+        parse_body(body).and_then(|j| proto::decode_cite_request(&j))
+    });
+    let request = match decoded {
+        Ok(request) => request,
+        Err(message) => return Response::json(400, proto::phase_error_body(0, &message)),
     };
-    Ok(body.to_compact())
-}
-
-/// `POST /fragment/tokens`: interpret a token batch through the
-/// replica's shared citation cache.
-fn serve_tokens(engine: &CitationEngine, body: &[u8]) -> Result<String, String> {
-    let parsed = parse_body(body)?;
-    let Some(Json::Array(items)) = parsed.get("tokens") else {
-        return Err("missing `tokens` array".into());
-    };
-    let tokens = items
-        .iter()
-        .map(proto::json_to_token)
-        .collect::<Result<Vec<_>, _>>()?;
-    let (citations, hits, misses) = engine.token_citations(&tokens);
-    let body = Json::from_pairs([
-        ("citations", Json::Array(citations)),
-        ("hits", Json::Int(hits as i64)),
-        ("misses", Json::Int(misses as i64)),
-    ]);
-    Ok(body.to_compact())
-}
-
-fn decode_query_shard(body: &[u8]) -> Result<(fgc_query::ConjunctiveQuery, usize), String> {
-    let parsed = parse_body(body)?;
-    let Some(Json::Str(text)) = parsed.get("query") else {
-        return Err("missing `query` string".into());
-    };
-    let query = fgc_query::parse_query(text).map_err(|e| format!("bad query: {e}"))?;
-    let shard = match parsed.get("shard") {
-        Some(Json::Int(n)) if *n >= 0 => *n as usize,
-        _ => return Err("missing or invalid `shard`".into()),
-    };
-    Ok((query, shard))
+    match engine.cite_fragment(request.answer.as_ref(), &request.extents, request.shard) {
+        Ok(fragment) => {
+            Response::json(200, proto::encode_cite_fragment(&request.extents, fragment))
+        }
+        Err((phase, e)) => Response::json(400, proto::phase_error_body(phase, &e.to_string())),
+    }
 }

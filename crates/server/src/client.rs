@@ -6,6 +6,7 @@
 //! it speaks exactly the dialect [`crate::http`] emits
 //! (Content-Length framed bodies, `Connection: keep-alive|close`).
 
+use crate::http::{push_headers, write_message};
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
@@ -37,6 +38,26 @@ impl ClientResponse {
 /// that a hostile or corrupted `Content-Length` cannot demand a
 /// multi-gigabyte allocation before a single body byte arrives.
 pub const MAX_RESPONSE_BYTES: usize = 64 * 1024 * 1024;
+
+/// Send one request: the head is formatted into one buffer and leaves
+/// with the body in a single vectored write.
+fn write_request(
+    stream: &mut impl Write,
+    method: &str,
+    path: &str,
+    body: Option<&str>,
+    extra_headers: &[(&str, &str)],
+) -> io::Result<()> {
+    let mut head = format!("{method} {path} HTTP/1.1\r\nHost: fgcite\r\n");
+    push_headers(&mut head, extra_headers);
+    if let Some(body) = body {
+        head.push_str("Content-Type: application/json\r\nContent-Length: ");
+        head.push_str(&body.len().to_string());
+        head.push_str("\r\n");
+    }
+    head.push_str("\r\n");
+    write_message(stream, head.as_bytes(), body.unwrap_or_default().as_bytes())
+}
 
 /// A keep-alive connection to the citation service.
 #[derive(Debug)]
@@ -91,20 +112,7 @@ impl Client {
         body: Option<&str>,
         extra_headers: &[(&str, &str)],
     ) -> io::Result<ClientResponse> {
-        let stream = self.reader.get_mut();
-        write!(stream, "{method} {path} HTTP/1.1\r\nHost: fgcite\r\n")?;
-        for (name, value) in extra_headers {
-            write!(stream, "{name}: {value}\r\n")?;
-        }
-        match body {
-            Some(b) => write!(
-                stream,
-                "Content-Type: application/json\r\nContent-Length: {}\r\n\r\n{b}",
-                b.len()
-            )?,
-            None => write!(stream, "\r\n")?,
-        }
-        stream.flush()?;
+        write_request(self.reader.get_mut(), method, path, body, extra_headers)?;
         self.read_response()
     }
 
@@ -178,5 +186,38 @@ impl Client {
             headers,
             body,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::http::tests::CountingWrite;
+
+    #[test]
+    fn a_request_leaves_in_one_write_with_unchanged_framing() {
+        for size in [0, 1024, 2 << 20] {
+            let body = "y".repeat(size);
+            let mut out = CountingWrite::default();
+            write_request(
+                &mut out,
+                "POST",
+                "/cite",
+                Some(&body),
+                &[("x-request-id", "r-2")],
+            )
+            .unwrap();
+            assert_eq!(out.writes, 1, "{size} B body");
+            let expected = format!(
+                "POST /cite HTTP/1.1\r\nHost: fgcite\r\nx-request-id: r-2\r\n\
+                 Content-Type: application/json\r\nContent-Length: {size}\r\n\r\n{body}"
+            );
+            assert!(out.bytes == expected.as_bytes(), "{size} B body");
+        }
+        // a bodiless request carries no entity headers
+        let mut out = CountingWrite::default();
+        write_request(&mut out, "GET", "/healthz", None, &[]).unwrap();
+        assert_eq!(out.writes, 1);
+        assert_eq!(out.bytes, b"GET /healthz HTTP/1.1\r\nHost: fgcite\r\n\r\n");
     }
 }

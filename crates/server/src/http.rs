@@ -7,7 +7,7 @@
 //! accepted subset maps to a 4xx [`HttpError`] rather than a panic or
 //! a wedged read — the workers recycle the connection and move on.
 
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, IoSlice, Write};
 use std::time::{Duration, Instant};
 
 /// Hard cap on the request line plus all header lines, in bytes.
@@ -270,7 +270,8 @@ pub fn write_response(
 /// [`write_response`] with an explicit `Content-Type` and extra
 /// response headers (e.g. the `x-request-id` echo; `/metrics` bodies
 /// are `text/plain`). Header names/values must already be valid HTTP
-/// field text.
+/// field text. The head is formatted into one buffer and leaves with
+/// the body in a single vectored write.
 pub fn write_response_with(
     stream: &mut impl Write,
     status: u16,
@@ -280,22 +281,53 @@ pub fn write_response_with(
     extra_headers: &[(&str, &str)],
 ) -> io::Result<()> {
     let connection = if keep_alive { "keep-alive" } else { "close" };
-    write!(
-        stream,
+    let mut head = format!(
         "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: {connection}\r\n",
         reason(status),
         body.len(),
-    )?;
-    for (name, value) in extra_headers {
-        write!(stream, "{name}: {value}\r\n")?;
+    );
+    push_headers(&mut head, extra_headers);
+    head.push_str("\r\n");
+    write_message(stream, head.as_bytes(), body.as_bytes())
+}
+
+/// Append `name: value` header lines to a message head.
+pub(crate) fn push_headers(head: &mut String, headers: &[(&str, &str)]) {
+    for (name, value) in headers {
+        for part in [name, ": ", value, "\r\n"] {
+            head.push_str(part);
+        }
     }
-    stream.write_all(b"\r\n")?;
-    stream.write_all(body.as_bytes())?;
+}
+
+/// Send one HTTP message: `head` and `body` go out together through
+/// vectored writes, so a stream that takes the whole message (a
+/// socket with room in its send buffer) sees exactly one `write`
+/// call, and the body is never copied. On a `TCP_NODELAY` socket that
+/// is one segment train instead of a small packet per header line.
+pub(crate) fn write_message(stream: &mut impl Write, head: &[u8], body: &[u8]) -> io::Result<()> {
+    let mut parts = [IoSlice::new(head), IoSlice::new(body)];
+    let mut unsent = &mut parts[..];
+    // drop an empty body up front
+    IoSlice::advance_slices(&mut unsent, 0);
+    while !unsent.is_empty() {
+        match stream.write_vectored(unsent) {
+            Ok(0) => {
+                return Err(io::Error::new(
+                    io::ErrorKind::WriteZero,
+                    "failed to write the whole message",
+                ))
+            }
+            Ok(n) => IoSlice::advance_slices(&mut unsent, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
     stream.flush()
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::io::BufReader;
 
@@ -453,6 +485,93 @@ mod tests {
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(text.contains("Content-Length: 11\r\n"));
         assert!(text.ends_with("{\"ok\":true}"));
+    }
+
+    /// A stream that takes every byte it is offered and counts the
+    /// `write` calls it took them in.
+    #[derive(Default)]
+    pub(crate) struct CountingWrite {
+        pub bytes: Vec<u8>,
+        pub writes: usize,
+    }
+
+    impl Write for CountingWrite {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.writes += 1;
+            let before = self.bytes.len();
+            for buf in bufs {
+                self.bytes.extend_from_slice(buf);
+            }
+            Ok(self.bytes.len() - before)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A stream that takes at most `limit` bytes per call, like a
+    /// socket whose send buffer is nearly full.
+    struct Trickle {
+        bytes: Vec<u8>,
+        limit: usize,
+    }
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            let n = buf.len().min(self.limit);
+            self.bytes.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_response_leaves_in_one_write_with_unchanged_framing() {
+        for size in [0, 1024, 2 << 20] {
+            let body = "x".repeat(size);
+            let mut out = CountingWrite::default();
+            write_response_with(
+                &mut out,
+                200,
+                &body,
+                true,
+                "application/json",
+                &[("x-request-id", "r-1")],
+            )
+            .unwrap();
+            assert_eq!(out.writes, 1, "{size} B body");
+            let expected = format!(
+                "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\
+                 Content-Length: {size}\r\nConnection: keep-alive\r\n\
+                 x-request-id: r-1\r\n\r\n{body}"
+            );
+            assert!(out.bytes == expected.as_bytes(), "{size} B body");
+        }
+    }
+
+    #[test]
+    fn a_short_writing_stream_still_gets_the_whole_message() {
+        let body = "0123456789".repeat(100);
+        let mut whole = Vec::new();
+        write_response(&mut whole, 400, &body, false).unwrap();
+        for limit in [1, 7, 64, 4096] {
+            let mut out = Trickle {
+                bytes: Vec::new(),
+                limit,
+            };
+            write_response(&mut out, 400, &body, false).unwrap();
+            assert!(out.bytes == whole, "limit {limit}");
+        }
     }
 
     #[test]

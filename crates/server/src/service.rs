@@ -619,7 +619,7 @@ mod tests {
         assert_eq!(refused.body, error_body(DEADLINE_EXCEEDED));
         assert_eq!(shared.stats.deadline_exceeded.load(Ordering::Relaxed), 1);
         assert_eq!(shared.stats.cite.errors.load(Ordering::Relaxed), 1);
-        // an unbudgeted row (a replica's fragment routes) still runs,
+        // an unbudgeted row (a replica's `/fragment/meta`) still runs,
         // and the handler's own content type travels with its 200
         let served = spent("/fragment/x");
         assert_eq!((served.status, served.content_type), (200, PROMETHEUS_TYPE));

@@ -41,7 +41,7 @@ fn serve(raw: Vec<String>) -> Result<(), fgcite::cli::CliError> {
     } else if replica {
         println!(
             "routes: POST /cite, POST /cite_sql, GET /views, GET /stats, GET /healthz, \
-             GET /fragment/meta, POST /fragment/{{answers,bindings,tokens}}"
+             GET /fragment/meta, POST /fragment/cite"
         );
     } else {
         println!("routes: POST /cite, POST /cite_sql, GET /views, GET /stats, GET /healthz");

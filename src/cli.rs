@@ -213,7 +213,9 @@ distributed serving (scatter/gather tier):
        `--role replica --shard-id I/N` serves shard I of an N-way
        partitioning: the replica loads --data, shards it N ways
        locally (--shard-key as for --shards), and adds the
-       /fragment/* endpoints a coordinator scatters to.
+       /fragment/meta and /fragment/cite endpoints: a coordinator
+       bootstraps from the first and makes one /fragment/cite call
+       per replica per citation.
        `--role coordinator --replicas a:p,b:p,...` starts the
        stateless front end: replica k must serve shard k/N; no
        --data/--views (the catalog comes from GET /fragment/meta).
@@ -732,8 +734,8 @@ fn parse_shard_id(text: &str) -> Result<(usize, usize), CliError> {
 /// shards it N ways locally — every replica derives the identical
 /// partitioning, so shard `I` is well-defined cluster-wide without
 /// any data movement. It remains a complete citation server (its own
-/// `/cite` answers from the whole store) and additionally serves the
-/// `/fragment/*` endpoints a coordinator scatters to.
+/// `/cite` answers from the whole store) and additionally serves
+/// `/fragment/meta` and `/fragment/cite` to a coordinator.
 fn run_serve_replica(
     args: &Args,
     data: Option<&str>,

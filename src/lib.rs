@@ -23,8 +23,9 @@
 //! * [`gtopdb`] — the paper's GtoPdb running example, a synthetic
 //!   scale generator, and query workloads;
 //! * [`server`] — the std-only HTTP/1.1 citation service (`fgcite
-//!   serve`): worker pool, batching admission over `cite_batch`, and
-//!   per-endpoint serving stats;
+//!   serve`): one front door whose worker pool runs each request's
+//!   engine call on the worker that read it, plus per-endpoint
+//!   serving stats;
 //! * [`dist`] — the distributed scatter/gather serving tier: shard
 //!   replicas and a stateless coordinator over the same wire format
 //!   (`fgcite serve --role replica|coordinator`);

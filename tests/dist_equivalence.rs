@@ -75,6 +75,64 @@ fn coordinator_matches_single_process_on_generated_gtopdb() {
     assert_clusters_match(&reference, &db, &posts(&queries));
 }
 
+/// The `calls` of every replica in the coordinator's `/stats`.
+fn replica_calls(client: &mut Client) -> Vec<i64> {
+    let stats = client.get("/stats").unwrap();
+    let parsed = parse_json(&stats.body).unwrap();
+    let Some(Json::Array(slots)) = parsed.get("replicas") else {
+        panic!("no replicas block in {}", stats.body);
+    };
+    slots
+        .iter()
+        .map(|slot| match slot.get("calls") {
+            Some(Json::Int(n)) => *n,
+            other => panic!("no calls count ({other:?}) in {}", stats.body),
+        })
+        .collect()
+}
+
+/// A citation is one `/fragment/cite` per replica: the answer query and
+/// every rewriting's extent query ride together, and the token
+/// citations come back with the bindings.
+#[test]
+fn one_exchange_per_replica() {
+    let db = paper_instance();
+    for shards in [2, 4] {
+        let cluster = start_cluster(&db, shards);
+        let mut client = Client::connect(cluster.front.addr()).unwrap();
+        for query in QUERIES {
+            let before = replica_calls(&mut client);
+            let response = client.post("/cite", &cite_body(query)).unwrap();
+            assert_eq!(response.status, 200, "{query}: {}", response.body);
+            let parsed = parse_json(&response.body).unwrap();
+            let after = replica_calls(&mut client);
+            let calls: Vec<i64> = after.iter().zip(&before).map(|(a, b)| a - b).collect();
+            if parsed.get("rewritings") == Some(&Json::Int(0)) {
+                // no extent query: only the answer's shards are asked
+                assert!(calls.iter().all(|&c| c <= 1), "{query}: {calls:?}");
+            } else {
+                assert_eq!(calls, vec![1; shards], "{query} over {shards} shards");
+            }
+        }
+
+        // a keyed query with no rewriting touches one replica only
+        let keyed = "Q(N) :- Family(F, N, Ty), F = \"11\", Ty = \"a\", Ty = \"b\"";
+        let before = replica_calls(&mut client);
+        let response = client.post("/cite", &cite_body(keyed)).unwrap();
+        assert_eq!(response.status, 200, "{}", response.body);
+        let parsed = parse_json(&response.body).unwrap();
+        assert_eq!(
+            parsed.get("rewritings"),
+            Some(&Json::Int(0)),
+            "{}",
+            response.body
+        );
+        let after = replica_calls(&mut client);
+        let calls: Vec<i64> = after.iter().zip(&before).map(|(a, b)| a - b).collect();
+        assert_eq!(calls.iter().sum::<i64>(), 1, "{shards} shards: {calls:?}");
+    }
+}
+
 #[test]
 fn failover_to_twin_is_byte_identical() {
     let db = paper_instance();

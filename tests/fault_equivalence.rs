@@ -455,8 +455,16 @@ fn client_refuses_oversized_content_length() {
     let addr = listener.local_addr().unwrap();
     let liar = thread::spawn(move || {
         let (mut s, _) = listener.accept().unwrap();
+        // take the whole request head before answering: closing with
+        // unread bytes would reset the connection under the client
+        let mut head = Vec::new();
         let mut buf = [0u8; 1024];
-        let _ = s.read(&mut buf);
+        while !head.ends_with(b"\r\n\r\n") {
+            match s.read(&mut buf) {
+                Ok(0) | Err(_) => break,
+                Ok(n) => head.extend_from_slice(&buf[..n]),
+            }
+        }
         let _ = s.write_all(b"HTTP/1.1 200 OK\r\ncontent-length: 109951162777600\r\n\r\n");
     });
 
