@@ -27,19 +27,16 @@ use crate::token::CiteToken;
 use fgc_obs::{StageSet, Trace, CITE_STAGES};
 use fgc_query::ast::{Atom, ConjunctiveQuery, Term};
 use fgc_query::eval::EvalOptions;
-use fgc_query::{
-    evaluate_grouped_plan_with, evaluate_plan_with, parse_sql, Binding, QueryPlan, RoutePlan,
-    ShardRouter, Source,
-};
+use fgc_query::{evaluate_grouped_plan_with, evaluate_plan_with, parse_sql, Binding, QueryPlan};
 use fgc_relation::schema::RelationSchema;
-use fgc_relation::sharded::{ShardKeySpec, ShardStats, ShardedDatabase};
+use fgc_relation::sharded::{Partition, ShardKeySpec, ShardStats};
 use fgc_relation::storage::{Storage, StorageStats};
 use fgc_relation::{DataType, Database, DatabaseDelta, Tuple, Value};
 use fgc_rewrite::{best_rewritings, enumerate_rewritings, RewriteOptions, Rewriting, ViewDefs};
 use fgc_semiring::{CitationExpr, CommutativeSemiring, Monomial, Polynomial};
 use fgc_views::{Json, ViewRegistry};
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, RwLock};
 use std::time::Instant;
 
@@ -199,9 +196,8 @@ pub trait CiteDataPlane {
     }
 }
 
-/// The in-process data plane: reads the engine's own (possibly
-/// sharded) store. [`CitationEngine::cite`] and friends are thin
-/// wrappers over this.
+/// The in-process data plane: reads the engine's whole store.
+/// [`CitationEngine::cite`] and friends are thin wrappers over this.
 struct LocalDataPlane<'a> {
     engine: &'a CitationEngine,
     counters: RequestCounters,
@@ -223,8 +219,8 @@ impl CiteDataPlane for LocalDataPlane<'_> {
         extent_queries: &[ConjunctiveQuery],
     ) -> Result<CiteData> {
         let engine = self.engine;
-        // `evaluate` wraps the whole answer evaluation, so the
-        // `plan`/`route` spans recorded inside it nest under it
+        // `evaluate` wraps the whole answer evaluation, so the `plan`
+        // span recorded inside it nests under it
         let answers = engine.stages.time("evaluate", || engine.answers(q))?;
         let extents = engine.stages.time("extent", || {
             extent_queries
@@ -242,32 +238,6 @@ impl CiteDataPlane for LocalDataPlane<'_> {
     fn cache_traffic(&self) -> (u64, u64) {
         (self.counters.hits, self.counters.misses)
     }
-}
-
-/// Routing counters for a sharded engine (relaxed atomics, same
-/// contract as [`CacheStats`]).
-#[derive(Debug, Default)]
-struct ShardCounters {
-    /// Evaluations that went through the routed path.
-    routed_evals: AtomicU64,
-    /// Atom scans proven confined to one shard.
-    atoms_pruned: AtomicU64,
-    /// Atom scans that fanned out to every shard.
-    atoms_fanout: AtomicU64,
-}
-
-/// Snapshot of a sharded engine's store layout and routing activity
-/// (surfaced on `GET /stats`).
-#[derive(Debug, Clone)]
-pub struct ShardServingStats {
-    /// Static distribution of the base-relation store.
-    pub store: ShardStats,
-    /// Evaluations served through the routed path so far.
-    pub routed_evals: u64,
-    /// Atom scans pruned to a single shard.
-    pub atoms_pruned: u64,
-    /// Atom scans that fanned out to all shards.
-    pub atoms_fanout: u64,
 }
 
 /// The citation engine over one database snapshot.
@@ -288,13 +258,11 @@ pub struct CitationEngine {
     inclusion: BTreeMap<(String, String), bool>,
     extent_db: RwLock<Option<Arc<Database>>>,
     cache: CitationCache,
-    /// Sharded base store, when [`Self::with_shards`] was applied;
-    /// answers and rewritings then evaluate through shard routing.
-    sharded: Option<Arc<ShardedDatabase>>,
-    /// Lazily built sharded view of the extent database (base
-    /// relations + view extents), same shard count and key spec.
-    extent_sharded: RwLock<Option<Arc<ShardedDatabase>>>,
-    shard_counters: ShardCounters,
+    /// The shard ownership [`Self::with_shards`] set, and how the
+    /// store's tuples spread under it (counted once, there). Only
+    /// [`Self::cite_fragment`] reads it: the engine's own citations
+    /// always read the whole store.
+    partition: Option<(Partition, ShardStats)>,
     /// Compiled [`QueryPlan`]s, keyed by query — answer queries and
     /// rewriting extent queries share it (see [`crate::plan_cache`]
     /// for why one keyspace is sound). Warm `cite`/`cite_sql`/
@@ -353,9 +321,7 @@ impl CitationEngine {
             inclusion,
             extent_db: RwLock::new(extent),
             cache: CitationCache::default(),
-            sharded: None,
-            extent_sharded: RwLock::new(None),
-            shard_counters: ShardCounters::default(),
+            partition: None,
             plans: PlanCache::default(),
             stages: StageSet::new(CITE_STAGES),
             storage: None,
@@ -393,24 +359,18 @@ impl CitationEngine {
         self
     }
 
-    /// Partition the base store across `shards` hash-routed shards
-    /// (builder style). `key_spec` names the shard-key column per
-    /// relation (CLI syntax: `Family=FID,FC=FID`); relations it
-    /// omits fall back to whole-tuple hashing — still balanced, but
-    /// equality selections on them can never prune to one shard.
-    ///
-    /// Answer evaluation and rewriting evaluation then run through
-    /// the [`ShardRouter`]; citations stay **byte-identical** to the
-    /// unsharded engine (the sharded store preserves global tuple
-    /// order, and the router only removes scans that cannot match).
+    /// Make this engine a shard replica's (builder style): every row
+    /// is owned by one of `shards` shards, by the hash of the shard-key
+    /// column `key_spec` names for its relation (CLI syntax:
+    /// `Family=FID,FC=FID`); relations it omits fall back to
+    /// whole-tuple hashing — still balanced, but equality selections on
+    /// them can never prune to one shard. Nothing is copied: the
+    /// engine keeps its one store, and [`Self::cite_fragment`] keeps
+    /// only the lead rows a shard owns.
     pub fn with_shards(mut self, shards: usize, key_spec: ShardKeySpec) -> Result<Self> {
-        key_spec.resolve(self.db.catalog())?;
-        let sharded = ShardedDatabase::from_database(&self.db, shards, key_spec)?;
-        self.sharded = Some(Arc::new(sharded));
-        *self
-            .extent_sharded
-            .write()
-            .expect("extent shard lock poisoned") = None;
+        let partition = Partition::new(shards, key_spec, self.db.catalog())?;
+        let stats = partition.stats(&self.db);
+        self.partition = Some((partition, stats));
         Ok(self)
     }
 
@@ -418,7 +378,7 @@ impl CitationEngine {
     /// style). Purely observational at the single-snapshot level:
     /// persistence happens when the owner of the history syncs, but
     /// the handle lets servers report backend stats alongside cache
-    /// and shard counters.
+    /// and shard layout.
     pub fn with_storage(mut self, storage: Arc<dyn Storage>) -> Self {
         self.storage = Some(storage);
         self
@@ -480,21 +440,23 @@ impl CitationEngine {
         self.plans.miss_latency()
     }
 
-    /// Number of shards the base store is partitioned into (1 when
+    /// Number of shards the store's rows are owned by (1 when
     /// unsharded).
     pub fn shard_count(&self) -> usize {
-        self.sharded.as_ref().map_or(1, |s| s.shard_count())
+        self.partition().map_or(1, Partition::shard_count)
     }
 
-    /// Store layout and routing counters — `None` when the engine is
-    /// not sharded.
-    pub fn shard_stats(&self) -> Option<ShardServingStats> {
-        self.sharded.as_ref().map(|s| ShardServingStats {
-            store: s.stats(),
-            routed_evals: self.shard_counters.routed_evals.load(Ordering::Relaxed),
-            atoms_pruned: self.shard_counters.atoms_pruned.load(Ordering::Relaxed),
-            atoms_fanout: self.shard_counters.atoms_fanout.load(Ordering::Relaxed),
-        })
+    /// The shard ownership a replica serves under — `None` when the
+    /// engine is not sharded. Replicas publish it so a coordinator
+    /// routes with the identical partition.
+    pub fn partition(&self) -> Option<&Partition> {
+        self.partition.as_ref().map(|(p, _)| p)
+    }
+
+    /// How the store's tuples spread over the shards — `None` when the
+    /// engine is not sharded.
+    pub fn shard_stats(&self) -> Option<&ShardStats> {
+        self.partition.as_ref().map(|(_, stats)| stats)
     }
 
     /// The engine for the database `delta` produces from this one's:
@@ -522,7 +484,7 @@ impl CitationEngine {
     /// the rest are materialized over the snapshot. A different
     /// catalog changes the view definitions' dependencies and the
     /// inclusion matrix, so it means a from-scratch build. A sharded
-    /// engine partitions the snapshot the same way.
+    /// engine keeps its shard count and key spec.
     ///
     /// The token and plan caches start empty at this engine's
     /// capacities: carrying them over would deep-copy every key, which
@@ -548,9 +510,9 @@ impl CitationEngine {
         engine.cache = self.cache.empty_like();
         engine.plans = self.plans.empty_like();
         engine.storage = self.storage.clone();
-        match &self.sharded {
+        match self.partition() {
             None => Ok(engine),
-            Some(s) => engine.with_shards(s.shard_count(), s.spec().clone()),
+            Some(p) => engine.with_shards(p.shard_count(), p.spec().clone()),
         }
     }
 
@@ -601,10 +563,6 @@ impl CitationEngine {
         self.cache.clear();
         self.plans.clear();
         *self.extent_db.write().expect("extent lock poisoned") = None;
-        *self
-            .extent_sharded
-            .write()
-            .expect("extent shard lock poisoned") = None;
     }
 
     /// The engine's default configuration, with a request's overrides
@@ -692,84 +650,20 @@ impl CitationEngine {
         Ok(())
     }
 
-    /// Routed counterpart of [`Self::extent_database`]: the extent
-    /// database partitioned with the base store's shard count and key
-    /// spec (view-extent relations fall back to whole-tuple hashing).
-    /// Built lazily under the write lock, shared afterwards.
-    fn extent_sharded_database(&self, base: &Arc<ShardedDatabase>) -> Result<Arc<ShardedDatabase>> {
-        if let Some(db) = self
-            .extent_sharded
-            .read()
-            .expect("extent shard lock poisoned")
-            .as_ref()
-        {
-            return Ok(Arc::clone(db));
-        }
-        let extent = self.extent_database()?;
-        let mut slot = self
-            .extent_sharded
-            .write()
-            .expect("extent shard lock poisoned");
-        if let Some(db) = slot.as_ref() {
-            return Ok(Arc::clone(db));
-        }
-        let sharded =
-            ShardedDatabase::from_database(&extent, base.shard_count(), base.spec().clone())?;
-        let arc = Arc::new(sharded);
-        *slot = Some(Arc::clone(&arc));
-        Ok(arc)
-    }
-
-    /// Plan a query's routing and record it in the serving counters;
-    /// the returned plan is handed straight to the evaluator's
-    /// [`Source`] so planning happens once per evaluation.
-    fn plan_and_count(&self, sharded: &ShardedDatabase, q: &ConjunctiveQuery) -> RoutePlan {
-        let plan = ShardRouter::new(sharded).plan(q);
-        self.shard_counters
-            .routed_evals
-            .fetch_add(1, Ordering::Relaxed);
-        self.shard_counters
-            .atoms_pruned
-            .fetch_add(plan.pruned_atoms() as u64, Ordering::Relaxed);
-        self.shard_counters
-            .atoms_fanout
-            .fetch_add(plan.fanout_atoms() as u64, Ordering::Relaxed);
-        plan
-    }
-
     /// The cached compiled plan for a query evaluated against the
-    /// given database (compiling on miss). The base and sharded
-    /// stores present identical catalogs and global sizes, so one
-    /// plan serves both — and every routing of the query.
+    /// given database (compiling on miss); one plan serves the whole
+    /// evaluation and every shard's fragment of it.
     fn cached_plan(&self, q: &ConjunctiveQuery, db: &Database) -> Result<Arc<QueryPlan>> {
         Ok(self.stages.time("plan", || {
             self.plans.get_or_compile(q, || QueryPlan::compile(q, db))
         })?)
     }
 
-    /// What a plan for `q` scans: `sharded` under `q`'s route when the
-    /// engine is sharded, `whole` otherwise. Timed even when trivial
-    /// (unsharded), so the `route` stage measures exactly what routing
-    /// costs this engine.
-    fn source<'a>(
-        &self,
-        whole: &'a Database,
-        sharded: Option<&'a ShardedDatabase>,
-        q: &ConjunctiveQuery,
-    ) -> Source<'a> {
-        self.stages.time("route", || match sharded {
-            Some(s) => Source::Routed(s, Some(self.plan_and_count(s, q))),
-            None => Source::Whole(whole),
-        })
-    }
-
-    /// The answer set of `q` — routed over the shards when the engine
-    /// is sharded, byte-identical to the unsharded evaluation either
-    /// way. Plans come from the engine's plan cache.
+    /// The answer set of `q` over the whole store. Plans come from
+    /// the engine's plan cache.
     fn answers(&self, q: &ConjunctiveQuery) -> Result<Vec<Tuple>> {
         let plan = self.cached_plan(q, &self.db)?;
-        let source = self.source(&self.db, self.sharded.as_deref(), q);
-        Ok(evaluate_plan_with(source, &plan, EvalOptions::default())?)
+        Ok(evaluate_plan_with(&self.db, &plan, EvalOptions::default())?)
     }
 
     /// The rewritings used for citations, labelled `Q1, Q2, ...` in
@@ -808,23 +702,17 @@ impl CitationEngine {
     }
 
     /// The grouped bindings of one extent query, evaluated over the
-    /// extent database (base relations + view extents) — routed over
-    /// the sharded extent store when the engine is sharded, identical
-    /// output either way. Extent queries compile against the
-    /// (unsharded) extent database — its global sizes equal the
-    /// sharded extent store's — and their plans share the engine's
-    /// plan cache, so a repeated `cite` re-plans nothing.
+    /// extent database (base relations + view extents). Extent
+    /// queries share the engine's plan cache, so a repeated `cite`
+    /// re-plans nothing.
     fn extent_groups(&self, q: &ConjunctiveQuery) -> Result<ExtentGroups> {
         let extent_db = self.extent_database()?;
         let plan = self.cached_plan(q, &extent_db)?;
-        let sharded = self
-            .sharded
-            .as_ref()
-            .map(|base| self.extent_sharded_database(base))
-            .transpose()?;
-        let source = self.source(&extent_db, sharded.as_deref(), q);
-        let groups = evaluate_grouped_plan_with(source, &plan, EvalOptions::default())?;
-        Ok(groups)
+        Ok(evaluate_grouped_plan_with(
+            &extent_db,
+            &plan,
+            EvalOptions::default(),
+        )?)
     }
 
     /// The symbolic citation expressions for every output tuple of
@@ -1069,10 +957,7 @@ impl CitationEngine {
         // Materialize extents once up front: otherwise every worker
         // would immediately queue on the build write-lock. A failure
         // here recurs deterministically inside each request.
-        let _ = match &self.sharded {
-            Some(base) => self.extent_sharded_database(base).map(|_| ()),
-            None => self.extent_database().map(|_| ()),
-        };
+        let _ = self.extent_database();
 
         let next = AtomicUsize::new(0);
         let (sender, receiver) = mpsc::channel::<(usize, Result<CiteResponse>)>();
@@ -1104,20 +989,13 @@ impl CitationEngine {
             .collect()
     }
 
-    /// The shard-key spec of the sharded store, when the engine is
-    /// sharded (replicas publish it so a coordinator can rebuild the
-    /// identical routing shell).
-    pub fn shard_spec(&self) -> Option<&ShardKeySpec> {
-        self.sharded.as_ref().map(|s| s.spec())
-    }
-
     /// This shard's share of one citation exchange — the one entry
     /// point a shard replica serves:
     ///
     /// - with `answer`, the `(gid, seq, tuple)` fragment of its global
     ///   evaluation (see [`fgc_query::lead_fragment_answers`]);
     /// - per extent query, the `(gid, seq, tuple, binding)` fragment of
-    ///   its grouped evaluation over the sharded extent store (base
+    ///   its grouped evaluation over the extent database (base
     ///   relations + view extents);
     /// - the citation of every token those bindings mention, memoized
     ///   in the shared cache.
@@ -1131,15 +1009,15 @@ impl CitationEngine {
         extent_queries: &[ConjunctiveQuery],
         shard: usize,
     ) -> std::result::Result<CiteFragment, (usize, CoreError)> {
-        let sharded = self.require_shard(shard).map_err(|e| (0, e))?;
+        let partition = self.require_shard(shard).map_err(|e| (0, e))?;
         let answers = answer
-            .map(|q| self.fragment_answers(&sharded, q, shard))
+            .map(|q| self.fragment_answers(partition, q, shard))
             .transpose()
             .map_err(|e| (0, e))?;
         let mut extents = Vec::with_capacity(extent_queries.len());
         for (i, q) in extent_queries.iter().enumerate() {
             let rows = self
-                .fragment_bindings(&sharded, q, shard)
+                .fragment_bindings(partition, q, shard)
                 .map_err(|e| (i + 1, e))?;
             extents.push(rows);
         }
@@ -1158,39 +1036,28 @@ impl CitationEngine {
 
     fn fragment_answers(
         &self,
-        sharded: &ShardedDatabase,
+        partition: &Partition,
         q: &ConjunctiveQuery,
         shard: usize,
     ) -> Result<Vec<(usize, usize, Tuple)>> {
         let plan = self.cached_plan(q, &self.db)?;
-        let route = self
-            .stages
-            .time("route", || self.plan_and_count(sharded, q));
+        let options = EvalOptions::default();
         Ok(self.stages.time("evaluate", || {
-            fgc_query::lead_fragment_answers(sharded, &plan, &route, shard, EvalOptions::default())
+            fgc_query::lead_fragment_answers(&self.db, partition, &plan, shard, options)
         })?)
     }
 
     fn fragment_bindings(
         &self,
-        base: &Arc<ShardedDatabase>,
+        partition: &Partition,
         q: &ConjunctiveQuery,
         shard: usize,
     ) -> Result<Vec<(usize, usize, Tuple, Binding)>> {
         let extent_db = self.extent_database()?;
-        let sharded = self.extent_sharded_database(base)?;
         let plan = self.cached_plan(q, &extent_db)?;
-        let route = self
-            .stages
-            .time("route", || self.plan_and_count(&sharded, q));
+        let options = EvalOptions::default();
         Ok(self.stages.time("extent", || {
-            fgc_query::lead_fragment_bindings(
-                &sharded,
-                &plan,
-                &route,
-                shard,
-                EvalOptions::default(),
-            )
+            fgc_query::lead_fragment_bindings(&extent_db, partition, &plan, shard, options)
         })?)
     }
 
@@ -1245,18 +1112,17 @@ impl CitationEngine {
         tokens
     }
 
-    fn require_shard(&self, shard: usize) -> Result<Arc<ShardedDatabase>> {
-        let sharded = self
-            .sharded
-            .as_ref()
+    fn require_shard(&self, shard: usize) -> Result<&Partition> {
+        let partition = self
+            .partition()
             .ok_or_else(|| CoreError::Remote("engine is not sharded".into()))?;
-        if shard >= sharded.shard_count() {
+        if shard >= partition.shard_count() {
             return Err(CoreError::Remote(format!(
                 "shard {shard} out of range (store has {})",
-                sharded.shard_count()
+                partition.shard_count()
             )));
         }
-        Ok(Arc::clone(sharded))
+        Ok(partition)
     }
 }
 
@@ -1702,21 +1568,24 @@ mod tests {
     fn sharded_engine_reports_stats_and_routing() {
         let e = engine().with_shards(4, paper_shard_spec()).unwrap();
         assert_eq!(e.shard_count(), 4);
-        let before = e.shard_stats().unwrap();
-        assert_eq!(before.store.shards, 4);
+        let stats = e.shard_stats().unwrap();
+        assert_eq!(stats.shards, 4);
+        assert_eq!(stats.total_tuples, e.database().total_tuples());
         assert_eq!(
-            before.store.total_tuples,
-            before.store.tuples_per_shard.iter().sum::<usize>()
+            stats.total_tuples,
+            stats.tuples_per_shard.iter().sum::<usize>()
         );
-        assert_eq!(before.routed_evals, 0);
-        // a keyed selection routes its answer scan to one shard
+        // a keyed selection's answer comes from the shard owning the key
         let q = parse_query("Q(N) :- Family(\"11\", N, Ty)").unwrap();
-        e.cite(&q).unwrap();
-        let after = e.shard_stats().unwrap();
-        assert!(after.routed_evals > before.routed_evals);
-        assert!(after.atoms_pruned >= 1, "{after:?}");
+        let owner = fgc_relation::sharded::shard_of_value(&Value::str("11"), 4);
+        for shard in 0..4 {
+            let fragment = e.cite_fragment(Some(&q), &[], shard).unwrap();
+            let answers = fragment.answers.unwrap();
+            assert_eq!(answers.len(), usize::from(shard == owner), "shard {shard}");
+        }
         // the unsharded engine has no shard stats
         assert!(engine().shard_stats().is_none());
+        assert!(engine().partition().is_none());
         assert_eq!(engine().shard_count(), 1);
     }
 

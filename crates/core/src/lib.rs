@@ -89,11 +89,11 @@ pub use baseline::{baseline_coverage, PageCitationStore, WorkloadItem};
 pub use cache::{CacheStats, CitationCache, ClockCache};
 pub use engine::{
     CitationEngine, CiteData, CiteDataPlane, CiteFragment, EngineOptions, ExtentGroups,
-    QueryCitation, RewriteMode, ShardServingStats, TupleCitation,
+    QueryCitation, RewriteMode, TupleCitation,
 };
 pub use error::{CoreError, Result};
 pub use explain::explain;
-pub use fgc_relation::sharded::{ShardKeySpec, ShardStats};
+pub use fgc_relation::sharded::{Partition, ShardKeySpec, ShardStats};
 pub use fixity::{VersionMemoryStats, VersionStats, VersionedCitation, VersionedCitationEngine};
 pub use plan_cache::{PlanCache, PlanCacheStats};
 pub use policy::{CombineOp, OrderChoice, Policy};

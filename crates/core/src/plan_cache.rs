@@ -11,9 +11,9 @@
 //!
 //! **Key invariant:** plans are keyed by the [`ConjunctiveQuery`]
 //! alone. That is sound inside one engine because every database a
-//! plan can be compiled against here (base store, sharded store,
-//! extent store) presents identical *global* sizes for the relations
-//! they share, and relations exclusive to one store (view extents)
+//! plan can be compiled against here (base store, extent store)
+//! presents identical sizes for the relations they share, and
+//! relations exclusive to one store (view extents)
 //! can only appear in queries that compile against that store — so a
 //! query never has two distinct valid plans. Engines over different
 //! snapshots ([`crate::fixity`]) each own their cache and start it

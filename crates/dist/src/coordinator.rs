@@ -4,9 +4,9 @@
 //! replica's `/healthz` (role and `i/n` shard ownership), fetches
 //! `/fragment/meta` once, and rebuilds from it (a) a schema-only
 //! [`CitationEngine`] — empty relations, real constraints, real view
-//! texts — that runs the entire citation control plane, and (b) a
-//! schema-only [`ShardedDatabase`] shell whose [`ShardRouter`]
-//! computes the same per-atom [`RoutePlan`] every replica computes
+//! texts — that runs the entire citation control plane, and (b) the
+//! replicas' [`Partition`], resolved against that catalog, whose
+//! [`ShardRouter`] computes the per-atom route of a query
 //! (routing is a pure function of query and spec, independent of the
 //! stored tuples).
 //!
@@ -14,12 +14,13 @@
 //! [`CiteDataPlane`]. The engine finds the rewritings from the schemas
 //! alone, then the plane makes **one** `POST /fragment/cite` per shard
 //! replica, in parallel: the answer query rides only to the shards its
-//! [`RoutePlan`] implicates, every rewriting's extent query to every
+//! route implicates, every rewriting's extent query to every
 //! shard (view extents carry no shard key), and each replica answers
 //! with its `(gid, seq, ...)` rows plus the citation of every token its
-//! bindings mention. Gathering is a sort-merge in global tuple order —
-//! exactly the single-process enumeration order, so citations are
-//! byte-identical — and no token needs a second round trip. Per shard
+//! bindings mention. Gathering is [`merge_answers`] /
+//! [`merge_groups`], a sort-merge in global tuple order — exactly the
+//! single-process enumeration order, so citations are byte-identical —
+//! and no token needs a second round trip. Per shard
 //! the coordinator tries the primary, then its twin, each with the
 //! pool's bounded retry; when every candidate is down the request
 //! fails with a structured outage the server layer maps to 503.
@@ -28,15 +29,15 @@ use crate::pool::{CallError, PoolConfig, ReplicaPool};
 use crate::proto;
 use fgc_core::{
     CitationEngine, CiteData, CiteDataPlane, CiteFragment, CiteRequest, CiteToken, CoreError,
-    ExtentGroups, Result as CoreResult,
+    Result as CoreResult,
 };
-use fgc_query::{Binding, ConjunctiveQuery, RoutePlan, ShardRouter, ShardSet};
-use fgc_relation::sharded::{ShardKeySpec, ShardedDatabase};
+use fgc_query::{merge_answers, merge_groups, Binding, ConjunctiveQuery, ShardRouter, ShardSet};
+use fgc_relation::sharded::{Partition, ShardKeySpec};
 use fgc_relation::{Database, Tuple};
 use fgc_server::wire::{error_body, write_response_body, QueryKind};
 use fgc_server::{decode_cite_body, parse_json};
 use fgc_views::{CitationFunction, CitationView, Json, ViewRegistry};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::time::Instant;
 
@@ -106,7 +107,7 @@ enum ShardCallError {
 #[derive(Debug)]
 pub struct Coordinator {
     engine: CitationEngine,
-    shell: ShardedDatabase,
+    partition: Partition,
     pool: ReplicaPool,
     /// Per shard: pool indices to try, in failover order.
     candidates: Vec<Vec<usize>>,
@@ -116,7 +117,7 @@ pub struct Coordinator {
 impl Coordinator {
     /// Bootstrap against a live replica set: health-check and
     /// validate every configured replica, fetch `/fragment/meta`,
-    /// and rebuild the schema-only engine and routing shell.
+    /// and rebuild the schema-only engine and the partition.
     pub fn connect(config: CoordinatorConfig) -> Result<Coordinator, String> {
         let shards = config.replicas.len();
         if shards == 0 {
@@ -172,10 +173,10 @@ impl Coordinator {
             }
         }
         let meta = meta.ok_or_else(|| "no replica served /fragment/meta".to_string())?;
-        let (engine, shell) = build_from_meta(&meta, shards)?;
+        let (engine, partition) = build_from_meta(&meta, shards)?;
         Ok(Coordinator {
             engine,
-            shell,
+            partition,
             pool,
             candidates,
             shards,
@@ -277,11 +278,10 @@ impl Coordinator {
     /// coordinator's statistics-free plan may pick a different join
     /// order); any fan-out atom forces all shards.
     fn scatter_set(&self, q: &ConjunctiveQuery) -> Vec<usize> {
-        let route: RoutePlan = ShardRouter::new(&self.shell).plan(q);
         let mut one = Vec::new();
-        for set in &route.atoms {
+        for set in ShardRouter::new(&self.partition).plan(q) {
             match set {
-                ShardSet::One(s) => one.push(*s),
+                ShardSet::One(s) => one.push(s),
                 ShardSet::All => return (0..self.shards).collect(),
             }
         }
@@ -309,7 +309,10 @@ impl Coordinator {
         request_id: &str,
         deadline: Option<Instant>,
     ) -> Result<Vec<CiteFragment>, ShardCallError> {
-        let answer_shards = self.scatter_set(q);
+        let answer_shards = self
+            .engine
+            .stage_stats()
+            .time("route", || self.scatter_set(q));
         let shards: Vec<usize> = if extent_queries.is_empty() {
             answer_shards.clone()
         } else {
@@ -461,9 +464,9 @@ fn check_health(body: &str, shard: usize, shards: usize) -> Result<(), String> {
     }
 }
 
-/// Rebuild the schema-only engine and routing shell from a
+/// Rebuild the schema-only engine and the partition from a
 /// `/fragment/meta` body.
-fn build_from_meta(body: &str, shards: usize) -> Result<(CitationEngine, ShardedDatabase), String> {
+fn build_from_meta(body: &str, shards: usize) -> Result<(CitationEngine, Partition), String> {
     let meta = parse_json(body).map_err(|e| format!("unparseable /fragment/meta: {e}"))?;
     match meta.get("shards") {
         Some(Json::Int(n)) if *n as usize == shards => {}
@@ -485,14 +488,11 @@ fn build_from_meta(body: &str, shards: usize) -> Result<(CitationEngine, Sharded
     // Recreate relations in the replica's catalog order so foreign-key
     // targets resolve and downstream iteration order matches.
     let mut db = Database::new();
-    let mut shell = ShardedDatabase::new(shards, spec);
     for r in relations {
         let schema = proto::json_to_schema(r)?;
-        shell
-            .create_relation(schema.clone())
-            .map_err(|e| e.to_string())?;
         db.create_relation(schema).map_err(|e| e.to_string())?;
     }
+    let partition = Partition::new(shards, spec, db.catalog()).map_err(|e| e.to_string())?;
 
     let Some(Json::Array(views)) = meta.get("views") else {
         return Err("/fragment/meta reports no views".into());
@@ -519,7 +519,7 @@ fn build_from_meta(body: &str, shards: usize) -> Result<(CitationEngine, Sharded
             .map_err(|e| e.to_string())?;
     }
     let engine = CitationEngine::new(db, registry).map_err(|e| e.to_string())?;
-    Ok((engine, shell))
+    Ok((engine, partition))
 }
 
 /// The distributed [`CiteDataPlane`]: a citation's data is one
@@ -619,34 +619,6 @@ impl CiteDataPlane for ScatterPlane<'_> {
     fn cache_traffic(&self) -> (u64, u64) {
         (self.hits, self.misses)
     }
-}
-
-/// Gathered answer rows in global `(gid, seq)` order, each tuple once
-/// (its first derivation).
-fn merge_answers(mut rows: Vec<(usize, usize, Tuple)>) -> Vec<Tuple> {
-    rows.sort_by_key(|(gid, seq, _)| (*gid, *seq));
-    let mut seen = HashSet::new();
-    rows.into_iter()
-        .filter_map(|(_, _, t)| seen.insert(t.clone()).then_some(t))
-        .collect()
-}
-
-/// Gathered binding rows in global `(gid, seq)` order, grouped by
-/// tuple in first-derivation order.
-fn merge_groups(mut rows: Vec<(usize, usize, Tuple, Binding)>) -> ExtentGroups {
-    rows.sort_by_key(|row| (row.0, row.1));
-    let mut merged: ExtentGroups = Vec::new();
-    let mut index: HashMap<Tuple, usize> = HashMap::new();
-    for (_, _, t, b) in rows {
-        match index.get(&t) {
-            Some(&i) => merged[i].1.push(b),
-            None => {
-                index.insert(t.clone(), merged.len());
-                merged.push((t, vec![b]));
-            }
-        }
-    }
-    merged
 }
 
 #[cfg(test)]

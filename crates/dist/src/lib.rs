@@ -4,9 +4,9 @@
 //! existing `fgc-server` wire format:
 //!
 //! - **Replica** (`fgcite serve --role replica --shard-id i/n`): loads
-//!   the full database, shards it with the same [`ShardKeySpec`]
-//!   partitioning the in-process sharded store uses, and *owns* shard
-//!   `i`: it adds two rows to the route table of an ordinary
+//!   the full database and *owns* the rows whose [`ShardKeySpec`]
+//!   column hashes to shard `i` (a [`Partition`]; nothing is copied or
+//!   moved): it adds two rows to the route table of an ordinary
 //!   [`fgc_server::CiteServer`] — the `/fragment/meta` bootstrap route
 //!   and `/fragment/cite`, which returns the shard's share of one
 //!   citation (answer rows, extent bindings, and the citations of the
@@ -17,7 +17,7 @@
 //!   view texts from `/fragment/meta`, then serves `POST /cite` /
 //!   `/cite_sql` by finding the rewritings itself and making one
 //!   `/fragment/cite` call per replica — the answer query only to the
-//!   shards its [`RoutePlan`] implicates — over keep-alive
+//!   shards its [`ShardRouter`] route implicates — over keep-alive
 //!   connections, and merging in global `(gid, seq)` tuple order, so
 //!   rendered citations are **byte-identical** to single-process
 //!   output. Its front end ([`DistServer`]) is the same
@@ -32,7 +32,8 @@
 //! naming the shard and the replicas it tried.
 //!
 //! [`ShardKeySpec`]: fgc_relation::ShardKeySpec
-//! [`RoutePlan`]: fgc_query::RoutePlan
+//! [`Partition`]: fgc_relation::Partition
+//! [`ShardRouter`]: fgc_query::ShardRouter
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -2,8 +2,10 @@
 //! [`fgc_server::CiteServer`] adds to its route table.
 //!
 //! A replica is a full citation server (it still answers `/cite`,
-//! `/views`, `/stats`, `/healthz`) whose engine runs over a sharded
-//! store. Two rows expose it to a coordinator: `GET /fragment/meta`
+//! `/views`, `/stats`, `/healthz`) over the whole snapshot whose
+//! engine knows which rows its shard *owns* (a
+//! [`Partition`](fgc_relation::Partition)). Two rows expose it to a
+//! coordinator: `GET /fragment/meta`
 //! bootstraps the coordinator's control plane once, and one
 //! `POST /fragment/cite` per citation returns this shard's answer
 //! rows, its binding rows for every rewriting's extent query, and the
@@ -24,7 +26,8 @@ use std::sync::Arc;
 
 /// The `/fragment/*` route rows for a replica serving `engine` (which
 /// must be sharded — an unsharded engine answers every
-/// `/fragment/cite` with a 400). Both record into the one `/fragment`
+/// `/fragment/cite` with a 400, as does a request naming a shard the
+/// engine does not have). Both record into the one `/fragment`
 /// endpoint.
 pub fn fragment_handler(engine: Arc<CitationEngine>) -> Vec<Route> {
     let row = |method, path, handler: fn(&CitationEngine, &Call<'_>) -> Response| {
@@ -63,11 +66,8 @@ fn serve_meta(engine: &CitationEngine) -> String {
             ])
         })
         .collect();
-    let (shards, key_spec) = match engine.shard_spec() {
-        Some(spec) => (
-            engine.shard_stats().map_or(0, |s| s.store.shards),
-            spec.to_string(),
-        ),
+    let (shards, key_spec) = match engine.partition() {
+        Some(p) => (p.shard_count(), p.spec().to_string()),
         None => (0, String::new()),
     };
     Json::from_pairs([
@@ -96,5 +96,55 @@ fn serve_cite(engine: &CitationEngine, body: &[u8]) -> Response {
             Response::json(200, proto::encode_cite_fragment(&request.extents, fragment))
         }
         Err((phase, e)) => Response::json(400, proto::phase_error_body(phase, &e.to_string())),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use fgc_server::{CiteServer, Client, ServerConfig};
+
+    /// A `/fragment/cite` the engine cannot serve — a shard it does
+    /// not have, or any shard of an unsharded engine — is the
+    /// engine's phase-0 error as a 400, on a replica that keeps
+    /// serving.
+    #[test]
+    fn a_foreign_shard_is_a_phase_0_error() {
+        let paper = || {
+            CitationEngine::new(fgc_gtopdb::paper_instance(), fgc_gtopdb::paper_views()).unwrap()
+        };
+        let sharded = paper()
+            .with_shards(2, fgc_gtopdb::paper_shard_spec())
+            .unwrap();
+        let query = "Q(N) :- Family(F, N, Ty)";
+        let extents = [query.to_string()];
+        let refusals = [
+            (sharded, 2, "shard 2 out of range (store has 2)"),
+            (paper(), 0, "engine is not sharded"),
+        ];
+        for (engine, shard, message) in refusals {
+            let parsed = fgc_query::parse_query(query).unwrap();
+            let (phase, err) = engine
+                .cite_fragment(Some(&parsed), std::slice::from_ref(&parsed), shard)
+                .unwrap_err();
+            assert_eq!(phase, 0);
+            assert!(err.to_string().contains(message), "{err}");
+            let expected = proto::phase_error_body(0, &err.to_string());
+
+            let engine = Arc::new(engine);
+            let config = ServerConfig::default()
+                .with_addr("127.0.0.1:0")
+                .with_threads(1)
+                .with_role("replica")
+                .with_shard(0, 2);
+            let handler = fragment_handler(Arc::clone(&engine));
+            let replica = CiteServer::start_with_handler(engine, config, handler).unwrap();
+            let mut client = Client::connect(replica.addr()).unwrap();
+            let body = proto::encode_cite_request(Some(query), &extents, shard);
+            let response = client.post("/fragment/cite", &body).unwrap();
+            assert_eq!((response.status, response.body), (400, expected));
+            assert_eq!(client.get("/healthz").unwrap().status, 200);
+            replica.shutdown();
+        }
     }
 }

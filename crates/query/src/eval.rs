@@ -1,13 +1,12 @@
-//! Evaluation of conjunctive queries: one evaluator over a [`Source`].
+//! Evaluation of conjunctive queries: one evaluator over one
+//! [`Database`].
 //!
 //! The evaluator is a backtracking index-nested-loop join with a
 //! greedy atom order (most-bound atom first), compiled once into a
-//! [`QueryPlan`]. *What the plan scans* is a value, not a function
-//! name: a [`Source`] is an unsharded [`Database`] or a
-//! [`ShardedDatabase`] under a [`RoutePlan`]. Three collectors fold
-//! the one enumeration of bindings per distinct output tuple, in
-//! first-derivation order — each compiling a plan per call, with a
-//! `_plan_with` form that runs a plan compiled earlier:
+//! [`QueryPlan`]. Three collectors fold the one enumeration of
+//! bindings per distinct output tuple, in first-derivation order —
+//! each compiling a plan per call, with a `_plan_with` form that runs
+//! a plan compiled earlier:
 //!
 //! * [`evaluate`] — distinct output tuples (set semantics);
 //! * [`evaluate_grouped`] — output tuples with *all* their bindings,
@@ -17,13 +16,13 @@
 //!   derivations of the same output add (`+`) — §3.1 of the paper.
 //!   This is the "changes ... in terms of query processing (to
 //!   combine citation annotations)" the paper anticipates in §4.
+//!
+//! A shard replica runs the same enumeration over the same store and
+//! keeps only the lead rows it owns ([`crate::sharded`]).
 
 use crate::ast::ConjunctiveQuery;
 use crate::error::Result;
 use crate::plan::{for_each_frame, Frame, PlanMatchedRows, QueryPlan};
-use crate::sharded::{RoutePlan, ShardRouter, ShardSet};
-use fgc_relation::schema::Catalog;
-use fgc_relation::sharded::ShardedDatabase;
 use fgc_relation::{Database, Tuple, Value};
 use fgc_semiring::CommutativeSemiring;
 use std::collections::hash_map::Entry;
@@ -49,197 +48,27 @@ impl Default for EvalOptions {
     }
 }
 
-/// What one atom scans: the whole relation, or the routed shard
-/// fragments presented in **global insertion order**. Keeping the
-/// global order (and reporting global row ids) is what makes routed
-/// evaluation bit-compatible with the unsharded evaluator: the same
-/// bindings are enumerated in the same sequence, so first-derivation
-/// output order, grouped binding order, and semiring accumulation
-/// order all coincide.
-/// All three variants borrow straight from the store — building a
-/// view is O(shards), not O(tuples), so a routed lookup pays for the
-/// fragment it scans, never for the relation it skipped.
-#[derive(Debug)]
-pub(crate) enum AtomView<'a> {
-    /// An unsharded relation: view position = row position.
-    Whole(&'a fgc_relation::Relation),
-    /// One routed shard fragment: view position = local position
-    /// (per-shard locals are appended in global order, so local order
-    /// *is* the global order restricted to the shard).
-    Fragment {
-        /// The single fragment the router proved sufficient.
-        fragment: &'a fgc_relation::Relation,
-        /// Local position → global row id (ascending).
-        global_ids: &'a [usize],
-    },
-    /// Fan-out over every shard: view position = global rank.
-    Scatter {
-        /// One fragment per shard, indexed by shard id.
-        fragments: Vec<&'a fgc_relation::Relation>,
-        /// Global rank → `(shard, local position)`.
-        placement: &'a [(u32, u32)],
-        /// Per shard: local position → global rank.
-        global_ids: Vec<&'a [usize]>,
-    },
-}
-
-impl AtomView<'_> {
-    /// Number of rows this view actually scans.
-    pub(crate) fn scan_len(&self) -> usize {
-        match self {
-            AtomView::Whole(rel) => rel.len(),
-            AtomView::Fragment { fragment, .. } => fragment.len(),
-            AtomView::Scatter { placement, .. } => placement.len(),
-        }
-    }
-
-    /// The tuple at a view position.
-    pub(crate) fn row(&self, pos: usize) -> &Tuple {
-        match self {
-            AtomView::Whole(rel) => &rel.rows()[pos],
-            AtomView::Fragment { fragment, .. } => &fragment.rows()[pos],
-            AtomView::Scatter {
-                fragments,
-                placement,
-                ..
-            } => {
-                let (shard, local) = placement[pos];
-                &fragments[shard as usize].rows()[local as usize]
-            }
-        }
-    }
-
-    /// The global row id at a view position (what
-    /// [`PlanMatchedRows`] reports).
-    pub(crate) fn global_id(&self, pos: usize) -> usize {
-        match self {
-            AtomView::Whole(_) | AtomView::Scatter { .. } => pos,
-            AtomView::Fragment { global_ids, .. } => global_ids[pos],
-        }
-    }
-}
-
-/// What a plan scans. An unsharded database is the one-fragment case
-/// of the same evaluation: both stores present the same catalog and
-/// the same **global** relation sizes to [`QueryPlan::compile`], so
-/// one plan serves every source, and the collectors below never ask
-/// which store they run over.
-#[derive(Debug, Clone)]
-pub enum Source<'a> {
-    /// An unsharded database: every atom scans its whole relation.
-    Whole(&'a Database),
-    /// A sharded store and the per-atom route that prunes its scans;
-    /// the route must come from the query the plan was compiled from.
-    /// `None` is a store nobody routed yet (what `From` yields): the
-    /// compile-then-run entry points route it from their query, and
-    /// under a pre-compiled plan every atom fans out to all shards —
-    /// routing only ever prunes, so the output is the same.
-    Routed(&'a ShardedDatabase, Option<RoutePlan>),
-}
-
-impl<'a> From<&'a Database> for Source<'a> {
-    fn from(db: &'a Database) -> Self {
-        Source::Whole(db)
-    }
-}
-
-impl<'a> From<&'a ShardedDatabase> for Source<'a> {
-    fn from(db: &'a ShardedDatabase) -> Self {
-        Source::Routed(db, None)
-    }
-}
-
-impl<'a> Source<'a> {
-    /// The catalog queries are checked against.
-    pub(crate) fn catalog(&self) -> &'a Catalog {
-        match self {
-            Source::Whole(db) => db.catalog(),
-            Source::Routed(db, _) => db.catalog(),
-        }
-    }
-
-    /// Global size of a relation (all shards) — the statistic the
-    /// greedy join order is frozen from.
-    pub(crate) fn relation_len(&self, relation: &str) -> Result<usize> {
-        Ok(match self {
-            Source::Whole(db) => db.relation(relation)?.len(),
-            Source::Routed(db, _) => db.placement(relation)?.len(),
-        })
-    }
-
-    /// The view each atom of `plan` scans, in original atom order.
-    pub(crate) fn views(&self, plan: &QueryPlan) -> Result<Vec<AtomView<'a>>> {
-        let relations = plan.atom_relations().iter();
-        match self {
-            Source::Whole(db) => relations
-                .map(|r| Ok(AtomView::Whole(db.relation(r)?)))
-                .collect(),
-            Source::Routed(db, None) => relations
-                .map(|r| routed_view(db, r, ShardSet::All))
-                .collect(),
-            Source::Routed(db, Some(route)) => {
-                // A plan/route pair from different queries would
-                // zip-truncate here and index out of bounds (or scan
-                // wrong fragments) in the executor — fail fast
-                // instead, in release builds too.
-                assert_eq!(
-                    relations.len(),
-                    route.atoms.len(),
-                    "QueryPlan and RoutePlan must come from the same query"
-                );
-                relations
-                    .zip(&route.atoms)
-                    .map(|(r, set)| routed_view(db, r, *set))
-                    .collect()
-            }
-        }
-    }
-}
-
-fn routed_view<'a>(db: &'a ShardedDatabase, relation: &str, set: ShardSet) -> Result<AtomView<'a>> {
-    match set {
-        // a single shard holds the whole relation: the fragment *is*
-        // the relation, in global order already
-        ShardSet::All if db.shard_count() == 1 => {
-            Ok(AtomView::Whole(db.shards()[0].relation(relation)?))
-        }
-        ShardSet::All => Ok(AtomView::Scatter {
-            fragments: db.fragments(relation)?,
-            placement: db.placement(relation)?,
-            global_ids: db
-                .shard_global_ids(relation)?
-                .iter()
-                .map(Vec::as_slice)
-                .collect(),
-        }),
-        ShardSet::One(s) => Ok(AtomView::Fragment {
-            fragment: db.shards()[s].relation(relation)?,
-            global_ids: &db.shard_global_ids(relation)?[s],
-        }),
-    }
-}
-
 /// The one collector under all three entry points: enumerate the
-/// plan's bindings over the source, fold them per distinct head tuple
+/// plan's bindings over `db`, fold them per distinct head tuple
 /// (`first` opens a tuple's accumulator with its first derivation's
 /// item, `more` absorbs each later one, in enumeration order), and
 /// yield the tuples in first-derivation order. The map *owns* each
 /// distinct tuple — nothing is cloned per emission — and the order is
 /// restored from insertion ranks at the end.
 fn fold_by_head<I, X>(
-    source: Source<'_>,
+    db: &Database,
     plan: &QueryPlan,
     options: EvalOptions,
     mut item: impl FnMut(&Frame, &PlanMatchedRows<'_>) -> I,
     first: impl Fn(I) -> X,
     more: impl Fn(&mut X, I),
 ) -> Result<impl Iterator<Item = (Tuple, X)>> {
-    let views = source.views(plan)?;
+    let relations = plan.relations(db)?;
     // Pre-sized by the only statically known bound on distinct outputs,
     // the bindings budget — capped, so a large default budget is not a
     // large upfront allocation.
     let mut acc = HashMap::<Tuple, (usize, X)>::with_capacity(options.max_bindings.min(1024));
-    for_each_frame(plan, &views, options, &mut |frame, matched| {
+    for_each_frame(plan, &relations, options, None, &mut |frame, matched| {
         let rank = acc.len();
         match acc.entry(plan.project_head(frame)) {
             Entry::Occupied(mut e) => more(&mut e.get_mut().1, item(frame, matched)),
@@ -254,84 +83,49 @@ fn fold_by_head<I, X>(
     Ok(out.into_iter().map(|(_, t, x)| (t, x)))
 }
 
-/// The compile half of the compile-then-run entry points: compile `q`
-/// and route a sharded store nobody routed yet (via [`ShardRouter`]).
-fn compiled<'a>(source: Source<'a>, q: &ConjunctiveQuery) -> Result<(Source<'a>, QueryPlan)> {
-    let plan = QueryPlan::compile(q, source.clone())?;
-    let source = match source {
-        Source::Routed(db, None) => Source::Routed(db, Some(ShardRouter::new(db).plan(q))),
-        routed => routed,
-    };
-    Ok((source, plan))
-}
-
-/// Evaluate a query over either store, returning distinct output
-/// tuples (set semantics) in first-derivation order — identical bytes
-/// whether the source is sharded or not. Compiles a [`QueryPlan`] and
-/// executes it; callers evaluating the same query repeatedly should
-/// compile once (or use the engine's plan cache) and call
+/// Evaluate a query, returning distinct output tuples (set semantics)
+/// in first-derivation order. Compiles a [`QueryPlan`] and executes
+/// it; callers evaluating the same query repeatedly should compile
+/// once (or use the engine's plan cache) and call
 /// [`evaluate_plan_with`].
-pub fn evaluate<'a>(source: impl Into<Source<'a>>, q: &ConjunctiveQuery) -> Result<Vec<Tuple>> {
-    let (source, plan) = compiled(source.into(), q)?;
-    evaluate_plan_with(source, &plan, EvalOptions::default())
+pub fn evaluate(db: &Database, q: &ConjunctiveQuery) -> Result<Vec<Tuple>> {
+    evaluate_plan_with(db, &QueryPlan::compile(q, db)?, EvalOptions::default())
 }
 
 /// Execute a pre-compiled plan: the distinct output tuples.
-pub fn evaluate_plan_with<'a>(
-    source: impl Into<Source<'a>>,
+pub fn evaluate_plan_with(
+    db: &Database,
     plan: &QueryPlan,
     options: EvalOptions,
 ) -> Result<Vec<Tuple>> {
-    distinct(source.into(), plan, options)
-}
-
-/// [`evaluate_plan_with`] proper. Like [`grouped`], not generic: the
-/// evaluator is compiled once, in this crate, and a caller's crate
-/// instantiates only the `impl Into<Source>` shim above.
-fn distinct(source: Source<'_>, plan: &QueryPlan, options: EvalOptions) -> Result<Vec<Tuple>> {
-    let tuples = fold_by_head(source, plan, options, |_, _| (), |()| (), |(), ()| ())?;
+    let tuples = fold_by_head(db, plan, options, |_, _| (), |()| (), |(), ()| ())?;
     Ok(tuples.map(|(t, ())| t).collect())
 }
 
 /// Evaluate and group *all* bindings by output tuple — Definition 3.2
 /// needs "the set of all bindings for Q' that yield a tuple t".
-pub fn evaluate_grouped<'a>(
-    source: impl Into<Source<'a>>,
-    q: &ConjunctiveQuery,
-) -> Result<Vec<(Tuple, Vec<Binding>)>> {
-    let (source, plan) = compiled(source.into(), q)?;
-    evaluate_grouped_plan_with(source, &plan, EvalOptions::default())
+pub fn evaluate_grouped(db: &Database, q: &ConjunctiveQuery) -> Result<Vec<(Tuple, Vec<Binding>)>> {
+    evaluate_grouped_plan_with(db, &QueryPlan::compile(q, db)?, EvalOptions::default())
 }
 
 /// [`evaluate_grouped`] over a pre-compiled plan. Frames convert to
 /// name-keyed [`Binding`]s only at emission.
-pub fn evaluate_grouped_plan_with<'a>(
-    source: impl Into<Source<'a>>,
-    plan: &QueryPlan,
-    options: EvalOptions,
-) -> Result<Vec<(Tuple, Vec<Binding>)>> {
-    grouped(source.into(), plan, options)
-}
-
-/// [`evaluate_grouped_plan_with`] proper.
-fn grouped(
-    source: Source<'_>,
+pub fn evaluate_grouped_plan_with(
+    db: &Database,
     plan: &QueryPlan,
     options: EvalOptions,
 ) -> Result<Vec<(Tuple, Vec<Binding>)>> {
     let binding = |frame: &Frame, _: &PlanMatchedRows<'_>| plan.binding(frame);
-    Ok(fold_by_head(source, plan, options, binding, |b| vec![b], Vec::push)?.collect())
+    Ok(fold_by_head(db, plan, options, binding, |b| vec![b], Vec::push)?.collect())
 }
 
 /// Semiring-annotated evaluation (§3.1): `annotate(relation, row)`
 /// supplies the base annotation of each tuple; per binding the atom
 /// annotations are multiplied, per output tuple the binding products
-/// are summed. Output order is first-derivation order. Row ids handed
-/// to `annotate` are **global** insertion ranks and the sums
-/// accumulate in enumeration order, so provenance polynomials come
-/// out byte-identical over a sharded and an unsharded source.
-pub fn evaluate_annotated<'a, S, F>(
-    source: impl Into<Source<'a>>,
+/// are summed. Output order is first-derivation order, and the sums
+/// accumulate in enumeration order.
+pub fn evaluate_annotated<S, F>(
+    db: &Database,
     q: &ConjunctiveQuery,
     annotate: F,
 ) -> Result<Vec<(Tuple, S)>>
@@ -339,13 +133,13 @@ where
     S: CommutativeSemiring,
     F: FnMut(&str, usize) -> S,
 {
-    let (source, plan) = compiled(source.into(), q)?;
-    evaluate_annotated_plan_with(source, &plan, EvalOptions::default(), annotate)
+    let plan = QueryPlan::compile(q, db)?;
+    evaluate_annotated_plan_with(db, &plan, EvalOptions::default(), annotate)
 }
 
 /// [`evaluate_annotated`] over a pre-compiled plan.
-pub fn evaluate_annotated_plan_with<'a, S, F>(
-    source: impl Into<Source<'a>>,
+pub fn evaluate_annotated_plan_with<S, F>(
+    db: &Database,
     plan: &QueryPlan,
     options: EvalOptions,
     mut annotate: F,
@@ -360,7 +154,7 @@ where
             .fold(S::one(), |p, (_, rel, row)| p.times(&annotate(rel, *row)))
     };
     let sum = |s: &mut S, p: S| *s = s.plus(&p);
-    Ok(fold_by_head(source.into(), plan, options, product, |p| p, sum)?.collect())
+    Ok(fold_by_head(db, plan, options, product, |p| p, sum)?.collect())
 }
 
 #[cfg(test)]
@@ -574,8 +368,14 @@ mod tests {
         // three derivations fold into two distinct tuples; the count
         // the executor returns is of derivations
         let plan = QueryPlan::compile(&q, &db).unwrap();
-        let views = Source::from(&db).views(&plan).unwrap();
-        let count = for_each_frame(&plan, &views, EvalOptions::default(), &mut |_, _| Ok(()));
+        let relations = plan.relations(&db).unwrap();
+        let count = for_each_frame(
+            &plan,
+            &relations,
+            EvalOptions::default(),
+            None,
+            &mut |_, _| Ok(()),
+        );
         assert_eq!(count.unwrap(), 3);
     }
 

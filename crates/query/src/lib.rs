@@ -14,13 +14,13 @@
 //! * [`eval`] — the one evaluator: [`evaluate`] (distinct tuples),
 //!   [`evaluate_grouped`] (all bindings per tuple, Def. 3.2) and
 //!   [`evaluate_annotated`] (semiring annotations, §3.1) collect the
-//!   same enumeration of bindings over a [`Source`] — an unsharded
-//!   [`Database`](fgc_relation::Database), or a partitioned
-//!   [`ShardedDatabase`](fgc_relation::sharded::ShardedDatabase)
-//!   under a [`RoutePlan`] — with identical bytes either way;
-//! * [`plan`] — the compiled [`QueryPlan`] every source executes;
-//! * [`sharded`] — shard routing ([`ShardRouter`]) and the per-shard
-//!   fragments of an evaluation a coordinator merges;
+//!   same enumeration of bindings over one
+//!   [`Database`](fgc_relation::Database);
+//! * [`plan`] — the compiled [`QueryPlan`] they execute;
+//! * [`sharded`] — shard routing ([`ShardRouter`]), the per-shard
+//!   lead fragments of an evaluation over the whole store that a
+//!   [`Partition`](fgc_relation::Partition) cuts, and the merges
+//!   ([`merge_answers`], [`merge_groups`]) that restore its order;
 //! * [`containment`] — homomorphism-based containment/equivalence
 //!   (needed by Def. 2.2 rewriting validity and Ex. 3.8 view
 //!   inclusion);
@@ -55,7 +55,7 @@ pub use containment::{equivalent, is_contained_in, normalize, Normalized};
 pub use error::{QueryError, Result};
 pub use eval::{
     evaluate, evaluate_annotated, evaluate_annotated_plan_with, evaluate_grouped,
-    evaluate_grouped_plan_with, evaluate_plan_with, Binding, EvalOptions, Source,
+    evaluate_grouped_plan_with, evaluate_plan_with, Binding, EvalOptions,
 };
 pub use minimize::{is_minimal, minimize};
 pub use parser::{parse_program, parse_query};
@@ -63,7 +63,8 @@ pub use plan::QueryPlan;
 pub use reference::{reference_derivations, Derivation};
 pub use safety::{check_against_catalog, check_safety};
 pub use sharded::{
-    lead_fragment_answers, lead_fragment_bindings, RoutePlan, ShardRouter, ShardSet,
+    lead_fragment_answers, lead_fragment_bindings, merge_answers, merge_groups, ShardRouter,
+    ShardSet,
 };
 pub use sql::parse_sql;
 pub use subst::Substitution;

@@ -25,18 +25,16 @@
 //! from it. `tests/plan_equivalence.rs` diffs all three collectors
 //! against the by-definition oracle in [`crate::reference`].
 //!
-//! A plan compiled against one [`Source`] remains valid for any
-//! source presenting the same catalog and per-relation (global)
-//! sizes — in particular one plan serves the unsharded database and
-//! every routing of a sharded one, because the router prunes *which
-//! fragments* each atom scans while the plan fixes the join order and
-//! slot layout from global sizes.
+//! A plan compiled against one database remains valid for any
+//! database with the same catalog and relation sizes — in particular
+//! one plan serves the whole evaluation and every shard's lead
+//! fragment of it ([`crate::sharded`]), which scan the same store.
 
 use crate::ast::{CompOp, Comparison, ConjunctiveQuery, Term};
 use crate::error::{QueryError, Result};
-use crate::eval::{AtomView, Binding, EvalOptions, Source};
+use crate::eval::{Binding, EvalOptions};
 use crate::safety::{check_against_catalog, check_safety};
-use fgc_relation::{Tuple, Value};
+use fgc_relation::{Database, Relation, Tuple, Value};
 use std::collections::HashMap;
 
 /// A dense variable slot. Queries are small; `u16` keeps the frame
@@ -49,8 +47,8 @@ pub type Frame = [Option<Value>];
 
 /// Row provenance reported by plan execution: `(original atom index,
 /// relation name, row id)`, relation names borrowed from the plan.
-/// For a sharded store the row id is the **global** insertion rank,
-/// equal to the row position the unsharded database would report.
+/// The row id is the row's position in the whole relation — its
+/// global id on every shard replica too.
 pub type PlanMatchedRows<'p> = Vec<(usize, &'p str, usize)>;
 
 /// What one column of an ordered atom step does against a candidate
@@ -122,7 +120,7 @@ impl CompiledComparison {
 
 /// One head position: a bound slot or a constant.
 #[derive(Debug, Clone)]
-enum HeadSource {
+enum HeadTerm {
     Slot(Slot),
     Const(Value),
 }
@@ -153,31 +151,23 @@ pub struct QueryPlan {
     /// applied before enumeration starts.
     seeds: Vec<(Slot, Value)>,
     /// Head projection.
-    head: Vec<HeadSource>,
+    head: Vec<HeadTerm>,
     /// Contradictory equality selections: the result is empty, no
     /// enumeration runs.
     unsatisfiable: bool,
 }
 
 impl QueryPlan {
-    /// Compile `q` against a source: safety check, catalog check,
-    /// then slot assignment and join ordering from the source's
-    /// **global** relation sizes (all shards) — so a sharded store
-    /// yields the very plan the unsharded database would. `Unsafe`
-    /// is reported before catalog errors.
-    pub fn compile<'a>(q: &ConjunctiveQuery, source: impl Into<Source<'a>>) -> Result<QueryPlan> {
-        Self::compile_from(q, &source.into())
-    }
-
-    /// [`Self::compile`] proper — not generic, so it is compiled once,
-    /// here, and a caller's crate instantiates only the shim above.
-    fn compile_from(q: &ConjunctiveQuery, source: &Source<'_>) -> Result<QueryPlan> {
+    /// Compile `q` against a database: safety check, catalog check,
+    /// then slot assignment and join ordering from the relation
+    /// sizes. `Unsafe` is reported before catalog errors.
+    pub fn compile(q: &ConjunctiveQuery, db: &Database) -> Result<QueryPlan> {
         check_safety(q)?;
-        check_against_catalog(q, source.catalog())?;
+        check_against_catalog(q, db.catalog())?;
         let sizes: Vec<usize> = q
             .atoms
             .iter()
-            .map(|a| source.relation_len(&a.relation))
+            .map(|a| Ok(db.relation(&a.relation)?.len()))
             .collect::<Result<_>>()?;
 
         // Slot assignment: all variables (atoms, comparisons, head,
@@ -329,8 +319,8 @@ impl QueryPlan {
             .head
             .iter()
             .map(|t| match t {
-                Term::Const(v) => HeadSource::Const(v.clone()),
-                Term::Var(v) => HeadSource::Slot(slot(v)),
+                Term::Const(v) => HeadTerm::Const(v.clone()),
+                Term::Var(v) => HeadTerm::Slot(slot(v)),
             })
             .collect();
 
@@ -356,10 +346,16 @@ impl QueryPlan {
         self.steps.len()
     }
 
-    /// Relation names in original atom order — what the executor's
-    /// views slice must line up with.
+    /// Relation names in original atom order.
     pub fn atom_relations(&self) -> &[String] {
         &self.atom_relations
+    }
+
+    /// The relation each atom scans in `db`, in original atom order —
+    /// the slice the executor runs over.
+    pub(crate) fn relations<'a>(&self, db: &'a Database) -> Result<Vec<&'a Relation>> {
+        let relation = |name: &String| Ok(db.relation(name)?);
+        self.atom_relations.iter().map(relation).collect()
     }
 
     /// Whether compilation proved the result empty (contradictory
@@ -396,8 +392,8 @@ impl QueryPlan {
         self.head
             .iter()
             .map(|h| match h {
-                HeadSource::Const(v) => v.clone(),
-                HeadSource::Slot(s) => frame[*s as usize].clone().unwrap_or(Value::Null),
+                HeadTerm::Const(v) => v.clone(),
+                HeadTerm::Slot(s) => frame[*s as usize].clone().unwrap_or(Value::Null),
             })
             .collect()
     }
@@ -457,10 +453,9 @@ fn chain_aliases(q: &ConjunctiveQuery, var_names: &[String]) -> Vec<Slot> {
 }
 
 /// Candidate row positions for one step: a borrowed index posting
-/// list, a merged (scatter) list, or a full scan.
-pub(crate) enum Candidates<'a> {
-    Borrowed(&'a [usize]),
-    Owned(Vec<usize>),
+/// list or a full scan.
+enum Candidates<'a> {
+    Probe(&'a [usize]),
     Scan(usize),
 }
 
@@ -469,7 +464,10 @@ pub(crate) enum Candidates<'a> {
 /// across the whole enumeration.
 struct Exec<'p, 'v> {
     plan: &'p QueryPlan,
-    views: &'v [AtomView<'v>],
+    relations: &'v [&'v Relation],
+    /// Keeps a lead (depth-0) row only when it holds; `None` keeps
+    /// every row. A shard replica's ownership test.
+    lead: Option<&'v dyn Fn(&Tuple) -> bool>,
     frame: Vec<Option<Value>>,
     matched: PlanMatchedRows<'p>,
     /// Per-depth scratch: slots bound by the current row of that
@@ -491,7 +489,7 @@ impl<'p, 'v> Exec<'p, 'v> {
         // lists borrowed from the store do not pin `self` immutably
         // across the recursive calls below.
         let plan = self.plan;
-        let views = self.views;
+        let relations = self.relations;
         for c in &plan.checks[depth] {
             if !c.holds(&self.frame) {
                 return Ok(());
@@ -509,35 +507,30 @@ impl<'p, 'v> Exec<'p, 'v> {
         }
 
         let step = &plan.steps[depth];
-        let view = &views[step.atom];
+        let relation = relations[step.atom];
         let candidates = match &step.probe {
             Some((col, source)) => {
                 let value = match source {
                     ValueRef::Const(v) => Some(v.clone()),
                     ValueRef::Slot(s) => self.frame[*s as usize].clone(),
                 };
-                match value.and_then(|v| view.probe_positions(*col, &v)) {
-                    Some(positions) => positions,
-                    None => Candidates::Scan(view.scan_len()),
+                match value.and_then(|v| relation.probe(*col, &v)) {
+                    Some(positions) => Candidates::Probe(positions),
+                    None => Candidates::Scan(relation.len()),
                 }
             }
-            None => Candidates::Scan(view.scan_len()),
+            None => Candidates::Scan(relation.len()),
         };
 
         match candidates {
-            Candidates::Borrowed(positions) => {
+            Candidates::Probe(positions) => {
                 for &pos in positions {
-                    self.try_row(step, view, depth, pos, sink)?;
-                }
-            }
-            Candidates::Owned(positions) => {
-                for pos in positions {
-                    self.try_row(step, view, depth, pos, sink)?;
+                    self.try_row(step, relation, depth, pos, sink)?;
                 }
             }
             Candidates::Scan(len) => {
                 for pos in 0..len {
-                    self.try_row(step, view, depth, pos, sink)?;
+                    self.try_row(step, relation, depth, pos, sink)?;
                 }
             }
         }
@@ -545,39 +538,39 @@ impl<'p, 'v> Exec<'p, 'v> {
     }
 
     /// Match one candidate row against a step: apply the per-column
-    /// ops, recurse on success, roll the frame back either way.
+    /// ops (and at depth 0 the lead test), recurse on success, roll
+    /// the frame back either way.
     fn try_row(
         &mut self,
         step: &'p AtomStep,
-        view: &AtomView<'v>,
+        relation: &Relation,
         depth: usize,
         pos: usize,
         sink: &mut dyn FnMut(&Frame, &PlanMatchedRows<'p>) -> Result<()>,
     ) -> Result<()> {
-        let row = view.row(pos);
+        let row = &relation.rows()[pos];
         let mut newly = std::mem::take(&mut self.scratch[depth]);
-        for (col, op) in step.cols.iter().enumerate() {
-            let ok = match op {
-                ColOp::Const(c) => &row[col] == c,
-                ColOp::Check(s) => self.frame[*s as usize].as_ref() == Some(&row[col]),
-                ColOp::Bind(s) => {
-                    self.frame[*s as usize] = Some(row[col].clone());
-                    newly.push(*s);
-                    true
-                }
-            };
-            if !ok {
-                for s in newly.drain(..) {
-                    self.frame[s as usize] = None;
-                }
-                self.scratch[depth] = newly;
-                return Ok(());
+        let frame = &mut self.frame;
+        let matches = step.cols.iter().enumerate().all(|(col, op)| match op {
+            ColOp::Const(c) => &row[col] == c,
+            ColOp::Check(s) => frame[*s as usize].as_ref() == Some(&row[col]),
+            ColOp::Bind(s) => {
+                frame[*s as usize] = Some(row[col].clone());
+                newly.push(*s);
+                true
             }
-        }
-        self.matched
-            .push((step.atom, step.relation.as_str(), view.global_id(pos)));
-        let r = self.walk(depth + 1, sink);
-        self.matched.pop();
+        });
+        // the lead test runs only on a row that matched, so a replica
+        // hashes just the lead rows the query selects
+        let keep = matches && (depth > 0 || self.lead.is_none_or(|keep| keep(row)));
+        let r = if keep {
+            self.matched.push((step.atom, step.relation.as_str(), pos));
+            let r = self.walk(depth + 1, sink);
+            self.matched.pop();
+            r
+        } else {
+            Ok(())
+        };
         for s in newly.drain(..) {
             self.frame[s as usize] = None;
         }
@@ -586,13 +579,15 @@ impl<'p, 'v> Exec<'p, 'v> {
     }
 }
 
-/// Execute a plan over pre-built views (original atom order),
-/// calling `sink` once per complete binding frame. Returns the
-/// number of bindings enumerated.
+/// Execute a plan over the relations its atoms scan (original atom
+/// order, see [`QueryPlan::relations`]), calling `sink` once per
+/// complete binding frame; `lead`, when given, drops every lead-atom
+/// row it rejects. Returns the number of bindings enumerated.
 pub(crate) fn for_each_frame<'p>(
     plan: &'p QueryPlan,
-    views: &[AtomView<'_>],
+    relations: &[&Relation],
     options: EvalOptions,
+    lead: Option<&dyn Fn(&Tuple) -> bool>,
     sink: &mut dyn FnMut(&Frame, &PlanMatchedRows<'p>) -> Result<()>,
 ) -> Result<usize> {
     if plan.unsatisfiable {
@@ -600,7 +595,8 @@ pub(crate) fn for_each_frame<'p>(
     }
     let mut exec = Exec {
         plan,
-        views,
+        relations,
+        lead,
         frame: vec![None; plan.var_names.len()],
         matched: Vec::with_capacity(plan.steps.len()),
         scratch: vec![Vec::new(); plan.steps.len()],
@@ -612,35 +608,6 @@ pub(crate) fn for_each_frame<'p>(
     }
     exec.walk(0, sink)?;
     Ok(exec.count)
-}
-
-impl AtomView<'_> {
-    /// Index probe that borrows the posting list when the store
-    /// allows it (single fragment), merging only in the scatter
-    /// case. `None` when any underlying fragment lacks the index.
-    pub(crate) fn probe_positions(&self, column: usize, value: &Value) -> Option<Candidates<'_>> {
-        match self {
-            AtomView::Whole(rel) => rel.probe(column, value).map(Candidates::Borrowed),
-            // fragment-local positions are already ascending in the
-            // global order
-            AtomView::Fragment { fragment, .. } => {
-                fragment.probe(column, value).map(Candidates::Borrowed)
-            }
-            AtomView::Scatter {
-                fragments,
-                global_ids,
-                ..
-            } => {
-                let mut merged = Vec::new();
-                for (shard, fragment) in fragments.iter().enumerate() {
-                    let locals = fragment.probe(column, value)?;
-                    merged.extend(locals.iter().map(|&l| global_ids[shard][l]));
-                }
-                merged.sort_unstable();
-                Some(Candidates::Owned(merged))
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -733,12 +700,18 @@ mod tests {
         let db = sample_db();
         let q = parse_query("Q(N) :- Family(F, N, Ty), Ty = \"gpcr\"").unwrap();
         let plan = QueryPlan::compile(&q, &db).unwrap();
-        let views = Source::from(&db).views(&plan).unwrap();
+        let relations = plan.relations(&db).unwrap();
         let mut bindings: Vec<Binding> = Vec::new();
-        for_each_frame(&plan, &views, EvalOptions::default(), &mut |frame, _| {
-            bindings.push(plan.binding(frame));
-            Ok(())
-        })
+        for_each_frame(
+            &plan,
+            &relations,
+            EvalOptions::default(),
+            None,
+            &mut |frame, _| {
+                bindings.push(plan.binding(frame));
+                Ok(())
+            },
+        )
         .unwrap();
         assert_eq!(bindings.len(), 2);
         for b in &bindings {

@@ -1,31 +1,32 @@
-//! Routed evaluation over a [`ShardedDatabase`].
+//! Shard ownership over one store: routing, lead fragments, merges.
 //!
-//! The [`ShardRouter`] statically plans which shards each atom of a
-//! [`ConjunctiveQuery`] must touch: an equality selection on the
-//! relation's shard-key column — a constant in the atom itself, or a
-//! `Var = Const` comparison — proves every matching tuple lives on
-//! one shard (`hash(const) % N`), so that atom scans a single
-//! fragment; anything else fans out to all shards.
+//! A shard replica holds the whole snapshot and answers for the rows
+//! a [`Partition`] says it owns. The [`ShardRouter`] statically plans
+//! which shards each atom of a [`ConjunctiveQuery`] can touch: an
+//! equality selection on the relation's shard-key column — a
+//! constant in the atom itself, or a `Var = Const` comparison —
+//! proves every matching tuple is owned by one shard
+//! (`hash(const) % N`); anything else fans out to all shards. A
+//! coordinator uses the route to call only the shards an answer
+//! query implicates.
 //!
-//! A [`RoutePlan`] is one half of a routed [`Source`]: evaluation is
-//! the standard backtracking join, through the same [`crate::evaluate`]
-//! family a plain database uses, over per-shard fragments presented
-//! in **global insertion order** (see [`crate::eval`]'s `AtomView`).
-//! Derivations whose rows live on different shards merge exactly where
-//! the unsharded source merges them — set-semantics union, and the
-//! semiring `+` over bindings of Definition 3.2, accumulated in the
-//! identical sequence — which keeps citations **byte-for-byte** equal
-//! to the unsharded engine (not merely set-equal).
-//!
-//! [`lead_fragment_answers`] and [`lead_fragment_bindings`] cut that
-//! one enumeration into per-shard pieces a coordinator can merge.
+//! [`lead_fragment_answers`] and [`lead_fragment_bindings`] cut the
+//! one enumeration [`crate::evaluate_plan_with`] makes into per-shard
+//! pieces: a replica runs the plan over the whole database and keeps
+//! a derivation only when its lead row (the first atom of the join
+//! order) is one its shard owns. Every derivation has exactly one
+//! lead row, so the pieces partition the enumeration, and tagging
+//! each with `(gid, seq)` — the lead row's position in the whole
+//! relation, the emission index under it — lets [`merge_answers`]
+//! and [`merge_groups`] restore the single-process order byte for
+//! byte.
 
 use crate::ast::{CompOp, ConjunctiveQuery, Term};
 use crate::error::Result;
-use crate::eval::{Binding, EvalOptions, Source};
+use crate::eval::{Binding, EvalOptions};
 use crate::plan::{for_each_frame, Frame, QueryPlan};
-use fgc_relation::sharded::{shard_of_value, ShardedDatabase};
-use fgc_relation::{Tuple, Value};
+use fgc_relation::sharded::{shard_of_value, Partition};
+use fgc_relation::{Database, Tuple, Value};
 use std::collections::{HashMap, HashSet};
 
 /// The shards one atom's scan must touch.
@@ -33,74 +34,33 @@ use std::collections::{HashMap, HashSet};
 pub enum ShardSet {
     /// Routing proved the atom confined to a single shard.
     One(usize),
-    /// No usable selection on the shard key: scan every shard.
+    /// No usable selection on the shard key: every shard.
     All,
 }
 
-/// A per-atom routing plan for one query.
-#[derive(Debug, Clone)]
-pub struct RoutePlan {
-    /// Number of shards in the store the plan was made for.
-    pub shards: usize,
-    /// One entry per query atom, in atom order.
-    pub atoms: Vec<ShardSet>,
-}
-
-impl RoutePlan {
-    /// Atoms routed to exactly one shard.
-    pub fn pruned_atoms(&self) -> usize {
-        self.atoms
-            .iter()
-            .filter(|s| matches!(s, ShardSet::One(_)))
-            .count()
-    }
-
-    /// Atoms that fan out to every shard.
-    pub fn fanout_atoms(&self) -> usize {
-        self.atoms.len() - self.pruned_atoms()
-    }
-
-    /// Whether every atom was pruned to a single shard.
-    pub fn fully_routed(&self) -> bool {
-        !self.atoms.is_empty() && self.fanout_atoms() == 0
-    }
-
-    /// Total fragments scanned under this plan (the unsharded
-    /// equivalent would scan `atoms.len()` whole relations).
-    pub fn fragments_scanned(&self) -> usize {
-        self.atoms
-            .iter()
-            .map(|s| match s {
-                ShardSet::One(_) => 1,
-                ShardSet::All => self.shards,
-            })
-            .sum()
-    }
-}
-
-/// Plans shard routing for conjunctive queries against one store.
+/// Plans shard routing for conjunctive queries under one partition.
 #[derive(Debug, Clone, Copy)]
 pub struct ShardRouter<'a> {
-    db: &'a ShardedDatabase,
+    partition: &'a Partition,
 }
 
 impl<'a> ShardRouter<'a> {
-    /// A router over a sharded store.
-    pub fn new(db: &'a ShardedDatabase) -> Self {
-        ShardRouter { db }
+    /// A router over a partition.
+    pub fn new(partition: &'a Partition) -> Self {
+        ShardRouter { partition }
     }
 
-    /// Statically plan the shards each atom must touch. Only
+    /// Statically plan the shards each atom must touch, one entry per
+    /// query atom in atom order. Only
     /// selections that hold *before* enumeration starts are used
     /// (constants in atom positions and `Var = Const` comparisons);
     /// bindings produced mid-join are deliberately ignored so the
-    /// plan — like the unsharded planner's statistics — is a pure
-    /// function of the query.
-    pub fn plan(&self, q: &ConjunctiveQuery) -> RoutePlan {
-        let shards = self.db.shard_count();
+    /// plan is a pure function of the query.
+    pub fn plan(&self, q: &ConjunctiveQuery) -> Vec<ShardSet> {
+        let shards = self.partition.shard_count();
         // Seed constants exactly like the evaluator does. On a
         // contradictory second constant the first seed stays: the
-        // evaluation is empty either way, and any single-shard scan
+        // evaluation is empty either way, and any single-shard route
         // of an empty result is sound.
         let mut consts: HashMap<String, Value> = HashMap::new();
         for c in &q.comparisons {
@@ -111,11 +71,10 @@ impl<'a> ShardRouter<'a> {
                 }
             }
         }
-        let atoms = q
-            .atoms
+        q.atoms
             .iter()
             .map(|atom| {
-                let Some(col) = self.db.shard_key_column(&atom.relation) else {
+                let Some(col) = self.partition.shard_key_column(&atom.relation) else {
                     return ShardSet::All;
                 };
                 match atom.terms.get(col) {
@@ -127,106 +86,149 @@ impl<'a> ShardRouter<'a> {
                     None => ShardSet::All, // arity mismatch: caught by the catalog check
                 }
             })
-            .collect();
-        RoutePlan { shards, atoms }
+            .collect()
     }
 }
 
-/// Walk this shard's piece of the global enumeration: the route is
-/// restricted so only `shard`'s fragment of the join-order lead atom
-/// is scanned, and `sink` receives each derivation as `(gid, seq,
-/// frame)` — `gid` the lead atom's global row id, `seq` the emission
-/// index under that lead row. Every derivation's lead row lives on
-/// exactly one shard, so the pieces of all shards partition the
-/// global enumeration and `(gid, seq)` restores its order; non-lead
-/// atoms keep their original routing (a pure function of the query,
-/// hence identical on every replica).
+/// Walk this shard's piece of the global enumeration over the whole
+/// database: a derivation is kept only when `shard` owns its lead row,
+/// and `sink` receives it as `(gid, seq, frame)` — `gid` the lead
+/// row's position in its relation, `seq` the emission index under
+/// that lead row.
 fn for_each_lead_frame(
-    db: &ShardedDatabase,
+    db: &Database,
+    partition: &Partition,
     plan: &QueryPlan,
-    route: &RoutePlan,
     shard: usize,
     options: EvalOptions,
     sink: &mut dyn FnMut(usize, usize, &Frame),
 ) -> Result<()> {
-    let mut lead = route.clone();
-    match plan.join_order().first() {
-        Some(&first) => lead.atoms[first] = ShardSet::One(shard),
-        // Zero-atom plans have no lead row to partition on: shard 0
-        // serves the (at most one) constant answer, the rest stay
-        // empty.
-        None if shard != 0 => return Ok(()),
-        None => {}
+    let lead = plan
+        .join_order()
+        .first()
+        .map(|&atom| &plan.atom_relations()[atom]);
+    // Zero-atom plans have no lead row to own: shard 0 serves the (at
+    // most one) constant answer, the rest stay empty.
+    if lead.is_none() && shard != 0 {
+        return Ok(());
     }
-    let views = Source::Routed(db, Some(lead)).views(plan)?;
+    let owns = |row: &Tuple| lead.is_some_and(|relation| partition.owner(relation, row) == shard);
+    let relations = plan.relations(db)?;
     let mut last_gid = None;
     let mut seq = 0usize;
-    for_each_frame(plan, &views, options, &mut |frame, matched| {
-        let gid = matched.first().map(|m| m.2).unwrap_or(0);
-        if last_gid != Some(gid) {
-            last_gid = Some(gid);
-            seq = 0;
-        }
-        sink(gid, seq, frame);
-        seq += 1;
-        Ok(())
-    })?;
+    for_each_frame(
+        plan,
+        &relations,
+        options,
+        Some(&owns),
+        &mut |frame, matched| {
+            let gid = matched.first().map_or(0, |m| m.2);
+            if last_gid != Some(gid) {
+                last_gid = Some(gid);
+                seq = 0;
+            }
+            sink(gid, seq, frame);
+            seq += 1;
+            Ok(())
+        },
+    )?;
     Ok(())
 }
-
-/// This shard's fragment of [`crate::evaluate_plan_with`]'s output
-/// over the routed store: `(gid, seq, tuple)` rows (see
-/// `for_each_lead_frame`). Concatenating all shards' fragments,
-/// sorting by `(gid, seq)` and deduplicating keep-first reproduces
-/// the global evaluation byte-for-byte (the per-shard keep-first
-/// dedup here is sound because every lead row — and with it a tuple's
-/// globally first derivation — lives on exactly one shard).
+/// This shard's fragment of [`crate::evaluate_plan_with`]'s output:
+/// `(gid, seq, tuple)` rows, each tuple once (its first derivation on
+/// this shard). [`merge_answers`] over every shard's fragment
+/// reproduces the global evaluation byte for byte: a tuple's globally
+/// first derivation has one lead row, owned by one shard, which keeps
+/// it.
 pub fn lead_fragment_answers(
-    db: &ShardedDatabase,
+    db: &Database,
+    partition: &Partition,
     plan: &QueryPlan,
-    route: &RoutePlan,
     shard: usize,
     options: EvalOptions,
 ) -> Result<Vec<(usize, usize, Tuple)>> {
     let mut rows = Vec::new();
     let mut seen = HashSet::new();
-    for_each_lead_frame(db, plan, route, shard, options, &mut |gid, seq, frame| {
-        let t = plan.project_head(frame);
-        if seen.insert(t.clone()) {
-            rows.push((gid, seq, t));
-        }
-    })?;
+    for_each_lead_frame(
+        db,
+        partition,
+        plan,
+        shard,
+        options,
+        &mut |gid, seq, frame| {
+            let t = plan.project_head(frame);
+            if seen.insert(t.clone()) {
+                rows.push((gid, seq, t));
+            }
+        },
+    )?;
     Ok(rows)
 }
 
 /// This shard's fragment of [`crate::evaluate_grouped_plan_with`]'s
 /// emissions: `(gid, seq, head tuple, binding)` per derivation, no
-/// dedup. Sorting the union of all shards' fragments by `(gid, seq)`
-/// and grouping by head tuple in first-appearance order reproduces
-/// the global grouped evaluation exactly.
+/// dedup. [`merge_groups`] over every shard's fragment reproduces the
+/// global grouped evaluation exactly.
 pub fn lead_fragment_bindings(
-    db: &ShardedDatabase,
+    db: &Database,
+    partition: &Partition,
     plan: &QueryPlan,
-    route: &RoutePlan,
     shard: usize,
     options: EvalOptions,
 ) -> Result<Vec<(usize, usize, Tuple, Binding)>> {
     let mut rows = Vec::new();
-    for_each_lead_frame(db, plan, route, shard, options, &mut |gid, seq, frame| {
-        rows.push((gid, seq, plan.project_head(frame), plan.binding(frame)));
-    })?;
+    for_each_lead_frame(
+        db,
+        partition,
+        plan,
+        shard,
+        options,
+        &mut |gid, seq, frame| {
+            rows.push((gid, seq, plan.project_head(frame), plan.binding(frame)));
+        },
+    )?;
     Ok(rows)
+}
+
+/// Every shard's [`lead_fragment_answers`] rows, concatenated in any
+/// order, back in global `(gid, seq)` order with each tuple once (its
+/// first derivation): [`crate::evaluate_plan_with`]'s output.
+pub fn merge_answers(mut rows: Vec<(usize, usize, Tuple)>) -> Vec<Tuple> {
+    rows.sort_by_key(|(gid, seq, _)| (*gid, *seq));
+    let mut seen = HashSet::new();
+    rows.into_iter()
+        .filter_map(|(_, _, t)| seen.insert(t.clone()).then_some(t))
+        .collect()
+}
+
+/// Every shard's [`lead_fragment_bindings`] rows, concatenated in any
+/// order, back in global `(gid, seq)` order and grouped by tuple in
+/// first-derivation order: [`crate::evaluate_grouped_plan_with`]'s
+/// output.
+pub fn merge_groups(mut rows: Vec<(usize, usize, Tuple, Binding)>) -> Vec<(Tuple, Vec<Binding>)> {
+    rows.sort_by_key(|row| (row.0, row.1));
+    let mut merged: Vec<(Tuple, Vec<Binding>)> = Vec::new();
+    let mut index: HashMap<Tuple, usize> = HashMap::new();
+    for (_, _, t, b) in rows {
+        match index.get(&t) {
+            Some(&i) => merged[i].1.push(b),
+            None => {
+                index.insert(t.clone(), merged.len());
+                merged.push((t, vec![b]));
+            }
+        }
+    }
+    merged
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::parser::parse_query;
-    use crate::{evaluate, evaluate_annotated, evaluate_grouped, evaluate_plan_with};
+    use crate::{evaluate, evaluate_grouped, evaluate_plan_with};
     use fgc_relation::schema::RelationSchema;
     use fgc_relation::sharded::ShardKeySpec;
-    use fgc_relation::{tuple, DataType, Database};
-    use fgc_semiring::Polynomial;
+    use fgc_relation::{tuple, DataType};
 
     fn plain_db(families: usize) -> Database {
         let mut db = Database::new();
@@ -273,6 +275,10 @@ mod tests {
             .with("FamilyIntro", "FID")
     }
 
+    fn partition(db: &Database, shards: usize) -> Partition {
+        Partition::new(shards, spec(), db.catalog()).unwrap()
+    }
+
     fn queries() -> Vec<ConjunctiveQuery> {
         [
             "Q(N) :- Family(F, N, Ty)",
@@ -283,63 +289,100 @@ mod tests {
             "Q(N, Tx) :- Family(F, N, Ty), FamilyIntro(F, Tx), F = \"f2\"",
             "Q(Ty) :- Family(F, N, Ty)",
             "Q(A, B) :- Family(A, N1, T), Family(B, N2, T), A != B",
+            "Q(X) :- X = \"zero atoms\"",
         ]
         .iter()
         .map(|q| parse_query(q).unwrap())
         .collect()
     }
 
+    /// Every shard's answer fragment, in shard order.
+    fn answer_fragments(
+        db: &Database,
+        partition: &Partition,
+        q: &ConjunctiveQuery,
+    ) -> Vec<Vec<(usize, usize, Tuple)>> {
+        let plan = QueryPlan::compile(q, db).unwrap();
+        (0..partition.shard_count())
+            .map(|s| {
+                lead_fragment_answers(db, partition, &plan, s, EvalOptions::default()).unwrap()
+            })
+            .collect()
+    }
+
+    /// Every shard's binding fragment, in shard order.
+    fn binding_fragments(
+        db: &Database,
+        partition: &Partition,
+        q: &ConjunctiveQuery,
+    ) -> Vec<Vec<(usize, usize, Tuple, Binding)>> {
+        let plan = QueryPlan::compile(q, db).unwrap();
+        (0..partition.shard_count())
+            .map(|s| {
+                lead_fragment_bindings(db, partition, &plan, s, EvalOptions::default()).unwrap()
+            })
+            .collect()
+    }
+
     #[test]
     fn sharded_evaluation_matches_unsharded_exactly() {
+        // a shard's binding fragment is exactly the slice of the whole
+        // enumeration whose lead rows it owns, `(gid, seq)` included
         let db = plain_db(23);
         for shards in [1, 2, 4, 7] {
-            let store = ShardedDatabase::from_database(&db, shards, spec()).unwrap();
+            let partition = partition(&db, shards);
             for q in queries() {
-                let plain = evaluate(&db, &q).unwrap();
-                let routed = evaluate(&store, &q).unwrap();
-                assert_eq!(plain, routed, "shards={shards} q={q}");
+                let plan = QueryPlan::compile(&q, &db).unwrap();
+                let whole = lead_fragment_bindings(
+                    &db,
+                    &partition_of_one(&db),
+                    &plan,
+                    0,
+                    EvalOptions::default(),
+                )
+                .unwrap();
+                let lead = plan
+                    .join_order()
+                    .first()
+                    .map(|&a| q.atoms[a].relation.clone());
+                for (shard, fragment) in binding_fragments(&db, &partition, &q).iter().enumerate() {
+                    let owned: Vec<_> = whole
+                        .iter()
+                        .filter(|(gid, ..)| match &lead {
+                            Some(relation) => {
+                                let row = &db.relation(relation).unwrap().rows()[*gid];
+                                partition.owner(relation, row) == shard
+                            }
+                            None => shard == 0,
+                        })
+                        .cloned()
+                        .collect();
+                    assert_eq!(fragment, &owned, "shards={shards} shard={shard} q={q}");
+                }
             }
         }
+    }
+
+    /// One shard owning every row: its fragment is the whole
+    /// enumeration.
+    fn partition_of_one(db: &Database) -> Partition {
+        Partition::new(1, ShardKeySpec::new(), db.catalog()).unwrap()
     }
 
     #[test]
     fn sharded_grouped_matches_unsharded_exactly() {
         let db = plain_db(17);
         for shards in [2, 5] {
-            let store = ShardedDatabase::from_database(&db, shards, spec()).unwrap();
+            let partition = partition(&db, shards);
             for q in queries() {
-                let plain = evaluate_grouped(&db, &q).unwrap();
-                let routed = evaluate_grouped(&store, &q).unwrap();
-                assert_eq!(plain, routed, "shards={shards} q={q}");
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_annotated_polynomials_are_byte_identical() {
-        let db = plain_db(17);
-        for shards in [1, 2, 4, 7] {
-            let store = ShardedDatabase::from_database(&db, shards, spec()).unwrap();
-            for q in queries() {
-                let plain: Vec<(Tuple, Polynomial<String>)> =
-                    evaluate_annotated(&db, &q, |rel, row| {
-                        Polynomial::token(format!("{rel}:{row}"))
-                    })
-                    .unwrap();
-                let routed: Vec<(Tuple, Polynomial<String>)> =
-                    evaluate_annotated(&store, &q, |rel, row| {
-                        Polynomial::token(format!("{rel}:{row}"))
-                    })
-                    .unwrap();
-                assert_eq!(plain.len(), routed.len(), "shards={shards} q={q}");
-                for ((t1, p1), (t2, p2)) in plain.iter().zip(&routed) {
-                    assert_eq!(t1, t2, "shards={shards} q={q}");
-                    assert_eq!(
-                        format!("{p1:?}"),
-                        format!("{p2:?}"),
-                        "shards={shards} q={q}"
-                    );
-                }
+                let rows = binding_fragments(&db, &partition, &q).concat();
+                let grouped = evaluate_grouped(&db, &q).unwrap();
+                assert_eq!(
+                    rows.len(),
+                    grouped.iter().map(|(_, b)| b.len()).sum::<usize>(),
+                    "every derivation on exactly one shard: shards={shards} q={q}"
+                );
+                assert_eq!(merge_groups(rows), grouped, "shards={shards} q={q}");
             }
         }
     }
@@ -347,64 +390,66 @@ mod tests {
     #[test]
     fn router_prunes_constant_selections_on_the_shard_key() {
         let db = plain_db(12);
-        let store = ShardedDatabase::from_database(&db, 4, spec()).unwrap();
-        let router = ShardRouter::new(&store);
+        let partition = partition(&db, 4);
+        let router = ShardRouter::new(&partition);
+        let f3 = ShardSet::One(shard_of_value(&Value::str("f3"), 4));
 
         // constant in the atom's shard-key position
-        let plan = router.plan(&parse_query("Q(N) :- Family(\"f3\", N, Ty)").unwrap());
-        assert_eq!(plan.pruned_atoms(), 1);
-        assert_eq!(plan.fragments_scanned(), 1);
-        assert!(plan.fully_routed());
+        let route = router.plan(&parse_query("Q(N) :- Family(\"f3\", N, Ty)").unwrap());
+        assert_eq!(route, vec![f3]);
 
         // equality comparison binding the shard-key variable
-        let plan = router.plan(&parse_query("Q(N) :- Family(F, N, Ty), F = \"f3\"").unwrap());
-        assert_eq!(
-            plan.atoms,
-            vec![ShardSet::One(shard_of_value(&Value::str("f3"), 4))]
-        );
+        let route = router.plan(&parse_query("Q(N) :- Family(F, N, Ty), F = \"f3\"").unwrap());
+        assert_eq!(route, vec![f3]);
 
         // selection on a non-key column cannot prune
-        let plan = router.plan(&parse_query("Q(N) :- Family(F, N, Ty), Ty = \"gpcr\"").unwrap());
-        assert_eq!(plan.atoms, vec![ShardSet::All]);
-        assert_eq!(plan.fragments_scanned(), 4);
+        let route = router.plan(&parse_query("Q(N) :- Family(F, N, Ty), Ty = \"gpcr\"").unwrap());
+        assert_eq!(route, vec![ShardSet::All]);
 
         // joins route per atom: the keyed selection prunes its atom,
         // the join partner fans out
-        let plan = router.plan(
+        let route = router.plan(
             &parse_query("Q(N, Tx) :- Family(F, N, Ty), FamilyIntro(G, Tx), F = \"f3\"").unwrap(),
         );
-        assert_eq!(plan.pruned_atoms(), 1);
-        assert_eq!(plan.fanout_atoms(), 1);
-        assert_eq!(plan.fragments_scanned(), 5);
+        assert_eq!(route, vec![f3, ShardSet::All]);
     }
 
     #[test]
     fn whole_tuple_fallback_never_prunes() {
         let db = plain_db(12);
-        let store = ShardedDatabase::from_database(&db, 4, ShardKeySpec::new()).unwrap();
-        let router = ShardRouter::new(&store);
-        let plan = router.plan(&parse_query("Q(N) :- Family(\"f3\", N, Ty)").unwrap());
-        assert_eq!(plan.atoms, vec![ShardSet::All]);
-        // ... but evaluation is still exact
+        let partition = Partition::new(4, ShardKeySpec::new(), db.catalog()).unwrap();
         let q = parse_query("Q(N) :- Family(\"f3\", N, Ty)").unwrap();
-        assert_eq!(evaluate(&db, &q).unwrap(), evaluate(&store, &q).unwrap());
+        assert_eq!(ShardRouter::new(&partition).plan(&q), vec![ShardSet::All]);
+        // ... but the merged fragments are still exact
+        let rows = answer_fragments(&db, &partition, &q).concat();
+        assert_eq!(evaluate(&db, &q).unwrap(), merge_answers(rows));
     }
 
     #[test]
     fn pruned_scan_sees_only_one_fragment_yet_stays_exact() {
-        // indexes on each shard so the pruned path exercises probes
-        let db = plain_db(40);
-        let mut store = ShardedDatabase::from_database(&db, 4, spec()).unwrap();
-        store.build_index("Family", 0).unwrap();
-        store.build_index("FamilyIntro", 0).unwrap();
+        // indexes so the lead atom is probed, not scanned
+        let mut db = plain_db(40);
+        db.relation_mut("Family").unwrap().build_index(0).unwrap();
+        db.relation_mut("FamilyIntro")
+            .unwrap()
+            .build_index(0)
+            .unwrap();
+        let partition = partition(&db, 4);
         for fid in ["f0", "f7", "f13", "f39"] {
             let q = parse_query(&format!(
                 "Q(N, Tx) :- Family(F, N, Ty), FamilyIntro(F, Tx), F = \"{fid}\""
             ))
             .unwrap();
+            let ShardSet::One(owner) = ShardRouter::new(&partition).plan(&q)[0] else {
+                panic!("a keyed selection routes to one shard");
+            };
+            let fragments = answer_fragments(&db, &partition, &q);
+            for (shard, fragment) in fragments.iter().enumerate() {
+                assert!(shard == owner || fragment.is_empty(), "{fid} shard={shard}");
+            }
             assert_eq!(
                 evaluate(&db, &q).unwrap(),
-                evaluate(&store, &q).unwrap(),
+                merge_answers(fragments.concat()),
                 "{fid}"
             );
         }
@@ -414,26 +459,16 @@ mod tests {
     fn merged_answer_fragments_reproduce_global_evaluation() {
         let db = plain_db(23);
         for shards in [1, 2, 4, 7] {
-            let store = ShardedDatabase::from_database(&db, shards, spec()).unwrap();
+            let partition = partition(&db, shards);
             for q in queries() {
-                let plan = QueryPlan::compile(&q, &store).unwrap();
-                let route = ShardRouter::new(&store).plan(&q);
-                let mut frags = Vec::new();
-                for s in 0..shards {
-                    frags.extend(
-                        lead_fragment_answers(&store, &plan, &route, s, EvalOptions::default())
-                            .unwrap(),
-                    );
-                }
-                frags.sort_by_key(|(gid, seq, _)| (*gid, *seq));
-                let mut merged = Vec::new();
-                let mut seen = HashSet::new();
-                for (_, _, t) in frags {
-                    if seen.insert(t.clone()) {
-                        merged.push(t);
-                    }
-                }
-                assert_eq!(evaluate(&db, &q).unwrap(), merged, "shards={shards} q={q}");
+                let mut rows = answer_fragments(&db, &partition, &q);
+                // the merge owes nothing to the order fragments arrive in
+                rows.reverse();
+                assert_eq!(
+                    evaluate(&db, &q).unwrap(),
+                    merge_answers(rows.concat()),
+                    "shards={shards} q={q}"
+                );
             }
         }
     }
@@ -442,28 +477,13 @@ mod tests {
     fn merged_binding_fragments_reproduce_grouped_evaluation() {
         let db = plain_db(17);
         for shards in [1, 2, 5] {
-            let store = ShardedDatabase::from_database(&db, shards, spec()).unwrap();
+            let partition = partition(&db, shards);
             for q in queries() {
-                let plan = QueryPlan::compile(&q, &store).unwrap();
-                let route = ShardRouter::new(&store).plan(&q);
-                let mut frags = Vec::new();
-                for s in 0..shards {
-                    frags.extend(
-                        lead_fragment_bindings(&store, &plan, &route, s, EvalOptions::default())
-                            .unwrap(),
-                    );
-                }
-                frags.sort_by_key(|frag| (frag.0, frag.1));
-                let mut merged: Vec<(Tuple, Vec<Binding>)> = Vec::new();
-                for (_, _, t, b) in frags {
-                    match merged.iter_mut().find(|(mt, _)| *mt == t) {
-                        Some((_, bs)) => bs.push(b),
-                        None => merged.push((t, vec![b])),
-                    }
-                }
+                let mut rows = binding_fragments(&db, &partition, &q);
+                rows.reverse();
                 assert_eq!(
                     evaluate_grouped(&db, &q).unwrap(),
-                    merged,
+                    merge_groups(rows.concat()),
                     "shards={shards} q={q}"
                 );
             }
@@ -473,21 +493,22 @@ mod tests {
     #[test]
     fn errors_match_the_unsharded_evaluator() {
         let db = plain_db(5);
-        let store = ShardedDatabase::from_database(&db, 3, spec()).unwrap();
-        let unsafe_q = parse_query("Q(X) :- Family(F, N, Ty)").unwrap();
-        assert!(matches!(
-            evaluate(&store, &unsafe_q).unwrap_err(),
-            crate::QueryError::Unsafe { .. }
-        ));
-        let unknown = parse_query("Q(X) :- Nope(X)").unwrap();
-        assert!(evaluate(&store, &unknown).is_err());
+        let partition = partition(&db, 3);
         let q = parse_query("Q(A, B) :- Family(A, X, Y), Family(B, Z, W)").unwrap();
-        let plan = QueryPlan::compile(&q, &store).unwrap();
-        let routed = Source::Routed(&store, Some(ShardRouter::new(&store).plan(&q)));
-        let err = evaluate_plan_with(routed, &plan, EvalOptions { max_bindings: 4 }).unwrap_err();
+        let plan = QueryPlan::compile(&q, &db).unwrap();
+        let options = EvalOptions { max_bindings: 4 };
+        let whole = evaluate_plan_with(&db, &plan, options).unwrap_err();
         assert!(matches!(
-            err,
+            whole,
             crate::QueryError::BudgetExceeded { limit: 4, .. }
         ));
+        // 5 × 5 derivations over 3 shards: some shard owns more than 4
+        let errors: Vec<_> = (0..3)
+            .filter_map(|s| lead_fragment_answers(&db, &partition, &plan, s, options).err())
+            .collect();
+        assert!(!errors.is_empty());
+        for e in errors {
+            assert_eq!(e.to_string(), whole.to_string());
+        }
     }
 }

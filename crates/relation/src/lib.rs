@@ -9,9 +9,9 @@
 //! ([`schema`], [`relation`], [`database`]), a plain-text loader
 //! ([`loader`]), and — for the paper's *fixity* discussion (§4) —
 //! an append-only version chain of immutable snapshots ([`version`]).
-//! For serving beyond one node's memory budget, [`sharded`] partitions
-//! every relation across hash-routed shards while preserving the
-//! global tuple order routed evaluation depends on. [`clock`] is the
+//! For scatter/gather serving, [`sharded`] assigns every row to the
+//! shard that *owns* it (a [`Partition`]: a shard count plus a
+//! shard-key spec) without copying the store. [`clock`] is the
 //! bounded second-chance ring every cache in the workspace is built on.
 //!
 //! ```
@@ -49,7 +49,7 @@ pub mod prelude {
     pub use crate::error::{RelationError, Result as RelationResult};
     pub use crate::relation::Relation;
     pub use crate::schema::{Attribute, Catalog, ForeignKey, RelationSchema};
-    pub use crate::sharded::{ShardKeySpec, ShardStats, ShardedDatabase};
+    pub use crate::sharded::{Partition, ShardKeySpec, ShardStats};
     pub use crate::storage::{Storage, StorageKind, StorageOptions, StorageStats};
     pub use crate::tuple;
     pub use crate::tuple::Tuple;
@@ -63,7 +63,7 @@ pub use delta::{DatabaseDelta, DeltaOp, RelationDelta};
 pub use error::RelationError;
 pub use relation::Relation;
 pub use schema::{Attribute, Catalog, ForeignKey, RelationSchema};
-pub use sharded::{ShardKeySpec, ShardStats, ShardedDatabase};
+pub use sharded::{Partition, ShardKeySpec, ShardStats};
 pub use storage::{
     DiskStorage, FaultVfs, MemSegment, MemStorage, RealVfs, Storage, StorageHealth, StorageKind,
     StorageOptions, StorageStats, Vfs,

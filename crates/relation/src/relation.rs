@@ -103,10 +103,8 @@ impl Relation {
         self.segment.rows().iter()
     }
 
-    /// Check arity and column types of a candidate tuple (also used
-    /// by the sharded store, which must report shape errors before
-    /// its global key guard fires).
-    pub(crate) fn check_shape(&self, tuple: &Tuple) -> Result<()> {
+    /// Check arity and column types of a candidate tuple.
+    fn check_shape(&self, tuple: &Tuple) -> Result<()> {
         if tuple.arity() != self.schema.arity() {
             return Err(RelationError::ArityMismatch {
                 relation: self.schema.name.clone(),
@@ -190,8 +188,7 @@ impl Relation {
     }
 
     /// Columns with a secondary hash index, in ascending order. Used
-    /// to mirror index choices onto shard fragments and to persist
-    /// index state in segment files.
+    /// to persist index state in segment files.
     pub fn indexed_columns(&self) -> Vec<usize> {
         self.segment.indexed_columns()
     }

@@ -410,7 +410,7 @@ type PageKey = (u64, u64);
 
 /// Where one persisted version's data lives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum VersionSource {
+enum VersionLocation {
     /// Full snapshot in `segments/v<id>.seg`.
     Segment,
     /// WAL record: byte offset of the record header and payload size.
@@ -420,7 +420,7 @@ enum VersionSource {
 #[derive(Debug, Clone)]
 struct ManifestEntry {
     info: VersionInfo,
-    source: VersionSource,
+    source: VersionLocation,
 }
 
 #[derive(Debug)]
@@ -506,11 +506,11 @@ impl DiskStorage {
         let wal_len = entries
             .iter()
             .filter_map(|e| match e.source {
-                VersionSource::Delta {
+                VersionLocation::Delta {
                     offset,
                     payload_len,
                 } => Some(offset + wal_record_len(payload_len)),
-                VersionSource::Segment => None,
+                VersionLocation::Segment => None,
             })
             .max()
             .unwrap_or(0);
@@ -695,12 +695,12 @@ impl DiskStorage {
         let mut history = VersionedDatabase::new();
         for entry in entries {
             match entry.source {
-                VersionSource::Segment => {
+                VersionLocation::Segment => {
                     let bytes = self.read_segment_bytes(entry.info.id)?;
                     let db = decode_segment(&bytes)?;
                     history.restore(entry.info.clone(), Arc::new(db), None)?;
                 }
-                VersionSource::Delta {
+                VersionLocation::Delta {
                     offset,
                     payload_len,
                 } => {
@@ -732,10 +732,10 @@ impl DiskStorage {
         } = &mut *inner;
         let mut folded = false;
         for entry in entries.iter_mut() {
-            if matches!(entry.source, VersionSource::Delta { .. }) {
+            if matches!(entry.source, VersionLocation::Delta { .. }) {
                 let (_, db) = mirror.snapshot(entry.info.id)?;
                 self.write_segment(entry.info.id, db)?;
-                entry.source = VersionSource::Segment;
+                entry.source = VersionLocation::Segment;
                 folded = true;
             }
         }
@@ -831,14 +831,14 @@ impl DiskStorage {
                     wal_dirty = true;
                     let offset = wal_len;
                     wal_len += record.len() as u64;
-                    VersionSource::Delta {
+                    VersionLocation::Delta {
                         offset,
                         payload_len: payload.len() as u32,
                     }
                 }
                 None => {
                     self.write_segment(id, db)?;
-                    VersionSource::Segment
+                    VersionLocation::Segment
                 }
             };
             new_entries.push(ManifestEntry {
@@ -876,8 +876,8 @@ fn encode_manifest(entries: &[ManifestEntry]) -> Vec<u8> {
     for e in entries {
         put_info(&mut buf, &e.info);
         match e.source {
-            VersionSource::Segment => put_u8(&mut buf, 0),
-            VersionSource::Delta {
+            VersionLocation::Segment => put_u8(&mut buf, 0),
+            VersionLocation::Delta {
                 offset,
                 payload_len,
             } => {
@@ -908,8 +908,8 @@ fn decode_manifest(bytes: &[u8]) -> Result<Vec<ManifestEntry>> {
     for _ in 0..count {
         let info = r.info()?;
         let source = match r.u8()? {
-            0 => VersionSource::Segment,
-            1 => VersionSource::Delta {
+            0 => VersionLocation::Segment,
+            1 => VersionLocation::Delta {
                 offset: r.u64()?,
                 payload_len: r.u32()?,
             },
@@ -948,7 +948,7 @@ impl Storage for DiskStorage {
         let segments = inner
             .entries
             .iter()
-            .filter(|e| matches!(e.source, VersionSource::Segment))
+            .filter(|e| matches!(e.source, VersionLocation::Segment))
             .count();
         let wal_records = inner.entries.len() - segments;
         let mut disk_bytes = 0u64;
@@ -1437,8 +1437,8 @@ mod tests {
         let source = entries
             .iter_mut()
             .find_map(|e| match &mut e.source {
-                VersionSource::Delta { payload_len, .. } => Some(payload_len),
-                VersionSource::Segment => None,
+                VersionLocation::Delta { payload_len, .. } => Some(payload_len),
+                VersionLocation::Segment => None,
             })
             .expect("history has a delta entry");
         *source = u32::MAX - 12;
@@ -1500,14 +1500,14 @@ mod tests {
         let full_manifest = read_manifest(&manifest_path).unwrap();
         let wal_bytes = fs::read(&wal_path).unwrap();
         let last_offset = match full_manifest.last().unwrap().source {
-            VersionSource::Delta {
+            VersionLocation::Delta {
                 offset,
                 payload_len,
             } => {
                 assert_eq!(offset + wal_record_len(payload_len), wal_bytes.len() as u64);
                 offset as usize
             }
-            VersionSource::Segment => panic!("last version should be a WAL delta"),
+            VersionLocation::Segment => panic!("last version should be a WAL delta"),
         };
         let prev_manifest = &full_manifest[..full_manifest.len() - 1];
         // Crash between the WAL append and the manifest rename: the

@@ -358,33 +358,21 @@ fn serve_stats(app: &App, call: &Call<'_>) -> Response {
     let plans = app.engine.plan_stats();
     let mut body = call.stats.to_json();
     if let Some(sharding) = app.engine.shard_stats() {
+        let per_shard = sharding.tuples_per_shard.iter();
         body.set(
             "sharding",
             Json::from_pairs([
-                ("shards", Json::Int(sharding.store.shards as i64)),
+                ("shards", Json::Int(sharding.shards as i64)),
                 (
                     "tuples_per_shard",
-                    Json::Array(
-                        sharding
-                            .store
-                            .tuples_per_shard
-                            .iter()
-                            .map(|&n| Json::Int(n as i64))
-                            .collect(),
-                    ),
+                    Json::Array(per_shard.map(|&n| Json::Int(n as i64)).collect()),
                 ),
-                (
-                    "total_tuples",
-                    Json::Int(sharding.store.total_tuples as i64),
-                ),
-                ("key_spec", Json::str(sharding.store.key_spec.clone())),
+                ("total_tuples", Json::Int(sharding.total_tuples as i64)),
+                ("key_spec", Json::str(sharding.key_spec.clone())),
                 (
                     "imbalance",
-                    Json::Float((sharding.store.imbalance() * 100.0).round() / 100.0),
+                    Json::Float((sharding.imbalance() * 100.0).round() / 100.0),
                 ),
-                ("routed_evals", Json::Int(sharding.routed_evals as i64)),
-                ("atoms_pruned", Json::Int(sharding.atoms_pruned as i64)),
-                ("atoms_fanout", Json::Int(sharding.atoms_fanout as i64)),
             ]),
         );
     }

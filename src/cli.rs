@@ -147,7 +147,7 @@ const ACCEPTED_FLAGS: &[(&str, &str)] = &[
     ("suggest", "data log min-support"),
     (
         "serve",
-        "data views addr threads shards shard-key commits storage data-dir role shard-id \
+        "data views addr threads shard-key commits storage data-dir role shard-id \
          deadline-ms max-deadline-ms header-timeout-ms fault fault-seed \
          replicas twins replica-timeout-ms",
     ),
@@ -167,10 +167,9 @@ usage:
   fgcite suggest --data FILE --log FILE [--min-support N]
   fgcite serve   --data FILE --views FILE [--addr HOST:PORT]
                  [--threads N]
-                 [--shards N [--shard-key Rel=Col,Rel2=Col2]]
                  [--commits FILE]
                  [--storage mem|disk [--data-dir DIR]]
-                 [--role replica --shard-id I/N [--shard-key SPEC]]
+                 [--role replica --shard-id I/N [--shard-key Rel=Col,...]]
                  [--deadline-ms MS] [--max-deadline-ms MS]
                  [--header-timeout-ms MS]
                  [--fault POINT=ACTION[@TRIGGER]] [--fault-seed N]
@@ -202,20 +201,18 @@ serve: HTTP routes POST /cite, POST /cite_sql, GET /views, GET /stats,
        request carries none), and a /cite body with `stages: true`
        adds the per-stage latency breakdown. With --commits
        also POST /cite_at and GET /versions, and GET /stats gains a
-       `fixity` block (derived vs rebuilt engine counters).
-       --shards partitions the store across N hash-routed shards;
-       --shard-key names the partition column per relation (relations
-       omitted fall back to whole-tuple hashing). Shard layout and
-       routing counters appear under `sharding` in GET /stats; the
+       `fixity` block (derived vs rebuilt engine counters). The
        compiled-plan cache's hits/misses/size appear under
        `plan_cache` (and in `cite --explain` output).
 distributed serving (scatter/gather tier):
        `--role replica --shard-id I/N` serves shard I of an N-way
-       partitioning: the replica loads --data, shards it N ways
-       locally (--shard-key as for --shards), and adds the
-       /fragment/meta and /fragment/cite endpoints: a coordinator
-       bootstraps from the first and makes one /fragment/cite call
-       per replica per citation.
+       partitioning: the replica loads the whole --data snapshot and
+       owns the rows whose --shard-key column (per relation,
+       `Rel=Col,Rel2=Col2`; relations omitted hash the whole tuple)
+       hashes to I. It adds the /fragment/meta and /fragment/cite
+       endpoints: a coordinator bootstraps from the first and makes
+       one /fragment/cite call per replica per citation. The shard
+       layout appears under `sharding` in the replica's GET /stats.
        `--role coordinator --replicas a:p,b:p,...` starts the
        stateless front end: replica k must serve shard k/N; no
        --data/--views (the catalog comes from GET /fragment/meta).
@@ -602,28 +599,6 @@ pub fn apply_faults(args: &Args) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Apply the `--shards` / `--shard-key` flags to a freshly built
-/// engine: `--shards N` partitions the base store N ways, routed by
-/// the `--shard-key` column spec (`Rel=Col,Rel2=Col2`).
-pub fn apply_shards(args: &Args, engine: CitationEngine) -> Result<CitationEngine, CliError> {
-    let Some(shards) = args.get("shards") else {
-        if args.get("shard-key").is_some() {
-            return Err(CliError("--shard-key requires --shards".into()));
-        }
-        return Ok(engine);
-    };
-    let shards: usize = shards
-        .parse()
-        .ok()
-        .filter(|&n| n > 0)
-        .ok_or_else(|| CliError("--shards must be a positive number".into()))?;
-    let spec = match args.get("shard-key") {
-        Some(text) => fgc_relation::ShardKeySpec::parse(text)?,
-        None => fgc_relation::ShardKeySpec::new(),
-    };
-    Ok(engine.with_shards(shards, spec)?)
-}
-
 /// Warm per-version engines `fgcite serve --commits` keeps (evicted
 /// CLOCK-wise): without a bound, memory grows with every distinct
 /// version a client cites.
@@ -657,8 +632,10 @@ pub fn run_serve(
             )))
         }
     }
-    if args.get("shard-id").is_some() {
-        return Err(CliError("--shard-id requires --role replica".into()));
+    for flag in ["shard-id", "shard-key"] {
+        if args.get(flag).is_some() {
+            return Err(CliError(format!("--{flag} requires --role replica")));
+        }
     }
     let config = serve_config(args)?;
     let registry = load_registry(views)?;
@@ -667,11 +644,6 @@ pub fn run_serve(
     // persisted multi-version history in the data dir.
     let versioned_persisted = storage.as_ref().is_some_and(|s| s.stats().versions > 1);
     if commits.is_some() || versioned_persisted {
-        if args.get("shards").is_some() || args.get("shard-key").is_some() {
-            return Err(CliError(
-                "--shards is not supported together with a versioned history".into(),
-            ));
-        }
         let versioned = match &storage {
             // Warm manifest: cold start from disk, the loader never
             // runs. A --commits file is still honored — the persisted
@@ -705,7 +677,7 @@ pub fn run_serve(
             .map_err(|e| CliError(format!("cannot start server: {e}")));
     }
     let db = base_snapshot(storage.as_ref(), data)?;
-    let mut engine = apply_shards(args, CitationEngine::new(db, registry)?)?;
+    let mut engine = CitationEngine::new(db, registry)?;
     if let Some(s) = storage {
         engine = engine.with_storage(s);
     }
@@ -731,11 +703,11 @@ fn parse_shard_id(text: &str) -> Result<(usize, usize), CliError> {
 
 /// The `--role replica` arm of `fgcite serve`: one shard of the
 /// distributed tier. The replica loads the full `--data` snapshot and
-/// shards it N ways locally — every replica derives the identical
-/// partitioning, so shard `I` is well-defined cluster-wide without
-/// any data movement. It remains a complete citation server (its own
-/// `/cite` answers from the whole store) and additionally serves
-/// `/fragment/meta` and `/fragment/cite` to a coordinator.
+/// owns the rows whose shard key hashes to `I` — every replica derives
+/// the identical ownership, so shard `I` is well-defined cluster-wide
+/// without any data movement. It remains a complete citation server
+/// (its own `/cite` answers from the whole store) and additionally
+/// serves `/fragment/meta` and `/fragment/cite` to a coordinator.
 fn run_serve_replica(
     args: &Args,
     data: Option<&str>,
@@ -748,14 +720,6 @@ fn run_serve_replica(
         ));
     }
     let (shard, shards) = parse_shard_id(args.require("shard-id")?)?;
-    if let Some(n) = args.get("shards") {
-        if n.parse() != Ok(shards) {
-            return Err(CliError(format!(
-                "--shards {n} conflicts with --shard-id {shard}/{shards} \
-                 (omit --shards or make them agree)"
-            )));
-        }
-    }
     let spec = match args.get("shard-key") {
         Some(text) => fgc_relation::ShardKeySpec::parse(text)?,
         None => fgc_relation::ShardKeySpec::new(),
@@ -763,9 +727,9 @@ fn run_serve_replica(
     let config = serve_config(args)?
         .with_role("replica")
         .with_shard(shard, shards);
-    // Replicas persist (and cold-start) the full snapshot; the N-way
-    // partitioning is re-derived locally either way, so shard I is
-    // identical across restarts and backends.
+    // Replicas persist (and cold-start) the full snapshot; ownership
+    // is a function of the rows, so shard I is identical across
+    // restarts and backends.
     let storage = open_storage(args)?;
     let db = base_snapshot(storage.as_ref(), data)?;
     let mut engine = CitationEngine::new(db, load_registry(views)?)?.with_shards(shards, spec)?;
@@ -1199,15 +1163,6 @@ lambda F. CV1(F, N, Pn) :- Family(F, N, Ty), FC(F, C), Person(C, Pn, A)
         );
         drop(client);
         server.shutdown();
-
-        // sharding a versioned deployment is rejected
-        let sharded = Args::parse(
-            ["serve", "--addr=127.0.0.1:0", "--shards=2"]
-                .iter()
-                .map(|s| s.to_string()),
-        )
-        .unwrap();
-        assert!(run_serve(&sharded, Some(DATA), VIEWS, Some(COMMITS)).is_err());
     }
 
     #[test]
@@ -1525,52 +1480,36 @@ lambda F. CV1(F, N, Pn) :- Family(F, N, Ty), FC(F, C), Person(C, Pn, A)
 
     #[test]
     fn shard_flags_validate() {
-        let parse = |line: &[&str]| Args::parse(line.iter().map(|s| s.to_string())).unwrap();
-        // --shards must be a positive number
-        for bad in ["--shards=0", "--shards=lots"] {
-            let args = parse(&["serve", bad]);
-            let engine =
-                CitationEngine::new(load_database(DATA).unwrap(), load_registry(VIEWS).unwrap())
-                    .unwrap();
-            assert!(apply_shards(&args, engine).is_err(), "{bad}");
-        }
-        // --shard-key without --shards is rejected, as is a bad spec
-        let engine = |_: ()| {
-            CitationEngine::new(load_database(DATA).unwrap(), load_registry(VIEWS).unwrap())
-                .unwrap()
+        // `--shards` is gone: a replica's N comes from --shard-id
+        let line = ["serve", "--role=replica", "--shard-id=0/2", "--shards=2"];
+        let Err(err) = Args::parse(line.iter().map(|s| s.to_string())) else {
+            panic!("--shards must be refused");
         };
-        let orphan = parse(&["serve", "--shard-key=Family=FID"]);
-        assert!(apply_shards(&orphan, engine(())).is_err());
-        let bad_spec = parse(&["serve", "--shards=2", "--shard-key=nonsense"]);
-        assert!(apply_shards(&bad_spec, engine(())).is_err());
-        let bad_col = parse(&["serve", "--shards=2", "--shard-key=Family=Nope"]);
-        assert!(apply_shards(&bad_col, engine(())).is_err());
-        // a good spec shards the engine; no flags leave it unsharded
-        let good = parse(&["serve", "--shards=3", "--shard-key=Family=FID,FC=FID"]);
-        let sharded = apply_shards(&good, engine(())).unwrap();
-        assert_eq!(sharded.shard_count(), 3);
-        assert!(sharded.shard_stats().is_some());
-        let none = parse(&["serve"]);
-        assert_eq!(apply_shards(&none, engine(())).unwrap().shard_count(), 1);
+        assert!(err.0.contains("unknown flag --shards"), "{err}");
+        let serve_with = |extra: &[&str]| {
+            let mut line = vec!["serve".to_string(), "--addr=127.0.0.1:0".to_string()];
+            line.extend(extra.iter().map(|s| s.to_string()));
+            run_serve(&parse_args(&line), Some(DATA), VIEWS, None)
+        };
+        // --shard-key names a replica's ownership column: a single
+        // server refuses it, and a replica refuses a bad spec
+        let err = serve_with(&["--shard-key=Family=FID"]).unwrap_err();
+        assert!(
+            err.0.contains("--shard-key requires --role replica"),
+            "{err}"
+        );
+        for bad in ["nonsense", "Family=Nope", "Nope=FID"] {
+            let spec = format!("--shard-key={bad}");
+            let result = serve_with(&["--role=replica", "--shard-id=0/2", &spec]);
+            assert!(result.is_err(), "{spec} should be rejected");
+        }
     }
 
     #[test]
     fn serve_with_shards_reports_sharding_stats() {
-        let args = Args::parse(
-            [
-                "serve",
-                "--addr=127.0.0.1:0",
-                "--threads=2",
-                "--shards=2",
-                "--shard-key=Family=FID,FC=FID,Person=PID",
-            ]
-            .iter()
-            .map(|s| s.to_string()),
-        )
-        .unwrap();
-        let server = run_serve(&args, Some(DATA), VIEWS, None).unwrap();
+        let server = run_serve(&replica_args(1, 2), Some(DATA), VIEWS, None).unwrap();
         let mut client = fgc_server::Client::connect(server.addr()).unwrap();
-        // a cite through the sharded engine answers normally...
+        // a replica's own /cite answers from the whole snapshot...
         let response = client
             .post(
                 "/cite",
@@ -1579,21 +1518,36 @@ lambda F. CV1(F, N, Pn) :- Family(F, N, Ty), FC(F, C), Person(C, Pn, A)
             .unwrap();
         assert_eq!(response.status, 200, "{}", response.body);
         assert!(response.body.contains("Calcitonin"), "{}", response.body);
-        // ...and /stats exposes the shard layout + routing counters
+        // ...and /stats exposes how its rows spread over the shards
         let stats = client.get("/stats").unwrap();
         assert_eq!(stats.status, 200);
         let parsed = fgc_server::parse_json(&stats.body).unwrap();
         let sharding = parsed.get("sharding").expect("sharding block");
+        let field = |name: &str| sharding.get(name).cloned();
         assert_eq!(
-            sharding.get("shards"),
-            Some(&fgc_views::Json::Int(2)),
+            field("shards"),
+            Some(fgc_views::Json::Int(2)),
             "{}",
             stats.body
         );
-        match sharding.get("atoms_pruned") {
-            Some(fgc_views::Json::Int(n)) => assert!(*n >= 1, "{}", stats.body),
-            other => panic!("atoms_pruned missing: {other:?}"),
-        }
+        let Some(fgc_views::Json::Int(total)) = field("total_tuples") else {
+            panic!("total_tuples missing: {}", stats.body);
+        };
+        let Some(fgc_views::Json::Array(per_shard)) = field("tuples_per_shard") else {
+            panic!("tuples_per_shard missing: {}", stats.body);
+        };
+        let owned = |n: &fgc_views::Json| match n {
+            fgc_views::Json::Int(n) => *n,
+            other => panic!("a tuple count, not {other}"),
+        };
+        assert_eq!(per_shard.iter().map(owned).sum::<i64>(), total);
+        assert_eq!(
+            field("key_spec"),
+            Some(fgc_views::Json::str("Family=FID,FC=FID,Person=PID"))
+        );
+        assert!(field("imbalance").is_some(), "{}", stats.body);
+        // ownership needs no routing counters
+        assert!(field("atoms_pruned").is_none(), "{}", stats.body);
         drop(client);
         server.shutdown();
     }
@@ -1671,8 +1625,6 @@ lambda F. CV1(F, N, Pn) :- Family(F, N, Ty), FC(F, C), Person(C, Pn, A)
         // --shard-id without the replica role, and unknown roles
         assert!(serve_with(&["--shard-id=0/2"]).is_err());
         assert!(serve_with(&["--role=primary"]).is_err());
-        // --shards must agree with the partitioning when given
-        assert!(serve_with(&["--role=replica", "--shard-id=0/2", "--shards=3"]).is_err());
         // replicas don't serve commit histories
         let versioned = parse_args(&[
             "serve".to_string(),

@@ -1,8 +1,9 @@
 //! The shared harness of the integration suites.
 //!
-//! Every equivalence suite checks one claim: a *candidate* — a sharded
-//! or disk-backed engine, a versioned engine walked in some order, a
-//! coordinator over replicas, a fleet behind a chaos proxy — answers
+//! Every equivalence suite checks one claim: a *candidate* — every
+//! shard's fragments merged in process, a disk-backed engine, a
+//! versioned engine walked in some order, a coordinator over
+//! replicas, a fleet behind a chaos proxy — answers
 //! every request exactly as the [`Reference`] does. The reference is
 //! the simplest configuration there is: one process, unsharded, in
 //! memory, an engine built from scratch per version with its token and
@@ -18,15 +19,16 @@
 #![allow(dead_code)]
 
 use fgcite::dist::{Coordinator, CoordinatorConfig, DistServer};
-use fgcite::engine::QuerySpec;
+use fgcite::engine::{CiteData, CiteDataPlane, CiteToken, CoreError, QuerySpec};
 use fgcite::gtopdb::{generate, paper_shard_spec, paper_views, GeneratorConfig, WorkloadGenerator};
 use fgcite::prelude::*;
 use fgcite::query::{
-    evaluate, evaluate_annotated, evaluate_grouped, reference_derivations, Binding, Source,
+    evaluate, evaluate_annotated, evaluate_grouped, merge_answers, merge_groups,
+    reference_derivations, Binding,
 };
 use fgcite::semiring::{CommutativeSemiring, Polynomial};
 use fgcite::server::{parse_json, Client, ClientResponse};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt::{self, Write as _};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -82,7 +84,8 @@ pub fn exhaustive_union(engine: CitationEngine) -> CitationEngine {
         })
 }
 
-/// [`engine`] over `shards` shards under the paper's shard keys.
+/// [`engine`] owning rows by `shards` shards under the paper's shard
+/// keys — a replica's engine.
 pub fn sharded(db: Database, shards: usize) -> CitationEngine {
     engine(db)
         .with_shards(shards, paper_shard_spec())
@@ -501,6 +504,89 @@ impl Reference {
     }
 }
 
+/// Every shard's [`CitationEngine::cite_fragment`] of one sharded
+/// engine, merged in process: the coordinator's exchange without the
+/// network. The fragment contract — each shard's rows, merged by
+/// [`merge_answers`] and [`merge_groups`] — is what a candidate like
+/// this pins, independently of HTTP.
+pub struct Fragments(pub CitationEngine);
+
+impl Candidate for Fragments {
+    fn answer(&self, request: &Request) -> String {
+        let Request::Cite(r) = request else {
+            panic!("in-process fragments answer cites, not {request}");
+        };
+        let mut plane = FragmentPlane {
+            engine: &self.0,
+            tokens: HashMap::new(),
+        };
+        outcome(
+            self.0
+                .cite_request_with(r, &mut plane)
+                .map(|r| render(&r.citation)),
+        )
+    }
+}
+
+/// The data plane behind [`Fragments`]: one `cite_fragment` per
+/// shard, every query to every shard.
+struct FragmentPlane<'a> {
+    engine: &'a CitationEngine,
+    /// The citation of every token some shard's bindings mention.
+    tokens: HashMap<CiteToken, Json>,
+}
+
+impl CiteDataPlane for FragmentPlane<'_> {
+    fn fetch(
+        &mut self,
+        q: &ConjunctiveQuery,
+        extent_queries: &[ConjunctiveQuery],
+    ) -> fgcite::engine::Result<CiteData> {
+        let mut answers = Vec::new();
+        let mut extents = vec![Vec::new(); extent_queries.len()];
+        // the single server meets the least phase's error first
+        let mut failure: Option<(usize, CoreError)> = None;
+        for shard in 0..self.engine.shard_count() {
+            match self.engine.cite_fragment(Some(q), extent_queries, shard) {
+                Ok(fragment) => {
+                    answers.extend(fragment.answers.unwrap_or_default());
+                    for (gathered, rows) in extents.iter_mut().zip(fragment.extents) {
+                        gathered.extend(rows);
+                    }
+                    self.tokens.extend(fragment.tokens);
+                }
+                Err((phase, e)) => {
+                    if failure.as_ref().is_none_or(|(least, _)| phase < *least) {
+                        failure = Some((phase, e));
+                    }
+                }
+            }
+        }
+        // every derivation is on exactly one shard: no `(gid, seq)`
+        // twice (citations alone cannot tell, `+` is idempotent)
+        let mut seen = HashSet::new();
+        assert!(answers
+            .iter()
+            .all(|(gid, seq, _)| seen.insert((*gid, *seq))));
+        for rows in &extents {
+            let mut seen = HashSet::new();
+            assert!(rows.iter().all(|(gid, seq, ..)| seen.insert((*gid, *seq))));
+        }
+        match failure {
+            Some((_, e)) => Err(e),
+            None => Ok(CiteData {
+                answers: merge_answers(answers),
+                extents: extents.into_iter().map(merge_groups).collect(),
+            }),
+        }
+    }
+
+    fn token_citation(&mut self, token: &CiteToken) -> fgcite::engine::Result<Json> {
+        let missing = || CoreError::Remote(format!("no shard returned token {token}"));
+        self.tokens.get(token).cloned().ok_or_else(missing)
+    }
+}
+
 /// Borrow `(name, candidate)` pairs as [`assert_same`] takes them.
 pub fn named<C: Candidate>(candidates: &[(String, C)]) -> Vec<(&str, &dyn Candidate)> {
     candidates
@@ -577,16 +663,17 @@ impl Collected {
     }
 
     /// What `evaluate`, `evaluate_grouped` and `evaluate_annotated`
-    /// return over `source`.
-    pub fn by_executor(source: Source<'_>, q: &ConjunctiveQuery) -> Collected {
+    /// return over `db`.
+    pub fn by_executor(db: &Database, q: &ConjunctiveQuery) -> Collected {
         Collected::sorted(
-            evaluate(source.clone(), q).expect("evaluate"),
-            evaluate_grouped(source.clone(), q).expect("evaluate_grouped"),
-            evaluate_annotated(source, q, row_token).expect("evaluate_annotated"),
+            evaluate(db, q).expect("evaluate"),
+            evaluate_grouped(db, q).expect("evaluate_grouped"),
+            evaluate_annotated(db, q, row_token).expect("evaluate_annotated"),
         )
     }
 
-    fn sorted(
+    /// The three collectors' outputs in order-insensitive form.
+    pub fn sorted(
         mut answers: Vec<Tuple>,
         grouped: Vec<(Tuple, Vec<Binding>)>,
         mut annotated: Vec<(Tuple, Polynomial<String>)>,

@@ -1,26 +1,24 @@
 //! The compiled evaluator against the oracle: on every query of every
-//! instance, over the unsharded database and every sharding of it, the
-//! three collectors — distinct answers, grouped bindings, provenance
-//! polynomials — must equal the folds of
+//! instance the three collectors — distinct answers, grouped bindings,
+//! provenance polynomials — must equal the folds of
 //! [`fgcite::query::reference_derivations`], which enumerates every
 //! derivation by definition (atoms in text order, full scans, no
-//! index, no plan). The comparison ignores order; what the order *is*
-//! is pinned once, literally, by `first_derivation_order_is_pinned`,
-//! and `one_plan_serves_every_source` holds it byte-identical across
-//! sources.
+//! index, no plan), and so must every shard's lead fragments, merged,
+//! under every partition. The comparison ignores order; what the
+//! order *is* is pinned once, literally, by
+//! `first_derivation_order_is_pinned`, and `one_plan_serves_every_source`
+//! holds the merged fragments to it byte for byte.
 
 mod common;
 
 use common::{Collected, QUERIES};
 use fgcite::gtopdb::{generate, paper_instance, paper_shard_spec, GeneratorConfig};
 use fgcite::query::{
-    evaluate, evaluate_annotated_plan_with, evaluate_grouped, evaluate_grouped_plan_with,
-    evaluate_plan_with, parse_query, Binding, ConjunctiveQuery, EvalOptions, QueryError, QueryPlan,
-    ShardRouter, Source,
+    evaluate, evaluate_grouped, evaluate_grouped_plan_with, evaluate_plan_with,
+    lead_fragment_answers, lead_fragment_bindings, merge_answers, merge_groups, parse_query,
+    Binding, ConjunctiveQuery, EvalOptions, QueryError, QueryPlan,
 };
-use fgcite::relation::sharded::ShardedDatabase;
-use fgcite::relation::{tuple, Database, Tuple, Value};
-use fgcite::semiring::Polynomial;
+use fgcite::relation::{tuple, Database, Partition, Tuple, Value};
 
 /// The shared mix plus the shapes only the evaluator needs: a
 /// duplicate-heavy projection, a cross product with `<`, a non-key
@@ -42,13 +40,52 @@ fn paper_queries() -> Vec<ConjunctiveQuery> {
     all.map(|q| parse_query(q).expect("static query")).collect()
 }
 
-/// All three collectors over `source` — `db` itself or any sharding
-/// of it — against the oracle's folds over `db`.
-fn assert_agrees(source: Source<'_>, db: &Database, q: &ConjunctiveQuery, context: &str) {
+/// All three collectors over `db` against the oracle's folds.
+fn assert_agrees(db: &Database, q: &ConjunctiveQuery, context: &str) {
     assert_eq!(
-        Collected::by_executor(source, q),
+        Collected::by_executor(db, q),
         Collected::by_definition(db, q),
         "{context} q={q}"
+    );
+}
+
+/// `shards` shards owning `db`'s rows under the paper's shard keys.
+fn partition(db: &Database, shards: usize) -> Partition {
+    Partition::new(shards, paper_shard_spec(), db.catalog()).unwrap()
+}
+
+/// Every shard's lead fragments of `plan` over `db`, merged: the
+/// distinct answers and the grouped bindings a coordinator gathers.
+fn merged(
+    db: &Database,
+    partition: &Partition,
+    plan: &QueryPlan,
+) -> (Vec<Tuple>, Vec<(Tuple, Vec<Binding>)>) {
+    let options = EvalOptions::default();
+    let (mut answers, mut bindings) = (Vec::new(), Vec::new());
+    for shard in 0..partition.shard_count() {
+        answers.extend(lead_fragment_answers(db, partition, plan, shard, options).unwrap());
+        bindings.extend(lead_fragment_bindings(db, partition, plan, shard, options).unwrap());
+    }
+    (merge_answers(answers), merge_groups(bindings))
+}
+
+/// The merged lead fragments under `partition` against the oracle's
+/// answers and grouped bindings over `db`.
+fn assert_fragments_agree(
+    db: &Database,
+    partition: &Partition,
+    q: &ConjunctiveQuery,
+    context: &str,
+) {
+    let (answers, grouped) = merged(db, partition, &QueryPlan::compile(q, db).unwrap());
+    let fragments = Collected::sorted(answers, grouped, Vec::new());
+    let oracle = Collected::by_definition(db, q);
+    let shards = partition.shard_count();
+    assert_eq!(
+        (fragments.answers, fragments.grouped),
+        (oracle.answers, oracle.grouped),
+        "{context} shards={shards} q={q}"
     );
 }
 
@@ -56,7 +93,7 @@ fn assert_agrees(source: Source<'_>, db: &Database, q: &ConjunctiveQuery, contex
 fn paper_instance_queries_are_byte_identical() {
     let db = paper_instance();
     for q in paper_queries() {
-        assert_agrees(Source::Whole(&db), &db, &q, "paper instance");
+        assert_agrees(&db, &q, "paper instance");
     }
 }
 
@@ -74,7 +111,7 @@ fn randomized_gtopdb_instances_are_byte_identical() {
         );
         for q in &queries {
             let context = format!("seed={seed} families={families}");
-            assert_agrees(Source::Whole(&db), &db, q, &context);
+            assert_agrees(&db, q, &context);
         }
     }
 }
@@ -83,61 +120,51 @@ fn randomized_gtopdb_instances_are_byte_identical() {
 fn hand_written_queries_survive_generated_instances() {
     let db = common::gtopdb(50, 7);
     for q in paper_queries() {
-        assert_agrees(Source::Whole(&db), &db, &q, "generated instance");
+        assert_agrees(&db, &q, "generated instance");
     }
 }
 
 #[test]
 fn compiled_sharded_evaluation_matches_the_reference() {
-    // routed over the sharded store vs the oracle over the unsharded
-    // one: routing, scatter and global row ids must all be exact
+    // every shard's lead fragments over the whole store, merged, vs
+    // the oracle: ownership, global row ids and the merge must all be
+    // exact
     let db = common::gtopdb(90, 23);
     let queries = common::workload(&db, 29, 8);
     for shards in [1usize, 2, 4, 7] {
-        let store = ShardedDatabase::from_database(&db, shards, paper_shard_spec()).unwrap();
+        let partition = partition(&db, shards);
         for q in queries.iter().chain(&paper_queries()) {
-            assert_agrees(Source::from(&store), &db, q, &format!("shards={shards}"));
+            assert_fragments_agree(&db, &partition, q, "generated instance");
         }
     }
 }
 
 #[test]
 fn one_plan_serves_every_source() {
-    // compile once from the unsharded database, then run that plan
-    // over the database, over every sharding of it unrouted (each
-    // atom fans out) and under the router's pruned route: the plan
-    // fixes join order and slots from global sizes, the source only
-    // picks which fragments are scanned, so all outputs coincide
-    type Collected = (Vec<Tuple>, Vec<(Tuple, Vec<Binding>)>, String);
-    fn collect(source: Source<'_>, plan: &QueryPlan) -> Collected {
-        let options = EvalOptions::default();
-        let tuples = evaluate_plan_with(source.clone(), plan, options).unwrap();
-        let grouped = evaluate_grouped_plan_with(source.clone(), plan, options).unwrap();
-        let annotated: Vec<(Tuple, Polynomial<String>)> =
-            evaluate_annotated_plan_with(source, plan, options, common::row_token).unwrap();
-        (tuples, grouped, format!("{annotated:?}"))
-    }
+    // compile once, then run that plan over the whole store and as
+    // every shard's lead fragment under every partition: the plan
+    // fixes join order and slots, ownership only picks which lead rows
+    // a shard keeps, so the merged fragments equal the whole
+    // evaluation byte for byte, order included
     let db = common::gtopdb(60, 41);
     let queries = common::workload(&db, 43, 6);
-    let stores: Vec<ShardedDatabase> = [1usize, 2, 4, 7]
+    let partitions: Vec<Partition> = [1usize, 2, 4, 7]
         .iter()
-        .map(|&n| ShardedDatabase::from_database(&db, n, paper_shard_spec()).unwrap())
+        .map(|&n| partition(&db, n))
         .collect();
     for q in queries.iter().chain(&paper_queries()) {
         let plan = QueryPlan::compile(q, &db).unwrap();
-        let whole = collect(Source::Whole(&db), &plan);
-        for store in &stores {
-            let shards = store.shard_count();
+        let options = EvalOptions::default();
+        let whole = (
+            evaluate_plan_with(&db, &plan, options).unwrap(),
+            evaluate_grouped_plan_with(&db, &plan, options).unwrap(),
+        );
+        for partition in &partitions {
+            let shards = partition.shard_count();
             assert_eq!(
                 whole,
-                collect(Source::from(store), &plan),
-                "unrouted: shards={shards} q={q}"
-            );
-            let route = ShardRouter::new(store).plan(q);
-            assert_eq!(
-                whole,
-                collect(Source::Routed(store, Some(route)), &plan),
-                "routed: shards={shards} q={q}"
+                merged(&db, partition, &plan),
+                "shards={shards} q={q}"
             );
         }
     }
@@ -160,16 +187,11 @@ fn agrees_with_the_brute_force_oracle() {
             .build_index(column)
             .unwrap();
     }
-    let store = ShardedDatabase::from_database(&db, 2, paper_shard_spec()).unwrap();
+    let partition = partition(&db, 2);
     let metadata = parse_query("Q(T1) :- MetaData(T1, X1)").unwrap();
     for q in paper_queries().iter().chain([&metadata]) {
-        assert_agrees(Source::Whole(&db), &db, q, "every column indexed");
-        assert_agrees(
-            Source::from(&store),
-            &db,
-            q,
-            "every column indexed, 2 shards",
-        );
+        assert_agrees(&db, q, "every column indexed");
+        assert_fragments_agree(&db, &partition, q, "every column indexed");
     }
 }
 

@@ -551,7 +551,6 @@ fn unknown_version_cite_is_a_structured_error_not_a_panic() {
 mod differential {
     use super::*;
     use common::Collected;
-    use fgcite::query::Source;
     use fgcite::relation::schema::RelationSchema;
 
     fn tiny_random_db(rows_r: &[(i64, i64)], rows_s: &[(i64, i64)]) -> Database {
@@ -601,7 +600,7 @@ mod differential {
         for q in small_queries() {
             let expected = Collected::by_definition(db, &q);
             assert_eq!(
-                Collected::by_executor(Source::Whole(db), &q),
+                Collected::by_executor(db, &q),
                 expected,
                 "divergence on {q}"
             );
