@@ -10,7 +10,9 @@
 
 mod common;
 
-use common::{assert_same, both_modes, cites, queries, sharded, Candidate, Fragments, Reference};
+use common::{
+    assert_same, both_modes, cites, queries, sharded, Candidate, Fragments, Reference, Request,
+};
 use fgcite::gtopdb::{paper_instance, paper_shard_spec};
 use fgcite::prelude::*;
 
@@ -73,4 +75,19 @@ fn plan_cache_on_and_off_cite_byte_identically_across_shard_counts() {
         assert_eq!(uncached_stats.hits, 0, "{uncached_stats:?}");
         assert_eq!(uncached_stats.entries, 0, "{uncached_stats:?}");
     }
+}
+
+#[test]
+fn per_request_overrides_survive_sharding() {
+    let reference = Reference::new("paper instance", paper_instance());
+    let fragments = Fragments(sharded(paper_instance(), 4));
+    let q = parse_query(common::QUERIES[0]).unwrap();
+    let request = CiteRequest::query(q)
+        .with_policy(Policy::union_all())
+        .with_mode(RewriteMode::Exhaustive);
+    assert_same(
+        &reference,
+        &[("shards=4", &fragments)],
+        &[Request::Cite(request)],
+    );
 }
