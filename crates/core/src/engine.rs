@@ -463,11 +463,12 @@ impl CitationEngine {
     /// clone the store (every relation stays shared until replay
     /// touches it), replay the delta, and rebase onto the result, so
     /// only the view extents that read a replayed relation are
-    /// materialized again.
+    /// materialized again. Versioned serving rebases onto the
+    /// history's own snapshots instead.
     ///
     /// Errors with [`fgc_relation::RelationError::DeltaMismatch`]
-    /// (via [`CoreError::Relation`]) when the delta is structural or
-    /// this engine's database is not the delta's parent.
+    /// (via [`CoreError::Relation`]) when this engine's database is
+    /// not the delta's parent.
     pub fn derive_with_delta(&self, delta: &DatabaseDelta) -> Result<CitationEngine> {
         let mut db = (*self.db).clone();
         db.apply_delta(delta)?;

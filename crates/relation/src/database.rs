@@ -1,6 +1,6 @@
 //! A database instance: a catalog plus one [`Relation`] per schema.
 
-use crate::delta::{DatabaseDelta, DeltaOp, RelationDelta};
+use crate::delta::{DatabaseDelta, DeltaOp};
 use crate::error::{RelationError, Result};
 use crate::relation::Relation;
 use crate::schema::{Catalog, RelationSchema};
@@ -15,17 +15,11 @@ use std::sync::Arc;
 /// the original, and a relation is deep-copied only on first mutable
 /// access ([`Database::relation_mut`] goes through [`Arc::make_mut`]).
 /// This is what makes versioned serving O(changed): a derived version
-/// pays only for the relations its delta touches.
+/// pays only for the relations its commit touches.
 #[derive(Debug, Clone, Default)]
 pub struct Database {
     catalog: Catalog,
     relations: HashMap<String, Arc<Relation>>,
-    /// Whether a commit delta is being captured (see
-    /// [`Database::begin_delta`]).
-    recording: bool,
-    /// A structural change (relation created, schema replaced)
-    /// happened while recording.
-    structural_change: bool,
 }
 
 impl Database {
@@ -36,12 +30,7 @@ impl Database {
 
     /// Register a schema and create its (empty) relation instance.
     pub fn create_relation(&mut self, schema: RelationSchema) -> Result<()> {
-        let arc = self.catalog.add(schema)?;
-        let mut relation = Relation::new(arc);
-        if self.recording {
-            self.structural_change = true;
-            relation.start_recording();
-        }
+        let relation = Relation::new(self.catalog.add(schema)?);
         self.relations
             .insert(relation.name().to_string(), Arc::new(relation));
         Ok(())
@@ -62,9 +51,6 @@ impl Database {
             .get_mut(&name)
             .ok_or(RelationError::UnknownRelation(name))?;
         Arc::make_mut(rel).set_schema(arc);
-        if self.recording {
-            self.structural_change = true;
-        }
         Ok(())
     }
 
@@ -87,19 +73,13 @@ impl Database {
     /// A mutable relation by name. Copy-on-write: if the relation is
     /// shared with another database (a parent or derived version), it
     /// is deep-copied here first, so mutations never leak into a
-    /// sharer. While a delta is being captured the first mutable
-    /// access also attaches the effective-op log (recording is lazy —
-    /// untouched relations stay shared and logless).
+    /// sharer.
     pub fn relation_mut(&mut self, name: &str) -> Result<&mut Relation> {
         let arc = self
             .relations
             .get_mut(name)
             .ok_or_else(|| RelationError::UnknownRelation(name.to_string()))?;
-        let rel = Arc::make_mut(arc);
-        if self.recording {
-            rel.start_recording();
-        }
-        Ok(rel)
+        Ok(Arc::make_mut(arc))
     }
 
     /// Insert one tuple (key/type/arity checked; FKs are checked by
@@ -131,72 +111,16 @@ impl Database {
         self.relation_mut(relation)?.remove(tuple)
     }
 
-    /// Start capturing a commit delta: every subsequent effective
-    /// insert or removal (including through
-    /// [`Database::relation_mut`]) is logged until
-    /// [`Database::take_delta`]. Structural changes — creating a
-    /// relation, replacing a schema, building an index — mark the
-    /// delta structural, which tells consumers to rebuild instead of
-    /// replay.
+    /// Replay a delta onto this database, op by op in order.
     ///
-    /// Recording is lazy: no relation is touched here. The op log is
-    /// attached on a relation's first mutable access, which is also
-    /// when copy-on-write unshares it — so a commit that touches k of
-    /// n relations costs O(k), not O(n).
-    pub fn begin_delta(&mut self) {
-        self.recording = true;
-        self.structural_change = false;
-    }
-
-    /// Stop capturing and return the recorded delta. Per-relation
-    /// logs come back in catalog (registration) order; ops on
-    /// different relations commute, so that order is canonical.
-    pub fn take_delta(&mut self) -> DatabaseDelta {
-        self.recording = false;
-        let mut structural = self.structural_change;
-        self.structural_change = false;
-        let mut relations = Vec::new();
-        let names: Vec<String> = self.catalog.iter().map(|s| s.name.clone()).collect();
-        for name in names {
-            let Some(arc) = self.relations.get_mut(&name) else {
-                continue;
-            };
-            // Only relations that saw a mutable access carry a log,
-            // and that access already unshared them — `make_mut` on
-            // the rest would deep-copy shared data for nothing.
-            if !arc.has_log() {
-                continue;
-            }
-            let Some(log) = Arc::make_mut(arc).take_log() else {
-                continue;
-            };
-            structural |= log.structural;
-            if !log.ops.is_empty() {
-                relations.push(RelationDelta {
-                    relation: name,
-                    ops: log.ops,
-                });
-            }
-        }
-        DatabaseDelta::new(relations, structural)
-    }
-
-    /// Replay a recorded delta onto this database.
-    ///
-    /// Sound only when `self` is structurally identical to the
-    /// database the delta was recorded against (its parent version):
-    /// then every logged op is effective again and the result is
-    /// structurally identical — same row order, same index state — to
-    /// the database the recording produced. A structural delta, or an
-    /// op that is not effective (evidence the base diverged), aborts
-    /// with [`RelationError::DeltaMismatch`]; the database may then
-    /// be partially updated and should be discarded.
+    /// Sound only when `self` holds the rows and indexes of the
+    /// delta's parent (see [`DatabaseDelta::between`]): then every op
+    /// is effective again and the result has the child's rows in the
+    /// child's order and its index state. An op that is not effective
+    /// (evidence the base diverged) aborts with
+    /// [`RelationError::DeltaMismatch`]; the database may then be
+    /// partially updated and should be discarded.
     pub fn apply_delta(&mut self, delta: &DatabaseDelta) -> Result<()> {
-        if delta.is_structural() {
-            return Err(RelationError::DeltaMismatch(
-                "structural delta cannot be replayed".into(),
-            ));
-        }
         for rd in delta.relations() {
             let relation = self.relation_mut(&rd.relation)?;
             for op in &rd.ops {
@@ -215,13 +139,6 @@ impl Database {
         Ok(())
     }
 
-    /// Adopt a fully built relation (rows and indexes included) under
-    /// its existing schema. Used when deriving one database from
-    /// another to carry over relations known to be unchanged.
-    pub fn adopt_relation(&mut self, relation: Relation) -> Result<()> {
-        self.adopt_relation_arc(Arc::new(relation))
-    }
-
     /// Adopt a relation by shared handle: the adopting database
     /// structurally shares the rows and indexes with every other
     /// holder of the `Arc` (copy-on-write protects sharers if either
@@ -229,15 +146,27 @@ impl Database {
     /// derived versions.
     pub fn adopt_relation_arc(&mut self, relation: Arc<Relation>) -> Result<()> {
         self.catalog.add((**relation.schema()).clone())?;
-        let mut relation = relation;
-        if self.recording {
-            // like create_relation: op replay cannot reproduce a
-            // wholesale adoption, so the delta must force a rebuild
-            self.structural_change = true;
-            Arc::make_mut(&mut relation).start_recording();
-        }
         self.relations.insert(relation.name().to_string(), relation);
         Ok(())
+    }
+
+    /// Take `parent`'s handle for every relation whose rows and
+    /// indexed columns equal this database's, when the catalogs are
+    /// equal — how a version decoded whole shares what its commit did
+    /// not change.
+    pub(crate) fn share_unchanged(&mut self, parent: &Database) {
+        if self.catalog != parent.catalog {
+            return;
+        }
+        for (name, mine) in &mut self.relations {
+            if let Some(theirs) = parent.relations.get(name) {
+                if mine.rows() == theirs.rows()
+                    && mine.indexed_columns() == theirs.indexed_columns()
+                {
+                    *mine = Arc::clone(theirs);
+                }
+            }
+        }
     }
 
     /// Shared relation handles in catalog (registration) order. Used
@@ -421,79 +350,69 @@ mod tests {
         assert!(fc.probe(0, &crate::value::Value::str("11")).is_some());
     }
 
+    /// A copy of `parent` changed by `mutate`, and the delta to it.
+    fn commit(
+        parent: &Database,
+        mutate: impl FnOnce(&mut Database) -> Result<()>,
+    ) -> (Database, Option<DatabaseDelta>) {
+        let mut child = parent.clone();
+        mutate(&mut child).unwrap();
+        let delta = DatabaseDelta::between(parent, &child);
+        (child, delta)
+    }
+
     #[test]
     fn delta_round_trip_reproduces_the_mutated_database() {
         let mut parent = gtopdb_skeleton();
         parent
-            .insert("Family", tuple!["11", "Calcitonin", "gpcr"])
+            .insert_all("FC", [tuple!["11", "p1"], tuple!["11", "p2"]])
             .unwrap();
-        parent.insert("FC", tuple!["11", "p1"]).unwrap();
         parent.build_default_indexes().unwrap();
-
-        let mut child = parent.clone();
-        child.begin_delta();
-        child
-            .insert("Family", tuple!["12", "Orexin", "gpcr"])
-            .unwrap();
-        child.remove("FC", &tuple!["11", "p1"]).unwrap();
-        child.insert("FC", tuple!["12", "p2"]).unwrap();
-        let delta = child.take_delta();
-        assert!(!delta.is_structural());
-        assert_eq!(delta.inserted() + delta.removed(), 3);
-
+        let (child, delta) = commit(&parent, |db| {
+            db.insert("Family", tuple!["12", "Orexin", "gpcr"])?;
+            db.remove("FC", &tuple!["11", "p1"])?;
+            db.insert("FC", tuple!["12", "p2"]).map(drop)
+        });
         let mut replayed = parent.clone();
-        replayed.apply_delta(&delta).unwrap();
+        replayed.apply_delta(&delta.unwrap()).unwrap();
         assert!(replayed.content_eq(&child));
-        // indexes replayed identically too
-        assert_eq!(
-            replayed.relation("FC").unwrap().indexed_columns(),
-            child.relation("FC").unwrap().indexed_columns()
-        );
+        let indexes = |db: &Database| db.relation("FC").unwrap().indexed_columns();
+        assert_eq!(indexes(&replayed), indexes(&child));
     }
 
     #[test]
     fn relation_mut_mutations_are_recorded() {
-        let mut db = gtopdb_skeleton();
-        db.begin_delta();
-        db.relation_mut("Family")
-            .unwrap()
-            .insert(tuple!["11", "Calcitonin", "gpcr"])
-            .unwrap();
-        let delta = db.take_delta();
-        assert_eq!(delta.inserted() + delta.removed(), 1);
+        let (_, delta) = commit(&gtopdb_skeleton(), |db| {
+            let family = db.relation_mut("Family")?;
+            family.insert(tuple!["11", "Calcitonin", "gpcr"]).map(drop)
+        });
+        let delta = delta.unwrap();
         let relations: Vec<&str> = delta.relations().map(|r| r.relation.as_str()).collect();
-        assert_eq!(relations, ["Family"]);
+        assert_eq!((relations, delta.inserted()), (vec!["Family"], 1));
     }
 
     #[test]
     fn structural_commits_are_flagged_and_not_replayable() {
-        let mut db = gtopdb_skeleton();
-        db.begin_delta();
-        db.create_relation(
-            RelationSchema::with_names("New", &[("x", DataType::Int)], &[]).unwrap(),
-        )
-        .unwrap();
-        let delta = db.take_delta();
-        assert!(delta.is_structural());
-        let mut other = gtopdb_skeleton();
-        assert!(matches!(
-            other.apply_delta(&delta).unwrap_err(),
-            RelationError::DeltaMismatch(_)
-        ));
+        // a created relation or a replaced schema changes the catalog:
+        // there is no delta, only the snapshot
+        let parent = gtopdb_skeleton();
+        let new = RelationSchema::with_names("New", &[("x", DataType::Int)], &[]).unwrap();
+        assert!(commit(&parent, |db| db.create_relation(new)).1.is_none());
+        let mut fc = (**parent.catalog().get("FC").unwrap()).clone();
+        fc.foreign_keys.clear();
+        assert!(commit(&parent, |db| db.replace_schema(fc)).1.is_none());
     }
 
     #[test]
     fn apply_delta_rejects_diverged_base() {
-        let mut parent = gtopdb_skeleton();
-        parent.begin_delta();
-        parent
-            .insert("Family", tuple!["11", "Calcitonin", "gpcr"])
-            .unwrap();
-        let delta = parent.take_delta();
+        let (mut child, delta) = commit(&gtopdb_skeleton(), |db| {
+            db.insert("Family", tuple!["11", "Calcitonin", "gpcr"])
+                .map(drop)
+        });
         // replaying onto a base that already holds the tuple: the
         // insert is ineffective, which is evidence of divergence
         assert!(matches!(
-            parent.apply_delta(&delta).unwrap_err(),
+            child.apply_delta(&delta.unwrap()).unwrap_err(),
             RelationError::DeltaMismatch(_)
         ));
     }
@@ -519,17 +438,17 @@ mod tests {
         let mut src = gtopdb_skeleton();
         src.insert("Family", tuple!["11", "Calcitonin", "gpcr"])
             .unwrap();
-        let mut db = Database::new();
-        db.begin_delta();
-        db.adopt_relation(src.relation("Family").unwrap().clone())
-            .unwrap();
-        // adoption cannot be replayed op-by-op: the delta must force
-        // consumers down the rebuild path, and later inserts into the
-        // adopted relation are still logged
-        db.insert("Family", tuple!["12", "Orexin", "gpcr"]).unwrap();
-        let delta = db.take_delta();
-        assert!(delta.is_structural());
-        assert_eq!(delta.inserted() + delta.removed(), 1);
+        let family = Arc::new(src.relation("Family").unwrap().clone());
+        let (adopted, delta) = commit(&Database::new(), |db| db.adopt_relation_arc(family));
+        // adoption changes the catalog: there is no delta, only the
+        // snapshot; later inserts into the adopted relation are diffed
+        assert!(delta.is_none());
+        let (_, delta) = commit(&adopted, |db| {
+            db.insert("Family", tuple!["12", "Orexin", "gpcr"])
+                .map(drop)
+        });
+        let delta = delta.unwrap();
+        assert_eq!((delta.inserted(), delta.removed()), (1, 0));
     }
 
     #[test]
@@ -539,14 +458,12 @@ mod tests {
             .unwrap();
         src.relation_mut("Family").unwrap().build_index(2).unwrap();
         let mut dst = Database::new();
-        dst.adopt_relation(src.relation("Family").unwrap().clone())
-            .unwrap();
+        let family = Arc::new(src.relation("Family").unwrap().clone());
+        dst.adopt_relation_arc(Arc::clone(&family)).unwrap();
         assert_eq!(dst.relation("Family").unwrap().len(), 1);
         assert_eq!(dst.relation("Family").unwrap().indexed_columns(), vec![2]);
         // adopting a second relation with the same name collides
-        assert!(dst
-            .adopt_relation(src.relation("Family").unwrap().clone())
-            .is_err());
+        assert!(dst.adopt_relation_arc(family).is_err());
     }
 
     #[test]

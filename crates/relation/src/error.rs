@@ -64,8 +64,8 @@ pub enum RelationError {
     },
     /// A version id was requested that does not exist.
     UnknownVersion(u64),
-    /// A commit delta could not be replayed (structural change, or
-    /// the base database is not the delta's parent version).
+    /// A commit delta could not be replayed: one of its ops had no
+    /// effect, so the base database is not the delta's parent.
     DeltaMismatch(String),
     /// A storage backend failed: unusable data directory, corrupt
     /// manifest/segment/WAL, or a history that diverged from the

@@ -207,8 +207,9 @@ fn split_fields(line: &str) -> Vec<String> {
 ///
 /// `@commit TIMESTAMP LABEL...` opens a commit; `+ R | v...` inserts
 /// a tuple into `R`, `- R | v...` removes one. Commits go through
-/// [`VersionedDatabase::commit_with`], so each version records its
-/// delta and derived engines can replay it.
+/// [`VersionedDatabase::commit_with`]: a version shares every relation
+/// its section leaves alone, and its delta is the diff of the two
+/// snapshots, not the lines as written.
 ///
 /// Application is **all-or-nothing**: commits are staged on a copy of
 /// the history (snapshots are `Arc`-shared, so the copy is cheap) and

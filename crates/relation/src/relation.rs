@@ -8,13 +8,11 @@
 //!
 //! The row store itself — rows, set guard, key index, secondary
 //! postings — lives in [`crate::storage::MemSegment`]; `Relation`
-//! owns the schema, performs shape checking, and records the
-//! effective-op log for commit deltas. Keeping the data plane in one
-//! place is what lets the disk backend
+//! owns the schema and performs shape checking. Keeping the data
+//! plane in one place is what lets the disk backend
 //! ([`crate::storage::DiskStorage`]) reload a relation through the
 //! exact same code path that built it.
 
-use crate::delta::{DeltaOp, RelationLog};
 use crate::error::{RelationError, Result};
 use crate::schema::RelationSchema;
 use crate::storage::MemSegment;
@@ -28,11 +26,6 @@ pub struct Relation {
     schema: Arc<RelationSchema>,
     /// The row store: rows in insertion order plus hash indexes.
     segment: MemSegment,
-    /// Effective-op log, recording while the owning database captures
-    /// a commit delta (see [`crate::Database::begin_delta`]). Lives
-    /// here rather than on the database so mutations through
-    /// [`crate::Database::relation_mut`] are captured too.
-    log: Option<RelationLog>,
 }
 
 impl Relation {
@@ -41,28 +34,7 @@ impl Relation {
         Relation {
             schema,
             segment: MemSegment::new(),
-            log: None,
         }
-    }
-
-    /// Start recording effective ops (idempotent: an active log is
-    /// kept).
-    pub(crate) fn start_recording(&mut self) {
-        if self.log.is_none() {
-            self.log = Some(RelationLog::default());
-        }
-    }
-
-    /// Stop recording and hand back the log (`None` when recording
-    /// was never started).
-    pub(crate) fn take_log(&mut self) -> Option<RelationLog> {
-        self.log.take()
-    }
-
-    /// Whether an effective-op log is attached (i.e. this relation
-    /// saw a mutable access since recording began).
-    pub(crate) fn has_log(&self) -> bool {
-        self.log.is_some()
     }
 
     /// The relation's schema.
@@ -130,13 +102,7 @@ impl Relation {
     /// Returns `true` if the tuple was actually added.
     pub fn insert(&mut self, tuple: Tuple) -> Result<bool> {
         self.check_shape(&tuple)?;
-        if !self.segment.insert(&self.schema, tuple.clone())? {
-            return Ok(false);
-        }
-        if let Some(log) = &mut self.log {
-            log.ops.push(DeltaOp::Insert(tuple));
-        }
-        Ok(true)
+        self.segment.insert(&self.schema, tuple)
     }
 
     /// Remove a stored tuple. Returns `true` if it was present.
@@ -145,23 +111,12 @@ impl Relation {
     /// [`MemSegment::remove`]).
     pub fn remove(&mut self, tuple: &Tuple) -> Result<bool> {
         self.check_shape(tuple)?;
-        if !self.segment.remove(&self.schema, tuple) {
-            return Ok(false);
-        }
-        if let Some(log) = &mut self.log {
-            log.ops.push(DeltaOp::Remove(tuple.clone()));
-        }
-        Ok(true)
+        Ok(self.segment.remove(&self.schema, tuple))
     }
 
     /// Whether an identical tuple is stored.
     pub fn contains(&self, tuple: &Tuple) -> bool {
         self.segment.contains(tuple)
-    }
-
-    /// The row position of a stored tuple, if present.
-    pub fn position_of(&self, tuple: &Tuple) -> Option<usize> {
-        self.segment.position_of(tuple)
     }
 
     /// Look up a row by primary key (key must match schema key arity).
@@ -177,13 +132,7 @@ impl Relation {
                 attribute: format!("#{column}"),
             });
         }
-        if self.segment.build_index(column) {
-            if let Some(log) = &mut self.log {
-                // a mid-commit index build changes evaluation structure
-                // in a way op replay cannot reproduce: force a rebuild
-                log.structural = true;
-            }
-        }
+        self.segment.build_index(column);
         Ok(())
     }
 
@@ -202,18 +151,6 @@ impl Relation {
     /// Rough resident size of this relation's data in bytes.
     pub fn approx_bytes(&self) -> usize {
         self.segment.approx_bytes()
-    }
-
-    /// Rows whose `column` equals `value` (scans if no index exists).
-    pub fn select_eq<'a>(&'a self, column: usize, value: &'a Value) -> Vec<&'a Tuple> {
-        match self.probe(column, value) {
-            Some(positions) => positions.iter().map(|&i| &self.rows()[i]).collect(),
-            None => self
-                .rows()
-                .iter()
-                .filter(|row| &row[column] == value)
-                .collect(),
-        }
     }
 }
 
@@ -293,18 +230,10 @@ mod tests {
         r.insert(tuple!["11", "Calcitonin", "gpcr"]).unwrap();
         r.insert(tuple!["12", "Orexin", "gpcr"]).unwrap();
         r.insert(tuple!["13", "Kinase", "enzyme"]).unwrap();
-        let scan: Vec<_> = r
-            .select_eq(2, &Value::str("gpcr"))
-            .into_iter()
-            .cloned()
-            .collect();
+        let gpcr = Value::str("gpcr");
+        let scan: Vec<usize> = (0..r.len()).filter(|&i| r.rows()[i][2] == gpcr).collect();
         r.build_index(2).unwrap();
-        let indexed: Vec<_> = r
-            .select_eq(2, &Value::str("gpcr"))
-            .into_iter()
-            .cloned()
-            .collect();
-        assert_eq!(scan, indexed);
+        assert_eq!(r.probe(2, &gpcr).unwrap(), scan);
         assert_eq!(scan.len(), 2);
     }
 
@@ -362,38 +291,26 @@ mod tests {
     }
 
     #[test]
-    fn recording_captures_effective_ops_only() {
-        use crate::delta::DeltaOp;
-        let mut r = family();
-        r.insert(tuple!["10", "Pre", "gpcr"]).unwrap();
-        r.start_recording();
-        r.insert(tuple!["11", "Calcitonin", "gpcr"]).unwrap();
-        r.insert(tuple!["11", "Calcitonin", "gpcr"]).unwrap(); // duplicate: no-op
-        r.remove(&tuple!["99", "Absent", "gpcr"]).unwrap(); // absent: no-op
-        r.remove(&tuple!["10", "Pre", "gpcr"]).unwrap();
-        let log = r.take_log().unwrap();
-        assert_eq!(
-            log.ops,
-            vec![
-                DeltaOp::Insert(tuple!["11", "Calcitonin", "gpcr"]),
-                DeltaOp::Remove(tuple!["10", "Pre", "gpcr"]),
-            ]
-        );
-        assert!(!log.structural);
-        assert!(r.take_log().is_none());
-    }
-
-    #[test]
     fn index_build_while_recording_is_structural() {
-        let mut r = family();
-        r.start_recording();
-        r.build_index(1).unwrap();
-        assert!(r.take_log().unwrap().structural);
-        // re-building an existing index is not structural
-        let mut r2 = family();
-        r2.build_index(1).unwrap();
-        r2.start_recording();
-        r2.build_index(1).unwrap();
-        assert!(!r2.take_log().unwrap().structural);
+        use crate::database::Database;
+        use crate::delta::DatabaseDelta;
+        let mut parent = Database::new();
+        parent.adopt_relation_arc(Arc::new(family())).unwrap();
+        let mut child = parent.clone();
+        child
+            .relation_mut("Family")
+            .unwrap()
+            .build_index(1)
+            .unwrap();
+        // a new index has no delta: consumers take the snapshot
+        assert!(DatabaseDelta::between(&parent, &child).is_none());
+        // re-building an existing index changes nothing
+        let mut rebuilt = child.clone();
+        rebuilt
+            .relation_mut("Family")
+            .unwrap()
+            .build_index(1)
+            .unwrap();
+        assert!(DatabaseDelta::between(&child, &rebuilt).unwrap().is_empty());
     }
 }

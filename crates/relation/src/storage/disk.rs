@@ -11,9 +11,10 @@
 //!
 //! Every persisted version is either a **segment** (a full snapshot:
 //! version 0, whole commits via [`VersionedDatabase::commit`], and
-//! structural commits whose deltas cannot be replayed) or a **WAL
-//! record** (the replayable [`DatabaseDelta`] a
-//! [`VersionedDatabase::commit_with`] recorded). The `MANIFEST` lists
+//! commits that changed the catalog or an index, which have no delta)
+//! or a **WAL record** (the [`DatabaseDelta`] that
+//! [`VersionedDatabase::commit_with`] diffed from the head and the
+//! result). The `MANIFEST` lists
 //! versions in order with a pointer to their source; it is rewritten
 //! to a temp file and renamed on every sync, so the rename is the
 //! atomic commit point — a crash between a WAL append and the
@@ -30,15 +31,18 @@
 //! Cold start ([`DiskStorage::load_history`]) replays the manifest in
 //! order: segments are decoded through a page-granular buffer cache,
 //! delta versions clone the predecessor snapshot and re-apply the
-//! delta. Because [`crate::Relation`] insert/remove are deterministic
-//! and replay-exact, the reloaded chain is structurally identical to
-//! the persisted one — same row order, same index state — which is
-//! what keeps citations byte-identical after a restart
-//! (`tests/storage_equivalence.rs`). Deltas are preserved across the
-//! reload, so incremental engine derivation keeps working; the one
-//! deliberate loss is *structural* deltas (they are persisted as full
-//! segments and reload with no delta — consumers already rebuild for
-//! those).
+//! delta's removals, then its inserts. A delta is the diff
+//! child = parent − R ++ I ([`DatabaseDelta::between`]), so the
+//! reloaded chain is structurally identical to the persisted one —
+//! same row order, same index state — which is what keeps citations
+//! byte-identical after a restart (`tests/storage_equivalence.rs`).
+//!
+//! Reloaded versions share what their commits did not change: a delta
+//! version's clone shares every relation the delta leaves alone, and
+//! a segment version whose catalog equals its predecessor's takes the
+//! predecessor's `Arc<Relation>` for every relation with equal rows
+//! and indexed columns — so compaction keeps the identity versioned
+//! serving borrows engines by.
 //!
 //! Compaction folds delta versions into full segment files and
 //! truncates the WAL (bounding its growth at the cost of the folded
@@ -168,7 +172,8 @@ fn put_info(buf: &mut Vec<u8>, info: &VersionInfo) {
 }
 
 fn put_delta(buf: &mut Vec<u8>, delta: &DatabaseDelta) {
-    put_u8(buf, u8::from(delta.is_structural()));
+    // A retired flag byte: always 0, and rejected as anything else.
+    put_u8(buf, 0);
     let relations: Vec<&RelationDelta> = delta.relations().collect();
     put_u32(buf, relations.len() as u32);
     for rd in relations {
@@ -316,7 +321,10 @@ impl<'a> Reader<'a> {
     }
 
     fn delta(&mut self) -> Result<DatabaseDelta> {
-        let structural = self.u8()? != 0;
+        let flag = self.u8()?;
+        if flag != 0 {
+            return Err(corrupt(format!("{}: delta flag byte {flag}", self.what)));
+        }
         let n_rels = self.u32()? as usize;
         let mut relations = Vec::with_capacity(self.capacity_hint(n_rels, 8));
         for _ in 0..n_rels {
@@ -334,7 +342,7 @@ impl<'a> Reader<'a> {
             }
             relations.push(RelationDelta { relation, ops });
         }
-        Ok(DatabaseDelta::new(relations, structural))
+        Ok(DatabaseDelta { relations })
     }
 }
 
@@ -697,7 +705,10 @@ impl DiskStorage {
             match entry.source {
                 VersionLocation::Segment => {
                     let bytes = self.read_segment_bytes(entry.info.id)?;
-                    let db = decode_segment(&bytes)?;
+                    let mut db = decode_segment(&bytes)?;
+                    if let Some((_, parent)) = history.head() {
+                        db.share_unchanged(parent);
+                    }
                     history.restore(entry.info.clone(), Arc::new(db), None)?;
                 }
                 VersionLocation::Delta {
@@ -808,10 +819,9 @@ impl DiskStorage {
         for id in have..history.len() {
             let id = id as VersionId;
             let (info, db) = history.snapshot(id)?;
-            // Version 0 and whole/structural commits persist as full
-            // segments; replayable deltas go to the WAL.
-            let replayable = history.delta(id).filter(|d| !d.is_structural());
-            let source = match replayable {
+            // Versions with a delta go to the WAL; version 0, whole
+            // commits and catalog or index changes persist as segments.
+            let source = match history.delta(id) {
                 Some(delta) => {
                     let mut payload = Vec::new();
                     put_info(&mut payload, info);
@@ -1156,7 +1166,7 @@ mod tests {
         assert_eq!(storage.stats().versions, 3);
         let loaded = storage.load_history().unwrap();
         assert_same_history(&h, &loaded);
-        // replayable deltas survive the reload
+        // deltas survive the reload
         assert!(loaded.delta(1).is_some());
         assert_eq!(loaded.delta(1).unwrap().inserted(), 1);
         assert!(loaded.delta(2).is_some());
@@ -1196,14 +1206,20 @@ mod tests {
             )
         })
         .unwrap();
+        h.commit_with(300, "index", |db| db.relation_mut("Family")?.build_index(1))
+            .unwrap();
         storage.sync(&h).unwrap();
         let stats = storage.stats();
-        assert_eq!(stats.segments, 2);
+        assert_eq!(stats.segments, 3);
         assert_eq!(stats.wal_records, 0);
         let loaded = storage.load_history().unwrap();
         assert_same_history(&h, &loaded);
-        // the structural delta itself is not preserved (documented)
-        assert!(loaded.delta(1).is_none());
+        // a catalog or index change has no delta, before or after the
+        // reload, and the reloaded v2 shares what its commit left alone
+        assert!((1..3).all(|v| h.delta(v).is_none() && loaded.delta(v).is_none()));
+        let arc = |v, name| Arc::clone(loaded.snapshot(v).unwrap().1.relation_arc(name).unwrap());
+        assert!(Arc::ptr_eq(&arc(1, "FC"), &arc(2, "FC")));
+        assert!(!Arc::ptr_eq(&arc(1, "Family"), &arc(2, "Family")));
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1422,6 +1438,18 @@ mod tests {
         let err = DiskStorage::open(&dir, StorageOptions::default()).unwrap_err();
         assert!(matches!(err, RelationError::Storage(_)), "{err}");
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn delta_flag_byte_other_than_zero_is_corrupt() {
+        let mut buf = Vec::new();
+        put_delta(&mut buf, history().delta(1).unwrap());
+        assert_eq!(buf[0], 0, "put_delta writes a zero flag");
+        let decode = |buf: &[u8]| Reader::new(buf, "WAL record").delta();
+        assert_eq!(decode(&buf).unwrap().inserted(), 1);
+        buf[0] = 1;
+        let err = decode(&buf).unwrap_err().to_string();
+        assert_eq!(err, "storage error: corrupt WAL record: delta flag byte 1");
     }
 
     #[test]

@@ -69,11 +69,6 @@ impl MemSegment {
         self.row_set.contains_key(tuple)
     }
 
-    /// The stored position of a tuple, if present.
-    pub fn position_of(&self, tuple: &Tuple) -> Option<usize> {
-        self.row_set.get(tuple).copied()
-    }
-
     /// Look up a row by primary-key projection.
     pub fn get_by_key(&self, key: &Tuple) -> Option<&Tuple> {
         self.key_index.get(key).map(|&i| &self.rows[i])
@@ -150,17 +145,16 @@ impl MemSegment {
     }
 
     /// Ensure a secondary posting list exists on `column` (assumed in
-    /// range). Returns `true` if the index was newly built.
-    pub fn build_index(&mut self, column: usize) -> bool {
-        if self.secondary.contains_key(&column) {
-            return false;
-        }
-        let mut index: HashMap<Value, Vec<usize>> = HashMap::new();
-        for (pos, row) in self.rows.iter().enumerate() {
-            index.entry(row[column].clone()).or_default().push(pos);
-        }
-        self.secondary.insert(column, index);
-        true
+    /// range).
+    pub fn build_index(&mut self, column: usize) {
+        let rows = &self.rows;
+        self.secondary.entry(column).or_insert_with(|| {
+            let mut index: HashMap<Value, Vec<usize>> = HashMap::new();
+            for (pos, row) in rows.iter().enumerate() {
+                index.entry(row[column].clone()).or_default().push(pos);
+            }
+            index
+        });
     }
 
     /// Columns with a secondary index, ascending.

@@ -15,14 +15,14 @@
 //!   only in RAM (a mirror of the caller's own chain); restarts
 //!   re-run the load path. This is exactly the pre-refactor behavior.
 //! * [`DiskStorage`] — append-only segment files plus a write-ahead
-//!   log under a data directory. Whole snapshots (version 0,
-//!   structural commits, plain [`VersionedDatabase::commit`]s) become
-//!   segment files; replayable [`crate::DatabaseDelta`]s from
-//!   [`VersionedDatabase::commit_with`] become WAL records. A
+//!   log under a data directory. A version with a
+//!   [`crate::DatabaseDelta`] (see [`VersionedDatabase::delta`])
+//!   becomes a WAL record, every other version a segment file. A
 //!   manifest, rewritten atomically (temp file + rename), is the
 //!   commit point: cold start reads the manifest and reconstructs the
 //!   full version chain — segments through a page-granular buffer
-//!   cache, deltas by replay — without re-running the text loader.
+//!   cache, deltas by replay, untouched relations shared — without
+//!   re-running the text loader.
 //!
 //! The write path is a deliberate *write-behind*: callers mutate
 //! their `VersionedDatabase` first and then [`Storage::sync`] the
@@ -224,8 +224,8 @@ pub trait Storage: Send + Sync + fmt::Debug {
     /// Reconstruct the full persisted version chain. For
     /// [`DiskStorage`] this is the cold-start path: segments are read
     /// through the buffer cache and delta-backed versions are
-    /// replayed, reproducing snapshots *and* their recorded deltas so
-    /// incremental engine derivation keeps working after a restart.
+    /// replayed, reproducing the snapshots, their deltas and the
+    /// relations they share.
     fn load_history(&self) -> Result<VersionedDatabase>;
 
     /// Footprint report.

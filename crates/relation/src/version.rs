@@ -6,18 +6,15 @@
 //! > version numbers."
 //!
 //! [`VersionedDatabase`] keeps an append-only chain of immutable
-//! snapshots. Each commit stores a full [`Database`] clone behind an
-//! `Arc`; at the scale of curated scientific databases (GtoPdb has
-//! tens of versions, released quarterly) snapshot-per-version is the
-//! honest baseline, and sharing `Arc<str>` values keeps copies cheap.
-//!
-//! Commits made through [`VersionedDatabase::commit_with`]
-//! additionally record a [`DatabaseDelta`] — the effective inserts
-//! and removals the commit performed — retrievable via
-//! [`VersionedDatabase::delta`]. Consumers holding state for version
-//! *v* (e.g. a citation engine) can replay the delta to reach *v+1*
-//! instead of rebuilding from the snapshot (`tests/reproduce.rs`,
-//! `claim_8_*`, counts what that path derives and shares).
+//! snapshots, each a [`Database`] behind an `Arc`. A commit made
+//! through [`VersionedDatabase::commit_with`] starts from a copy of
+//! the head that shares every relation and copies only the ones the
+//! commit touches, then keeps [`DatabaseDelta::between`] the head and
+//! the result, retrievable via [`VersionedDatabase::delta`]: the disk
+//! backend persists that diff as a WAL record. Citation engines do not
+//! read it — they reuse what the snapshots share by `Arc` identity
+//! (`tests/reproduce.rs`, `claim_8_*`, counts what that derives and
+//! shares).
 
 use crate::database::Database;
 use crate::delta::DatabaseDelta;
@@ -46,14 +43,15 @@ impl fmt::Display for VersionInfo {
     }
 }
 
-/// One committed version: metadata, snapshot, and (when known) the
-/// delta that produced it from its predecessor.
+/// One committed version: metadata, snapshot, and (when there is one)
+/// the delta from its predecessor.
 #[derive(Debug, Clone)]
 struct VersionEntry {
     info: VersionInfo,
     snapshot: Arc<Database>,
-    /// Recorded by [`VersionedDatabase::commit_with`]; `None` for
-    /// snapshots committed whole (no parent lineage is known).
+    /// Diffed by [`VersionedDatabase::commit_with`]; `None` for
+    /// snapshots committed whole and for commits that changed the
+    /// catalog or an index.
     delta: Option<Arc<DatabaseDelta>>,
 }
 
@@ -76,33 +74,16 @@ impl VersionedDatabase {
         timestamp: u64,
         label: impl Into<String>,
     ) -> Result<VersionId> {
-        if let Some(last) = self.versions.last() {
-            if timestamp < last.info.timestamp {
-                return Err(RelationError::InvalidSchema(format!(
-                    "version timestamp {timestamp} precedes previous timestamp {}",
-                    last.info.timestamp
-                )));
-            }
-        }
-        let id = self.versions.len() as VersionId;
-        self.versions.push(VersionEntry {
-            info: VersionInfo {
-                id,
-                timestamp,
-                label: label.into(),
-            },
-            snapshot: Arc::new(db),
-            delta: None,
-        });
-        Ok(id)
+        self.push(timestamp, label.into(), Arc::new(db), None)
+            .map_err(RelationError::InvalidSchema)
     }
 
     /// Derive the next version by mutating a copy of the head snapshot.
     ///
     /// The closure receives a working copy; the mutated copy becomes
     /// the new head. Errors from the closure abort the commit. The
-    /// effective ops the closure performs are captured as the new
-    /// version's [`delta`](Self::delta).
+    /// diff of the head and the result is the new version's
+    /// [`delta`](Self::delta).
     pub fn commit_with<F>(
         &mut self,
         timestamp: u64,
@@ -112,27 +93,18 @@ impl VersionedDatabase {
     where
         F: FnOnce(&mut Database) -> Result<()>,
     {
-        // Version 0 has no parent to replay from ([`Self::delta`]
-        // documents `None` there), so don't record its ops at all —
-        // the log of a from-scratch first commit can be as large as
-        // the whole initial load.
-        let (mut working, record) = match self.head() {
-            Some((_, db)) => ((**db).clone(), true),
-            None => (Database::new(), false),
-        };
-        if record {
-            working.begin_delta();
-        }
+        // Version 0 has no parent to diff against.
+        let head = self.head().map(|(_, db)| Arc::clone(db));
+        let mut working = head.as_deref().cloned().unwrap_or_default();
         mutate(&mut working)?;
-        let delta = record.then(|| Arc::new(working.take_delta()));
-        let id = self.commit(working, timestamp, label)?;
-        self.versions[id as usize].delta = delta;
-        Ok(id)
+        let delta = head.and_then(|head| DatabaseDelta::between(&head, &working).map(Arc::new));
+        self.push(timestamp, label.into(), Arc::new(working), delta)
+            .map_err(RelationError::InvalidSchema)
     }
 
     /// Append a version reconstructed by a storage backend: metadata,
-    /// snapshot, and (when the backend preserved one) the delta that
-    /// produced it. Enforces the same invariants as live commits —
+    /// snapshot, and (when the backend persisted one) the delta from
+    /// its predecessor. Enforces the same invariants as live commits —
     /// sequential ids and non-decreasing timestamps — so a reloaded
     /// chain is indistinguishable from the one that was persisted.
     pub(crate) fn restore(
@@ -148,20 +120,40 @@ impl VersionedDatabase {
                 self.versions.len()
             )));
         }
+        self.push(info.timestamp, info.label, snapshot, delta)
+            .map(drop)
+            .map_err(RelationError::Storage)
+    }
+
+    /// Append the next version, refusing a timestamp earlier than the
+    /// head's (the message is the caller's to wrap).
+    fn push(
+        &mut self,
+        timestamp: u64,
+        label: String,
+        snapshot: Arc<Database>,
+        delta: Option<Arc<DatabaseDelta>>,
+    ) -> std::result::Result<VersionId, String> {
         if let Some(last) = self.versions.last() {
-            if info.timestamp < last.info.timestamp {
-                return Err(RelationError::Storage(format!(
-                    "restored version timestamp {} precedes previous timestamp {}",
-                    info.timestamp, last.info.timestamp
-                )));
+            if timestamp < last.info.timestamp {
+                return Err(format!(
+                    "version timestamp {timestamp} precedes previous timestamp {}",
+                    last.info.timestamp
+                ));
             }
         }
+        let id = self.versions.len() as VersionId;
+        let info = VersionInfo {
+            id,
+            timestamp,
+            label,
+        };
         self.versions.push(VersionEntry {
             info,
             snapshot,
             delta,
         });
-        Ok(())
+        Ok(id)
     }
 
     /// Number of committed versions.
@@ -187,9 +179,11 @@ impl VersionedDatabase {
             .ok_or(RelationError::UnknownVersion(id))
     }
 
-    /// The delta that produced version `id` from version `id - 1`.
-    /// `None` when unknown: version 0, snapshots committed whole via
-    /// [`commit`](Self::commit), or an id out of range.
+    /// The delta from version `id - 1` to version `id`. `None` for
+    /// version 0, snapshots committed whole via
+    /// [`commit`](Self::commit), commits that changed the catalog or
+    /// an index, versions reloaded from a whole segment, and ids out
+    /// of range.
     pub fn delta(&self, id: VersionId) -> Option<&Arc<DatabaseDelta>> {
         if id == 0 {
             return None;

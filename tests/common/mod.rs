@@ -20,7 +20,10 @@
 
 use fgcite::dist::{Coordinator, CoordinatorConfig, DistServer};
 use fgcite::engine::{CiteData, CiteDataPlane, CiteToken, CoreError, QuerySpec};
-use fgcite::gtopdb::{generate, paper_shard_spec, paper_views, GeneratorConfig, WorkloadGenerator};
+use fgcite::gtopdb::rng::SmallRng;
+use fgcite::gtopdb::{
+    generate, paper_shard_spec, paper_views, type_name, GeneratorConfig, WorkloadGenerator,
+};
 use fgcite::prelude::*;
 use fgcite::query::{
     evaluate, evaluate_annotated, evaluate_grouped, merge_answers, merge_groups,
@@ -67,6 +70,85 @@ pub fn default_seed() -> u64 {
 /// `n` ad-hoc workload queries over `db`, drawn with `seed`.
 pub fn workload(db: &Database, seed: u64, n: usize) -> Vec<ConjunctiveQuery> {
     WorkloadGenerator::new(db, seed).ad_hoc_batch(n)
+}
+
+/// The versioned suites' query mix: one query per join depth over the
+/// relations [`random_commit`] changes.
+pub fn history_queries() -> Vec<ConjunctiveQuery> {
+    [
+        "Q(N) :- Family(F, N, Ty)",
+        "Q(N, Tx) :- Family(F, N, Ty), FamilyIntro(F, Tx), Ty = \"gpcr\"",
+        "Q(Pn) :- Family(F, N, Ty), FC(F, C), Person(C, Pn, A)",
+    ]
+    .iter()
+    .map(|s| parse_query(s).unwrap())
+    .collect()
+}
+
+/// Append one randomized commit to `history`. `kind`: 0 inserts,
+/// 1 deletes, 2 mixed, 3 empty, 4 churn — the shapes where the diff of
+/// two snapshots and the ops as performed differ: one row removed and
+/// reinserted (it moves to the end), a fresh row inserted and removed,
+/// a duplicate insert, an absent remove and a read-only `relation_mut`
+/// touch. Decisions are drawn from `rng` *inside* the commit closure so
+/// deletes can target rows that exist in the working copy.
+pub fn random_commit(
+    history: &mut VersionedDatabase,
+    rng: &mut SmallRng,
+    step: usize,
+    kind: usize,
+) {
+    let timestamp = (step as u64 + 1) * 100;
+    history
+        .commit_with(timestamp, format!("v{}", step + 1), |db| {
+            if kind == 0 || kind == 2 {
+                let inserts = rng.gen_range(1..=3);
+                for i in 0..inserts {
+                    let fid = format!("nf{step}-{i}");
+                    let ty = type_name(rng.gen_range(0..3));
+                    db.insert("Family", tuple![fid.clone(), format!("New-{step}-{i}"), ty])?;
+                    db.insert(
+                        "FC",
+                        tuple![fid.clone(), format!("p{}", rng.gen_range(0..20))],
+                    )?;
+                    if rng.gen_bool(0.5) {
+                        db.insert(
+                            "FamilyIntro",
+                            tuple![fid.clone(), format!("Intro {step}-{i}")],
+                        )?;
+                        db.insert("FIC", tuple![fid, format!("p{}", rng.gen_range(0..20))])?;
+                    }
+                }
+            }
+            if kind == 1 || kind == 2 {
+                for _ in 0..rng.gen_range(1..=3) {
+                    let relation = ["Family", "FC", "FamilyIntro", "FIC"][rng.gen_range(0..4)];
+                    let rows = db.relation(relation)?.rows();
+                    if rows.is_empty() {
+                        continue;
+                    }
+                    let victim = rows[rng.gen_range(0..rows.len())].clone();
+                    db.remove(relation, &victim)?;
+                }
+            }
+            if kind == 4 {
+                let relation = ["Family", "FC", "FamilyIntro", "FIC"][rng.gen_range(0..4)];
+                let rows = db.relation(relation)?.rows();
+                if !rows.is_empty() {
+                    let row = rows[rng.gen_range(0..rows.len())].clone();
+                    db.remove(relation, &row)?;
+                    db.insert(relation, row.clone())?;
+                    assert!(!db.insert(relation, row)?, "a duplicate insert is a no-op");
+                }
+                let fresh = tuple![format!("gone{step}"), format!("p{}", rng.gen_range(0..20))];
+                db.insert("FC", fresh.clone())?;
+                db.remove("FC", &fresh)?;
+                assert!(!db.remove("FIC", &tuple!["absent", "absent"])?);
+                db.relation_mut("Person")?;
+            }
+            Ok(())
+        })
+        .expect("commit applies");
 }
 
 /// An engine citing `db` through the paper's views.

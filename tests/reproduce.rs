@@ -8,6 +8,8 @@
 //! purpose, the failure message prints the fresh document; that is
 //! the file's new content.
 
+mod common;
+
 use fgcite::engine::{
     baseline_coverage, CitationEngine, EngineOptions, OrderChoice, PageCitationStore, Policy,
     RewriteMode, VersionedCitationEngine, WorkloadItem,
@@ -15,6 +17,7 @@ use fgcite::engine::{
 use fgcite::gtopdb::{generate, paper_instance, paper_views, GeneratorConfig, WorkloadGenerator};
 use fgcite::prelude::*;
 use fgcite::query::{evaluate, evaluate_annotated, parse_query};
+use fgcite::relation::storage;
 use fgcite::relation::VersionedDatabase;
 use fgcite::rewrite::{best_rewritings, enumerate_rewritings, RewriteOptions, ViewDefs};
 use fgcite::semiring::{Natural, Polynomial, Why};
@@ -382,6 +385,25 @@ fn claim_8_fixity_resolves_and_shares_versions() {
         }
     }
     let stats = walked.version_stats();
+
+    // The same walk over the history persisted, compacted into whole
+    // segments and reopened: identity survives, so the counts match.
+    let dir = common::TempDir::new("claim-8");
+    let open = || storage::open(StorageKind::Disk, Some(&dir), StorageOptions::default()).unwrap();
+    open().sync(walked.history()).unwrap();
+    open().compact().unwrap();
+    let reopened = VersionedCitationEngine::from_storage(open(), paper_views()).unwrap();
+    for v in 0..=commits as u64 {
+        reopened.cite_at_version(v, &q).unwrap();
+    }
+    let (again, m) = (reopened.version_stats(), reopened.memory_stats());
+    let reopened = obj([
+        ("derived", int(again.derived)),
+        ("shared", int(again.shared)),
+        ("rebuilt", int(again.rebuilt)),
+        ("resident_kib", int(m.resident_bytes / 1024)),
+        ("shared_relations", int(m.shared_relations)),
+    ]);
     check(
         8,
         obj([
@@ -392,6 +414,7 @@ fn claim_8_fixity_resolves_and_shares_versions() {
             ("shared", int(stats.shared)),
             ("rebuilt", int(stats.rebuilt)),
             ("memory", Json::Array(memory)),
+            ("reopened_after_compaction", reopened),
         ]),
     );
 }
