@@ -824,8 +824,11 @@ mod tests {
 
     #[test]
     fn storage_round_trip_reproduces_citations() {
-        use fgc_relation::storage::{MemStorage, Storage};
-        let storage: Arc<dyn Storage> = Arc::new(MemStorage::new());
+        use fgc_relation::storage::{DiskStorage, Storage, StorageOptions};
+        let dir = std::env::temp_dir().join(format!("fgc-fixity-store-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let storage: Arc<dyn Storage> =
+            Arc::new(DiskStorage::open(&dir, StorageOptions::default()).unwrap());
         let mut e = VersionedCitationEngine::new(history(), registry())
             .with_storage(Arc::clone(&storage))
             .unwrap();
@@ -835,7 +838,9 @@ mod tests {
         })
         .unwrap();
         assert_eq!(e.storage_stats().unwrap().versions, 3);
-        // "restart": reopen from the backend without the original history
+        // "restart": a fresh handle over the same directory, without
+        // the original history
+        let storage = Arc::new(DiskStorage::open(&dir, StorageOptions::default()).unwrap());
         let reopened = VersionedCitationEngine::from_storage(storage, registry()).unwrap();
         let q = parse_query("Q(N) :- Family(F, N, Ty)").unwrap();
         for v in 0..3 {
@@ -846,7 +851,7 @@ mod tests {
                 b.stamped_aggregate().to_compact()
             );
         }
-        // the reopened engine can keep committing through the backend
+        // the reopened engine can keep committing through the store
         let mut reopened = reopened;
         reopened
             .commit_with(400, "v26", |db| {
@@ -855,6 +860,7 @@ mod tests {
             })
             .unwrap();
         assert_eq!(reopened.storage_stats().unwrap().versions, 4);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -50,7 +50,7 @@ pub mod prelude {
     pub use crate::relation::Relation;
     pub use crate::schema::{Attribute, Catalog, ForeignKey, RelationSchema};
     pub use crate::sharded::{Partition, ShardKeySpec, ShardStats};
-    pub use crate::storage::{Storage, StorageKind, StorageOptions, StorageStats};
+    pub use crate::storage::{Storage, StorageOptions, StorageStats};
     pub use crate::tuple;
     pub use crate::tuple::Tuple;
     pub use crate::value::{DataType, Value};
@@ -65,8 +65,7 @@ pub use relation::Relation;
 pub use schema::{Attribute, Catalog, ForeignKey, RelationSchema};
 pub use sharded::{Partition, ShardKeySpec, ShardStats};
 pub use storage::{
-    DiskStorage, FaultVfs, MemSegment, MemStorage, RealVfs, Storage, StorageHealth, StorageKind,
-    StorageOptions, StorageStats, Vfs,
+    DiskStorage, FaultVfs, RealVfs, Storage, StorageHealth, StorageOptions, StorageStats, Vfs,
 };
 pub use tuple::Tuple;
 pub use value::{DataType, Value};

@@ -1,31 +1,38 @@
 //! A single relation instance: schema + set of tuples + indexes.
 //!
 //! Storage is a row store with set semantics (the paper's model is
-//! set-based conjunctive queries). A hash index over the primary key
-//! enforces key constraints; secondary hash indexes over arbitrary
-//! columns are built on demand and used by the query evaluator for
-//! index-nested-loop joins.
-//!
-//! The row store itself — rows, set guard, key index, secondary
-//! postings — lives in [`crate::storage::MemSegment`]; `Relation`
-//! owns the schema and performs shape checking. Keeping the data
-//! plane in one place is what lets the disk backend
-//! ([`crate::storage::DiskStorage`]) reload a relation through the
-//! exact same code path that built it.
+//! set-based conjunctive queries): rows in insertion order, a set
+//! guard, a hash index over the primary key that enforces key
+//! constraints, and secondary hash indexes over arbitrary columns,
+//! built on demand and used by the query evaluator for
+//! index-nested-loop joins. The disk store
+//! ([`crate::storage::DiskStorage`]) reloads a relation by feeding its
+//! persisted rows back through [`Relation::insert`], which is why a
+//! reloaded relation is structurally identical (same row order, same
+//! index state) to the one that was persisted.
 
 use crate::error::{RelationError, Result};
 use crate::schema::RelationSchema;
-use crate::storage::MemSegment;
 use crate::tuple::Tuple;
 use crate::value::Value;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// One relation instance.
 #[derive(Debug, Clone)]
 pub struct Relation {
     schema: Arc<RelationSchema>,
-    /// The row store: rows in insertion order plus hash indexes.
-    segment: MemSegment,
+    /// All tuples in insertion order — the global order evaluation,
+    /// sharding, and citations rely on.
+    rows: Vec<Tuple>,
+    /// Set-semantics guard: every stored row, for O(1) duplicate
+    /// checks. Values are row positions.
+    row_set: HashMap<Tuple, usize>,
+    /// Primary-key index: key projection -> row position.
+    key_index: HashMap<Tuple, usize>,
+    /// Secondary postings: column -> (value -> row positions, in
+    /// ascending order).
+    secondary: HashMap<usize, HashMap<Value, Vec<usize>>>,
 }
 
 impl Relation {
@@ -33,7 +40,10 @@ impl Relation {
     pub fn new(schema: Arc<RelationSchema>) -> Self {
         Relation {
             schema,
-            segment: MemSegment::new(),
+            rows: Vec::new(),
+            row_set: HashMap::new(),
+            key_index: HashMap::new(),
+            secondary: HashMap::new(),
         }
     }
 
@@ -57,22 +67,22 @@ impl Relation {
 
     /// Number of stored tuples.
     pub fn len(&self) -> usize {
-        self.segment.len()
+        self.rows.len()
     }
 
     /// Is the relation empty?
     pub fn is_empty(&self) -> bool {
-        self.segment.is_empty()
+        self.rows.is_empty()
     }
 
     /// All tuples in insertion order.
     pub fn rows(&self) -> &[Tuple] {
-        self.segment.rows()
+        &self.rows
     }
 
     /// Iterate over tuples.
     pub fn iter(&self) -> std::slice::Iter<'_, Tuple> {
-        self.segment.rows().iter()
+        self.rows.iter()
     }
 
     /// Check arity and column types of a candidate tuple.
@@ -102,29 +112,83 @@ impl Relation {
     /// Returns `true` if the tuple was actually added.
     pub fn insert(&mut self, tuple: Tuple) -> Result<bool> {
         self.check_shape(&tuple)?;
-        self.segment.insert(&self.schema, tuple)
+        if self.row_set.contains_key(&tuple) {
+            return Ok(false);
+        }
+        if self.schema.has_key() {
+            let key = tuple.project(&self.schema.key);
+            if self.key_index.contains_key(&key) {
+                return Err(RelationError::KeyViolation {
+                    relation: self.schema.name.clone(),
+                    key: key.to_string(),
+                });
+            }
+            self.key_index.insert(key, self.rows.len());
+        }
+        let pos = self.rows.len();
+        for (&col, index) in &mut self.secondary {
+            index.entry(tuple[col].clone()).or_default().push(pos);
+        }
+        self.row_set.insert(tuple.clone(), pos);
+        self.rows.push(tuple);
+        Ok(true)
     }
 
     /// Remove a stored tuple. Returns `true` if it was present.
     ///
-    /// Removal preserves insertion order for the surviving rows (see
-    /// [`MemSegment::remove`]).
+    /// Removal preserves insertion order for the surviving rows: the
+    /// row is taken out of the middle and every stored position past
+    /// it shifts down — O(rows + index entries) per removal, the
+    /// right trade for curated databases whose commits remove a
+    /// handful of tuples.
     pub fn remove(&mut self, tuple: &Tuple) -> Result<bool> {
         self.check_shape(tuple)?;
-        Ok(self.segment.remove(&self.schema, tuple))
+        let Some(pos) = self.row_set.remove(tuple) else {
+            return Ok(false);
+        };
+        self.rows.remove(pos);
+        if self.schema.has_key() {
+            self.key_index.remove(&tuple.project(&self.schema.key));
+        }
+        for p in self.row_set.values_mut() {
+            if *p > pos {
+                *p -= 1;
+            }
+        }
+        for p in self.key_index.values_mut() {
+            if *p > pos {
+                *p -= 1;
+            }
+        }
+        for (&col, index) in &mut self.secondary {
+            if let Some(list) = index.get_mut(&tuple[col]) {
+                list.retain(|&p| p != pos);
+                if list.is_empty() {
+                    index.remove(&tuple[col]);
+                }
+            }
+            for list in index.values_mut() {
+                for p in list {
+                    if *p > pos {
+                        *p -= 1;
+                    }
+                }
+            }
+        }
+        Ok(true)
     }
 
     /// Whether an identical tuple is stored.
     pub fn contains(&self, tuple: &Tuple) -> bool {
-        self.segment.contains(tuple)
+        self.row_set.contains_key(tuple)
     }
 
     /// Look up a row by primary key (key must match schema key arity).
     pub fn get_by_key(&self, key: &Tuple) -> Option<&Tuple> {
-        self.segment.get_by_key(key)
+        self.key_index.get(key).map(|&i| &self.rows[i])
     }
 
-    /// Ensure a secondary hash index exists on `column` and return it.
+    /// Ensure a secondary hash index exists on `column`.
     pub fn build_index(&mut self, column: usize) -> Result<()> {
         if column >= self.schema.arity() {
             return Err(RelationError::UnknownAttribute {
@@ -132,25 +196,55 @@ impl Relation {
                 attribute: format!("#{column}"),
             });
         }
-        self.segment.build_index(column);
+        let rows = &self.rows;
+        self.secondary.entry(column).or_insert_with(|| {
+            let mut index: HashMap<Value, Vec<usize>> = HashMap::new();
+            for (pos, row) in rows.iter().enumerate() {
+                index.entry(row[column].clone()).or_default().push(pos);
+            }
+            index
+        });
         Ok(())
     }
 
     /// Columns with a secondary hash index, in ascending order. Used
     /// to persist index state in segment files.
     pub fn indexed_columns(&self) -> Vec<usize> {
-        self.segment.indexed_columns()
+        let mut cols: Vec<usize> = self.secondary.keys().copied().collect();
+        cols.sort_unstable();
+        cols
     }
 
     /// Row positions whose `column` equals `value`, using a secondary
     /// index if one exists, otherwise `None` (caller should scan).
     pub fn probe(&self, column: usize, value: &Value) -> Option<&[usize]> {
-        self.segment.probe(column, value)
+        self.secondary
+            .get(&column)
+            .map(|idx| idx.get(value).map(Vec::as_slice).unwrap_or(&[]))
     }
 
-    /// Rough resident size of this relation's data in bytes.
+    /// Rough resident size in bytes: row payloads plus the hash-map
+    /// entries of the set guard, key index, and secondary postings.
+    /// An estimate (hash-table load factors and allocator slack are
+    /// not modeled), intended for relative memory reporting.
     pub fn approx_bytes(&self) -> usize {
-        self.segment.approx_bytes()
+        let rows: usize = self.rows.iter().map(Tuple::approx_bytes).sum();
+        let entry = std::mem::size_of::<(Tuple, usize)>();
+        let keys = |map: &HashMap<Tuple, usize>| -> usize {
+            let payload = |t: &Tuple| t.approx_bytes() - std::mem::size_of::<Tuple>();
+            map.len() * entry + map.keys().map(payload).sum::<usize>()
+        };
+        let secondary: usize = self
+            .secondary
+            .values()
+            .flat_map(|idx| idx.iter())
+            .map(|(v, list)| {
+                std::mem::size_of::<Value>()
+                    + v.heap_bytes()
+                    + list.len() * std::mem::size_of::<usize>()
+            })
+            .sum();
+        rows + keys(&self.row_set) + keys(&self.key_index) + secondary
     }
 }
 

@@ -29,10 +29,11 @@
 //! ## Durability & fidelity
 //!
 //! Cold start ([`DiskStorage::load_history`]) replays the manifest in
-//! order: segments are decoded through a page-granular buffer cache,
-//! delta versions clone the predecessor snapshot and re-apply the
-//! delta's removals, then its inserts. A delta is the diff
-//! child = parent − R ++ I ([`DatabaseDelta::between`]), so the
+//! order: each segment file is read whole, in one call, and decoded
+//! once its checksum matches; delta versions clone the predecessor
+//! snapshot and re-apply the delta's removals, then its inserts. Each
+//! process reads a segment once, so nothing is cached. A delta is the
+//! diff child = parent − R ++ I ([`DatabaseDelta::between`]), so the
 //! reloaded chain is structurally identical to the persisted one —
 //! same row order, same index state — which is what keeps citations
 //! byte-identical after a restart (`tests/storage_equivalence.rs`).
@@ -53,11 +54,14 @@
 //! The codec is a hand-written length-prefixed little-endian binary
 //! format (the workspace is std-only); integers and floats persist
 //! their exact 64-bit payloads so `Value` equality, ordering, and
-//! hashing survive the round trip bit-for-bit.
+//! hashing survive the round trip bit-for-bit. Every file and record
+//! carries the FNV-1a checksum of its body — a segment file and the
+//! `MANIFEST` end with it, a WAL record leads with it — and a
+//! mismatch is a `corrupt` error before any byte is decoded: a
+//! flipped row value or version label never loads as data.
 
 use super::vfs::{RealVfs, Vfs};
-use super::{Storage, StorageHealth, StorageKind, StorageOptions, StorageStats};
-use crate::clock::Clock;
+use super::{Storage, StorageHealth, StorageOptions, StorageStats};
 use crate::database::Database;
 use crate::delta::{DatabaseDelta, DeltaOp, RelationDelta};
 use crate::error::{RelationError, Result};
@@ -67,11 +71,11 @@ use crate::value::{DataType, Value};
 use crate::version::{VersionId, VersionInfo, VersionedDatabase};
 use fgc_fault::fnv64;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
-const MANIFEST_MAGIC: &[u8; 8] = b"FGCMANI1";
-const SEGMENT_MAGIC: &[u8; 8] = b"FGCSEGM1";
+const MANIFEST_MAGIC: &[u8; 8] = b"FGCMANI2";
+const SEGMENT_MAGIC: &[u8; 8] = b"FGCSEGM2";
 const MANIFEST_FILE: &str = "MANIFEST";
 const WAL_FILE: &str = "wal.log";
 const SEGMENT_DIR: &str = "segments";
@@ -87,6 +91,24 @@ fn corrupt(what: impl std::fmt::Display) -> RelationError {
 // ---------------------------------------------------------------
 // Binary codec
 // ---------------------------------------------------------------
+
+/// Append the checksum of `body` to it: the file as written.
+fn seal(mut body: Vec<u8>) -> Vec<u8> {
+    let checksum = fnv64(&body);
+    put_u64(&mut body, checksum);
+    body
+}
+
+/// The body of a sealed file, once its trailing checksum matches.
+fn unseal<'a>(bytes: &'a [u8], what: &str) -> Result<&'a [u8]> {
+    let (body, checksum) = bytes
+        .split_last_chunk::<8>()
+        .ok_or_else(|| corrupt(format!("{what}: truncated at byte 0")))?;
+    if fnv64(body) != u64::from_le_bytes(*checksum) {
+        return Err(corrupt(format!("{what}: checksum mismatch")));
+    }
+    Ok(body)
+}
 
 fn put_u8(buf: &mut Vec<u8>, v: u8) {
     buf.push(v);
@@ -347,7 +369,7 @@ impl<'a> Reader<'a> {
 }
 
 /// Serialize a full snapshot: catalog in registration order, then per
-/// relation its indexed columns and rows in insertion order.
+/// relation its indexed columns and rows in insertion order, sealed.
 fn encode_segment(db: &Database) -> Result<Vec<u8>> {
     let mut buf = Vec::new();
     buf.extend_from_slice(SEGMENT_MAGIC);
@@ -366,14 +388,14 @@ fn encode_segment(db: &Database) -> Result<Vec<u8>> {
             put_tuple(&mut buf, row);
         }
     }
-    Ok(buf)
+    Ok(seal(buf))
 }
 
 /// Rebuild a snapshot by feeding persisted rows back through the
 /// normal insert path — the reload is structurally identical (same
 /// row order, same index state) to the database that was encoded.
 fn decode_segment(bytes: &[u8]) -> Result<Database> {
-    let mut r = Reader::new(bytes, "segment");
+    let mut r = Reader::new(unseal(bytes, "segment")?, "segment");
     if r.take(SEGMENT_MAGIC.len())? != SEGMENT_MAGIC {
         return Err(corrupt("segment: bad magic"));
     }
@@ -403,14 +425,6 @@ fn decode_segment(bytes: &[u8]) -> Result<Database> {
     }
     Ok(db)
 }
-
-// ---------------------------------------------------------------
-// Buffer cache
-// ---------------------------------------------------------------
-
-/// Page key: (segment version id, page number). A version's segment
-/// is its snapshot's encoding, so a cached page never goes stale.
-type PageKey = (u64, u64);
 
 // ---------------------------------------------------------------
 // DiskStorage
@@ -455,11 +469,6 @@ pub struct DiskStorage {
     /// crash-consistency harness.
     vfs: Arc<dyn Vfs>,
     inner: Mutex<DiskInner>,
-    /// Page-granular buffer cache over segment files; the ring (and
-    /// its capacity-0 = off rule) is [`Clock`]'s.
-    cache: Mutex<Clock<PageKey, Arc<Vec<u8>>>>,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
     /// Whether the most recent [`Storage::sync`] succeeded — part of
     /// the `/healthz` degradation report.
     last_sync_ok: AtomicBool,
@@ -540,9 +549,6 @@ impl DiskStorage {
         Ok(DiskStorage {
             dir,
             vfs,
-            cache: Mutex::new(Clock::new(options.cache_pages)),
-            cache_hits: AtomicU64::new(0),
-            cache_misses: AtomicU64::new(0),
             options,
             inner: Mutex::new(DiskInner {
                 entries,
@@ -596,56 +602,12 @@ impl DiskStorage {
         self.write_atomic(&self.dir.join(MANIFEST_FILE), &encode_manifest(entries))
     }
 
-    /// Probe the buffer cache, counting the hit or miss. A disabled
-    /// cache (capacity 0) is never probed, so it reports no traffic.
-    fn cached_page(&self, key: PageKey) -> Option<Arc<Vec<u8>>> {
-        if self.options.cache_pages == 0 {
-            return None;
-        }
-        let cache = self.cache.lock().expect("page cache poisoned");
-        let page = cache.get(&key).cloned();
-        let counter = match page {
-            Some(_) => &self.cache_hits,
-            None => &self.cache_misses,
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-        page
-    }
-
-    /// Read one segment file page-by-page through the buffer cache.
+    /// Read one segment file whole, in one call.
     fn read_segment_bytes(&self, id: VersionId) -> Result<Vec<u8>> {
         let path = self.segment_path(id);
-        let len = self
-            .vfs
-            .len(&path)
-            .map_err(|e| io_err(format!("missing segment `{}`", path.display()), e))?
-            as usize;
-        let page_size = self.options.page_size;
-        let mut out = Vec::with_capacity(len);
-        for page_no in 0..len.div_ceil(page_size) {
-            let key = (id, page_no as u64);
-            let data = match self.cached_page(key) {
-                Some(d) => d,
-                None => {
-                    let start = page_no * page_size;
-                    let take = page_size.min(len - start);
-                    let mut buf = vec![0u8; take];
-                    self.vfs
-                        .read_at(&path, start as u64, &mut buf)
-                        .map_err(|e| {
-                            io_err(format!("cannot read segment `{}`", path.display()), e)
-                        })?;
-                    let arc = Arc::new(buf);
-                    self.cache
-                        .lock()
-                        .expect("page cache poisoned")
-                        .insert(key, Arc::clone(&arc));
-                    arc
-                }
-            };
-            out.extend_from_slice(&data);
-        }
-        Ok(out)
+        self.vfs
+            .read(&path)
+            .map_err(|e| io_err(format!("cannot read segment `{}`", path.display()), e))
     }
 
     fn read_wal_record(
@@ -879,6 +841,7 @@ fn wal_record_len(payload_len: u32) -> u64 {
     12 + u64::from(payload_len)
 }
 
+/// The `MANIFEST` as written: its entries in version order, sealed.
 fn encode_manifest(entries: &[ManifestEntry]) -> Vec<u8> {
     let mut buf = Vec::new();
     buf.extend_from_slice(MANIFEST_MAGIC);
@@ -897,7 +860,7 @@ fn encode_manifest(entries: &[ManifestEntry]) -> Vec<u8> {
             }
         }
     }
-    buf
+    seal(buf)
 }
 
 #[cfg(test)]
@@ -908,7 +871,7 @@ fn read_manifest(path: &Path) -> Result<Vec<ManifestEntry>> {
 }
 
 fn decode_manifest(bytes: &[u8]) -> Result<Vec<ManifestEntry>> {
-    let mut r = Reader::new(bytes, "manifest");
+    let mut r = Reader::new(unseal(bytes, "manifest")?, "manifest");
     if r.take(MANIFEST_MAGIC.len())? != MANIFEST_MAGIC {
         return Err(corrupt("manifest: bad magic"));
     }
@@ -934,10 +897,6 @@ fn decode_manifest(bytes: &[u8]) -> Result<Vec<ManifestEntry>> {
 }
 
 impl Storage for DiskStorage {
-    fn kind(&self) -> StorageKind {
-        StorageKind::Disk
-    }
-
     fn sync(&self, history: &VersionedDatabase) -> Result<()> {
         let result = self.sync_inner(history);
         self.last_sync_ok.store(result.is_ok(), Ordering::Relaxed);
@@ -967,15 +926,11 @@ impl Storage for DiskStorage {
         }
         disk_bytes += self.vfs.dir_size(&self.dir.join(SEGMENT_DIR));
         StorageStats {
-            kind: StorageKind::Disk,
             versions: inner.entries.len(),
             segments,
             wal_records,
             wal_bytes: inner.wal_len,
             disk_bytes,
-            cache_pages: self.options.cache_pages,
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            cache_misses: self.cache_misses.load(Ordering::Relaxed),
             compactions: inner.compactions,
         }
     }
@@ -988,7 +943,7 @@ impl Storage for DiskStorage {
         self.compact_locked(&mut inner)
     }
 
-    fn health(&self) -> Option<StorageHealth> {
+    fn health(&self) -> StorageHealth {
         let manifest_path = self.dir.join(MANIFEST_FILE);
         let manifest_readable = match self.vfs.read(&manifest_path) {
             Ok(bytes) => decode_manifest(&bytes).is_ok(),
@@ -1017,13 +972,13 @@ impl Storage for DiskStorage {
                 self.options.wal_compact_bytes
             ));
         }
-        Some(StorageHealth {
+        StorageHealth {
             degraded: !causes.is_empty(),
             causes,
             manifest_readable,
             last_sync_ok,
             wal_bytes,
-        })
+        }
     }
 }
 
@@ -1250,7 +1205,6 @@ mod tests {
         let dir = temp_dir("autocompact");
         let options = StorageOptions {
             wal_compact_bytes: 0, // floored to MIN_WAL_COMPACT_BYTES
-            ..StorageOptions::default()
         };
         let storage = DiskStorage::open(&dir, options).unwrap();
         let mut h = VersionedDatabase::new();
@@ -1274,44 +1228,6 @@ mod tests {
     }
 
     #[test]
-    fn cache_capacity_zero_disables_the_buffer_cache() {
-        let dir = temp_dir("nocache");
-        let options = StorageOptions {
-            cache_pages: 0,
-            ..StorageOptions::default()
-        };
-        let storage = DiskStorage::open(&dir, options).unwrap();
-        let h = history();
-        storage.sync(&h).unwrap();
-        storage.load_history().unwrap();
-        storage.load_history().unwrap();
-        let stats = storage.stats();
-        assert_eq!(stats.cache_hits + stats.cache_misses, 0);
-        assert_eq!(stats.cache_hit_rate(), 0.0);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn repeated_loads_hit_the_buffer_cache() {
-        let dir = temp_dir("cachehit");
-        let options = StorageOptions {
-            page_size: 0, // floored to MIN_PAGE_SIZE
-            ..StorageOptions::default()
-        };
-        let storage = DiskStorage::open(&dir, options).unwrap();
-        let h = history();
-        storage.sync(&h).unwrap();
-        storage.load_history().unwrap();
-        let cold = storage.stats();
-        assert!(cold.cache_misses > 0);
-        storage.load_history().unwrap();
-        let warm = storage.stats();
-        assert!(warm.cache_hits > cold.cache_hits);
-        assert!(warm.cache_hit_rate() > 0.0);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn unusable_data_dir_is_a_structured_error() {
         let dir = temp_dir("notadir");
         fs::create_dir_all(dir.parent().unwrap()).unwrap();
@@ -1322,6 +1238,18 @@ mod tests {
         let err = DiskStorage::open(dir.join("sub"), StorageOptions::default()).unwrap_err();
         assert!(err.to_string().contains("storage error"), "{err}");
         let _ = fs::remove_file(&dir);
+    }
+
+    #[test]
+    fn shrunk_history_is_refused() {
+        let dir = temp_dir("shrunk");
+        let storage = DiskStorage::open(&dir, StorageOptions::default()).unwrap();
+        storage.sync(&history()).unwrap();
+        let mut shorter = VersionedDatabase::new();
+        shorter.commit(base(), 100, "v0").unwrap();
+        let err = storage.sync(&shorter).unwrap_err().to_string();
+        assert!(err.contains("3 are already persisted"), "{err}");
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1420,23 +1348,52 @@ mod tests {
     }
 
     #[test]
+    fn forked_content_after_a_shared_first_version_is_refused() {
+        let dir = temp_dir("forklater");
+        let storage = DiskStorage::open(&dir, StorageOptions::default()).unwrap();
+        let mut h = VersionedDatabase::new();
+        h.commit(base(), 100, "v0").unwrap();
+        h.commit_with(200, "v1", |db| {
+            db.insert("Family", tuple!["13", "Kinase", "enzyme"])
+                .map(|_| ())
+        })
+        .unwrap();
+        storage.sync(&h).unwrap();
+        // v0 matches; v1 has the same info but different tuples, and
+        // the fork appends a version so it looks like an extension
+        let mut fork = VersionedDatabase::new();
+        fork.commit(base(), 100, "v0").unwrap();
+        fork.commit_with(200, "v1", |db| {
+            db.insert("Family", tuple!["14", "Lipase", "enzyme"])
+                .map(|_| ())
+        })
+        .unwrap();
+        fork.commit_with(300, "v2", |_| Ok(())).unwrap();
+        let err = storage.sync(&fork).unwrap_err();
+        assert!(err.to_string().contains("different content"), "{err}");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn hostile_length_prefixes_error_instead_of_allocating() {
         // a tuple claiming u32::MAX values in a 4-byte buffer
         let mut buf = Vec::new();
         put_u32(&mut buf, u32::MAX);
         let err = Reader::new(&buf, "tuple").tuple().unwrap_err();
         assert!(err.to_string().contains("truncated"), "{err}");
-        // a manifest claiming u32::MAX entries right before EOF
+        // a manifest claiming u32::MAX entries right before EOF, with
+        // a checksum that matches, so the decoder itself must refuse
         let dir = temp_dir("hostile");
         let storage = DiskStorage::open(&dir, StorageOptions::default()).unwrap();
         storage.sync(&history()).unwrap();
         drop(storage);
         let manifest = dir.join(MANIFEST_FILE);
         let mut bytes = fs::read(&manifest).unwrap();
+        bytes.truncate(bytes.len() - 8);
         bytes[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
-        fs::write(&manifest, &bytes).unwrap();
+        fs::write(&manifest, seal(bytes)).unwrap();
         let err = DiskStorage::open(&dir, StorageOptions::default()).unwrap_err();
-        assert!(matches!(err, RelationError::Storage(_)), "{err}");
+        assert!(err.to_string().contains("truncated"), "{err}");
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1481,13 +1438,13 @@ mod tests {
     fn health_reports_an_unreadable_manifest() {
         let dir = temp_dir("health");
         let storage = DiskStorage::open(&dir, StorageOptions::default()).unwrap();
-        let health = storage.health().unwrap();
+        let health = storage.health();
         assert!(!health.degraded, "a fresh store is healthy: {health:?}");
         assert!(health.manifest_readable, "no manifest yet is not a fault");
         storage.sync(&history()).unwrap();
-        assert!(!storage.health().unwrap().degraded);
+        assert!(!storage.health().degraded);
         fs::write(dir.join(MANIFEST_FILE), b"garbage").unwrap();
-        let health = storage.health().unwrap();
+        let health = storage.health();
         assert!(health.degraded && !health.manifest_readable, "{health:?}");
         assert!(health.causes.iter().any(|c| c.contains("manifest")));
         let _ = fs::remove_dir_all(&dir);
@@ -1505,12 +1462,12 @@ mod tests {
         let h = history();
         let err = storage.sync(&h).unwrap_err();
         assert!(err.to_string().contains("injected"), "{err}");
-        let health = storage.health().unwrap();
+        let health = storage.health();
         assert!(health.degraded && !health.last_sync_ok, "{health:?}");
         assert!(health.causes.iter().any(|c| c.contains("last sync failed")));
         // The fault was one-shot; a retry heals the report.
         storage.sync(&h).unwrap();
-        let health = storage.health().unwrap();
+        let health = storage.health();
         assert!(health.last_sync_ok && !health.degraded, "{health:?}");
         let _ = fs::remove_dir_all(&dir);
     }
@@ -1587,5 +1544,38 @@ mod tests {
         let err = reopened.load_history().unwrap_err();
         assert!(err.to_string().contains("checksum"), "{err}");
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Sync [`history`], flip the first `from` byte of `file` to `to`
+    /// (both ASCII, so the file still decodes), and expect the reopen
+    /// or the load to refuse it as corrupt.
+    fn flipped_byte_is_corrupt(tag: &str, file: &str, from: &[u8], to: u8) {
+        let dir = temp_dir(tag);
+        let storage = DiskStorage::open(&dir, StorageOptions::default()).unwrap();
+        storage.sync(&history()).unwrap();
+        drop(storage);
+        let path = dir.join(file);
+        let mut bytes = fs::read(&path).unwrap();
+        let at = bytes.windows(from.len()).position(|w| w == from).unwrap();
+        bytes[at] = to;
+        fs::write(&path, &bytes).unwrap();
+        let loaded = DiskStorage::open(&dir, StorageOptions::default())
+            .and_then(|storage| storage.load_history());
+        let err = loaded.map(|_| ()).unwrap_err().to_string();
+        assert!(err.contains("storage error: corrupt"), "{err}");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn segment_checksum_catches_a_flipped_row_value() {
+        // "Orexin" -> "Prexin": a non-key value of version 0's segment
+        flipped_byte_is_corrupt("segflip", "segments/v0.seg", b"Orexin", b'P');
+    }
+
+    #[test]
+    fn manifest_checksum_catches_a_flipped_version_label() {
+        // version 0's label "v0" -> "w0" would stamp every citation of
+        // the segment-backed version with another `Version`
+        flipped_byte_is_corrupt("maniflip", MANIFEST_FILE, b"v0", b'w');
     }
 }

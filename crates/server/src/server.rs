@@ -290,7 +290,7 @@ fn serve_versions(app: &App, _: &Call<'_>) -> Response {
 /// `GET /healthz`: liveness plus deployment identity — role, shard
 /// ownership (`"i/n"`, null when unsharded), and the number of
 /// loaded versions — so a coordinator's health check and an operator
-/// see the same truth. When the storage backend reports trouble (a
+/// see the same truth. When the disk store reports trouble (a
 /// failed sync, an unreadable manifest, a WAL backlog) the body gains
 /// `degraded: true` plus the cause list while `status` stays a 200 —
 /// the process still serves reads, it just cannot promise durability.
@@ -318,15 +318,15 @@ fn serve_healthz(app: &App, _: &Call<'_>) -> Response {
     Response::json(200, body.to_compact())
 }
 
-/// The storage backend's self-reported health: versioned deployments
-/// hold the handle on the versioned engine, single deployments on the
-/// engine itself; memory backends report nothing.
+/// The store's self-reported health, `None` when serving without one:
+/// versioned deployments hold the handle on the versioned engine,
+/// single deployments on the engine itself.
 fn storage_health(app: &App) -> Option<StorageHealth> {
     app.versioned
         .as_ref()
         .and_then(|v| v.storage())
         .or_else(|| app.engine.storage())
-        .and_then(|s| s.health())
+        .map(|s| s.health())
 }
 
 /// The `GET /views` body: the registered citation views (identical on
@@ -407,7 +407,7 @@ fn serve_stats(app: &App, call: &Call<'_>) -> Response {
             ]),
         );
     }
-    // backend stats live on the versioned engine when serving a
+    // store stats live on the versioned engine when serving a
     // history, otherwise on the single engine's attached handle
     let storage = app
         .versioned
@@ -418,17 +418,12 @@ fn serve_stats(app: &App, call: &Call<'_>) -> Response {
         body.set(
             "storage",
             Json::from_pairs([
-                ("backend", Json::str(storage.kind.to_string())),
                 ("versions", Json::Int(storage.versions as i64)),
                 ("segments", Json::Int(storage.segments as i64)),
                 ("wal_records", Json::Int(storage.wal_records as i64)),
                 ("wal_bytes", Json::Int(storage.wal_bytes as i64)),
                 ("disk_bytes", Json::Int(storage.disk_bytes as i64)),
                 ("compactions", Json::Int(storage.compactions as i64)),
-                ("cache_pages", Json::Int(storage.cache_pages as i64)),
-                ("cache_hits", Json::Int(storage.cache_hits as i64)),
-                ("cache_misses", Json::Int(storage.cache_misses as i64)),
-                ("cache_hit_rate", ratio(storage.cache_hit_rate())),
             ]),
         );
     }
@@ -471,7 +466,7 @@ fn serve_metrics(app: &App, call: &Call<'_>) -> Response {
     let base = [("role", app.role.as_str()), ("shard", shard)];
     call.stats.write_prometheus(&mut w, &base);
     write_engine_metrics(&mut w, &base, &app.engine);
-    // versioned deployments hold the backend handle on the versioned
+    // versioned deployments hold the store handle on the versioned
     // engine; emit its families when the head engine carries none
     if app.engine.storage_stats().is_none() {
         if let Some(stats) = app.versioned.as_ref().and_then(|v| v.storage_stats()) {
@@ -568,18 +563,13 @@ pub fn write_engine_metrics(w: &mut PromWriter, base: &[(&str, &str)], engine: &
     }
 }
 
-/// Append the storage-backend metric families (`fgcite_storage_*`)
-/// to a Prometheus exposition. Every sample carries a `backend`
-/// label (`mem` or `disk`); the WAL/segment/buffer-cache families
-/// stay at zero for the in-memory backend.
+/// Append the disk store's metric families (`fgcite_storage_*`) to a
+/// Prometheus exposition.
 pub fn write_storage_metrics(w: &mut PromWriter, base: &[(&str, &str)], stats: &StorageStats) {
-    let backend = stats.kind.to_string();
-    let mut labels = base.to_vec();
-    labels.push(("backend", backend.as_str()));
     for (name, help, value) in [
         (
             "fgcite_storage_versions",
-            "Versions the storage backend holds.",
+            "Versions the store holds.",
             stats.versions as u64,
         ),
         (
@@ -602,33 +592,11 @@ pub fn write_storage_metrics(w: &mut PromWriter, base: &[(&str, &str)], stats: &
             "Bytes on disk across manifest, WAL, and segments.",
             stats.disk_bytes,
         ),
-        (
-            "fgcite_storage_cache_pages",
-            "Buffer-cache capacity in pages (0 = disabled).",
-            stats.cache_pages as u64,
-        ),
     ] {
         w.help(name, "gauge", help);
-        w.int(name, &labels, value);
+        w.int(name, base, value);
     }
-    for (name, help, value) in [
-        (
-            "fgcite_storage_cache_hits_total",
-            "Buffer-cache page hits.",
-            stats.cache_hits,
-        ),
-        (
-            "fgcite_storage_cache_misses_total",
-            "Buffer-cache page misses.",
-            stats.cache_misses,
-        ),
-        (
-            "fgcite_storage_compactions_total",
-            "WAL compactions folded into segments.",
-            stats.compactions,
-        ),
-    ] {
-        w.help(name, "counter", help);
-        w.int(name, &labels, value);
-    }
+    let name = "fgcite_storage_compactions_total";
+    w.help(name, "counter", "WAL compactions folded into segments.");
+    w.int(name, base, stats.compactions);
 }

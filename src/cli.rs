@@ -18,7 +18,7 @@ use fgc_core::{
 };
 use fgc_query::{parse_program, parse_query};
 use fgc_relation::loader::{load_commits, load_text, resume_commits};
-use fgc_relation::storage::{self, Storage, StorageKind, StorageOptions};
+use fgc_relation::storage::{self, Storage, StorageOptions};
 use fgc_relation::{Database, VersionedDatabase};
 use fgc_views::{parse_view_file, to_text, to_xml, TextStyle, ViewRegistry};
 use std::collections::HashMap;
@@ -147,7 +147,7 @@ const ACCEPTED_FLAGS: &[(&str, &str)] = &[
     ("suggest", "data log min-support"),
     (
         "serve",
-        "data views addr threads shard-key commits storage data-dir role shard-id \
+        "data views addr threads shard-key commits data-dir role shard-id \
          deadline-ms max-deadline-ms header-timeout-ms fault fault-seed \
          replicas twins replica-timeout-ms",
     ),
@@ -168,7 +168,7 @@ usage:
   fgcite serve   --data FILE --views FILE [--addr HOST:PORT]
                  [--threads N]
                  [--commits FILE]
-                 [--storage mem|disk [--data-dir DIR]]
+                 [--data-dir DIR]
                  [--role replica --shard-id I/N [--shard-key Rel=Col,...]]
                  [--deadline-ms MS] [--max-deadline-ms MS]
                  [--header-timeout-ms MS]
@@ -219,19 +219,19 @@ distributed serving (scatter/gather tier):
        `--twins` names one failover twin per shard (`-` = none);
        `--replica-timeout-ms` bounds each scatter call. Per-replica
        circuit state appears under `replicas` in GET /stats.
-storage backends:
-       --storage selects where snapshots live: `mem` (default, the
-       in-memory reference store) or `disk` (append-only segment
-       files plus a delta WAL under --data-dir, required for disk).
+storage:
+       --data-dir DIR persists the snapshots as append-only segment
+       files plus a delta WAL under DIR, each file checksummed;
+       without it nothing is persisted.
        First run loads --data (and --commits) and persists it; a
        restart with the same --data-dir cold-starts from the
        manifest — the text loader never runs, --data may be omitted,
        and a --commits file resumes where the persisted chain left
        off (new sections applied, a divergent file refused).
        Versioned deployments persist each commit
-       write-behind. Backend counters (segments, WAL bytes,
-       buffer-cache hit rate) appear under `storage` in GET /stats
-       and as `fgcite_storage_*` in GET /metrics.
+       write-behind. Store counters (segments, WAL bytes,
+       compactions) appear under `storage` in GET /stats and as
+       `fgcite_storage_*` in GET /metrics.
 deadlines & fault injection:
        Every request gets an end-to-end deadline: the `x-deadline-ms`
        request header when present (capped by --max-deadline-ms,
@@ -298,20 +298,15 @@ fn build_history(data: &str, commits: &str) -> Result<VersionedDatabase, CliErro
     Ok(history)
 }
 
-/// Open the storage backend the `--storage` / `--data-dir` flags
-/// select; `None` when serving without one (the default). `--storage
-/// disk` without `--data-dir`, an unknown backend name, and an
-/// unusable directory are all structured errors, never panics.
+/// Open the disk store under `--data-dir`; `None` when serving
+/// without one (the default). An unusable directory is a structured
+/// error, never a panic.
 fn open_storage(args: &Args) -> Result<Option<std::sync::Arc<dyn Storage>>, CliError> {
-    let Some(kind) = args.get("storage") else {
-        if args.get("data-dir").is_some() {
-            return Err(CliError("--data-dir requires --storage disk".into()));
-        }
+    let Some(dir) = args.get("data-dir") else {
         return Ok(None);
     };
-    let kind: StorageKind = kind.parse()?;
-    let dir = args.get("data-dir").map(std::path::Path::new);
-    Ok(Some(storage::open(kind, dir, StorageOptions::default())?))
+    let dir = std::path::Path::new(dir);
+    Ok(Some(storage::open(dir, StorageOptions::default())?))
 }
 
 /// The base snapshot for single-engine (and replica) serving when a
@@ -1174,7 +1169,6 @@ lambda F. CV1(F, N, Pn) :- Family(F, N, Ty), FC(F, C), Person(C, Pn, A)
                 "serve",
                 "--addr=127.0.0.1:0",
                 "--threads=2",
-                "--storage=disk",
                 &format!("--data-dir={}", dir.display()),
             ]
             .iter()
@@ -1343,6 +1337,7 @@ lambda F. CV1(F, N, Pn) :- Family(F, N, Ty), FC(F, C), Person(C, Pn, A)
         for (command, flag, name) in [
             ("serve", "--batch-window=1", "--batch-window"),
             ("serve", "--thread=8", "--thread"),
+            ("serve", "--storage=disk", "--storage"),
             ("views", "--query=Q(X) :- R(X)", "--query"),
         ] {
             let Err(err) = Args::parse([command.to_string(), flag.to_string()]) else {

@@ -133,8 +133,10 @@ fn enumerate_sites() -> Vec<(String, u64)> {
     plane
         .snapshot()
         .into_iter()
-        // Only mutations can corrupt state; reads are covered by the
-        // torn-tail and corruption tests in the relation crate.
+        // Only mutations can corrupt state; a torn WAL tail and a
+        // flipped byte in a WAL record, a segment file or the
+        // `MANIFEST` on the read path are the checksum tests in
+        // `crates/relation/src/storage/disk.rs`.
         .filter(|p| {
             let op = p.name.split('.').nth(1).unwrap_or("");
             matches!(

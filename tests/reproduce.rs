@@ -389,7 +389,7 @@ fn claim_8_fixity_resolves_and_shares_versions() {
     // The same walk over the history persisted, compacted into whole
     // segments and reopened: identity survives, so the counts match.
     let dir = common::TempDir::new("claim-8");
-    let open = || storage::open(StorageKind::Disk, Some(&dir), StorageOptions::default()).unwrap();
+    let open = || storage::open(&dir, StorageOptions::default()).unwrap();
     open().sync(walked.history()).unwrap();
     open().compact().unwrap();
     let reopened = VersionedCitationEngine::from_storage(open(), paper_views()).unwrap();

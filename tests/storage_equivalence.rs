@@ -1,5 +1,5 @@
-//! Storage-backend equivalence — the acceptance bar of the pluggable
-//! storage engine: citations served from a `DiskStorage`-restored
+//! Storage equivalence — the acceptance bar of the disk store:
+//! citations served from a `DiskStorage`-restored
 //! database must be **byte-identical** to the in-memory reference —
 //! same tuples in the same order, same symbolic expressions, same
 //! interpreted citations and aggregate, same rewriting labels — on
@@ -31,13 +31,13 @@ const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
 /// Persist `db` as a 1-version history and read it back through a
 /// fresh cold handle on the same dir — the restart path, byte-wise:
 /// the loader never re-runs, all rows come from segment files.
-fn disk_round_trip(db: &Database, dir: &Path, options: StorageOptions) -> Database {
-    let storage = DiskStorage::open(dir, options).expect("open data dir");
+fn disk_round_trip(db: &Database, dir: &Path) -> Database {
+    let storage = disk(dir);
     let mut history = VersionedDatabase::new();
     history.commit(db.clone(), 0, "base").unwrap();
     storage.sync(&history).unwrap();
     drop(storage);
-    let reopened = DiskStorage::open(dir, options).expect("reopen data dir");
+    let reopened = disk(dir);
     let restored = reopened.load_history().expect("cold load");
     let (_, head) = restored.head().expect("persisted head");
     (**head).clone()
@@ -46,7 +46,7 @@ fn disk_round_trip(db: &Database, dir: &Path, options: StorageOptions) -> Databa
 #[test]
 fn paper_instance_citations_are_byte_identical_mem_vs_disk() {
     let dir = TempDir::new("paper");
-    let restored = disk_round_trip(&paper_instance(), &dir, StorageOptions::default());
+    let restored = disk_round_trip(&paper_instance(), &dir);
     let reference = Reference::new("paper instance", paper_instance());
     let from_disk = common::engine(restored);
     assert_same(&reference, &[("disk", &from_disk)], &both_modes(&queries()));
@@ -56,13 +56,7 @@ fn paper_instance_citations_are_byte_identical_mem_vs_disk() {
 fn generated_gtopdb_is_byte_identical_across_shard_counts_after_cold_reopen() {
     let dir = TempDir::new("gtopdb");
     let db = common::gtopdb(120, common::default_seed());
-    // page-size floor + small cache: many pages per segment, evictions
-    let options = StorageOptions {
-        page_size: 0,   // floored to the 512-byte minimum
-        cache_pages: 8, // smaller than the segment: CLOCK must evict
-        ..StorageOptions::default()
-    };
-    let restored = disk_round_trip(&db, &dir, options);
+    let restored = disk_round_trip(&db, &dir);
     let shardings: Vec<(String, CitationEngine)> = SHARD_COUNTS
         .iter()
         .map(|&n| {
@@ -75,24 +69,6 @@ fn generated_gtopdb_is_byte_identical_across_shard_counts_after_cold_reopen() {
     let reference = Reference::new("gtopdb families=120 default seed", db.clone());
     let requests = cites(&common::workload(&db, 71, 10));
     assert_same(&reference, &named(&shardings), &requests);
-}
-
-#[test]
-fn buffer_cache_disabled_is_still_byte_identical() {
-    // capacity 0 fully disables the page cache (the degenerate
-    // capacity must not divide by zero or change any byte served)
-    let dir = TempDir::new("nocache");
-    let options = StorageOptions {
-        cache_pages: 0,
-        ..StorageOptions::default()
-    };
-    let from_disk = common::engine(disk_round_trip(&paper_instance(), &dir, options));
-    let reference = Reference::new("paper instance", paper_instance());
-    assert_same(
-        &reference,
-        &[("disk, no page cache", &from_disk)],
-        &cites(&queries()),
-    );
 }
 
 /// A `load_commits`-style history over the paper instance: inserts,
@@ -258,28 +234,12 @@ fn commits_through_the_versioned_engine_persist_write_behind() {
 }
 
 #[test]
-fn mem_backend_mirrors_and_reloads_identically() {
-    // the in-memory reference backend satisfies the same contract
-    let storage = open(StorageKind::Mem, None, StorageOptions::default()).unwrap();
-    let history = commit_history();
-    storage.sync(&history).unwrap();
-    let from_mem = VersionedCitationEngine::new(storage.load_history().unwrap(), paper_views());
-    let reference = Reference::versioned("load_commits history", history);
-    assert_same(&reference, &[("mem", &from_mem)], &history_walk());
-}
-
-#[test]
 fn unusable_data_dir_is_a_clear_error_not_a_panic() {
     let dir = TempDir::new("file-in-the-way");
     std::fs::write(&*dir, b"not a directory").unwrap();
-    let err = open(StorageKind::Disk, Some(&dir), StorageOptions::default()).unwrap_err();
+    let err = open(&dir, StorageOptions::default()).unwrap_err();
     assert!(
         err.to_string().contains("storage error"),
         "unexpected error: {err}"
     );
-    // disk without a directory at all is refused up front
-    let err = open(StorageKind::Disk, None, StorageOptions::default()).unwrap_err();
-    assert!(err.to_string().contains("--data-dir"), "{err}");
-    // unknown backend names are a parse error, not a panic
-    assert!("papyrus".parse::<StorageKind>().is_err());
 }
