@@ -30,7 +30,7 @@ use fgc_query::eval::EvalOptions;
 use fgc_query::{evaluate_grouped_plan_with, evaluate_plan_with, parse_sql, Binding, QueryPlan};
 use fgc_relation::schema::RelationSchema;
 use fgc_relation::sharded::{Partition, ShardKeySpec, ShardStats};
-use fgc_relation::storage::{Storage, StorageStats};
+use fgc_relation::storage::Storage;
 use fgc_relation::{DataType, Database, DatabaseDelta, Tuple, Value};
 use fgc_rewrite::{best_rewritings, enumerate_rewritings, RewriteOptions, Rewriting, ViewDefs};
 use fgc_semiring::{CitationExpr, CommutativeSemiring, Monomial, Polynomial};
@@ -277,7 +277,9 @@ pub struct CitationEngine {
     /// when one is attached ([`Self::with_storage`]). The engine
     /// itself never writes through it — snapshots are immutable —
     /// but keeps the handle so `GET /stats` and `GET /metrics` can
-    /// surface backend counters next to the serving stats.
+    /// surface backend counters next to the serving stats. A
+    /// versioned engine holds its own handle; its per-version engines
+    /// carry none.
     storage: Option<Arc<dyn Storage>>,
 }
 
@@ -389,12 +391,6 @@ impl CitationEngine {
         self.storage.as_ref()
     }
 
-    /// Counters of the attached storage backend — `None` when the
-    /// engine is purely in-memory with no backend attached.
-    pub fn storage_stats(&self) -> Option<StorageStats> {
-        self.storage.as_ref().map(|s| s.stats())
-    }
-
     /// The underlying database.
     pub fn database(&self) -> &Arc<Database> {
         &self.db
@@ -475,8 +471,8 @@ impl CitationEngine {
         self.rebase(Arc::new(db))
     }
 
-    /// This engine's registry, policy, options, view definitions,
-    /// inclusion matrix and storage handle over another snapshot.
+    /// This engine's registry, policy, options, view definitions and
+    /// inclusion matrix over another snapshot.
     ///
     /// Identity decides what is reused: when the catalogs are equal,
     /// every view extent whose view-query inputs are the same
@@ -510,7 +506,6 @@ impl CitationEngine {
         engine.options = self.options;
         engine.cache = self.cache.empty_like();
         engine.plans = self.plans.empty_like();
-        engine.storage = self.storage.clone();
         match self.partition() {
             None => Ok(engine),
             Some(p) => engine.with_shards(p.shard_count(), p.spec().clone()),

@@ -6,8 +6,10 @@
 //! > version numbers."
 //!
 //! [`VersionedCitationEngine`] keeps one [`CitationEngine`] per
-//! committed snapshot (built lazily) and stamps every citation with
-//! the version id, label, and timestamp it was computed against.
+//! committed snapshot (built lazily). A [`VersionSelector`] resolves to
+//! a version and its engine, which serves an ordinary [`CiteRequest`];
+//! the citation is stamped with the version id, label, and timestamp
+//! it was computed against.
 //!
 //! A version's first touch **borrows** from the nearest warm engine
 //! whose catalog matches (min `|w − v|`, ties to the lower version;
@@ -22,12 +24,12 @@
 //! `tests/versioned_equivalence.rs` pins this); the [`VersionStats`]
 //! counters report which path served each first touch.
 
-use crate::engine::{CitationEngine, EngineOptions, QueryCitation};
+use crate::engine::{CitationEngine, QueryCitation};
 use crate::error::{CoreError, Result};
-use crate::policy::Policy;
+use crate::request::CiteRequest;
 use fgc_query::ast::ConjunctiveQuery;
-use fgc_relation::storage::{Storage, StorageStats};
-use fgc_relation::version::{VersionId, VersionedDatabase};
+use fgc_relation::storage::Storage;
+use fgc_relation::version::{VersionId, VersionInfo, VersionedDatabase};
 use fgc_relation::{Clock, Database, Relation};
 use fgc_views::{Json, ViewRegistry};
 use std::collections::HashSet;
@@ -48,6 +50,16 @@ pub struct VersionedCitation {
 }
 
 impl VersionedCitation {
+    /// `citation`, stamped with the version it was computed against.
+    pub fn new(info: &VersionInfo, citation: QueryCitation) -> Self {
+        VersionedCitation {
+            citation,
+            version: info.id,
+            label: info.label.clone(),
+            timestamp: info.timestamp,
+        }
+    }
+
     /// The aggregate citation wrapped with the fixity fields —
     /// "citations must include timestamps or version numbers". The
     /// aggregate is nested (not merged) so the stamp stays accessible
@@ -62,6 +74,18 @@ impl VersionedCitation {
     }
 }
 
+/// Which committed version a citation is computed against.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum VersionSelector {
+    /// The newest version.
+    Head,
+    /// The version with this id.
+    Id(VersionId),
+    /// "The data as seen at" a timestamp: the latest version not after
+    /// it.
+    At(u64),
+}
+
 /// How a versioned engine has served its versions so far — the
 /// borrowed-vs-rebuilt accounting surfaced as the `fixity` block of
 /// `GET /stats` and counted by `claim_8_*` in `tests/reproduce.rs`.
@@ -71,7 +95,8 @@ pub struct VersionStats {
     pub versions: usize,
     /// Versions whose engine is currently warm (built and cached).
     pub warm_engines: usize,
-    /// `engine_for` calls answered from the warm map.
+    /// [`VersionedCitationEngine::resolve`] calls answered from the
+    /// warm map.
     pub hits: u64,
     /// First touches borrowed from a warm engine of any version —
     /// before or after, adjacent or not — whose store differs from
@@ -143,12 +168,11 @@ fn warm_map(engine_capacity: usize) -> RwLock<Clock<VersionId, Arc<CitationEngin
 /// lazily behind a lock and shared via `Arc`, so one versioned engine
 /// can serve concurrent historical citations. Only
 /// [`commit_with`](Self::commit_with) (which appends a version)
-/// needs `&mut self`.
+/// needs `&mut self`. Every per-version engine runs with the default
+/// policy and options; a [`CiteRequest`]'s overrides carry any other.
 pub struct VersionedCitationEngine {
     history: VersionedDatabase,
     registry: ViewRegistry,
-    policy: Policy,
-    options: EngineOptions,
     engines: RwLock<Clock<VersionId, Arc<CitationEngine>>>,
     engine_capacity: usize,
     counters: VersionCounters,
@@ -166,8 +190,6 @@ impl VersionedCitationEngine {
         VersionedCitationEngine {
             history,
             registry,
-            policy: Policy::default(),
-            options: EngineOptions::default(),
             engines: warm_map(0),
             engine_capacity: 0,
             counters: VersionCounters::default(),
@@ -200,24 +222,6 @@ impl VersionedCitationEngine {
     /// The attached storage backend, if any.
     pub fn storage(&self) -> Option<&Arc<dyn Storage>> {
         self.storage.as_ref()
-    }
-
-    /// Counters of the attached storage backend — `None` for a purely
-    /// in-memory engine with no backend attached.
-    pub fn storage_stats(&self) -> Option<StorageStats> {
-        self.storage.as_ref().map(|s| s.stats())
-    }
-
-    /// Replace the policy for subsequently-built engines.
-    pub fn with_policy(mut self, policy: Policy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Replace the engine options.
-    pub fn with_options(mut self, options: EngineOptions) -> Self {
-        self.options = options;
-        self
     }
 
     /// Bound the warm-engine map: at most `capacity` per-version
@@ -306,35 +310,24 @@ impl VersionedCitationEngine {
         Ok(id)
     }
 
-    /// Resolve a version id, mapping the relation-layer error to the
-    /// engine's structured [`CoreError::NoSuchVersion`].
-    fn snapshot_of(
-        &self,
-        version: VersionId,
-    ) -> Result<(
-        &fgc_relation::version::VersionInfo,
-        &Arc<fgc_relation::Database>,
-    )> {
-        self.history
-            .snapshot(version)
-            .map_err(|_| CoreError::NoSuchVersion(format!("version id {version}")))
-    }
-
-    /// The warm engine nearest `version` (min `|w − v|`, ties to the
-    /// lower version) among those whose catalog is `snapshot`'s — the
-    /// donor a first touch borrows from.
-    fn nearest_warm(&self, version: VersionId, snapshot: &Database) -> Option<Arc<CitationEngine>> {
-        let map = self.engines.read().expect("engine map poisoned");
-        map.iter()
-            .filter(|(_, engine)| engine.database().catalog() == snapshot.catalog())
-            .min_by_key(|(w, _)| (w.abs_diff(version), **w))
-            .map(|(_, engine)| Arc::clone(engine))
-    }
-
-    /// The engine serving `version`, borrowed or built on first
-    /// touch. Public so servers can pin the head engine and tests can
-    /// inspect per-version cache counters.
-    pub fn engine_for_version(&self, version: VersionId) -> Result<Arc<CitationEngine>> {
+    /// The version `at` selects and the engine serving it, borrowed
+    /// or built on first touch. An unknown id, a timestamp before the
+    /// first version, or an empty history is a structured
+    /// [`CoreError::NoSuchVersion`].
+    pub fn resolve(&self, at: VersionSelector) -> Result<(&VersionInfo, Arc<CitationEngine>)> {
+        let found = match at {
+            VersionSelector::Head => self.history.head().ok_or_else(|| "empty history".into()),
+            VersionSelector::Id(id) => self
+                .history
+                .snapshot(id)
+                .map_err(|_| format!("version id {id}")),
+            VersionSelector::At(t) => self
+                .history
+                .snapshot_at(t)
+                .ok_or_else(|| format!("timestamp {t}")),
+        };
+        let (info, snapshot) = found.map_err(CoreError::NoSuchVersion)?;
+        let version = info.id;
         if let Some(engine) = self
             .engines
             .read()
@@ -342,7 +335,7 @@ impl VersionedCitationEngine {
             .get(&version)
         {
             self.counters.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(Arc::clone(engine));
+            return Ok((info, Arc::clone(engine)));
         }
         // Build outside any lock: a borrow materializes the extents
         // its snapshot changed and a rebuild all of them, and holding
@@ -351,7 +344,6 @@ impl VersionedCitationEngine {
         // the history, so when two threads race the loser's work is
         // wasted, not divergent; the first insert wins so all callers
         // share one (cache-warm) engine.
-        let (_, snapshot) = self.snapshot_of(version)?;
         let (engine, counter) = match self.nearest_warm(version, snapshot) {
             Some(donor) => {
                 let counter = if donor.cites_same_relations(snapshot) {
@@ -361,18 +353,10 @@ impl VersionedCitationEngine {
                 };
                 (donor.rebase(Arc::clone(snapshot))?, counter)
             }
-            None => {
-                let mut built = CitationEngine::build(Arc::clone(snapshot), self.registry.clone())?
-                    .with_policy(self.policy.clone())
-                    .with_options(self.options);
-                // Hand the backend handle down so per-version serving
-                // stats can report storage counters; borrowed engines
-                // inherit it from their donor.
-                if let Some(storage) = &self.storage {
-                    built = built.with_storage(Arc::clone(storage));
-                }
-                (built, &self.counters.rebuilt)
-            }
+            None => (
+                CitationEngine::build(Arc::clone(snapshot), self.registry.clone())?,
+                &self.counters.rebuilt,
+            ),
         };
         counter.fetch_add(1, Ordering::Relaxed);
         let engine = Arc::new(engine);
@@ -388,7 +372,7 @@ impl VersionedCitationEngine {
                     .all(|(a, b)| Arc::ptr_eq(a, b)),
                 "racing builders of version {version} hold different relations"
             );
-            return Ok(Arc::clone(existing));
+            return Ok((info, Arc::clone(existing)));
         }
         let evicted = map.insert(version, Arc::clone(&engine));
         drop(map); // an evicted engine is freed outside the lock
@@ -397,79 +381,68 @@ impl VersionedCitationEngine {
                 .engine_evictions
                 .fetch_add(1, Ordering::Relaxed);
         }
-        Ok(engine)
+        Ok((info, engine))
     }
 
-    /// The engine serving the newest version.
-    pub fn head_engine(&self) -> Result<Arc<CitationEngine>> {
-        let version = self
-            .history
-            .head()
-            .map(|(info, _)| info.id)
-            .ok_or_else(|| CoreError::NoSuchVersion("empty history".into()))?;
-        self.engine_for_version(version)
+    /// The warm engine nearest `version` (min `|w − v|`, ties to the
+    /// lower version) among those whose catalog is `snapshot`'s — the
+    /// donor a first touch borrows from.
+    fn nearest_warm(&self, version: VersionId, snapshot: &Database) -> Option<Arc<CitationEngine>> {
+        let map = self.engines.read().expect("engine map poisoned");
+        map.iter()
+            .filter(|(_, engine)| engine.database().catalog() == snapshot.catalog())
+            .min_by_key(|(w, _)| (w.abs_diff(version), **w))
+            .map(|(_, engine)| Arc::clone(engine))
     }
 
-    /// Cite against a specific version.
-    pub fn cite_at_version(
-        &self,
-        version: VersionId,
-        q: &ConjunctiveQuery,
-    ) -> Result<VersionedCitation> {
-        let (label, timestamp) = {
-            let (info, _) = self.snapshot_of(version)?;
-            (info.label.clone(), info.timestamp)
-        };
-        let citation = self.engine_for_version(version)?.cite(q)?;
-        Ok(VersionedCitation {
-            citation,
-            version,
-            label,
-            timestamp,
-        })
+    /// The engine serving `version` ([`Self::resolve`] by id). Public
+    /// so tests can inspect per-version cache counters.
+    pub fn engine_for_version(&self, version: VersionId) -> Result<Arc<CitationEngine>> {
+        Ok(self.resolve(VersionSelector::Id(version))?.1)
     }
 
-    /// Cite against "the data as seen at" a timestamp: the latest
-    /// version not after `at`.
-    pub fn cite_at_time(&self, at: u64, q: &ConjunctiveQuery) -> Result<VersionedCitation> {
-        let version = self
-            .history
-            .snapshot_at(at)
-            .map(|(info, _)| info.id)
-            .ok_or_else(|| CoreError::NoSuchVersion(format!("timestamp {at}")))?;
-        self.cite_at_version(version, q)
-    }
-
-    /// Cite against the newest version.
-    pub fn cite_head(&self, q: &ConjunctiveQuery) -> Result<VersionedCitation> {
-        let version = self
-            .history
-            .head()
-            .map(|(info, _)| info.id)
-            .ok_or_else(|| CoreError::NoSuchVersion("empty history".into()))?;
-        self.cite_at_version(version, q)
+    /// Serve `request` against the version `at` selects: that
+    /// version's engine answers it through
+    /// [`CitationEngine::cite_request`], overrides included, and the
+    /// citation is stamped with the version.
+    pub fn cite(&self, at: VersionSelector, request: &CiteRequest) -> Result<VersionedCitation> {
+        let (info, engine) = self.resolve(at)?;
+        Ok(VersionedCitation::new(
+            info,
+            engine.cite_request(request)?.citation,
+        ))
     }
 
     /// How a tuple's citation evolved across all versions — §4's
     /// "the choice of proper citation for output tuples may change".
     pub fn citation_timeline(&self, q: &ConjunctiveQuery) -> Result<Vec<(VersionId, Json)>> {
-        let versions: Vec<VersionId> = self.history.iter().map(|(info, _)| info.id).collect();
-        let mut timeline = Vec::with_capacity(versions.len());
-        for v in versions {
-            let cited = self.cite_at_version(v, q)?;
-            timeline.push((v, cited.stamped_aggregate()));
-        }
-        Ok(timeline)
+        let request = CiteRequest::query(q.clone());
+        self.history
+            .iter()
+            .map(|(info, _)| {
+                let cited = self.cite(VersionSelector::Id(info.id), &request)?;
+                Ok((info.id, cited.stamped_aggregate()))
+            })
+            .collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::VersionSelector::{At, Head, Id};
     use super::*;
     use fgc_query::parse_query;
     use fgc_relation::schema::RelationSchema;
     use fgc_relation::{tuple, DataType, Database};
     use fgc_views::{CitationFunction, CitationView};
+
+    fn cite(
+        e: &VersionedCitationEngine,
+        at: VersionSelector,
+        q: &ConjunctiveQuery,
+    ) -> Result<VersionedCitation> {
+        e.cite(at, &CiteRequest::query(q.clone()))
+    }
 
     fn base_db() -> Database {
         let mut db = Database::new();
@@ -520,21 +493,21 @@ mod tests {
     fn cite_at_old_version_sees_old_data() {
         let e = VersionedCitationEngine::new(history(), registry());
         let q = parse_query("Q(N) :- Family(F, N, Ty)").unwrap();
-        let old = e.cite_at_version(0, &q).unwrap();
+        let old = cite(&e, Id(0), &q).unwrap();
         assert_eq!(old.citation.tuples.len(), 1);
         assert_eq!(old.label, "v23");
-        let new = e.cite_at_version(1, &q).unwrap();
+        let new = cite(&e, Id(1), &q).unwrap();
         assert_eq!(new.citation.tuples.len(), 2);
     }
 
     #[test]
-    fn cite_at_time_resolves_version() {
+    fn a_timestamp_selects_the_latest_version_not_after_it() {
         let e = VersionedCitationEngine::new(history(), registry());
         let q = parse_query("Q(N) :- Family(F, N, Ty)").unwrap();
-        assert_eq!(e.cite_at_time(150, &q).unwrap().version, 0);
-        assert_eq!(e.cite_at_time(500, &q).unwrap().version, 1);
+        assert_eq!(cite(&e, At(150), &q).unwrap().version, 0);
+        assert_eq!(cite(&e, At(500), &q).unwrap().version, 1);
         assert!(matches!(
-            e.cite_at_time(50, &q).unwrap_err(),
+            cite(&e, At(50), &q).unwrap_err(),
             CoreError::NoSuchVersion(_)
         ));
     }
@@ -543,7 +516,7 @@ mod tests {
     fn stamped_aggregate_includes_fixity_fields() {
         let e = VersionedCitationEngine::new(history(), registry());
         let q = parse_query("Q(N) :- Family(F, N, Ty)").unwrap();
-        let cited = e.cite_head(&q).unwrap();
+        let cited = cite(&e, Head, &q).unwrap();
         let stamped = cited.stamped_aggregate();
         assert_eq!(stamped.get("Version"), Some(&Json::str("v24")));
         assert_eq!(stamped.get("Timestamp"), Some(&Json::Int(200)));
@@ -569,7 +542,7 @@ mod tests {
             .unwrap();
         assert_eq!(id, 2);
         let q = parse_query("Q(N) :- Family(F, N, Ty)").unwrap();
-        assert_eq!(e.cite_head(&q).unwrap().citation.tuples.len(), 3);
+        assert_eq!(cite(&e, Head, &q).unwrap().citation.tuples.len(), 3);
     }
 
     #[test]
@@ -577,11 +550,11 @@ mod tests {
         let e = VersionedCitationEngine::new(VersionedDatabase::new(), registry());
         let q = parse_query("Q(N) :- Family(F, N, Ty)").unwrap();
         assert!(matches!(
-            e.cite_head(&q).unwrap_err(),
+            cite(&e, Head, &q).unwrap_err(),
             CoreError::NoSuchVersion(_)
         ));
         assert!(matches!(
-            e.head_engine().unwrap_err(),
+            e.resolve(Head).unwrap_err(),
             CoreError::NoSuchVersion(_)
         ));
     }
@@ -591,7 +564,7 @@ mod tests {
         let e = VersionedCitationEngine::new(history(), registry());
         let q = parse_query("Q(N) :- Family(F, N, Ty)").unwrap();
         assert!(matches!(
-            e.cite_at_version(99, &q).unwrap_err(),
+            cite(&e, Id(99), &q).unwrap_err(),
             CoreError::NoSuchVersion(_)
         ));
     }
@@ -600,15 +573,15 @@ mod tests {
     fn warm_neighbor_derives_instead_of_rebuilding() {
         let e = VersionedCitationEngine::new(history(), registry());
         let q = parse_query("Q(N) :- Family(F, N, Ty)").unwrap();
-        e.cite_at_version(0, &q).unwrap(); // rebuild (nothing warm)
-        e.cite_at_version(1, &q).unwrap(); // borrow from warm v0
+        cite(&e, Id(0), &q).unwrap(); // rebuild (nothing warm)
+        cite(&e, Id(1), &q).unwrap(); // borrow from warm v0
         let stats = e.version_stats();
         assert_eq!(stats.rebuilt, 1, "{stats:?}");
         assert_eq!(stats.derived, 1, "{stats:?}");
         assert_eq!(stats.warm_engines, 2);
         assert_eq!(stats.versions, 2);
         // second touch hits the warm map
-        e.cite_at_version(1, &q).unwrap();
+        cite(&e, Id(1), &q).unwrap();
         assert!(e.version_stats().hits >= 1);
     }
 
@@ -618,8 +591,8 @@ mod tests {
         let h = history();
         let incremental = VersionedCitationEngine::new(h.clone(), registry());
         for v in 0..2 {
-            incremental.cite_at_version(0, &q).unwrap(); // keep the donor warm
-            let a = incremental.cite_at_version(v, &q).unwrap().citation;
+            cite(&incremental, Id(0), &q).unwrap(); // keep the donor warm
+            let a = cite(&incremental, Id(v), &q).unwrap().citation;
             // the reference: an engine built directly on the snapshot
             let (_, snapshot) = h.snapshot(v).unwrap();
             let b = CitationEngine::new((**snapshot).clone(), registry())
@@ -648,9 +621,9 @@ mod tests {
         let e = VersionedCitationEngine::new(h, registry());
         let q = parse_query("Q(N) :- Family(F, N, Ty)").unwrap();
         // first touch of v1 has nothing warm to borrow from: rebuild
-        e.cite_at_version(1, &q).unwrap();
+        cite(&e, Id(1), &q).unwrap();
         // v2 borrows from the now-warm v1
-        e.cite_at_version(2, &q).unwrap();
+        cite(&e, Id(2), &q).unwrap();
         let stats = e.version_stats();
         assert_eq!(stats.rebuilt, 1, "{stats:?}");
         assert_eq!(stats.derived, 1, "{stats:?}");
@@ -662,9 +635,9 @@ mod tests {
         h.commit(base_db(), 300, "whole-snapshot").unwrap();
         let e = VersionedCitationEngine::new(h, registry());
         let q = parse_query("Q(N) :- Family(F, N, Ty)").unwrap();
-        e.cite_at_version(1, &q).unwrap();
+        cite(&e, Id(1), &q).unwrap();
         // no delta, but the catalog matches the warm v1: borrow
-        let whole = e.cite_at_version(2, &q).unwrap();
+        let whole = cite(&e, Id(2), &q).unwrap();
         assert_eq!(whole.citation.tuples.len(), 1);
         let stats = e.version_stats();
         assert_eq!((stats.rebuilt, stats.derived), (1, 1), "{stats:?}");
@@ -692,15 +665,15 @@ mod tests {
         let e = VersionedCitationEngine::new(h, registry());
         let q = parse_query("Q(N) :- Family(F, N, Ty)").unwrap();
         for v in 0..4 {
-            e.cite_at_version(v, &q).unwrap();
+            cite(&e, Id(v), &q).unwrap();
         }
         let stats = e.version_stats();
         assert_eq!(stats.rebuilt, 1, "{stats:?}");
         assert_eq!(stats.shared, 2, "{stats:?}");
         assert_eq!(stats.derived, 1, "{stats:?}");
         // shared engines still answer correctly
-        assert_eq!(e.cite_at_version(1, &q).unwrap().citation.tuples.len(), 1);
-        assert_eq!(e.cite_at_version(3, &q).unwrap().citation.tuples.len(), 2);
+        assert_eq!(cite(&e, Id(1), &q).unwrap().citation.tuples.len(), 1);
+        assert_eq!(cite(&e, Id(3), &q).unwrap().citation.tuples.len(), 2);
     }
 
     #[test]
@@ -730,7 +703,7 @@ mod tests {
         // (rebuilt, derived, shared) after citing `v`: `shared` means
         // the donor held this version's Family, `derived` that it did not
         let touch = |v: VersionId| {
-            e.cite_at_version(v, &q).unwrap();
+            cite(&e, Id(v), &q).unwrap();
             let stats = e.version_stats();
             (stats.rebuilt, stats.derived, stats.shared)
         };
@@ -768,9 +741,9 @@ mod tests {
         .unwrap();
         let e = VersionedCitationEngine::new(h, registry()).with_engine_capacity(2);
         let q = parse_query("Q(N) :- Family(F, N, Ty)").unwrap();
-        e.cite_at_version(0, &q).unwrap(); // rebuild
-        e.cite_at_version(1, &q).unwrap(); // borrow from warm v0
-        e.cite_at_version(2, &q).unwrap(); // borrow from warm v1, evict one
+        cite(&e, Id(0), &q).unwrap(); // rebuild
+        cite(&e, Id(1), &q).unwrap(); // borrow from warm v0
+        cite(&e, Id(2), &q).unwrap(); // borrow from warm v1, evict one
         let stats = e.version_stats();
         assert_eq!(stats.warm_engines, 2, "{stats:?}");
         assert_eq!(stats.engine_evictions, 1, "{stats:?}");
@@ -778,7 +751,7 @@ mod tests {
         // eviction loses only warmth: every version still answers,
         // borrowed again on demand, and the bound holds
         for v in 0..3 {
-            let cited = e.cite_at_version(v, &q).unwrap();
+            let cited = cite(&e, Id(v), &q).unwrap();
             assert_eq!(cited.citation.tuples.len(), (v as usize) + 1);
         }
         let after = e.version_stats();
@@ -793,8 +766,8 @@ mod tests {
     fn unbounded_capacity_keeps_every_engine_warm() {
         let e = VersionedCitationEngine::new(history(), registry());
         let q = parse_query("Q(N) :- Family(F, N, Ty)").unwrap();
-        e.cite_at_version(0, &q).unwrap();
-        e.cite_at_version(1, &q).unwrap();
+        cite(&e, Id(0), &q).unwrap();
+        cite(&e, Id(1), &q).unwrap();
         let stats = e.version_stats();
         assert_eq!(stats.warm_engines, 2);
         assert_eq!(stats.engine_evictions, 0);
@@ -811,8 +784,8 @@ mod tests {
             baseline.relation_refs - baseline.unique_relations
         );
         let q = parse_query("Q(N) :- Family(F, N, Ty)").unwrap();
-        e.cite_at_version(0, &q).unwrap();
-        e.cite_at_version(1, &q).unwrap();
+        cite(&e, Id(0), &q).unwrap();
+        cite(&e, Id(1), &q).unwrap();
         let warm = e.memory_stats();
         // warm engines hold their snapshots' relation instances
         assert!(
@@ -837,15 +810,15 @@ mod tests {
                 .map(|_| ())
         })
         .unwrap();
-        assert_eq!(e.storage_stats().unwrap().versions, 3);
+        assert_eq!(e.storage().unwrap().stats().versions, 3);
         // "restart": a fresh handle over the same directory, without
         // the original history
         let storage = Arc::new(DiskStorage::open(&dir, StorageOptions::default()).unwrap());
         let reopened = VersionedCitationEngine::from_storage(storage, registry()).unwrap();
         let q = parse_query("Q(N) :- Family(F, N, Ty)").unwrap();
         for v in 0..3 {
-            let a = e.cite_at_version(v, &q).unwrap();
-            let b = reopened.cite_at_version(v, &q).unwrap();
+            let a = cite(&e, Id(v), &q).unwrap();
+            let b = cite(&reopened, Id(v), &q).unwrap();
             assert_eq!(
                 a.stamped_aggregate().to_compact(),
                 b.stamped_aggregate().to_compact()
@@ -859,7 +832,7 @@ mod tests {
                     .map(|_| ())
             })
             .unwrap();
-        assert_eq!(reopened.storage_stats().unwrap().versions, 4);
+        assert_eq!(reopened.storage().unwrap().stats().versions, 4);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -874,8 +847,8 @@ mod tests {
         .unwrap();
         let e = VersionedCitationEngine::new(h, registry());
         let q = parse_query("Q(N) :- Family(F, N, Ty)").unwrap();
-        e.cite_at_version(1, &q).unwrap();
-        e.cite_at_version(2, &q).unwrap();
+        cite(&e, Id(1), &q).unwrap();
+        cite(&e, Id(2), &q).unwrap();
         let stats = e.version_stats();
         // a new catalog cannot borrow, even from a warm neighbor
         assert_eq!(

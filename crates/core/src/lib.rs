@@ -94,7 +94,9 @@ pub use engine::{
 pub use error::{CoreError, Result};
 pub use explain::explain;
 pub use fgc_relation::sharded::{Partition, ShardKeySpec, ShardStats};
-pub use fixity::{VersionMemoryStats, VersionStats, VersionedCitation, VersionedCitationEngine};
+pub use fixity::{
+    VersionMemoryStats, VersionSelector, VersionStats, VersionedCitation, VersionedCitationEngine,
+};
 pub use plan_cache::{PlanCache, PlanCacheStats};
 pub use policy::{CombineOp, OrderChoice, Policy};
 pub use request::{CiteRequest, CiteResponse, QuerySpec};

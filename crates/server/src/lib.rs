@@ -20,7 +20,7 @@
 //! |------------------|----------------------------------------|
 //! | `POST /cite`     | `{"query": "Q(N) :- ...", ...}`        |
 //! | `POST /cite_sql` | `{"sql": "SELECT ...", ...}`           |
-//! | `POST /cite_at`  | `{"query": ..., "version": 2}` (versioned deployments; `"at": ts` resolves a timestamp) |
+//! | `POST /cite_at`  | `{"query": ..., "version": 2, ...}` (versioned deployments; a `/cite` body plus `"version"`, or `"at": ts` to resolve a timestamp) |
 //! | `GET /views`     | the registered citation views          |
 //! | `GET /versions`  | the commit history (versioned deployments) |
 //! | `GET /stats`     | per-endpoint latency/throughput + cache|
@@ -44,8 +44,7 @@
 //! memoization) ride on the JSON body — see [`wire`] for the exact
 //! field set. Malformed HTTP or JSON, oversized bodies, unknown
 //! routes, and bad request fields all answer 4xx without wedging a
-//! worker; saturated `/cite_at` capacity answers 503, a spent
-//! deadline 504.
+//! worker; a spent deadline answers 504.
 //!
 //! ```no_run
 //! use fgc_core::CitationEngine;

@@ -17,19 +17,24 @@
 //! rows (its `/fragment/*` endpoints) to
 //! [`CiteServer::start_with_handler`]; they join the same table.
 //!
+//! `POST /cite_at` is `/cite` plus a version selector: the same
+//! decoder, then the selected version's engine serves the request
+//! through its own `cite_request`.
+//!
 //! Shutdown ([`CiteServer::shutdown`]) is graceful and total: the
 //! service stops accepting, drains and joins its workers.
 
 use crate::service::{Call, HttpService, Response, Route, ServerConfig};
 use crate::stats::ServerStats;
-use crate::wire::{decode_cite_body, parse_body, repeated_key, write_response_body, QueryKind};
-use fgc_core::{CitationEngine, VersionedCitationEngine};
+use crate::wire::{
+    close_body, decode_cite_at_body, decode_cite_body, write_response_body, QueryKind,
+};
+use fgc_core::{CitationEngine, VersionSelector, VersionedCitation, VersionedCitationEngine};
 use fgc_obs::PromWriter;
-use fgc_relation::storage::{StorageHealth, StorageStats};
+use fgc_relation::storage::{Storage, StorageStats};
 use fgc_views::Json;
 use std::io;
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// A running citation service. Dropping the handle shuts it down.
@@ -66,8 +71,8 @@ impl CiteServer {
         versioned: Arc<VersionedCitationEngine>,
         config: ServerConfig,
     ) -> io::Result<CiteServer> {
-        let head = versioned
-            .head_engine()
+        let (_, head) = versioned
+            .resolve(VersionSelector::Head)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
         CiteServer::start_inner(head, Some(versioned), config, Vec::new())
     }
@@ -79,11 +84,15 @@ impl CiteServer {
         extra: Vec<Route>,
     ) -> io::Result<CiteServer> {
         let stats = Arc::new(ServerStats::default());
+        let storage = versioned
+            .as_ref()
+            .and_then(|v| v.storage())
+            .or_else(|| engine.storage())
+            .cloned();
         let app = Arc::new(App {
             engine: Arc::clone(&engine),
             versioned,
-            cite_at_inflight: AtomicUsize::new(0),
-            cite_at_limit: config.threads.saturating_sub(1).max(1),
+            storage,
             role: config.role.clone(),
             shard: config.shard.map(|(i, n)| format!("{i}/{n}")),
         });
@@ -131,31 +140,20 @@ impl CiteServer {
 
 /// What the engine routes share.
 struct App {
+    /// The engine `/cite`, `/cite_sql` and `/views` serve: the head
+    /// version's in a versioned deployment.
     engine: Arc<CitationEngine>,
     /// Present in versioned deployments; enables `/cite_at`,
     /// `/versions`, and the `fixity` stats block.
     versioned: Option<Arc<VersionedCitationEngine>>,
-    /// A cold version's first touch on `/cite_at` builds a whole
-    /// engine when no warm engine shares its catalog (otherwise it
-    /// borrows one and materializes only what its snapshot changed),
-    /// so concurrent versioned citations are capped at `threads - 1`:
-    /// one worker always stays free for the cheap routes, and the
-    /// overflow is shed with 503 (`rejected`).
-    cite_at_inflight: AtomicUsize,
-    cite_at_limit: usize,
+    /// The store behind the deployment, if any — the versioned
+    /// engine's, or else the engine's — read by `/stats`, `/healthz`
+    /// and `/metrics`.
+    storage: Option<Arc<dyn Storage>>,
     /// Role and shard (`"i/n"`) identity reported on `/healthz` and as
     /// `/metrics` labels.
     role: String,
     shard: Option<String>,
-}
-
-/// Decrements the `/cite_at` inflight counter on every exit path.
-struct InflightGuard<'a>(&'a AtomicUsize);
-
-impl Drop for InflightGuard<'_> {
-    fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::AcqRel);
-    }
 }
 
 fn serve_datalog(app: &App, call: &Call<'_>) -> Response {
@@ -198,64 +196,39 @@ fn serve_cite(app: &App, call: &Call<'_>, kind: QueryKind) -> Response {
 
 /// `POST /cite_at`: a fixity-stamped citation against a specific
 /// version (`"version": id`), a point in time (`"at": timestamp`),
-/// or the head when neither is given. Body: `{"query": "Q(...) :-
-/// ...", "version": 2}`.
+/// or the head when neither is given. The rest of the body is a
+/// `/cite` body: `{"query": "Q(...) :- ...", "version": 2, "policy":
+/// "join"}`.
 fn serve_cite_at(app: &App, call: &Call<'_>) -> Response {
     let Some(versioned) = &app.versioned else {
         return Response::error(404, NOT_VERSIONED);
     };
-    let inflight = app.cite_at_inflight.fetch_add(1, Ordering::AcqRel);
-    let _guard = InflightGuard(&app.cite_at_inflight);
-    if inflight >= app.cite_at_limit {
-        call.stats.rejected.fetch_add(1, Ordering::Relaxed);
-        return Response::error(503, "versioned citation capacity saturated, retry later");
-    }
-    Response::ok_or_400(cite_at(versioned, &call.request.body))
-}
-
-/// Decode a `/cite_at` body and cite it; the error is the 400 message.
-fn cite_at(versioned: &VersionedCitationEngine, body: &[u8]) -> Result<String, String> {
-    let parsed = parse_body(body)?;
-    // same wire contract as /cite: a typo silently ignored would
-    // serve the wrong version with a 200
-    let Json::Object(fields) = &parsed else {
-        return Err("request body must be a JSON object".into());
+    let (at, request) = match decode_cite_at_body(&call.request.body, app.engine.policy()) {
+        Ok(decoded) => decoded,
+        Err(message) => return Response::error(400, &message),
     };
-    if let Some(key) = repeated_key(fields) {
-        return Err(format!("duplicate field `{key}`"));
-    }
-    if let Some((unknown, _)) = fields
-        .iter()
-        .find(|(key, _)| !matches!(key.as_str(), "query" | "version" | "at"))
-    {
-        return Err(format!(
-            "unknown field `{unknown}` (expected query, version, at)"
-        ));
-    }
-    let query = match parsed.get("query") {
-        Some(Json::Str(q)) => fgc_query::parse_query(q).map_err(|e| format!("bad query: {e}"))?,
-        Some(_) => return Err("`query` must be a string".into()),
-        None => return Err("missing `query` field".into()),
-    };
-    let int_field = |name: &str| -> Result<Option<u64>, String> {
-        match parsed.get(name) {
-            None => Ok(None),
-            Some(Json::Int(n)) if *n >= 0 => Ok(Some(*n as u64)),
-            Some(other) => Err(format!(
-                "`{name}` must be a non-negative integer, got {other}"
-            )),
+    let include_stages = request.include_stages;
+    let request = request.with_request_id(call.request_id);
+    let served = versioned
+        .resolve(at)
+        .and_then(|(info, engine)| Ok((info, engine.cite_request(&request)?)));
+    match served {
+        Ok((info, response)) => {
+            let tuples = response.citation.tuples.len() as i64;
+            let mut body = VersionedCitation::new(info, response.citation).stamped_aggregate();
+            body.set("Tuples", Json::Int(tuples));
+            let mut out = body.to_compact();
+            out.pop(); // the closing brace, written back by `close_body`
+            close_body(&mut out, include_stages.then_some(&response.stages[..]));
+            Response {
+                stages: response.stages,
+                ..Response::json(200, out)
+            }
         }
-    };
-    let cited = match (int_field("version")?, int_field("at")?) {
-        (Some(_), Some(_)) => return Err("`version` and `at` are mutually exclusive".into()),
-        (Some(v), None) => versioned.cite_at_version(v, &query),
-        (None, Some(t)) => versioned.cite_at_time(t, &query),
-        (None, None) => versioned.cite_head(&query),
+        // an unknown version is the client's fault, as are the
+        // engine's request-shaped errors
+        Err(e) => Response::error(400, &e.to_string()),
     }
-    .map_err(|e| e.to_string())?;
-    let mut body = cited.stamped_aggregate();
-    body.set("Tuples", Json::Int(cited.citation.tuples.len() as i64));
-    Ok(body.to_compact())
 }
 
 const NOT_VERSIONED: &str = "this deployment is not versioned (start with a commit history)";
@@ -299,7 +272,7 @@ fn serve_healthz(app: &App, _: &Call<'_>) -> Response {
         .versioned
         .as_ref()
         .map_or(1, |v| v.history().len() as i64);
-    let health = storage_health(app);
+    let health = app.storage.as_ref().map(|s| s.health());
     let degraded = health.as_ref().is_some_and(|h| h.degraded);
     let causes: Vec<Json> = health
         .map(|h| h.causes.into_iter().map(Json::str).collect())
@@ -316,17 +289,6 @@ fn serve_healthz(app: &App, _: &Call<'_>) -> Response {
         ("versions", Json::Int(versions)),
     ]);
     Response::json(200, body.to_compact())
-}
-
-/// The store's self-reported health, `None` when serving without one:
-/// versioned deployments hold the handle on the versioned engine,
-/// single deployments on the engine itself.
-fn storage_health(app: &App) -> Option<StorageHealth> {
-    app.versioned
-        .as_ref()
-        .and_then(|v| v.storage())
-        .or_else(|| app.engine.storage())
-        .map(|s| s.health())
 }
 
 /// The `GET /views` body: the registered citation views (identical on
@@ -407,14 +369,7 @@ fn serve_stats(app: &App, call: &Call<'_>) -> Response {
             ]),
         );
     }
-    // store stats live on the versioned engine when serving a
-    // history, otherwise on the single engine's attached handle
-    let storage = app
-        .versioned
-        .as_ref()
-        .and_then(|v| v.storage_stats())
-        .or_else(|| app.engine.storage_stats());
-    if let Some(storage) = storage {
+    if let Some(storage) = app.storage.as_ref().map(|s| s.stats()) {
         body.set(
             "storage",
             Json::from_pairs([
@@ -458,20 +413,16 @@ fn serve_stats(app: &App, call: &Call<'_>) -> Response {
     Response::json(200, body.to_compact())
 }
 
-/// `GET /metrics`: Prometheus text exposition of the serving tier and
-/// the engine (stage histograms, cache counters).
+/// `GET /metrics`: Prometheus text exposition of the serving tier,
+/// the engine (stage histograms, cache counters) and the store.
 fn serve_metrics(app: &App, call: &Call<'_>) -> Response {
     let mut w = PromWriter::new();
     let shard = app.shard.as_deref().unwrap_or_default();
     let base = [("role", app.role.as_str()), ("shard", shard)];
     call.stats.write_prometheus(&mut w, &base);
     write_engine_metrics(&mut w, &base, &app.engine);
-    // versioned deployments hold the store handle on the versioned
-    // engine; emit its families when the head engine carries none
-    if app.engine.storage_stats().is_none() {
-        if let Some(stats) = app.versioned.as_ref().and_then(|v| v.storage_stats()) {
-            write_storage_metrics(&mut w, &base, &stats);
-        }
+    if let Some(storage) = &app.storage {
+        write_storage_metrics(&mut w, &base, &storage.stats());
     }
     // Per-fault-point hit/injection counters: empty (and free) unless
     // the process-global plane has been armed or set to observe.
@@ -557,9 +508,6 @@ pub fn write_engine_metrics(w: &mut PromWriter, base: &[(&str, &str)], engine: &
             "Query-plan compile latency on a plan-cache miss.",
         );
         w.histogram("fgcite_plan_compile_seconds", base, &compile, 1e-9);
-    }
-    if let Some(stats) = engine.storage_stats() {
-        write_storage_metrics(w, base, &stats);
     }
 }
 

@@ -202,15 +202,6 @@ impl Response {
     pub fn error(status: u16, message: &str) -> Response {
         Response::json(status, error_body(message))
     }
-
-    /// A handler's outcome: its 200 JSON body, or the message of a
-    /// 400 (a request-shaped error is the client's fault).
-    pub fn ok_or_400(outcome: Result<String, String>) -> Response {
-        match outcome {
-            Ok(body) => Response::json(200, body),
-            Err(message) => Response::error(400, &message),
-        }
-    }
 }
 
 /// One row of a role's route table.

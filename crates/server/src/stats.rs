@@ -88,8 +88,9 @@ pub struct ServerStats {
     pub fragment: EndpointStats,
     /// Requests that did not match any route (404/405).
     pub unrouted: AtomicU64,
-    /// `/cite_at` requests shed because versioned capacity was
-    /// saturated (503).
+    /// Never written: `/cite_at` sheds nothing. It stays only because
+    /// `benchmark/src/layers.rs:575` reads it, and goes with the batch
+    /// fields below.
     pub rejected: AtomicU64,
     /// Connections whose request could not be parsed (400/413/408).
     pub malformed: AtomicU64,
@@ -178,7 +179,6 @@ impl ServerStats {
             ("healthz", self.healthz.to_json()),
             ("fragment", self.fragment.to_json()),
             ("unrouted", count(&self.unrouted)),
-            ("rejected", count(&self.rejected)),
             ("malformed", count(&self.malformed)),
             ("deadline_exceeded", count(&self.deadline_exceeded)),
             ("uptime_s", Json::Int(self.uptime_s() as i64)),
@@ -250,11 +250,6 @@ impl ServerStats {
 
         for (name, help, v) in [
             ("fgcite_unrouted_total", "404/405 answers.", &self.unrouted),
-            (
-                "fgcite_rejected_total",
-                "Versioned citations shed at capacity (503).",
-                &self.rejected,
-            ),
             (
                 "fgcite_malformed_total",
                 "Unparseable requests (400/411/413/408).",

@@ -17,6 +17,8 @@
 //! }
 //! ```
 //!
+//! `POST /cite_at` takes the same fields plus `"version"` or `"at"`.
+//!
 //! Every field except the query itself is optional; **unknown and
 //! repeated fields are rejected** (a typo silently ignored, or a
 //! second `"query"` read differently by another JSON reader, would
@@ -34,7 +36,9 @@
 //! byte for byte.
 
 use crate::json::parse_json;
-use fgc_core::{CitationEngine, CiteRequest, CiteResponse, OrderChoice, Policy, RewriteMode};
+use fgc_core::{
+    CitationEngine, CiteRequest, CiteResponse, OrderChoice, Policy, RewriteMode, VersionSelector,
+};
 use fgc_query::parse_query;
 use fgc_relation::Value;
 use fgc_rewrite::RewriteOptions;
@@ -93,7 +97,8 @@ fn expect_bool(field: &str, value: &Json) -> Result<bool, WireError> {
     }
 }
 
-fn policy_named(name: &str) -> Result<Policy, WireError> {
+/// The policy a wire (or CLI) name selects.
+pub fn policy_named(name: &str) -> Result<Policy, WireError> {
     match name {
         "union" => Ok(Policy::union_all()),
         "join" => Ok(Policy::join_all()),
@@ -104,7 +109,8 @@ fn policy_named(name: &str) -> Result<Policy, WireError> {
     }
 }
 
-fn order_named(name: &str) -> Result<OrderChoice, WireError> {
+/// The rewriting order a wire (or CLI) name selects.
+pub fn order_named(name: &str) -> Result<OrderChoice, WireError> {
     match name {
         "none" => Ok(OrderChoice::None),
         "fewest-views" => Ok(OrderChoice::FewestViews),
@@ -133,6 +139,39 @@ pub fn decode_cite_body(
     engine.stage_stats().time("parse", || {
         decode_cite_request(&parse_body(body)?, kind, engine.policy()).map_err(|e| e.0)
     })
+}
+
+/// Decode a `POST /cite_at` body: an optional `"version"` id or `"at"`
+/// timestamp (neither: the head), the rest decoded as a `/cite` body.
+/// The error is the 400 message.
+pub(crate) fn decode_cite_at_body(
+    body: &[u8],
+    default_policy: &Policy,
+) -> Result<(VersionSelector, CiteRequest), String> {
+    let Json::Object(mut fields) = parse_body(body)? else {
+        return Err("request body must be a JSON object".into());
+    };
+    // checked before the selector is taken out, or a second copy of
+    // `version` would silently win
+    if let Some(key) = repeated_key(&fields) {
+        return Err(format!("duplicate field `{key}`"));
+    }
+    let mut take = |name: &str| match fields.iter().position(|(key, _)| key == name) {
+        None => Ok(None),
+        Some(i) => match expect_usize(name, &fields.remove(i).1) {
+            Ok(n) => Ok(Some(n as u64)),
+            Err(e) => Err(e.0),
+        },
+    };
+    let at = match (take("version")?, take("at")?) {
+        (Some(_), Some(_)) => return Err("`version` and `at` are mutually exclusive".into()),
+        (Some(id), None) => VersionSelector::Id(id),
+        (None, Some(timestamp)) => VersionSelector::At(timestamp),
+        (None, None) => VersionSelector::Head,
+    };
+    let request = decode_cite_request(&Json::Object(fields), QueryKind::Datalog, default_policy)
+        .map_err(|e| e.0)?;
+    Ok((at, request))
 }
 
 /// Decode a request body into a [`CiteRequest`], applying the wire
@@ -333,19 +372,26 @@ pub fn write_response_body(response: &CiteResponse, include_stages: bool) -> Str
         response.cache_hits as i64,
         response.cache_misses as i64,
     );
-    if include_stages {
+    close_body(&mut out, include_stages.then_some(&response.stages[..]));
+    out
+}
+
+/// Close a reply object: the opt-in trailing `stages` object
+/// (per-stage durations in microseconds) when the request asked for
+/// it, then the closing brace. `/cite` and `/cite_at` both end here.
+pub(crate) fn close_body(out: &mut String, stages: Option<&[(&'static str, Duration)]>) {
+    if let Some(stages) = stages {
         out.push_str(", \"stages\": {");
-        for (i, (name, d)) in response.stages.iter().enumerate() {
+        for (i, (name, d)) in stages.iter().enumerate() {
             if i > 0 {
                 out.push_str(", ");
             }
-            Json::str(*name).write_compact(&mut out);
+            Json::str(*name).write_compact(out);
             let _ = write!(out, ": {}", micros(*d));
         }
         out.push('}');
     }
     out.push('}');
-    out
 }
 
 fn micros(d: Duration) -> i64 {

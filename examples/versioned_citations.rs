@@ -5,7 +5,6 @@
 //! cargo run --example versioned_citations
 //! ```
 
-use fgcite::engine::VersionedCitationEngine;
 use fgcite::gtopdb::{paper_instance, paper_views};
 use fgcite::prelude::*;
 
@@ -36,9 +35,10 @@ fn main() {
     let engine = VersionedCitationEngine::new(history, paper_views());
 
     let q = parse_query("Q(N, Tx) :- Family(F, N, Ty), FamilyIntro(F, Tx), Ty = \"gpcr\"").unwrap();
+    let request = CiteRequest::query(q.clone());
 
     println!("== Citing against the head release ==");
-    let head = engine.cite_head(&q).unwrap();
+    let head = engine.cite(VersionSelector::Head, &request).unwrap();
     println!(
         "{} tuples under {}:",
         head.citation.tuples.len(),
@@ -48,13 +48,21 @@ fn main() {
 
     println!("\n== \"The data as seen at the time it was cited\" ==");
     // a reader following a citation minted in May 2014
-    let old = engine.cite_at_time(1_400_000_000, &q).unwrap();
+    let old = engine
+        .cite(VersionSelector::At(1_400_000_000), &request)
+        .unwrap();
     println!(
         "citation resolves to {} ({} tuples), not the head release",
         old.label,
         old.citation.tuples.len()
     );
     assert!(old.citation.tuples.len() < head.citation.tuples.len());
+
+    println!("\n== Per-request overrides at a version ==");
+    let joined = request.with_policy(Policy::join_all());
+    let joined = engine.cite(VersionSelector::Id(0), &joined).unwrap();
+    println!("{} under the join policy:", joined.label);
+    println!("{}", joined.stamped_aggregate().to_pretty());
 
     println!("\n== Citation evolution across releases ==");
     for (version, stamped) in engine.citation_timeline(&q).unwrap() {

@@ -5,6 +5,7 @@
 //!                [--sql "SELECT ..."] [--policy union|join|default]
 //!                [--order none|fewest-views|fewest-uncovered|view-inclusion|composite]
 //!                [--format json|xml|text] [--exhaustive] [--explain]
+//!                [--commits FILE [--version N | --at TS]]
 //! fgcite views   --data DB.fgd --views VIEWS.fgv        # validate & list
 //! fgcite suggest --data DB.fgd --log QUERIES.fgq [--min-support N]
 //! ```
@@ -13,13 +14,14 @@
 //! thin wrapper doing I/O.
 
 use fgc_core::{
-    suggest_views, CitationEngine, CiteRequest, OrderChoice, Policy, QueryLog, RewriteMode,
-    VersionedCitationEngine,
+    suggest_views, CitationEngine, CiteRequest, Policy, QueryLog, RewriteMode, VersionSelector,
+    VersionedCitation, VersionedCitationEngine,
 };
 use fgc_query::{parse_program, parse_query};
 use fgc_relation::loader::{load_commits, load_text, resume_commits};
 use fgc_relation::storage::{self, Storage, StorageOptions};
 use fgc_relation::{Database, VersionedDatabase};
+use fgc_server::wire::{order_named, policy_named};
 use fgc_views::{parse_view_file, to_text, to_xml, TextStyle, ViewRegistry};
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -188,11 +190,13 @@ files: --data uses the fgc-relation text format (@create/@fk/@relation),
        `@commit TIMESTAMP LABEL` sections of `+ Rel | v...` inserts
        and `- Rel | v...` removals.
 cite with --commits answers against the commit history (--version id,
-       --at timestamp, default head) and stamps the citation with the
-       version fixity fields (§4). A one-shot cite builds the one
-       engine it needs from scratch; engines borrowed from warm
-       versions pay off under `serve --commits`, where up to 16
-       versions stay warm across requests (see `fixity` in GET /stats).
+       --at timestamp, default head; both need --commits) and stamps
+       the citation with the version fixity fields (§4); every other
+       cite flag applies as usual, and --explain adds a `fixity:` line.
+       A one-shot cite builds the one engine it needs from scratch;
+       engines borrowed from warm versions pay off under `serve
+       --commits`, where up to 16 versions stay warm across requests
+       (see `fixity` in GET /stats).
 serve: HTTP routes POST /cite, POST /cite_sql, GET /views, GET /stats,
        GET /healthz, GET /metrics (Prometheus text exposition),
        GET /debug/slow (slowest recent requests, with request IDs
@@ -200,7 +204,8 @@ serve: HTTP routes POST /cite, POST /cite_sql, GET /views, GET /stats,
        Every response echoes `x-request-id` (assigned when the
        request carries none), and a /cite body with `stages: true`
        adds the per-stage latency breakdown. With --commits
-       also POST /cite_at and GET /versions, and GET /stats gains a
+       also POST /cite_at (a /cite body plus `version` or `at`) and
+       GET /versions, and GET /stats gains a
        `fixity` block (derived vs rebuilt engine counters). The
        compiled-plan cache's hits/misses/size appear under
        `plan_cache` (and in `cite --explain` output).
@@ -267,22 +272,12 @@ fn load_registry(text: &str) -> Result<ViewRegistry, CliError> {
     Ok(registry)
 }
 
+/// `--policy` and `--order`, by the names the wire decoder takes.
 fn policy_from(args: &Args) -> Result<Policy, CliError> {
-    let mut policy = match args.get("policy").unwrap_or("default") {
-        "union" => Policy::union_all(),
-        "join" => Policy::join_all(),
-        "default" => Policy::default(),
-        other => return Err(CliError(format!("unknown policy `{other}`"))),
-    };
+    let named = |e: fgc_server::WireError| CliError(e.0);
+    let mut policy = policy_named(args.get("policy").unwrap_or("default")).map_err(named)?;
     if let Some(order) = args.get("order") {
-        policy = policy.with_order(match order {
-            "none" => OrderChoice::None,
-            "fewest-views" => OrderChoice::FewestViews,
-            "fewest-uncovered" => OrderChoice::FewestUncovered,
-            "view-inclusion" => OrderChoice::ViewInclusion,
-            "composite" => OrderChoice::Composite,
-            other => return Err(CliError(format!("unknown order `{other}`"))),
-        });
+        policy = policy.with_order(order_named(order).map_err(named)?);
     }
     Ok(policy)
 }
@@ -345,21 +340,16 @@ fn base_snapshot(
 ///
 /// The engine is built with defaults; the policy/mode flags become
 /// per-request [`CiteRequest`] overrides — the same path a serving
-/// deployment would take for each query of its traffic. With
-/// `commits`, the query is answered against the versioned history
-/// instead (`--version`/`--at` select the snapshot; default head)
-/// and the output carries the fixity stamp.
+/// deployment would take for each query of its traffic. Without
+/// `commits` the data is a one-version history; with it,
+/// `--version`/`--at` select a snapshot (default head) and the output
+/// carries the fixity stamp.
 pub fn run_cite(
     args: &Args,
     data: &str,
     views: &str,
     commits: Option<&str>,
 ) -> Result<String, CliError> {
-    if let Some(commits) = commits {
-        return run_cite_versioned(args, data, views, commits);
-    }
-    let db = load_database(data)?;
-    let registry = load_registry(views)?;
     let request = match (args.get("query"), args.get("sql")) {
         (Some(q), None) => CiteRequest::query(parse_query(q)?),
         (None, Some(sql)) => CiteRequest::sql(sql),
@@ -373,21 +363,46 @@ pub fn run_cite(
     if args.enabled("exhaustive") {
         request = request.with_mode(RewriteMode::Exhaustive);
     }
-    let engine = CitationEngine::new(db, registry)?;
+    let parse_u64 = |name: &str| -> Result<Option<u64>, CliError> {
+        args.get(name)
+            .map(|v| {
+                v.parse()
+                    .map_err(|_| CliError(format!("--{name} must be a non-negative number")))
+            })
+            .transpose()
+    };
+    let at = match (parse_u64("version")?, parse_u64("at")?) {
+        (Some(_), Some(_)) => {
+            return Err(CliError("--version and --at are mutually exclusive".into()))
+        }
+        // a version picked with nothing to pick from would silently
+        // cite the unversioned data, unstamped
+        (Some(_), _) | (_, Some(_)) if commits.is_none() => {
+            return Err(CliError("--version and --at need --commits FILE".into()))
+        }
+        (Some(id), None) => VersionSelector::Id(id),
+        (None, Some(timestamp)) => VersionSelector::At(timestamp),
+        (None, None) => VersionSelector::Head,
+    };
+    let history = build_history(data, commits.unwrap_or_default())?;
+    let versioned = VersionedCitationEngine::new(history, load_registry(views)?);
+    let (info, engine) = versioned.resolve(at)?;
     let response = engine.cite_request(&request)?;
     let stages = response.stages;
     let cited = response.citation;
+    let stamped = commits.map(|_| VersionedCitation::new(info, cited.clone()).stamped_aggregate());
+    let shown = stamped.as_ref().unwrap_or(&cited.aggregate);
 
     let mut out = String::new();
     match args.get("format").unwrap_or("json") {
         "json" => {
-            let _ = writeln!(out, "{}", cited.aggregate.to_pretty());
+            let _ = writeln!(out, "{}", shown.to_pretty());
         }
         "xml" => {
-            let _ = write!(out, "{}", to_xml(&cited.aggregate, "citation"));
+            let _ = write!(out, "{}", to_xml(shown, "citation"));
         }
         "text" => {
-            let _ = writeln!(out, "{}", to_text(&cited.aggregate, &TextStyle::default()));
+            let _ = writeln!(out, "{}", to_text(shown, &TextStyle::default()));
         }
         other => return Err(CliError(format!("unknown format `{other}`"))),
     }
@@ -406,75 +421,14 @@ pub fn run_cite(
             "plan cache: hits={} misses={} size={}",
             plans.hits, plans.misses, plans.entries
         );
-    }
-    Ok(out)
-}
-
-/// The `--commits` arm of `fgcite cite`: versioned, fixity-stamped.
-fn run_cite_versioned(
-    args: &Args,
-    data: &str,
-    views: &str,
-    commits: &str,
-) -> Result<String, CliError> {
-    let query = match (args.get("query"), args.get("sql")) {
-        (Some(q), None) => parse_query(q)?,
-        (None, Some(_)) => {
-            return Err(CliError(
-                "--sql is not supported with --commits yet; use --query".into(),
-            ))
+        if commits.is_some() {
+            let stats = versioned.version_stats();
+            let _ = writeln!(
+                out,
+                "fixity: versions={} derived={} rebuilt={}",
+                stats.versions, stats.derived, stats.rebuilt
+            );
         }
-        (Some(_), Some(_)) => {
-            return Err(CliError("--query and --sql are mutually exclusive".into()))
-        }
-        (None, None) => return Err(CliError("need --query".into())),
-    };
-    let history = build_history(data, commits)?;
-    let mut engine = VersionedCitationEngine::new(history, load_registry(views)?)
-        .with_policy(policy_from(args)?);
-    if args.enabled("exhaustive") {
-        engine = engine.with_options(fgc_core::EngineOptions {
-            mode: RewriteMode::Exhaustive,
-            ..fgc_core::EngineOptions::default()
-        });
-    }
-    let parse_u64 = |name: &str| -> Result<Option<u64>, CliError> {
-        args.get(name)
-            .map(|v| {
-                v.parse()
-                    .map_err(|_| CliError(format!("--{name} must be a non-negative number")))
-            })
-            .transpose()
-    };
-    let cited = match (parse_u64("version")?, parse_u64("at")?) {
-        (Some(_), Some(_)) => {
-            return Err(CliError("--version and --at are mutually exclusive".into()))
-        }
-        (Some(v), None) => engine.cite_at_version(v, &query)?,
-        (None, Some(t)) => engine.cite_at_time(t, &query)?,
-        (None, None) => engine.cite_head(&query)?,
-    };
-    let mut out = String::new();
-    let stamped = cited.stamped_aggregate();
-    match args.get("format").unwrap_or("json") {
-        "json" => {
-            let _ = writeln!(out, "{}", stamped.to_pretty());
-        }
-        "xml" => {
-            let _ = write!(out, "{}", to_xml(&stamped, "citation"));
-        }
-        "text" => {
-            let _ = writeln!(out, "{}", to_text(&stamped, &TextStyle::default()));
-        }
-        other => return Err(CliError(format!("unknown format `{other}`"))),
-    }
-    if args.enabled("explain") {
-        let stats = engine.version_stats();
-        let _ = writeln!(
-            out,
-            "fixity: versions={} derived={} rebuilt={}",
-            stats.versions, stats.derived, stats.rebuilt
-        );
     }
     Ok(out)
 }
@@ -639,7 +593,7 @@ pub fn run_serve(
     // persisted multi-version history in the data dir.
     let versioned_persisted = storage.as_ref().is_some_and(|s| s.stats().versions > 1);
     if commits.is_some() || versioned_persisted {
-        let versioned = match &storage {
+        let history = match &storage {
             // Warm manifest: cold start from disk, the loader never
             // runs. A --commits file is still honored — the persisted
             // chain is verified against it and any sections past the
@@ -651,22 +605,20 @@ pub fn run_serve(
                 if let Some(commits) = commits {
                     resume_commits(&mut history, commits)?;
                 }
-                VersionedCitationEngine::new(history, registry)
-                    .with_storage(std::sync::Arc::clone(s))?
+                history
             }
             _ => {
                 let data = data.ok_or_else(|| {
                     CliError("--data is required (no persisted history to cold-start from)".into())
                 })?;
                 let commits = commits.expect("versioned without a persisted history has commits");
-                let mut engine =
-                    VersionedCitationEngine::new(build_history(data, commits)?, registry);
-                if let Some(s) = &storage {
-                    engine = engine.with_storage(std::sync::Arc::clone(s))?;
-                }
-                engine
+                build_history(data, commits)?
             }
         };
+        let mut versioned = VersionedCitationEngine::new(history, registry);
+        if let Some(s) = &storage {
+            versioned = versioned.with_storage(std::sync::Arc::clone(s))?;
+        }
         let versioned = versioned.with_engine_capacity(SERVE_WARM_ENGINES);
         return fgc_server::CiteServer::start_versioned(std::sync::Arc::new(versioned), config)
             .map_err(|e| CliError(format!("cannot start server: {e}")));
@@ -1055,6 +1007,27 @@ lambda F. CV1(F, N, Pn) :- Family(F, N, Ty), FC(F, C), Person(C, Pn, A)
         ])
         .unwrap();
         assert!(explained.contains("fixity: versions=3"), "{explained}");
+        // --sql is the same request: the same stamped bytes as --query
+        let mut sql: Vec<&str> = "cite --data db --views views --commits commits --sql"
+            .split(' ')
+            .collect();
+        sql.push("SELECT f.FName FROM Family f");
+        assert_eq!(run_line(&sql).unwrap(), head);
+    }
+
+    #[test]
+    fn a_version_without_commits_is_refused() {
+        for selector in ["--version=7", "--at=150"] {
+            let line = [
+                "cite",
+                "--data=db",
+                "--views=views",
+                "--query=Q(N) :- R(N)",
+                selector,
+            ];
+            let err = run_line(&line).unwrap_err();
+            assert!(err.0.contains("--commits"), "{}", err.0);
+        }
     }
 
     #[test]
@@ -1082,7 +1055,6 @@ lambda F. CV1(F, N, Pn) :- Family(F, N, Ty), FC(F, C), Person(C, Pn, A)
             "100"
         ])
         .is_err());
-        assert!(run_with(&["--sql", "SELECT f.FName FROM Family f"]).is_err());
         assert!(run_with(&["--query", "Q(N) :- Family(F, N, Ty)", "--version", "soon"]).is_err());
         assert!(run_with(&["--query", "Q(N) :- Family(F, N, Ty)", "--format", "bogus"]).is_err());
     }

@@ -79,7 +79,8 @@ pub use fgc_views as views;
 pub mod prelude {
     pub use fgc_core::{
         CitationEngine, CiteRequest, CiteResponse, CombineOp, EngineOptions, OrderChoice, Policy,
-        QueryCitation, RewriteMode, VersionStats, VersionedCitation, VersionedCitationEngine,
+        QueryCitation, RewriteMode, VersionSelector, VersionStats, VersionedCitation,
+        VersionedCitationEngine,
     };
     pub use fgc_query::{parse_query, parse_sql, ConjunctiveQuery};
     pub use fgc_relation::prelude::*;

@@ -376,8 +376,9 @@ pub fn drip_header(addr: SocketAddr) -> String {
 pub enum Request {
     /// `cite_request` at the head version, overrides honored.
     Cite(CiteRequest),
-    /// A plain query cited at one version, fixity stamp included.
-    At(u64, ConjunctiveQuery),
+    /// `cite_request` at one version, overrides honored, fixity stamp
+    /// included.
+    At(u64, CiteRequest),
     /// A POST of a body to a path on a server.
     Post(&'static str, String),
 }
@@ -404,7 +405,7 @@ impl fmt::Display for Request {
                 }
                 write!(f, " mode={:?} policy={:?}", r.mode, r.policy)
             }
-            Request::At(v, q) => write!(f, "cite {q} at version {v}"),
+            Request::At(v, r) => write!(f, "{} at version {v}", Request::Cite(r.clone())),
             Request::Post(path, body) => write!(f, "POST {path} {body}"),
         }
     }
@@ -433,8 +434,19 @@ pub fn both_modes(queries: &[ConjunctiveQuery]) -> Vec<Request> {
 
 /// Every query at every version of a walk, in walk order.
 pub fn walk(versions: &[u64], queries: &[ConjunctiveQuery]) -> Vec<Request> {
-    let at = |&v| queries.iter().map(move |q| Request::At(v, q.clone()));
+    let requests: Vec<CiteRequest> = queries.iter().cloned().map(CiteRequest::query).collect();
+    let at = |&v| requests.iter().map(move |r| Request::At(v, r.clone()));
     versions.iter().flat_map(at).collect()
+}
+
+/// `q` cited at the version `at` selects, through the versioned
+/// engine's one entry point.
+pub fn cite_at(
+    engine: &VersionedCitationEngine,
+    at: VersionSelector,
+    q: &ConjunctiveQuery,
+) -> fgcite::engine::Result<VersionedCitation> {
+    engine.cite(at, &CiteRequest::query(q.clone()))
 }
 
 /// Something that answers [`Request`]s. An answer is a string: the
@@ -461,10 +473,11 @@ impl Candidate for CitationEngine {
 
 impl Candidate for VersionedCitationEngine {
     fn answer(&self, request: &Request) -> String {
-        let Request::At(v, q) = request else {
-            panic!("a versioned engine answers plain queries at a version, not {request}");
+        let Request::At(v, r) = request else {
+            panic!("a versioned engine answers requests at a version, not {request}");
         };
-        outcome(self.cite_at_version(*v, q).map(|c| render_versioned(&c)))
+        let cited = self.cite(VersionSelector::Id(*v), r);
+        outcome(cited.map(|c| render_versioned(&c)))
     }
 }
 
@@ -491,7 +504,6 @@ pub struct Reference {
     /// What the data is, seed included: failure messages name it.
     fixture: String,
     history: VersionedDatabase,
-    configure: fn(CitationEngine) -> CitationEngine,
     engines: Mutex<HashMap<u64, Arc<CitationEngine>>>,
     server: OnceLock<CiteServer>,
     /// Answers by request (its `Debug` text): the reference is a pure
@@ -512,18 +524,10 @@ impl Reference {
         Reference {
             fixture: fixture.into(),
             history,
-            configure: |engine| engine,
             engines: Mutex::default(),
             server: OnceLock::new(),
             answers: Mutex::default(),
         }
-    }
-
-    /// Apply engine defaults (policy, options) to every engine built,
-    /// as a candidate configured the same way would.
-    pub fn configured(mut self, configure: fn(CitationEngine) -> CitationEngine) -> Reference {
-        self.configure = configure;
-        self
     }
 
     fn engine(&self, version: u64) -> Arc<CitationEngine> {
@@ -533,7 +537,7 @@ impl Reference {
             let engine = engine((**snapshot).clone())
                 .with_cache_capacity(0)
                 .with_plan_cache_capacity(0);
-            Arc::new((self.configure)(engine))
+            Arc::new(engine)
         };
         Arc::clone(engines.entry(version).or_insert_with(build))
     }
@@ -542,19 +546,15 @@ impl Reference {
         self.history.len() as u64 - 1
     }
 
-    /// `q` cited at version `v`, with its fixity stamp.
+    /// `request` served at version `v`, with its fixity stamp.
     pub fn cite_at(
         &self,
         v: u64,
-        q: &ConjunctiveQuery,
+        request: &CiteRequest,
     ) -> fgcite::engine::Result<VersionedCitation> {
         let (info, _) = self.history.snapshot(v).expect("reference version");
-        Ok(VersionedCitation {
-            citation: self.engine(v).cite(q)?,
-            version: v,
-            label: info.label.clone(),
-            timestamp: info.timestamp,
-        })
+        let response = self.engine(v).cite_request(request)?;
+        Ok(VersionedCitation::new(info, response.citation))
     }
 }
 
@@ -574,7 +574,7 @@ impl Reference {
     fn compute(&self, request: &Request) -> String {
         match request {
             Request::Cite(_) => self.engine(self.head()).answer(request),
-            Request::At(v, q) => outcome(self.cite_at(*v, q).map(|c| render_versioned(&c))),
+            Request::At(v, r) => outcome(self.cite_at(*v, r).map(|c| render_versioned(&c))),
             Request::Post(..) => {
                 let engine = self.engine(self.head());
                 let server = self.server.get_or_init(|| {

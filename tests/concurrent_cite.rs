@@ -124,12 +124,12 @@ fn eight_threads_racing_to_derive_one_version_agree() {
             .unwrap();
     }
     let q = parse_query("Q(N) :- Family(F, N, Ty), Ty = \"gpcr\"").unwrap();
-    let at = |v: u64| Request::At(v, q.clone());
+    let at = |v: u64| Request::At(v, CiteRequest::query(q.clone()));
     let reference = Reference::versioned("gtopdb families=120 seed=7, 3 commits", history.clone());
     let expected: Vec<String> = (0..4).map(|v| reference.answer(&at(v))).collect();
 
     let engine = Arc::new(VersionedCitationEngine::new(history, paper_views()));
-    engine.cite_at_version(1, &q).unwrap(); // warm the shared neighbor
+    common::cite_at(&engine, VersionSelector::Id(1), &q).unwrap(); // warm the shared neighbor
     std::thread::scope(|scope| {
         for thread in 0..8 {
             let (engine, expected, at) = (Arc::clone(&engine), &expected, &at);
@@ -167,8 +167,9 @@ fn versioned_engine_serves_concurrent_historical_citations() {
     let engine = Arc::new(VersionedCitationEngine::new(history, paper_views()));
     let q = parse_query("Q(N) :- Family(F, N, Ty)").unwrap();
 
-    let old_tuples = engine.cite_at_version(0, &q).unwrap().citation.tuples.len();
-    let new_tuples = engine.cite_at_version(1, &q).unwrap().citation.tuples.len();
+    let tuples =
+        |v| common::cite_at(&engine, VersionSelector::Id(v), &q).map(|c| c.citation.tuples.len());
+    let (old_tuples, new_tuples) = (tuples(0).unwrap(), tuples(1).unwrap());
     assert_eq!(new_tuples, old_tuples + 1);
 
     std::thread::scope(|scope| {
@@ -179,7 +180,7 @@ fn versioned_engine_serves_concurrent_historical_citations() {
                 let version = (thread % 2) as u64;
                 let expected = if version == 0 { old_tuples } else { new_tuples };
                 for _ in 0..5 {
-                    let cited = engine.cite_at_version(version, &q).unwrap();
+                    let cited = common::cite_at(&engine, VersionSelector::Id(version), &q).unwrap();
                     assert_eq!(cited.citation.tuples.len(), expected);
                     assert_eq!(cited.version, version);
                 }

@@ -529,8 +529,8 @@ fn section_4_fixity_citations_bring_back_the_data_as_cited() {
         .unwrap();
     let engine = VersionedCitationEngine::new(history, paper_views());
     let q = parse_query("Q(N) :- Family(F, N, Ty), Ty = \"gpcr\"").unwrap();
-    let old = engine.cite_at_time(1500, &q).unwrap();
-    let new = engine.cite_at_time(2500, &q).unwrap();
+    let old = common::cite_at(&engine, VersionSelector::At(1500), &q).unwrap();
+    let new = common::cite_at(&engine, VersionSelector::At(2500), &q).unwrap();
     assert_eq!(old.citation.tuples.len(), 4);
     assert_eq!(new.citation.tuples.len(), 5);
     assert_eq!(

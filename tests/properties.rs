@@ -493,7 +493,7 @@ fn old_version_citations_unaffected_by_later_commits() {
     let mut pinned: Vec<String> = Vec::new();
     for step in 0u64..5 {
         pinned.push(common::render_versioned(
-            &engine.cite_at_version(step, &q).unwrap(),
+            &common::cite_at(&engine, VersionSelector::Id(step), &q).unwrap(),
         ));
         engine
             .commit_with((step + 1) * 10, format!("v{}", step + 1), |db| {
@@ -509,7 +509,9 @@ fn old_version_citations_unaffected_by_later_commits() {
             })
             .unwrap();
         for (v, expected) in pinned.iter().enumerate() {
-            let again = common::render_versioned(&engine.cite_at_version(v as u64, &q).unwrap());
+            let again = common::render_versioned(
+                &common::cite_at(&engine, VersionSelector::Id(v as u64), &q).unwrap(),
+            );
             assert_eq!(&again, expected, "version {v} drifted after commit {step}");
         }
     }
@@ -529,11 +531,11 @@ fn unknown_version_cite_is_a_structured_error_not_a_panic() {
         .unwrap();
     let engine = VersionedCitationEngine::new(history, fgcite::gtopdb::paper_views());
     let q = parse_query("Q(N) :- Family(F, N, Ty)").unwrap();
-    engine.cite_at_version(1, &q).unwrap(); // warm the delta path
+    common::cite_at(&engine, VersionSelector::Id(1), &q).unwrap(); // warm the delta path
     for bad in [2u64, 17, u64::MAX] {
         assert!(
             matches!(
-                engine.cite_at_version(bad, &q).unwrap_err(),
+                common::cite_at(&engine, VersionSelector::Id(bad), &q).unwrap_err(),
                 fgcite::engine::CoreError::NoSuchVersion(_)
             ),
             "version {bad}"

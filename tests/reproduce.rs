@@ -362,7 +362,7 @@ fn claim_8_fixity_resolves_and_shares_versions() {
     }
     let small = VersionedCitationEngine::new(small, paper_views());
     let resolved = [0u64, 5, 10, 25, 30, 1_000].map(|at| {
-        let cited = small.cite_at_time(at, &q).unwrap();
+        let cited = common::cite_at(&small, VersionSelector::At(at), &q).unwrap();
         obj([
             ("at", int(at)),
             ("label", Json::str(cited.label)),
@@ -374,7 +374,7 @@ fn claim_8_fixity_resolves_and_shares_versions() {
     let walked = VersionedCitationEngine::new(commit_history(families, commits), paper_views());
     let mut memory = Vec::new();
     for v in 0..=commits as u64 {
-        walked.cite_at_version(v, &q).unwrap();
+        common::cite_at(&walked, VersionSelector::Id(v), &q).unwrap();
         if v.is_power_of_two() || v == 0 {
             let m = walked.memory_stats();
             memory.push(obj([
@@ -394,7 +394,7 @@ fn claim_8_fixity_resolves_and_shares_versions() {
     open().compact().unwrap();
     let reopened = VersionedCitationEngine::from_storage(open(), paper_views()).unwrap();
     for v in 0..=commits as u64 {
-        reopened.cite_at_version(v, &q).unwrap();
+        common::cite_at(&reopened, VersionSelector::Id(v), &q).unwrap();
     }
     let (again, m) = (reopened.version_stats(), reopened.memory_stats());
     let reopened = obj([

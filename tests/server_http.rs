@@ -214,21 +214,7 @@ fn versioned_routes_serve_history_and_unversioned_deployments_404() {
 
     // versioned: /cite_at serves any committed version, /cite serves
     // the head, and /stats reports the derived/rebuilt counters
-    let mut history = VersionedDatabase::new();
-    history.commit(paper_instance(), 100, "v23").unwrap();
-    history
-        .commit_with(200, "v24", |db| {
-            db.insert("Family", tuple!["20", "Melatonin", "gpcr"])
-                .map(|_| ())
-        })
-        .unwrap();
-    history
-        .commit_with(300, "v25", |db| {
-            db.insert("Family", tuple!["21", "Ghrelin", "gpcr"])
-                .map(|_| ())
-        })
-        .unwrap();
-    let versioned = VersionedCitationEngine::new(history, fgcite::gtopdb::paper_views());
+    let versioned = VersionedCitationEngine::new(paper_history(), fgcite::gtopdb::paper_views());
     let server =
         CiteServer::start_versioned(Arc::new(versioned), server_config()).expect("bind loopback");
     let mut client = Client::connect(server.addr()).expect("connect");
@@ -279,6 +265,117 @@ fn versioned_routes_serve_history_and_unversioned_deployments_404() {
     match fixity.get("derived") {
         Some(Json::Int(n)) => assert!(*n >= 1, "{}", stats.body),
         other => panic!("derived missing: {other:?}"),
+    }
+}
+
+/// The paper instance committed three times: `v23` at 100, `v24` (adds
+/// Melatonin) at 200, `v25` (adds Ghrelin) at 300.
+fn paper_history() -> VersionedDatabase {
+    let mut history = VersionedDatabase::new();
+    history.commit(paper_instance(), 100, "v23").unwrap();
+    for (at, label, id, name) in [
+        (200, "v24", "20", "Melatonin"),
+        (300, "v25", "21", "Ghrelin"),
+    ] {
+        let family = tuple![id, name, "gpcr"];
+        let insert = |db: &mut Database| db.insert("Family", family).map(|_| ());
+        history.commit_with(at, label, insert).unwrap();
+    }
+    history
+}
+
+/// `/cite_at` is `/cite` at a version: every `/cite` override applies,
+/// each body is the stamped render of a fresh engine over that
+/// version's snapshot serving the same request, and the request runs
+/// inside the trace (`"stages": true`, the slow log's breakdown).
+#[test]
+fn cite_at_is_cite_at_a_version() {
+    let (history, views) = (paper_history(), fgcite::gtopdb::paper_views);
+    let versioned = VersionedCitationEngine::new(history.clone(), views());
+    let server = CiteServer::start_versioned(Arc::new(versioned), server_config()).unwrap();
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let q = CiteRequest::query(parse_query(QUERIES[1]).unwrap());
+    let (union, join) = (Policy::union_all(), Policy::join_all());
+    let none = Policy::default().with_order(OrderChoice::None);
+    let exhaustive = RewriteMode::Exhaustive;
+    let overrides = [
+        ("", q.clone()),
+        (r#""policy": "union","#, q.clone().with_policy(union)),
+        (r#""policy": "join","#, q.clone().with_policy(join)),
+        (r#""mode": "exhaustive","#, q.clone().with_mode(exhaustive)),
+        (r#""order": "none","#, q.with_policy(none)),
+    ];
+    for (info, snapshot) in history.iter() {
+        let fresh = CitationEngine::new((**snapshot).clone(), views()).unwrap();
+        for (fields, request) in &overrides {
+            let body = body_with(QUERIES[1], &format!(r#"{fields} "version": {}"#, info.id));
+            let response = client.post("/cite_at", &body).expect("response");
+            let citation = fresh.cite_request(request).unwrap().citation;
+            let tuples = Json::Int(citation.tuples.len() as i64);
+            let mut expected = VersionedCitation::new(info, citation).stamped_aggregate();
+            expected.set("Tuples", tuples);
+            let expected = (200, expected.to_compact());
+            assert_eq!((response.status, response.body), expected, "{body}");
+        }
+    }
+
+    let body = body_with(QUERIES[1], r#""version": 1, "stages": true"#);
+    let response = parse_json(&client.post("/cite_at", &body).unwrap().body).unwrap();
+    let stages = response.get("stages").expect("stages block");
+    for stage in ["parse", "evaluate", "rewrite", "extent", "render"] {
+        assert!(stages.get(stage).is_some(), "{stage}: {response}");
+    }
+    let slow = parse_json(&client.get("/debug/slow").unwrap().body).unwrap();
+    let Some(Json::Array(entries)) = slow.get("requests") else {
+        panic!("no slow-log entries: {slow}");
+    };
+    let cite_at: Vec<&Json> = entries
+        .iter()
+        .filter(|e| e.get("endpoint") == Some(&Json::str("/cite_at")))
+        .collect();
+    let render = |e: &&Json| e.get("stages").and_then(|s| s.get("render")).is_some();
+    assert!(!cite_at.is_empty() && cite_at.iter().all(render), "{slow}");
+}
+
+/// A versioned deployment over a disk store reports the store once:
+/// each `fgcite_storage_*` family appears a single time on `/metrics`,
+/// and the `/stats` `storage` block is the store's own counters.
+#[test]
+fn a_versioned_store_is_reported_once() {
+    use fgcite::relation::storage::{DiskStorage, Storage, StorageOptions};
+    let dir = common::TempDir::new("versioned-metrics");
+    let storage: Arc<dyn Storage> =
+        Arc::new(DiskStorage::open(&dir, StorageOptions::default()).unwrap());
+    let versioned = VersionedCitationEngine::new(paper_history(), fgcite::gtopdb::paper_views())
+        .with_storage(Arc::clone(&storage))
+        .unwrap();
+    let server = CiteServer::start_versioned(Arc::new(versioned), server_config()).unwrap();
+    let mut client = Client::connect(server.addr()).expect("connect");
+    // serving a second version borrows an engine for it
+    let body = body_with(QUERIES[1], r#""version": 1"#);
+    assert_eq!(client.post("/cite_at", &body).unwrap().status, 200);
+
+    let metrics = client.get("/metrics").unwrap().body;
+    let stats = parse_json(&client.get("/stats").unwrap().body).unwrap();
+    let Some(Json::Object(block)) = stats.get("storage") else {
+        panic!("no storage block: {stats}");
+    };
+    let c = storage.stats();
+    let counters = [
+        ("versions", c.versions as u64),
+        ("segments", c.segments as u64),
+        ("wal_records", c.wal_records as u64),
+        ("wal_bytes", c.wal_bytes),
+        ("disk_bytes", c.disk_bytes),
+        ("compactions", c.compactions),
+    ];
+    assert_eq!(block.len(), counters.len(), "{stats}");
+    for (key, value) in counters {
+        let family = format!("fgcite_storage_{key}");
+        let samples = metrics.lines().filter(|l| l.starts_with(&family)).count();
+        assert_eq!(samples, 1, "{family}\n{metrics}");
+        let reported = block.iter().find(|(k, _)| k == key).map(|(_, v)| v);
+        assert_eq!(reported, Some(&Json::Int(value as i64)), "{stats}");
     }
 }
 

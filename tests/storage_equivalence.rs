@@ -224,13 +224,16 @@ fn commits_through_the_versioned_engine_persist_write_behind() {
                     .map(|_| ())
             })
             .unwrap();
-        before = render_versioned(&engine.cite_head(&q).unwrap());
-        assert_eq!(engine.storage_stats().unwrap().versions, 5);
+        before = render_versioned(&common::cite_at(&engine, VersionSelector::Head, &q).unwrap());
+        assert_eq!(engine.storage().unwrap().stats().versions, 5);
     }
     // the process "dies" here; the commit must already be durable
     let reopened = VersionedCitationEngine::from_storage(disk(&dir), paper_views()).unwrap();
     assert_eq!(reopened.history().len(), 5);
-    assert_eq!(before, render_versioned(&reopened.cite_head(&q).unwrap()));
+    assert_eq!(
+        before,
+        render_versioned(&common::cite_at(&reopened, VersionSelector::Head, &q).unwrap())
+    );
 }
 
 #[test]

@@ -157,23 +157,26 @@ fn timeline_and_timestamp_resolution_match_rebuild() {
     let reference = reference(77, &history);
     let incremental = VersionedCitationEngine::new(history.clone(), paper_views());
     let q = parse_query("Q(N) :- Family(F, N, Ty), Ty = \"gpcr\"").unwrap();
+    let request = CiteRequest::query(q.clone());
     let timeline = incremental.citation_timeline(&q).unwrap();
     assert_eq!(timeline.len(), history.len());
     for (v, stamped) in &timeline {
-        let expected = reference.cite_at(*v, &q).unwrap().stamped_aggregate();
+        let expected = reference.cite_at(*v, &request).unwrap().stamped_aggregate();
         assert_eq!(stamped.to_compact(), expected.to_compact(), "version {v}");
     }
     for at in [0, 150, 250, 10_000] {
         let (info, _) = history.snapshot_at(at).unwrap();
-        let expected = render_versioned(&reference.cite_at(info.id, &q).unwrap());
-        let got = render_versioned(&incremental.cite_at_time(at, &q).unwrap());
+        let expected = render_versioned(&reference.cite_at(info.id, &request).unwrap());
+        let got = render_versioned(&incremental.cite(VersionSelector::At(at), &request).unwrap());
         assert_eq!(got, expected, "at={at}");
     }
 }
 
 /// A borrowed engine adopts exactly the view extents whose inputs its
 /// snapshot shares with the donor's store, starts with empty token and
-/// plan caches, and cites what a scratch build cites.
+/// plan caches, and cites what a scratch build cites — here under
+/// per-request overrides (union policy, exhaustive mode), which the
+/// borrowed version's engine honors as any engine does.
 #[test]
 fn derived_engine_invalidates_stale_plans_and_tokens() {
     use std::sync::Arc;
@@ -195,17 +198,15 @@ fn derived_engine_invalidates_stale_plans_and_tokens() {
             .map(|_| ())
         })
         .unwrap();
-    let subject = VersionedCitationEngine::new(history.clone(), paper_views())
-        .with_policy(Policy::union_all())
-        .with_options(EngineOptions {
-            mode: RewriteMode::Exhaustive,
-            ..EngineOptions::default()
-        });
+    let subject = VersionedCitationEngine::new(history.clone(), paper_views());
 
     // exhaustive mode cites every rewriting, so all five extents are
     // read and all caches fill
     let intro = parse_query("Q(N, Tx) :- Family(F, N, Ty), FamilyIntro(F, Tx)").unwrap();
-    let v0_result = subject.cite_at_version(0, &intro).unwrap();
+    let request = CiteRequest::query(intro)
+        .with_policy(Policy::union_all())
+        .with_mode(RewriteMode::Exhaustive);
+    let v0_result = subject.cite(VersionSelector::Id(0), &request).unwrap();
     let v0 = subject.engine_for_version(0).unwrap();
     assert!(v0.plan_stats().entries > 0);
     assert!(v0.cache_stats().entries > 0);
@@ -239,13 +240,13 @@ fn derived_engine_invalidates_stale_plans_and_tokens() {
 
     // result diff: v1 sees the rewritten introduction, v0 does not,
     // and both match the reference byte for byte
-    let v1_result = subject.cite_at_version(1, &intro).unwrap();
+    let v1_result = subject.cite(VersionSelector::Id(1), &request).unwrap();
     assert_ne!(render_versioned(&v0_result), render_versioned(&v1_result));
-    let reference = reference(5, &history).configured(common::exhaustive_union);
+    let at = |v| common::Request::At(v, request.clone());
     assert_same(
-        &reference,
+        &reference(5, &history),
         &[("borrowed", &subject)],
-        &walk(&[0, 1], &[intro]),
+        &[at(0), at(1)],
     );
 }
 
@@ -334,11 +335,11 @@ fn derived_child_never_mutates_shared_parent() {
     let history = history_for_seed(99, 3);
     let e = VersionedCitationEngine::new(history, paper_views());
     let q = parse_query("Q(N) :- Family(F, N, Ty)").unwrap();
-    let parent_render = render_versioned(&e.cite_at_version(0, &q).unwrap());
+    let parent_render = render_versioned(&common::cite_at(&e, VersionSelector::Id(0), &q).unwrap());
     let v0 = e.engine_for_version(0).unwrap();
     let v0_family = v0.database().relation("Family").unwrap().rows().to_vec();
     for v in 1..4 {
-        e.cite_at_version(v, &q).unwrap();
+        common::cite_at(&e, VersionSelector::Id(v), &q).unwrap();
     }
     assert_eq!(
         v0.database().relation("Family").unwrap().rows(),
@@ -346,7 +347,7 @@ fn derived_child_never_mutates_shared_parent() {
         "borrowing children must not disturb the donor's relations"
     );
     assert_eq!(
-        render_versioned(&e.cite_at_version(0, &q).unwrap()),
+        render_versioned(&common::cite_at(&e, VersionSelector::Id(0), &q).unwrap()),
         parent_render
     );
     let v3 = e.engine_for_version(3).unwrap();
