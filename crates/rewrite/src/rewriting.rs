@@ -9,8 +9,8 @@
 //! > only views and comparison predicates; otherwise ... partial."
 
 use crate::error::{Result, RewriteError};
-use fgc_query::ast::{Atom, Comparison, ConjunctiveQuery, Term};
-use fgc_query::subst::{unify_terms, Substitution};
+use fgc_query::ast::{Atom, CompOp, Comparison, ConjunctiveQuery, Term};
+use fgc_query::subst::Substitution;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -169,66 +169,14 @@ impl Rewriting {
         }
     }
 
-    /// The *expansion* of the rewriting: each view subgoal is replaced
-    /// by the view's body (variables freshened per occurrence, head
-    /// unified with the subgoal's args). Equivalence of the expansion
-    /// with the original query is Def. 2.2's condition 2.
+    /// The *expansion* of the rewriting ([`ViewDefs::expand`] of
+    /// [`Self::as_extent_query`]). Equivalence of the expansion with
+    /// the original query is Def. 2.2's condition 2.
     pub fn expand(&self, views: &ViewDefs) -> Result<ConjunctiveQuery> {
-        let mut atoms: Vec<Atom> = Vec::new();
-        let mut comparisons: Vec<Comparison> = self.comparisons.clone();
-        for (occurrence, s) in self.subgoals.iter().enumerate() {
-            match s {
-                Subgoal::Base(a) => atoms.push(a.clone()),
-                Subgoal::View(v) => {
-                    let def = views.get(&v.view)?;
-                    let fresh = def.freshen(&format!("_x{occurrence}"));
-                    if fresh.head.len() != v.args.len() {
-                        return Err(RewriteError::ViewArity {
-                            view: v.view.clone(),
-                            expected: fresh.head.len(),
-                            actual: v.args.len(),
-                        });
-                    }
-                    // unify view head with subgoal args
-                    let mut subst = Substitution::new();
-                    for (ht, at) in fresh.head.iter().zip(&v.args) {
-                        if !unify_terms(&mut subst, ht, at) {
-                            return Err(RewriteError::Inconsistent {
-                                view: v.view.clone(),
-                                detail: format!("cannot unify head term {ht} with arg {at}"),
-                            });
-                        }
-                    }
-                    // substitution may map rewriting vars; apply to
-                    // everything accumulated so far *and* the body.
-                    let body = fgc_query::subst::apply_query(&subst, &fresh);
-                    atoms = atoms
-                        .iter()
-                        .map(|a| fgc_query::subst::apply_atom(&subst, a))
-                        .collect();
-                    comparisons = comparisons
-                        .iter()
-                        .map(|c| fgc_query::subst::apply_comparison(&subst, c))
-                        .collect();
-                    atoms.extend(body.atoms);
-                    comparisons.extend(body.comparisons);
-                }
-            }
+        for v in self.view_atoms() {
+            views.get(&v.view)?;
         }
-        // the substitutions above may also have touched the head
-        // indirectly; rebuild by re-unifying: simplest is to apply the
-        // same per-occurrence substitutions as we went. We saved work
-        // by keeping head variables disjoint from freshened view
-        // variables: unification binds *fresh* vars to rewriting
-        // terms, never the reverse, except when two view occurrences
-        // share a rewriting variable — which apply_query handled.
-        Ok(ConjunctiveQuery {
-            name: self.name.clone(),
-            params: Vec::new(),
-            head: self.head.clone(),
-            atoms,
-            comparisons,
-        })
+        views.expand(&self.as_extent_query())
     }
 
     /// Check Def. 2.2 condition 2: the expansion is equivalent to `q`
@@ -367,6 +315,67 @@ impl ViewDefs {
         self.defs
             .get(name)
             .ok_or_else(|| RewriteError::UnknownView(name.to_string()))
+    }
+
+    /// The *expansion* of `q`, whose atoms may name views: each view
+    /// atom is replaced by the view's body, its variables freshened
+    /// per occurrence and its head matched to the atom's terms. Atoms
+    /// over other relations are kept as they are. The query's own
+    /// variables are never rebound: where the view head repeats a
+    /// variable or carries a constant, the match becomes an equality
+    /// comparison, so every variable of `q` survives and the
+    /// expansion is safe whenever `q` is.
+    pub fn expand(&self, q: &ConjunctiveQuery) -> Result<ConjunctiveQuery> {
+        let mut atoms: Vec<Atom> = Vec::new();
+        let mut comparisons: Vec<Comparison> = q.comparisons.clone();
+        for (occurrence, atom) in q.atoms.iter().enumerate() {
+            let Some(def) = self.defs.get(&atom.relation) else {
+                atoms.push(atom.clone());
+                continue;
+            };
+            let fresh = def.freshen(&format!("_x{occurrence}"));
+            if fresh.head.len() != atom.terms.len() {
+                return Err(RewriteError::ViewArity {
+                    view: atom.relation.clone(),
+                    expected: fresh.head.len(),
+                    actual: atom.terms.len(),
+                });
+            }
+            // binds only the view's fresh variables
+            let mut subst = Substitution::new();
+            for (ht, at) in fresh.head.iter().zip(&atom.terms) {
+                let bound = match ht {
+                    Term::Var(v) => match subst.get(v) {
+                        Some(bound) => bound.clone(),
+                        None => {
+                            subst.insert(v.clone(), at.clone());
+                            continue;
+                        }
+                    },
+                    Term::Const(_) => ht.clone(),
+                };
+                match (&bound, at) {
+                    _ if bound == *at => {}
+                    (Term::Const(_), Term::Const(_)) => {
+                        return Err(RewriteError::Inconsistent {
+                            view: atom.relation.clone(),
+                            detail: format!("cannot unify head term {ht} with arg {at}"),
+                        })
+                    }
+                    _ => comparisons.push(Comparison::new(at.clone(), CompOp::Eq, bound)),
+                }
+            }
+            let body = fgc_query::subst::apply_query(&subst, &fresh);
+            atoms.extend(body.atoms);
+            comparisons.extend(body.comparisons);
+        }
+        Ok(ConjunctiveQuery {
+            name: q.name.clone(),
+            params: Vec::new(),
+            head: q.head.clone(),
+            atoms,
+            comparisons,
+        })
     }
 
     /// All definitions, name-sorted.
@@ -584,6 +593,37 @@ mod tests {
             r.expand(&views()).unwrap_err(),
             RewriteError::UnknownView(_)
         ));
+    }
+
+    #[test]
+    fn expansion_keeps_every_rewriting_variable() {
+        // view heads that repeat a variable or carry a constant
+        let views = ViewDefs::new(vec![
+            parse_query("lambda F. W1(F, F) :- FC(F, F)").unwrap(),
+            parse_query("lambda F. W2(F, \"gpcr\") :- Family(F, N, \"gpcr\")").unwrap(),
+        ]);
+        for (view, expected) in [
+            ("W1", "Q(X, Y) :- FC(X, X), Y = X"),
+            ("W2", "Q(X, Y) :- Family(X, N, \"gpcr\"), Y = \"gpcr\""),
+        ] {
+            let r = Rewriting {
+                name: "Q".into(),
+                head: vec![Term::var("X"), Term::var("Y")],
+                subgoals: vec![Subgoal::View(ViewAtom {
+                    view: view.into(),
+                    args: vec![Term::var("X"), Term::var("Y")],
+                    param_positions: vec![0],
+                })],
+                comparisons: vec![],
+            };
+            let exp = r.expand(&views).unwrap();
+            fgc_query::check_safety(&exp).unwrap_or_else(|e| panic!("{exp}: {e}"));
+            assert_eq!(exp.head, r.head);
+            let vars = exp.all_vars();
+            assert!(vars.contains("X") && vars.contains("Y"), "{exp}");
+            let expected = parse_query(expected).unwrap();
+            assert!(fgc_query::equivalent(&exp, &expected), "{exp}");
+        }
     }
 
     #[test]

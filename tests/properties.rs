@@ -428,6 +428,132 @@ fn rewriting_expansions_evaluate_like_the_query() {
     }
 }
 
+/// Views whose heads repeat a variable (`W1`) or carry a constant
+/// (`W2`), one that projects a column away (`W3`, so one extent tuple
+/// has several derivations), and the paper's `V2` to join with.
+fn odd_views() -> Vec<CitationView> {
+    [
+        "lambda F. W1(F, F, N) :- Family(F, N, Ty)",
+        "lambda F. W2(F, N, \"gpcr\") :- Family(F, N, \"gpcr\")",
+        "lambda F. W3(F) :- FC(F, C)",
+    ]
+    .iter()
+    .map(|text| {
+        let view = parse_query(text).unwrap();
+        let citation_query = parse_query("lambda F. C(F, N) :- Family(F, N, Ty)").unwrap();
+        let function = CitationFunction::from_spec(vec![CitationFunction::scalar("ID", 0)]);
+        CitationView::new(view, citation_query, function)
+    })
+    .chain([fgcite::gtopdb::views::v2()])
+    .collect()
+}
+
+/// Per answer tuple of a rewriting, the λ-valuation each of its view
+/// subgoals takes under each binding (Def. 3.3's input), as a set.
+type Valuations = std::collections::BTreeSet<(Tuple, Vec<Vec<Value>>)>;
+
+fn valuations(
+    rewriting: &fgcite::rewrite::Rewriting,
+    grouped: Vec<(Tuple, Vec<fgcite::query::Binding>)>,
+) -> Valuations {
+    let mut out = Valuations::new();
+    for (tuple, bindings) in grouped {
+        for binding in bindings {
+            let resolve = |t: &&fgcite::query::Term| match t {
+                fgcite::query::Term::Const(v) => v.clone(),
+                fgcite::query::Term::Var(v) => binding[v.as_str()].clone(),
+            };
+            let per_view = rewriting
+                .view_atoms()
+                .map(|v| v.param_terms().iter().map(resolve).collect())
+                .collect();
+            out.insert((tuple.clone(), per_view));
+        }
+    }
+    out
+}
+
+/// `db` plus one relation per view holding its extent
+/// ([`CitationView::extent`]), typed after the base column each head
+/// term comes from.
+fn with_extents(db: &Database, views: &[CitationView]) -> Database {
+    let mut extended = db.clone();
+    for view in views {
+        let types: Vec<(String, DataType)> = view
+            .view
+            .head
+            .iter()
+            .enumerate()
+            .map(|(i, term)| {
+                let ty = match term {
+                    fgcite::query::Term::Const(v) => v.data_type(),
+                    fgcite::query::Term::Var(x) => view
+                        .view
+                        .atoms
+                        .iter()
+                        .find_map(|a| {
+                            let column = a.terms.iter().position(|t| t.as_var() == Some(x))?;
+                            let schema = db.relation(&a.relation).unwrap().schema();
+                            Some(schema.attributes[column].ty)
+                        })
+                        .unwrap(),
+                };
+                (format!("c{i}"), ty)
+            })
+            .collect();
+        let columns: Vec<(&str, DataType)> = types.iter().map(|(n, t)| (n.as_str(), *t)).collect();
+        extended
+            .create_relation(RelationSchema::with_names(view.name.clone(), &columns, &[]).unwrap())
+            .unwrap();
+        extended
+            .insert_all(&view.name, view.extent(db).unwrap())
+            .unwrap();
+    }
+    extended
+}
+
+/// Def. 3.3 needs, per answer tuple, only the set of λ-valuations a
+/// rewriting's view subgoals take. Evaluating the rewriting over
+/// materialized view extents and evaluating its expansion over the
+/// base data give the same set, for the paper's views and for views
+/// with repeated variables, constants and projections in their heads.
+#[test]
+fn extent_and_expansion_give_the_same_valuations() {
+    use fgcite::query::evaluate_grouped;
+    use fgcite::rewrite::{enumerate_rewritings, RewriteOptions, ViewDefs};
+    let view_sets = [
+        fgcite::gtopdb::paper_views()
+            .iter()
+            .map(|v| (**v).clone())
+            .collect(),
+        odd_views(),
+    ];
+    let mut used: std::collections::BTreeSet<String> = Default::default();
+    for seed in 0u64..4 {
+        let db = fgcite::gtopdb::generate(&fgcite::gtopdb::GeneratorConfig::tiny().with_seed(seed));
+        for views in &view_sets {
+            let defs = ViewDefs::new(views.iter().map(|v| v.view.clone()));
+            let extents = with_extents(&db, views);
+            for q in &query_pool() {
+                let e = enumerate_rewritings(q, &defs, RewriteOptions::default()).unwrap();
+                for r in &e.rewritings {
+                    let over_extents = evaluate_grouped(&extents, &r.as_extent_query()).unwrap();
+                    let over_base = evaluate_grouped(&db, &r.expand(&defs).unwrap()).unwrap();
+                    assert_eq!(
+                        valuations(r, over_extents),
+                        valuations(r, over_base),
+                        "rewriting {r} of {q}, seed {seed}"
+                    );
+                    used.extend(r.view_atoms().map(|v| v.view.clone()));
+                }
+            }
+        }
+    }
+    for view in ["W1", "W2", "W3", "V1", "V4", "V5"] {
+        assert!(used.contains(view), "no rewriting used {view}: {used:?}");
+    }
+}
+
 #[test]
 fn engine_citations_are_plan_independent() {
     for seed in 0u64..10 {
