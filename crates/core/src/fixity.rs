@@ -11,14 +11,15 @@
 //! the citation is stamped with the version id, label, and timestamp
 //! it was computed against.
 //!
-//! A version's first touch **borrows** from the nearest warm engine
-//! whose catalog matches (min `|w − v|`, ties to the lower version;
-//! before or after, adjacent or not): the new engine runs over the
-//! history's own snapshot and adopts by `Arc` every view extent whose
-//! input relations are the very instances the donor's store holds.
-//! Snapshots share every relation a commit did not touch, so pointer
-//! identity alone says which extents are still valid; no delta is
-//! read or replayed. Only when no warm engine shares the catalog is an
+//! A version's engine runs over the history's own snapshot, which
+//! shares every relation a commit did not touch with its neighbours;
+//! the engine materializes nothing of its own (a citation evaluates
+//! each rewriting's expansion over the snapshot). Its first touch
+//! **derives** it from the nearest warm engine whose catalog matches
+//! (min `|w − v|`, ties to the lower version; before or after,
+//! adjacent or not), reusing that engine's catalog-level state: view
+//! definitions, inclusion matrix, policy and options. No delta is read
+//! or replayed. Only when no warm engine shares the catalog is an
 //! engine built from scratch. Either path cites byte-identically to an
 //! engine built directly on the snapshot (the differential suite in
 //! `tests/versioned_equivalence.rs` pins this); the [`VersionStats`]
@@ -87,7 +88,7 @@ pub enum VersionSelector {
 }
 
 /// How a versioned engine has served its versions so far — the
-/// borrowed-vs-rebuilt accounting surfaced as the `fixity` block of
+/// derived-vs-rebuilt accounting surfaced as the `fixity` block of
 /// `GET /stats` and counted by `claim_8_*` in `tests/reproduce.rs`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct VersionStats {
@@ -98,18 +99,15 @@ pub struct VersionStats {
     /// [`VersionedCitationEngine::resolve`] calls answered from the
     /// warm map.
     pub hits: u64,
-    /// First touches borrowed from a warm engine of any version —
-    /// before or after, adjacent or not — whose store differs from
-    /// the snapshot in some relation a view or citation query reads.
+    /// First touches derived from a warm engine of the same catalog,
+    /// of any version — before or after, adjacent or not.
     pub derived: u64,
     /// First touches built from scratch: no warm engine shared the
     /// snapshot's catalog.
     pub rebuilt: u64,
-    /// First touches borrowed from a warm engine whose store holds the
-    /// snapshot's own instance of every relation a view or citation
-    /// query reads (an empty commit, or one that touched only uncited
-    /// relations), so nothing a citation can see changed. Counted
-    /// apart from `derived`.
+    /// Always 0: first touches that shared a donor's view extents
+    /// unchanged, before engines stopped materializing extents. Kept
+    /// for `benchmark/src/layers.rs:663`, which still reads it.
     pub shared: u64,
     /// Warm engines evicted by the retention policy (see
     /// [`VersionedCitationEngine::with_engine_capacity`]).
@@ -128,8 +126,7 @@ pub struct VersionStats {
 pub struct VersionMemoryStats {
     /// Bytes held by distinct relation instances (rows + indexes).
     pub resident_bytes: usize,
-    /// Relation references across snapshots, warm engines, and their
-    /// extent stores.
+    /// Relation references across snapshots and warm engines.
     pub relation_refs: usize,
     /// Distinct relation instances behind those references.
     pub unique_relations: usize,
@@ -146,12 +143,11 @@ struct VersionCounters {
     hits: AtomicU64,
     derived: AtomicU64,
     rebuilt: AtomicU64,
-    shared: AtomicU64,
     engine_evictions: AtomicU64,
 }
 
 /// The warm-engine map, retained second-chance ([`Clock`]). Evicted
-/// engines are borrowed or built again on demand — eviction never
+/// engines are derived or built again on demand — eviction never
 /// loses information, only warmth, because every engine is a
 /// deterministic function of the history. `engine_capacity` 0 means
 /// unbounded here, where the ring's own 0 means "store nothing".
@@ -226,7 +222,7 @@ impl VersionedCitationEngine {
 
     /// Bound the warm-engine map: at most `capacity` per-version
     /// engines stay warm, evicted second-chance (CLOCK) — recently
-    /// cited versions survive, cold ones fall out and are borrowed
+    /// cited versions survive, cold ones fall out and are derived
     /// again on their next touch. `0` (the default) keeps every
     /// engine warm, which is only safe for short histories: without a
     /// bound the map grows with every distinct version ever cited.
@@ -237,7 +233,7 @@ impl VersionedCitationEngine {
         self
     }
 
-    /// Borrowed-vs-rebuilt serving counters.
+    /// Derived-vs-rebuilt serving counters.
     pub fn version_stats(&self) -> VersionStats {
         VersionStats {
             versions: self.history.len(),
@@ -245,16 +241,15 @@ impl VersionedCitationEngine {
             hits: self.counters.hits.load(Ordering::Relaxed),
             derived: self.counters.derived.load(Ordering::Relaxed),
             rebuilt: self.counters.rebuilt.load(Ordering::Relaxed),
-            shared: self.counters.shared.load(Ordering::Relaxed),
+            shared: 0,
             engine_evictions: self.counters.engine_evictions.load(Ordering::Relaxed),
             engine_capacity: self.engine_capacity,
         }
     }
 
     /// Approximate resident footprint of the history snapshots and
-    /// every warm engine (base store plus materialized extent store),
-    /// deduplicated by `Arc` identity — structurally shared relations
-    /// are counted (and sized) once.
+    /// every warm engine's store, deduplicated by `Arc` identity —
+    /// structurally shared relations are counted (and sized) once.
     pub fn memory_stats(&self) -> VersionMemoryStats {
         fn tally(
             db: &Database,
@@ -277,9 +272,6 @@ impl VersionedCitationEngine {
         let map = self.engines.read().expect("engine map poisoned");
         for (_, engine) in map.iter() {
             tally(engine.database(), &mut seen, &mut stats);
-            if let Some(extent) = engine.extent_database_if_built() {
-                tally(&extent, &mut seen, &mut stats);
-            }
         }
         stats.shared_relations = stats.relation_refs - stats.unique_relations;
         stats
@@ -310,7 +302,7 @@ impl VersionedCitationEngine {
         Ok(id)
     }
 
-    /// The version `at` selects and the engine serving it, borrowed
+    /// The version `at` selects and the engine serving it, derived
     /// or built on first touch. An unknown id, a timestamp before the
     /// first version, or an empty history is a structured
     /// [`CoreError::NoSuchVersion`].
@@ -337,22 +329,15 @@ impl VersionedCitationEngine {
             self.counters.hits.fetch_add(1, Ordering::Relaxed);
             return Ok((info, Arc::clone(engine)));
         }
-        // Build outside any lock: a borrow materializes the extents
-        // its snapshot changed and a rebuild all of them, and holding
-        // the write lock for either would stall concurrent citations
-        // against warm versions. Both are deterministic functions of
-        // the history, so when two threads race the loser's work is
+        // Build outside any lock: a rebuild validates every view and
+        // computes the inclusion matrix, and holding the write lock
+        // for it would stall concurrent citations against warm
+        // versions. Both paths are deterministic functions of the
+        // history, so when two threads race the loser's work is
         // wasted, not divergent; the first insert wins so all callers
         // share one (cache-warm) engine.
         let (engine, counter) = match self.nearest_warm(version, snapshot) {
-            Some(donor) => {
-                let counter = if donor.cites_same_relations(snapshot) {
-                    &self.counters.shared
-                } else {
-                    &self.counters.derived
-                };
-                (donor.rebase(Arc::clone(snapshot))?, counter)
-            }
+            Some(donor) => (donor.rebase(Arc::clone(snapshot))?, &self.counters.derived),
             None => (
                 CitationEngine::build(Arc::clone(snapshot), self.registry.clone())?,
                 &self.counters.rebuilt,
@@ -386,7 +371,7 @@ impl VersionedCitationEngine {
 
     /// The warm engine nearest `version` (min `|w − v|`, ties to the
     /// lower version) among those whose catalog is `snapshot`'s — the
-    /// donor a first touch borrows from.
+    /// donor a first touch derives from.
     fn nearest_warm(&self, version: VersionId, snapshot: &Database) -> Option<Arc<CitationEngine>> {
         let map = self.engines.read().expect("engine map poisoned");
         map.iter()
@@ -644,7 +629,7 @@ mod tests {
     }
 
     #[test]
-    fn empty_or_view_untouched_commits_share_instead_of_deriving() {
+    fn empty_or_view_untouched_commits_derive_like_any_other() {
         let mut db = base_db();
         db.create_relation(
             RelationSchema::with_names("Unrelated", &[("x", DataType::Int)], &[]).unwrap(),
@@ -667,11 +652,11 @@ mod tests {
         for v in 0..4 {
             cite(&e, Id(v), &q).unwrap();
         }
+        // an engine materializes nothing of its own, so whether a
+        // commit touched what a view reads makes no difference
         let stats = e.version_stats();
-        assert_eq!(stats.rebuilt, 1, "{stats:?}");
-        assert_eq!(stats.shared, 2, "{stats:?}");
-        assert_eq!(stats.derived, 1, "{stats:?}");
-        // shared engines still answer correctly
+        assert_eq!((stats.rebuilt, stats.derived, stats.shared), (1, 3, 0));
+        // derived engines answer correctly
         assert_eq!(cite(&e, Id(1), &q).unwrap().citation.tuples.len(), 1);
         assert_eq!(cite(&e, Id(3), &q).unwrap().citation.tuples.len(), 2);
     }
@@ -700,35 +685,25 @@ mod tests {
         }
         let e = VersionedCitationEngine::new(h, registry());
         let q = parse_query("Q(N) :- Family(F, N, Ty)").unwrap();
-        // (rebuilt, derived, shared) after citing `v`: `shared` means
-        // the donor held this version's Family, `derived` that it did not
+        // (rebuilt, derived, shared) after citing `v`. Which donor
+        // lends cannot be seen: every warm engine of one catalog hands
+        // on the same catalog-level state
         let touch = |v: VersionId| {
             cite(&e, Id(v), &q).unwrap();
             let stats = e.version_stats();
             (stats.rebuilt, stats.derived, stats.shared)
         };
         assert_eq!(touch(0), (1, 0, 0));
-        // backward across a gap: v0 is the only donor
+        // backward across a gap, and in between
         assert_eq!(touch(4), (1, 1, 0));
-        // v4 (distance 1) lends, not v0 (distance 3)
-        assert_eq!(touch(3), (1, 1, 1));
-        // v0 (distance 1) lends, not v3 (distance 2)
-        assert_eq!(touch(1), (1, 1, 2));
-        // v1 and v3 tie at distance 1 and the lower one lends: its
-        // Family predates v2's insert (v3's would have been shared)
-        assert_eq!(touch(2), (1, 2, 2));
-        // a backward borrow adopts the donor's unchanged extent
-        let extent = |v| {
-            e.engine_for_version(v)
-                .unwrap()
-                .extent_database_if_built()
-                .expect("cited, so the extents exist")
-        };
-        let (v3, v4) = (extent(3), extent(4));
-        assert!(Arc::ptr_eq(
-            v3.relation_arc("V1").unwrap(),
-            v4.relation_arc("V1").unwrap()
-        ));
+        assert_eq!(touch(3), (1, 2, 0));
+        assert_eq!(touch(1), (1, 3, 0));
+        assert_eq!(touch(2), (1, 4, 0));
+        // every version cites its own snapshot
+        for v in 0..5 {
+            let tuples = cite(&e, Id(v), &q).unwrap().citation.tuples.len();
+            assert_eq!(tuples, if v < 2 { 1 } else { 2 }, "v{v}");
+        }
     }
 
     #[test]
@@ -856,22 +831,12 @@ mod tests {
             (2, 0, 0),
             "{stats:?}"
         );
-        // so every extent is materialized afresh, even V1's over the
-        // Family relation both versions share
-        let extent = |v| {
-            e.engine_for_version(v)
-                .unwrap()
-                .extent_database_if_built()
-                .expect("cited, so the extents exist")
-        };
-        let (v1, v2) = (extent(1), extent(2));
+        // yet both engines read the one Family relation the versions
+        // share
+        let store = |v| e.engine_for_version(v).unwrap().database().clone();
         assert!(Arc::ptr_eq(
-            v1.relation_arc("Family").unwrap(),
-            v2.relation_arc("Family").unwrap()
-        ));
-        assert!(!Arc::ptr_eq(
-            v1.relation_arc("V1").unwrap(),
-            v2.relation_arc("V1").unwrap()
+            store(1).relation_arc("Family").unwrap(),
+            store(2).relation_arc("Family").unwrap()
         ));
     }
 }

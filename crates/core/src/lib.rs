@@ -15,8 +15,7 @@
 //!   concurrently;
 //! * [`request`] — the serving layer: [`CiteRequest`] per-call
 //!   overrides (policy, mode, budgets, memoization) and
-//!   [`CiteResponse`] timing/cache metadata, plus batch fan-out via
-//!   [`CitationEngine::cite_batch`];
+//!   [`CiteResponse`] timing/cache metadata;
 //! * [`cache`] — sharded, thread-safe memoized
 //!   `(view, valuation) → citation` (§4: caching/materialization);
 //! * [`plan_cache`] — sharded, thread-safe memoized
@@ -61,14 +60,10 @@
 //! assert_eq!(cited.tuples.len(), 1);
 //! assert!(!cited.tuples[0].citation.is_null());
 //!
-//! // Per-request overrides and batch serving:
+//! // Per-request overrides:
 //! use fgc_core::{CiteRequest, RewriteMode};
-//! let requests = vec![
-//!     CiteRequest::query(q.clone()),
-//!     CiteRequest::query(q).with_mode(RewriteMode::Exhaustive),
-//! ];
-//! let responses = engine.cite_batch(&requests);
-//! assert!(responses.iter().all(|r| r.is_ok()));
+//! let request = CiteRequest::query(q).with_mode(RewriteMode::Exhaustive);
+//! assert!(engine.cite_request(&request).is_ok());
 //! ```
 
 #![warn(missing_docs)]

@@ -55,12 +55,18 @@ fn main() {
 
     // Serving-style usage: a batch of requests with per-call policy
     // overrides, fanned out across threads over this one engine.
-    let batch = vec![
+    let batch = [
         CiteRequest::query(q.clone()),
         CiteRequest::query(q.clone()).with_policy(Policy::join_all()),
         CiteRequest::sql("SELECT f.FName FROM Family f WHERE f.Type = 'gpcr'"),
     ];
-    let responses = engine.cite_batch(&batch);
+    let responses: Vec<_> = std::thread::scope(|scope| {
+        let workers: Vec<_> = batch
+            .iter()
+            .map(|request| scope.spawn(|| engine.cite_request(request)))
+            .collect();
+        workers.into_iter().map(|w| w.join().unwrap()).collect()
+    });
     println!("\nbatch of {} requests:", responses.len());
     for (i, r) in responses.iter().enumerate() {
         let r = r.as_ref().expect("request succeeds");

@@ -43,7 +43,7 @@
 //! let views = fgcite::gtopdb::paper_views();
 //!
 //! // `cite` takes `&self`: share one engine across threads via
-//! // `Arc` and serve batches with `cite_batch`.
+//! // `Arc` (or `std::thread::scope`) to serve requests concurrently.
 //! let engine = CitationEngine::new(db, views).unwrap();
 //!
 //! // Example 2.3's query: names and intro texts of gpcr families.

@@ -15,8 +15,11 @@ use fgcite::gtopdb::paper_instance;
 use fgcite::prelude::*;
 use std::fmt::Write as _;
 
+/// Sets one engine configuration up.
+type Configure = fn(CitationEngine) -> CitationEngine;
+
 /// The engine configurations every query is cited under.
-fn configs() -> [(&'static str, fn(CitationEngine) -> CitationEngine); 3] {
+fn configs() -> [(&'static str, Configure); 3] {
     [
         ("default", |e| e),
         ("exhaustive+union", common::exhaustive_union),
