@@ -4,21 +4,20 @@
 //! the catalog check, and the greedy join ordering — work that is a
 //! pure function of the query once the database is fixed. Serving
 //! workloads repeat queries (landing pages, dashboards, retries) and
-//! every `cite` call additionally evaluates one extent query per
+//! every `cite` call additionally evaluates one expansion per
 //! rewriting, so an engine that caches plans skips
 //! parse-order-validate entirely on the warm path. The table itself
 //! (sharding, bounding, counters) is [`ClockCache`]'s.
 //!
 //! **Key invariant:** plans are keyed by the [`ConjunctiveQuery`]
-//! alone. That is sound inside one engine because every database a
-//! plan can be compiled against here (base store, extent store)
-//! presents identical sizes for the relations they share, and
-//! relations exclusive to one store (view extents)
-//! can only appear in queries that compile against that store — so a
-//! query never has two distinct valid plans. Engines over different
-//! snapshots ([`crate::fixity`]) each own their cache and start it
-//! empty: the greedy order and probe choices depend on relation
-//! sizes.
+//! alone. That is sound inside one engine because every plan is
+//! compiled against its one store: answer queries and the expansions
+//! of rewritings (view subgoals replaced by the views' bodies) are
+//! ordinary queries over the same relations, and a view-named extent
+//! query is never a key — so a query never has two distinct valid
+//! plans. Engines over different snapshots ([`crate::fixity`]) each
+//! own their cache and start it empty: the greedy order and probe
+//! choices depend on relation sizes.
 
 use crate::cache::{CacheStats, ClockCache};
 use fgc_query::{ConjunctiveQuery, QueryPlan};

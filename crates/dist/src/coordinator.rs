@@ -14,8 +14,10 @@
 //! [`CiteDataPlane`]. The engine finds the rewritings from the schemas
 //! alone, then the plane makes **one** `POST /fragment/cite` per shard
 //! replica, in parallel: the answer query rides only to the shards its
-//! route implicates, every rewriting's extent query to every
-//! shard (view extents carry no shard key), and each replica answers
+//! route implicates, every rewriting's extent query to every shard
+//! (extent queries are not routed: each replica expands one over its
+//! own view definitions and evaluates it on its store), and each
+//! replica answers
 //! with its `(gid, seq, ...)` rows plus the citation of every token its
 //! bindings mention. Gathering is [`merge_answers`] /
 //! [`merge_groups`], a sort-merge in global tuple order — exactly the
@@ -296,8 +298,8 @@ impl Coordinator {
 
     /// One `/fragment/cite` per shard replica, in parallel: the answer
     /// query to the shards in its scatter set, every extent query to
-    /// every shard (view extents carry no shard key — with no extent
-    /// query, only the answer shards are called). Fragments come back
+    /// every shard (the router does not route a rewriting's expansion
+    /// yet — with no extent query, only the answer shards are called). Fragments come back
     /// in shard order. Of several failures the one with the least
     /// `(phase, shard)` wins, which is the error the single server
     /// meets first; a call that failed before any phase ran counts at

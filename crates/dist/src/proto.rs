@@ -12,7 +12,9 @@
 //! A `/fragment/cite` answer row is `[gid, seq, [values]]`; an extent
 //! row is `[gid, seq, [tuple], [binding values]]`, the binding values
 //! in [`query_vars`] order, which both sides compute from the extent
-//! query. A replica that fails answers 400 with
+//! query (the replica evaluates the query's expansion, whose bindings
+//! also hold the views' fresh variables; only the extent query's own
+//! travel). A replica that fails answers 400 with
 //! `{"error": message, "phase": p}`, where phase 0 is the answer
 //! query and `i + 1` extent query `i`.
 //!

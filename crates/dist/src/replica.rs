@@ -8,7 +8,8 @@
 //! coordinator: `GET /fragment/meta`
 //! bootstraps the coordinator's control plane once, and one
 //! `POST /fragment/cite` per citation returns this shard's answer
-//! rows, its binding rows for every rewriting's extent query, and the
+//! rows, its binding rows for every rewriting's extent query (the
+//! expansion of it over the replica's own view definitions), and the
 //! citation of every token those bindings mention (see
 //! [`crate::proto`]). Engine-reported errors (unknown relation,
 //! out-of-range shard, budget blown) answer 400 with the exact

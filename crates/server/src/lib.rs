@@ -34,11 +34,12 @@
 //!
 //! A versioned deployment ([`CiteServer::start_versioned`]) serves
 //! `/cite` from the head version's engine and historical citations
-//! from per-version engines, each *borrowed* on first touch from the
-//! nearest warm engine — adopting every view extent its snapshot did
-//! not change — or built from scratch when no warm engine shares its
-//! catalog (`GET /stats` reports the derived-vs-rebuilt counters
-//! under `fixity`).
+//! from per-version engines, each *derived* on first touch from the
+//! nearest warm engine of the same catalog — reusing its view
+//! definitions and inclusion matrix over the version's own snapshot —
+//! or built from scratch when no warm engine shares its catalog
+//! (`GET /stats` reports the derived-vs-rebuilt counters under
+//! `fixity`; its `shared` key is always 0).
 //!
 //! Per-request overrides (policy, order, mode, rewrite budgets,
 //! memoization) ride on the JSON body — see [`wire`] for the exact

@@ -10,8 +10,8 @@
 //!
 //! One [`CitationEngine`] is shared by everything (the whole point of
 //! the `&self` serving API): each worker decodes its request and calls
-//! the engine itself, and all of them share its token cache and
-//! materialized extents. Two concurrent citations have nothing else
+//! the engine itself, and all of them share its token and plan
+//! caches. Two concurrent citations have nothing else
 //! to amortise, so nothing coalesces them; the worker pool bounds
 //! engine concurrency at `threads`. A replica deployment hands extra
 //! rows (its `/fragment/*` endpoints) to
@@ -349,6 +349,8 @@ fn serve_stats(app: &App, call: &Call<'_>) -> Response {
                 ("hits", Json::Int(fixity.hits as i64)),
                 ("derived", Json::Int(fixity.derived as i64)),
                 ("rebuilt", Json::Int(fixity.rebuilt as i64)),
+                // always 0 since engines stopped materializing view
+                // extents; kept for `benchmark/src/layers.rs:663`
                 ("shared", Json::Int(fixity.shared as i64)),
                 (
                     "engine_evictions",
