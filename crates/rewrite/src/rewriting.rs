@@ -10,7 +10,6 @@
 
 use crate::error::{Result, RewriteError};
 use fgc_query::ast::{Atom, CompOp, Comparison, ConjunctiveQuery, Term};
-use fgc_query::subst::Substitution;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -318,13 +317,13 @@ impl ViewDefs {
     }
 
     /// The *expansion* of `q`, whose atoms may name views: each view
-    /// atom is replaced by the view's body, its variables freshened
-    /// per occurrence and its head matched to the atom's terms. Atoms
-    /// over other relations are kept as they are. The query's own
-    /// variables are never rebound: where the view head repeats a
-    /// variable or carries a constant, the match becomes an equality
-    /// comparison, so every variable of `q` survives and the
-    /// expansion is safe whenever `q` is.
+    /// atom is replaced by the view's body, its head matched to the
+    /// atom's terms and its other variables named afresh per
+    /// occurrence. Atoms over other relations are kept as they are.
+    /// The query's own variables are never rebound: where the view
+    /// head repeats a variable or carries a constant, the match becomes
+    /// an equality comparison, so every variable of `q` survives and
+    /// the expansion is safe whenever `q` is.
     pub fn expand(&self, q: &ConjunctiveQuery) -> Result<ConjunctiveQuery> {
         let mut atoms: Vec<Atom> = Vec::new();
         let mut comparisons: Vec<Comparison> = q.comparisons.clone();
@@ -333,41 +332,54 @@ impl ViewDefs {
                 atoms.push(atom.clone());
                 continue;
             };
-            let fresh = def.freshen(&format!("_x{occurrence}"));
-            if fresh.head.len() != atom.terms.len() {
+            if def.head.len() != atom.terms.len() {
                 return Err(RewriteError::ViewArity {
                     view: atom.relation.clone(),
-                    expected: fresh.head.len(),
+                    expected: def.head.len(),
                     actual: atom.terms.len(),
                 });
             }
-            // binds only the view's fresh variables
-            let mut subst = Substitution::new();
-            for (ht, at) in fresh.head.iter().zip(&atom.terms) {
-                let bound = match ht {
-                    Term::Var(v) => match subst.get(v) {
-                        Some(bound) => bound.clone(),
+            // the view's head variables, bound to the atom's terms
+            let mut bound: Vec<(&str, &Term)> = Vec::with_capacity(def.head.len());
+            for (ht, at) in def.head.iter().zip(&atom.terms) {
+                let earlier = match ht {
+                    Term::Var(v) => match bound.iter().find(|(w, _)| *w == v.as_str()) {
+                        Some(&(_, t)) => t,
                         None => {
-                            subst.insert(v.clone(), at.clone());
+                            bound.push((v, at));
                             continue;
                         }
                     },
-                    Term::Const(_) => ht.clone(),
+                    Term::Const(_) => ht,
                 };
-                match (&bound, at) {
-                    _ if bound == *at => {}
+                match (earlier, at) {
+                    _ if earlier == at => {}
                     (Term::Const(_), Term::Const(_)) => {
                         return Err(RewriteError::Inconsistent {
                             view: atom.relation.clone(),
                             detail: format!("cannot unify head term {ht} with arg {at}"),
                         })
                     }
-                    _ => comparisons.push(Comparison::new(at.clone(), CompOp::Eq, bound)),
+                    _ => comparisons.push(Comparison::new(at.clone(), CompOp::Eq, earlier.clone())),
                 }
             }
-            let body = fgc_query::subst::apply_query(&subst, &fresh);
-            atoms.extend(body.atoms);
-            comparisons.extend(body.comparisons);
+            let term = |t: &Term| match t {
+                Term::Var(v) => match bound.iter().find(|(w, _)| *w == v.as_str()) {
+                    Some(&(_, t)) => t.clone(),
+                    None => Term::Var(format!("{v}_x{occurrence}")),
+                },
+                Term::Const(_) => t.clone(),
+            };
+            atoms.extend(
+                def.atoms
+                    .iter()
+                    .map(|a| Atom::new(a.relation.clone(), a.terms.iter().map(term).collect())),
+            );
+            comparisons.extend(
+                def.comparisons
+                    .iter()
+                    .map(|c| Comparison::new(term(&c.left), c.op, term(&c.right))),
+            );
         }
         Ok(ConjunctiveQuery {
             name: q.name.clone(),
