@@ -105,9 +105,8 @@ pub struct VersionStats {
     /// First touches built from scratch: no warm engine shared the
     /// snapshot's catalog.
     pub rebuilt: u64,
-    /// Always 0: first touches that shared a donor's view extents
-    /// unchanged, before engines stopped materializing extents. Kept
-    /// for `benchmark/src/layers.rs:663`, which still reads it.
+    /// Always 0: nothing increments it. Kept because
+    /// `benchmark/src/layers.rs:663` reads it.
     pub shared: u64,
     /// Warm engines evicted by the retention policy (see
     /// [`VersionedCitationEngine::with_engine_capacity`]).

@@ -349,8 +349,8 @@ fn serve_stats(app: &App, call: &Call<'_>) -> Response {
                 ("hits", Json::Int(fixity.hits as i64)),
                 ("derived", Json::Int(fixity.derived as i64)),
                 ("rebuilt", Json::Int(fixity.rebuilt as i64)),
-                // always 0 since engines stopped materializing view
-                // extents; kept for `benchmark/src/layers.rs:663`
+                // always 0: nothing increments it; kept because
+                // `benchmark/src/layers.rs:663` reads it
                 ("shared", Json::Int(fixity.shared as i64)),
                 (
                     "engine_evictions",
