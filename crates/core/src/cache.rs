@@ -15,9 +15,9 @@
 //! citation` — the result of `F_V(C_V(...))`, the hot path of
 //! citation interpretation, where a miss costs one citation query
 //! against the database. [`crate::plan_cache::PlanCache`] is the
-//! other instance. Each engine owns its caches; an engine rebased
-//! onto another version's snapshot (§4's fixity) starts them empty
-//! ([`ClockCache::empty_like`]).
+//! other instance. Every snapshot of one catalog is served through
+//! the same caches (§4's fixity), so each key names the relation
+//! instances its value was computed from ([`TokenKey`]).
 
 use crate::token::CiteToken;
 use fgc_relation::Clock;
@@ -165,19 +165,17 @@ impl<K: Hash + Eq + Clone, V: Clone> ClockCache<K, V> {
             shard.write().expect("cache shard poisoned").clear();
         }
     }
-
-    /// A fresh, empty cache (zeroed counters) with this one's
-    /// capacity — what an engine rebased onto another snapshot starts
-    /// from. Carrying entries over would deep-copy every key, which
-    /// costs more than refilling them.
-    pub fn empty_like(&self) -> Self {
-        let shard = self.shards[0].read().expect("cache shard poisoned");
-        Self::with_shard_capacity(shard.capacity())
-    }
 }
 
-/// The token cache: the interpreted citation of each token.
-pub type CitationCache = ClockCache<CiteToken, Arc<Json>>;
+/// A token-cache key: the instance ids
+/// ([`fgc_relation::Relation::instance`]) of the relations the
+/// token's citation query reads, in atom order, and the token. A base
+/// token's citation reads no data, so it carries no ids.
+pub type TokenKey = (Vec<u64>, CiteToken);
+
+/// The token cache: the interpreted citation of each token, over the
+/// relation instances its key names.
+pub type CitationCache = ClockCache<TokenKey, Arc<Json>>;
 
 impl Default for CitationCache {
     fn default() -> Self {
@@ -191,11 +189,11 @@ impl CitationCache {
     /// [`crate::request::CiteResponse`]).
     pub fn lookup_or_compute(
         &self,
-        token: &CiteToken,
+        key: &TokenKey,
         compute: impl FnOnce() -> Json,
     ) -> (Json, bool) {
         self.get_or_compute(
-            token,
+            key,
             |cached| Json::clone(cached),
             || Ok::<_, Infallible>(Arc::new(compute())),
         )
@@ -217,8 +215,12 @@ mod tests {
         CiteToken::view("V1", vec![Value::str(format!("t{i}"))])
     }
 
+    fn key(token: &CiteToken) -> TokenKey {
+        (Vec::new(), token.clone())
+    }
+
     fn get(cache: &CitationCache, token: &CiteToken, compute: impl FnOnce() -> Json) -> Json {
-        cache.lookup_or_compute(token, compute).0
+        cache.lookup_or_compute(&key(token), compute).0
     }
 
     #[test]
@@ -244,9 +246,9 @@ mod tests {
     #[test]
     fn lookup_reports_hit_flag() {
         let cache = CitationCache::default();
-        let (_, hit) = cache.lookup_or_compute(&token(), || Json::str("a"));
+        let (_, hit) = cache.lookup_or_compute(&key(&token()), || Json::str("a"));
         assert!(!hit);
-        let (v, hit) = cache.lookup_or_compute(&token(), || Json::str("other"));
+        let (v, hit) = cache.lookup_or_compute(&key(&token()), || Json::str("other"));
         assert!(hit);
         assert_eq!(v, Json::str("a"));
     }
@@ -340,17 +342,6 @@ mod tests {
         assert_eq!(cache.stats().entries, 0);
         get(&cache, &token(), || Json::str("fresh"));
         assert_eq!(cache.stats().entries, 1);
-    }
-
-    #[test]
-    fn empty_like_keeps_the_capacity_and_nothing_else() {
-        let cache = CitationCache::with_shard_capacity(4);
-        for i in 0..10 * cache.capacity() {
-            get(&cache, &nth_token(i), || Json::str("v"));
-        }
-        let fresh = cache.empty_like();
-        assert_eq!(fresh.capacity(), cache.capacity());
-        assert_eq!(fresh.stats(), CacheStats::default());
     }
 
     #[test]

@@ -223,8 +223,9 @@ impl CiteDataPlane for LocalDataPlane<'_> {
         let engine = self.engine;
         // `evaluate` wraps the whole answer evaluation, so the `plan`
         // span recorded inside it nests under it
-        let answers = engine.stages.time("evaluate", || engine.answers(q))?;
-        let extents = engine.stages.time("extent", || {
+        let stages = &engine.state.stages;
+        let answers = stages.time("evaluate", || engine.answers(q))?;
+        let extents = stages.time("extent", || {
             extent_queries
                 .iter()
                 .map(|e| engine.extent_groups(e))
@@ -242,45 +243,54 @@ impl CiteDataPlane for LocalDataPlane<'_> {
     }
 }
 
-/// The citation engine over one database snapshot.
-///
-/// All serving entry points ([`cite`](Self::cite),
-/// [`cite_sql`](Self::cite_sql), [`cite_request`](Self::cite_request))
-/// take `&self`: the mutable state (the token-citation and plan
-/// caches) sits behind interior mutability, so one engine wrapped in
-/// an `Arc` can serve many threads concurrently, all sharing the same
-/// caches.
+/// What every snapshot of one catalog shares. Each cache key names the
+/// relation instances its entry was computed from ([`crate::plan_cache`]).
 #[derive(Debug)]
-pub struct CitationEngine {
-    db: Arc<Database>,
+struct CatalogState {
     registry: ViewRegistry,
     view_defs: ViewDefs,
     policy: Policy,
     options: EngineOptions,
     inclusion: BTreeMap<(String, String), bool>,
     cache: CitationCache,
-    /// The shard ownership [`Self::with_shards`] set, and how the
-    /// store's tuples spread under it (counted once, there). Only
-    /// [`Self::cite_fragment`] reads it: the engine's own citations
-    /// always read the whole store.
-    partition: Option<(Partition, ShardStats)>,
-    /// Compiled [`QueryPlan`]s, keyed by query — answer queries and
-    /// rewriting expansions share it (see [`crate::plan_cache`] for
-    /// why one keyspace is sound). Warm `cite`/`cite_sql` calls skip
-    /// parse-order-validate entirely.
+    /// Compiled [`QueryPlan`]s — answer queries and rewriting
+    /// expansions share it (see [`crate::plan_cache`] for the key).
+    /// Warm `cite`/`cite_sql` calls skip parse-order-validate
+    /// entirely.
     plans: PlanCache,
     /// Per-stage latency histograms over the cite pipeline
     /// ([`fgc_obs::CITE_STAGES`]); every serving entry point records
     /// into them, and an active [`fgc_obs::Trace`] additionally
     /// collects a per-request breakdown.
     stages: StageSet,
+}
+
+/// The citation engine: one catalog's shared state over one database
+/// snapshot.
+///
+/// All serving entry points ([`cite`](Self::cite),
+/// [`cite_sql`](Self::cite_sql), [`cite_request`](Self::cite_request))
+/// take `&self`: the mutable state (the token-citation and plan
+/// caches) sits behind interior mutability, so one engine wrapped in
+/// an `Arc` can serve many threads concurrently, all sharing the same
+/// caches. [`Self::at`] serves another snapshot of the same catalog
+/// through the same state, caches included.
+#[derive(Debug)]
+pub struct CitationEngine {
+    state: Arc<CatalogState>,
+    db: Arc<Database>,
+    /// The shard ownership [`Self::with_shards`] set, and how the
+    /// store's tuples spread under it (counted once, there). Only
+    /// [`Self::cite_fragment`] reads it: the engine's own citations
+    /// always read the whole store.
+    partition: Option<(Partition, ShardStats)>,
     /// Storage backend the snapshot was loaded from or persists to,
     /// when one is attached ([`Self::with_storage`]). The engine
     /// itself never writes through it — snapshots are immutable —
     /// but keeps the handle so `GET /stats` and `GET /metrics` can
     /// surface backend counters next to the serving stats. A
-    /// versioned engine holds its own handle; its per-version engines
-    /// carry none.
+    /// versioned engine holds its own handle; the engines it serves
+    /// versions with carry none.
     storage: Option<Arc<dyn Storage>>,
 }
 
@@ -303,41 +313,41 @@ impl CitationEngine {
         let view_defs = ViewDefs::new(registry.iter().map(|v| v.view.clone()))
             .with_dependencies(fgc_query::Dependencies::from_catalog(db.catalog()));
         let inclusion = fgc_rewrite::view_inclusion_matrix(&view_defs);
-        Ok(Self::assemble(db, registry, view_defs, inclusion))
-    }
-
-    /// An engine with default policy, options and caches over already
-    /// validated parts.
-    fn assemble(
-        db: Arc<Database>,
-        registry: ViewRegistry,
-        view_defs: ViewDefs,
-        inclusion: BTreeMap<(String, String), bool>,
-    ) -> Self {
-        CitationEngine {
-            db,
+        let state = CatalogState {
             registry,
             view_defs,
             policy: Policy::default(),
             options: EngineOptions::default(),
             inclusion,
             cache: CitationCache::default(),
-            partition: None,
             plans: PlanCache::default(),
             stages: StageSet::new(CITE_STAGES),
+        };
+        Ok(CitationEngine {
+            state: Arc::new(state),
+            db,
+            partition: None,
             storage: None,
-        }
+        })
+    }
+
+    /// The catalog-level state, for a builder to configure. Panics
+    /// once [`Self::at`] shares it: replacing shared caches or
+    /// defaults would silently split the engines that share them.
+    fn state_mut(&mut self) -> &mut CatalogState {
+        Arc::get_mut(&mut self.state)
+            .expect("an engine is configured before `at` shares its catalog state")
     }
 
     /// Replace the policy (builder style).
     pub fn with_policy(mut self, policy: Policy) -> Self {
-        self.policy = policy;
+        self.state_mut().policy = policy;
         self
     }
 
     /// Replace the options (builder style).
     pub fn with_options(mut self, options: EngineOptions) -> Self {
-        self.options = options;
+        self.state_mut().options = options;
         self
     }
 
@@ -346,7 +356,7 @@ impl CitationEngine {
     /// Excess entries are evicted second-chance (CLOCK) — see
     /// [`CitationCache`]. A capacity of 0 disables the cache.
     pub fn with_cache_capacity(mut self, per_shard: usize) -> Self {
-        self.cache = CitationCache::with_shard_capacity(per_shard);
+        self.state_mut().cache = CitationCache::with_shard_capacity(per_shard);
         self
     }
 
@@ -356,7 +366,7 @@ impl CitationEngine {
     /// evaluation re-compiles — the interpreter-era cost model,
     /// kept switchable for the equivalence tests.
     pub fn with_plan_cache_capacity(mut self, per_shard: usize) -> Self {
-        self.plans = PlanCache::with_shard_capacity(per_shard);
+        self.state_mut().plans = PlanCache::with_shard_capacity(per_shard);
         self
     }
 
@@ -397,42 +407,42 @@ impl CitationEngine {
 
     /// The view registry.
     pub fn registry(&self) -> &ViewRegistry {
-        &self.registry
+        &self.state.registry
     }
 
     /// The current policy.
     pub fn policy(&self) -> &Policy {
-        &self.policy
+        &self.state.policy
     }
 
     /// Citation-cache statistics.
     pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
+        self.state.cache.stats()
     }
 
     /// Compiled-plan cache statistics (surfaced on `GET /stats` as
     /// `plan_cache` and by `fgcite cite --explain`).
     pub fn plan_stats(&self) -> PlanCacheStats {
-        self.plans.stats()
+        self.state.plans.stats()
     }
 
     /// Per-stage latency histograms over the cite pipeline, exposed
     /// on `GET /metrics` (stage label) and summarized by `cite
     /// --explain`. Samples are nanoseconds.
     pub fn stage_stats(&self) -> &StageSet {
-        &self.stages
+        &self.state.stages
     }
 
     /// Latency distribution of token-cache miss computations
     /// (nanoseconds).
     pub fn cache_compute_latency(&self) -> fgc_obs::HistogramSnapshot {
-        self.cache.miss_latency()
+        self.state.cache.miss_latency()
     }
 
     /// Latency distribution of plan-cache miss compiles
     /// (nanoseconds).
     pub fn plan_compile_latency(&self) -> fgc_obs::HistogramSnapshot {
-        self.plans.miss_latency()
+        self.state.plans.miss_latency()
     }
 
     /// Number of shards the store's rows are owned by (1 when
@@ -456,9 +466,10 @@ impl CitationEngine {
 
     /// The engine for the database `delta` produces from this one's:
     /// clone the store (every relation stays shared until replay
-    /// touches it), replay the delta, and rebase onto the result.
-    /// Versioned serving rebases onto the history's own snapshots
-    /// instead; this shim stays for `benchmark/src/layers.rs:401`.
+    /// touches it), replay the delta, and serve the result through
+    /// [`Self::at`]. Versioned serving calls `at` with the history's
+    /// own snapshots instead; this shim stays for
+    /// `benchmark/src/layers.rs:401`.
     ///
     /// Errors with [`fgc_relation::RelationError::DeltaMismatch`]
     /// (via [`CoreError::Relation`]) when this engine's database is
@@ -466,34 +477,31 @@ impl CitationEngine {
     pub fn derive_with_delta(&self, delta: &DatabaseDelta) -> Result<CitationEngine> {
         let mut db = (*self.db).clone();
         db.apply_delta(delta)?;
-        self.rebase(Arc::new(db))
+        self.at(Arc::new(db))
     }
 
-    /// This engine's registry, policy, options, view definitions and
-    /// inclusion matrix over another snapshot. Those are functions of
-    /// the catalog alone, so an equal catalog reuses them and a
-    /// different one (it changes the view definitions' dependencies
-    /// and the inclusion matrix) means a from-scratch build. A sharded
-    /// engine keeps its shard count and key spec.
-    ///
-    /// The token and plan caches start empty at this engine's
-    /// capacities: carrying them over would deep-copy every key, which
-    /// costs more than refilling them, and plans follow relation sizes.
-    pub(crate) fn rebase(&self, snapshot: Arc<Database>) -> Result<CitationEngine> {
-        let mut engine = if self.db.catalog() == snapshot.catalog() {
-            Self::assemble(
-                snapshot,
-                self.registry.clone(),
-                self.view_defs.clone(),
-                self.inclusion.clone(),
-            )
+    /// This engine over another snapshot — a version is an argument,
+    /// not an engine. With an equal catalog the new engine shares this
+    /// one's catalog-level state, caches included (their keys name
+    /// the relation instances each entry was computed from); that
+    /// costs two `Arc` clones. A different catalog changes the view
+    /// definitions' dependencies and the inclusion matrix, so it means
+    /// a from-scratch build under this engine's policy and options,
+    /// with fresh caches at their default capacities. A sharded engine
+    /// keeps its shard count and key spec.
+    pub fn at(&self, snapshot: Arc<Database>) -> Result<CitationEngine> {
+        let engine = if self.db.catalog() == snapshot.catalog() {
+            CitationEngine {
+                state: Arc::clone(&self.state),
+                db: snapshot,
+                partition: None,
+                storage: None,
+            }
         } else {
-            Self::build(snapshot, self.registry.clone())?
+            Self::build(snapshot, self.state.registry.clone())?
+                .with_policy(self.state.policy.clone())
+                .with_options(self.state.options)
         };
-        engine.policy = self.policy.clone();
-        engine.options = self.options;
-        engine.cache = self.cache.empty_like();
-        engine.plans = self.plans.empty_like();
         match self.partition() {
             None => Ok(engine),
             Some(p) => engine.with_shards(p.shard_count(), p.spec().clone()),
@@ -503,34 +511,40 @@ impl CitationEngine {
     /// Drop cached citations and compiled plans (e.g. for cold-start
     /// runs).
     pub fn clear_caches(&self) {
-        self.cache.clear();
-        self.plans.clear();
+        self.state.cache.clear();
+        self.state.plans.clear();
     }
 
     /// The engine's default configuration, with a request's overrides
     /// applied on top.
     fn effective<'a>(&'a self, request: Option<&'a CiteRequest>) -> EffectiveConfig<'a> {
-        match request {
-            None => EffectiveConfig {
-                policy: &self.policy,
-                mode: self.options.mode,
-                rewrite: self.options.rewrite,
-            },
-            Some(r) => EffectiveConfig {
-                policy: r.policy.as_ref().unwrap_or(&self.policy),
-                mode: r.mode.unwrap_or(self.options.mode),
-                rewrite: r.rewrite.unwrap_or(self.options.rewrite),
-            },
+        let (policy, options) = (&self.state.policy, self.state.options);
+        EffectiveConfig {
+            policy: request.and_then(|r| r.policy.as_ref()).unwrap_or(policy),
+            mode: request.and_then(|r| r.mode).unwrap_or(options.mode),
+            rewrite: request.and_then(|r| r.rewrite).unwrap_or(options.rewrite),
         }
+    }
+
+    /// The instance ids of the relations `q`'s atoms name in this
+    /// engine's store, in atom order (0 for a relation the store
+    /// lacks): what a cached value computed from `q` read.
+    fn instances(&self, q: &ConjunctiveQuery) -> Vec<u64> {
+        q.atoms
+            .iter()
+            .map(|a| self.db.relation(&a.relation).map_or(0, |r| r.instance()))
+            .collect()
     }
 
     /// The cached compiled plan for a query over the store (compiling
     /// on miss); one plan serves the whole evaluation and every
     /// shard's fragment of it.
-    fn cached_plan(&self, q: &ConjunctiveQuery) -> Result<Arc<QueryPlan>> {
-        Ok(self.stages.time("plan", || {
-            self.plans
-                .get_or_compile(q, || QueryPlan::compile(q, &self.db))
+    fn cached_plan(&self, q: ConjunctiveQuery) -> Result<Arc<QueryPlan>> {
+        let key = (self.instances(&q), q);
+        Ok(self.state.stages.time("plan", || {
+            self.state
+                .plans
+                .get_or_compile(&key, || QueryPlan::compile(&key.1, &self.db))
         })?)
     }
 
@@ -538,13 +552,13 @@ impl CitationEngine {
     /// keyed by the expansion, an ordinary query over the store, never
     /// by the view-named `e`.
     fn expansion_plan(&self, e: &ConjunctiveQuery) -> Result<Arc<QueryPlan>> {
-        self.cached_plan(&self.view_defs.expand(e)?)
+        self.cached_plan(self.state.view_defs.expand(e)?)
     }
 
     /// The answer set of `q` over the whole store. Plans come from
     /// the engine's plan cache.
     fn answers(&self, q: &ConjunctiveQuery) -> Result<Vec<Tuple>> {
-        let plan = self.cached_plan(q)?;
+        let plan = self.cached_plan(q.clone())?;
         Ok(evaluate_plan_with(&self.db, &plan, EvalOptions::default())?)
     }
 
@@ -558,13 +572,13 @@ impl CitationEngine {
     ) -> Result<LabelledRewritings> {
         let enumeration = match mode {
             RewriteMode::Exhaustive => {
-                let e = enumerate_rewritings(q, &self.view_defs, options)?;
+                let e = enumerate_rewritings(q, &self.state.view_defs, options)?;
                 fgc_rewrite::Enumeration {
                     rewritings: fgc_rewrite::rank(e.rewritings),
                     ..e
                 }
             }
-            RewriteMode::Pruned => best_rewritings(q, &self.view_defs, options)?,
+            RewriteMode::Pruned => best_rewritings(q, &self.state.view_defs, options)?,
         };
         let labelled = enumeration
             .rewritings
@@ -640,14 +654,19 @@ impl CitationEngine {
     }
 
     /// Interpret a token to its JSON citation (memoized in the shared
-    /// cache; hit/miss attributed to the current request).
+    /// cache; hit/miss attributed to the current request). A view
+    /// token's key carries the instances its citation query reads; a
+    /// base token's citation reads no data.
     fn token_citation(&self, token: &CiteToken, counters: &mut RequestCounters) -> Json {
-        let db = Arc::clone(&self.db);
-        let registry = &self.registry;
-        let (citation, hit) = self.cache.lookup_or_compute(token, || match token {
-            CiteToken::View { view, valuation } => registry
-                .get(view)
-                .map(|v| v.citation_for(&db, valuation).unwrap_or(Json::Null))
+        let view = match token {
+            CiteToken::View { view, .. } => self.state.registry.get(view),
+            CiteToken::Base { .. } => None,
+        };
+        let inputs = view.map_or_else(Vec::new, |v| self.instances(&v.citation_query));
+        let key = (inputs, token.clone());
+        let (citation, hit) = self.state.cache.lookup_or_compute(&key, || match token {
+            CiteToken::View { valuation, .. } => view
+                .map(|v| v.citation_for(&self.db, valuation).unwrap_or(Json::Null))
                 .unwrap_or(Json::Null),
             CiteToken::Base { relation } => {
                 Json::from_pairs([("UncitedRelation", Json::str(relation.clone()))])
@@ -674,7 +693,7 @@ impl CitationEngine {
         // The rewritings are a function of the views and schemas alone
         // (§3.2): find them first, so the data plane fetches the
         // answers and every extent in one call.
-        let rewritten = self.stages.time("rewrite", || {
+        let rewritten = self.state.stages.time("rewrite", || {
             self.rewritings(q, config.mode, config.rewrite)
         });
         let extent_queries: Vec<ConjunctiveQuery> = match &rewritten {
@@ -688,6 +707,7 @@ impl CitationEngine {
         let CiteData { answers, extents } = plane.fetch(q, &extent_queries)?;
         let (rewritings, exhaustive, unsatisfiable) = rewritten?;
         let mut exprs = self
+            .state
             .stages
             .time("extent", || Self::symbolic_citations(&rewritings, extents));
 
@@ -698,7 +718,8 @@ impl CitationEngine {
         // `Arc`, so a memo hit is a refcount bump. The memo is
         // request-local: it depends on the (possibly overridden)
         // policy, unlike the policy-independent shared token cache.
-        self.stages
+        self.state
+            .stages
             .time("render", move || -> Result<QueryCitation> {
                 let mut interp_memo: HashMap<CitationExpr<String, CiteToken>, Arc<Json>> =
                     HashMap::new();
@@ -706,7 +727,7 @@ impl CitationEngine {
                 let mut tuples = Vec::with_capacity(answers.len());
                 for tuple in answers {
                     let expr = exprs.remove(&tuple).unwrap_or_else(CitationExpr::zero_r);
-                    let normalized = policy.normalize(&expr, &self.inclusion);
+                    let normalized = policy.normalize(&expr, &self.state.inclusion);
                     let citation = match interp_memo.get(&normalized) {
                         Some(hit) => Arc::clone(hit),
                         None => {
@@ -794,7 +815,7 @@ impl CitationEngine {
     ) -> Result<CiteResponse> {
         let started = Instant::now();
         let trace = Trace::start(request.request_id.clone().unwrap_or_default());
-        let q = self.stages.time("parse", || match &request.query {
+        let q = self.state.stages.time("parse", || match &request.query {
             QuerySpec::Datalog(q) => Ok(q.clone()),
             QuerySpec::Sql(sql) => parse_sql(self.db.catalog(), sql).map_err(CoreError::from),
         })?;
@@ -886,7 +907,7 @@ impl CitationEngine {
             extents.push(rows);
         }
         let mut counters = RequestCounters::default();
-        let tokens = self.stages.time("render", || {
+        let tokens = self.state.stages.time("render", || {
             self.fragment_tokens(extent_queries, &extents, &mut counters)
         });
         Ok(CiteFragment {
@@ -904,9 +925,9 @@ impl CitationEngine {
         q: &ConjunctiveQuery,
         shard: usize,
     ) -> Result<Vec<(usize, usize, Tuple)>> {
-        let plan = self.cached_plan(q)?;
+        let plan = self.cached_plan(q.clone())?;
         let options = EvalOptions::default();
-        Ok(self.stages.time("evaluate", || {
+        Ok(self.state.stages.time("evaluate", || {
             fgc_query::lead_fragment_answers(&self.db, partition, &plan, shard, options)
         })?)
     }
@@ -919,7 +940,7 @@ impl CitationEngine {
     ) -> Result<Vec<(usize, usize, Tuple, Binding)>> {
         let plan = self.expansion_plan(q)?;
         let options = EvalOptions::default();
-        Ok(self.stages.time("extent", || {
+        Ok(self.state.stages.time("extent", || {
             fgc_query::lead_fragment_bindings(&self.db, partition, &plan, shard, options)
         })?)
     }
@@ -944,7 +965,7 @@ impl CitationEngine {
                 .atoms
                 .iter()
                 .map(|a| {
-                    let view = self.registry.get(&a.relation)?;
+                    let view = self.state.registry.get(&a.relation)?;
                     // validation put every parameter in the view head
                     Some(view.param_positions().unwrap_or_default())
                 })
@@ -1469,10 +1490,13 @@ mod tests {
         changed
             .insert("FamilyIntro", tuple!["13", "The kinase family"])
             .unwrap();
-        let borrowed = donor.rebase(Arc::new(changed.clone())).unwrap();
+        let borrowed = donor.at(Arc::new(changed.clone())).unwrap();
         assert_eq!(borrowed.shard_count(), 2);
-        assert_eq!(borrowed.cache_stats().entries, 0);
+        // one cache: what the donor filled, the borrower sees
+        assert!(donor.cache_stats().entries > 0);
+        assert_eq!(borrowed.cache_stats(), donor.cache_stats());
         assert_eq!(render(&borrowed.cite(&q).unwrap()), scratch(&changed));
+        assert_eq!(borrowed.plan_stats(), donor.plan_stats());
 
         // a new relation changes the catalog: a from-scratch build
         let mut extended = changed;
@@ -1481,7 +1505,9 @@ mod tests {
                 RelationSchema::with_names("Extra", &[("x", DataType::Int)], &[]).unwrap(),
             )
             .unwrap();
-        let rebuilt = donor.rebase(Arc::new(extended.clone())).unwrap();
+        let rebuilt = donor.at(Arc::new(extended.clone())).unwrap();
+        assert_eq!(rebuilt.shard_count(), 2);
+        assert_eq!(rebuilt.cache_stats().entries, 0);
         assert_eq!(render(&rebuilt.cite(&q).unwrap()), scratch(&extended));
     }
 

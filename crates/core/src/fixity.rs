@@ -5,25 +5,22 @@
 //! > support versioning, and citations must include timestamps or
 //! > version numbers."
 //!
-//! [`VersionedCitationEngine`] keeps one [`CitationEngine`] per
-//! committed snapshot (built lazily). A [`VersionSelector`] resolves to
-//! a version and its engine, which serves an ordinary [`CiteRequest`];
+//! A version is an argument to a citation, not an engine. A
+//! [`VersionSelector`] resolves to a committed snapshot, and
+//! [`CitationEngine::at`] serves an ordinary [`CiteRequest`] over it;
 //! the citation is stamped with the version id, label, and timestamp
 //! it was computed against.
 //!
-//! A version's engine runs over the history's own snapshot, which
-//! shares every relation a commit did not touch with its neighbours;
-//! the engine materializes nothing of its own (a citation evaluates
-//! each rewriting's expansion over the snapshot). Its first touch
-//! **derives** it from the nearest warm engine whose catalog matches
-//! (min `|w − v|`, ties to the lower version; before or after,
-//! adjacent or not), reusing that engine's catalog-level state: view
-//! definitions, inclusion matrix, policy and options. No delta is read
-//! or replayed. Only when no warm engine shares the catalog is an
-//! engine built from scratch. Either path cites byte-identically to an
-//! engine built directly on the snapshot (the differential suite in
-//! `tests/versioned_equivalence.rs` pins this); the [`VersionStats`]
-//! counters report which path served each first touch.
+//! [`VersionedCitationEngine`] keeps one engine per distinct catalog
+//! in the history (usually one), built on first use. Every version of
+//! that catalog is served through its catalog-level state: view
+//! definitions, inclusion matrix, policy, options and caches. The
+//! caches are keyed by relation instance, so versions share every
+//! plan and token citation computed over relations their commits did
+//! not touch, and nothing is reused over a relation that changed.
+//! Every version cites byte-identically to an engine built directly
+//! on its snapshot (the differential suite in
+//! `tests/versioned_equivalence.rs` pins this).
 
 use crate::engine::{CitationEngine, QueryCitation};
 use crate::error::{CoreError, Result};
@@ -31,7 +28,7 @@ use crate::request::CiteRequest;
 use fgc_query::ast::ConjunctiveQuery;
 use fgc_relation::storage::Storage;
 use fgc_relation::version::{VersionId, VersionInfo, VersionedDatabase};
-use fgc_relation::{Clock, Database, Relation};
+use fgc_relation::{Database, Relation};
 use fgc_views::{Json, ViewRegistry};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -87,36 +84,33 @@ pub enum VersionSelector {
     At(u64),
 }
 
-/// How a versioned engine has served its versions so far — the
-/// derived-vs-rebuilt accounting surfaced as the `fixity` block of
-/// `GET /stats` and counted by `claim_8_*` in `tests/reproduce.rs`.
+/// How a versioned engine has served its versions so far, surfaced
+/// as the `fixity` block of `GET /stats` and counted by `claim_8_*` in
+/// `tests/reproduce.rs`. The fields that always read 0 stay for
+/// `benchmark/src/layers.rs:553–674`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct VersionStats {
     /// Committed versions in the history.
     pub versions: usize,
-    /// Versions whose engine is currently warm (built and cached).
+    /// Always 0.
     pub warm_engines: usize,
-    /// [`VersionedCitationEngine::resolve`] calls answered from the
-    /// warm map.
+    /// [`VersionedCitationEngine::resolve`] calls served by an
+    /// existing catalog engine.
     pub hits: u64,
-    /// First touches derived from a warm engine of the same catalog,
-    /// of any version — before or after, adjacent or not.
+    /// Always 0.
     pub derived: u64,
-    /// First touches built from scratch: no warm engine shared the
-    /// snapshot's catalog.
+    /// Catalog engines built: one per distinct catalog resolved.
     pub rebuilt: u64,
-    /// Always 0: nothing increments it. Kept because
-    /// `benchmark/src/layers.rs:663` reads it.
+    /// Always 0.
     pub shared: u64,
-    /// Warm engines evicted by the retention policy (see
-    /// [`VersionedCitationEngine::with_engine_capacity`]).
+    /// Always 0.
     pub engine_evictions: u64,
-    /// Warm-engine retention capacity (`0` = unbounded).
+    /// Always 0.
     pub engine_capacity: usize,
 }
 
-/// Approximate memory footprint of the history plus all warm
-/// engines, deduplicating structurally-shared relations by `Arc`
+/// Approximate memory footprint of the history plus the catalog
+/// engines' stores, deduplicating structurally-shared relations by `Arc`
 /// identity. `relation_refs - unique_relations` is the number of
 /// references that cost a pointer instead of a copy — the figure
 /// that shows resident memory grows with O(changed), not
@@ -125,7 +119,7 @@ pub struct VersionStats {
 pub struct VersionMemoryStats {
     /// Bytes held by distinct relation instances (rows + indexes).
     pub resident_bytes: usize,
-    /// Relation references across snapshots and warm engines.
+    /// Relation references across snapshots and catalog engines.
     pub relation_refs: usize,
     /// Distinct relation instances behind those references.
     pub unique_relations: usize,
@@ -134,43 +128,25 @@ pub struct VersionMemoryStats {
     pub shared_relations: usize,
 }
 
-/// Relaxed counters behind [`VersionStats`] (same contract as
-/// [`crate::cache::CacheStats`]: exact when quiescent, monotone under
-/// concurrency).
-#[derive(Debug, Default)]
-struct VersionCounters {
-    hits: AtomicU64,
-    derived: AtomicU64,
-    rebuilt: AtomicU64,
-    engine_evictions: AtomicU64,
-}
-
-/// The warm-engine map, retained second-chance ([`Clock`]). Evicted
-/// engines are derived or built again on demand — eviction never
-/// loses information, only warmth, because every engine is a
-/// deterministic function of the history. `engine_capacity` 0 means
-/// unbounded here, where the ring's own 0 means "store nothing".
-fn warm_map(engine_capacity: usize) -> RwLock<Clock<VersionId, Arc<CitationEngine>>> {
-    RwLock::new(Clock::new(match engine_capacity {
-        0 => usize::MAX,
-        bounded => bounded,
-    }))
-}
-
 /// A citation engine over an evolving, versioned database.
 ///
-/// Citation entry points take `&self`: per-snapshot engines are built
+/// Citation entry points take `&self`: catalog engines are built
 /// lazily behind a lock and shared via `Arc`, so one versioned engine
 /// can serve concurrent historical citations. Only
 /// [`commit_with`](Self::commit_with) (which appends a version)
-/// needs `&mut self`. Every per-version engine runs with the default
+/// needs `&mut self`. Every version is served with the default
 /// policy and options; a [`CiteRequest`]'s overrides carry any other.
 pub struct VersionedCitationEngine {
     history: VersionedDatabase,
     registry: ViewRegistry,
-    engines: RwLock<Clock<VersionId, Arc<CitationEngine>>>,
-    engine_capacity: usize,
-    counters: VersionCounters,
+    /// One engine per distinct catalog seen, each over the first
+    /// snapshot resolved with it.
+    catalogs: RwLock<Vec<Arc<CitationEngine>>>,
+    /// Relaxed counters behind [`VersionStats`] (same contract as
+    /// [`crate::cache::CacheStats`]: exact when quiescent, monotone
+    /// under concurrency).
+    hits: AtomicU64,
+    rebuilt: AtomicU64,
     /// Write-behind persistence: after every successful
     /// [`commit_with`](Self::commit_with) the whole history is synced
     /// (the backend persists only versions it has not seen — syncs
@@ -179,15 +155,15 @@ pub struct VersionedCitationEngine {
 }
 
 impl VersionedCitationEngine {
-    /// Build over a version history. Engines per snapshot are
-    /// constructed lazily on first citation.
+    /// Build over a version history. Catalog engines are constructed
+    /// lazily on first citation.
     pub fn new(history: VersionedDatabase, registry: ViewRegistry) -> Self {
         VersionedCitationEngine {
             history,
             registry,
-            engines: warm_map(0),
-            engine_capacity: 0,
-            counters: VersionCounters::default(),
+            catalogs: RwLock::new(Vec::new()),
+            hits: AtomicU64::new(0),
+            rebuilt: AtomicU64::new(0),
             storage: None,
         }
     }
@@ -219,58 +195,38 @@ impl VersionedCitationEngine {
         self.storage.as_ref()
     }
 
-    /// Bound the warm-engine map: at most `capacity` per-version
-    /// engines stay warm, evicted second-chance (CLOCK) — recently
-    /// cited versions survive, cold ones fall out and are derived
-    /// again on their next touch. `0` (the default) keeps every
-    /// engine warm, which is only safe for short histories: without a
-    /// bound the map grows with every distinct version ever cited.
-    /// Builder style: replaces the map, dropping any warm engines.
-    pub fn with_engine_capacity(mut self, capacity: usize) -> Self {
-        self.engine_capacity = capacity;
-        self.engines = warm_map(capacity);
+    /// Returns `self` unchanged: versions are served through one
+    /// engine per catalog, so there is no warm-engine map to bound.
+    /// Kept for `benchmark/src/stack.rs:158`.
+    pub fn with_engine_capacity(self, _capacity: usize) -> Self {
         self
     }
 
-    /// Derived-vs-rebuilt serving counters.
+    /// Catalog-engine serving counters.
     pub fn version_stats(&self) -> VersionStats {
         VersionStats {
             versions: self.history.len(),
-            warm_engines: self.engines.read().expect("engine map poisoned").len(),
-            hits: self.counters.hits.load(Ordering::Relaxed),
-            derived: self.counters.derived.load(Ordering::Relaxed),
-            rebuilt: self.counters.rebuilt.load(Ordering::Relaxed),
-            shared: 0,
-            engine_evictions: self.counters.engine_evictions.load(Ordering::Relaxed),
-            engine_capacity: self.engine_capacity,
+            hits: self.hits.load(Ordering::Relaxed),
+            rebuilt: self.rebuilt.load(Ordering::Relaxed),
+            ..VersionStats::default()
         }
     }
 
     /// Approximate resident footprint of the history snapshots and
-    /// every warm engine's store, deduplicated by `Arc` identity —
+    /// every catalog engine's store, deduplicated by `Arc` identity —
     /// structurally shared relations are counted (and sized) once.
     pub fn memory_stats(&self) -> VersionMemoryStats {
-        fn tally(
-            db: &Database,
-            seen: &mut HashSet<*const Relation>,
-            stats: &mut VersionMemoryStats,
-        ) {
-            for arc in db.relation_arcs() {
-                stats.relation_refs += 1;
-                if seen.insert(Arc::as_ptr(arc)) {
-                    stats.unique_relations += 1;
-                    stats.resident_bytes += arc.approx_bytes();
-                }
-            }
-        }
+        let catalogs = self.catalogs.read().expect("catalog engines poisoned");
+        let snapshots = self.history.iter().map(|(_, db)| db);
+        let stores = snapshots.chain(catalogs.iter().map(|e| e.database()));
         let mut seen: HashSet<*const Relation> = HashSet::new();
         let mut stats = VersionMemoryStats::default();
-        for (_, db) in self.history.iter() {
-            tally(db, &mut seen, &mut stats);
-        }
-        let map = self.engines.read().expect("engine map poisoned");
-        for (_, engine) in map.iter() {
-            tally(engine.database(), &mut seen, &mut stats);
+        for arc in stores.flat_map(|db| db.relation_arcs()) {
+            stats.relation_refs += 1;
+            if seen.insert(Arc::as_ptr(arc)) {
+                stats.unique_relations += 1;
+                stats.resident_bytes += arc.approx_bytes();
+            }
         }
         stats.shared_relations = stats.relation_refs - stats.unique_relations;
         stats
@@ -301,11 +257,12 @@ impl VersionedCitationEngine {
         Ok(id)
     }
 
-    /// The version `at` selects and the engine serving it, derived
-    /// or built on first touch. An unknown id, a timestamp before the
-    /// first version, or an empty history is a structured
+    /// The version `at` selects and an engine over its snapshot:
+    /// [`CitationEngine::at`] on the engine of the snapshot's catalog,
+    /// built on first use. An unknown id, a timestamp before the first
+    /// version, or an empty history is a structured
     /// [`CoreError::NoSuchVersion`].
-    pub fn resolve(&self, at: VersionSelector) -> Result<(&VersionInfo, Arc<CitationEngine>)> {
+    pub fn resolve(&self, at: VersionSelector) -> Result<(&VersionInfo, CitationEngine)> {
         let found = match at {
             VersionSelector::Head => self.history.head().ok_or_else(|| "empty history".into()),
             VersionSelector::Id(id) => self
@@ -318,75 +275,47 @@ impl VersionedCitationEngine {
                 .ok_or_else(|| format!("timestamp {t}")),
         };
         let (info, snapshot) = found.map_err(CoreError::NoSuchVersion)?;
-        let version = info.id;
-        if let Some(engine) = self
-            .engines
-            .read()
-            .expect("engine map poisoned")
-            .get(&version)
-        {
-            self.counters.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok((info, Arc::clone(engine)));
-        }
-        // Build outside any lock: a rebuild validates every view and
-        // computes the inclusion matrix, and holding the write lock
-        // for it would stall concurrent citations against warm
-        // versions. Both paths are deterministic functions of the
-        // history, so when two threads race the loser's work is
-        // wasted, not divergent; the first insert wins so all callers
-        // share one (cache-warm) engine.
-        let (engine, counter) = match self.nearest_warm(version, snapshot) {
-            Some(donor) => (donor.rebase(Arc::clone(snapshot))?, &self.counters.derived),
-            None => (
-                CitationEngine::build(Arc::clone(snapshot), self.registry.clone())?,
-                &self.counters.rebuilt,
-            ),
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-        let engine = Arc::new(engine);
-        let mut map = self.engines.write().expect("engine map poisoned");
-        if let Some(existing) = map.get(&version) {
-            // every engine for a version runs over that snapshot's own
-            // relation instances, whichever path built it
-            debug_assert!(
-                existing
-                    .database()
-                    .relation_arcs()
-                    .zip(engine.database().relation_arcs())
-                    .all(|(a, b)| Arc::ptr_eq(a, b)),
-                "racing builders of version {version} hold different relations"
-            );
-            return Ok((info, Arc::clone(existing)));
-        }
-        let evicted = map.insert(version, Arc::clone(&engine));
-        drop(map); // an evicted engine is freed outside the lock
-        if evicted.is_some() {
-            self.counters
-                .engine_evictions
-                .fetch_add(1, Ordering::Relaxed);
-        }
+        let engine = self.catalog_engine(snapshot)?.at(Arc::clone(snapshot))?;
         Ok((info, engine))
     }
 
-    /// The warm engine nearest `version` (min `|w − v|`, ties to the
-    /// lower version) among those whose catalog is `snapshot`'s — the
-    /// donor a first touch derives from.
-    fn nearest_warm(&self, version: VersionId, snapshot: &Database) -> Option<Arc<CitationEngine>> {
-        let map = self.engines.read().expect("engine map poisoned");
-        map.iter()
-            .filter(|(_, engine)| engine.database().catalog() == snapshot.catalog())
-            .min_by_key(|(w, _)| (w.abs_diff(version), **w))
-            .map(|(_, engine)| Arc::clone(engine))
+    /// The engine of `snapshot`'s catalog, built over it on first use.
+    /// Racing first users build once: the build runs under the write
+    /// lock, and the losers find the winner's engine there.
+    fn catalog_engine(&self, snapshot: &Arc<Database>) -> Result<Arc<CitationEngine>> {
+        let of_catalog = |engines: &[Arc<CitationEngine>]| {
+            let found = engines
+                .iter()
+                .find(|e| e.database().catalog() == snapshot.catalog());
+            if found.is_some() {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+            }
+            found.map(Arc::clone)
+        };
+        if let Some(engine) = of_catalog(&self.catalogs.read().expect("catalog engines poisoned")) {
+            return Ok(engine);
+        }
+        let mut engines = self.catalogs.write().expect("catalog engines poisoned");
+        if let Some(engine) = of_catalog(&engines) {
+            return Ok(engine);
+        }
+        let engine = Arc::new(CitationEngine::build(
+            Arc::clone(snapshot),
+            self.registry.clone(),
+        )?);
+        self.rebuilt.fetch_add(1, Ordering::Relaxed);
+        engines.push(Arc::clone(&engine));
+        Ok(engine)
     }
 
-    /// The engine serving `version` ([`Self::resolve`] by id). Public
-    /// so tests can inspect per-version cache counters.
+    /// The engine serving `version` ([`Self::resolve`] by id). Kept
+    /// for `benchmark/src/layers.rs:135`.
     pub fn engine_for_version(&self, version: VersionId) -> Result<Arc<CitationEngine>> {
-        Ok(self.resolve(VersionSelector::Id(version))?.1)
+        Ok(Arc::new(self.resolve(VersionSelector::Id(version))?.1))
     }
 
-    /// Serve `request` against the version `at` selects: that
-    /// version's engine answers it through
+    /// Serve `request` against the version `at` selects: an engine
+    /// over that version's snapshot answers it through
     /// [`CitationEngine::cite_request`], overrides included, and the
     /// citation is stamped with the version.
     pub fn cite(&self, at: VersionSelector, request: &CiteRequest) -> Result<VersionedCitation> {
@@ -557,16 +486,13 @@ mod tests {
     fn warm_neighbor_derives_instead_of_rebuilding() {
         let e = VersionedCitationEngine::new(history(), registry());
         let q = parse_query("Q(N) :- Family(F, N, Ty)").unwrap();
-        cite(&e, Id(0), &q).unwrap(); // rebuild (nothing warm)
-        cite(&e, Id(1), &q).unwrap(); // borrow from warm v0
+        cite(&e, Id(0), &q).unwrap(); // builds the catalog engine
+        cite(&e, Id(1), &q).unwrap(); // served through it
         let stats = e.version_stats();
-        assert_eq!(stats.rebuilt, 1, "{stats:?}");
-        assert_eq!(stats.derived, 1, "{stats:?}");
-        assert_eq!(stats.warm_engines, 2);
+        assert_eq!((stats.rebuilt, stats.hits), (1, 1), "{stats:?}");
         assert_eq!(stats.versions, 2);
-        // second touch hits the warm map
         cite(&e, Id(1), &q).unwrap();
-        assert!(e.version_stats().hits >= 1);
+        assert_eq!(e.version_stats().hits, 2);
     }
 
     #[test]
@@ -591,7 +517,7 @@ mod tests {
             }
         }
         let stats = incremental.version_stats();
-        assert_eq!((stats.rebuilt, stats.derived), (1, 1), "{stats:?}");
+        assert_eq!((stats.rebuilt, stats.hits), (1, 3), "{stats:?}");
     }
 
     #[test]
@@ -604,13 +530,12 @@ mod tests {
         .unwrap();
         let e = VersionedCitationEngine::new(h, registry());
         let q = parse_query("Q(N) :- Family(F, N, Ty)").unwrap();
-        // first touch of v1 has nothing warm to borrow from: rebuild
+        // the first touch, at v1, builds the catalog engine
         cite(&e, Id(1), &q).unwrap();
-        // v2 borrows from the now-warm v1
+        // v2 is served through it
         cite(&e, Id(2), &q).unwrap();
         let stats = e.version_stats();
-        assert_eq!(stats.rebuilt, 1, "{stats:?}");
-        assert_eq!(stats.derived, 1, "{stats:?}");
+        assert_eq!((stats.rebuilt, stats.hits), (1, 1), "{stats:?}");
     }
 
     #[test]
@@ -620,11 +545,11 @@ mod tests {
         let e = VersionedCitationEngine::new(h, registry());
         let q = parse_query("Q(N) :- Family(F, N, Ty)").unwrap();
         cite(&e, Id(1), &q).unwrap();
-        // no delta, but the catalog matches the warm v1: borrow
+        // no delta, but the catalog matches v1's: the same engine
         let whole = cite(&e, Id(2), &q).unwrap();
         assert_eq!(whole.citation.tuples.len(), 1);
         let stats = e.version_stats();
-        assert_eq!((stats.rebuilt, stats.derived), (1, 1), "{stats:?}");
+        assert_eq!((stats.rebuilt, stats.hits), (1, 1), "{stats:?}");
     }
 
     #[test]
@@ -651,101 +576,13 @@ mod tests {
         for v in 0..4 {
             cite(&e, Id(v), &q).unwrap();
         }
-        // an engine materializes nothing of its own, so whether a
-        // commit touched what a view reads makes no difference
+        // whether a commit touched what a view reads makes no
+        // difference to which engine serves it
         let stats = e.version_stats();
-        assert_eq!((stats.rebuilt, stats.derived, stats.shared), (1, 3, 0));
+        assert_eq!((stats.rebuilt, stats.hits), (1, 3), "{stats:?}");
         // derived engines answer correctly
         assert_eq!(cite(&e, Id(1), &q).unwrap().citation.tuples.len(), 1);
         assert_eq!(cite(&e, Id(3), &q).unwrap().citation.tuples.len(), 2);
-    }
-
-    #[test]
-    fn first_touch_borrows_from_the_nearest_warm_engine_ties_to_the_lower() {
-        // Family (which V1 reads) changes only at v2; every other
-        // commit touches a relation no view or citation query reads
-        let mut db = base_db();
-        db.create_relation(
-            RelationSchema::with_names("Unrelated", &[("x", DataType::Int)], &[]).unwrap(),
-        )
-        .unwrap();
-        let mut h = VersionedDatabase::new();
-        h.commit(db, 0, "v0").unwrap();
-        for i in 1..5i64 {
-            h.commit_with(i as u64 * 100, format!("v{i}"), |db| {
-                let inserted = if i == 2 {
-                    db.insert("Family", tuple!["12", "Orexin", "gpcr"])
-                } else {
-                    db.insert("Unrelated", tuple![i])
-                };
-                inserted.map(|_| ())
-            })
-            .unwrap();
-        }
-        let e = VersionedCitationEngine::new(h, registry());
-        let q = parse_query("Q(N) :- Family(F, N, Ty)").unwrap();
-        // (rebuilt, derived, shared) after citing `v`. Which donor
-        // lends cannot be seen: every warm engine of one catalog hands
-        // on the same catalog-level state
-        let touch = |v: VersionId| {
-            cite(&e, Id(v), &q).unwrap();
-            let stats = e.version_stats();
-            (stats.rebuilt, stats.derived, stats.shared)
-        };
-        assert_eq!(touch(0), (1, 0, 0));
-        // backward across a gap, and in between
-        assert_eq!(touch(4), (1, 1, 0));
-        assert_eq!(touch(3), (1, 2, 0));
-        assert_eq!(touch(1), (1, 3, 0));
-        assert_eq!(touch(2), (1, 4, 0));
-        // every version cites its own snapshot
-        for v in 0..5 {
-            let tuples = cite(&e, Id(v), &q).unwrap().citation.tuples.len();
-            assert_eq!(tuples, if v < 2 { 1 } else { 2 }, "v{v}");
-        }
-    }
-
-    #[test]
-    fn engine_capacity_bounds_warm_map_with_clock_eviction() {
-        let mut h = history();
-        h.commit_with(300, "v25", |db| {
-            db.insert("Family", tuple!["13", "Kinase", "enzyme"])
-                .map(|_| ())
-        })
-        .unwrap();
-        let e = VersionedCitationEngine::new(h, registry()).with_engine_capacity(2);
-        let q = parse_query("Q(N) :- Family(F, N, Ty)").unwrap();
-        cite(&e, Id(0), &q).unwrap(); // rebuild
-        cite(&e, Id(1), &q).unwrap(); // borrow from warm v0
-        cite(&e, Id(2), &q).unwrap(); // borrow from warm v1, evict one
-        let stats = e.version_stats();
-        assert_eq!(stats.warm_engines, 2, "{stats:?}");
-        assert_eq!(stats.engine_evictions, 1, "{stats:?}");
-        assert_eq!(stats.engine_capacity, 2);
-        // eviction loses only warmth: every version still answers,
-        // borrowed again on demand, and the bound holds
-        for v in 0..3 {
-            let cited = cite(&e, Id(v), &q).unwrap();
-            assert_eq!(cited.citation.tuples.len(), (v as usize) + 1);
-        }
-        let after = e.version_stats();
-        assert!(after.warm_engines <= 2, "{after:?}");
-        assert!(
-            after.rebuilt + after.derived + after.shared > stats.rebuilt + stats.derived,
-            "evicted versions must be borrowed again: {after:?}"
-        );
-    }
-
-    #[test]
-    fn unbounded_capacity_keeps_every_engine_warm() {
-        let e = VersionedCitationEngine::new(history(), registry());
-        let q = parse_query("Q(N) :- Family(F, N, Ty)").unwrap();
-        cite(&e, Id(0), &q).unwrap();
-        cite(&e, Id(1), &q).unwrap();
-        let stats = e.version_stats();
-        assert_eq!(stats.warm_engines, 2);
-        assert_eq!(stats.engine_evictions, 0);
-        assert_eq!(stats.engine_capacity, 0);
     }
 
     #[test]
@@ -761,10 +598,10 @@ mod tests {
         cite(&e, Id(0), &q).unwrap();
         cite(&e, Id(1), &q).unwrap();
         let warm = e.memory_stats();
-        // warm engines hold their snapshots' relation instances
+        // the catalog engine holds its snapshot's relation instances
         assert!(
             warm.relation_refs > warm.unique_relations,
-            "warm engines should structurally share relations: {warm:?}"
+            "the catalog engine should structurally share relations: {warm:?}"
         );
         assert!(warm.resident_bytes >= baseline.resident_bytes);
     }
@@ -824,12 +661,8 @@ mod tests {
         cite(&e, Id(1), &q).unwrap();
         cite(&e, Id(2), &q).unwrap();
         let stats = e.version_stats();
-        // a new catalog cannot borrow, even from a warm neighbor
-        assert_eq!(
-            (stats.rebuilt, stats.derived, stats.shared),
-            (2, 0, 0),
-            "{stats:?}"
-        );
+        // a new catalog builds a second engine
+        assert_eq!((stats.rebuilt, stats.hits), (2, 0), "{stats:?}");
         // yet both engines read the one Family relation the versions
         // share
         let store = |v| e.engine_for_version(v).unwrap().database().clone();

@@ -2,22 +2,23 @@
 //!
 //! [`fgc_query::QueryPlan`] compilation re-runs the safety check,
 //! the catalog check, and the greedy join ordering — work that is a
-//! pure function of the query once the database is fixed. Serving
+//! pure function of the query and the relations it reads. Serving
 //! workloads repeat queries (landing pages, dashboards, retries) and
 //! every `cite` call additionally evaluates one expansion per
 //! rewriting, so an engine that caches plans skips
 //! parse-order-validate entirely on the warm path. The table itself
 //! (sharding, bounding, counters) is [`ClockCache`]'s.
 //!
-//! **Key invariant:** plans are keyed by the [`ConjunctiveQuery`]
-//! alone. That is sound inside one engine because every plan is
-//! compiled against its one store: answer queries and the expansions
-//! of rewritings (view subgoals replaced by the views' bodies) are
-//! ordinary queries over the same relations, and a view-named extent
-//! query is never a key — so a query never has two distinct valid
-//! plans. Engines over different snapshots ([`crate::fixity`]) each
-//! own their cache and start it empty: the greedy order and probe
-//! choices depend on relation sizes.
+//! **Key invariant:** a plan is keyed by its query and the instance
+//! ids ([`fgc_relation::Relation::instance`]) of the relations the
+//! query's atoms name, in atom order ([`PlanKey`]). Every snapshot of
+//! one catalog ([`crate::fixity`]) is served through the same cache,
+//! and a plan is reused only over the very relation instances it was
+//! compiled against — the greedy order and probe choices follow their
+//! sizes and indexes, and an id changes whenever a relation does.
+//! Answer queries and the expansions of rewritings (view subgoals
+//! replaced by the views' bodies) are ordinary queries over the
+//! store, and a view-named extent query is never a key.
 
 use crate::cache::{CacheStats, ClockCache};
 use fgc_query::{ConjunctiveQuery, QueryPlan};
@@ -32,9 +33,13 @@ pub const DEFAULT_SHARD_CAPACITY: usize = 512;
 /// Plan-cache counters are the one cache stats struct.
 pub type PlanCacheStats = CacheStats;
 
-/// The plan cache: compiled plans by query, `Arc`-shared with every
-/// evaluation in flight.
-pub type PlanCache = ClockCache<ConjunctiveQuery, Arc<QueryPlan>>;
+/// A plan-cache key: the instance ids of the relations the query's
+/// atoms name, in atom order, and the query.
+pub type PlanKey = (Vec<u64>, ConjunctiveQuery);
+
+/// The plan cache: compiled plans by query and the relation
+/// instances it reads, `Arc`-shared with every evaluation in flight.
+pub type PlanCache = ClockCache<PlanKey, Arc<QueryPlan>>;
 
 impl Default for PlanCache {
     fn default() -> Self {
@@ -43,15 +48,15 @@ impl Default for PlanCache {
 }
 
 impl PlanCache {
-    /// Fetch the plan for `q`, compiling on miss. Compilation errors
-    /// are returned and never cached, so invalid queries keep
+    /// Fetch the plan for `key`, compiling on miss. Compilation
+    /// errors are returned and never cached, so invalid queries keep
     /// reporting their error.
     pub fn get_or_compile(
         &self,
-        q: &ConjunctiveQuery,
+        key: &PlanKey,
         compile: impl FnOnce() -> fgc_query::Result<QueryPlan>,
     ) -> fgc_query::Result<Arc<QueryPlan>> {
-        self.get_or_compute(q, Arc::clone, || compile().map(Arc::new))
+        self.get_or_compute(key, Arc::clone, || compile().map(Arc::new))
             .map(|(plan, _hit)| plan)
     }
 }
@@ -80,10 +85,11 @@ mod tests {
         let db = db();
         let cache = PlanCache::default();
         let q = parse_query("Q(A, B) :- R(A, B)").unwrap();
+        let key = (vec![db.relation("R").unwrap().instance()], q.clone());
         let mut compiles = 0;
         for _ in 0..3 {
             let plan = cache
-                .get_or_compile(&q, || {
+                .get_or_compile(&key, || {
                     compiles += 1;
                     QueryPlan::compile(&q, &db)
                 })
@@ -101,9 +107,10 @@ mod tests {
         let db = db();
         let cache = PlanCache::default();
         let bad = parse_query("Q(X) :- R(A, B)").unwrap(); // unsafe
+        let key = (vec![db.relation("R").unwrap().instance()], bad.clone());
         for _ in 0..2 {
             assert!(cache
-                .get_or_compile(&bad, || QueryPlan::compile(&bad, &db))
+                .get_or_compile(&key, || QueryPlan::compile(&bad, &db))
                 .is_err());
         }
         let stats = cache.stats();

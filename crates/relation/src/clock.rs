@@ -1,7 +1,7 @@
 //! The workspace's one bounded map: a second-chance (CLOCK) ring.
 //!
-//! Every size-bounded cache in `fgcite` — citation tokens, compiled
-//! plans, warm per-version engines — is a [`Clock`],
+//! Every size-bounded cache in `fgcite` — citation tokens and
+//! compiled plans — is a [`Clock`],
 //! so the eviction policy is decided here and nowhere else:
 //!
 //! * a hit ([`Clock::get`]) sets the slot's referenced bit; the bit is

@@ -46,11 +46,7 @@ impl Database {
     pub fn replace_schema(&mut self, schema: RelationSchema) -> Result<()> {
         let name = schema.name.clone();
         let arc = self.catalog.replace(schema)?;
-        let rel = self
-            .relations
-            .get_mut(&name)
-            .ok_or(RelationError::UnknownRelation(name))?;
-        Arc::make_mut(rel).set_schema(arc);
+        self.relation_mut(&name)?.set_schema(arc);
         Ok(())
     }
 
@@ -62,8 +58,8 @@ impl Database {
             .ok_or_else(|| RelationError::UnknownRelation(name.to_string()))
     }
 
-    /// The shared handle for a relation, for structural sharing
-    /// across derived databases (see [`Database::adopt_relation_arc`]).
+    /// The shared handle for a relation, which every database that
+    /// shares the relation holds.
     pub fn relation_arc(&self, name: &str) -> Result<&Arc<Relation>> {
         self.relations
             .get(name)
@@ -73,13 +69,18 @@ impl Database {
     /// A mutable relation by name. Copy-on-write: if the relation is
     /// shared with another database (a parent or derived version), it
     /// is deep-copied here first, so mutations never leak into a
-    /// sharer.
+    /// sharer. This is the one place a stored relation is mutated, so
+    /// it is where the relation takes a fresh
+    /// [`Relation::instance`] id: what was cached under the old id
+    /// never reads the changed rows.
     pub fn relation_mut(&mut self, name: &str) -> Result<&mut Relation> {
         let arc = self
             .relations
             .get_mut(name)
             .ok_or_else(|| RelationError::UnknownRelation(name.to_string()))?;
-        Ok(Arc::make_mut(arc))
+        let relation = Arc::make_mut(arc);
+        relation.renew_instance();
+        Ok(relation)
     }
 
     /// Insert one tuple (key/type/arity checked; FKs are checked by
@@ -136,17 +137,6 @@ impl Database {
                 }
             }
         }
-        Ok(())
-    }
-
-    /// Adopt a relation by shared handle: the adopting database
-    /// structurally shares the rows and indexes with every other
-    /// holder of the `Arc` (copy-on-write protects sharers if either
-    /// side later mutates). This is the O(1) carry-over path for
-    /// derived versions.
-    pub fn adopt_relation_arc(&mut self, relation: Arc<Relation>) -> Result<()> {
-        self.catalog.add((**relation.schema()).clone())?;
-        self.relations.insert(relation.name().to_string(), relation);
         Ok(())
     }
 
@@ -431,39 +421,6 @@ mod tests {
         b.create_relation(RelationSchema::with_names("Z", &[("x", DataType::Int)], &[]).unwrap())
             .unwrap();
         assert!(!a.content_eq(&b));
-    }
-
-    #[test]
-    fn adopt_relation_while_recording_is_structural() {
-        let mut src = gtopdb_skeleton();
-        src.insert("Family", tuple!["11", "Calcitonin", "gpcr"])
-            .unwrap();
-        let family = Arc::new(src.relation("Family").unwrap().clone());
-        let (adopted, delta) = commit(&Database::new(), |db| db.adopt_relation_arc(family));
-        // adoption changes the catalog: there is no delta, only the
-        // snapshot; later inserts into the adopted relation are diffed
-        assert!(delta.is_none());
-        let (_, delta) = commit(&adopted, |db| {
-            db.insert("Family", tuple!["12", "Orexin", "gpcr"])
-                .map(drop)
-        });
-        let delta = delta.unwrap();
-        assert_eq!((delta.inserted(), delta.removed()), (1, 0));
-    }
-
-    #[test]
-    fn adopt_relation_carries_rows_and_indexes() {
-        let mut src = gtopdb_skeleton();
-        src.insert("Family", tuple!["11", "Calcitonin", "gpcr"])
-            .unwrap();
-        src.relation_mut("Family").unwrap().build_index(2).unwrap();
-        let mut dst = Database::new();
-        let family = Arc::new(src.relation("Family").unwrap().clone());
-        dst.adopt_relation_arc(Arc::clone(&family)).unwrap();
-        assert_eq!(dst.relation("Family").unwrap().len(), 1);
-        assert_eq!(dst.relation("Family").unwrap().indexed_columns(), vec![2]);
-        // adopting a second relation with the same name collides
-        assert!(dst.adopt_relation_arc(family).is_err());
     }
 
     #[test]

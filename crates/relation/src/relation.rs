@@ -16,11 +16,24 @@ use crate::schema::RelationSchema;
 use crate::tuple::Tuple;
 use crate::value::Value;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+/// The last instance id handed out; ids are never reused.
+static LAST_INSTANCE: AtomicU64 = AtomicU64::new(0);
+
+/// A process-wide id no relation has held before (never 0).
+fn fresh_instance() -> u64 {
+    // Relaxed: the id publishes no other data, and `fetch_add` alone
+    // makes every id distinct
+    LAST_INSTANCE.fetch_add(1, Ordering::Relaxed) + 1
+}
+
 /// One relation instance.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Relation {
+    /// This instance's identity (see [`Relation::instance`]).
+    instance: u64,
     schema: Arc<RelationSchema>,
     /// All tuples in insertion order — the global order evaluation,
     /// sharding, and citations rely on.
@@ -39,12 +52,30 @@ impl Relation {
     /// Empty relation with the given schema.
     pub fn new(schema: Arc<RelationSchema>) -> Self {
         Relation {
+            instance: fresh_instance(),
             schema,
             rows: Vec::new(),
             row_set: HashMap::new(),
             key_index: HashMap::new(),
             secondary: HashMap::new(),
         }
+    }
+
+    /// This instance's identity: drawn from one process-wide counter
+    /// when the relation is constructed or cloned, and again whenever
+    /// a stored relation is handed out for mutation
+    /// ([`crate::Database::relation_mut`]); an `Arc`-shared relation
+    /// keeps it. Ids are never reused, so a value cached under an id
+    /// was computed from these very rows. Not persisted, and not a
+    /// content hash: equal rows may carry different ids.
+    pub fn instance(&self) -> u64 {
+        self.instance
+    }
+
+    /// Take a fresh [`Self::instance`] id: the rows are about to
+    /// change.
+    pub(crate) fn renew_instance(&mut self) {
+        self.instance = fresh_instance();
     }
 
     /// The relation's schema.
@@ -248,6 +279,20 @@ impl Relation {
     }
 }
 
+impl Clone for Relation {
+    /// A deep copy under a fresh [`Relation::instance`] id.
+    fn clone(&self) -> Self {
+        Relation {
+            instance: fresh_instance(),
+            schema: Arc::clone(&self.schema),
+            rows: self.rows.clone(),
+            row_set: self.row_set.clone(),
+            key_index: self.key_index.clone(),
+            secondary: self.secondary.clone(),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -389,7 +434,12 @@ mod tests {
         use crate::database::Database;
         use crate::delta::DatabaseDelta;
         let mut parent = Database::new();
-        parent.adopt_relation_arc(Arc::new(family())).unwrap();
+        parent
+            .create_relation((**family().schema()).clone())
+            .unwrap();
+        parent
+            .insert("Family", tuple!["11", "Calcitonin", "gpcr"])
+            .unwrap();
         let mut child = parent.clone();
         child
             .relation_mut("Family")
@@ -406,5 +456,35 @@ mod tests {
             .build_index(1)
             .unwrap();
         assert!(DatabaseDelta::between(&child, &rebuilt).unwrap().is_empty());
+    }
+
+    #[test]
+    fn instance_is_fresh_on_new_clone_and_mutation_and_kept_by_sharing() {
+        use crate::database::Database;
+        let (a, b) = (family(), family());
+        assert_ne!(a.instance(), b.instance());
+        let copy = a.clone();
+        assert_ne!(copy.instance(), a.instance());
+        assert_eq!(copy.rows(), a.rows());
+
+        let mut db = Database::new();
+        db.create_relation((**a.schema()).clone()).unwrap();
+        let stored = db.relation("Family").unwrap().instance();
+        // a clone of the database shares the relation, id and all
+        let mut shared = db.clone();
+        assert_eq!(shared.relation("Family").unwrap().instance(), stored);
+        // mutation copies the shared relation under a new id ...
+        shared
+            .relation_mut("Family")
+            .unwrap()
+            .insert(tuple!["11", "Calcitonin", "gpcr"])
+            .unwrap();
+        let copied = shared.relation("Family").unwrap().instance();
+        assert_ne!(copied, stored);
+        assert_eq!(db.relation("Family").unwrap().instance(), stored);
+        // ... and a sole owner's relation takes one too
+        db.relation_mut("Family").unwrap();
+        let renewed = db.relation("Family").unwrap().instance();
+        assert!(renewed != stored && renewed != copied);
     }
 }

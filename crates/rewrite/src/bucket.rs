@@ -38,10 +38,11 @@ pub struct Candidate {
 /// the output of [`fgc_query::normalize`].
 pub fn candidates(query: &ConjunctiveQuery, views: &ViewDefs) -> Result<Vec<Candidate>> {
     let mut out: Vec<Candidate> = Vec::new();
+    // freshen so view vars can't collide with query vars
+    let tag = crate::rewriting::unused_tag(query, "_v");
     for def in views.iter() {
         let param_positions = views.param_positions(&def.name)?;
-        // freshen so view vars can't collide with query vars
-        let fresh = def.freshen("_v");
+        let fresh = def.freshen(&tag);
         let mut assignment = Substitution::new();
         let mut image = Vec::with_capacity(fresh.atoms.len());
         map_atoms(

@@ -276,6 +276,28 @@ impl fmt::Display for Rewriting {
     }
 }
 
+/// `stem`, lengthened with `x`s until no variable of `q` contains it.
+/// A name `{v}{tag}…` built from the result can then never be one of
+/// `q`'s own variables, so a view's existential variables cannot
+/// capture them.
+pub(crate) fn unused_tag(q: &ConjunctiveQuery, stem: &str) -> String {
+    // every expansion the rewriting search checks asks for a tag, so
+    // the variables are scanned in place rather than collected
+    let vars = || {
+        let body = q.atoms.iter().flat_map(Atom::vars);
+        let compared = q.comparisons.iter().flat_map(Comparison::vars);
+        let head = q.head.iter().filter_map(Term::as_var);
+        body.chain(compared)
+            .chain(head)
+            .chain(q.params.iter().map(String::as_str))
+    };
+    let mut tag = stem.to_string();
+    while vars().any(|v| v.contains(tag.as_str())) {
+        tag.push('x');
+    }
+    tag
+}
+
 /// The view definitions available for rewriting (name → λ-query),
 /// together with the key dependencies under which rewriting
 /// equivalence is judged (rewritings that re-join projections of one
@@ -319,12 +341,13 @@ impl ViewDefs {
     /// The *expansion* of `q`, whose atoms may name views: each view
     /// atom is replaced by the view's body, its head matched to the
     /// atom's terms and its other variables named afresh per
-    /// occurrence. Atoms over other relations are kept as they are.
+    /// occurrence, with a tag no variable of `q` contains. Atoms over other relations are kept as they are.
     /// The query's own variables are never rebound: where the view
     /// head repeats a variable or carries a constant, the match becomes
     /// an equality comparison, so every variable of `q` survives and
     /// the expansion is safe whenever `q` is.
     pub fn expand(&self, q: &ConjunctiveQuery) -> Result<ConjunctiveQuery> {
+        let tag = unused_tag(q, "_x");
         let mut atoms: Vec<Atom> = Vec::new();
         let mut comparisons: Vec<Comparison> = q.comparisons.clone();
         for (occurrence, atom) in q.atoms.iter().enumerate() {
@@ -366,7 +389,7 @@ impl ViewDefs {
             let term = |t: &Term| match t {
                 Term::Var(v) => match bound.iter().find(|(w, _)| *w == v.as_str()) {
                     Some(&(_, t)) => t.clone(),
-                    None => Term::Var(format!("{v}_x{occurrence}")),
+                    None => Term::Var(format!("{v}{tag}{occurrence}")),
                 },
                 Term::Const(_) => t.clone(),
             };
@@ -635,6 +658,27 @@ mod tests {
             assert!(vars.contains("X") && vars.contains("Y"), "{exp}");
             let expected = parse_query(expected).unwrap();
             assert!(fgc_query::equivalent(&exp, &expected), "{exp}");
+        }
+    }
+
+    #[test]
+    fn fresh_view_variables_never_capture_the_query_s_own() {
+        let views = ViewDefs::new(vec![parse_query("lambda F. W(F) :- FC(F, C)").unwrap()]);
+        let rewritings = |q: &str| {
+            let q = parse_query(q).unwrap();
+            let found = crate::enumerate_rewritings(&q, &views, Default::default()).unwrap();
+            let mut keys: Vec<String> =
+                found.rewritings.iter().map(|r| r.canonical_key()).collect();
+            keys.sort();
+            keys
+        };
+        // `C_x1` is the name the expansion of a view atom at position 1
+        // would give the view's `C`, and `C_v` the bucket generator's
+        let plain = rewritings("Q(F, C_x0) :- FC(F, C), Person(C_x0, Pn, A)");
+        assert!(plain.iter().any(|r| r.contains("W(")), "{plain:?}");
+        for spelling in ["C_x1", "C_v", "C_xx1"] {
+            let q = format!("Q(F, {spelling}) :- FC(F, C), Person({spelling}, Pn, A)");
+            assert_eq!(rewritings(&q), plain, "{q}");
         }
     }
 

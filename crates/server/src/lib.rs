@@ -33,13 +33,12 @@
 //! assigned at the front door otherwise.
 //!
 //! A versioned deployment ([`CiteServer::start_versioned`]) serves
-//! `/cite` from the head version's engine and historical citations
-//! from per-version engines, each *derived* on first touch from the
-//! nearest warm engine of the same catalog — reusing its view
-//! definitions and inclusion matrix over the version's own snapshot —
-//! or built from scratch when no warm engine shares its catalog
-//! (`GET /stats` reports the derived-vs-rebuilt counters under
-//! `fixity`; its `shared` key is always 0).
+//! `/cite` over the head version and historical citations over each
+//! version's own snapshot, all through one engine per catalog: a
+//! version is an argument, and the catalog's view definitions,
+//! inclusion matrix and caches serve every version of it (`GET
+//! /stats` reports the catalog-engine `hits` and `rebuilt` counters
+//! under `fixity`).
 //!
 //! Per-request overrides (policy, order, mode, rewrite budgets,
 //! memoization) ride on the JSON body — see [`wire`] for the exact

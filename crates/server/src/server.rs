@@ -18,8 +18,9 @@
 //! [`CiteServer::start_with_handler`]; they join the same table.
 //!
 //! `POST /cite_at` is `/cite` plus a version selector: the same
-//! decoder, then the selected version's engine serves the request
-//! through its own `cite_request`.
+//! decoder, then an engine over the selected version's snapshot —
+//! sharing the head engine's catalog-level state and caches when the
+//! catalogs agree — serves the request through its `cite_request`.
 //!
 //! Shutdown ([`CiteServer::shutdown`]) is graceful and total: the
 //! service stops accepting, drains and joins its workers.
@@ -61,12 +62,12 @@ impl CiteServer {
         CiteServer::start_inner(engine, None, config, extra)
     }
 
-    /// Bind and start serving a **versioned** engine: the head
-    /// version's engine answers `/cite` and `/cite_sql` (as in
+    /// Bind and start serving a **versioned** engine: the engine over
+    /// the head version answers `/cite` and `/cite_sql` (as in
     /// [`CiteServer::start`]), while `POST /cite_at` serves
     /// fixity-stamped citations against any committed version and
     /// `GET /versions` lists the history. `GET /stats` gains a
-    /// `fixity` block with the derived-vs-rebuilt engine counters.
+    /// `fixity` block with the catalog-engine counters.
     pub fn start_versioned(
         versioned: Arc<VersionedCitationEngine>,
         config: ServerConfig,
@@ -74,7 +75,7 @@ impl CiteServer {
         let (_, head) = versioned
             .resolve(VersionSelector::Head)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
-        CiteServer::start_inner(head, Some(versioned), config, Vec::new())
+        CiteServer::start_inner(Arc::new(head), Some(versioned), config, Vec::new())
     }
 
     fn start_inner(
@@ -345,21 +346,8 @@ fn serve_stats(app: &App, call: &Call<'_>) -> Response {
             "fixity",
             Json::from_pairs([
                 ("versions", Json::Int(fixity.versions as i64)),
-                ("warm_engines", Json::Int(fixity.warm_engines as i64)),
                 ("hits", Json::Int(fixity.hits as i64)),
-                ("derived", Json::Int(fixity.derived as i64)),
                 ("rebuilt", Json::Int(fixity.rebuilt as i64)),
-                // always 0: nothing increments it; kept because
-                // `benchmark/src/layers.rs:663` reads it
-                ("shared", Json::Int(fixity.shared as i64)),
-                (
-                    "engine_evictions",
-                    Json::Int(fixity.engine_evictions as i64),
-                ),
-                (
-                    "engine_capacity",
-                    Json::Int(fixity.engine_capacity.min(i64::MAX as usize) as i64),
-                ),
                 (
                     "resident_bytes",
                     Json::Int(memory.resident_bytes.min(i64::MAX as usize) as i64),

@@ -5,7 +5,7 @@
 //! constructed" (§2.2).
 
 use crate::view::{CitationView, Result, ViewError};
-use fgc_relation::{Catalog, Database, Tuple};
+use fgc_relation::Catalog;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -61,17 +61,6 @@ impl ViewRegistry {
         }
         Ok(())
     }
-
-    /// Materialize the unparameterized extent of every view. The
-    /// result maps view name → extent rows; the rewriting engine
-    /// evaluates rewritings against these.
-    pub fn materialize(&self, db: &Database) -> Result<HashMap<String, Vec<Tuple>>> {
-        let mut out = HashMap::with_capacity(self.views.len());
-        for v in &self.views {
-            out.insert(v.name.clone(), v.extent(db)?);
-        }
-        Ok(out)
-    }
 }
 
 impl FromIterator<CitationView> for ViewRegistry {
@@ -90,7 +79,7 @@ mod tests {
     use crate::function::CitationFunction;
     use fgc_query::parse_query;
     use fgc_relation::schema::RelationSchema;
-    use fgc_relation::{tuple, DataType};
+    use fgc_relation::{tuple, DataType, Database};
 
     fn db() -> Database {
         let mut db = Database::new();
@@ -144,13 +133,5 @@ mod tests {
         let db = db();
         let reg: ViewRegistry = [view("V1"), view("V2")].into_iter().collect();
         reg.validate(db.catalog()).unwrap();
-    }
-
-    #[test]
-    fn materialize_produces_extents() {
-        let db = db();
-        let reg: ViewRegistry = [view("V1")].into_iter().collect();
-        let mats = reg.materialize(&db).unwrap();
-        assert_eq!(mats["V1"], vec![tuple!["11", "Calcitonin", "gpcr"]]);
     }
 }

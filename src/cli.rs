@@ -193,10 +193,8 @@ cite with --commits answers against the commit history (--version id,
        --at timestamp, default head; both need --commits) and stamps
        the citation with the version fixity fields (§4); every other
        cite flag applies as usual, and --explain adds a `fixity:` line.
-       A one-shot cite builds the one engine it needs from scratch;
-       engines borrowed from warm versions pay off under `serve
-       --commits`, where up to 16 versions stay warm across requests
-       (see `fixity` in GET /stats).
+       One engine per catalog serves every version, and its caches
+       are shared across versions (see `fixity` in GET /stats).
 serve: HTTP routes POST /cite, POST /cite_sql, GET /views, GET /stats,
        GET /healthz, GET /metrics (Prometheus text exposition),
        GET /debug/slow (slowest recent requests, with request IDs
@@ -206,7 +204,7 @@ serve: HTTP routes POST /cite, POST /cite_sql, GET /views, GET /stats,
        adds the per-stage latency breakdown. With --commits
        also POST /cite_at (a /cite body plus `version` or `at`) and
        GET /versions, and GET /stats gains a
-       `fixity` block (derived vs rebuilt engine counters). The
+       `fixity` block (catalog-engine hits and builds). The
        compiled-plan cache's hits/misses/size appear under
        `plan_cache` (and in `cite --explain` output).
 distributed serving (scatter/gather tier):
@@ -425,8 +423,8 @@ pub fn run_cite(
             let stats = versioned.version_stats();
             let _ = writeln!(
                 out,
-                "fixity: versions={} derived={} rebuilt={}",
-                stats.versions, stats.derived, stats.rebuilt
+                "fixity: versions={} rebuilt={}",
+                stats.versions, stats.rebuilt
             );
         }
     }
@@ -548,11 +546,6 @@ pub fn apply_faults(args: &Args) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Warm per-version engines `fgcite serve --commits` keeps (evicted
-/// CLOCK-wise): without a bound, memory grows with every distinct
-/// version a client cites.
-const SERVE_WARM_ENGINES: usize = 16;
-
 /// `fgcite serve`: build an engine from the data/view files and start
 /// the HTTP citation service. Returns the running server; the binary
 /// blocks on [`fgc_server::CiteServer::wait`]. With `commits`, the
@@ -619,7 +612,6 @@ pub fn run_serve(
         if let Some(s) = &storage {
             versioned = versioned.with_storage(std::sync::Arc::clone(s))?;
         }
-        let versioned = versioned.with_engine_capacity(SERVE_WARM_ENGINES);
         return fgc_server::CiteServer::start_versioned(std::sync::Arc::new(versioned), config)
             .map_err(|e| CliError(format!("cannot start server: {e}")));
     }
@@ -992,7 +984,7 @@ lambda F. CV1(F, N, Pn) :- Family(F, N, Ty), FC(F, C), Person(C, Pn, A)
         // timestamp resolution lands on version 1
         let at = base(&["--at", "150"]);
         assert!(at.contains("GtoPdb 24"), "{at}");
-        // --explain surfaces the derived/rebuilt counters
+        // --explain surfaces the fixity counters
         let explained = run_line(&[
             "cite",
             "--data",
@@ -1121,13 +1113,11 @@ lambda F. CV1(F, N, Pn) :- Family(F, N, Ty), FC(F, C), Person(C, Pn, A)
         let stats = client.get("/stats").unwrap();
         let parsed = fgc_server::parse_json(&stats.body).unwrap();
         let fixity = parsed.get("fixity").expect("fixity block");
-        // the warm per-version engines are bounded
-        assert_eq!(
-            fixity.get("engine_capacity"),
-            Some(&fgc_views::Json::Int(SERVE_WARM_ENGINES as i64)),
-            "{}",
-            stats.body
-        );
+        // one engine serves every version of the one catalog
+        let int = |n| Some(fgc_views::Json::Int(n));
+        assert_eq!(fixity.get("versions"), int(3).as_ref(), "{}", stats.body);
+        assert_eq!(fixity.get("rebuilt"), int(1).as_ref(), "{}", stats.body);
+        assert!(fixity.get("engine_capacity").is_none(), "{}", stats.body);
         drop(client);
         server.shutdown();
     }

@@ -262,9 +262,20 @@ fn versioned_routes_serve_history_and_unversioned_deployments_404() {
         "{}",
         stats.body
     );
-    match fixity.get("derived") {
+    // one engine serves every version of the one catalog
+    assert_eq!(fixity.get("rebuilt"), Some(&Json::Int(1)), "{}", stats.body);
+    match fixity.get("hits") {
         Some(Json::Int(n)) => assert!(*n >= 1, "{}", stats.body),
-        other => panic!("derived missing: {other:?}"),
+        other => panic!("hits missing: {other:?}"),
+    }
+    for gone in [
+        "warm_engines",
+        "derived",
+        "shared",
+        "engine_evictions",
+        "engine_capacity",
+    ] {
+        assert!(fixity.get(gone).is_none(), "{gone}: {}", stats.body);
     }
 }
 

@@ -118,10 +118,11 @@ fn load_commits_history_walks_identically_after_disk_restart() {
     assert!(reopened.history().delta(1).is_some());
     let reference = Reference::versioned("load_commits history", history);
     assert_same(&reference, &[("reopened", &reopened)], &history_walk());
-    assert!(
-        reopened.version_stats().derived >= 1,
-        "sequential walk should derive warm neighbors: {:?}",
-        reopened.version_stats()
+    let stats = reopened.version_stats();
+    assert_eq!(
+        (stats.rebuilt, stats.hits),
+        (1, history_walk().len() as u64 - 1),
+        "one engine serves the reloaded versions: {stats:?}"
     );
 }
 

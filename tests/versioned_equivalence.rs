@@ -1,10 +1,11 @@
 //! Differential suite for versioned serving: across randomized commit
-//! histories over GtoPdb-shaped relations, every engine a
-//! [`VersionedCitationEngine`] borrows from a warm engine of another
-//! version must cite **byte-identically** to an engine built from
-//! scratch on the same snapshot — tuples and their global order,
-//! provenance polynomials, interpreted citations, aggregates,
-//! rewriting labels, and the fixity stamp.
+//! histories over GtoPdb-shaped relations, every version a
+//! [`VersionedCitationEngine`] serves through its one catalog engine
+//! (and the caches every version shares) must cite
+//! **byte-identically** to an engine built from scratch on the same
+//! snapshot — tuples and their global order, provenance polynomials,
+//! interpreted citations, aggregates, rewriting labels, and the fixity
+//! stamp.
 //!
 //! The reference is the harness's `Reference`: a plain
 //! `CitationEngine` built from scratch on the version's snapshot, not
@@ -17,7 +18,8 @@
 mod common;
 
 use common::{
-    assert_same, history_queries as queries, random_commit, render_versioned, walk, Reference,
+    assert_same, history_queries as queries, random_commit, render_versioned, walk, Candidate,
+    Reference,
 };
 use fgcite::gtopdb::rng::SmallRng;
 use fgcite::gtopdb::{generate, paper_views, GeneratorConfig};
@@ -62,13 +64,12 @@ fn randomized_histories_derived_equals_rebuilt() {
     const SEEDS: u64 = 20;
     const COMMITS: usize = 5;
     let queries = queries();
-    let mut total_derived = 0;
     for seed in 0..SEEDS {
         let history = history_for_seed(seed, COMMITS);
         let versions = history.len();
         let reference = reference(seed, &history);
-        // ascending walk: every version past 0 borrows from its
-        // freshly warmed predecessor
+        // ascending walk: every version past 0 is served through the
+        // engine v0 built, with caches its predecessors filled
         let ascending = VersionedCitationEngine::new(history.clone(), paper_views());
         let in_order: Vec<u64> = (0..versions as u64).collect();
         assert_same(
@@ -76,8 +77,7 @@ fn randomized_histories_derived_equals_rebuilt() {
             &[("ascending", &ascending)],
             &walk(&in_order, &queries),
         );
-        // shuffled walk: first touches out of order, each borrowing
-        // from whichever warm engine is nearest
+        // shuffled walk: first touches out of order
         let shuffled = VersionedCitationEngine::new(history, paper_views());
         let order = shuffled_versions(versions, &mut SmallRng::seed_from_u64(seed ^ 0x5EED));
         assert_same(
@@ -86,31 +86,26 @@ fn randomized_histories_derived_equals_rebuilt() {
             &walk(&order, &queries),
         );
 
-        let asc = ascending.version_stats();
-        // empty commits (and deletes that found nothing) derive too
-        assert_eq!(
-            asc.derived as usize,
-            versions - 1,
-            "ascending walk must derive every non-root version: {asc:?}"
-        );
-        assert_eq!(asc.rebuilt, 1, "{asc:?}");
-        // out of order as well, the first touch is the only build
-        let shuf = shuffled.version_stats();
-        assert_eq!(shuf.rebuilt, 1, "{shuf:?}");
-        total_derived += shuf.derived;
+        // empty commits (and deletes that found nothing) are served
+        // like any other: the first resolve is the only build
+        let lookups = (versions * queries.len()) as u64;
+        for (walked, stats) in [("ascending", &ascending), ("shuffled", &shuffled)]
+            .map(|(name, e)| (name, e.version_stats()))
+        {
+            assert_eq!(
+                (stats.rebuilt, stats.hits),
+                (1, lookups - 1),
+                "{walked}: {stats:?}"
+            );
+        }
     }
-    assert!(
-        total_derived > 0,
-        "shuffled walks must borrow across changed relations"
-    );
 }
 
-/// Borrowing is not tied to `v - 1`. Under a two-engine warm map, a
-/// seeded walk opens with the head and then version 0 (a backward
-/// first touch across the whole history) and goes on with shuffled,
-/// repeated passes, where evictions leave versions cold between warm
-/// engines on either side. Each history builds from scratch exactly
-/// once and cites every version byte-identically to the reference.
+/// Sharing is not tied to `v - 1`. A seeded walk opens with the head
+/// and then version 0 (a backward jump across the whole history) and
+/// goes on with shuffled, repeated passes. Each history builds one
+/// engine, and cites every version byte-identically to the
+/// reference.
 #[test]
 fn random_access_borrows_in_both_directions_and_matches_scratch() {
     const SEEDS: u64 = 20;
@@ -121,7 +116,7 @@ fn random_access_borrows_in_both_directions_and_matches_scratch() {
         let history = history_for_seed(seed, COMMITS);
         let versions = history.len();
         let reference = reference(seed, &history);
-        let engine = VersionedCitationEngine::new(history, paper_views()).with_engine_capacity(2);
+        let engine = VersionedCitationEngine::new(history, paper_views());
         let mut rng = SmallRng::seed_from_u64(seed ^ 0xBAC4);
         let mut order = vec![versions as u64 - 1, 0];
         for _ in 0..PASSES {
@@ -129,7 +124,7 @@ fn random_access_borrows_in_both_directions_and_matches_scratch() {
         }
         assert_same(
             &reference,
-            &[("capacity 2", &engine)],
+            &[("random access", &engine)],
             &walk(&order, &queries),
         );
         let stats = engine.version_stats();
@@ -137,11 +132,10 @@ fn random_access_borrows_in_both_directions_and_matches_scratch() {
             stats.rebuilt, 1,
             "seed {seed}: only the first touch builds from scratch: {stats:?}"
         );
-        assert!(stats.engine_evictions > 0, "{stats:?}");
         assert_eq!(
-            stats.hits + stats.derived + stats.shared + stats.rebuilt,
+            stats.hits + stats.rebuilt,
             (order.len() * queries.len()) as u64,
-            "every lookup is a hit or one first touch: {stats:?}"
+            "every lookup is a hit or the one build: {stats:?}"
         );
     }
 }
@@ -167,61 +161,143 @@ fn timeline_and_timestamp_resolution_match_rebuild() {
     }
 }
 
-/// A derived engine starts with empty token and plan caches and cites
-/// what a scratch build cites — here under per-request overrides
-/// (union policy, exhaustive mode), which the derived version's engine
-/// honors as any engine does.
-#[test]
-fn derived_engine_invalidates_stale_plans_and_tokens() {
+/// A one-version history over the tiny generated fixture, plus `v1`,
+/// the commit `change` makes.
+fn one_commit_history(
+    change: fn(&mut Database) -> fgcite::relation::error::Result<()>,
+) -> VersionedDatabase {
     let mut history = VersionedDatabase::new();
     history
         .commit(generate(&GeneratorConfig::tiny().with_seed(5)), 0, "v0")
         .unwrap();
+    history.commit_with(100, "v1", change).unwrap();
     history
-        .commit_with(100, "v1", |db| {
-            // rewrite one introduction, which V2 and V5 read
-            let intro = db.relation("FamilyIntro")?.rows()[0].clone();
-            db.remove("FamilyIntro", &intro)?;
-            db.insert(
-                "FamilyIntro",
-                tuple![intro[0].clone(), "A rewritten introduction"],
-            )
-            .map(|_| ())
-        })
-        .unwrap();
+}
+
+/// Cite `request` at `version` through `subject`, with the plan-cache
+/// `(hits, misses)` the request caused.
+fn cite_counting_plans(
+    subject: &VersionedCitationEngine,
+    version: u64,
+    request: &CiteRequest,
+) -> (CiteResponse, (u64, u64)) {
+    let engine = subject.engine_for_version(version).unwrap();
+    let before = engine.plan_stats();
+    let response = engine.cite_request(request).unwrap();
+    let after = engine.plan_stats();
+    (
+        response,
+        (after.hits - before.hits, after.misses - before.misses),
+    )
+}
+
+/// `Family` alone: cited by V1, V3 or V4 tokens, whose citation queries
+/// read neither `FamilyIntro` nor `FIC`.
+fn family_request() -> CiteRequest {
+    CiteRequest::query(parse_query("Q(N) :- Family(F, N, Ty)").unwrap())
+}
+
+/// `Family ⋈ FamilyIntro`: every plan of it reads `FamilyIntro`, and its
+/// best rewriting is `V5("gpcr")`, whose citation query reads
+/// `FamilyIntro` and `FIC`.
+fn intro_request() -> CiteRequest {
+    CiteRequest::query(
+        parse_query("Q(N, Tx) :- Family(F, N, Ty), FamilyIntro(F, Tx), Ty = \"gpcr\"").unwrap(),
+    )
+}
+
+/// Every version is served through one catalog engine whose caches are
+/// keyed by relation instance. After a commit that rewrote a
+/// `FamilyIntro` row, the V5 tokens and the plans of queries that read
+/// `FamilyIntro` miss, while the tokens and plans over unchanged
+/// relations hit. Both versions cite what a scratch build cites — also
+/// under per-request overrides (union policy, exhaustive mode).
+#[test]
+fn derived_engine_invalidates_stale_plans_and_tokens() {
+    let history = one_commit_history(|db| {
+        // rewrite one introduction, which V2 and V5 read
+        let intro = db.relation("FamilyIntro")?.rows()[0].clone();
+        db.remove("FamilyIntro", &intro)?;
+        db.insert(
+            "FamilyIntro",
+            tuple![intro[0].clone(), "A rewritten introduction"],
+        )
+        .map(|_| ())
+    });
     let subject = VersionedCitationEngine::new(history.clone(), paper_views());
+    let (family, intro) = (family_request(), intro_request());
+    for request in [&family, &intro] {
+        cite_counting_plans(&subject, 0, request);
+    }
+
+    let (response, plans) = cite_counting_plans(&subject, 1, &family);
+    assert_eq!(response.cache_misses, 0, "unchanged tokens hit");
+    assert!(response.cache_hits > 0);
+    assert_eq!(plans.1, 0, "plans over unchanged relations hit: {plans:?}");
+    assert!(plans.0 > 0);
+
+    let (response, plans) = cite_counting_plans(&subject, 1, &intro);
+    let rewritings = &response.citation.rewritings;
+    assert!(
+        rewritings
+            .iter()
+            .all(|(_, r)| r.view_atoms().all(|v| v.view == "V5")),
+        "{rewritings:?}"
+    );
+    assert_eq!(response.cache_hits, 0, "every V5 token misses");
+    assert!(response.cache_misses > 0);
+    assert_eq!(plans.0, 0, "every plan reads FamilyIntro: {plans:?}");
+    assert!(plans.1 > 0);
 
     // exhaustive mode cites every rewriting, so all caches fill
-    let intro = parse_query("Q(N, Tx) :- Family(F, N, Ty), FamilyIntro(F, Tx)").unwrap();
-    let request = CiteRequest::query(intro)
+    let exhaustive = intro
         .with_policy(Policy::union_all())
         .with_mode(RewriteMode::Exhaustive);
-    let v0_result = subject.cite(VersionSelector::Id(0), &request).unwrap();
-    let v0 = subject.engine_for_version(0).unwrap();
-    assert!(v0.plan_stats().entries > 0);
-    assert!(v0.cache_stats().entries > 0);
-
-    // the first touch of v1 derives from the warm v0 (read before
-    // citing at v1: serving refills the caches)
-    let v1 = subject.engine_for_version(1).unwrap();
-    assert_eq!(subject.version_stats().derived, 1);
-    assert_eq!(v1.plan_stats().entries, 0, "{:?}", v1.plan_stats());
-    assert_eq!(v1.cache_stats().entries, 0, "{:?}", v1.cache_stats());
-
-    // result diff: v1 sees the rewritten introduction, v0 does not,
-    // and both match the reference byte for byte
-    let v1_result = subject.cite(VersionSelector::Id(1), &request).unwrap();
-    assert_ne!(render_versioned(&v0_result), render_versioned(&v1_result));
-    let at = |v| common::Request::At(v, request.clone());
+    let at = |v| common::Request::At(v, exhaustive.clone());
+    assert_ne!(
+        subject.answer(&at(0)),
+        subject.answer(&at(1)),
+        "v1 sees the rewritten introduction, v0 does not"
+    );
     assert_same(
         &reference(5, &history),
-        &[("borrowed", &subject)],
-        &[at(0), at(1)],
+        &[("shared caches", &subject)],
+        &[at(0), at(1), at(0), at(1)],
     );
 }
 
-/// Tentpole: the 1,000-commit randomized walk. Every non-root version
-/// borrows from its warm predecessor, and sampled versions cite
+/// A commit that changes only `FIC`, which no query here and no view
+/// definition reads: every plan is shared across the two versions,
+/// and only the tokens whose citation queries read `FIC` (V2, V5) are
+/// computed again.
+#[test]
+fn fic_only_commit_shares_every_plan() {
+    let history = one_commit_history(|db| {
+        let contributor = db.relation("FIC")?.rows()[0].clone();
+        db.remove("FIC", &contributor).map(|_| ())
+    });
+    let subject = VersionedCitationEngine::new(history.clone(), paper_views());
+    let (family, intro) = (family_request(), intro_request());
+    for request in [&family, &intro] {
+        cite_counting_plans(&subject, 0, request);
+    }
+    let (response, plans) = cite_counting_plans(&subject, 1, &family);
+    assert_eq!(response.cache_misses, 0);
+    assert_eq!(plans.1, 0, "{plans:?}");
+    let (response, plans) = cite_counting_plans(&subject, 1, &intro);
+    assert_eq!(plans.1, 0, "the answer and expansion plans hit: {plans:?}");
+    assert!(plans.0 > 0);
+    assert_eq!(response.cache_hits, 0, "V5's citation query reads FIC");
+    let at = |v| common::Request::At(v, intro.clone());
+    assert_same(
+        &reference(5, &history),
+        &[("shared caches", &subject)],
+        &[at(0), at(1), at(0), at(1)],
+    );
+}
+
+/// Tentpole: the 1,000-commit randomized walk. Every version is served
+/// through the one engine the first built, and sampled versions cite
 /// byte-identically to the scratch reference. Debug builds walk a
 /// shorter history so the tier-1 suite stays fast — CI runs the full
 /// length in release.
@@ -231,22 +307,19 @@ fn thousand_commit_walk_derives_and_matches_rebuild_at_samples() {
     let history = history_for_seed(0xC1D2, COMMITS);
     let versions = history.len();
     let ascending = VersionedCitationEngine::new(history.clone(), paper_views());
-    // warm every version in order: each derived engine runs over its
+    // resolve every version in order: each engine runs over its
     // snapshot and copies nothing, never O(|DB|)
     for v in 0..versions as u64 {
         ascending.engine_for_version(v).unwrap();
     }
     let stats = ascending.version_stats();
     assert_eq!(stats.rebuilt, 1, "{stats:?}");
-    assert_eq!(stats.derived as usize, versions - 1, "{stats:?}");
-    assert_eq!(stats.warm_engines, versions, "{stats:?}");
-    // every warm engine runs over its snapshot's own relation
-    // instances, which the snapshots share wherever commits did not
-    // touch them
+    assert_eq!(stats.hits as usize, versions - 1, "{stats:?}");
+    // the snapshots share every relation their commits did not touch
     let memory = ascending.memory_stats();
     assert!(
         memory.shared_relations as usize >= versions,
-        "warm engines must share relations, not copy them: {memory:?}"
+        "versions must share relations, not copy them: {memory:?}"
     );
     // byte-identical citations at sampled versions (a reference build
     // at every version would be O(versions × |DB|))
@@ -294,9 +367,9 @@ fn derived_child_never_mutates_shared_parent() {
     assert_eq!(&parent.relation("Family").unwrap().rows()[0], &victim);
     assert!(!child.relation("Family").unwrap().contains(&victim));
 
-    // Engine-level: borrowing engines for later versions leaves the
-    // donor's store and citations bit-for-bit intact, while the
-    // never-touched Person relation is shared across every engine.
+    // Engine-level: serving later versions leaves v0's store and
+    // citations bit-for-bit intact, while the never-touched Person
+    // relation is shared across every version's engine.
     let history = history_for_seed(99, 3);
     let e = VersionedCitationEngine::new(history, paper_views());
     let q = parse_query("Q(N) :- Family(F, N, Ty)").unwrap();
@@ -309,7 +382,7 @@ fn derived_child_never_mutates_shared_parent() {
     assert_eq!(
         v0.database().relation("Family").unwrap().rows(),
         &v0_family[..],
-        "borrowing children must not disturb the donor's relations"
+        "later versions must not disturb v0's relations"
     );
     assert_eq!(
         render_versioned(&common::cite_at(&e, VersionSelector::Id(0), &q).unwrap()),
