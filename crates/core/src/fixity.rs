@@ -501,7 +501,7 @@ mod tests {
         let h = history();
         let incremental = VersionedCitationEngine::new(h.clone(), registry());
         for v in 0..2 {
-            cite(&incremental, Id(0), &q).unwrap(); // keep the donor warm
+            cite(&incremental, Id(0), &q).unwrap();
             let a = cite(&incremental, Id(v), &q).unwrap().citation;
             // the reference: an engine built directly on the snapshot
             let (_, snapshot) = h.snapshot(v).unwrap();
@@ -580,7 +580,7 @@ mod tests {
         // difference to which engine serves it
         let stats = e.version_stats();
         assert_eq!((stats.rebuilt, stats.hits), (1, 3), "{stats:?}");
-        // derived engines answer correctly
+        // every version answers from its own snapshot
         assert_eq!(cite(&e, Id(1), &q).unwrap().citation.tuples.len(), 1);
         assert_eq!(cite(&e, Id(3), &q).unwrap().citation.tuples.len(), 2);
     }
