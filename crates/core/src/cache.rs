@@ -95,12 +95,6 @@ impl<K: Hash + Eq + Clone, V: Clone> ClockCache<K, V> {
         }
     }
 
-    /// Maximum number of entries this cache will hold.
-    pub fn capacity(&self) -> usize {
-        let shard = self.shards[0].read().expect("cache shard poisoned");
-        shard.capacity() * SHARDS
-    }
-
     /// Fetch the value for `key`, or compute and store it. Returns
     /// `read` applied to the value — under the shard's read lock on a
     /// hit, so a caller that needs a copy clones exactly once — and
@@ -268,20 +262,20 @@ mod tests {
 
     #[test]
     fn capacity_bounds_entries_and_counts_evictions() {
+        let capacity = 4 * SHARDS;
         let cache = CitationCache::with_shard_capacity(4);
-        for i in 0..10 * cache.capacity() {
+        for i in 0..10 * capacity {
             get(&cache, &nth_token(i), || Json::str(format!("{i}")));
         }
         let stats = cache.stats();
         assert!(
-            stats.entries <= cache.capacity(),
-            "{} entries exceed capacity {}",
-            stats.entries,
-            cache.capacity()
+            stats.entries <= capacity,
+            "{} entries exceed capacity {capacity}",
+            stats.entries
         );
         assert!(stats.evictions > 0);
         // every lookup above was a distinct token: all misses
-        assert_eq!(stats.misses, 10 * cache.capacity() as u64);
+        assert_eq!(stats.misses, 10 * capacity as u64);
         assert_eq!(stats.hit_rate(), 0.0);
     }
 
@@ -290,7 +284,6 @@ mod tests {
         // regression: the CLOCK sweep divided by `slots.len()` when a
         // full shard had zero slots
         let cache = CitationCache::with_shard_capacity(0);
-        assert_eq!(cache.capacity(), 0);
         let mut computed = 0;
         for _ in 0..3 {
             let v = get(&cache, &token(), || {
@@ -319,7 +312,7 @@ mod tests {
         let hot = token();
         get(&cache, &hot, || Json::str("hot"));
         let mut hot_computes = 0;
-        for i in 0..20 * cache.capacity() {
+        for i in 0..20 * 4 * SHARDS {
             // touch the hot token before every filler insert: its
             // referenced bit is always set when the hand sweeps by
             get(&cache, &hot, || {
@@ -335,7 +328,7 @@ mod tests {
     #[test]
     fn clear_resets_the_clock() {
         let cache = CitationCache::with_shard_capacity(2);
-        for i in 0..10 * cache.capacity() {
+        for i in 0..10 * 2 * SHARDS {
             get(&cache, &nth_token(i), || Json::str("x"));
         }
         cache.clear();
@@ -380,6 +373,6 @@ mod tests {
                 });
             }
         });
-        assert!(cache.stats().entries <= cache.capacity());
+        assert!(cache.stats().entries <= 8 * SHARDS);
     }
 }

@@ -5,10 +5,10 @@
 //! 1. rewrite `Q` using the citation views (exhaustively, or with the
 //!    pruned preference search — the engine's *mode*); this half reads
 //!    only view definitions and schemas (§3.2);
-//! 2. in one data-plane fetch, evaluate `Q` over `D` (the result set
-//!    being cited) and every rewriting's expansion: its view subgoals
-//!    replaced by the views' bodies, so the views stay definitions and
-//!    are never materialized;
+//! 2. evaluate `Q` over `D` (the result set being cited) and every
+//!    rewriting's expansion: its view subgoals replaced by the views'
+//!    bodies, so the views stay definitions and are never
+//!    materialized;
 //! 3. per rewriting `Q'` and output tuple `t`, take the bindings
 //!    `β_t` and build the citation polynomial
 //!    `Σ_B Π_i token(V_i, B_i)` (Defs. 3.1–3.2) — symbolically, over
@@ -30,13 +30,12 @@ use fgc_obs::{StageSet, Trace, CITE_STAGES};
 use fgc_query::ast::{ConjunctiveQuery, Term};
 use fgc_query::eval::EvalOptions;
 use fgc_query::{evaluate_grouped_plan_with, evaluate_plan_with, parse_sql, Binding, QueryPlan};
-use fgc_relation::sharded::{Partition, ShardKeySpec, ShardStats};
 use fgc_relation::storage::Storage;
-use fgc_relation::{Database, DatabaseDelta, Tuple, Value};
+use fgc_relation::{Database, DatabaseDelta, ShardKeySpec, Tuple, Value};
 use fgc_rewrite::{best_rewritings, enumerate_rewritings, RewriteOptions, Rewriting, ViewDefs};
 use fgc_semiring::{CitationExpr, CommutativeSemiring, Monomial, Polynomial};
 use fgc_views::{Json, ViewRegistry};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::Instant;
@@ -129,119 +128,9 @@ struct RequestCounters {
 }
 
 /// Grouped bindings of one extent query: each output tuple with the
-/// bindings that derive it, in global derivation order (the order
+/// bindings that derive it, in derivation order (the order
 /// [`fgc_query::evaluate_grouped`] produces).
-pub type ExtentGroups = Vec<(Tuple, Vec<Binding>)>;
-
-/// Everything a citation reads from the data, fetched in one
-/// [`CiteDataPlane::fetch`].
-#[derive(Debug, Clone)]
-pub struct CiteData {
-    /// The answer set of the cited query, in global first-derivation
-    /// order (the order [`fgc_query::evaluate`] produces).
-    pub answers: Vec<Tuple>,
-    /// Per extent query, in the order they were asked for, the grouped
-    /// bindings of its expansion over the base relations: each binding
-    /// holds the extent query's variables and the views' fresh ones.
-    pub extents: Vec<ExtentGroups>,
-}
-
-/// One shard's share of a citation exchange, as
-/// [`CitationEngine::cite_fragment`] computes it.
-#[derive(Debug, Clone)]
-pub struct CiteFragment {
-    /// The answer query's `(gid, seq, tuple)` rows on this shard, when
-    /// the exchange carried one.
-    pub answers: Option<Vec<(usize, usize, Tuple)>>,
-    /// Per extent query, its `(gid, seq, tuple, binding)` rows on this
-    /// shard.
-    pub extents: Vec<Vec<(usize, usize, Tuple, Binding)>>,
-    /// Every distinct token those bindings mention, with its citation.
-    pub tokens: Vec<(CiteToken, Json)>,
-    /// Token-cache hits of this exchange.
-    pub hits: u64,
-    /// Token-cache misses of this exchange.
-    pub misses: u64,
-}
-
-/// The data-access half of the citation pipeline.
-///
-/// [`CitationEngine::cite_request_with`] drives the *whole* Def.
-/// 3.1–3.4 control plane — rewriting search, polynomial construction,
-/// normalization, interpretation, aggregation — through this trait.
-/// The rewritings come from the view definitions and schemas alone
-/// (§3.2), so the engine finds them first and then asks the plane for
-/// all the data the citation needs in one [`fetch`](Self::fetch): the
-/// answer tuples and each rewriting's extent bindings. The local
-/// implementation reads the engine's own store; a distributed one
-/// makes one exchange per shard replica. Because every byte of
-/// citation assembly is shared, any data plane that returns the same
-/// rows in the same order produces byte-identical citations.
-pub trait CiteDataPlane {
-    /// The answers of `q` and the grouped bindings of every query in
-    /// `extent_queries`. Errors keep the single server's precedence:
-    /// an answer-evaluation error first, then the first failing
-    /// extent query in order.
-    fn fetch(
-        &mut self,
-        q: &ConjunctiveQuery,
-        extent_queries: &[ConjunctiveQuery],
-    ) -> Result<CiteData>;
-
-    /// Interpret one token to its JSON citation.
-    fn token_citation(&mut self, token: &CiteToken) -> Result<Json>;
-
-    /// Token-cache `(hits, misses)` attributable to the current
-    /// request, for [`CiteResponse`] metadata.
-    fn cache_traffic(&self) -> (u64, u64) {
-        (0, 0)
-    }
-}
-
-/// The in-process data plane: reads the engine's whole store.
-/// [`CitationEngine::cite`] and friends are thin wrappers over this.
-struct LocalDataPlane<'a> {
-    engine: &'a CitationEngine,
-    counters: RequestCounters,
-}
-
-impl<'a> LocalDataPlane<'a> {
-    fn new(engine: &'a CitationEngine) -> Self {
-        LocalDataPlane {
-            engine,
-            counters: RequestCounters::default(),
-        }
-    }
-}
-
-impl CiteDataPlane for LocalDataPlane<'_> {
-    fn fetch(
-        &mut self,
-        q: &ConjunctiveQuery,
-        extent_queries: &[ConjunctiveQuery],
-    ) -> Result<CiteData> {
-        let engine = self.engine;
-        // `evaluate` wraps the whole answer evaluation, so the `plan`
-        // span recorded inside it nests under it
-        let stages = &engine.state.stages;
-        let answers = stages.time("evaluate", || engine.answers(q))?;
-        let extents = stages.time("extent", || {
-            extent_queries
-                .iter()
-                .map(|e| engine.extent_groups(e))
-                .collect::<Result<Vec<_>>>()
-        })?;
-        Ok(CiteData { answers, extents })
-    }
-
-    fn token_citation(&mut self, token: &CiteToken) -> Result<Json> {
-        Ok(self.engine.token_citation(token, &mut self.counters))
-    }
-
-    fn cache_traffic(&self) -> (u64, u64) {
-        (self.counters.hits, self.counters.misses)
-    }
-}
+type ExtentGroups = Vec<(Tuple, Vec<Binding>)>;
 
 /// What every snapshot of one catalog shares. Each cache key names the
 /// relation instances its entry was computed from ([`crate::plan_cache`]).
@@ -279,11 +168,6 @@ struct CatalogState {
 pub struct CitationEngine {
     state: Arc<CatalogState>,
     db: Arc<Database>,
-    /// The shard ownership [`Self::with_shards`] set, and how the
-    /// store's tuples spread under it (counted once, there). Only
-    /// [`Self::cite_fragment`] reads it: the engine's own citations
-    /// always read the whole store.
-    partition: Option<(Partition, ShardStats)>,
     /// Storage backend the snapshot was loaded from or persists to,
     /// when one is attached ([`Self::with_storage`]). The engine
     /// itself never writes through it — snapshots are immutable —
@@ -326,7 +210,6 @@ impl CitationEngine {
         Ok(CitationEngine {
             state: Arc::new(state),
             db,
-            partition: None,
             storage: None,
         })
     }
@@ -370,26 +253,18 @@ impl CitationEngine {
         self
     }
 
-    /// Make this engine a shard replica's (builder style): every row
-    /// is owned by one of `shards` shards, by the hash of the shard-key
-    /// column `key_spec` names for its relation (CLI syntax:
-    /// `Family=FID,FC=FID`); relations it omits fall back to
-    /// whole-tuple hashing — still balanced, but equality selections on
-    /// them can never prune to one shard. Nothing is copied: the
-    /// engine keeps its one store, and [`Self::cite_fragment`] keeps
-    /// only the lead rows a shard owns.
-    pub fn with_shards(mut self, shards: usize, key_spec: ShardKeySpec) -> Result<Self> {
-        let partition = Partition::new(shards, key_spec, self.db.catalog())?;
-        let stats = partition.stats(&self.db);
-        self.partition = Some((partition, stats));
+    /// The engine unchanged: every replica cites from its whole store,
+    /// so nothing is owned by a shard. Kept for
+    /// `benchmark/src/stack.rs:178`.
+    pub fn with_shards(self, _shards: usize, _key_spec: ShardKeySpec) -> Result<Self> {
         Ok(self)
     }
 
     /// Attach the storage backend this snapshot came from (builder
     /// style). Purely observational at the single-snapshot level:
     /// persistence happens when the owner of the history syncs, but
-    /// the handle lets servers report backend stats alongside cache
-    /// and shard layout.
+    /// the handle lets servers report backend stats alongside the
+    /// cache counters.
     pub fn with_storage(mut self, storage: Arc<dyn Storage>) -> Self {
         self.storage = Some(storage);
         self
@@ -445,25 +320,6 @@ impl CitationEngine {
         self.state.plans.miss_latency()
     }
 
-    /// Number of shards the store's rows are owned by (1 when
-    /// unsharded).
-    pub fn shard_count(&self) -> usize {
-        self.partition().map_or(1, Partition::shard_count)
-    }
-
-    /// The shard ownership a replica serves under — `None` when the
-    /// engine is not sharded. Replicas publish it so a coordinator
-    /// routes with the identical partition.
-    pub fn partition(&self) -> Option<&Partition> {
-        self.partition.as_ref().map(|(p, _)| p)
-    }
-
-    /// How the store's tuples spread over the shards — `None` when the
-    /// engine is not sharded.
-    pub fn shard_stats(&self) -> Option<&ShardStats> {
-        self.partition.as_ref().map(|(_, stats)| stats)
-    }
-
     /// The engine for the database `delta` produces from this one's:
     /// clone the store (every relation stays shared until replay
     /// touches it), replay the delta, and serve the result through
@@ -487,25 +343,18 @@ impl CitationEngine {
     /// costs two `Arc` clones. A different catalog changes the view
     /// definitions' dependencies and the inclusion matrix, so it means
     /// a from-scratch build under this engine's policy and options,
-    /// with fresh caches at their default capacities. A sharded engine
-    /// keeps its shard count and key spec.
+    /// with fresh caches at their default capacities.
     pub fn at(&self, snapshot: Arc<Database>) -> Result<CitationEngine> {
-        let engine = if self.db.catalog() == snapshot.catalog() {
-            CitationEngine {
+        if self.db.catalog() == snapshot.catalog() {
+            return Ok(CitationEngine {
                 state: Arc::clone(&self.state),
                 db: snapshot,
-                partition: None,
                 storage: None,
-            }
-        } else {
-            Self::build(snapshot, self.state.registry.clone())?
-                .with_policy(self.state.policy.clone())
-                .with_options(self.state.options)
-        };
-        match self.partition() {
-            None => Ok(engine),
-            Some(p) => engine.with_shards(p.shard_count(), p.spec().clone()),
+            });
         }
+        Ok(Self::build(snapshot, self.state.registry.clone())?
+            .with_policy(self.state.policy.clone())
+            .with_options(self.state.options))
     }
 
     /// Drop cached citations and compiled plans (e.g. for cold-start
@@ -537,8 +386,7 @@ impl CitationEngine {
     }
 
     /// The cached compiled plan for a query over the store (compiling
-    /// on miss); one plan serves the whole evaluation and every
-    /// shard's fragment of it.
+    /// on miss).
     fn cached_plan(&self, q: ConjunctiveQuery) -> Result<Arc<QueryPlan>> {
         let key = (self.instances(&q), q);
         Ok(self.state.stages.time("plan", || {
@@ -681,31 +529,32 @@ impl CitationEngine {
     }
 
     /// The full Def. 3.1–3.4 pipeline under an effective (engine
-    /// defaults ⊕ request overrides) configuration, reading rows and
-    /// token citations through the data plane.
+    /// defaults ⊕ request overrides) configuration; token-cache
+    /// traffic is counted into `counters`.
     fn cite_under(
         &self,
         q: &ConjunctiveQuery,
         config: &EffectiveConfig<'_>,
-        plane: &mut dyn CiteDataPlane,
+        counters: &mut RequestCounters,
     ) -> Result<QueryCitation> {
         let policy = config.policy;
+        let stages = &self.state.stages;
         // The rewritings are a function of the views and schemas alone
-        // (§3.2): find them first, so the data plane fetches the
-        // answers and every extent in one call.
-        let rewritten = self.state.stages.time("rewrite", || {
+        // (§3.2), but an answer-evaluation error outranks a
+        // rewriting-search one.
+        let rewritten = stages.time("rewrite", || {
             self.rewritings(q, config.mode, config.rewrite)
         });
-        let extent_queries: Vec<ConjunctiveQuery> = match &rewritten {
-            Ok((rewritings, ..)) => rewritings
-                .iter()
-                .map(|(_, r)| r.as_extent_query())
-                .collect(),
-            Err(_) => Vec::new(),
-        };
-        // an answer-evaluation error outranks a rewriting-search one
-        let CiteData { answers, extents } = plane.fetch(q, &extent_queries)?;
+        // `evaluate` wraps the whole answer evaluation, so the `plan`
+        // span recorded inside it nests under it
+        let answers = stages.time("evaluate", || self.answers(q))?;
         let (rewritings, exhaustive, unsatisfiable) = rewritten?;
+        let extents = stages.time("extent", || {
+            rewritings
+                .iter()
+                .map(|(_, r)| self.extent_groups(&r.as_extent_query()))
+                .collect::<Result<Vec<_>>>()
+        })?;
         let mut exprs = self
             .state
             .stages
@@ -731,25 +580,11 @@ impl CitationEngine {
                     let citation = match interp_memo.get(&normalized) {
                         Some(hit) => Arc::clone(hit),
                         None => {
-                            // `interpret_expr`'s token valuation is infallible
-                            // by signature; remote token failures surface
-                            // through this side channel instead of silently
-                            // citing Null.
-                            let mut token_err: Option<CoreError> = None;
-                            let citation = Arc::new({
-                                let mut value_of = |t: &CiteToken| match plane.token_citation(t) {
-                                    Ok(json) => json,
-                                    Err(e) => {
-                                        token_err.get_or_insert(e);
-                                        Json::Null
-                                    }
-                                };
+                            let mut value_of = |t: &CiteToken| self.token_citation(t, counters);
+                            let citation = Arc::new(
                                 interpret_expr(policy, &normalized, &mut value_of)
-                                    .unwrap_or(Json::Null)
-                            });
-                            if let Some(e) = token_err {
-                                return Err(e);
-                            }
+                                    .unwrap_or(Json::Null),
+                            );
                             interp_memo.insert(normalized.clone(), Arc::clone(&citation));
                             distinct_citations.push(Arc::clone(&citation));
                             citation
@@ -787,8 +622,7 @@ impl CitationEngine {
     /// Cite a query with the engine's default policy and options: the
     /// full Def. 3.1–3.4 pipeline.
     pub fn cite(&self, q: &ConjunctiveQuery) -> Result<QueryCitation> {
-        let mut plane = LocalDataPlane::new(self);
-        self.cite_under(q, &self.effective(None), &mut plane)
+        self.cite_under(q, &self.effective(None), &mut RequestCounters::default())
     }
 
     /// Cite an SQL query (SPJ fragment).
@@ -801,33 +635,20 @@ impl CitationEngine {
     /// of the engine defaults and wrap the result with timing and
     /// cache metadata.
     pub fn cite_request(&self, request: &CiteRequest) -> Result<CiteResponse> {
-        let mut plane = LocalDataPlane::new(self);
-        self.cite_request_with(request, &mut plane)
-    }
-
-    /// [`Self::cite_request`] over a caller-supplied data plane; the
-    /// response's cache counters come from
-    /// [`CiteDataPlane::cache_traffic`].
-    pub fn cite_request_with(
-        &self,
-        request: &CiteRequest,
-        plane: &mut dyn CiteDataPlane,
-    ) -> Result<CiteResponse> {
         let started = Instant::now();
         let trace = Trace::start(request.request_id.clone().unwrap_or_default());
         let q = self.state.stages.time("parse", || match &request.query {
             QuerySpec::Datalog(q) => Ok(q.clone()),
             QuerySpec::Sql(sql) => parse_sql(self.db.catalog(), sql).map_err(CoreError::from),
         })?;
-        let citation = self.cite_under(&q, &self.effective(Some(request)), plane);
+        let mut counters = RequestCounters::default();
+        let citation = self.cite_under(&q, &self.effective(Some(request)), &mut counters);
         let report = trace.finish();
-        let citation = citation?;
-        let (cache_hits, cache_misses) = plane.cache_traffic();
         Ok(CiteResponse {
-            citation,
+            citation: citation?,
             elapsed: started.elapsed(),
-            cache_hits,
-            cache_misses,
+            cache_hits: counters.hits,
+            cache_misses: counters.misses,
             stages: report.stages,
             request_id: request.request_id.clone(),
         })
@@ -873,140 +694,6 @@ impl CitationEngine {
             .into_iter()
             .map(|s| s.expect("every request produced a result"))
             .collect()
-    }
-
-    /// This shard's share of one citation exchange — the one entry
-    /// point a shard replica serves:
-    ///
-    /// - with `answer`, the `(gid, seq, tuple)` fragment of its global
-    ///   evaluation (see [`fgc_query::lead_fragment_answers`]);
-    /// - per extent query, the `(gid, seq, tuple, binding)` fragment of
-    ///   its expansion's grouped evaluation over the store;
-    /// - the citation of every token those bindings mention, memoized
-    ///   in the shared cache.
-    ///
-    /// A failure names its phase: 0 is the answer query, `i + 1` is
-    /// extent query `i`. An engine that is not sharded, or a `shard`
-    /// out of range, fails phase 0 with [`CoreError::Remote`].
-    pub fn cite_fragment(
-        &self,
-        answer: Option<&ConjunctiveQuery>,
-        extent_queries: &[ConjunctiveQuery],
-        shard: usize,
-    ) -> std::result::Result<CiteFragment, (usize, CoreError)> {
-        let partition = self.require_shard(shard).map_err(|e| (0, e))?;
-        let answers = answer
-            .map(|q| self.fragment_answers(partition, q, shard))
-            .transpose()
-            .map_err(|e| (0, e))?;
-        let mut extents = Vec::with_capacity(extent_queries.len());
-        for (i, q) in extent_queries.iter().enumerate() {
-            let rows = self
-                .fragment_bindings(partition, q, shard)
-                .map_err(|e| (i + 1, e))?;
-            extents.push(rows);
-        }
-        let mut counters = RequestCounters::default();
-        let tokens = self.state.stages.time("render", || {
-            self.fragment_tokens(extent_queries, &extents, &mut counters)
-        });
-        Ok(CiteFragment {
-            answers,
-            extents,
-            tokens,
-            hits: counters.hits,
-            misses: counters.misses,
-        })
-    }
-
-    fn fragment_answers(
-        &self,
-        partition: &Partition,
-        q: &ConjunctiveQuery,
-        shard: usize,
-    ) -> Result<Vec<(usize, usize, Tuple)>> {
-        let plan = self.cached_plan(q.clone())?;
-        let options = EvalOptions::default();
-        Ok(self.state.stages.time("evaluate", || {
-            fgc_query::lead_fragment_answers(&self.db, partition, &plan, shard, options)
-        })?)
-    }
-
-    fn fragment_bindings(
-        &self,
-        partition: &Partition,
-        q: &ConjunctiveQuery,
-        shard: usize,
-    ) -> Result<Vec<(usize, usize, Tuple, Binding)>> {
-        let plan = self.expansion_plan(q)?;
-        let options = EvalOptions::default();
-        Ok(self.state.stages.time("extent", || {
-            fgc_query::lead_fragment_bindings(&self.db, partition, &plan, shard, options)
-        })?)
-    }
-
-    /// Every distinct token the extent bindings mention, with its
-    /// citation, in first-mention order. An extent atom is a view
-    /// token when its relation names a view — no base relation can
-    /// share a view's name ([`CoreError::ViewNameClash`]) — valuated
-    /// at the view's parameter positions, and a base marker otherwise:
-    /// the tokens [`Self::symbolic_citations`] builds from the
-    /// rewriting's subgoals.
-    fn fragment_tokens(
-        &self,
-        extent_queries: &[ConjunctiveQuery],
-        extents: &[Vec<(usize, usize, Tuple, Binding)>],
-        counters: &mut RequestCounters,
-    ) -> Vec<(CiteToken, Json)> {
-        let mut seen: HashSet<CiteToken> = HashSet::new();
-        let mut tokens = Vec::new();
-        for (q, rows) in extent_queries.iter().zip(extents) {
-            let params: Vec<Option<Vec<usize>>> = q
-                .atoms
-                .iter()
-                .map(|a| {
-                    let view = self.state.registry.get(&a.relation)?;
-                    // validation put every parameter in the view head
-                    Some(view.param_positions().unwrap_or_default())
-                })
-                .collect();
-            for (_, _, _, binding) in rows {
-                for (atom, positions) in q.atoms.iter().zip(&params) {
-                    let token = match positions {
-                        Some(positions) => CiteToken::view(
-                            atom.relation.clone(),
-                            positions
-                                .iter()
-                                .map(|&p| {
-                                    atom.terms
-                                        .get(p)
-                                        .map_or(Value::Null, |t| Self::resolve(binding, t))
-                                })
-                                .collect(),
-                        ),
-                        None => CiteToken::base(atom.relation.clone()),
-                    };
-                    if seen.insert(token.clone()) {
-                        let citation = self.token_citation(&token, counters);
-                        tokens.push((token, citation));
-                    }
-                }
-            }
-        }
-        tokens
-    }
-
-    fn require_shard(&self, shard: usize) -> Result<&Partition> {
-        let partition = self
-            .partition()
-            .ok_or_else(|| CoreError::Remote("engine is not sharded".into()))?;
-        if shard >= partition.shard_count() {
-            return Err(CoreError::Remote(format!(
-                "shard {shard} out of range (store has {})",
-                partition.shard_count()
-            )));
-        }
-        Ok(partition)
     }
 }
 
@@ -1398,8 +1085,8 @@ mod tests {
 
     /// Render a citation result in full: tuple order, symbolic
     /// expressions, interpreted citations, aggregate, rewriting
-    /// labels. Byte-level equality of this string is the sharding
-    /// acceptance bar.
+    /// labels. Byte-level equality of this string is what sharing a
+    /// catalog's state across snapshots must keep.
     fn render(citation: &QueryCitation) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
@@ -1418,67 +1105,11 @@ mod tests {
         out
     }
 
-    fn paper_shard_spec() -> ShardKeySpec {
-        ShardKeySpec::new()
-            .with("Family", "FID")
-            .with("FamilyIntro", "FID")
-            .with("FC", "FID")
-            .with("FIC", "FID")
-            .with("Person", "PID")
-    }
-
-    #[test]
-    fn sharded_engine_cites_byte_identically() {
-        let reference = engine();
-        let queries = [
-            "Q(N, Tx) :- Family(F, N, Ty), FamilyIntro(F, Tx), Ty = \"gpcr\"",
-            "Q(N) :- Family(F, N, Ty)",
-            "Q(N) :- Family(\"11\", N, Ty)",
-            "Q(N) :- Family(F, N, Ty), Ty = \"nope\"",
-        ];
-        for shards in [1, 2, 4, 7] {
-            let sharded = engine().with_shards(shards, paper_shard_spec()).unwrap();
-            for q in queries {
-                let q = parse_query(q).unwrap();
-                assert_eq!(
-                    render(&reference.cite(&q).unwrap()),
-                    render(&sharded.cite(&q).unwrap()),
-                    "shards={shards}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_engine_reports_stats_and_routing() {
-        let e = engine().with_shards(4, paper_shard_spec()).unwrap();
-        assert_eq!(e.shard_count(), 4);
-        let stats = e.shard_stats().unwrap();
-        assert_eq!(stats.shards, 4);
-        assert_eq!(stats.total_tuples, e.database().total_tuples());
-        assert_eq!(
-            stats.total_tuples,
-            stats.tuples_per_shard.iter().sum::<usize>()
-        );
-        // a keyed selection's answer comes from the shard owning the key
-        let q = parse_query("Q(N) :- Family(\"11\", N, Ty)").unwrap();
-        let owner = fgc_relation::sharded::shard_of_value(&Value::str("11"), 4);
-        for shard in 0..4 {
-            let fragment = e.cite_fragment(Some(&q), &[], shard).unwrap();
-            let answers = fragment.answers.unwrap();
-            assert_eq!(answers.len(), usize::from(shard == owner), "shard {shard}");
-        }
-        // the unsharded engine has no shard stats
-        assert!(engine().shard_stats().is_none());
-        assert!(engine().partition().is_none());
-        assert_eq!(engine().shard_count(), 1);
-    }
-
     #[test]
     fn rebase_keeps_the_catalog_state_and_rebuilds_on_a_new_catalog() {
         let q =
             parse_query("Q(N, Tx) :- Family(F, N, Ty), FamilyIntro(F, Tx), Ty = \"gpcr\"").unwrap();
-        let donor = engine().with_shards(2, paper_shard_spec()).unwrap();
+        let donor = engine();
         donor.cite(&q).unwrap(); // fills the caches
         let scratch = |db: &Database| {
             let e = CitationEngine::new(db.clone(), paper_registry()).unwrap();
@@ -1491,7 +1122,6 @@ mod tests {
             .insert("FamilyIntro", tuple!["13", "The kinase family"])
             .unwrap();
         let borrowed = donor.at(Arc::new(changed.clone())).unwrap();
-        assert_eq!(borrowed.shard_count(), 2);
         // one cache: what the donor filled, the borrower sees
         assert!(donor.cache_stats().entries > 0);
         assert_eq!(borrowed.cache_stats(), donor.cache_stats());
@@ -1506,7 +1136,6 @@ mod tests {
             )
             .unwrap();
         let rebuilt = donor.at(Arc::new(extended.clone())).unwrap();
-        assert_eq!(rebuilt.shard_count(), 2);
         assert_eq!(rebuilt.cache_stats().entries, 0);
         assert_eq!(render(&rebuilt.cite(&q).unwrap()), scratch(&extended));
     }
@@ -1522,37 +1151,6 @@ mod tests {
         // the view-named text is no query over the store
         let err = e.cite(&extent).unwrap_err().to_string();
         assert!(err.contains("unknown relation `V1`"), "{err}");
-    }
-
-    #[test]
-    fn with_shards_validates_the_key_spec() {
-        assert!(engine()
-            .with_shards(2, ShardKeySpec::new().with("Family", "Bogus"))
-            .is_err());
-        assert!(engine()
-            .with_shards(2, ShardKeySpec::new().with("Nope", "FID"))
-            .is_err());
-    }
-
-    #[test]
-    fn sharded_engine_serves_batches_identically() {
-        let reference = engine();
-        let sharded = engine().with_shards(3, paper_shard_spec()).unwrap();
-        let requests: Vec<CiteRequest> = [
-            "Q(N) :- Family(F, N, Ty), Ty = \"gpcr\"",
-            "Q(N, Tx) :- Family(F, N, Ty), FamilyIntro(F, Tx)",
-        ]
-        .iter()
-        .map(|q| CiteRequest::query(parse_query(q).unwrap()))
-        .collect();
-        let a = reference.cite_batch_threads(&requests, 4);
-        let b = sharded.cite_batch_threads(&requests, 4);
-        for (ra, rb) in a.iter().zip(&b) {
-            assert_eq!(
-                render(&ra.as_ref().unwrap().citation),
-                render(&rb.as_ref().unwrap().citation)
-            );
-        }
     }
 
     #[test]

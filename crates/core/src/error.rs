@@ -5,8 +5,8 @@ use std::fmt;
 /// Errors raised by the citation engine.
 #[derive(Debug)]
 pub enum CoreError {
-    /// A view is named like a base relation — extents could not be
-    /// materialized unambiguously.
+    /// A view is named like a base relation: expanding an extent
+    /// query tells view atoms from base atoms by name.
     ViewNameClash(String),
     /// Relational substrate error.
     Relation(fgc_relation::RelationError),
@@ -18,10 +18,6 @@ pub enum CoreError {
     Rewrite(fgc_rewrite::RewriteError),
     /// A version id or timestamp did not resolve to a snapshot.
     NoSuchVersion(String),
-    /// A remote data plane (shard replica) failed or was misused.
-    /// The message is carried verbatim so coordinator-side errors
-    /// render identically to their single-process counterparts.
-    Remote(String),
 }
 
 impl fmt::Display for CoreError {
@@ -36,7 +32,6 @@ impl fmt::Display for CoreError {
             CoreError::View(e) => write!(f, "{e}"),
             CoreError::Rewrite(e) => write!(f, "{e}"),
             CoreError::NoSuchVersion(what) => write!(f, "no such version: {what}"),
-            CoreError::Remote(msg) => write!(f, "{msg}"),
         }
     }
 }

@@ -82,13 +82,9 @@ pub mod token;
 
 pub use baseline::{baseline_coverage, PageCitationStore, WorkloadItem};
 pub use cache::{CacheStats, CitationCache, ClockCache};
-pub use engine::{
-    CitationEngine, CiteData, CiteDataPlane, CiteFragment, EngineOptions, ExtentGroups,
-    QueryCitation, RewriteMode, TupleCitation,
-};
+pub use engine::{CitationEngine, EngineOptions, QueryCitation, RewriteMode, TupleCitation};
 pub use error::{CoreError, Result};
 pub use explain::explain;
-pub use fgc_relation::sharded::{Partition, ShardKeySpec, ShardStats};
 pub use fixity::{
     VersionMemoryStats, VersionSelector, VersionStats, VersionedCitation, VersionedCitationEngine,
 };

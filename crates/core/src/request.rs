@@ -128,10 +128,10 @@ pub struct CiteResponse {
     /// Token-cache misses incurred by this request alone.
     pub cache_misses: u64,
     /// Per-stage durations of this request's trip through the cite
-    /// pipeline (parse → plan → route → evaluate → rewrite → extent
-    /// → render), in first-entered order. `evaluate` covers the whole
-    /// data-plane answer fetch and therefore *contains* the `plan`
-    /// and `route` sub-spans.
+    /// pipeline (parse → plan → evaluate → rewrite → extent →
+    /// render), in first-entered order. `evaluate` covers the whole
+    /// answer evaluation and therefore *contains* the `plan`
+    /// sub-span.
     pub stages: Vec<(&'static str, Duration)>,
     /// The request ID this citation was served under, when one was
     /// assigned at the front door.

@@ -1,5 +1,5 @@
 //! Keep-alive connection pooling, bounded retry, and per-replica
-//! circuit breaking for the coordinator's scatter calls.
+//! circuit breaking for the cites a coordinator forwards.
 //!
 //! One [`ReplicaPool`] serves a fixed address set. Per address it
 //! keeps a stack of idle keep-alive [`Client`]s (popped for a call,
@@ -127,9 +127,9 @@ impl ReplicaPool {
         }
     }
 
-    /// The pooled addresses, in index order.
-    pub fn addrs(&self) -> Vec<SocketAddr> {
-        self.slots.iter().map(|s| s.addr).collect()
+    /// The number of pooled replicas.
+    pub fn replicas(&self) -> usize {
+        self.slots.len()
     }
 
     /// The address at `index`.
@@ -340,7 +340,7 @@ impl ReplicaPool {
         )
     }
 
-    /// Append the scatter-tier metric families — per-replica call and
+    /// Append the forwarding tier's metric families — per-replica call and
     /// failure counters plus successful-call latency histograms — to
     /// the coordinator's Prometheus exposition.
     pub fn write_prometheus(&self, w: &mut fgc_obs::PromWriter, base: &[(&str, &str)]) {
@@ -403,24 +403,20 @@ mod tests {
     }
 
     /// A replica refusing a spent budget is the client's deadline, not
-    /// a replica fault: no retry, no twin, no strike on its circuit.
+    /// a replica fault: no retry, no next replica, no strike on its
+    /// circuit.
     #[test]
     fn a_spent_budget_is_a_deadline_not_a_strike() {
         use fgc_server::{CiteServer, ServerConfig};
         use std::sync::Arc;
         let engine =
             fgc_core::CitationEngine::new(fgc_gtopdb::paper_instance(), fgc_gtopdb::paper_views())
-                .unwrap()
-                .with_shards(1, fgc_gtopdb::paper_shard_spec())
                 .unwrap();
-        let engine = Arc::new(engine);
         let config = ServerConfig::default()
             .with_addr("127.0.0.1:0")
             .with_threads(1)
-            .with_role("replica")
-            .with_shard(0, 1);
-        let handler = crate::fragment_handler(Arc::clone(&engine));
-        let replica = CiteServer::start_with_handler(engine, config, handler).unwrap();
+            .with_role("replica");
+        let replica = CiteServer::start(Arc::new(engine), config).unwrap();
         let pool = ReplicaPool::new(
             vec![replica.addr()],
             PoolConfig {
@@ -428,11 +424,10 @@ mod tests {
                 ..PoolConfig::default()
             },
         );
-        let body = crate::proto::encode_cite_request(Some("Q(N) :- Family(F, N, Ty)"), &[], 0);
+        let body = r#"{"query": "Q(N) :- Family(F, N, Ty)"}"#;
         let spent = [("x-deadline-ms", "0")];
         for _ in 0..2 {
-            let call =
-                pool.request_with_headers(0, "POST", "/fragment/cite", Some(&body), &spent, None);
+            let call = pool.request_with_headers(0, "POST", "/cite", Some(body), &spent, None);
             assert!(matches!(call, Err(CallError::DeadlineExceeded)), "{call:?}");
         }
         let Json::Array(slots) = pool.to_json() else {
@@ -443,9 +438,7 @@ mod tests {
         // one call per request: nothing was retried
         assert_eq!(slots[0].get("calls"), Some(&Json::Int(2)));
         // with budget left the same call is served
-        let served = pool
-            .request(0, "POST", "/fragment/cite", Some(&body))
-            .unwrap();
+        let served = pool.request(0, "POST", "/cite", Some(body)).unwrap();
         assert_eq!(served.status, 200, "{}", served.body);
     }
 

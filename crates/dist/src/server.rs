@@ -5,29 +5,26 @@
 //!
 //! | route            | body                                     |
 //! |------------------|------------------------------------------|
-//! | `POST /cite`     | standard cite body, scattered to shards  |
-//! | `POST /cite_sql` | standard SQL cite body                   |
-//! | `GET /views`     | the registered citation views            |
+//! | `POST /cite`     | standard cite body, forwarded to one replica |
+//! | `POST /cite_sql` | standard SQL cite body, forwarded likewise |
+//! | `GET /views`     | the replicas' views, cached at bootstrap |
 //! | `GET /stats`     | endpoint stats + per-replica circuit state |
-//! | `GET /healthz`   | role, shard topology, liveness           |
+//! | `GET /healthz`   | role, liveness                           |
 //! | `GET /metrics`   | Prometheus exposition (incl. replica pool) |
 //! | `GET /debug/slow`| slowest requests seen (the service's own row) |
 //!
-//! As on every role, the worker that read a request serves it:
-//! scatter calls are per-request, and the request ID and remaining
-//! deadline the front door assigned ride on every `/fragment/*` call
-//! the request scatters.
+//! As on every role, the worker that read a request serves it: the
+//! replica call is made on that worker, with the request ID and the
+//! remaining deadline the front door assigned.
 //!
 //! Shutdown is graceful and total: every worker finishes its in-flight
-//! scattered request before joining — the `in_flight` gauge on
+//! forwarded request before joining — the `in_flight` gauge on
 //! `GET /stats` and `GET /metrics` makes the drain observable.
 
 use crate::coordinator::Coordinator;
 use fgc_obs::PromWriter;
 use fgc_server::wire::QueryKind;
-use fgc_server::{
-    views_body, write_engine_metrics, Call, HttpService, Response, Route, ServerConfig, ServerStats,
-};
+use fgc_server::{Call, HttpService, Response, Route, ServerConfig, ServerStats};
 use fgc_views::Json;
 use std::io;
 use std::net::SocketAddr;
@@ -41,9 +38,8 @@ pub struct DistServer {
 }
 
 impl DistServer {
-    /// Bind and serve `coordinator` under `config` (`role` and
-    /// `shard` do not apply: a coordinator always reports itself as
-    /// one).
+    /// Bind and serve `coordinator` under `config` (`role` does not
+    /// apply: a coordinator always reports itself as one).
     pub fn start(coordinator: Arc<Coordinator>, config: ServerConfig) -> io::Result<DistServer> {
         let state = &coordinator;
         let routes = vec![
@@ -77,7 +73,7 @@ impl DistServer {
     }
 
     /// Graceful shutdown: stop accepting, drain the connection queue,
-    /// and join every worker — each finishes the scattered request it
+    /// and join every worker — each finishes the forwarded request it
     /// is serving before exiting.
     pub fn shutdown(self) {
         self.service.shutdown();
@@ -97,9 +93,10 @@ fn serve_sql(coordinator: &Coordinator, call: &Call<'_>) -> Response {
     serve_cite(coordinator, call, QueryKind::Sql)
 }
 
-/// `GET /views`: identical body to a single-process server's.
+/// `GET /views`: the replicas' body, cached at bootstrap, so it keeps
+/// answering while they are down.
 fn serve_views(coordinator: &Coordinator, _: &Call<'_>) -> Response {
-    Response::json(200, views_body(coordinator.engine()))
+    Response::json(200, coordinator.views().to_string())
 }
 
 fn serve_cite(coordinator: &Coordinator, call: &Call<'_>, kind: QueryKind) -> Response {
@@ -113,9 +110,9 @@ fn serve_cite(coordinator: &Coordinator, call: &Call<'_>, kind: QueryKind) -> Re
 }
 
 /// `GET /healthz`: the same shape a replica reports, with the
-/// coordinator's role and topology. The coordinator is `degraded`
-/// while any replica circuit is open — it still serves (failover,
-/// partial capacity) but cannot promise every shard is reachable.
+/// coordinator's role. The coordinator is `degraded` while any
+/// replica circuit is open — it still serves (failover, partial
+/// capacity) but cannot promise every replica is reachable.
 fn serve_healthz(coordinator: &Coordinator, _: &Call<'_>) -> Response {
     let open = coordinator.pool().open_addrs();
     let degraded = !open.is_empty();
@@ -131,32 +128,27 @@ fn serve_healthz(coordinator: &Coordinator, _: &Call<'_>) -> Response {
         ("degraded", Json::Bool(degraded)),
         ("causes", Json::Array(causes)),
         ("role", Json::str("coordinator")),
-        ("shard", Json::Null),
-        ("shards", Json::Int(coordinator.shards() as i64)),
         ("versions", Json::Int(1)),
     ]);
     Response::json(200, body.to_compact())
 }
 
-/// `GET /stats`: endpoint counters plus the scatter tier's state —
+/// `GET /stats`: endpoint counters plus the forwarding tier's state —
 /// per-replica circuit/traffic and the in-flight gauge.
 fn serve_stats(coordinator: &Coordinator, call: &Call<'_>) -> Response {
     let mut body = call.stats.to_json();
     body.set("role", Json::str("coordinator"));
-    body.set("shards", Json::Int(coordinator.shards() as i64));
     body.set("replicas", coordinator.pool().to_json());
     body.set("served", Json::Int(call.stats.served() as i64));
     Response::json(200, body.to_compact())
 }
 
 /// `GET /metrics`: Prometheus exposition of the coordinator's serving
-/// tier, its schema-only engine (stage histograms), and the
-/// per-replica scatter pool.
+/// tier and its per-replica pool.
 fn serve_metrics(coordinator: &Coordinator, call: &Call<'_>) -> Response {
     let mut w = PromWriter::new();
-    let base = [("role", "coordinator"), ("shard", "")];
+    let base = [("role", "coordinator")];
     call.stats.write_prometheus(&mut w, &base);
-    write_engine_metrics(&mut w, &base, coordinator.engine());
     coordinator.pool().write_prometheus(&mut w, &base);
     // Per-fault-point counters (empty unless the plane is armed).
     fgc_fault::global().write_prometheus(&mut w, &base);

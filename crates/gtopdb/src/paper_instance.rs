@@ -9,9 +9,8 @@ use crate::schema::create_schema;
 use fgc_relation::{tuple, Database};
 
 /// The query mix the tests run over the paper instance: the paper's
-/// worked-example join, a scan, keyed constants (one shard), a
-/// non-key selection and joins (fan out), a self-join, and empty and
-/// unsatisfiable results.
+/// worked-example join, a scan, keyed constants, a non-key selection
+/// and joins, a self-join, and empty and unsatisfiable results.
 pub const PAPER_QUERIES: &[&str] = &[
     "Q(N, Tx) :- Family(F, N, Ty), FamilyIntro(F, Tx), Ty = \"gpcr\"",
     "Q(N) :- Family(F, N, Ty)",

@@ -10,8 +10,7 @@
 //! ```
 
 use fgc_relation::schema::RelationSchema;
-use fgc_relation::sharded::ShardKeySpec;
-use fgc_relation::{DataType, Database};
+use fgc_relation::{DataType, Database, ShardKeySpec};
 
 /// Create the six GtoPdb relations (with keys and foreign keys) in a
 /// fresh database.
@@ -82,10 +81,9 @@ pub fn create_schema() -> Database {
     db
 }
 
-/// The natural shard-key spec for the GtoPdb schema: the family
-/// hierarchy co-partitions on `FID` (so a landing-page lookup routes
-/// to one shard end to end) and `Person` partitions on its own key;
-/// `MetaData` — tiny and keyless — falls back to whole-tuple hashing.
+/// The GtoPdb shard-key spec, which nothing reads any more: every
+/// replica holds the whole snapshot. Kept for
+/// `benchmark/src/stack.rs:178`.
 pub fn paper_shard_spec() -> ShardKeySpec {
     ShardKeySpec::new()
         .with("Family", "FID")
@@ -98,16 +96,6 @@ pub fn paper_shard_spec() -> ShardKeySpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn shard_spec_resolves_against_the_schema() {
-        let db = create_schema();
-        let resolved = paper_shard_spec().resolve(db.catalog()).unwrap();
-        assert_eq!(resolved["Family"], 0);
-        assert_eq!(resolved["Person"], 0);
-        assert_eq!(resolved.len(), 5);
-        assert_eq!(paper_shard_spec().column("MetaData"), None);
-    }
 
     #[test]
     fn schema_has_six_relations() {

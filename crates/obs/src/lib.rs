@@ -239,11 +239,9 @@ impl HistogramSnapshot {
 // ---------------------------------------------------------------------------
 
 /// The cite pipeline stages, in execution order. `evaluate` wraps the
-/// whole data-plane answer fetch, so on a serving engine it *contains*
-/// the `plan` and `route` sub-spans recorded beneath it.
-pub const CITE_STAGES: &[&str] = &[
-    "parse", "plan", "route", "evaluate", "rewrite", "extent", "render",
-];
+/// whole answer evaluation, so on a serving engine it *contains* the
+/// `plan` sub-span recorded beneath it.
+pub const CITE_STAGES: &[&str] = &["parse", "plan", "evaluate", "rewrite", "extent", "render"];
 
 /// A fixed set of named stage histograms (nanosecond samples).
 ///
@@ -752,7 +750,7 @@ mod tests {
         assert_eq!(snap.count(), 2);
         assert!(snap.max >= 2_000_000, "nanosecond samples expected");
         // No active trace: notes vanish, histograms still record.
-        stages.time("route", || ());
+        stages.time("evaluate", || ());
         assert!(current_request_id().is_none());
     }
 

@@ -16,9 +16,6 @@
 //!   derivations of the same output add (`+`) — §3.1 of the paper.
 //!   This is the "changes ... in terms of query processing (to
 //!   combine citation annotations)" the paper anticipates in §4.
-//!
-//! A shard replica runs the same enumeration over the same store and
-//! keeps only the lead rows it owns ([`crate::sharded`]).
 
 use crate::ast::ConjunctiveQuery;
 use crate::error::Result;
@@ -68,7 +65,7 @@ fn fold_by_head<I, X>(
     // the bindings budget — capped, so a large default budget is not a
     // large upfront allocation.
     let mut acc = HashMap::<Tuple, (usize, X)>::with_capacity(options.max_bindings.min(1024));
-    for_each_frame(plan, &relations, options, None, &mut |frame, matched| {
+    for_each_frame(plan, &relations, options, &mut |frame, matched| {
         let rank = acc.len();
         match acc.entry(plan.project_head(frame)) {
             Entry::Occupied(mut e) => more(&mut e.get_mut().1, item(frame, matched)),
@@ -373,7 +370,6 @@ mod tests {
             &plan,
             &relations,
             EvalOptions::default(),
-            None,
             &mut |_, _| Ok(()),
         );
         assert_eq!(count.unwrap(), 3);

@@ -17,10 +17,6 @@
 //!   same enumeration of bindings over one
 //!   [`Database`](fgc_relation::Database);
 //! * [`plan`] — the compiled [`QueryPlan`] they execute;
-//! * [`sharded`] — shard routing ([`ShardRouter`]), the per-shard
-//!   lead fragments of an evaluation over the whole store that a
-//!   [`Partition`](fgc_relation::Partition) cuts, and the merges
-//!   ([`merge_answers`], [`merge_groups`]) that restore its order;
 //! * [`containment`] — homomorphism-based containment/equivalence
 //!   (needed by Def. 2.2 rewriting validity and Ex. 3.8 view
 //!   inclusion);
@@ -45,7 +41,6 @@ pub mod parser;
 pub mod plan;
 pub mod reference;
 pub mod safety;
-pub mod sharded;
 pub mod sql;
 pub mod subst;
 
@@ -62,9 +57,5 @@ pub use parser::{parse_program, parse_query};
 pub use plan::QueryPlan;
 pub use reference::{reference_derivations, Derivation};
 pub use safety::{check_against_catalog, check_safety};
-pub use sharded::{
-    lead_fragment_answers, lead_fragment_bindings, merge_answers, merge_groups, ShardRouter,
-    ShardSet,
-};
 pub use sql::parse_sql;
 pub use subst::Substitution;

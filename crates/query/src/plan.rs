@@ -26,9 +26,7 @@
 //! against the by-definition oracle in [`crate::reference`].
 //!
 //! A plan compiled against one database remains valid for any
-//! database with the same catalog and relation sizes — in particular
-//! one plan serves the whole evaluation and every shard's lead
-//! fragment of it ([`crate::sharded`]), which scan the same store.
+//! database with the same catalog and relation sizes.
 
 use crate::ast::{CompOp, Comparison, ConjunctiveQuery, Term};
 use crate::error::{QueryError, Result};
@@ -47,8 +45,7 @@ pub type Frame = [Option<Value>];
 
 /// Row provenance reported by plan execution: `(original atom index,
 /// relation name, row id)`, relation names borrowed from the plan.
-/// The row id is the row's position in the whole relation — its
-/// global id on every shard replica too.
+/// The row id is the row's position in the relation.
 pub type PlanMatchedRows<'p> = Vec<(usize, &'p str, usize)>;
 
 /// What one column of an ordered atom step does against a candidate
@@ -465,9 +462,6 @@ enum Candidates<'a> {
 struct Exec<'p, 'v> {
     plan: &'p QueryPlan,
     relations: &'v [&'v Relation],
-    /// Keeps a lead (depth-0) row only when it holds; `None` keeps
-    /// every row. A shard replica's ownership test.
-    lead: Option<&'v dyn Fn(&Tuple) -> bool>,
     frame: Vec<Option<Value>>,
     matched: PlanMatchedRows<'p>,
     /// Per-depth scratch: slots bound by the current row of that
@@ -538,8 +532,7 @@ impl<'p, 'v> Exec<'p, 'v> {
     }
 
     /// Match one candidate row against a step: apply the per-column
-    /// ops (and at depth 0 the lead test), recurse on success, roll
-    /// the frame back either way.
+    /// ops, recurse on success, roll the frame back either way.
     fn try_row(
         &mut self,
         step: &'p AtomStep,
@@ -560,10 +553,7 @@ impl<'p, 'v> Exec<'p, 'v> {
                 true
             }
         });
-        // the lead test runs only on a row that matched, so a replica
-        // hashes just the lead rows the query selects
-        let keep = matches && (depth > 0 || self.lead.is_none_or(|keep| keep(row)));
-        let r = if keep {
+        let r = if matches {
             self.matched.push((step.atom, step.relation.as_str(), pos));
             let r = self.walk(depth + 1, sink);
             self.matched.pop();
@@ -581,13 +571,11 @@ impl<'p, 'v> Exec<'p, 'v> {
 
 /// Execute a plan over the relations its atoms scan (original atom
 /// order, see [`QueryPlan::relations`]), calling `sink` once per
-/// complete binding frame; `lead`, when given, drops every lead-atom
-/// row it rejects. Returns the number of bindings enumerated.
+/// complete binding frame. Returns the number of bindings enumerated.
 pub(crate) fn for_each_frame<'p>(
     plan: &'p QueryPlan,
     relations: &[&Relation],
     options: EvalOptions,
-    lead: Option<&dyn Fn(&Tuple) -> bool>,
     sink: &mut dyn FnMut(&Frame, &PlanMatchedRows<'p>) -> Result<()>,
 ) -> Result<usize> {
     if plan.unsatisfiable {
@@ -596,7 +584,6 @@ pub(crate) fn for_each_frame<'p>(
     let mut exec = Exec {
         plan,
         relations,
-        lead,
         frame: vec![None; plan.var_names.len()],
         matched: Vec::with_capacity(plan.steps.len()),
         scratch: vec![Vec::new(); plan.steps.len()],
@@ -706,7 +693,6 @@ mod tests {
             &plan,
             &relations,
             EvalOptions::default(),
-            None,
             &mut |frame, _| {
                 bindings.push(plan.binding(frame));
                 Ok(())

@@ -55,11 +55,6 @@ impl<K: Hash + Eq + Clone, V> Clock<K, V> {
         }
     }
 
-    /// Maximum number of entries.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Number of resident entries.
     pub fn len(&self) -> usize {
         self.slots.len()
@@ -107,8 +102,10 @@ impl<K: Hash + Eq + Clone, V> Clock<K, V> {
         }
     }
 
-    /// Resident entries in slot order (no recency is granted).
-    pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
+    /// Resident entries in slot order (no recency is granted): the
+    /// model test's way to see what is resident without marking it.
+    #[cfg(test)]
+    fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
         self.slots.iter().map(|s| (&s.key, &s.value))
     }
 

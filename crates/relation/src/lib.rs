@@ -9,10 +9,8 @@
 //! ([`schema`], [`relation`], [`database`]), a plain-text loader
 //! ([`loader`]), and — for the paper's *fixity* discussion (§4) —
 //! an append-only version chain of immutable snapshots ([`version`]).
-//! For scatter/gather serving, [`sharded`] assigns every row to the
-//! shard that *owns* it (a [`Partition`]: a shard count plus a
-//! shard-key spec) without copying the store. [`clock`] is the
-//! bounded second-chance ring every cache in the workspace is built on.
+//! [`clock`] is the bounded second-chance ring every cache in the
+//! workspace is built on.
 //!
 //! ```
 //! use fgc_relation::prelude::*;
@@ -49,7 +47,6 @@ pub mod prelude {
     pub use crate::error::{RelationError, Result as RelationResult};
     pub use crate::relation::Relation;
     pub use crate::schema::{Attribute, Catalog, ForeignKey, RelationSchema};
-    pub use crate::sharded::{Partition, ShardKeySpec, ShardStats};
     pub use crate::storage::{Storage, StorageOptions, StorageStats};
     pub use crate::tuple;
     pub use crate::tuple::Tuple;
@@ -63,7 +60,7 @@ pub use delta::{DatabaseDelta, DeltaOp, RelationDelta};
 pub use error::RelationError;
 pub use relation::Relation;
 pub use schema::{Attribute, Catalog, ForeignKey, RelationSchema};
-pub use sharded::{Partition, ShardKeySpec, ShardStats};
+pub use sharded::ShardKeySpec;
 pub use storage::{
     DiskStorage, FaultVfs, RealVfs, Storage, StorageHealth, StorageOptions, StorageStats, Vfs,
 };

@@ -103,7 +103,7 @@ impl Client {
     }
 
     /// [`Self::request`] with extra request headers — how a
-    /// coordinator propagates `x-request-id` on `/fragment/*` calls.
+    /// coordinator propagates `x-request-id` on the cites it forwards.
     /// Header names/values must already be valid HTTP field text.
     pub fn request_with_headers(
         &mut self,

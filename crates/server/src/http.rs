@@ -18,9 +18,9 @@ pub const MAX_HEADERS: usize = 64;
 
 /// Request header carrying the caller's end-to-end deadline budget in
 /// milliseconds. The front door clamps it to the configured maximum
-/// (or assigns the default when absent) and decrements the remaining
-/// budget as it fans out to replicas; an exhausted budget is a
-/// structured 504, never a hang.
+/// (or assigns the default when absent), and a coordinator passes the
+/// budget that is left on to each replica it tries; an exhausted
+/// budget is a structured 504, never a hang.
 pub const DEADLINE_HEADER: &str = "x-deadline-ms";
 
 /// Resolve a request's end-to-end deadline: the `x-deadline-ms`

@@ -10,9 +10,9 @@
 //! [`CiteServer`] adds the engine routes (acceptor → connection
 //! queue → worker → engine: the worker that read a `POST /cite` calls
 //! [`fgc_core::CitationEngine::cite_request`] on the one shared engine,
-//! so every worker shares the same token cache and materialized
-//! extents); `fgc-dist` adds a replica's `/fragment/*` rows and the
-//! coordinator's scatter routes.
+//! so every worker shares the same token and plan caches); `fgc-dist`
+//! adds the coordinator's routes, which forward each cite whole to one
+//! replica — itself a [`CiteServer`].
 //!
 //! Routes:
 //!
@@ -75,7 +75,7 @@ pub mod wire;
 
 pub use client::{Client, ClientResponse};
 pub use json::{parse_json, JsonError};
-pub use server::{views_body, write_engine_metrics, write_storage_metrics, CiteServer};
+pub use server::{write_storage_metrics, CiteServer};
 pub use service::{Call, HttpService, Response, Route, ServerConfig};
 pub use stats::{EndpointStats, ServerStats};
 pub use wire::{

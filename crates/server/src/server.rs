@@ -13,9 +13,9 @@
 //! the engine itself, and all of them share its token and plan
 //! caches. Two concurrent citations have nothing else
 //! to amortise, so nothing coalesces them; the worker pool bounds
-//! engine concurrency at `threads`. A replica deployment hands extra
-//! rows (its `/fragment/*` endpoints) to
-//! [`CiteServer::start_with_handler`]; they join the same table.
+//! engine concurrency at `threads`. A replica behind a coordinator is
+//! this same server: the coordinator forwards each cite body to one
+//! replica's own `POST /cite`.
 //!
 //! `POST /cite_at` is `/cite` plus a version selector: the same
 //! decoder, then an engine over the selected version's snapshot —
@@ -52,8 +52,8 @@ impl CiteServer {
     }
 
     /// [`CiteServer::start`] with extra route rows: `extra` joins the
-    /// engine's rows in the one route table, so a replica deployment
-    /// adds its `/fragment/*` endpoints without forking the server.
+    /// engine's rows in the one route table. No serving role adds rows;
+    /// kept for `benchmark/src/stack.rs:181`.
     pub fn start_with_handler(
         engine: Arc<CitationEngine>,
         config: ServerConfig,
@@ -95,7 +95,6 @@ impl CiteServer {
             versioned,
             storage,
             role: config.role.clone(),
-            shard: config.shard.map(|(i, n)| format!("{i}/{n}")),
         });
         let mut routes = vec![
             Route::new("POST", "/cite", |s| &s.cite, &app, serve_datalog).budgeted(),
@@ -151,10 +150,8 @@ struct App {
     /// engine's, or else the engine's — read by `/stats`, `/healthz`
     /// and `/metrics`.
     storage: Option<Arc<dyn Storage>>,
-    /// Role and shard (`"i/n"`) identity reported on `/healthz` and as
-    /// `/metrics` labels.
+    /// Role reported on `/healthz` and as the `/metrics` label.
     role: String,
-    shard: Option<String>,
 }
 
 fn serve_datalog(app: &App, call: &Call<'_>) -> Response {
@@ -261,10 +258,9 @@ fn serve_versions(app: &App, _: &Call<'_>) -> Response {
     )
 }
 
-/// `GET /healthz`: liveness plus deployment identity — role, shard
-/// ownership (`"i/n"`, null when unsharded), and the number of
-/// loaded versions — so a coordinator's health check and an operator
-/// see the same truth. When the disk store reports trouble (a
+/// `GET /healthz`: liveness plus deployment identity — role and the
+/// number of loaded versions — so a coordinator's health check and an
+/// operator see the same truth. When the disk store reports trouble (a
 /// failed sync, an unreadable manifest, a WAL backlog) the body gains
 /// `degraded: true` plus the cause list while `status` stays a 200 —
 /// the process still serves reads, it just cannot promise durability.
@@ -286,15 +282,14 @@ fn serve_healthz(app: &App, _: &Call<'_>) -> Response {
         ("degraded", Json::Bool(degraded)),
         ("causes", Json::Array(causes)),
         ("role", Json::str(app.role.clone())),
-        ("shard", app.shard.clone().map_or(Json::Null, Json::str)),
         ("versions", Json::Int(versions)),
     ]);
     Response::json(200, body.to_compact())
 }
 
-/// The `GET /views` body: the registered citation views (identical on
-/// every role — the coordinator calls it on its schema-only engine).
-pub fn views_body(engine: &CitationEngine) -> String {
+/// The `GET /views` body: the registered citation views (a
+/// coordinator serves its replicas' body verbatim).
+fn views_body(engine: &CitationEngine) -> String {
     let views: Vec<Json> = engine
         .registry()
         .iter()
@@ -320,25 +315,6 @@ fn serve_stats(app: &App, call: &Call<'_>) -> Response {
     let cache = app.engine.cache_stats();
     let plans = app.engine.plan_stats();
     let mut body = call.stats.to_json();
-    if let Some(sharding) = app.engine.shard_stats() {
-        let per_shard = sharding.tuples_per_shard.iter();
-        body.set(
-            "sharding",
-            Json::from_pairs([
-                ("shards", Json::Int(sharding.shards as i64)),
-                (
-                    "tuples_per_shard",
-                    Json::Array(per_shard.map(|&n| Json::Int(n as i64)).collect()),
-                ),
-                ("total_tuples", Json::Int(sharding.total_tuples as i64)),
-                ("key_spec", Json::str(sharding.key_spec.clone())),
-                (
-                    "imbalance",
-                    Json::Float((sharding.imbalance() * 100.0).round() / 100.0),
-                ),
-            ]),
-        );
-    }
     if let Some(versioned) = &app.versioned {
         let fixity = versioned.version_stats();
         let memory = versioned.memory_stats();
@@ -407,8 +383,7 @@ fn serve_stats(app: &App, call: &Call<'_>) -> Response {
 /// the engine (stage histograms, cache counters) and the store.
 fn serve_metrics(app: &App, call: &Call<'_>) -> Response {
     let mut w = PromWriter::new();
-    let shard = app.shard.as_deref().unwrap_or_default();
-    let base = [("role", app.role.as_str()), ("shard", shard)];
+    let base = [("role", app.role.as_str())];
     call.stats.write_prometheus(&mut w, &base);
     write_engine_metrics(&mut w, &base, &app.engine);
     if let Some(storage) = &app.storage {
@@ -422,13 +397,12 @@ fn serve_metrics(app: &App, call: &Call<'_>) -> Response {
 
 /// Append the engine-level metric families — per-stage cite pipeline
 /// latency and token/plan cache counters — to a Prometheus
-/// exposition. Shared by every role's `GET /metrics` (the coordinator
-/// calls it on its own engine).
-pub fn write_engine_metrics(w: &mut PromWriter, base: &[(&str, &str)], engine: &CitationEngine) {
+/// exposition, on every engine role's `GET /metrics`.
+fn write_engine_metrics(w: &mut PromWriter, base: &[(&str, &str)], engine: &CitationEngine) {
     w.help(
         "fgcite_stage_duration_seconds",
         "histogram",
-        "Cite pipeline stage latency (`evaluate` contains the `plan` and `route` sub-spans).",
+        "Cite pipeline stage latency (`evaluate` contains the `plan` sub-span).",
     );
     for (stage, h) in engine.stage_stats().iter() {
         let snap = h.snapshot();

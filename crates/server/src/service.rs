@@ -8,7 +8,7 @@
 //!                                   route table (method, path, stats, handler)
 //!                                                    │ the handler runs on this worker
 //!                                                    ▼
-//!                                                 engine
+//!                                       engine (or a replica call)
 //! ```
 //!
 //! [`HttpService`] owns bind, the accept loop, the worker pool, the
@@ -17,8 +17,8 @@
 //! row), per-route [`EndpointStats`] timing, 404/405 generation, and
 //! graceful shutdown. A role is nothing but the [`Route`] rows it
 //! hands to [`HttpService::start`]: the engine routes of
-//! [`crate::CiteServer`], a replica's `/fragment/*` rows, and the
-//! coordinator's scatter routes all plug into this one loop.
+//! [`crate::CiteServer`] and the coordinator's forwarding routes
+//! both plug into this one loop.
 //!
 //! Shutdown ([`HttpService::shutdown`], or dropping the handle) is
 //! graceful and total: the accept loop is woken and exits, the
@@ -78,12 +78,10 @@ pub struct ServerConfig {
     /// Ceiling clamped onto any client-supplied `x-deadline-ms` — a
     /// client cannot pin a worker longer than the operator allows.
     pub max_deadline: Duration,
-    /// Deployment role reported on `GET /healthz` (`"single"`,
-    /// `"replica"`, or `"coordinator"`).
+    /// Deployment role reported on `GET /healthz` and as the `role`
+    /// label on `GET /metrics` (`"single"`, `"replica"`, or
+    /// `"coordinator"`).
     pub role: String,
-    /// Shard ownership `(i, n)` reported on `/healthz` as `"i/n"`
-    /// for replica deployments; `None` otherwise.
-    pub shard: Option<(usize, usize)>,
 }
 
 impl Default for ServerConfig {
@@ -97,7 +95,6 @@ impl Default for ServerConfig {
             default_deadline: Duration::from_secs(30),
             max_deadline: Duration::from_secs(300),
             role: "single".into(),
-            shard: None,
         }
     }
 }
@@ -140,9 +137,9 @@ impl ServerConfig {
         self
     }
 
-    /// Builder: shard ownership `(i, n)` reported on `/healthz`.
-    pub fn with_shard(mut self, shard: usize, shards: usize) -> Self {
-        self.shard = Some((shard, shards));
+    /// The config unchanged: no replica owns a shard. Kept for
+    /// `benchmark/src/stack.rs:185`.
+    pub fn with_shard(self, _shard: usize, _shards: usize) -> Self {
         self
     }
 }
@@ -517,7 +514,7 @@ fn route(shared: &Shared, call: &Call<'_>) -> Response {
         }
         (route.handler)(call)
     });
-    // every exhaustion path — spent on arrival, ran out mid-scatter —
+    // every exhaustion path — spent on arrival, ran out while forwarding —
     // is counted here and only here
     if response.status == 504 {
         shared
@@ -580,7 +577,7 @@ mod tests {
             )
         };
         let shared = Shared {
-            routes: vec![row("/cite").budgeted(), row("/fragment/x")],
+            routes: vec![row("/cite").budgeted(), row("/views")],
             stats: Arc::default(),
             slow: Arc::new(SlowLog::new(1)),
             shutdown: Arc::default(),
@@ -610,9 +607,9 @@ mod tests {
         assert_eq!(refused.body, error_body(DEADLINE_EXCEEDED));
         assert_eq!(shared.stats.deadline_exceeded.load(Ordering::Relaxed), 1);
         assert_eq!(shared.stats.cite.errors.load(Ordering::Relaxed), 1);
-        // an unbudgeted row (a replica's `/fragment/meta`) still runs,
-        // and the handler's own content type travels with its 200
-        let served = spent("/fragment/x");
+        // an unbudgeted row still runs, and the handler's own content
+        // type travels with its 200
+        let served = spent("/views");
         assert_eq!((served.status, served.content_type), (200, PROMETHEUS_TYPE));
         assert_eq!(shared.stats.deadline_exceeded.load(Ordering::Relaxed), 1);
     }

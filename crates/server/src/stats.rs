@@ -83,9 +83,6 @@ pub struct ServerStats {
     pub healthz: EndpointStats,
     /// `GET /metrics` and `GET /debug/slow`.
     pub observe: EndpointStats,
-    /// A replica's `/fragment/*` routes, under one label (bounded
-    /// cardinality however many fragment shapes the wire grows).
-    pub fragment: EndpointStats,
     /// Requests that did not match any route (404/405).
     pub unrouted: AtomicU64,
     /// Never written: `/cite_at` sheds nothing. It stays only because
@@ -125,7 +122,6 @@ impl Default for ServerStats {
             stats: EndpointStats::default(),
             healthz: EndpointStats::default(),
             observe: EndpointStats::default(),
-            fragment: EndpointStats::default(),
             unrouted: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
             malformed: AtomicU64::new(0),
@@ -151,7 +147,7 @@ impl ServerStats {
     }
 
     /// Every route's stats, by exposition label.
-    pub fn endpoints(&self) -> [(&'static str, &EndpointStats); 9] {
+    pub fn endpoints(&self) -> [(&'static str, &EndpointStats); 8] {
         [
             ("/cite", &self.cite),
             ("/cite_sql", &self.cite_sql),
@@ -161,7 +157,6 @@ impl ServerStats {
             ("/stats", &self.stats),
             ("/healthz", &self.healthz),
             ("/metrics", &self.observe),
-            ("/fragment", &self.fragment),
         ]
     }
 
@@ -177,7 +172,6 @@ impl ServerStats {
             ("views", self.views.to_json()),
             ("stats", self.stats.to_json()),
             ("healthz", self.healthz.to_json()),
-            ("fragment", self.fragment.to_json()),
             ("unrouted", count(&self.unrouted)),
             ("malformed", count(&self.malformed)),
             ("deadline_exceeded", count(&self.deadline_exceeded)),
@@ -302,13 +296,13 @@ mod tests {
         let s = ServerStats::default();
         s.cite.record(Duration::from_micros(250), true);
         let mut w = PromWriter::new();
-        s.write_prometheus(&mut w, &[("role", "single"), ("shard", "")]);
+        s.write_prometheus(&mut w, &[("role", "single")]);
         let text = w.finish();
         assert!(text.contains("# TYPE fgcite_request_duration_seconds histogram"));
-        assert!(
-            text.contains("fgcite_requests_total{role=\"single\",shard=\"\",endpoint=\"/cite\"} 1")
-        );
-        assert!(text.contains("fgcite_request_duration_seconds_count{role=\"single\",shard=\"\",endpoint=\"/cite\"} 1"));
+        assert!(text.contains("fgcite_requests_total{role=\"single\",endpoint=\"/cite\"} 1"));
+        assert!(text.contains(
+            "fgcite_request_duration_seconds_count{role=\"single\",endpoint=\"/cite\"} 1"
+        ));
         assert!(text.contains("fgcite_uptime_seconds"));
     }
 }

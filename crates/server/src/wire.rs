@@ -26,8 +26,9 @@
 //! message destined for a 400 body, never a panic.
 //!
 //! A reply body is written straight to text by
-//! [`write_response_body`], the one writer behind the single server's
-//! and the coordinator's `/cite` and `/cite_sql`. The engine
+//! [`write_response_body`], the one writer behind every engine
+//! server's `/cite` and `/cite_sql` (a coordinator relays a replica's
+//! bytes). The engine
 //! interprets each distinct normalized citation expression once and
 //! shares the result by `Arc` among the tuples it cites; the writer
 //! prints each shared citation once per body and copies those bytes
@@ -121,14 +122,18 @@ pub fn order_named(name: &str) -> Result<OrderChoice, WireError> {
     }
 }
 
+/// The 400 message for a request body that is not UTF-8 — the same on
+/// a single server and a coordinator, which cannot forward such a body.
+pub const NON_UTF8_BODY: &str = "body is not valid utf-8";
+
 /// Parse a request body as UTF-8 JSON; the error is the 400 message.
 pub fn parse_body(body: &[u8]) -> Result<Json, String> {
-    let text = std::str::from_utf8(body).map_err(|_| "body is not valid utf-8".to_string())?;
+    let text = std::str::from_utf8(body).map_err(|_| NON_UTF8_BODY.to_string())?;
     parse_json(text).map_err(|e| format!("invalid JSON: {e}"))
 }
 
-/// The body → [`CiteRequest`] decode every cite front door runs
-/// (single server, replica, coordinator), timed as the front door's
+/// The body → [`CiteRequest`] decode every engine front door runs
+/// (a single server or a replica), timed as the front door's
 /// share of the served engine's `parse` stage. The error is the 400
 /// message.
 pub fn decode_cite_body(

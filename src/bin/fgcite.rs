@@ -13,18 +13,17 @@ fn read_file(path: &str) -> Result<String, fgcite::cli::CliError> {
 
 fn serve(raw: Vec<String>) -> Result<(), fgcite::cli::CliError> {
     let args = fgcite::cli::Args::parse(raw)?;
-    if args.get("role") == Some("coordinator") {
+    if args.get("replicas").is_some() {
         let server = fgcite::cli::run_serve_coordinator(&args)?;
         println!(
-            "fgcite coordinator serving on http://{} ({} shard(s) scattered)",
+            "fgcite coordinator serving on http://{} ({} replica(s))",
             server.addr(),
-            server.coordinator().shards()
+            server.coordinator().pool().replicas()
         );
         println!("routes: POST /cite, POST /cite_sql, GET /views, GET /stats, GET /healthz");
         server.wait();
         return Ok(());
     }
-    let replica = args.get("role") == Some("replica");
     // --data is optional when a disk data dir can cold-start the
     // store; run_serve errors out when the loader turns out needed.
     let data = args.get("data").map(read_file).transpose()?;
@@ -37,11 +36,6 @@ fn serve(raw: Vec<String>) -> Result<(), fgcite::cli::CliError> {
         println!(
             "routes: POST /cite, POST /cite_sql, POST /cite_at, GET /views, GET /versions, \
              GET /stats, GET /healthz"
-        );
-    } else if replica {
-        println!(
-            "routes: POST /cite, POST /cite_sql, GET /views, GET /stats, GET /healthz, \
-             GET /fragment/meta, POST /fragment/cite"
         );
     } else {
         println!("routes: POST /cite, POST /cite_sql, GET /views, GET /stats, GET /healthz");

@@ -149,9 +149,9 @@ const ACCEPTED_FLAGS: &[(&str, &str)] = &[
     ("suggest", "data log min-support"),
     (
         "serve",
-        "data views addr threads shard-key commits data-dir role shard-id \
+        "data views addr threads commits data-dir \
          deadline-ms max-deadline-ms header-timeout-ms fault fault-seed \
-         replicas twins replica-timeout-ms",
+         replicas replica-timeout-ms",
     ),
     ("help", ""),
     ("--help", ""),
@@ -171,12 +171,10 @@ usage:
                  [--threads N]
                  [--commits FILE]
                  [--data-dir DIR]
-                 [--role replica --shard-id I/N [--shard-key Rel=Col,...]]
                  [--deadline-ms MS] [--max-deadline-ms MS]
                  [--header-timeout-ms MS]
                  [--fault POINT=ACTION[@TRIGGER]] [--fault-seed N]
-  fgcite serve   --role coordinator --replicas HOST:PORT,...
-                 [--twins HOST:PORT|-,...] [--replica-timeout-ms MS]
+  fgcite serve   --replicas HOST:PORT,... [--replica-timeout-ms MS]
                  [--addr HOST:PORT] [--threads N]
                  [--deadline-ms MS] [--max-deadline-ms MS]
                  [--fault POINT=ACTION[@TRIGGER]] [--fault-seed N]
@@ -207,21 +205,16 @@ serve: HTTP routes POST /cite, POST /cite_sql, GET /views, GET /stats,
        `fixity` block (catalog-engine hits and builds). The
        compiled-plan cache's hits/misses/size appear under
        `plan_cache` (and in `cite --explain` output).
-distributed serving (scatter/gather tier):
-       `--role replica --shard-id I/N` serves shard I of an N-way
-       partitioning: the replica loads the whole --data snapshot and
-       owns the rows whose --shard-key column (per relation,
-       `Rel=Col,Rel2=Col2`; relations omitted hash the whole tuple)
-       hashes to I. It adds the /fragment/meta and /fragment/cite
-       endpoints: a coordinator bootstraps from the first and makes
-       one /fragment/cite call per replica per citation. The shard
-       layout appears under `sharding` in the replica's GET /stats.
-       `--role coordinator --replicas a:p,b:p,...` starts the
-       stateless front end: replica k must serve shard k/N; no
-       --data/--views (the catalog comes from GET /fragment/meta).
-       `--twins` names one failover twin per shard (`-` = none);
-       `--replica-timeout-ms` bounds each scatter call. Per-replica
-       circuit state appears under `replicas` in GET /stats.
+distributed serving:
+       `--replicas a:p,b:p,...` starts a coordinator instead of an
+       engine (no --data/--views). Each replica is an ordinary
+       `fgcite serve` over the same data; the coordinator forwards
+       every POST /cite and /cite_sql body unchanged to one replica,
+       picked by a hash of the body and failing over to the next,
+       and relays its answer. GET /views is the replicas' body,
+       fetched at start-up. `--replica-timeout-ms` bounds each
+       replica call. Per-replica circuit state appears under
+       `replicas` in GET /stats.
 storage:
        --data-dir DIR persists the snapshots as append-only segment
        files plus a delta WAL under DIR, each file checksummed;
@@ -240,8 +233,8 @@ deadlines & fault injection:
        request header when present (capped by --max-deadline-ms,
        default 300000), else --deadline-ms (default 30000). A spent
        budget answers a structured 504 and counts in
-       `fgcite_deadline_exceeded_total`; coordinators forward the
-       remaining budget to replicas on every scatter call. A client
+       `fgcite_deadline_exceeded_total`; a coordinator passes the
+       remaining budget on to each replica it tries. A client
        that dribbles its request head slower than --header-timeout-ms
        (default 10000) gets a 408 instead of holding a worker.
        --fault arms the deterministic fault plane at a named point:
@@ -558,26 +551,15 @@ pub fn run_serve(
     commits: Option<&str>,
 ) -> Result<fgc_server::CiteServer, CliError> {
     apply_faults(args)?;
-    match args.get("role").unwrap_or("single") {
-        "single" => {}
-        "replica" => return run_serve_replica(args, data, views, commits),
-        "coordinator" => {
-            return Err(CliError(
-                "--role coordinator takes no --data/--views: call run_serve_coordinator \
-                 (the fgcite binary dispatches it)"
-                    .into(),
-            ))
-        }
-        other => {
-            return Err(CliError(format!(
-                "unknown role `{other}` (single | replica | coordinator)"
-            )))
-        }
+    if args.get("replicas").is_some() {
+        return Err(CliError(
+            "--replicas starts a coordinator, which takes no --data/--views: call \
+             run_serve_coordinator (the fgcite binary dispatches it)"
+                .into(),
+        ));
     }
-    for flag in ["shard-id", "shard-key"] {
-        if args.get(flag).is_some() {
-            return Err(CliError(format!("--{flag} requires --role replica")));
-        }
+    if args.get("replica-timeout-ms").is_some() {
+        return Err(CliError("--replica-timeout-ms requires --replicas".into()));
     }
     let config = serve_config(args)?;
     let registry = load_registry(views)?;
@@ -624,66 +606,6 @@ pub fn run_serve(
         .map_err(|e| CliError(format!("cannot start server: {e}")))
 }
 
-/// Parse `--shard-id I/N`: shard `I` of an `N`-way partitioning.
-fn parse_shard_id(text: &str) -> Result<(usize, usize), CliError> {
-    let err = || {
-        CliError(format!(
-            "--shard-id must look like I/N with I < N, got `{text}`"
-        ))
-    };
-    let (i, n) = text.split_once('/').ok_or_else(err)?;
-    let shard: usize = i.trim().parse().map_err(|_| err())?;
-    let shards: usize = n.trim().parse().map_err(|_| err())?;
-    if shards == 0 || shard >= shards {
-        return Err(err());
-    }
-    Ok((shard, shards))
-}
-
-/// The `--role replica` arm of `fgcite serve`: one shard of the
-/// distributed tier. The replica loads the full `--data` snapshot and
-/// owns the rows whose shard key hashes to `I` — every replica derives
-/// the identical ownership, so shard `I` is well-defined cluster-wide
-/// without any data movement. It remains a complete citation server
-/// (its own `/cite` answers from the whole store) and additionally
-/// serves `/fragment/meta` and `/fragment/cite` to a coordinator.
-fn run_serve_replica(
-    args: &Args,
-    data: Option<&str>,
-    views: &str,
-    commits: Option<&str>,
-) -> Result<fgc_server::CiteServer, CliError> {
-    if commits.is_some() {
-        return Err(CliError(
-            "--role replica is not supported together with --commits".into(),
-        ));
-    }
-    let (shard, shards) = parse_shard_id(args.require("shard-id")?)?;
-    let spec = match args.get("shard-key") {
-        Some(text) => fgc_relation::ShardKeySpec::parse(text)?,
-        None => fgc_relation::ShardKeySpec::new(),
-    };
-    let config = serve_config(args)?
-        .with_role("replica")
-        .with_shard(shard, shards);
-    // Replicas persist (and cold-start) the full snapshot; ownership
-    // is a function of the rows, so shard I is identical across
-    // restarts and backends.
-    let storage = open_storage(args)?;
-    let db = base_snapshot(storage.as_ref(), data)?;
-    let mut engine = CitationEngine::new(db, load_registry(views)?)?.with_shards(shards, spec)?;
-    if let Some(s) = storage {
-        engine = engine.with_storage(s);
-    }
-    let engine = std::sync::Arc::new(engine);
-    fgc_server::CiteServer::start_with_handler(
-        std::sync::Arc::clone(&engine),
-        config,
-        fgc_dist::fragment_handler(engine),
-    )
-    .map_err(|e| CliError(format!("cannot start server: {e}")))
-}
-
 fn parse_addr(text: &str) -> Result<std::net::SocketAddr, CliError> {
     use std::net::ToSocketAddrs;
     text.to_socket_addrs()
@@ -705,38 +627,21 @@ fn parse_addr_list(text: &str) -> Result<Vec<std::net::SocketAddr>, CliError> {
     Ok(addrs)
 }
 
-/// `fgcite serve --role coordinator`: start the stateless
-/// scatter/gather front end. Takes no data or view files — the
-/// coordinator bootstraps its control plane (catalog, shard spec,
-/// view definitions) from the replicas' `GET /fragment/meta`, so it
-/// can be restarted or scaled horizontally at will. `--replicas`
-/// lists one address per shard (replica `k` must own shard `k/N`);
-/// `--twins` optionally names a failover twin per shard, `-` marking
-/// shards without one.
+/// `fgcite serve --replicas a,b,...`: start a coordinator, which
+/// forwards each cite whole to one of the listed replicas (ordinary
+/// `fgcite serve` processes over the same data). It takes no data or
+/// view files and keeps no state but the replicas' `GET /views` body,
+/// so it can be restarted or scaled horizontally at will.
 pub fn run_serve_coordinator(args: &Args) -> Result<fgc_dist::DistServer, CliError> {
     apply_faults(args)?;
     if args.get("data").is_some() || args.get("views").is_some() {
         return Err(CliError(
-            "--role coordinator takes no --data/--views \
-             (its catalog comes from the replicas' /fragment/meta)"
+            "--replicas starts a coordinator, which takes no --data/--views \
+             (its replicas serve the data)"
                 .into(),
         ));
     }
     let replicas = parse_addr_list(args.require("replicas")?)?;
-    let twins = match args.get("twins") {
-        Some(text) => text
-            .split(',')
-            .map(|part| {
-                let part = part.trim();
-                if part.is_empty() || part == "-" {
-                    Ok(None)
-                } else {
-                    parse_addr(part).map(Some)
-                }
-            })
-            .collect::<Result<Vec<_>, CliError>>()?,
-        None => Vec::new(),
-    };
     let mut pool = fgc_dist::PoolConfig::default();
     if let Some(ms) = args.get("replica-timeout-ms") {
         let ms: u64 = ms
@@ -746,9 +651,7 @@ pub fn run_serve_coordinator(args: &Args) -> Result<fgc_dist::DistServer, CliErr
             .ok_or_else(|| CliError("--replica-timeout-ms must be a positive number".into()))?;
         pool = pool.with_timeout(std::time::Duration::from_millis(ms));
     }
-    let config = fgc_dist::CoordinatorConfig::new(replicas)
-        .with_twins(twins)
-        .with_pool(pool);
+    let config = fgc_dist::CoordinatorConfig::new(replicas).with_pool(pool);
     let coordinator = fgc_dist::Coordinator::connect(config).map_err(CliError)?;
     fgc_dist::DistServer::start(
         std::sync::Arc::new(coordinator),
@@ -1437,111 +1340,46 @@ lambda F. CV1(F, N, Pn) :- Family(F, N, Ty), FC(F, C), Person(C, Pn, A)
 
     #[test]
     fn shard_flags_validate() {
-        // `--shards` is gone: a replica's N comes from --shard-id
-        let line = ["serve", "--role=replica", "--shard-id=0/2", "--shards=2"];
-        let Err(err) = Args::parse(line.iter().map(|s| s.to_string())) else {
-            panic!("--shards must be refused");
-        };
-        assert!(err.0.contains("unknown flag --shards"), "{err}");
-        let serve_with = |extra: &[&str]| {
-            let mut line = vec!["serve".to_string(), "--addr=127.0.0.1:0".to_string()];
-            line.extend(extra.iter().map(|s| s.to_string()));
-            run_serve(&parse_args(&line), Some(DATA), VIEWS, None)
-        };
-        // --shard-key names a replica's ownership column: a single
-        // server refuses it, and a replica refuses a bad spec
-        let err = serve_with(&["--shard-key=Family=FID"]).unwrap_err();
-        assert!(
-            err.0.contains("--shard-key requires --role replica"),
-            "{err}"
-        );
-        for bad in ["nonsense", "Family=Nope", "Nope=FID"] {
-            let spec = format!("--shard-key={bad}");
-            let result = serve_with(&["--role=replica", "--shard-id=0/2", &spec]);
-            assert!(result.is_err(), "{spec} should be rejected");
+        // no replica owns a shard: the role, shard and twin flags are
+        // refused by name, before anything binds
+        for flag in [
+            "--role=replica",
+            "--shard-id=0/2",
+            "--shard-key=Family=FID",
+            "--shards=2",
+            "--twins=127.0.0.1:1",
+        ] {
+            let line = ["serve".to_string(), flag.to_string()];
+            let Err(err) = Args::parse(line) else {
+                panic!("{flag} must be refused");
+            };
+            let name = flag.split('=').next().unwrap();
+            assert!(err.0.contains(&format!("unknown flag {name}")), "{err}");
         }
-    }
-
-    #[test]
-    fn serve_with_shards_reports_sharding_stats() {
-        let server = run_serve(&replica_args(1, 2), Some(DATA), VIEWS, None).unwrap();
-        let mut client = fgc_server::Client::connect(server.addr()).unwrap();
-        // a replica's own /cite answers from the whole snapshot...
-        let response = client
-            .post(
-                "/cite",
-                r#"{"query": "Q(N) :- Family(F, N, Ty), F = \"11\""}"#,
-            )
-            .unwrap();
-        assert_eq!(response.status, 200, "{}", response.body);
-        assert!(response.body.contains("Calcitonin"), "{}", response.body);
-        // ...and /stats exposes how its rows spread over the shards
-        let stats = client.get("/stats").unwrap();
-        assert_eq!(stats.status, 200);
-        let parsed = fgc_server::parse_json(&stats.body).unwrap();
-        let sharding = parsed.get("sharding").expect("sharding block");
-        let field = |name: &str| sharding.get(name).cloned();
-        assert_eq!(
-            field("shards"),
-            Some(fgc_views::Json::Int(2)),
-            "{}",
-            stats.body
-        );
-        let Some(fgc_views::Json::Int(total)) = field("total_tuples") else {
-            panic!("total_tuples missing: {}", stats.body);
-        };
-        let Some(fgc_views::Json::Array(per_shard)) = field("tuples_per_shard") else {
-            panic!("tuples_per_shard missing: {}", stats.body);
-        };
-        let owned = |n: &fgc_views::Json| match n {
-            fgc_views::Json::Int(n) => *n,
-            other => panic!("a tuple count, not {other}"),
-        };
-        assert_eq!(per_shard.iter().map(owned).sum::<i64>(), total);
-        assert_eq!(
-            field("key_spec"),
-            Some(fgc_views::Json::str("Family=FID,FC=FID,Person=PID"))
-        );
-        assert!(field("imbalance").is_some(), "{}", stats.body);
-        // ownership needs no routing counters
-        assert!(field("atoms_pruned").is_none(), "{}", stats.body);
-        drop(client);
-        server.shutdown();
     }
 
     fn parse_args(line: &[String]) -> Args {
         Args::parse(line.to_vec()).unwrap()
     }
 
-    fn replica_args(shard: usize, shards: usize) -> Args {
+    fn replica_args() -> Args {
         parse_args(&[
             "serve".to_string(),
             "--addr=127.0.0.1:0".to_string(),
             "--threads=2".to_string(),
-            "--role=replica".to_string(),
-            format!("--shard-id={shard}/{shards}"),
-            "--shard-key=Family=FID,FC=FID,Person=PID".to_string(),
         ])
     }
 
     #[test]
     fn serve_replica_and_coordinator_roles() {
-        let r0 = run_serve(&replica_args(0, 2), Some(DATA), VIEWS, None).unwrap();
-        let r1 = run_serve(&replica_args(1, 2), Some(DATA), VIEWS, None).unwrap();
+        // a replica is a plain engine server
+        let r0 = run_serve(&replica_args(), Some(DATA), VIEWS, None).unwrap();
+        let r1 = run_serve(&replica_args(), Some(DATA), VIEWS, None).unwrap();
 
-        // a replica advertises its role and shard ownership
-        let mut client = fgc_server::Client::connect(r0.addr()).unwrap();
-        let health = client.get("/healthz").unwrap();
-        assert_eq!(health.status, 200);
-        assert!(health.body.contains("replica"), "{}", health.body);
-        assert!(health.body.contains("0/2"), "{}", health.body);
-        drop(client);
-
-        // the coordinator bootstraps from the replicas and serves the
-        // same wire format
+        // --replicas makes a coordinator, which serves the same wire
+        // format by forwarding to them
         let coord = run_serve_coordinator(&parse_args(&[
             "serve".to_string(),
-            "--role=coordinator".to_string(),
             "--addr=127.0.0.1:0".to_string(),
             "--threads=2".to_string(),
             format!("--replicas={},{}", r0.addr(), r1.addr()),
@@ -1574,29 +1412,16 @@ lambda F. CV1(F, N, Pn) :- Family(F, N, Ty), FC(F, C), Person(C, Pn, A)
             line.extend(extra.iter().map(|s| s.to_string()));
             run_serve(&parse_args(&line), Some(DATA), VIEWS, None)
         };
-        // malformed or out-of-range shard ids
-        for bad in ["2/2", "x/2", "1", "1/0", "/2", "1/"] {
-            let result = serve_with(&["--role=replica", &format!("--shard-id={bad}")]);
-            assert!(result.is_err(), "--shard-id={bad} should be rejected");
-        }
-        // --shard-id without the replica role, and unknown roles
-        assert!(serve_with(&["--shard-id=0/2"]).is_err());
-        assert!(serve_with(&["--role=primary"]).is_err());
-        // replicas don't serve commit histories
-        let versioned = parse_args(&[
-            "serve".to_string(),
-            "--addr=127.0.0.1:0".to_string(),
-            "--role=replica".to_string(),
-            "--shard-id=0/2".to_string(),
-        ]);
-        assert!(run_serve(&versioned, Some(DATA), VIEWS, Some(COMMITS)).is_err());
-        // the coordinator role never goes through run_serve...
-        let err = serve_with(&["--role=coordinator"]).unwrap_err();
+        // a coordinator never goes through run_serve, and an engine
+        // server has no replica calls to time out
+        let err = serve_with(&["--replicas=127.0.0.1:1"]).unwrap_err();
         assert!(err.0.contains("run_serve_coordinator"), "{err}");
-        // ...and run_serve_coordinator rejects data files, missing or
-        // empty replica lists, bad addresses, and bad timeouts
+        let err = serve_with(&["--replica-timeout-ms=5"]).unwrap_err();
+        assert!(err.0.contains("requires --replicas"), "{err}");
+        // run_serve_coordinator rejects data files, missing or empty
+        // replica lists, bad addresses, and bad timeouts
         let coordinate = |extra: &[&str]| {
-            let mut line = vec!["serve".to_string(), "--role=coordinator".to_string()];
+            let mut line = vec!["serve".to_string()];
             line.extend(extra.iter().map(|s| s.to_string()));
             run_serve_coordinator(&parse_args(&line))
         };
@@ -1606,7 +1431,7 @@ lambda F. CV1(F, N, Pn) :- Family(F, N, Ty), FC(F, C), Person(C, Pn, A)
         assert!(coordinate(&["--replicas=not an address"]).is_err());
         assert!(coordinate(&["--replicas=127.0.0.1:1", "--replica-timeout-ms=soon"]).is_err());
         assert!(coordinate(&["--replicas=127.0.0.1:1", "--replica-timeout-ms=0"]).is_err());
-        // a dead primary replica is a hard connect error
+        // a dead replica is a hard connect error
         assert!(coordinate(&["--replicas=127.0.0.1:1"]).is_err());
     }
 

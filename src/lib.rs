@@ -26,9 +26,9 @@
 //!   serve`): one front door whose worker pool runs each request's
 //!   engine call on the worker that read it, plus per-endpoint
 //!   serving stats;
-//! * [`dist`] — the distributed scatter/gather serving tier: shard
-//!   replicas and a stateless coordinator over the same wire format
-//!   (`fgcite serve --role replica|coordinator`);
+//! * [`dist`] — the coordinator tier: a stateless front end that
+//!   forwards each cite whole to one of several full replicas over
+//!   the same wire format (`fgcite serve --replicas a,b,...`);
 //! * [`fault`] — the deterministic fault-injection plane: named
 //!   fault points with seeded triggers, driven by `--fault` specs and
 //!   the crash-consistency/chaos test harnesses.

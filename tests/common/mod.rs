@@ -1,12 +1,10 @@
 //! The shared harness of the integration suites.
 //!
-//! Every equivalence suite checks one claim: a *candidate* — every
-//! shard's fragments merged in process, a disk-backed engine, a
-//! versioned engine walked in some order, a coordinator over
-//! replicas, a fleet behind a chaos proxy — answers
+//! Every equivalence suite checks one claim: a *candidate* — a
+//! disk-backed engine, a versioned engine walked in some order, a
+//! coordinator over replicas, a fleet behind a chaos proxy — answers
 //! every request exactly as the [`Reference`] does. The reference is
-//! the simplest configuration there is: one process, unsharded, in
-//! memory, an engine built from scratch per version with its token and
+//! the simplest configuration there is: one process, in memory, an engine built from scratch per version with its token and
 //! plan caches off. [`assert_same`] runs the comparison and names the
 //! candidate, the fixture (seed included) and the first request that
 //! differs.
@@ -19,19 +17,16 @@
 #![allow(dead_code)]
 
 use fgcite::dist::{Coordinator, CoordinatorConfig, DistServer};
-use fgcite::engine::{CiteData, CiteDataPlane, CiteToken, CoreError, QuerySpec};
+use fgcite::engine::QuerySpec;
 use fgcite::gtopdb::rng::SmallRng;
-use fgcite::gtopdb::{
-    generate, paper_shard_spec, paper_views, type_name, GeneratorConfig, WorkloadGenerator,
-};
+use fgcite::gtopdb::{generate, paper_views, type_name, GeneratorConfig, WorkloadGenerator};
 use fgcite::prelude::*;
 use fgcite::query::{
-    evaluate, evaluate_annotated, evaluate_grouped, merge_answers, merge_groups,
-    reference_derivations, Binding,
+    evaluate, evaluate_annotated, evaluate_grouped, reference_derivations, Binding,
 };
 use fgcite::semiring::{CommutativeSemiring, Polynomial};
 use fgcite::server::{parse_json, Client, ClientResponse};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::fmt::{self, Write as _};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -166,14 +161,6 @@ pub fn exhaustive_union(engine: CitationEngine) -> CitationEngine {
         })
 }
 
-/// [`engine`] owning rows by `shards` shards under the paper's shard
-/// keys — a replica's engine.
-pub fn sharded(db: Database, shards: usize) -> CitationEngine {
-    engine(db)
-        .with_shards(shards, paper_shard_spec())
-        .expect("spec resolves")
-}
-
 // ---------------------------------------------------------------------
 // Renders and request bodies
 // ---------------------------------------------------------------------
@@ -278,22 +265,16 @@ pub fn start_reference(db: &Database) -> CiteServer {
     CiteServer::start(Arc::new(engine(db.clone())), server_config()).expect("server starts")
 }
 
-/// Replica `shard` of `shards` over `db`, serving `/fragment/*`.
-pub fn start_replica(db: &Database, shard: usize, shards: usize) -> CiteServer {
-    start_replica_with(db, shard, shards, server_config())
+/// A replica over `db`: an ordinary engine server, reporting the
+/// `replica` role.
+pub fn start_replica(db: &Database) -> CiteServer {
+    start_replica_with(db, server_config())
 }
 
 /// [`start_replica`] under a given server config.
-pub fn start_replica_with(
-    db: &Database,
-    shard: usize,
-    shards: usize,
-    config: ServerConfig,
-) -> CiteServer {
-    let engine = Arc::new(sharded(db.clone(), shards));
-    let config = config.with_role("replica").with_shard(shard, shards);
-    let handler = fgcite::dist::fragment_handler(Arc::clone(&engine));
-    CiteServer::start_with_handler(engine, config, handler).expect("replica starts")
+pub fn start_replica_with(db: &Database, config: ServerConfig) -> CiteServer {
+    let engine = Arc::new(engine(db.clone()));
+    CiteServer::start(engine, config.with_role("replica")).expect("replica starts")
 }
 
 /// A coordinator front door.
@@ -313,20 +294,15 @@ pub fn metric(body: &str, family: &str, label: &str) -> u64 {
 }
 
 /// Assert `response` is the structured outage a coordinator answers
-/// when no replica of `shard` is live: a 503 naming the shard and the
-/// replicas it tried. Returns the parsed body.
-pub fn assert_outage(response: &ClientResponse, shard: usize) -> Json {
+/// when no replica is live: a 503 naming the replicas it tried.
+/// Returns the parsed body.
+pub fn assert_outage(response: &ClientResponse) -> Json {
     let body = &response.body;
     assert_eq!(response.status, 503, "{body}");
     let parsed = parse_json(body).unwrap();
     let error = parsed.get("error");
     let named = matches!(error, Some(Json::Str(m)) if m.contains("no live replica"));
     assert!(named, "{body}");
-    assert_eq!(
-        parsed.get("shard"),
-        Some(&Json::Int(shard as i64)),
-        "{body}"
-    );
     let tried = parsed.get("replicas_tried");
     assert!(
         matches!(tried, Some(Json::Array(t)) if !t.is_empty()),
@@ -496,7 +472,7 @@ impl Candidate for SocketAddr {
     }
 }
 
-/// The ground truth: one process, unsharded, in memory, the paper's
+/// The ground truth: one process, in memory, the paper's
 /// views; per version an engine built from scratch on the snapshot,
 /// token and plan caches off. POSTs go to a single-process server over
 /// the head version's engine, started on first use.
@@ -583,89 +559,6 @@ impl Reference {
                 server.addr().answer(request)
             }
         }
-    }
-}
-
-/// Every shard's [`CitationEngine::cite_fragment`] of one sharded
-/// engine, merged in process: the coordinator's exchange without the
-/// network. The fragment contract — each shard's rows, merged by
-/// [`merge_answers`] and [`merge_groups`] — is what a candidate like
-/// this pins, independently of HTTP.
-pub struct Fragments(pub CitationEngine);
-
-impl Candidate for Fragments {
-    fn answer(&self, request: &Request) -> String {
-        let Request::Cite(r) = request else {
-            panic!("in-process fragments answer cites, not {request}");
-        };
-        let mut plane = FragmentPlane {
-            engine: &self.0,
-            tokens: HashMap::new(),
-        };
-        outcome(
-            self.0
-                .cite_request_with(r, &mut plane)
-                .map(|r| render(&r.citation)),
-        )
-    }
-}
-
-/// The data plane behind [`Fragments`]: one `cite_fragment` per
-/// shard, every query to every shard.
-struct FragmentPlane<'a> {
-    engine: &'a CitationEngine,
-    /// The citation of every token some shard's bindings mention.
-    tokens: HashMap<CiteToken, Json>,
-}
-
-impl CiteDataPlane for FragmentPlane<'_> {
-    fn fetch(
-        &mut self,
-        q: &ConjunctiveQuery,
-        extent_queries: &[ConjunctiveQuery],
-    ) -> fgcite::engine::Result<CiteData> {
-        let mut answers = Vec::new();
-        let mut extents = vec![Vec::new(); extent_queries.len()];
-        // the single server meets the least phase's error first
-        let mut failure: Option<(usize, CoreError)> = None;
-        for shard in 0..self.engine.shard_count() {
-            match self.engine.cite_fragment(Some(q), extent_queries, shard) {
-                Ok(fragment) => {
-                    answers.extend(fragment.answers.unwrap_or_default());
-                    for (gathered, rows) in extents.iter_mut().zip(fragment.extents) {
-                        gathered.extend(rows);
-                    }
-                    self.tokens.extend(fragment.tokens);
-                }
-                Err((phase, e)) => {
-                    if failure.as_ref().is_none_or(|(least, _)| phase < *least) {
-                        failure = Some((phase, e));
-                    }
-                }
-            }
-        }
-        // every derivation is on exactly one shard: no `(gid, seq)`
-        // twice (citations alone cannot tell, `+` is idempotent)
-        let mut seen = HashSet::new();
-        assert!(answers
-            .iter()
-            .all(|(gid, seq, _)| seen.insert((*gid, *seq))));
-        for rows in &extents {
-            let mut seen = HashSet::new();
-            assert!(rows.iter().all(|(gid, seq, ..)| seen.insert((*gid, *seq))));
-        }
-        match failure {
-            Some((_, e)) => Err(e),
-            None => Ok(CiteData {
-                answers: merge_answers(answers),
-                extents: extents.into_iter().map(merge_groups).collect(),
-            }),
-        }
-    }
-
-    fn token_citation(&mut self, token: &CiteToken) -> fgcite::engine::Result<Json> {
-        let missing = || CoreError::Remote(format!("no shard returned token {token}"));
-        self.tokens.get(token).cloned().ok_or_else(missing)
     }
 }
 

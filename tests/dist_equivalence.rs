@@ -1,19 +1,20 @@
 //! Distributed vs. single-process equivalence — the acceptance bar
-//! of the scatter/gather tier: a coordinator over {1, 2, 4} shard
-//! replicas must answer `POST /cite` with responses **byte-identical**
-//! to a single-process `CiteServer` over the same data (modulo the
+//! of the coordinator tier: a coordinator over {1, 2, 4} replicas
+//! must answer `POST /cite` with responses **byte-identical** to a
+//! single-process `CiteServer` over the same data (modulo the
 //! explicitly volatile fields: `elapsed_us` and the cache counters).
-//! That must survive the failure of one replica whose shard has a
-//! configured twin; without a twin the coordinator must answer a
-//! structured 503 naming the dead shard and the replicas it tried.
+//! Each cite costs one replica call, an equal body always reaches the
+//! same replica, and answers stay identical with any one replica
+//! down; with every replica down the coordinator answers a structured
+//! 503 naming the replicas it tried.
 
 mod common;
 
 use common::{
-    assert_outage, assert_same, cite_body, metric, posts, start_coordinator, start_replica,
-    Reference, Request, QUERIES,
+    assert_outage, assert_same, cite_body, metric, posts, start_coordinator, start_reference,
+    start_replica, Reference, Request, QUERIES,
 };
-use fgcite::dist::{CoordinatorConfig, DistServer, PoolConfig};
+use fgcite::dist::{Coordinator, CoordinatorConfig, DistServer, PoolConfig};
 use fgcite::gtopdb::paper_instance;
 use fgcite::relation::Database;
 use fgcite::server::{parse_json, CiteServer, Client};
@@ -28,21 +29,21 @@ struct Cluster {
     replicas: Vec<CiteServer>,
 }
 
-/// A coordinator over `shards` replicas of `db`.
-fn start_cluster(db: &Database, shards: usize) -> Cluster {
-    let replicas: Vec<CiteServer> = (0..shards).map(|i| start_replica(db, i, shards)).collect();
+/// A coordinator over `n` replicas of `db`.
+fn start_cluster(db: &Database, n: usize) -> Cluster {
+    let replicas: Vec<CiteServer> = (0..n).map(|_| start_replica(db)).collect();
     let addrs: Vec<SocketAddr> = replicas.iter().map(|r| r.addr()).collect();
     let pool = PoolConfig::default().with_timeout(Duration::from_secs(5));
     let front = start_coordinator(CoordinatorConfig::new(addrs).with_pool(pool));
     Cluster { front, replicas }
 }
 
-/// Coordinators over {1, 2, 4} shards against the reference.
+/// Coordinators over {1, 2, 4} replicas against the reference.
 fn assert_clusters_match(reference: &Reference, db: &Database, requests: &[Request]) {
     let clusters = [1, 2, 4].map(|n| (n, start_cluster(db, n)));
     let fronts: Vec<(String, SocketAddr)> = clusters
         .iter()
-        .map(|(n, c)| (format!("coordinator over {n} shards"), c.front.addr()))
+        .map(|(n, c)| (format!("coordinator over {n} replicas"), c.front.addr()))
         .collect();
     assert_same(reference, &common::named(&fronts), requests);
 }
@@ -52,14 +53,23 @@ fn coordinator_matches_single_process_on_paper_instance() {
     let reference = Reference::new("paper instance", paper_instance());
     let mut requests = posts(QUERIES);
     requests.extend([
-        // the SQL route shares the scatter path
+        // the SQL route forwards the same way, refusals included
+        Request::Post(
+            "/cite_sql",
+            r#"{"sql": "SELECT f.FName FROM Family f WHERE f.FID = '11'"}"#.into(),
+        ),
         Request::Post(
             "/cite_sql",
             r#"{"query": "SELECT f.FName FROM Family f WHERE f.FID = '11'"}"#.into(),
         ),
-        // errors relay byte-identically: unknown relation, bad syntax
+        // errors relay byte-identically: unknown relation, bad syntax,
+        // an override the wire refuses
         Request::post("Q(X) :- Nope(X)"),
         Request::Post("/cite", "{not json".into()),
+        Request::Post(
+            "/cite",
+            r#"{"query": "Q(N) :- Family(F, N, Ty)", "policy": "maximal"}"#.into(),
+        ),
     ]);
     assert_clusters_match(&reference, &paper_instance(), &requests);
 }
@@ -91,128 +101,145 @@ fn replica_calls(client: &mut Client) -> Vec<i64> {
         .collect()
 }
 
-/// A citation is one `/fragment/cite` per replica: the answer query and
-/// every rewriting's extent query ride together, and the token
-/// citations come back with the bindings.
+/// POST `body` to the coordinator; the per-replica change in `calls`.
+fn calls_for(client: &mut Client, body: &str) -> Vec<i64> {
+    let before = replica_calls(client);
+    let response = client.post("/cite", body).unwrap();
+    assert_eq!(response.status, 200, "{body}: {}", response.body);
+    let after = replica_calls(client);
+    after.iter().zip(&before).map(|(a, b)| a - b).collect()
+}
+
+/// A citation is one replica call in total, whatever the query: the
+/// whole cite rides to one replica.
 #[test]
-fn one_exchange_per_replica() {
+fn one_replica_call_per_cite() {
     let db = paper_instance();
-    for shards in [2, 4] {
-        let cluster = start_cluster(&db, shards);
+    for n in [2, 4] {
+        let cluster = start_cluster(&db, n);
         let mut client = Client::connect(cluster.front.addr()).unwrap();
         for query in QUERIES {
-            let before = replica_calls(&mut client);
-            let response = client.post("/cite", &cite_body(query)).unwrap();
-            assert_eq!(response.status, 200, "{query}: {}", response.body);
-            let parsed = parse_json(&response.body).unwrap();
-            let after = replica_calls(&mut client);
-            let calls: Vec<i64> = after.iter().zip(&before).map(|(a, b)| a - b).collect();
-            if parsed.get("rewritings") == Some(&Json::Int(0)) {
-                // no extent query: only the answer's shards are asked
-                assert!(calls.iter().all(|&c| c <= 1), "{query}: {calls:?}");
-            } else {
-                assert_eq!(calls, vec![1; shards], "{query} over {shards} shards");
-            }
+            let calls = calls_for(&mut client, &cite_body(query));
+            assert_eq!(calls.iter().sum::<i64>(), 1, "{query} over {n}: {calls:?}");
         }
-
-        // a keyed query with no rewriting touches one replica only
-        let keyed = "Q(N) :- Family(F, N, Ty), F = \"11\", Ty = \"a\", Ty = \"b\"";
-        let before = replica_calls(&mut client);
-        let response = client.post("/cite", &cite_body(keyed)).unwrap();
-        assert_eq!(response.status, 200, "{}", response.body);
-        let parsed = parse_json(&response.body).unwrap();
-        assert_eq!(
-            parsed.get("rewritings"),
-            Some(&Json::Int(0)),
-            "{}",
-            response.body
-        );
-        let after = replica_calls(&mut client);
-        let calls: Vec<i64> = after.iter().zip(&before).map(|(a, b)| a - b).collect();
-        assert_eq!(calls.iter().sum::<i64>(), 1, "{shards} shards: {calls:?}");
     }
 }
 
+/// An equal body reaches the same replica every time, so each
+/// replica's caches see a stable slice of the traffic, and distinct
+/// bodies spread over the replicas.
+#[test]
+fn equal_bodies_reach_the_same_replica() {
+    let db = paper_instance();
+    let cluster = start_cluster(&db, 4);
+    let mut client = Client::connect(cluster.front.addr()).unwrap();
+    let mut used = std::collections::BTreeSet::new();
+    for query in QUERIES {
+        let body = cite_body(query);
+        let first = calls_for(&mut client, &body);
+        let again = calls_for(&mut client, &body);
+        assert_eq!(first, again, "{query}");
+        used.insert(first.iter().position(|&c| c == 1).unwrap());
+    }
+    assert!(used.len() > 1, "every body reached one replica: {used:?}");
+}
+
+/// Any replica serves any cite — each is a twin of every other — so
+/// with any one of them down every answer is still byte-identical.
 #[test]
 fn failover_to_twin_is_byte_identical() {
     let db = paper_instance();
-    let shards = 2;
-    let mut replicas: Vec<CiteServer> =
-        (0..shards).map(|i| start_replica(&db, i, shards)).collect();
-    // shard 0 gets a twin — an identical replica owning the same shard
-    let twin = start_replica(&db, 0, shards);
-    let addrs: Vec<SocketAddr> = replicas.iter().map(|r| r.addr()).collect();
-    let front = start_coordinator(
-        CoordinatorConfig::new(addrs)
-            .with_twins(vec![Some(twin.addr()), None])
-            .with_pool(PoolConfig::default().with_timeout(Duration::from_secs(2))),
-    );
-    let reference = Reference::new("paper instance", db);
+    let reference = Reference::new("paper instance", db.clone());
     let requests = posts(QUERIES);
-    assert_same(&reference, &[("all replicas up", &front.addr())], &requests);
+    for dead in 0..3 {
+        let mut cluster = start_cluster(&db, 3);
+        cluster.replicas.remove(dead).shutdown();
+        let name = format!("replica {dead} of 3 down");
+        assert_same(&reference, &[(&name, &cluster.front.addr())], &requests);
 
-    // kill shard 0's primary; the twin must keep every answer intact
-    replicas.remove(0).shutdown();
-    assert_same(
-        &reference,
-        &[("twin serving shard 0", &front.addr())],
-        &requests,
-    );
+        // some body hashed to the dead replica first and failed over:
+        // it surfaces in the coordinator's replica stats
+        let stats = Client::connect(cluster.front.addr())
+            .unwrap()
+            .get("/stats")
+            .unwrap();
+        let parsed = parse_json(&stats.body).unwrap();
+        let Some(Json::Array(slots)) = parsed.get("replicas") else {
+            panic!("no replicas block in {}", stats.body);
+        };
+        let failed = matches!(slots[dead].get("failures"), Some(Json::Int(n)) if *n > 0);
+        assert!(failed, "{name}: no recorded failure in {}", stats.body);
+    }
+}
 
-    // the dead primary surfaces in the coordinator's replica stats
-    let stats = Client::connect(front.addr())
-        .unwrap()
-        .get("/stats")
-        .unwrap();
-    let parsed = parse_json(&stats.body).unwrap();
-    let Some(Json::Array(slots)) = parsed.get("replicas") else {
-        panic!("no replicas block in {}", stats.body);
-    };
-    assert!(
-        slots
-            .iter()
-            .any(|slot| { matches!(slot.get("failures"), Some(Json::Int(n)) if *n > 0) }),
-        "expected recorded failures in {}",
-        stats.body
-    );
+/// A POST of raw body bytes on a fresh connection.
+fn post_raw(addr: SocketAddr, body: &[u8]) -> fgcite::server::ClientResponse {
+    let mut raw = format!(
+        "POST /cite HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+        body.len()
+    )
+    .into_bytes();
+    raw.extend_from_slice(body);
+    Client::connect(addr).unwrap().send_raw(&raw).unwrap()
 }
 
 #[test]
-fn exhausted_shard_answers_structured_503() {
+fn exhausted_replicas_answer_structured_503() {
     let db = paper_instance();
-    let shards = 2;
-    let mut cluster = start_cluster(&db, shards);
-
-    // kill shard 1's only replica (no twin configured): citations
-    // need every shard — answer fragments may prune, but extent
-    // queries always fan out — so cites must fail *loudly*
-    let dead_shard = 1;
-    cluster.replicas.remove(dead_shard).shutdown();
+    let mut cluster = start_cluster(&db, 2);
+    for replica in cluster.replicas.drain(..) {
+        replica.shutdown();
+    }
 
     // connect only after the kill: the drain above can outlast the
     // front end's idle keep-alive timeout
     let mut client = Client::connect(cluster.front.addr()).unwrap();
-    // a structured 503 naming the dead shard and the replicas tried
+    // a structured 503 naming every replica tried
     let all = cite_body("Q(N) :- Family(F, N, Ty)");
-    assert_outage(&client.post("/cite", &all).unwrap(), dead_shard);
+    let parsed = assert_outage(&client.post("/cite", &all).unwrap());
+    let Some(Json::Array(tried)) = parsed.get("replicas_tried") else {
+        panic!("no replicas_tried in {parsed}");
+    };
+    assert_eq!(tried.len(), 2, "{parsed}");
+    assert!(parsed.get("shard").is_none(), "{parsed}");
 
     // a second attempt keeps answering 503 (the opened circuit fails
     // fast instead of hanging), and the structure is intact
-    assert_outage(&client.post("/cite", &all).unwrap(), dead_shard);
+    assert_outage(&client.post("/cite", &all).unwrap());
 
-    // the front end itself stays healthy: control-plane routes and
-    // request validation never touch the dead shard
+    // the front end itself stays healthy: health, the cached views and
+    // the 400s it answers itself never touch a replica
     assert_eq!(client.get("/healthz").unwrap().status, 200);
-    assert_eq!(client.get("/views").unwrap().status, 200);
-    let malformed = client.post("/cite", "{not json").unwrap();
-    assert_eq!(malformed.status, 400, "{}", malformed.body);
+    let views = client.get("/views").unwrap();
+    let reference = start_reference(&db);
+    let expected = Client::connect(reference.addr())
+        .unwrap()
+        .get("/views")
+        .unwrap();
+    assert_eq!((views.status, views.body), (200, expected.body));
+    let not_utf8 = post_raw(cluster.front.addr(), b"\xff\xfe");
+    let single = post_raw(reference.addr(), b"\xff\xfe");
+    assert_eq!((not_utf8.status, &not_utf8.body), (400, &single.body));
+    let garbage = client.send_raw(b"echo hello world\r\n\r\n").unwrap();
+    assert_eq!(garbage.status, 400, "{}", garbage.body);
+}
+
+/// `connect` refuses a coordinator listed as a replica: forwarding to
+/// it would loop.
+#[test]
+fn connect_refuses_a_coordinator_listed_as_a_replica() {
+    let db = paper_instance();
+    let cluster = start_cluster(&db, 1);
+    let listed = vec![cluster.replicas[0].addr(), cluster.front.addr()];
+    let err = Coordinator::connect(CoordinatorConfig::new(listed)).unwrap_err();
+    assert!(err.contains(&cluster.front.addr().to_string()), "{err}");
+    assert!(err.contains("coordinator"), "{err}");
 }
 
 /// The request ID honored (or assigned) at the coordinator's front
-/// door rides the `x-request-id` header onto every replica-side
-/// `/fragment/*` call, every role answers `GET /metrics`, and the
-/// outage 503 — the one body never reference-compared — names the
-/// request that hit it.
+/// door rides the `x-request-id` header onto the replica's own `/cite`
+/// entry, every role answers `GET /metrics`, and the outage 503 — the
+/// one body never reference-compared — names the request that hit it.
 #[test]
 fn request_ids_propagate_coordinator_to_replicas() {
     let db = paper_instance();
@@ -231,38 +258,26 @@ fn request_ids_propagate_coordinator_to_replicas() {
     assert_eq!(response.status, 200, "{}", response.body);
     assert_eq!(response.header("x-request-id"), Some("dist-rid-7"));
 
-    // ...and lands replica-side on the fragment calls it fanned out
+    // ...and lands on the `/cite` entry of the one replica that served
+    // it, which counts it on /metrics under its own role
     let mut seen = 0;
     for replica in &cluster.replicas {
         let mut rc = Client::connect(replica.addr()).unwrap();
         let slow = rc.get("/debug/slow").unwrap();
         assert_eq!(slow.status, 200);
         if slow.body.contains("dist-rid-7") {
-            assert!(slow.body.contains("/fragment/"), "{}", slow.body);
+            assert!(slow.body.contains("\"/cite\""), "{}", slow.body);
+            let metrics = rc.get("/metrics").unwrap();
+            let cites = metric(
+                &metrics.body,
+                "fgcite_requests_total{",
+                "role=\"replica\",endpoint=\"/cite\"",
+            );
+            assert_eq!(cites, 1, "{}", metrics.body);
             seen += 1;
         }
     }
-    assert!(
-        seen >= 1,
-        "no replica recorded the coordinator's request id"
-    );
-    // ...where the fragment traffic is visible on /metrics under the
-    // one `/fragment` endpoint label (this query's extent evaluation
-    // scatters to every shard, so every replica was touched)
-    for replica in &cluster.replicas {
-        let mut rc = Client::connect(replica.addr()).unwrap();
-        let metrics = rc.get("/metrics").unwrap();
-        let fragments = metric(
-            &metrics.body,
-            "fgcite_requests_total{",
-            "endpoint=\"/fragment\"",
-        );
-        assert!(
-            fragments >= 1,
-            "replica fragment traffic not counted in:\n{}",
-            metrics.body
-        );
-    }
+    assert_eq!(seen, 1, "one replica records the coordinator's request id");
 
     // without one, the coordinator assigns a non-empty ID
     let response = client.post("/cite", &cite_body(QUERIES[0])).unwrap();
@@ -270,8 +285,7 @@ fn request_ids_propagate_coordinator_to_replicas() {
         .header("x-request-id")
         .is_some_and(|id| !id.is_empty()));
 
-    // every role speaks /metrics: the coordinator with its replica
-    // pool families, the replicas with their shard label
+    // the coordinator speaks /metrics with its replica pool families
     let metrics = client.get("/metrics").unwrap();
     assert_eq!(metrics.status, 200);
     for needle in ["role=\"coordinator\"", "fgcite_replica_calls_total"] {
@@ -281,18 +295,13 @@ fn request_ids_propagate_coordinator_to_replicas() {
             metrics.body
         );
     }
-    {
-        let mut rc = Client::connect(cluster.replicas[0].addr()).unwrap();
-        let rm = rc.get("/metrics").unwrap();
-        assert_eq!(rm.status, 200);
-        assert!(rm.body.contains("role=\"replica\""), "{}", rm.body);
-        assert!(rm.body.contains("shard=\"0/2\""), "{}", rm.body);
-    }
 
-    // the relayed outage 503 carries the request ID in its body (the
-    // one body never compared against the reference server)
+    // the outage 503 carries the request ID in its body (the one body
+    // never compared against the reference server)
     drop(client);
-    cluster.replicas.remove(1).shutdown();
+    for replica in cluster.replicas.drain(..) {
+        replica.shutdown();
+    }
     let mut client = Client::connect(cluster.front.addr()).unwrap();
     let outage = client
         .request_with_headers(
@@ -302,7 +311,7 @@ fn request_ids_propagate_coordinator_to_replicas() {
             &[("x-request-id", "dist-rid-outage")],
         )
         .unwrap();
-    let parsed = assert_outage(&outage, 1);
+    let parsed = assert_outage(&outage);
     assert_eq!(
         parsed.get("request_id"),
         Some(&Json::str("dist-rid-outage")),

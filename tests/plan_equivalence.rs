@@ -3,22 +3,20 @@
 //! provenance polynomials — must equal the folds of
 //! [`fgcite::query::reference_derivations`], which enumerates every
 //! derivation by definition (atoms in text order, full scans, no
-//! index, no plan), and so must every shard's lead fragments, merged,
-//! under every partition. The comparison ignores order; what the
-//! order *is* is pinned once, literally, by
-//! `first_derivation_order_is_pinned`, and `one_plan_serves_every_source`
-//! holds the merged fragments to it byte for byte.
+//! index, no plan). The comparison ignores order; what the order *is*
+//! is pinned once, literally, by `first_derivation_order_is_pinned`,
+//! and `one_plan_serves_every_source` holds every way of running a
+//! plan to it byte for byte.
 
 mod common;
 
 use common::{Collected, QUERIES};
-use fgcite::gtopdb::{generate, paper_instance, paper_shard_spec, GeneratorConfig};
+use fgcite::gtopdb::{generate, paper_instance, GeneratorConfig};
 use fgcite::query::{
-    evaluate, evaluate_grouped, evaluate_grouped_plan_with, evaluate_plan_with,
-    lead_fragment_answers, lead_fragment_bindings, merge_answers, merge_groups, parse_query,
-    Binding, ConjunctiveQuery, EvalOptions, QueryError, QueryPlan,
+    evaluate, evaluate_grouped, evaluate_grouped_plan_with, evaluate_plan_with, parse_query,
+    ConjunctiveQuery, EvalOptions, QueryError, QueryPlan,
 };
-use fgcite::relation::{tuple, Database, Partition, Tuple, Value};
+use fgcite::relation::{tuple, Database, Value};
 
 /// The shared mix plus the shapes only the evaluator needs: a
 /// duplicate-heavy projection, a cross product with `<`, a non-key
@@ -46,46 +44,6 @@ fn assert_agrees(db: &Database, q: &ConjunctiveQuery, context: &str) {
         Collected::by_executor(db, q),
         Collected::by_definition(db, q),
         "{context} q={q}"
-    );
-}
-
-/// `shards` shards owning `db`'s rows under the paper's shard keys.
-fn partition(db: &Database, shards: usize) -> Partition {
-    Partition::new(shards, paper_shard_spec(), db.catalog()).unwrap()
-}
-
-/// Every shard's lead fragments of `plan` over `db`, merged: the
-/// distinct answers and the grouped bindings a coordinator gathers.
-fn merged(
-    db: &Database,
-    partition: &Partition,
-    plan: &QueryPlan,
-) -> (Vec<Tuple>, Vec<(Tuple, Vec<Binding>)>) {
-    let options = EvalOptions::default();
-    let (mut answers, mut bindings) = (Vec::new(), Vec::new());
-    for shard in 0..partition.shard_count() {
-        answers.extend(lead_fragment_answers(db, partition, plan, shard, options).unwrap());
-        bindings.extend(lead_fragment_bindings(db, partition, plan, shard, options).unwrap());
-    }
-    (merge_answers(answers), merge_groups(bindings))
-}
-
-/// The merged lead fragments under `partition` against the oracle's
-/// answers and grouped bindings over `db`.
-fn assert_fragments_agree(
-    db: &Database,
-    partition: &Partition,
-    q: &ConjunctiveQuery,
-    context: &str,
-) {
-    let (answers, grouped) = merged(db, partition, &QueryPlan::compile(q, db).unwrap());
-    let fragments = Collected::sorted(answers, grouped, Vec::new());
-    let oracle = Collected::by_definition(db, q);
-    let shards = partition.shard_count();
-    assert_eq!(
-        (fragments.answers, fragments.grouped),
-        (oracle.answers, oracle.grouped),
-        "{context} shards={shards} q={q}"
     );
 }
 
@@ -125,47 +83,24 @@ fn hand_written_queries_survive_generated_instances() {
 }
 
 #[test]
-fn compiled_sharded_evaluation_matches_the_reference() {
-    // every shard's lead fragments over the whole store, merged, vs
-    // the oracle: ownership, global row ids and the merge must all be
-    // exact
-    let db = common::gtopdb(90, 23);
-    let queries = common::workload(&db, 29, 8);
-    for shards in [1usize, 2, 4, 7] {
-        let partition = partition(&db, shards);
-        for q in queries.iter().chain(&paper_queries()) {
-            assert_fragments_agree(&db, &partition, q, "generated instance");
-        }
-    }
-}
-
-#[test]
 fn one_plan_serves_every_source() {
-    // compile once, then run that plan over the whole store and as
-    // every shard's lead fragment under every partition: the plan
-    // fixes join order and slots, ownership only picks which lead rows
-    // a shard keeps, so the merged fragments equal the whole
-    // evaluation byte for byte, order included
+    // compile once, then run that plan over the store it was compiled
+    // for and over a copy with the same catalog and relation sizes:
+    // the plan fixes join order and slots, so every run equals the
+    // per-call evaluation byte for byte, order included
     let db = common::gtopdb(60, 41);
     let queries = common::workload(&db, 43, 6);
-    let partitions: Vec<Partition> = [1usize, 2, 4, 7]
-        .iter()
-        .map(|&n| partition(&db, n))
-        .collect();
+    let copy = db.clone();
     for q in queries.iter().chain(&paper_queries()) {
         let plan = QueryPlan::compile(q, &db).unwrap();
         let options = EvalOptions::default();
-        let whole = (
-            evaluate_plan_with(&db, &plan, options).unwrap(),
-            evaluate_grouped_plan_with(&db, &plan, options).unwrap(),
-        );
-        for partition in &partitions {
-            let shards = partition.shard_count();
-            assert_eq!(
-                whole,
-                merged(&db, partition, &plan),
-                "shards={shards} q={q}"
+        let fresh = (evaluate(&db, q).unwrap(), evaluate_grouped(&db, q).unwrap());
+        for source in [&db, &copy] {
+            let run = (
+                evaluate_plan_with(source, &plan, options).unwrap(),
+                evaluate_grouped_plan_with(source, &plan, options).unwrap(),
             );
+            assert_eq!(run, fresh, "q={q}");
         }
     }
 }
@@ -187,11 +122,9 @@ fn agrees_with_the_brute_force_oracle() {
             .build_index(column)
             .unwrap();
     }
-    let partition = partition(&db, 2);
     let metadata = parse_query("Q(T1) :- MetaData(T1, X1)").unwrap();
     for q in paper_queries().iter().chain([&metadata]) {
         assert_agrees(&db, q, "every column indexed");
-        assert_fragments_agree(&db, &partition, q, "every column indexed");
     }
 }
 

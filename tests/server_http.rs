@@ -11,6 +11,7 @@ use common::{cite_body, normalized, server_config, start_replica, start_replica_
 use fgcite::dist::{Coordinator, CoordinatorConfig, DistServer};
 use fgcite::gtopdb::paper_instance;
 use fgcite::prelude::*;
+use fgcite::server::wire::{error_body, NON_UTF8_BODY};
 use fgcite::server::{encode_response, parse_json, Client};
 use std::net::SocketAddr;
 use std::sync::Arc;
@@ -186,7 +187,8 @@ fn views_and_healthz_routes_answer() {
         "{}",
         health.body
     );
-    assert_eq!(parsed.get("shard"), Some(&Json::Null));
+    // nothing is sharded: no replica reports an ownership
+    assert_eq!(parsed.get("shard"), None, "{}", health.body);
     assert_eq!(parsed.get("versions"), Some(&Json::Int(1)));
 
     let views = client.get("/views").unwrap();
@@ -439,7 +441,7 @@ fn assert_front_door_contract(role: &str, addr: SocketAddr) {
     // request ID (no head was parsed, so none could be honored). The
     // oversized declaration goes down the connection that survived the
     // routing errors; the rest need a fresh one each.
-    let raws: [(&[u8], u16, &str); 4] = [
+    let raws: [(&[u8], u16, &str); 5] = [
         (
             b"POST /cite HTTP/1.1\r\nHost: x\r\nContent-Length: 99999999\r\n\r\n",
             413,
@@ -458,6 +460,13 @@ fn assert_front_door_contract(role: &str, addr: SocketAddr) {
             "chunked framing",
         ),
         (b"echo hello world\r\n\r\n", 400, "raw garbage"),
+        // a coordinator cannot forward it, so it answers the single
+        // server's 400 itself
+        (
+            b"POST /cite HTTP/1.1\r\nContent-Length: 2\r\n\r\n\xff\xfe",
+            400,
+            "non-UTF-8 body",
+        ),
     ];
     for (raw, status, what) in raws {
         let response = client.send_raw(raw).unwrap();
@@ -469,6 +478,9 @@ fn assert_front_door_contract(role: &str, addr: SocketAddr) {
             "{role}: {what}: no request id"
         );
         is_error_json(&response, what);
+        if what == "non-UTF-8 body" {
+            assert_eq!(response.body, error_body(NON_UTF8_BODY), "{role}");
+        }
         if status == 411 {
             assert!(
                 response.body.contains("Content-Length"),
@@ -527,8 +539,8 @@ fn malformed_input_is_4xx_and_never_wedges_workers() {
     let server = CiteServer::start(engine(), config()).expect("bind loopback");
     let addr = server.addr();
     {
-        let replica = start_replica_with(&db, 0, 1, config());
-        let backing = start_replica(&db, 0, 1);
+        let replica = start_replica_with(&db, config());
+        let backing = start_replica(&db);
         let coordinator = Coordinator::connect(CoordinatorConfig::new(vec![backing.addr()]))
             .expect("coordinator connects");
         let front = DistServer::start(Arc::new(coordinator), config()).expect("coordinator serves");
@@ -655,10 +667,10 @@ fn observability_surface_rides_every_response() {
     );
     for needle in [
         "# TYPE fgcite_requests_total counter",
-        "fgcite_requests_total{role=\"single\",shard=\"\",endpoint=\"/cite\"} 3",
+        "fgcite_requests_total{role=\"single\",endpoint=\"/cite\"} 3",
         "fgcite_request_duration_seconds_bucket",
-        "fgcite_stage_duration_seconds_count{role=\"single\",shard=\"\",stage=\"evaluate\"}",
-        "fgcite_cache_hits_total{role=\"single\",shard=\"\",cache=\"plans\"}",
+        "fgcite_stage_duration_seconds_count{role=\"single\",stage=\"evaluate\"}",
+        "fgcite_cache_hits_total{role=\"single\",cache=\"plans\"}",
         "fgcite_uptime_seconds",
         "fgcite_in_flight",
     ] {

@@ -3,9 +3,9 @@
 //! database must be **byte-identical** to the in-memory reference —
 //! same tuples in the same order, same symbolic expressions, same
 //! interpreted citations and aggregate, same rewriting labels — on
-//! the paper instance and on generated GtoPdb data, unsharded and
-//! sharded (n ∈ {1, 2, 4}), warm (same process) and cold (a fresh
-//! handle over the same data dir, the loader never re-run). Versioned
+//! the paper instance and on generated GtoPdb data, warm (same
+//! process) and cold (a fresh handle over the same data dir, the
+//! loader never re-run). Versioned
 //! histories — built by `load_commits` or drawn at random, churn
 //! commits included — must survive a disk round trip with every
 //! version's rows, index state and citation walk unchanged, and
@@ -17,7 +17,7 @@ use common::{
     assert_same, both_modes, cites, history_queries, named, queries, random_commit,
     render_versioned, walk, Reference, TempDir,
 };
-use fgcite::engine::{CitationEngine, VersionedCitationEngine};
+use fgcite::engine::VersionedCitationEngine;
 use fgcite::gtopdb::rng::SmallRng;
 use fgcite::gtopdb::{generate, paper_instance, paper_views, GeneratorConfig};
 use fgcite::prelude::*;
@@ -25,8 +25,6 @@ use fgcite::relation::loader::load_commits;
 use fgcite::relation::storage::{open, DiskStorage};
 use std::path::Path;
 use std::sync::Arc;
-
-const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
 
 /// Persist `db` as a 1-version history and read it back through a
 /// fresh cold handle on the same dir — the restart path, byte-wise:
@@ -53,22 +51,14 @@ fn paper_instance_citations_are_byte_identical_mem_vs_disk() {
 }
 
 #[test]
-fn generated_gtopdb_is_byte_identical_across_shard_counts_after_cold_reopen() {
+fn generated_gtopdb_is_byte_identical_after_cold_reopen() {
     let dir = TempDir::new("gtopdb");
     let db = common::gtopdb(120, common::default_seed());
     let restored = disk_round_trip(&db, &dir);
-    let shardings: Vec<(String, CitationEngine)> = SHARD_COUNTS
-        .iter()
-        .map(|&n| {
-            (
-                format!("disk, shards={n}"),
-                common::sharded(restored.clone(), n),
-            )
-        })
-        .collect();
+    let from_disk = common::engine(restored);
     let reference = Reference::new("gtopdb families=120 default seed", db.clone());
     let requests = cites(&common::workload(&db, 71, 10));
-    assert_same(&reference, &named(&shardings), &requests);
+    assert_same(&reference, &[("disk", &from_disk)], &requests);
 }
 
 /// A `load_commits`-style history over the paper instance: inserts,
