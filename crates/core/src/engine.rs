@@ -26,11 +26,10 @@ use crate::plan_cache::{PlanCache, PlanCacheStats};
 use crate::policy::{interpret_expr, Policy};
 use crate::request::{CiteRequest, CiteResponse, QuerySpec};
 use crate::token::CiteToken;
-use fgc_obs::{StageSet, Trace, CITE_STAGES};
+use fgc_obs::{StageSet, CITE_STAGES};
 use fgc_query::ast::{ConjunctiveQuery, Term};
 use fgc_query::eval::EvalOptions;
 use fgc_query::{evaluate_grouped_plan_with, evaluate_plan_with, parse_sql, Binding, QueryPlan};
-use fgc_relation::storage::Storage;
 use fgc_relation::{Database, DatabaseDelta, ShardKeySpec, Tuple, Value};
 use fgc_rewrite::{best_rewritings, enumerate_rewritings, RewriteOptions, Rewriting, ViewDefs};
 use fgc_semiring::{CitationExpr, CommutativeSemiring, Monomial, Polynomial};
@@ -38,7 +37,7 @@ use fgc_views::{Json, ViewRegistry};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// How rewritings are obtained.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -120,11 +119,38 @@ struct EffectiveConfig<'a> {
     rewrite: RewriteOptions,
 }
 
-/// Token-cache traffic attributable to a single request.
+/// What a single request accounts for: its token-cache traffic and
+/// its per-stage breakdown.
 #[derive(Default)]
 struct RequestCounters {
     hits: u64,
     misses: u64,
+    /// Per-stage durations in first-timed order; a stage timed more
+    /// than once (`plan` on the answer and expansion paths, `extent`)
+    /// accumulates.
+    stages: Vec<(&'static str, Duration)>,
+}
+
+impl RequestCounters {
+    /// Run `f` as `stage`: one measurement goes into the engine's
+    /// stage histogram and into this request's breakdown. A stage
+    /// timed inside `f` is noted before `stage` itself.
+    fn time<T>(
+        &mut self,
+        histograms: &StageSet,
+        stage: &'static str,
+        f: impl FnOnce(&mut Self) -> T,
+    ) -> T {
+        let started = Instant::now();
+        let out = f(self);
+        let elapsed = started.elapsed();
+        histograms.record(stage, elapsed);
+        match self.stages.iter_mut().find(|(name, _)| *name == stage) {
+            Some((_, total)) => *total += elapsed,
+            None => self.stages.push((stage, elapsed)),
+        }
+        out
+    }
 }
 
 /// Grouped bindings of one extent query: each output tuple with the
@@ -149,8 +175,8 @@ struct CatalogState {
     plans: PlanCache,
     /// Per-stage latency histograms over the cite pipeline
     /// ([`fgc_obs::CITE_STAGES`]); every serving entry point records
-    /// into them, and an active [`fgc_obs::Trace`] additionally
-    /// collects a per-request breakdown.
+    /// into them, from the same measurements as the request's own
+    /// breakdown.
     stages: StageSet,
 }
 
@@ -168,14 +194,6 @@ struct CatalogState {
 pub struct CitationEngine {
     state: Arc<CatalogState>,
     db: Arc<Database>,
-    /// Storage backend the snapshot was loaded from or persists to,
-    /// when one is attached ([`Self::with_storage`]). The engine
-    /// itself never writes through it — snapshots are immutable —
-    /// but keeps the handle so `GET /stats` and `GET /metrics` can
-    /// surface backend counters next to the serving stats. A
-    /// versioned engine holds its own handle; the engines it serves
-    /// versions with carry none.
-    storage: Option<Arc<dyn Storage>>,
 }
 
 impl CitationEngine {
@@ -210,7 +228,6 @@ impl CitationEngine {
         Ok(CitationEngine {
             state: Arc::new(state),
             db,
-            storage: None,
         })
     }
 
@@ -258,21 +275,6 @@ impl CitationEngine {
     /// `benchmark/src/stack.rs:178`.
     pub fn with_shards(self, _shards: usize, _key_spec: ShardKeySpec) -> Result<Self> {
         Ok(self)
-    }
-
-    /// Attach the storage backend this snapshot came from (builder
-    /// style). Purely observational at the single-snapshot level:
-    /// persistence happens when the owner of the history syncs, but
-    /// the handle lets servers report backend stats alongside the
-    /// cache counters.
-    pub fn with_storage(mut self, storage: Arc<dyn Storage>) -> Self {
-        self.storage = Some(storage);
-        self
-    }
-
-    /// The attached storage backend, if any.
-    pub fn storage(&self) -> Option<&Arc<dyn Storage>> {
-        self.storage.as_ref()
     }
 
     /// The underlying database.
@@ -349,7 +351,6 @@ impl CitationEngine {
             return Ok(CitationEngine {
                 state: Arc::clone(&self.state),
                 db: snapshot,
-                storage: None,
             });
         }
         Ok(Self::build(snapshot, self.state.registry.clone())?
@@ -386,27 +387,24 @@ impl CitationEngine {
     }
 
     /// The cached compiled plan for a query over the store (compiling
-    /// on miss).
-    fn cached_plan(&self, q: ConjunctiveQuery) -> Result<Arc<QueryPlan>> {
+    /// on miss), timed as the request's `plan` stage.
+    fn cached_plan(
+        &self,
+        q: ConjunctiveQuery,
+        counters: &mut RequestCounters,
+    ) -> Result<Arc<QueryPlan>> {
         let key = (self.instances(&q), q);
-        Ok(self.state.stages.time("plan", || {
+        Ok(counters.time(&self.state.stages, "plan", |_| {
             self.state
                 .plans
                 .get_or_compile(&key, || QueryPlan::compile(&key.1, &self.db))
         })?)
     }
 
-    /// The cached plan of extent query `e`'s expansion. The plan is
-    /// keyed by the expansion, an ordinary query over the store, never
-    /// by the view-named `e`.
-    fn expansion_plan(&self, e: &ConjunctiveQuery) -> Result<Arc<QueryPlan>> {
-        self.cached_plan(self.state.view_defs.expand(e)?)
-    }
-
     /// The answer set of `q` over the whole store. Plans come from
     /// the engine's plan cache.
-    fn answers(&self, q: &ConjunctiveQuery) -> Result<Vec<Tuple>> {
-        let plan = self.cached_plan(q.clone())?;
+    fn answers(&self, q: &ConjunctiveQuery, counters: &mut RequestCounters) -> Result<Vec<Tuple>> {
+        let plan = self.cached_plan(q.clone(), counters)?;
         Ok(evaluate_plan_with(&self.db, &plan, EvalOptions::default())?)
     }
 
@@ -449,9 +447,15 @@ impl CitationEngine {
     /// store. Def. 3.3 needs only the set of λ-valuations each view
     /// subgoal takes per answer tuple, and the expansion derives every
     /// one of them; a valuation with several derivations repeats, and
-    /// [`Polynomial::squash_coefficients`] collapses it.
-    fn extent_groups(&self, e: &ConjunctiveQuery) -> Result<ExtentGroups> {
-        let plan = self.expansion_plan(e)?;
+    /// [`Polynomial::squash_coefficients`] collapses it. The plan is
+    /// keyed by the expansion, an ordinary query over the store, never
+    /// by the view-named `e`.
+    fn extent_groups(
+        &self,
+        e: &ConjunctiveQuery,
+        counters: &mut RequestCounters,
+    ) -> Result<ExtentGroups> {
+        let plan = self.cached_plan(self.state.view_defs.expand(e)?, counters)?;
         Ok(evaluate_grouped_plan_with(
             &self.db,
             &plan,
@@ -530,7 +534,7 @@ impl CitationEngine {
 
     /// The full Def. 3.1–3.4 pipeline under an effective (engine
     /// defaults ⊕ request overrides) configuration; token-cache
-    /// traffic is counted into `counters`.
+    /// traffic and stage times are counted into `counters`.
     fn cite_under(
         &self,
         q: &ConjunctiveQuery,
@@ -542,23 +546,22 @@ impl CitationEngine {
         // The rewritings are a function of the views and schemas alone
         // (§3.2), but an answer-evaluation error outranks a
         // rewriting-search one.
-        let rewritten = stages.time("rewrite", || {
+        let rewritten = counters.time(stages, "rewrite", |_| {
             self.rewritings(q, config.mode, config.rewrite)
         });
         // `evaluate` wraps the whole answer evaluation, so the `plan`
         // span recorded inside it nests under it
-        let answers = stages.time("evaluate", || self.answers(q))?;
+        let answers = counters.time(stages, "evaluate", |c| self.answers(q, c))?;
         let (rewritings, exhaustive, unsatisfiable) = rewritten?;
-        let extents = stages.time("extent", || {
+        let extents = counters.time(stages, "extent", |c| {
             rewritings
                 .iter()
-                .map(|(_, r)| self.extent_groups(&r.as_extent_query()))
+                .map(|(_, r)| self.extent_groups(&r.as_extent_query(), c))
                 .collect::<Result<Vec<_>>>()
         })?;
-        let mut exprs = self
-            .state
-            .stages
-            .time("extent", || Self::symbolic_citations(&rewritings, extents));
+        let mut exprs = counters.time(stages, "extent", |_| {
+            Self::symbolic_citations(&rewritings, extents)
+        });
 
         // Equal symbolic expressions interpret to equal citations, and
         // result sets over curated hierarchies share few distinct
@@ -567,56 +570,54 @@ impl CitationEngine {
         // `Arc`, so a memo hit is a refcount bump. The memo is
         // request-local: it depends on the (possibly overridden)
         // policy, unlike the policy-independent shared token cache.
-        self.state
-            .stages
-            .time("render", move || -> Result<QueryCitation> {
-                let mut interp_memo: HashMap<CitationExpr<String, CiteToken>, Arc<Json>> =
-                    HashMap::new();
-                let mut distinct_citations: Vec<Arc<Json>> = Vec::new();
-                let mut tuples = Vec::with_capacity(answers.len());
-                for tuple in answers {
-                    let expr = exprs.remove(&tuple).unwrap_or_else(CitationExpr::zero_r);
-                    let normalized = policy.normalize(&expr, &self.state.inclusion);
-                    let citation = match interp_memo.get(&normalized) {
-                        Some(hit) => Arc::clone(hit),
-                        None => {
-                            let mut value_of = |t: &CiteToken| self.token_citation(t, counters);
-                            let citation = Arc::new(
-                                interpret_expr(policy, &normalized, &mut value_of)
-                                    .unwrap_or(Json::Null),
-                            );
-                            interp_memo.insert(normalized.clone(), Arc::clone(&citation));
-                            distinct_citations.push(Arc::clone(&citation));
-                            citation
-                        }
-                    };
-                    tuples.push(TupleCitation {
-                        tuple,
-                        expr: normalized,
-                        citation,
-                    });
-                }
+        counters.time(stages, "render", move |counters| -> Result<QueryCitation> {
+            let mut interp_memo: HashMap<CitationExpr<String, CiteToken>, Arc<Json>> =
+                HashMap::new();
+            let mut distinct_citations: Vec<Arc<Json>> = Vec::new();
+            let mut tuples = Vec::with_capacity(answers.len());
+            for tuple in answers {
+                let expr = exprs.remove(&tuple).unwrap_or_else(CitationExpr::zero_r);
+                let normalized = policy.normalize(&expr, &self.state.inclusion);
+                let citation = match interp_memo.get(&normalized) {
+                    Some(hit) => Arc::clone(hit),
+                    None => {
+                        let mut value_of = |t: &CiteToken| self.token_citation(t, counters);
+                        let citation = Arc::new(
+                            interpret_expr(policy, &normalized, &mut value_of)
+                                .unwrap_or(Json::Null),
+                        );
+                        interp_memo.insert(normalized.clone(), Arc::clone(&citation));
+                        distinct_citations.push(Arc::clone(&citation));
+                        citation
+                    }
+                };
+                tuples.push(TupleCitation {
+                    tuple,
+                    expr: normalized,
+                    citation,
+                });
+            }
 
-                // Def. 3.4: Agg over tuple citations, neutral = the global
-                // citations (present even for empty outputs). Both Agg
-                // interpretations are idempotent, so aggregating the distinct
-                // citations once each is equivalent to folding all tuples.
-                let mut aggregate = Json::Null;
-                for g in &policy.global_citations {
-                    aggregate = policy.agg.apply(&aggregate, g);
-                }
-                for citation in &distinct_citations {
-                    aggregate = policy.agg.apply(&aggregate, citation);
-                }
+            // Def. 3.4: Agg over tuple citations, neutral = the global
+            // citations (present even for empty outputs). Both Agg
+            // interpretations are idempotent, so aggregating the distinct
+            // citations once each is equivalent to folding all tuples.
+            let mut aggregate = Json::Null;
+            for g in &policy.global_citations {
+                aggregate = policy.agg.apply(&aggregate, g);
+            }
+            for citation in &distinct_citations {
+                aggregate = policy.agg.apply(&aggregate, citation);
+            }
 
-                Ok(QueryCitation {
-                    tuples,
-                    aggregate,
-                    rewritings,
-                    exhaustive,
-                    unsatisfiable,
-                })
+            Ok(QueryCitation {
+                tuples,
+                aggregate,
+                rewritings,
+                exhaustive,
+                unsatisfiable,
             })
+        })
     }
 
     /// Cite a query with the engine's default policy and options: the
@@ -636,20 +637,18 @@ impl CitationEngine {
     /// cache metadata.
     pub fn cite_request(&self, request: &CiteRequest) -> Result<CiteResponse> {
         let started = Instant::now();
-        let trace = Trace::start(request.request_id.clone().unwrap_or_default());
-        let q = self.state.stages.time("parse", || match &request.query {
+        let mut counters = RequestCounters::default();
+        let q = counters.time(&self.state.stages, "parse", |_| match &request.query {
             QuerySpec::Datalog(q) => Ok(q.clone()),
             QuerySpec::Sql(sql) => parse_sql(self.db.catalog(), sql).map_err(CoreError::from),
         })?;
-        let mut counters = RequestCounters::default();
-        let citation = self.cite_under(&q, &self.effective(Some(request)), &mut counters);
-        let report = trace.finish();
+        let citation = self.cite_under(&q, &self.effective(Some(request)), &mut counters)?;
         Ok(CiteResponse {
-            citation: citation?,
+            citation,
             elapsed: started.elapsed(),
             cache_hits: counters.hits,
             cache_misses: counters.misses,
-            stages: report.stages,
+            stages: counters.stages,
             request_id: request.request_id.clone(),
         })
     }
@@ -889,6 +888,48 @@ mod tests {
 
     fn engine() -> CitationEngine {
         CitationEngine::new(paper_db(), paper_registry()).unwrap()
+    }
+
+    /// A request's `stages` come out in first-timed order — parse,
+    /// rewrite, plan (timed inside evaluate), evaluate, extent, render
+    /// — and each is the sum of that stage's timings in the request:
+    /// `plan` is the answer plan plus one expansion plan per
+    /// rewriting, `extent` the grouped bindings plus the polynomials.
+    /// Each sum is what the request added to the stage's histogram.
+    #[test]
+    fn stages_are_timed_in_order_and_summed_per_request() {
+        let e = engine();
+        let q =
+            parse_query("Q(N, Tx) :- Family(F, N, Ty), FamilyIntro(F, Tx), Ty = \"gpcr\"").unwrap();
+        let histograms = |e: &CitationEngine| -> Vec<(&str, u64, u64)> {
+            let snap = |(name, h): (&'static str, &fgc_obs::Histogram)| {
+                let s = h.snapshot();
+                (name, s.count(), s.sum)
+            };
+            e.stage_stats().iter().map(snap).collect()
+        };
+        for _ in 0..2 {
+            let before = histograms(&e);
+            let response = e.cite_request(&CiteRequest::query(q.clone())).unwrap();
+            let after = histograms(&e);
+            let names: Vec<&str> = response.stages.iter().map(|(n, _)| *n).collect();
+            assert_eq!(
+                names,
+                ["parse", "rewrite", "plan", "evaluate", "extent", "render"]
+            );
+            let rewritings = response.citation.rewritings.len() as u64;
+            assert!(rewritings > 0);
+            for ((name, count0, sum0), (_, count1, sum1)) in before.iter().zip(&after) {
+                let timings = match *name {
+                    "plan" => 1 + rewritings,
+                    "extent" => 2,
+                    _ => 1,
+                };
+                assert_eq!(count1 - count0, timings, "{name}");
+                let (_, total) = response.stages.iter().find(|(n, _)| n == name).unwrap();
+                assert_eq!((sum1 - sum0) as u128, total.as_nanos(), "{name}");
+            }
+        }
     }
 
     #[test]

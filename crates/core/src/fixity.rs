@@ -99,7 +99,9 @@ pub struct VersionStats {
     pub hits: u64,
     /// Always 0.
     pub derived: u64,
-    /// Catalog engines built: one per distinct catalog resolved.
+    /// Catalog engines built: one per distinct catalog resolved, or
+    /// the engine a [`VersionedCitationEngine::from_engine`] history
+    /// was seeded with.
     pub rebuilt: u64,
     /// Always 0.
     pub shared: u64,
@@ -134,8 +136,10 @@ pub struct VersionMemoryStats {
 /// lazily behind a lock and shared via `Arc`, so one versioned engine
 /// can serve concurrent historical citations. Only
 /// [`commit_with`](Self::commit_with) (which appends a version)
-/// needs `&mut self`. Every version is served with the default
-/// policy and options; a [`CiteRequest`]'s overrides carry any other.
+/// needs `&mut self`. Every version is served with the catalog
+/// engine's policy and options — the defaults, unless the history was
+/// seeded with a configured engine ([`Self::from_engine`]); a
+/// [`CiteRequest`]'s overrides carry any other.
 pub struct VersionedCitationEngine {
     history: VersionedDatabase,
     registry: ViewRegistry,
@@ -164,6 +168,26 @@ impl VersionedCitationEngine {
             catalogs: RwLock::new(Vec::new()),
             hits: AtomicU64::new(0),
             rebuilt: AtomicU64::new(0),
+            storage: None,
+        }
+    }
+
+    /// A one-version history served by `engine` itself: version 0,
+    /// label `base`, timestamp 0, over the engine's own relation
+    /// instances (no row is copied). The engine is the history's
+    /// catalog engine, counted as built, so every version — the one
+    /// there is — is served with its policy, options and caches.
+    pub fn from_engine(engine: Arc<CitationEngine>) -> Self {
+        let mut history = VersionedDatabase::new();
+        history
+            .commit((**engine.database()).clone(), 0, "base")
+            .expect("a first commit has no timestamp to precede");
+        VersionedCitationEngine {
+            history,
+            registry: engine.registry().clone(),
+            catalogs: RwLock::new(vec![engine]),
+            hits: AtomicU64::new(0),
+            rebuilt: AtomicU64::new(1),
             storage: None,
         }
     }
@@ -604,6 +628,39 @@ mod tests {
             "the catalog engine should structurally share relations: {warm:?}"
         );
         assert!(warm.resident_bytes >= baseline.resident_bytes);
+    }
+
+    #[test]
+    fn an_engine_serves_as_a_one_version_history() {
+        let db = Arc::new(base_db());
+        let engine = Arc::new(
+            CitationEngine::build(Arc::clone(&db), registry())
+                .unwrap()
+                .with_policy(crate::Policy::union_all()),
+        );
+        let e = VersionedCitationEngine::from_engine(Arc::clone(&engine));
+        let stats = e.version_stats();
+        assert_eq!((stats.versions, stats.rebuilt, stats.hits), (1, 1, 0));
+        let (info, head) = e.history().head().unwrap();
+        assert_eq!(
+            (info.id, info.label.as_str(), info.timestamp),
+            (0, "base", 0)
+        );
+        // the history holds the engine's own relation instances
+        assert!(Arc::ptr_eq(
+            head.relation_arc("Family").unwrap(),
+            db.relation_arc("Family").unwrap()
+        ));
+        let q = parse_query("Q(N) :- Family(F, N, Ty)").unwrap();
+        let cited = cite(&e, Head, &q).unwrap();
+        assert_eq!(cited.label, "base");
+        // served through the engine: its policy, its caches
+        let direct = engine.cite(&q).unwrap();
+        assert_eq!(cited.citation.aggregate, direct.aggregate);
+        let (_, served) = e.resolve(Head).unwrap();
+        assert!(std::ptr::eq(served.policy(), engine.policy()));
+        assert_eq!(served.plan_stats(), engine.plan_stats());
+        assert_eq!(e.version_stats().rebuilt, 1);
     }
 
     #[test]

@@ -50,8 +50,7 @@ pub struct CiteRequest {
     /// Override the rewriting search budgets.
     pub rewrite: Option<RewriteOptions>,
     /// The request ID assigned (or honored from `x-request-id`) at
-    /// the front door; the engine's [`fgc_obs::Trace`] is started
-    /// under it and the response echoes it back.
+    /// the front door; the response echoes it back.
     pub request_id: Option<String>,
     /// Ask the wire encoding to include the per-stage `stages`
     /// breakdown in the response body (off by default so response
@@ -128,10 +127,11 @@ pub struct CiteResponse {
     /// Token-cache misses incurred by this request alone.
     pub cache_misses: u64,
     /// Per-stage durations of this request's trip through the cite
-    /// pipeline (parse → plan → evaluate → rewrite → extent →
-    /// render), in first-entered order. `evaluate` covers the whole
-    /// answer evaluation and therefore *contains* the `plan`
-    /// sub-span.
+    /// pipeline, in the order each stage first finished: parse,
+    /// rewrite, plan, evaluate, extent, render. A stage timed more
+    /// than once accumulates: `plan` sums the answer plan and every
+    /// expansion plan, and `evaluate`, the whole answer evaluation,
+    /// *contains* the answer plan's share of it.
     pub stages: Vec<(&'static str, Duration)>,
     /// The request ID this citation was served under, when one was
     /// assigned at the front door.

@@ -4,13 +4,15 @@
 //! the whole snapshot, so any one of them can serve any citation. A
 //! [`Coordinator`] holds the [`ReplicaPool`] and the `GET /views` body
 //! it fetched at bootstrap, and nothing else: it never parses a cite
-//! body. Each `POST /cite` and `/cite_sql` body goes unchanged to one
-//! replica's own route — replica `fnv64(body) % n` first, then the
+//! body. Each `POST /cite`, `/cite_sql` and `/cite_at` body goes
+//! unchanged to one replica's own route — replica `fnv64(body) % n` first, then the
 //! next ones in order — and the first answer's status and body come
 //! back verbatim, 200 and 4xx alike. A replica's reply *is* the single
 //! server's reply, so distributed citations are byte-identical by
 //! construction, and equal bodies reach the same replica, so each
-//! replica's caches see a stable slice of the traffic.
+//! replica's caches see a stable slice of the traffic. Every replica
+//! serves the same commit history, so a `/cite_at` version selector
+//! means the same snapshot on each.
 //!
 //! Each try uses the pool's bounded retry and circuit breaker, and a
 //! 5xx counts as a transport failure. The request ID rides along as
@@ -23,7 +25,7 @@ use crate::pool::{CallError, PoolConfig, ReplicaPool};
 use fgc_core::{CitationEngine, CiteRequest, QuerySpec};
 use fgc_relation::Database;
 use fgc_server::parse_json;
-use fgc_server::wire::{error_body, QueryKind, NON_UTF8_BODY};
+use fgc_server::wire::{error_body, NON_UTF8_BODY};
 use fgc_views::{Json, ViewRegistry};
 use std::net::SocketAddr;
 use std::sync::OnceLock;
@@ -117,7 +119,8 @@ impl Coordinator {
         &self.pool
     }
 
-    /// Serve one `POST /cite` / `/cite_sql` body under the front
+    /// Serve one `POST` body to a cite route (`/cite`, `/cite_sql` or
+    /// `/cite_at`, the replica route of the same path) under the front
     /// door's request ID and deadline by forwarding it whole. Returns
     /// `(status, body)`: the replica's answer verbatim, the single
     /// server's 400 for a body that is not UTF-8, a structured 504
@@ -126,16 +129,12 @@ impl Coordinator {
     pub fn serve_cite_with_deadline(
         &self,
         body: &[u8],
-        kind: QueryKind,
+        path: &str,
         request_id: &str,
         deadline: Option<Instant>,
     ) -> (u16, String) {
         let Ok(body) = std::str::from_utf8(body) else {
             return (400, error_body(NON_UTF8_BODY));
-        };
-        let path = match kind {
-            QueryKind::Datalog => "/cite",
-            QueryKind::Sql => "/cite_sql",
         };
         self.forward(path, body, request_id, deadline)
     }

@@ -3,7 +3,8 @@
 //! Every replica is an ordinary engine server (`fgcite serve`) over
 //! the whole snapshot. A coordinator (`fgcite serve --replicas
 //! a,b,...`) holds no data and runs no engine: it forwards each
-//! `POST /cite` and `/cite_sql` body unchanged to one replica — picked
+//! `POST /cite`, `/cite_sql` and `/cite_at` body unchanged to one
+//! replica — picked
 //! by a hash of the body, with failover to the next — and relays the
 //! answer verbatim, so its replies are byte-identical to a single
 //! server's by construction. Its front end ([`DistServer`]) is the

@@ -7,6 +7,7 @@
 //! |------------------|------------------------------------------|
 //! | `POST /cite`     | standard cite body, forwarded to one replica |
 //! | `POST /cite_sql` | standard SQL cite body, forwarded likewise |
+//! | `POST /cite_at`  | `/cite` body plus a version selector, forwarded likewise |
 //! | `GET /views`     | the replicas' views, cached at bootstrap |
 //! | `GET /stats`     | endpoint stats + per-replica circuit state |
 //! | `GET /healthz`   | role, liveness                           |
@@ -23,7 +24,6 @@
 
 use crate::coordinator::Coordinator;
 use fgc_obs::PromWriter;
-use fgc_server::wire::QueryKind;
 use fgc_server::{Call, HttpService, Response, Route, ServerConfig, ServerStats};
 use fgc_views::Json;
 use std::io;
@@ -43,8 +43,9 @@ impl DistServer {
     pub fn start(coordinator: Arc<Coordinator>, config: ServerConfig) -> io::Result<DistServer> {
         let state = &coordinator;
         let routes = vec![
-            Route::new("POST", "/cite", |s| &s.cite, state, serve_datalog).budgeted(),
-            Route::new("POST", "/cite_sql", |s| &s.cite_sql, state, serve_sql).budgeted(),
+            Route::new("POST", "/cite", |s| &s.cite, state, serve_cite).budgeted(),
+            Route::new("POST", "/cite_sql", |s| &s.cite_sql, state, serve_cite).budgeted(),
+            Route::new("POST", "/cite_at", |s| &s.cite_at, state, serve_cite).budgeted(),
             Route::new("GET", "/views", |s| &s.views, state, serve_views),
             Route::new("GET", "/stats", |s| &s.stats, state, serve_stats),
             Route::new("GET", "/healthz", |s| &s.healthz, state, serve_healthz),
@@ -85,24 +86,18 @@ impl DistServer {
     }
 }
 
-fn serve_datalog(coordinator: &Coordinator, call: &Call<'_>) -> Response {
-    serve_cite(coordinator, call, QueryKind::Datalog)
-}
-
-fn serve_sql(coordinator: &Coordinator, call: &Call<'_>) -> Response {
-    serve_cite(coordinator, call, QueryKind::Sql)
-}
-
 /// `GET /views`: the replicas' body, cached at bootstrap, so it keeps
 /// answering while they are down.
 fn serve_views(coordinator: &Coordinator, _: &Call<'_>) -> Response {
     Response::json(200, coordinator.views().to_string())
 }
 
-fn serve_cite(coordinator: &Coordinator, call: &Call<'_>, kind: QueryKind) -> Response {
+/// A cite route: the body goes whole to the replica route of the
+/// same path.
+fn serve_cite(coordinator: &Coordinator, call: &Call<'_>) -> Response {
     let (status, body) = coordinator.serve_cite_with_deadline(
         &call.request.body,
-        kind,
+        &call.request.path,
         call.request_id,
         Some(call.deadline),
     );

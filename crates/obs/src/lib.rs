@@ -14,12 +14,9 @@
 //!   [`HistogramSnapshot`]. Any recorded quantile is within a factor
 //!   of two of the exact order statistic.
 //! - [`StageSet`] — a fixed set of named per-stage histograms with a
-//!   [`StageSet::time`] closure wrapper that both records the stage
-//!   histogram and notes the duration in the active [`Trace`].
-//! - [`Trace`] / [`Span`] — a thread-local request trace. The front
-//!   door calls [`Trace::start`] with the request ID; stage spans
-//!   anywhere below it on the same thread accumulate into the trace,
-//!   and [`Trace::finish`] returns the per-stage breakdown.
+//!   [`StageSet::time`] closure wrapper that records the stage
+//!   histogram. A per-request breakdown is a value its caller builds
+//!   from the same measurements ([`StageSet::record`]).
 //! - [`PromWriter`] — Prometheus text-format (0.0.4) exposition for
 //!   counters, gauges, and histogram buckets.
 //! - [`SlowLog`] — a bounded ring of the top-K slowest requests with
@@ -30,7 +27,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -235,7 +231,7 @@ impl HistogramSnapshot {
 }
 
 // ---------------------------------------------------------------------------
-// Stage sets and request traces
+// Stage sets
 // ---------------------------------------------------------------------------
 
 /// The cite pipeline stages, in execution order. `evaluate` wraps the
@@ -245,10 +241,10 @@ pub const CITE_STAGES: &[&str] = &["parse", "plan", "evaluate", "rewrite", "exte
 
 /// A fixed set of named stage histograms (nanosecond samples).
 ///
-/// [`time`](Self::time) wraps a closure: it records the elapsed time
-/// into the stage's histogram *and* notes it in the active
-/// thread-local [`Trace`], so engine-level aggregates and per-request
-/// breakdowns come from the same instrumentation point.
+/// [`time`](Self::time) wraps a closure and records its elapsed time
+/// into the stage's histogram; a caller that also keeps a per-request
+/// breakdown measures the closure itself and hands the duration to
+/// [`record`](Self::record), so both come from one measurement.
 #[derive(Debug)]
 pub struct StageSet {
     stages: Vec<(&'static str, Histogram)>,
@@ -266,14 +262,12 @@ impl StageSet {
     pub fn time<T>(&self, stage: &'static str, f: impl FnOnce() -> T) -> T {
         let started = Instant::now();
         let out = f();
-        let elapsed = started.elapsed();
-        self.record(stage, elapsed);
-        note(stage, elapsed);
+        self.record(stage, started.elapsed());
         out
     }
 
-    /// Record an already-measured duration under `stage` (and into
-    /// the active trace). Unknown stages are ignored.
+    /// Record an already-measured duration under `stage`. Unknown
+    /// stages are ignored.
     pub fn record(&self, stage: &'static str, elapsed: Duration) {
         if let Some((_, h)) = self.stages.iter().find(|(n, _)| *n == stage) {
             h.record_nanos(elapsed);
@@ -291,116 +285,6 @@ impl StageSet {
     /// Iterate `(name, histogram)` in declaration order.
     pub fn iter(&self) -> impl Iterator<Item = (&'static str, &Histogram)> {
         self.stages.iter().map(|(n, h)| (*n, h))
-    }
-}
-
-struct ActiveTrace {
-    request_id: String,
-    stages: Vec<(&'static str, Duration)>,
-}
-
-thread_local! {
-    static TRACES: RefCell<Vec<ActiveTrace>> = const { RefCell::new(Vec::new()) };
-}
-
-/// The per-stage breakdown of one finished [`Trace`].
-#[derive(Debug, Clone)]
-pub struct TraceReport {
-    /// The request ID the trace was started with.
-    pub request_id: String,
-    /// Accumulated per-stage durations, in first-noted order. A stage
-    /// noted more than once (e.g. `plan` on the answer and extent
-    /// paths) accumulates.
-    pub stages: Vec<(&'static str, Duration)>,
-}
-
-/// A thread-local request trace. Started at the front door with the
-/// request ID; every [`Span`] or [`StageSet::time`] on the same
-/// thread until [`finish`](Self::finish) accumulates into it. Traces
-/// nest (the innermost active trace collects); an unfinished trace
-/// unwinds cleanly on drop.
-#[derive(Debug)]
-pub struct Trace {
-    finished: bool,
-}
-
-impl Trace {
-    /// Begin collecting stage notes on this thread under `request_id`.
-    pub fn start(request_id: impl Into<String>) -> Trace {
-        TRACES.with(|t| {
-            t.borrow_mut().push(ActiveTrace {
-                request_id: request_id.into(),
-                stages: Vec::new(),
-            })
-        });
-        Trace { finished: false }
-    }
-
-    /// Stop collecting and return the per-stage breakdown.
-    pub fn finish(mut self) -> TraceReport {
-        self.finished = true;
-        TRACES
-            .with(|t| t.borrow_mut().pop())
-            .map(|a| TraceReport {
-                request_id: a.request_id,
-                stages: a.stages,
-            })
-            .unwrap_or(TraceReport {
-                request_id: String::new(),
-                stages: Vec::new(),
-            })
-    }
-}
-
-impl Drop for Trace {
-    fn drop(&mut self) {
-        if !self.finished {
-            TRACES.with(|t| {
-                t.borrow_mut().pop();
-            });
-        }
-    }
-}
-
-/// Add `elapsed` under `stage` to the innermost active trace on this
-/// thread, if any. No-op (and no allocation) otherwise.
-pub fn note(stage: &'static str, elapsed: Duration) {
-    TRACES.with(|t| {
-        if let Some(active) = t.borrow_mut().last_mut() {
-            match active.stages.iter_mut().find(|(n, _)| *n == stage) {
-                Some((_, d)) => *d += elapsed,
-                None => active.stages.push((stage, elapsed)),
-            }
-        }
-    });
-}
-
-/// The request ID of the innermost active trace on this thread.
-pub fn current_request_id() -> Option<String> {
-    TRACES.with(|t| t.borrow().last().map(|a| a.request_id.clone()))
-}
-
-/// An RAII stage guard: measures from construction to drop and
-/// [`note`]s the elapsed time into the active trace.
-#[derive(Debug)]
-pub struct Span {
-    stage: &'static str,
-    started: Instant,
-}
-
-impl Span {
-    /// Start timing `stage`.
-    pub fn enter(stage: &'static str) -> Span {
-        Span {
-            stage,
-            started: Instant::now(),
-        }
-    }
-}
-
-impl Drop for Span {
-    fn drop(&mut self) {
-        note(self.stage, self.started.elapsed());
     }
 }
 
@@ -725,33 +609,34 @@ mod tests {
     }
 
     #[test]
-    fn stage_set_times_into_histograms_and_traces() {
+    fn stage_set_times_into_histograms() {
         let stages = StageSet::new(CITE_STAGES);
-        let trace = Trace::start("req-1");
         let v = stages.time("plan", || {
             std::thread::sleep(Duration::from_millis(2));
             42
         });
         assert_eq!(v, 42);
         stages.time("plan", || ());
-        {
-            let _span = Span::enter("render");
-        }
-        let report = trace.finish();
-        assert_eq!(report.request_id, "req-1");
-        let plan = report
-            .stages
-            .iter()
-            .find(|(n, _)| *n == "plan")
-            .expect("plan noted");
-        assert!(plan.1 >= Duration::from_millis(2));
-        assert!(report.stages.iter().any(|(n, _)| *n == "render"));
+        stages.record("render", Duration::from_micros(5));
+        // a stage outside the set is ignored
+        stages.record("route", Duration::from_micros(5));
         let snap = stages.get("plan").unwrap().snapshot();
         assert_eq!(snap.count(), 2);
         assert!(snap.max >= 2_000_000, "nanosecond samples expected");
-        // No active trace: notes vanish, histograms still record.
-        stages.time("evaluate", || ());
-        assert!(current_request_id().is_none());
+        assert_eq!(stages.get("render").unwrap().snapshot().sum, 5_000);
+        assert!(stages.get("route").is_none());
+        let recorded: Vec<(&str, u64)> = stages.iter().map(|(n, h)| (n, h.count())).collect();
+        assert_eq!(
+            recorded,
+            [
+                ("parse", 0),
+                ("plan", 2),
+                ("evaluate", 0),
+                ("rewrite", 0),
+                ("extent", 0),
+                ("render", 1)
+            ]
+        );
     }
 
     #[test]

@@ -20,9 +20,9 @@
 //! |------------------|----------------------------------------|
 //! | `POST /cite`     | `{"query": "Q(N) :- ...", ...}`        |
 //! | `POST /cite_sql` | `{"sql": "SELECT ...", ...}`           |
-//! | `POST /cite_at`  | `{"query": ..., "version": 2, ...}` (versioned deployments; a `/cite` body plus `"version"`, or `"at": ts` to resolve a timestamp) |
+//! | `POST /cite_at`  | `{"query": ..., "version": 2, ...}` (a `/cite` body plus `"version"`, or `"at": ts` to resolve a timestamp) |
 //! | `GET /views`     | the registered citation views          |
-//! | `GET /versions`  | the commit history (versioned deployments) |
+//! | `GET /versions`  | the commit history                     |
 //! | `GET /stats`     | per-endpoint latency/throughput + cache|
 //! | `GET /healthz`   | liveness probe                         |
 //! | `GET /metrics`   | Prometheus text exposition             |
@@ -32,13 +32,14 @@
 //! request when the client (or an upstream coordinator) sent one,
 //! assigned at the front door otherwise.
 //!
-//! A versioned deployment ([`CiteServer::start_versioned`]) serves
-//! `/cite` over the head version and historical citations over each
-//! version's own snapshot, all through one engine per catalog: a
-//! version is an argument, and the catalog's view definitions,
-//! inclusion matrix and caches serve every version of it (`GET
-//! /stats` reports the catalog-engine `hits` and `rebuilt` counters
-//! under `fixity`).
+//! Every engine server serves a commit history
+//! ([`CiteServer::start_versioned`]; [`CiteServer::start`] serves one
+//! engine as a one-version history): `/cite` over the head version
+//! and historical citations over each version's own snapshot, all
+//! through one engine per catalog. A version is an argument, and the
+//! catalog's view definitions, inclusion matrix and caches serve
+//! every version of it (`GET /stats` reports the catalog-engine
+//! `hits` and `rebuilt` counters under `fixity`).
 //!
 //! Per-request overrides (policy, order, mode, rewrite budgets,
 //! memoization) ride on the JSON body — see [`wire`] for the exact

@@ -17,10 +17,13 @@
 //! this same server: the coordinator forwards each cite body to one
 //! replica's own `POST /cite`.
 //!
-//! `POST /cite_at` is `/cite` plus a version selector: the same
-//! decoder, then an engine over the selected version's snapshot —
-//! sharing the head engine's catalog-level state and caches when the
-//! catalogs agree — serves the request through its `cite_request`.
+//! Every engine server serves a commit history (§4: "data sources
+//! must support versioning"); a server started over one engine serves
+//! it as a one-version history. `POST /cite_at` is `/cite` plus a
+//! version selector: the same decoder, then an engine over the
+//! selected version's snapshot — sharing the head engine's
+//! catalog-level state and caches when the catalogs agree — serves
+//! the request through its `cite_request`.
 //!
 //! Shutdown ([`CiteServer::shutdown`]) is graceful and total: the
 //! service stops accepting, drains and joins its workers.
@@ -32,7 +35,7 @@ use crate::wire::{
 };
 use fgc_core::{CitationEngine, VersionSelector, VersionedCitation, VersionedCitationEngine};
 use fgc_obs::PromWriter;
-use fgc_relation::storage::{Storage, StorageStats};
+use fgc_relation::storage::StorageStats;
 use fgc_views::Json;
 use std::io;
 use std::net::SocketAddr;
@@ -46,9 +49,13 @@ pub struct CiteServer {
 }
 
 impl CiteServer {
-    /// Bind and start serving `engine` under `config`.
+    /// Bind and start serving `engine` under `config`, as a
+    /// one-version history
+    /// ([`VersionedCitationEngine::from_engine`]): the engine keeps
+    /// its policy, options and caches, and [`Self::engine`] reads its
+    /// counters.
     pub fn start(engine: Arc<CitationEngine>, config: ServerConfig) -> io::Result<CiteServer> {
-        CiteServer::start_inner(engine, None, config, Vec::new())
+        CiteServer::start_with_handler(engine, config, Vec::new())
     }
 
     /// [`CiteServer::start`] with extra route rows: `extra` joins the
@@ -59,41 +66,36 @@ impl CiteServer {
         config: ServerConfig,
         extra: Vec<Route>,
     ) -> io::Result<CiteServer> {
-        CiteServer::start_inner(engine, None, config, extra)
+        let versioned = Arc::new(VersionedCitationEngine::from_engine(engine));
+        CiteServer::start_inner(versioned, config, extra)
     }
 
-    /// Bind and start serving a **versioned** engine: the engine over
-    /// the head version answers `/cite` and `/cite_sql` (as in
-    /// [`CiteServer::start`]), while `POST /cite_at` serves
-    /// fixity-stamped citations against any committed version and
-    /// `GET /versions` lists the history. `GET /stats` gains a
-    /// `fixity` block with the catalog-engine counters.
+    /// Bind and start serving a commit history: the engine over the
+    /// head version, resolved once here, answers `/cite` and
+    /// `/cite_sql`, while `POST /cite_at` serves fixity-stamped
+    /// citations against any committed version, `GET /versions` lists
+    /// the history and `GET /stats` has a `fixity` block with the
+    /// catalog-engine counters.
     pub fn start_versioned(
         versioned: Arc<VersionedCitationEngine>,
         config: ServerConfig,
     ) -> io::Result<CiteServer> {
-        let (_, head) = versioned
-            .resolve(VersionSelector::Head)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
-        CiteServer::start_inner(Arc::new(head), Some(versioned), config, Vec::new())
+        CiteServer::start_inner(versioned, config, Vec::new())
     }
 
     fn start_inner(
-        engine: Arc<CitationEngine>,
-        versioned: Option<Arc<VersionedCitationEngine>>,
+        versioned: Arc<VersionedCitationEngine>,
         config: ServerConfig,
         extra: Vec<Route>,
     ) -> io::Result<CiteServer> {
+        let (_, head) = versioned
+            .resolve(VersionSelector::Head)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
+        let engine = Arc::new(head);
         let stats = Arc::new(ServerStats::default());
-        let storage = versioned
-            .as_ref()
-            .and_then(|v| v.storage())
-            .or_else(|| engine.storage())
-            .cloned();
         let app = Arc::new(App {
             engine: Arc::clone(&engine),
             versioned,
-            storage,
             role: config.role.clone(),
         });
         let mut routes = vec![
@@ -121,7 +123,7 @@ impl CiteServer {
         self.service.stats()
     }
 
-    /// The engine being served.
+    /// The engine `/cite` serves: the head version's.
     pub fn engine(&self) -> Arc<CitationEngine> {
         Arc::clone(&self.engine)
     }
@@ -141,15 +143,12 @@ impl CiteServer {
 /// What the engine routes share.
 struct App {
     /// The engine `/cite`, `/cite_sql` and `/views` serve: the head
-    /// version's in a versioned deployment.
+    /// version's.
     engine: Arc<CitationEngine>,
-    /// Present in versioned deployments; enables `/cite_at`,
-    /// `/versions`, and the `fixity` stats block.
-    versioned: Option<Arc<VersionedCitationEngine>>,
-    /// The store behind the deployment, if any — the versioned
-    /// engine's, or else the engine's — read by `/stats`, `/healthz`
+    /// The history `/cite_at`, `/versions` and the `fixity` stats
+    /// block serve; its store, if any, is read by `/stats`, `/healthz`
     /// and `/metrics`.
-    storage: Option<Arc<dyn Storage>>,
+    versioned: Arc<VersionedCitationEngine>,
     /// Role reported on `/healthz` and as the `/metrics` label.
     role: String,
 }
@@ -198,16 +197,14 @@ fn serve_cite(app: &App, call: &Call<'_>, kind: QueryKind) -> Response {
 /// `/cite` body: `{"query": "Q(...) :- ...", "version": 2, "policy":
 /// "join"}`.
 fn serve_cite_at(app: &App, call: &Call<'_>) -> Response {
-    let Some(versioned) = &app.versioned else {
-        return Response::error(404, NOT_VERSIONED);
-    };
     let (at, request) = match decode_cite_at_body(&call.request.body, app.engine.policy()) {
         Ok(decoded) => decoded,
         Err(message) => return Response::error(400, &message),
     };
     let include_stages = request.include_stages;
     let request = request.with_request_id(call.request_id);
-    let served = versioned
+    let served = app
+        .versioned
         .resolve(at)
         .and_then(|(info, engine)| Ok((info, engine.cite_request(&request)?)));
     match served {
@@ -229,14 +226,10 @@ fn serve_cite_at(app: &App, call: &Call<'_>) -> Response {
     }
 }
 
-const NOT_VERSIONED: &str = "this deployment is not versioned (start with a commit history)";
-
 /// `GET /versions`: the committed history, oldest first.
 fn serve_versions(app: &App, _: &Call<'_>) -> Response {
-    let Some(versioned) = &app.versioned else {
-        return Response::error(404, NOT_VERSIONED);
-    };
-    let versions: Vec<Json> = versioned
+    let versions: Vec<Json> = app
+        .versioned
         .history()
         .iter()
         .map(|(info, db)| {
@@ -265,11 +258,8 @@ fn serve_versions(app: &App, _: &Call<'_>) -> Response {
 /// `degraded: true` plus the cause list while `status` stays a 200 —
 /// the process still serves reads, it just cannot promise durability.
 fn serve_healthz(app: &App, _: &Call<'_>) -> Response {
-    let versions = app
-        .versioned
-        .as_ref()
-        .map_or(1, |v| v.history().len() as i64);
-    let health = app.storage.as_ref().map(|s| s.health());
+    let versions = app.versioned.history().len() as i64;
+    let health = app.versioned.storage().map(|s| s.health());
     let degraded = health.as_ref().is_some_and(|h| h.degraded);
     let causes: Vec<Json> = health
         .map(|h| h.causes.into_iter().map(Json::str).collect())
@@ -315,27 +305,25 @@ fn serve_stats(app: &App, call: &Call<'_>) -> Response {
     let cache = app.engine.cache_stats();
     let plans = app.engine.plan_stats();
     let mut body = call.stats.to_json();
-    if let Some(versioned) = &app.versioned {
-        let fixity = versioned.version_stats();
-        let memory = versioned.memory_stats();
-        body.set(
-            "fixity",
-            Json::from_pairs([
-                ("versions", Json::Int(fixity.versions as i64)),
-                ("hits", Json::Int(fixity.hits as i64)),
-                ("rebuilt", Json::Int(fixity.rebuilt as i64)),
-                (
-                    "resident_bytes",
-                    Json::Int(memory.resident_bytes.min(i64::MAX as usize) as i64),
-                ),
-                (
-                    "shared_relations",
-                    Json::Int(memory.shared_relations as i64),
-                ),
-            ]),
-        );
-    }
-    if let Some(storage) = app.storage.as_ref().map(|s| s.stats()) {
+    let fixity = app.versioned.version_stats();
+    let memory = app.versioned.memory_stats();
+    body.set(
+        "fixity",
+        Json::from_pairs([
+            ("versions", Json::Int(fixity.versions as i64)),
+            ("hits", Json::Int(fixity.hits as i64)),
+            ("rebuilt", Json::Int(fixity.rebuilt as i64)),
+            (
+                "resident_bytes",
+                Json::Int(memory.resident_bytes.min(i64::MAX as usize) as i64),
+            ),
+            (
+                "shared_relations",
+                Json::Int(memory.shared_relations as i64),
+            ),
+        ]),
+    );
+    if let Some(storage) = app.versioned.storage().map(|s| s.stats()) {
         body.set(
             "storage",
             Json::from_pairs([
@@ -386,7 +374,7 @@ fn serve_metrics(app: &App, call: &Call<'_>) -> Response {
     let base = [("role", app.role.as_str())];
     call.stats.write_prometheus(&mut w, &base);
     write_engine_metrics(&mut w, &base, &app.engine);
-    if let Some(storage) = &app.storage {
+    if let Some(storage) = app.versioned.storage() {
         write_storage_metrics(&mut w, &base, &storage.stats());
     }
     // Per-fault-point hit/injection counters: empty (and free) unless

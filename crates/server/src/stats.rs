@@ -71,9 +71,9 @@ pub struct ServerStats {
     pub cite: EndpointStats,
     /// `POST /cite_sql`.
     pub cite_sql: EndpointStats,
-    /// `POST /cite_at` (versioned deployments only).
+    /// `POST /cite_at`.
     pub cite_at: EndpointStats,
-    /// `GET /versions` (versioned deployments only).
+    /// `GET /versions`.
     pub versions: EndpointStats,
     /// `GET /views`.
     pub views: EndpointStats,

@@ -14,8 +14,8 @@
 //! thin wrapper doing I/O.
 
 use fgc_core::{
-    suggest_views, CitationEngine, CiteRequest, Policy, QueryLog, RewriteMode, VersionSelector,
-    VersionedCitation, VersionedCitationEngine,
+    suggest_views, CiteRequest, Policy, QueryLog, RewriteMode, VersionSelector, VersionedCitation,
+    VersionedCitationEngine,
 };
 use fgc_query::{parse_program, parse_query};
 use fgc_relation::loader::{load_commits, load_text, resume_commits};
@@ -199,9 +199,10 @@ serve: HTTP routes POST /cite, POST /cite_sql, GET /views, GET /stats,
        and per-stage breakdowns); default --addr 127.0.0.1:8787.
        Every response echoes `x-request-id` (assigned when the
        request carries none), and a /cite body with `stages: true`
-       adds the per-stage latency breakdown. With --commits
-       also POST /cite_at (a /cite body plus `version` or `at`) and
-       GET /versions, and GET /stats gains a
+       adds the per-stage latency breakdown. Every engine server
+       serves a commit history (--data alone is one version, `base`):
+       POST /cite_at takes a /cite body plus `version` or `at`,
+       GET /versions lists the history, and GET /stats has a
        `fixity` block (catalog-engine hits and builds). The
        compiled-plan cache's hits/misses/size appear under
        `plan_cache` (and in `cite --explain` output).
@@ -224,8 +225,7 @@ storage:
        manifest — the text loader never runs, --data may be omitted,
        and a --commits file resumes where the persisted chain left
        off (new sections applied, a divergent file refused).
-       Versioned deployments persist each commit
-       write-behind. Store counters (segments, WAL bytes,
+       Each commit is persisted write-behind. Store counters (segments, WAL bytes,
        compactions) appear under `storage` in GET /stats and as
        `fgcite_storage_*` in GET /metrics.
 deadlines & fault injection:
@@ -293,38 +293,6 @@ fn open_storage(args: &Args) -> Result<Option<std::sync::Arc<dyn Storage>>, CliE
     };
     let dir = std::path::Path::new(dir);
     Ok(Some(storage::open(dir, StorageOptions::default())?))
-}
-
-/// The base snapshot for single-engine (and replica) serving when a
-/// storage backend is configured: a non-empty manifest is the source
-/// of truth (cold start — the text loader never runs); otherwise the
-/// `--data` text is loaded and persisted as a 1-version history
-/// before serving.
-fn base_snapshot(
-    storage: Option<&std::sync::Arc<dyn Storage>>,
-    data: Option<&str>,
-) -> Result<Database, CliError> {
-    if let Some(s) = storage {
-        if s.stats().versions > 0 {
-            let history = s.load_history()?;
-            let (_, head) = history.head().expect("non-empty manifest has a head");
-            return Ok((**head).clone());
-        }
-    }
-    let data = data.ok_or_else(|| {
-        CliError("--data is required (no persisted history to cold-start from)".into())
-    })?;
-    let db = load_database(data)?;
-    match storage {
-        Some(s) => {
-            let mut history = VersionedDatabase::new();
-            history.commit(db, 0, "base")?;
-            s.sync(&history)?;
-            let (_, head) = history.head().expect("just committed");
-            Ok((**head).clone())
-        }
-        None => Ok(db),
-    }
 }
 
 /// `fgcite cite`: returns the rendered citation output.
@@ -539,11 +507,12 @@ pub fn apply_faults(args: &Args) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `fgcite serve`: build an engine from the data/view files and start
-/// the HTTP citation service. Returns the running server; the binary
-/// blocks on [`fgc_server::CiteServer::wait`]. With `commits`, the
-/// service is versioned: `/cite` answers from the head version and
-/// `/cite_at` serves the history.
+/// `fgcite serve`: build a commit history from the data/view files —
+/// the persisted one under `--data-dir` when there is one, else the
+/// `--data` snapshot as version 0 plus any `commits` — and start the
+/// HTTP citation service over it: `/cite` answers from the head
+/// version and `/cite_at` serves every version. Returns the running
+/// server; the binary blocks on [`fgc_server::CiteServer::wait`].
 pub fn run_serve(
     args: &Args,
     data: Option<&str>,
@@ -564,45 +533,35 @@ pub fn run_serve(
     let config = serve_config(args)?;
     let registry = load_registry(views)?;
     let storage = open_storage(args)?;
-    // Versioned serving: requested via --commits, or implied by a
-    // persisted multi-version history in the data dir.
-    let versioned_persisted = storage.as_ref().is_some_and(|s| s.stats().versions > 1);
-    if commits.is_some() || versioned_persisted {
-        let history = match &storage {
-            // Warm manifest: cold start from disk, the loader never
-            // runs. A --commits file is still honored — the persisted
-            // chain is verified against it and any sections past the
-            // persisted head are applied (and re-persisted via
-            // with_storage's sync); a divergent file is a structured
-            // error, never silently ignored.
-            Some(s) if s.stats().versions > 0 => {
-                let mut history = s.load_history()?;
-                if let Some(commits) = commits {
-                    resume_commits(&mut history, commits)?;
-                }
-                history
+    let history = match &storage {
+        // Warm manifest: cold start from disk, the loader never runs.
+        // A --commits file is still honored — the persisted chain is
+        // verified against it and any sections past the persisted
+        // head are applied (and re-persisted via with_storage's
+        // sync); a divergent file is a structured error, never
+        // silently ignored.
+        Some(s) if s.stats().versions > 0 => {
+            let mut history = s.load_history()?;
+            if let Some(commits) = commits {
+                resume_commits(&mut history, commits)?;
             }
-            _ => {
-                let data = data.ok_or_else(|| {
-                    CliError("--data is required (no persisted history to cold-start from)".into())
-                })?;
-                let commits = commits.expect("versioned without a persisted history has commits");
-                build_history(data, commits)?
-            }
-        };
-        let mut versioned = VersionedCitationEngine::new(history, registry);
-        if let Some(s) = &storage {
-            versioned = versioned.with_storage(std::sync::Arc::clone(s))?;
+            history
         }
-        return fgc_server::CiteServer::start_versioned(std::sync::Arc::new(versioned), config)
-            .map_err(|e| CliError(format!("cannot start server: {e}")));
-    }
-    let db = base_snapshot(storage.as_ref(), data)?;
-    let mut engine = CitationEngine::new(db, registry)?;
+        _ => {
+            let data = data.ok_or_else(|| {
+                CliError("--data is required (no persisted history to cold-start from)".into())
+            })?;
+            build_history(data, commits.unwrap_or_default())?
+        }
+    };
+    let mut versioned = VersionedCitationEngine::new(history, registry);
+    // builds the head's catalog engine, so a view file that does not
+    // validate is refused here, before anything is persisted or bound
+    versioned.resolve(VersionSelector::Head)?;
     if let Some(s) = storage {
-        engine = engine.with_storage(s);
+        versioned = versioned.with_storage(s)?;
     }
-    fgc_server::CiteServer::start(std::sync::Arc::new(engine), config)
+    fgc_server::CiteServer::start_versioned(std::sync::Arc::new(versioned), config)
         .map_err(|e| CliError(format!("cannot start server: {e}")))
 }
 
@@ -1040,7 +999,7 @@ lambda F. CV1(F, N, Pn) :- Family(F, N, Ty), FC(F, C), Person(C, Pn, A)
             .map(|s| s.to_string()),
         )
         .unwrap();
-        // first run: non-versioned, persists the base snapshot only
+        // first run: no --commits, persists the one-version history
         let server = run_serve(&args, Some(DATA), VIEWS, None).unwrap();
         server.shutdown();
         // second run: same data dir plus --commits — the persisted
@@ -1063,6 +1022,57 @@ lambda F. CV1(F, N, Pn) :- Family(F, N, Ty), FC(F, C), Person(C, Pn, A)
         )
         .unwrap_err();
         assert!(err.to_string().contains("diverged"), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn serve_without_commits_persists_a_base_version_that_commits_resume() {
+        let dir = std::env::temp_dir().join(format!("fgc-cli-base-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let args = Args::parse(
+            [
+                "serve",
+                "--addr=127.0.0.1:0",
+                "--threads=2",
+                &format!("--data-dir={}", dir.display()),
+            ]
+            .iter()
+            .map(|s| s.to_string()),
+        )
+        .unwrap();
+        // a view file that does not validate is refused before anything
+        // is persisted or bound, with the engine's own message
+        let bad_views = VIEWS.replace("Person(C, Pn, A)", "Nobody(C, Pn, A)");
+        let err = run_serve(&args, Some(DATA), &bad_views, None).unwrap_err();
+        let load = || load_database(DATA).unwrap();
+        let direct = fgc_core::CitationEngine::new(load(), load_registry(&bad_views).unwrap());
+        assert_eq!(err.to_string(), direct.unwrap_err().to_string());
+        assert_eq!(
+            storage::open(&dir, StorageOptions::default())
+                .unwrap()
+                .stats()
+                .versions,
+            0
+        );
+        // --data alone serves and persists a one-version history, `base`
+        let server = run_serve(&args, Some(DATA), VIEWS, None).unwrap();
+        let mut client = fgc_server::Client::connect(server.addr()).unwrap();
+        let versions = client.get("/versions").unwrap().body;
+        assert!(versions.contains("\"count\": 1"), "{versions}");
+        let body = r#"{"query": "Q(N) :- Family(F, N, Ty)", "at": 0}"#;
+        let at = client.post("/cite_at", body).unwrap();
+        assert_eq!(at.status, 200, "{}", at.body);
+        assert!(at.body.contains("\"base\""), "{}", at.body);
+        drop(client);
+        server.shutdown();
+        // a restart with --commits and no --data resumes the base
+        let server = run_serve(&args, None, VIEWS, Some(COMMITS)).unwrap();
+        let mut client = fgc_server::Client::connect(server.addr()).unwrap();
+        let versions = client.get("/versions").unwrap().body;
+        assert!(versions.contains("\"count\": 3"), "{versions}");
+        assert!(versions.contains("\"label\": \"base\""), "{versions}");
+        drop(client);
+        server.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -19,7 +19,9 @@
 use fgcite::dist::{Coordinator, CoordinatorConfig, DistServer};
 use fgcite::engine::QuerySpec;
 use fgcite::gtopdb::rng::SmallRng;
-use fgcite::gtopdb::{generate, paper_views, type_name, GeneratorConfig, WorkloadGenerator};
+use fgcite::gtopdb::{
+    generate, paper_instance, paper_views, type_name, GeneratorConfig, WorkloadGenerator,
+};
 use fgcite::prelude::*;
 use fgcite::query::{
     evaluate, evaluate_annotated, evaluate_grouped, reference_derivations, Binding,
@@ -144,6 +146,22 @@ pub fn random_commit(
             Ok(())
         })
         .expect("commit applies");
+}
+
+/// The paper instance committed three times: `v23` at 100, `v24` (adds
+/// Melatonin) at 200, `v25` (adds Ghrelin) at 300.
+pub fn paper_history() -> VersionedDatabase {
+    let mut history = VersionedDatabase::new();
+    history.commit(paper_instance(), 100, "v23").unwrap();
+    for (at, label, id, name) in [
+        (200, "v24", "20", "Melatonin"),
+        (300, "v25", "21", "Ghrelin"),
+    ] {
+        let family = tuple![id, name, "gpcr"];
+        let insert = |db: &mut Database| db.insert("Family", family).map(|_| ());
+        history.commit_with(at, label, insert).unwrap();
+    }
+    history
 }
 
 /// An engine citing `db` through the paper's views.

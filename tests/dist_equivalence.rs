@@ -6,20 +6,24 @@
 //! Each cite costs one replica call, an equal body always reaches the
 //! same replica, and answers stay identical with any one replica
 //! down; with every replica down the coordinator answers a structured
-//! 503 naming the replicas it tried.
+//! 503 naming the replicas it tried. Replicas that serve a commit
+//! history answer `POST /cite_at` through the coordinator the same
+//! way.
 
 mod common;
 
 use common::{
-    assert_outage, assert_same, cite_body, metric, posts, start_coordinator, start_reference,
-    start_replica, Reference, Request, QUERIES,
+    assert_outage, assert_same, cite_body, metric, posts, server_config, start_coordinator,
+    start_reference, start_replica, Candidate, Reference, Request, QUERIES,
 };
 use fgcite::dist::{Coordinator, CoordinatorConfig, DistServer, PoolConfig};
-use fgcite::gtopdb::paper_instance;
+use fgcite::gtopdb::{paper_instance, paper_views};
+use fgcite::prelude::VersionedCitationEngine;
 use fgcite::relation::Database;
-use fgcite::server::{parse_json, CiteServer, Client};
+use fgcite::server::{parse_json, CiteServer, Client, ServerConfig};
 use fgcite::views::Json;
 use std::net::SocketAddr;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// A coordinator and its replicas. Fields drop in order: the front
@@ -83,6 +87,48 @@ fn coordinator_matches_single_process_on_generated_gtopdb() {
         .collect::<Vec<_>>();
     let reference = Reference::new("gtopdb families=60 default seed", db.clone());
     assert_clusters_match(&reference, &db, &posts(&queries));
+}
+
+/// Every replica serves the same commit history, so `/cite_at`
+/// forwards like `/cite`: a coordinator over two replicas of the paper
+/// history answers at the head, at each version id and at a timestamp
+/// byte for byte as a single versioned server does, the 400 for an
+/// unknown version included.
+#[test]
+fn coordinator_forwards_cite_at_over_a_history() {
+    let serve = |config: ServerConfig| {
+        let versioned = VersionedCitationEngine::new(common::paper_history(), paper_views());
+        CiteServer::start_versioned(Arc::new(versioned), config).expect("history serves")
+    };
+    let single = serve(server_config());
+    let replicas: Vec<CiteServer> = (0..2)
+        .map(|_| serve(server_config().with_role("replica")))
+        .collect();
+    let addrs = replicas.iter().map(CiteServer::addr).collect();
+    let front = start_coordinator(CoordinatorConfig::new(addrs));
+    let selectors = ["", r#""version": 0"#, r#""version": 1"#, r#""at": 250"#];
+    let mut requests = Vec::new();
+    for query in QUERIES {
+        let body = cite_body(query);
+        for selector in selectors {
+            let body = match selector {
+                "" => body.clone(),
+                _ => format!("{}, {selector}}}", body.trim_end_matches('}')),
+            };
+            requests.push(Request::Post("/cite_at", body));
+        }
+    }
+    let unknown = r#"{"query": "Q(N) :- Family(F, N, Ty)", "version": 9}"#;
+    requests.push(Request::Post("/cite_at", unknown.into()));
+    for request in &requests {
+        let expected = single.addr().answer(request);
+        assert_eq!(front.addr().answer(request), expected, "{request}");
+    }
+    assert!(single.addr().answer(&requests[1]).contains("\"v23\""));
+    let last = single.addr().answer(requests.last().unwrap());
+    assert!(last.starts_with("400 "), "{last}");
+    let forwarded = front.stats().cite_at.requests();
+    assert_eq!(forwarded, requests.len() as u64);
 }
 
 /// The `calls` of every replica in the coordinator's `/stats`.

@@ -201,22 +201,76 @@ fn views_and_healthz_routes_answer() {
     }
 }
 
+/// The fields of a `/stats` body's `fixity` block.
+fn fixity_of(client: &mut Client) -> Json {
+    let stats = client.get("/stats").expect("response");
+    let parsed = parse_json(&stats.body).unwrap();
+    parsed.get("fixity").cloned().expect("fixity block")
+}
+
 #[test]
-fn versioned_routes_serve_history_and_unversioned_deployments_404() {
-    // unversioned: the versioned routes answer 404, /stats has no fixity
+fn a_plain_server_serves_a_one_version_history() {
+    // one engine is a one-version history: version 0, `base`, at 0
     let (_server, addr) = start_server(2);
     let mut client = Client::connect(addr).expect("connect");
-    let response = client
-        .post("/cite_at", &cite_body(QUERIES[1]))
-        .expect("response");
-    assert_eq!(response.status, 404, "{}", response.body);
-    assert_eq!(client.get("/versions").expect("response").status, 404);
-    let stats = client.get("/stats").expect("response");
-    assert!(parse_json(&stats.body).unwrap().get("fixity").is_none());
+    let q = QUERIES[1];
+    for body in [
+        cite_body(q),
+        body_with(q, r#""version": 0"#),
+        body_with(q, r#""at": 0"#),
+    ] {
+        let response = client.post("/cite_at", &body).expect("response");
+        assert_eq!(response.status, 200, "{body}: {}", response.body);
+        let parsed = parse_json(&response.body).unwrap();
+        assert_eq!(parsed.get("Version"), Some(&Json::str("base")), "{body}");
+        assert_eq!(parsed.get("VersionId"), Some(&Json::Int(0)), "{body}");
+        assert_eq!(parsed.get("Timestamp"), Some(&Json::Int(0)), "{body}");
+    }
+    let unknown = body_with(QUERIES[1], r#""version": 1"#);
+    assert_eq!(client.post("/cite_at", &unknown).unwrap().status, 400);
+    let versions = parse_json(&client.get("/versions").unwrap().body).unwrap();
+    assert_eq!(versions.get("count"), Some(&Json::Int(1)), "{versions}");
+    // the served engine is the history's one catalog engine
+    let fixity = fixity_of(&mut client);
+    assert_eq!(fixity.get("versions"), Some(&Json::Int(1)), "{fixity}");
+    assert_eq!(fixity.get("rebuilt"), Some(&Json::Int(1)), "{fixity}");
+}
 
-    // versioned: /cite_at serves any committed version, /cite serves
-    // the head, and /stats reports the derived/rebuilt counters
-    let versioned = VersionedCitationEngine::new(paper_history(), fgcite::gtopdb::paper_views());
+/// A plain server keeps its engine's configuration at every version:
+/// under exhaustive + union, `/cite_at` at the head cites what `/cite`
+/// does, and both differ from the default policy's citation.
+#[test]
+fn a_plain_servers_history_keeps_its_engines_policy() {
+    let configured = Arc::new(common::exhaustive_union(common::engine(paper_instance())));
+    let server = CiteServer::start(Arc::clone(&configured), server_config()).unwrap();
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let post = |client: &mut Client, path: &str| {
+        let response = client.post(path, &cite_body(QUERIES[1])).expect("response");
+        assert_eq!(response.status, 200, "{path}: {}", response.body);
+        parse_json(&response.body).unwrap()
+    };
+    let (cite, at) = (post(&mut client, "/cite"), post(&mut client, "/cite_at"));
+    let Some(Json::Array(tuples)) = cite.get("tuples") else {
+        panic!("no tuples in {cite}");
+    };
+    assert_eq!(
+        at.get("Tuples"),
+        Some(&Json::Int(tuples.len() as i64)),
+        "{at}"
+    );
+    assert_eq!(at.get("Citation"), cite.get("aggregate"), "{at}\n{cite}");
+    let default = engine().cite(&parse_query(QUERIES[1]).unwrap()).unwrap();
+    assert_ne!(at.get("Citation"), Some(&default.aggregate), "{at}");
+    // the server reads the configured engine's counters
+    assert_eq!(server.engine().plan_stats(), configured.plan_stats());
+}
+
+#[test]
+fn versioned_routes_serve_the_history() {
+    // /cite_at serves any committed version, /cite serves the head,
+    // and /stats reports the catalog-engine counters
+    let versioned =
+        VersionedCitationEngine::new(common::paper_history(), fgcite::gtopdb::paper_views());
     let server =
         CiteServer::start_versioned(Arc::new(versioned), server_config()).expect("bind loopback");
     let mut client = Client::connect(server.addr()).expect("connect");
@@ -252,22 +306,12 @@ fn versioned_routes_serve_history_and_unversioned_deployments_404() {
     // /versions + fixity block
     let versions = client.get("/versions").expect("response");
     assert!(versions.body.contains("\"count\": 3"), "{}", versions.body);
-    let stats = client.get("/stats").expect("response");
-    let fixity = parse_json(&stats.body)
-        .unwrap()
-        .get("fixity")
-        .cloned()
-        .expect("fixity block");
-    assert_eq!(
-        fixity.get("versions"),
-        Some(&Json::Int(3)),
-        "{}",
-        stats.body
-    );
+    let fixity = fixity_of(&mut client);
+    assert_eq!(fixity.get("versions"), Some(&Json::Int(3)), "{fixity}");
     // one engine serves every version of the one catalog
-    assert_eq!(fixity.get("rebuilt"), Some(&Json::Int(1)), "{}", stats.body);
+    assert_eq!(fixity.get("rebuilt"), Some(&Json::Int(1)), "{fixity}");
     match fixity.get("hits") {
-        Some(Json::Int(n)) => assert!(*n >= 1, "{}", stats.body),
+        Some(Json::Int(n)) => assert!(*n >= 1, "{fixity}"),
         other => panic!("hits missing: {other:?}"),
     }
     for gone in [
@@ -277,33 +321,17 @@ fn versioned_routes_serve_history_and_unversioned_deployments_404() {
         "engine_evictions",
         "engine_capacity",
     ] {
-        assert!(fixity.get(gone).is_none(), "{gone}: {}", stats.body);
+        assert!(fixity.get(gone).is_none(), "{gone}: {fixity}");
     }
-}
-
-/// The paper instance committed three times: `v23` at 100, `v24` (adds
-/// Melatonin) at 200, `v25` (adds Ghrelin) at 300.
-fn paper_history() -> VersionedDatabase {
-    let mut history = VersionedDatabase::new();
-    history.commit(paper_instance(), 100, "v23").unwrap();
-    for (at, label, id, name) in [
-        (200, "v24", "20", "Melatonin"),
-        (300, "v25", "21", "Ghrelin"),
-    ] {
-        let family = tuple![id, name, "gpcr"];
-        let insert = |db: &mut Database| db.insert("Family", family).map(|_| ());
-        history.commit_with(at, label, insert).unwrap();
-    }
-    history
 }
 
 /// `/cite_at` is `/cite` at a version: every `/cite` override applies,
 /// each body is the stamped render of a fresh engine over that
-/// version's snapshot serving the same request, and the request runs
-/// inside the trace (`"stages": true`, the slow log's breakdown).
+/// version's snapshot serving the same request, and the request's
+/// stage breakdown is reported (`"stages": true`, the slow log).
 #[test]
 fn cite_at_is_cite_at_a_version() {
-    let (history, views) = (paper_history(), fgcite::gtopdb::paper_views);
+    let (history, views) = (common::paper_history(), fgcite::gtopdb::paper_views);
     let versioned = VersionedCitationEngine::new(history.clone(), views());
     let server = CiteServer::start_versioned(Arc::new(versioned), server_config()).unwrap();
     let mut client = Client::connect(server.addr()).expect("connect");
@@ -359,9 +387,10 @@ fn a_versioned_store_is_reported_once() {
     let dir = common::TempDir::new("versioned-metrics");
     let storage: Arc<dyn Storage> =
         Arc::new(DiskStorage::open(&dir, StorageOptions::default()).unwrap());
-    let versioned = VersionedCitationEngine::new(paper_history(), fgcite::gtopdb::paper_views())
-        .with_storage(Arc::clone(&storage))
-        .unwrap();
+    let versioned =
+        VersionedCitationEngine::new(common::paper_history(), fgcite::gtopdb::paper_views())
+            .with_storage(Arc::clone(&storage))
+            .unwrap();
     let server = CiteServer::start_versioned(Arc::new(versioned), server_config()).unwrap();
     let mut client = Client::connect(server.addr()).expect("connect");
     // serving a second version borrows an engine for it
