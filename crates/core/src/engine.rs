@@ -132,19 +132,16 @@ struct RequestCounters {
 }
 
 impl RequestCounters {
-    /// Run `f` as `stage`: one measurement goes into the engine's
-    /// stage histogram and into this request's breakdown. A stage
-    /// timed inside `f` is noted before `stage` itself.
+    /// Run `f` as `stage` under [`StageSet::time`], adding the same
+    /// measurement to this request's breakdown. A stage timed inside
+    /// `f` is noted before `stage` itself.
     fn time<T>(
         &mut self,
         histograms: &StageSet,
         stage: &'static str,
         f: impl FnOnce(&mut Self) -> T,
     ) -> T {
-        let started = Instant::now();
-        let out = f(self);
-        let elapsed = started.elapsed();
-        histograms.record(stage, elapsed);
+        let (out, elapsed) = histograms.time(stage, || f(self));
         match self.stages.iter_mut().find(|(name, _)| *name == stage) {
             Some((_, total)) => *total += elapsed,
             None => self.stages.push((stage, elapsed)),

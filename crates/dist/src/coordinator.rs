@@ -10,9 +10,9 @@
 //! back verbatim, 200 and 4xx alike. A replica's reply *is* the single
 //! server's reply, so distributed citations are byte-identical by
 //! construction, and equal bodies reach the same replica, so each
-//! replica's caches see a stable slice of the traffic. Every replica
-//! serves the same commit history, so a `/cite_at` version selector
-//! means the same snapshot on each.
+//! replica's caches see a stable slice of the traffic. `connect`
+//! refuses replicas whose `GET /versions` bodies differ, so a
+//! `/cite_at` version selector means the same snapshot on each.
 //!
 //! Each try uses the pool's bounded retry and circuit breaker, and a
 //! 5xx counts as a transport failure. The request ID rides along as
@@ -62,44 +62,71 @@ pub struct Coordinator {
     pool: ReplicaPool,
     /// The replicas' `GET /views` body, fetched once at bootstrap.
     views: String,
+    /// The number of versions in the replicas' one commit history.
+    versions: usize,
 }
 
 impl Coordinator {
     /// Bootstrap against a live replica set: every listed replica must
     /// answer `GET /healthz` with a role other than `coordinator` (a
-    /// coordinator listed as a replica would forward in a loop), and
-    /// the first one's `GET /views` body is kept for serving.
+    /// coordinator listed as a replica would forward in a loop) and
+    /// `GET /versions` with the first one's body (replicas over
+    /// different histories would answer one `/cite_at` differently),
+    /// and the first one's `GET /views` body is kept for serving.
     pub fn connect(config: CoordinatorConfig) -> Result<Coordinator, String> {
         if config.replicas.is_empty() {
             return Err("a coordinator needs at least one replica".into());
         }
         let pool = ReplicaPool::new(config.replicas, config.pool);
+        let mut history: Option<String> = None;
         for index in 0..pool.replicas() {
             let addr = pool.addr(index);
             let health = pool
                 .request(index, "GET", "/healthz", None)
                 .map_err(|e| format!("replica {addr} is unreachable: {e}"))?;
             check_health(&health.body).map_err(|e| format!("replica {addr}: {e}"))?;
+            let versions = fetch(&pool, index, "/versions")?;
+            match &history {
+                Some(first) if *first != versions => {
+                    return Err(format!(
+                        "replica {addr} serves a different commit history from replica {}",
+                        pool.addr(0)
+                    ))
+                }
+                Some(_) => {}
+                None => history = Some(versions),
+            }
         }
-        let views = pool
-            .request(0, "GET", "/views", None)
-            .map_err(|e| format!("replica {}: {e}", pool.addr(0)))?;
-        if views.status != 200 {
-            return Err(format!(
-                "replica {} answered GET /views with {}",
-                pool.addr(0),
-                views.status
-            ));
-        }
+        let history = history.expect("at least one replica");
+        let versions = match parse_json(&history)
+            .ok()
+            .and_then(|h| h.get("count").cloned())
+        {
+            Some(Json::Int(count)) => count as usize,
+            _ => {
+                return Err(format!(
+                    "replica {}: GET /versions has no count",
+                    pool.addr(0)
+                ))
+            }
+        };
+        let views = fetch(&pool, 0, "/views")?;
         Ok(Coordinator {
             pool,
-            views: views.body,
+            views,
+            versions,
         })
     }
 
     /// The `GET /views` body the replicas served at bootstrap.
     pub fn views(&self) -> &str {
         &self.views
+    }
+
+    /// The number of versions in the replicas' commit history, read
+    /// from their `GET /versions` at bootstrap.
+    pub fn versions(&self) -> usize {
+        self.versions
     }
 
     /// An engine over an empty database and registry: a coordinator
@@ -232,6 +259,22 @@ fn deadline_exceeded(request_id: &str) -> (u16, String) {
         ("request_id", Json::str(request_id)),
     ]);
     (504, body.to_compact())
+}
+
+/// The body of a bootstrap `GET path` on replica `index`; anything
+/// but a 200 is an error.
+fn fetch(pool: &ReplicaPool, index: usize, path: &str) -> Result<String, String> {
+    let addr = pool.addr(index);
+    let response = pool
+        .request(index, "GET", path, None)
+        .map_err(|e| format!("replica {addr}: {e}"))?;
+    if response.status != 200 {
+        return Err(format!(
+            "replica {addr} answered GET {path} with {}",
+            response.status
+        ));
+    }
+    Ok(response.body)
 }
 
 /// Refuse a replica whose `/healthz` names no role or names the

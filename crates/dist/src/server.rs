@@ -105,7 +105,7 @@ fn serve_cite(coordinator: &Coordinator, call: &Call<'_>) -> Response {
 }
 
 /// `GET /healthz`: the same shape a replica reports, with the
-/// coordinator's role. The coordinator is `degraded` while any
+/// coordinator's role and the replicas' version count. The coordinator is `degraded` while any
 /// replica circuit is open — it still serves (failover, partial
 /// capacity) but cannot promise every replica is reachable.
 fn serve_healthz(coordinator: &Coordinator, _: &Call<'_>) -> Response {
@@ -123,7 +123,7 @@ fn serve_healthz(coordinator: &Coordinator, _: &Call<'_>) -> Response {
         ("degraded", Json::Bool(degraded)),
         ("causes", Json::Array(causes)),
         ("role", Json::str("coordinator")),
-        ("versions", Json::Int(1)),
+        ("versions", Json::Int(coordinator.versions() as i64)),
     ]);
     Response::json(200, body.to_compact())
 }

@@ -15,8 +15,8 @@
 //!   of two of the exact order statistic.
 //! - [`StageSet`] — a fixed set of named per-stage histograms with a
 //!   [`StageSet::time`] closure wrapper that records the stage
-//!   histogram. A per-request breakdown is a value its caller builds
-//!   from the same measurements ([`StageSet::record`]).
+//!   histogram and returns the measurement, so a per-request
+//!   breakdown is a value its caller builds from the same samples.
 //! - [`PromWriter`] — Prometheus text-format (0.0.4) exposition for
 //!   counters, gauges, and histogram buckets.
 //! - [`SlowLog`] — a bounded ring of the top-K slowest requests with
@@ -241,10 +241,10 @@ pub const CITE_STAGES: &[&str] = &["parse", "plan", "evaluate", "rewrite", "exte
 
 /// A fixed set of named stage histograms (nanosecond samples).
 ///
-/// [`time`](Self::time) wraps a closure and records its elapsed time
-/// into the stage's histogram; a caller that also keeps a per-request
-/// breakdown measures the closure itself and hands the duration to
-/// [`record`](Self::record), so both come from one measurement.
+/// [`time`](Self::time) wraps a closure, records its elapsed time
+/// into the stage's histogram and hands that time back, so a caller
+/// that also keeps a per-request breakdown adds the same measurement
+/// to it.
 #[derive(Debug)]
 pub struct StageSet {
     stages: Vec<(&'static str, Histogram)>,
@@ -258,12 +258,14 @@ impl StageSet {
         }
     }
 
-    /// Run `f`, recording its wall-clock time under `stage`.
-    pub fn time<T>(&self, stage: &'static str, f: impl FnOnce() -> T) -> T {
+    /// Run `f`, recording its wall-clock time under `stage`; returns
+    /// `f`'s value with that time.
+    pub fn time<T>(&self, stage: &'static str, f: impl FnOnce() -> T) -> (T, Duration) {
         let started = Instant::now();
         let out = f();
-        self.record(stage, started.elapsed());
-        out
+        let elapsed = started.elapsed();
+        self.record(stage, elapsed);
+        (out, elapsed)
     }
 
     /// Record an already-measured duration under `stage`. Unknown
@@ -611,11 +613,12 @@ mod tests {
     #[test]
     fn stage_set_times_into_histograms() {
         let stages = StageSet::new(CITE_STAGES);
-        let v = stages.time("plan", || {
+        let (v, elapsed) = stages.time("plan", || {
             std::thread::sleep(Duration::from_millis(2));
             42
         });
         assert_eq!(v, 42);
+        assert!(elapsed >= Duration::from_millis(2));
         stages.time("plan", || ());
         stages.record("render", Duration::from_micros(5));
         // a stage outside the set is ignored

@@ -166,8 +166,6 @@ fn serve_views(app: &App, _: &Call<'_>) -> Response {
 }
 
 fn serve_cite(app: &App, call: &Call<'_>, kind: QueryKind) -> Response {
-    // Wire decode is this worker's share of the `parse` stage (the
-    // engine times the query resolution itself).
     let request = match decode_cite_body(&app.engine, &call.request.body, kind) {
         Ok(r) => r,
         Err(message) => return Response::error(400, &message),

@@ -443,7 +443,7 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
             };
         let keep_alive = request.keep_alive() && !shared.shutdown.load(Ordering::SeqCst);
         // Assign (or honor) the request ID at the front door: it is
-        // echoed on the response, carried through the engine trace,
+        // echoed on the response, set on the engine's `CiteRequest`,
         // and keyed into the slow log.
         let rid = request
             .header("x-request-id")

@@ -133,17 +133,14 @@ pub fn parse_body(body: &[u8]) -> Result<Json, String> {
 }
 
 /// The body → [`CiteRequest`] decode every engine front door runs
-/// (a single server or a replica), timed as the front door's
-/// share of the served engine's `parse` stage. The error is the 400
-/// message.
+/// (a single server or a replica), under the served engine's default
+/// policy. The error is the 400 message.
 pub fn decode_cite_body(
     engine: &CitationEngine,
     body: &[u8],
     kind: QueryKind,
 ) -> Result<CiteRequest, String> {
-    engine.stage_stats().time("parse", || {
-        decode_cite_request(&parse_body(body)?, kind, engine.policy()).map_err(|e| e.0)
-    })
+    decode_cite_request(&parse_body(body)?, kind, engine.policy()).map_err(|e| e.0)
 }
 
 /// Decode a `POST /cite_at` body: an optional `"version"` id or `"at"`

@@ -20,7 +20,10 @@ fn serve(raw: Vec<String>) -> Result<(), fgcite::cli::CliError> {
             server.addr(),
             server.coordinator().pool().replicas()
         );
-        println!("routes: POST /cite, POST /cite_sql, GET /views, GET /stats, GET /healthz");
+        println!(
+            "routes: POST /cite, POST /cite_sql, POST /cite_at, GET /views, GET /stats, \
+             GET /healthz"
+        );
         server.wait();
         return Ok(());
     }
@@ -29,17 +32,12 @@ fn serve(raw: Vec<String>) -> Result<(), fgcite::cli::CliError> {
     let data = args.get("data").map(read_file).transpose()?;
     let views = read_file(args.require("views")?)?;
     let commits = args.get("commits").map(read_file).transpose()?;
-    let versioned = commits.is_some();
     let server = fgcite::cli::run_serve(&args, data.as_deref(), &views, commits.as_deref())?;
     println!("fgcite serving on http://{}", server.addr());
-    if versioned {
-        println!(
-            "routes: POST /cite, POST /cite_sql, POST /cite_at, GET /views, GET /versions, \
-             GET /stats, GET /healthz"
-        );
-    } else {
-        println!("routes: POST /cite, POST /cite_sql, GET /views, GET /stats, GET /healthz");
-    }
+    println!(
+        "routes: POST /cite, POST /cite_sql, POST /cite_at, GET /views, GET /versions, \
+         GET /stats, GET /healthz"
+    );
     server.wait();
     Ok(())
 }

@@ -193,8 +193,9 @@ cite with --commits answers against the commit history (--version id,
        cite flag applies as usual, and --explain adds a `fixity:` line.
        One engine per catalog serves every version, and its caches
        are shared across versions (see `fixity` in GET /stats).
-serve: HTTP routes POST /cite, POST /cite_sql, GET /views, GET /stats,
-       GET /healthz, GET /metrics (Prometheus text exposition),
+serve: HTTP routes POST /cite, POST /cite_sql, POST /cite_at,
+       GET /views, GET /versions, GET /stats, GET /healthz,
+       GET /metrics (Prometheus text exposition),
        GET /debug/slow (slowest recent requests, with request IDs
        and per-stage breakdowns); default --addr 127.0.0.1:8787.
        Every response echoes `x-request-id` (assigned when the
@@ -209,13 +210,14 @@ serve: HTTP routes POST /cite, POST /cite_sql, GET /views, GET /stats,
 distributed serving:
        `--replicas a:p,b:p,...` starts a coordinator instead of an
        engine (no --data/--views). Each replica is an ordinary
-       `fgcite serve` over the same data; the coordinator forwards
-       every POST /cite and /cite_sql body unchanged to one replica,
-       picked by a hash of the body and failing over to the next,
-       and relays its answer. GET /views is the replicas' body,
-       fetched at start-up. `--replica-timeout-ms` bounds each
-       replica call. Per-replica circuit state appears under
-       `replicas` in GET /stats.
+       `fgcite serve` over the same data and commits; the
+       coordinator forwards every POST /cite, /cite_sql and /cite_at
+       body unchanged to one replica, picked by a hash of the body
+       and failing over to the next, and relays its answer. GET
+       /views is the replicas' body, fetched at start-up; replicas
+       whose GET /versions bodies differ are refused.
+       `--replica-timeout-ms` bounds each replica call. Per-replica
+       circuit state appears under `replicas` in GET /stats.
 storage:
        --data-dir DIR persists the snapshots as append-only segment
        files plus a delta WAL under DIR, each file checksummed;

@@ -8,7 +8,7 @@
 //! down; with every replica down the coordinator answers a structured
 //! 503 naming the replicas it tried. Replicas that serve a commit
 //! history answer `POST /cite_at` through the coordinator the same
-//! way.
+//! way, and replicas over different histories are refused at connect.
 
 mod common;
 
@@ -129,6 +129,32 @@ fn coordinator_forwards_cite_at_over_a_history() {
     assert!(last.starts_with("400 "), "{last}");
     let forwarded = front.stats().cite_at.requests();
     assert_eq!(forwarded, requests.len() as u64);
+    assert_eq!(healthz_versions(front.addr()), 3);
+}
+
+/// The `versions` count on `GET /healthz` at `addr`.
+fn healthz_versions(addr: SocketAddr) -> i64 {
+    let health = Client::connect(addr).unwrap().get("/healthz").unwrap();
+    match parse_json(&health.body).unwrap().get("versions") {
+        Some(Json::Int(n)) => *n,
+        other => panic!("no versions count ({other:?}) in {}", health.body),
+    }
+}
+
+/// `connect` refuses replicas over different commit histories: one
+/// `/cite_at` version would name a different snapshot on each.
+#[test]
+fn connect_refuses_replicas_over_different_histories() {
+    let plain = start_replica(&paper_instance());
+    let history = VersionedCitationEngine::new(common::paper_history(), paper_views());
+    let config = server_config().with_role("replica");
+    let versioned = CiteServer::start_versioned(Arc::new(history), config).expect("history serves");
+    let listed = vec![plain.addr(), versioned.addr()];
+    let err = Coordinator::connect(CoordinatorConfig::new(listed)).unwrap_err();
+    assert!(err.contains(&versioned.addr().to_string()), "{err}");
+    assert!(err.contains("different commit history"), "{err}");
+    let front = start_coordinator(CoordinatorConfig::new(vec![plain.addr()]));
+    assert_eq!(healthz_versions(front.addr()), 1);
 }
 
 /// The `calls` of every replica in the coordinator's `/stats`.

@@ -711,6 +711,18 @@ fn observability_surface_rides_every_response() {
     }
     // there is no batcher, so no batch families to export
     assert!(!metrics.body.contains("fgcite_batch"), "{}", metrics.body);
+    // one sample per stage per cite: the front door's body decode is
+    // not a second `parse` sample
+    let samples = |stage: &str| {
+        let label = format!("stage=\"{stage}\"");
+        common::metric(
+            &metrics.body,
+            "fgcite_stage_duration_seconds_count{",
+            &label,
+        )
+    };
+    assert_eq!(samples("parse"), 3, "{}", metrics.body);
+    assert_eq!(samples("render"), 3, "{}", metrics.body);
 
     // /debug/slow retains the recent requests under their IDs
     let slow = client.get("/debug/slow").unwrap();
