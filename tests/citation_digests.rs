@@ -18,12 +18,23 @@ use std::fmt::Write as _;
 /// Sets one engine configuration up.
 type Configure = fn(CitationEngine) -> CitationEngine;
 
-/// The engine configurations every query is cited under.
-fn configs() -> [(&'static str, Configure); 3] {
+/// The engine configurations every query is cited under: the default
+/// policy under each §3.4 order, the union policy citing exhaustively
+/// (no order) and the join policy.
+fn configs() -> [(&'static str, Configure); 6] {
     [
         ("default", |e| e),
         ("exhaustive+union", common::exhaustive_union),
         ("join", |e| e.with_policy(Policy::join_all())),
+        ("fewest-views", |e| {
+            e.with_policy(Policy::default().with_order(OrderChoice::FewestViews))
+        }),
+        ("fewest-uncovered", |e| {
+            e.with_policy(Policy::default().with_order(OrderChoice::FewestUncovered))
+        }),
+        ("view-inclusion", |e| {
+            e.with_policy(Policy::default().with_order(OrderChoice::ViewInclusion))
+        }),
     ]
 }
 
