@@ -6,9 +6,9 @@
 //! > the combining functions +, ·, +R, and Agg."
 
 use crate::token::CiteToken;
-use fgc_semiring::order::{FewestUncovered, FewestViews, Lexicographic, NoOrder, TokenDominance};
-use fgc_semiring::{CitationExpr, Monomial};
+use fgc_semiring::{maximal, CitationExpr, Monomial};
 use fgc_views::{join_records, union_records, Json};
+use std::cmp::Reverse;
 use std::collections::BTreeMap;
 
 /// Interpretation of a binary combining function on JSON citations —
@@ -130,51 +130,116 @@ impl Policy {
     /// `inclusion` is the view-inclusion matrix
     /// (`(general, specific) → specific ⊑ general`), needed by
     /// [`OrderChoice::ViewInclusion`] and [`OrderChoice::Composite`].
+    ///
+    /// Each order is a key per monomial plus a dominance preorder
+    /// within one key class ([`CitationExpr::normal_form`]). Examples
+    /// 3.6 and 3.7 are scalar keys — fewer views, fewer `C_R` markers
+    /// — whose classes are all equivalent; the composite keys by
+    /// both, uncovered first. Example 3.8 is the dominance: one
+    /// monomial is below another when each of its inclusion-reduced
+    /// tokens is below one of the other's.
     pub fn normalize<R: Ord + Clone + std::fmt::Debug>(
         &self,
         expr: &CitationExpr<R, CiteToken>,
         inclusion: &BTreeMap<(String, String), bool>,
     ) -> CitationExpr<R, CiteToken> {
+        let key = |m: &Monomial<CiteToken>| {
+            let fewest = |counts: fn(&CiteToken) -> bool| Reverse(m.degree_where(counts));
+            match self.order {
+                OrderChoice::FewestViews => (Reverse(0), fewest(CiteToken::is_view)),
+                OrderChoice::FewestUncovered => (fewest(CiteToken::is_base), Reverse(0)),
+                OrderChoice::Composite => (fewest(CiteToken::is_base), fewest(CiteToken::is_view)),
+                OrderChoice::None | OrderChoice::ViewInclusion => (Reverse(0), Reverse(0)),
+            }
+        };
         match self.order {
-            OrderChoice::None => expr.normal_form(&NoOrder),
-            OrderChoice::FewestViews => expr.normal_form(&FewestViews::new(CiteToken::is_view)),
-            OrderChoice::FewestUncovered => {
-                expr.normal_form(&FewestUncovered::new(CiteToken::is_base))
+            // no order: only equal monomials compare
+            OrderChoice::None => expr.normal_form(|m| ((), m), |a, b| a == b),
+            OrderChoice::FewestViews | OrderChoice::FewestUncovered => {
+                expr.normal_form(|m| (key(m), ()), |_, _| true)
             }
-            OrderChoice::ViewInclusion => {
-                expr.normal_form(&TokenDominance::new(token_inclusion_leq(inclusion)))
-            }
-            OrderChoice::Composite => {
-                let order = Lexicographic::new(
-                    FewestUncovered::new(CiteToken::is_base),
-                    Lexicographic::new(
-                        FewestViews::new(CiteToken::is_view),
-                        TokenDominance::new(token_inclusion_leq(inclusion)),
-                    ),
-                );
-                expr.normal_form(&order)
+            OrderChoice::ViewInclusion | OrderChoice::Composite => {
+                let tokens = TokenInclusion::new(expr, inclusion);
+                expr.normal_form(
+                    |m| (key(m), tokens.reduce(m)),
+                    |a, b| a.iter().all(|&t| b.iter().any(|&u| tokens.leq(t, u))),
+                )
             }
         }
     }
 }
 
-/// Token-level preorder for Example 3.8: token `a ≤ b` iff both are
-/// view citations and `b`'s view is included in `a`'s view (the more
-/// general view is less preferable). `C_R` markers are incomparable
-/// to everything except themselves.
-fn token_inclusion_leq(
-    inclusion: &BTreeMap<(String, String), bool>,
-) -> impl Fn(&CiteToken, &CiteToken) -> bool + '_ {
-    move |a: &CiteToken, b: &CiteToken| {
-        if a == b {
-            return true;
+/// Example 3.8's token preorder over one expression's tokens: `a ≤ b`
+/// iff `a == b`, or both cite views and `b`'s view is included in
+/// `a`'s (the more general view is less preferable). `C_R` markers
+/// compare with themselves only.
+struct TokenInclusion<'a> {
+    /// The expression's distinct tokens, sorted: a token's id is its
+    /// index here.
+    tokens: Vec<&'a CiteToken>,
+    /// Per token id, its view's row in `included` (`None`: a marker).
+    views: Vec<Option<usize>>,
+    /// `included[g * width + s]`: view `s` is included in view `g`.
+    included: Vec<bool>,
+    width: usize,
+}
+
+impl<'a> TokenInclusion<'a> {
+    /// Look each pair of the expression's views up once.
+    fn new<R: Ord + Clone + std::fmt::Debug>(
+        expr: &'a CitationExpr<R, CiteToken>,
+        inclusion: &BTreeMap<(String, String), bool>,
+    ) -> Self {
+        let mut tokens: Vec<&CiteToken> = expr
+            .alternatives()
+            .flat_map(|(_, p)| p.monomials())
+            .flat_map(|m| m.tokens())
+            .collect();
+        tokens.sort_unstable();
+        tokens.dedup();
+        // view tokens sort by view name first
+        let mut names: Vec<&str> = tokens.iter().filter_map(|t| t.view_name()).collect();
+        names.dedup();
+        let views = tokens
+            .iter()
+            .map(|t| t.view_name().and_then(|v| names.binary_search(&v).ok()))
+            .collect();
+        let included = names
+            .iter()
+            .flat_map(|g| names.iter().map(move |s| (g.to_string(), s.to_string())))
+            .map(|pair| inclusion.get(&pair) == Some(&true))
+            .collect();
+        TokenInclusion {
+            tokens,
+            views,
+            included,
+            width: names.len(),
         }
-        match (a, b) {
-            (CiteToken::View { view: va, .. }, CiteToken::View { view: vb, .. }) => {
-                *inclusion.get(&(va.clone(), vb.clone())).unwrap_or(&false)
-            }
-            _ => false,
-        }
+    }
+
+    /// Is token `a ≤` token `b` (by id)?
+    fn leq(&self, a: usize, b: usize) -> bool {
+        a == b
+            || matches!((self.views[a], self.views[b]),
+                (Some(g), Some(s)) if self.included[g * self.width + s])
+    }
+
+    /// A monomial's token ids less every token another of them beats
+    /// (`a · b = a if b ≤ a`; equivalent tokens keep the `Ord`-least):
+    /// the form Example 3.8 compares.
+    fn reduce(&self, m: &Monomial<CiteToken>) -> Vec<usize> {
+        let ids: Vec<usize> = m
+            .tokens()
+            .map(|t| {
+                self.tokens
+                    .binary_search(&t)
+                    .expect("a token of the expression")
+            })
+            .collect();
+        maximal(&vec![(); ids.len()], |i, j| self.leq(ids[i], ids[j]))
+            .into_iter()
+            .map(|i| ids[i])
+            .collect()
     }
 }
 

@@ -15,9 +15,13 @@
 //! an owner policy — which makes citations plan-independent by
 //! construction ("the citations obtained for two equivalent queries
 //! will always be the same").
+//!
+//! [`CitationExpr::normal_form`] is §3.4's normal form under any of
+//! the paper's orders, given as a key per monomial plus a dominance
+//! preorder within one key class; which order is which is the
+//! policy's business.
 
-use crate::order::{normal_form, poly_leq, MonomialOrder};
-use crate::polynomial::Polynomial;
+use crate::polynomial::{Monomial, Polynomial};
 use crate::traits::CommutativeSemiring;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -100,66 +104,79 @@ impl<R: Ord + Clone + Debug, T: Ord + Clone + Debug> CitationExpr<R, T> {
             .fold(Polynomial::zero(), |acc, p| acc.plus(p))
     }
 
-    /// Distribute a product over `+R` — the distributivity the paper
-    /// assumes in Example 3.3:
-    /// `(a +R b) · c = a·c +R b·c` (per-alternative multiplication).
-    pub fn times_poly(&self, factor: &Polynomial<T>) -> Self {
-        CitationExpr {
-            alternatives: self
-                .alternatives
-                .iter()
-                .map(|(r, p)| (r.clone(), p.times(factor)))
-                .collect(),
-        }
-    }
-
-    /// Normal form under a monomial order (§3.4):
-    /// 1. normalize each alternative's polynomial;
-    /// 2. apply `p1 +R p2 = p1 if p2 ≤ p1` — keep only the maximal
-    ///    alternatives under the lifted polynomial order; among
-    ///    equivalent alternatives keep the one with the `Ord`-least
-    ///    rewriting label.
-    pub fn normal_form<O: MonomialOrder<T>>(&self, order: &O) -> Self {
-        let normalized: Vec<(R, Polynomial<T>)> = self
+    /// Normal form under a §3.4 order, given as a key per monomial
+    /// (larger is preferable) and a dominance preorder `leq` within
+    /// one key class, over a form `prepare` computes once per monomial
+    /// with its key. `b` *beats* `a` when `a ≤ b` and either `b ≰ a`
+    /// or `b` is `Ord`-less ([`maximal`]):
+    /// 1. each polynomial keeps the unbeaten monomials of its max-key
+    ///    class, with coefficient 1 ("removing every monomial M2 for
+    ///    which there exists a monomial M1 ≥ M2");
+    /// 2. `+R` keeps the unbeaten alternatives of the max-key class by
+    ///    the same rule (`p1 +R p2 = p1 if p2 ≤ p1`). An alternative's
+    ///    key is its normal form's (`None`, the least, when that is
+    ///    empty), and `p2 ≤ p1` within a class when every monomial of
+    ///    `p2`'s normal form is `leq` one of `p1`'s. Equivalent
+    ///    alternatives keep the `Ord`-least rewriting label.
+    pub fn normal_form<'a, K: Ord + Copy, N>(
+        &'a self,
+        prepare: impl Fn(&'a Monomial<T>) -> (K, N),
+        leq: impl Fn(&N, &N) -> bool,
+    ) -> Self {
+        // per alternative: (monomial, key, form) in `Ord` order, and
+        // the indices its normal form keeps
+        let polys: Vec<_> = self
             .alternatives
             .iter()
-            .map(|(r, p)| (r.clone(), normal_form(p, order)))
-            .collect();
-        let keep = normalized.iter().filter(|(r1, p1)| {
-            !normalized.iter().any(|(r2, p2)| {
-                if r1 == r2 {
-                    return false;
-                }
-                let le = poly_leq(p1, p2, order);
-                let ge = poly_leq(p2, p1, order);
-                if le && !ge {
-                    true // strictly dominated
-                } else if le && ge {
-                    r2 < r1 // equivalent: keep Ord-least label
-                } else {
-                    false
-                }
+            .map(|(r, p)| {
+                let monomials: Vec<_> = p
+                    .monomials()
+                    .map(|m| {
+                        let (key, form) = prepare(m);
+                        (m, key, form)
+                    })
+                    .collect();
+                let keys: Vec<K> = monomials.iter().map(|(_, key, _)| *key).collect();
+                let kept = maximal(&keys, |i, j| leq(&monomials[i].2, &monomials[j].2));
+                (r, monomials, kept)
             })
-        });
-        CitationExpr {
-            alternatives: keep.cloned().collect(),
-        }
+            .collect();
+        let keys: Vec<Option<K>> = polys
+            .iter()
+            .map(|(_, monomials, kept)| kept.first().map(|&i| monomials[i].1))
+            .collect();
+        let alternatives = maximal(&keys, |a, b| {
+            let ((_, ma, ka), (_, mb, kb)) = (&polys[a], &polys[b]);
+            ka.iter()
+                .all(|&i| kb.iter().any(|&j| leq(&ma[i].2, &mb[j].2)))
+        })
+        .into_iter()
+        .map(|a| {
+            let (r, monomials, kept) = &polys[a];
+            let terms = kept.iter().map(|&i| (monomials[i].0.clone(), 1));
+            ((*r).clone(), Polynomial::from_terms(terms))
+        })
+        .collect();
+        CitationExpr { alternatives }
     }
+}
 
-    /// Interpret the expression under concrete operations: a token
-    /// valuation into a semiring `S` (supplying `+` and `·`) and a
-    /// binary `plus_r` for combining alternatives. Returns `None` for
-    /// `0R` (the caller supplies the neutral citation).
-    pub fn interpret<S, V, P>(&self, mut valuation: V, mut plus_r: P) -> Option<S>
-    where
-        S: CommutativeSemiring,
-        V: FnMut(&T) -> S,
-        P: FnMut(S, S) -> S,
-    {
-        let mut iter = self.alternatives.values();
-        let first = iter.next()?.eval(&mut valuation);
-        Some(iter.fold(first, |acc, p| plus_r(acc, p.eval(&mut valuation))))
-    }
+/// §3.4's keep rule over items numbered in `Ord` order: of the items
+/// with the greatest key, keep each one no other of them beats. `j`
+/// beats `i` when `leq(i, j)` and either `!leq(j, i)` (strictly
+/// preferable) or `j < i` (equivalent, and `Ord`-less). Returns the
+/// kept numbers in order; an empty input keeps nothing.
+pub fn maximal<K: Ord>(keys: &[K], leq: impl Fn(usize, usize) -> bool) -> Vec<usize> {
+    let Some(top) = keys.iter().max() else {
+        return Vec::new();
+    };
+    let class: Vec<usize> = (0..keys.len()).filter(|&i| keys[i] == *top).collect();
+    let beaten = |i: usize| {
+        class
+            .iter()
+            .any(|&j| j != i && leq(i, j) && (j < i || !leq(j, i)))
+    };
+    class.iter().copied().filter(|&i| !beaten(i)).collect()
 }
 
 impl<R: Ord + Clone + fmt::Display, T: Ord + Clone + fmt::Display> fmt::Display
@@ -184,11 +201,18 @@ impl<R: Ord + Clone + fmt::Display, T: Ord + Clone + fmt::Display> fmt::Display
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::instances::Natural;
-    use crate::order::FewestViews;
-    use crate::polynomial::Monomial;
+    use std::cmp::Reverse;
 
     type Expr = CitationExpr<&'static str, &'static str>;
+
+    /// Example 3.6 over `v`-tokens: one key, every member of a class
+    /// equivalent.
+    fn fewest_views(e: &Expr) -> Expr {
+        e.normal_form(
+            |m| (Reverse(m.degree_where(|t| t.starts_with('v'))), ()),
+            |_, _| true,
+        )
+    }
 
     fn poly(monos: &[&[&'static str]]) -> Polynomial<&'static str> {
         Polynomial::from_terms(
@@ -226,23 +250,11 @@ mod tests {
     }
 
     #[test]
-    fn times_poly_distributes_over_alternatives() {
-        // Example 3.3 shape: (CV1(13) +R CV4(gpcr)) · CV2(13)
-        let e = Expr::single("Q1", poly(&[&["cv1_13"]]))
-            .plus_r(&Expr::single("Q2", poly(&[&["cv4_gpcr"]])));
-        let distributed = e.times_poly(&poly(&[&["cv2_13"]]));
-        let expected = Expr::single("Q1", poly(&[&["cv1_13", "cv2_13"]]))
-            .plus_r(&Expr::single("Q2", poly(&[&["cv4_gpcr", "cv2_13"]])));
-        assert_eq!(distributed, expected);
-    }
-
-    #[test]
     fn normal_form_keeps_preferable_rewriting() {
-        let order = FewestViews::new(|t: &&str| t.starts_with('v'));
         // Q4 uses one view; Q3 uses two — Example 2.3's preference
         let e = Expr::single("Q3", poly(&[&["v4", "v2"]]))
             .plus_r(&Expr::single("Q4", poly(&[&["v5"]])));
-        let nf = e.normal_form(&order);
+        let nf = fewest_views(&e);
         assert_eq!(nf.num_alternatives(), 1);
         assert_eq!(*nf.alternatives().next().unwrap().0, "Q4");
     }
@@ -250,18 +262,49 @@ mod tests {
     #[test]
     fn normal_form_keeps_incomparable_alternatives() {
         // token-identity order: different monomials incomparable
-        let order = crate::order::NoOrder;
         let e = Expr::single("Q1", poly(&[&["v1"]])).plus_r(&Expr::single("Q2", poly(&[&["v2"]])));
-        assert_eq!(e.normal_form(&order).num_alternatives(), 2);
+        let nf = e.normal_form(|m| ((), m), |a, b| a == b);
+        assert_eq!(nf.num_alternatives(), 2);
     }
 
     #[test]
     fn normal_form_equivalent_keeps_least_label() {
-        let order = FewestViews::new(|t: &&str| t.starts_with('v'));
         let e = Expr::single("Q2", poly(&[&["v1"]])).plus_r(&Expr::single("Q1", poly(&[&["v2"]])));
-        let nf = e.normal_form(&order);
+        let nf = fewest_views(&e);
         assert_eq!(nf.num_alternatives(), 1);
         assert_eq!(*nf.alternatives().next().unwrap().0, "Q1");
+    }
+
+    #[test]
+    fn normal_form_keeps_the_best_class_less_dominated_monomials() {
+        // one view beats two and three; of two equivalent one-view
+        // monomials the `Ord`-least stays, with coefficient 1
+        let p = Polynomial::from_terms([
+            (Monomial::from_pairs([("v5", 1)]), 2),
+            (Monomial::from_pairs([("v6", 1)]), 1),
+            (Monomial::from_pairs([("v4", 1), ("v2", 1)]), 1),
+            (Monomial::from_pairs([("v1", 1), ("v2", 1), ("v3", 1)]), 1),
+        ]);
+        let nf = fewest_views(&Expr::single("Q1", p));
+        assert_eq!(nf.to_string(), "[Q1: v5]");
+        // under token identity nothing is dominated: coefficients drop
+        let e = Expr::single(
+            "Q1",
+            poly(&[&["v1"], &["v1", "v2"]]).plus(&poly(&[&["v1"]])),
+        );
+        let nf = e.normal_form(|m| ((), m), |a, b| a == b);
+        assert_eq!(nf.to_string(), "[Q1: v1 + v1·v2]");
+    }
+
+    #[test]
+    fn maximal_keeps_the_top_class_less_beaten_members() {
+        // keys [1, 2, 2, 2]: item 0 is out; 1 ≤ 3 strictly; 2 and 3
+        // are equivalent, so the smaller number stays
+        let leq = |i: usize, j: usize| i == j || (i == 1 && j == 3) || (i + j == 5);
+        assert_eq!(maximal(&[1, 2, 2, 2], leq), vec![2]);
+        // incomparable members all stay; no items keep nothing
+        assert_eq!(maximal(&[0, 0, 0], |i, j| i == j), vec![0, 1, 2]);
+        assert!(maximal::<u8>(&[], |_, _| true).is_empty());
     }
 
     #[test]
@@ -269,24 +312,6 @@ mod tests {
         let e = Expr::single("Q1", poly(&[&["v1"]])).plus_r(&Expr::single("Q2", poly(&[&["v2"]])));
         assert_eq!(e.flatten().num_monomials(), 2);
         assert_eq!(e.total_monomials(), 2);
-    }
-
-    #[test]
-    fn interpret_counts_derivations() {
-        let e = Expr::single("Q1", poly(&[&["v1"], &["v2"]]))
-            .plus_r(&Expr::single("Q2", poly(&[&["v3"]])));
-        // + within rewriting, max across rewritings
-        let got = e
-            .interpret(
-                |_| Natural(1),
-                |a: Natural, b: Natural| Natural(a.0.max(b.0)),
-            )
-            .unwrap();
-        assert_eq!(got, Natural(2));
-        assert_eq!(
-            Expr::zero_r().interpret(|_| Natural(1), |a, b| a.plus(&b)),
-            None
-        );
     }
 
     #[test]

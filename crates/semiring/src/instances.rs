@@ -2,7 +2,7 @@
 //! (Green, Karvounarakis, Tannen — "Provenance semirings", PODS 2007,
 //! the paper's reference \[5\]).
 
-use crate::traits::{CommutativeSemiring, IdempotentPlus};
+use crate::traits::CommutativeSemiring;
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -59,101 +59,6 @@ impl CommutativeSemiring for Bool {
         Bool(self.0 && other.0)
     }
 }
-
-impl IdempotentPlus for Bool {}
-
-// ---------------------------------------------------------------------
-// Tropical (min, +) — cost of the cheapest derivation
-// ---------------------------------------------------------------------
-
-/// `(ℕ ∪ {∞}, min, +, ∞, 0)` — the cost semiring. Used by the
-/// preference machinery to reason about "cheapest" citations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum Tropical {
-    /// No derivation (additive neutral).
-    Infinity,
-    /// A derivation of the given cost.
-    Cost(u64),
-}
-
-impl CommutativeSemiring for Tropical {
-    fn zero() -> Self {
-        Tropical::Infinity
-    }
-    fn one() -> Self {
-        Tropical::Cost(0)
-    }
-    fn plus(&self, other: &Self) -> Self {
-        match (self, other) {
-            (Tropical::Infinity, x) | (x, Tropical::Infinity) => *x,
-            (Tropical::Cost(a), Tropical::Cost(b)) => Tropical::Cost(*a.min(b)),
-        }
-    }
-    fn times(&self, other: &Self) -> Self {
-        match (self, other) {
-            (Tropical::Infinity, _) | (_, Tropical::Infinity) => Tropical::Infinity,
-            (Tropical::Cost(a), Tropical::Cost(b)) => Tropical::Cost(a.saturating_add(*b)),
-        }
-    }
-}
-
-impl IdempotentPlus for Tropical {}
-
-// ---------------------------------------------------------------------
-// Lineage (which-provenance)
-// ---------------------------------------------------------------------
-
-/// Lineage: the set of base tokens involved in *some* derivation.
-/// `+` and `·` are both union (with `0` as the absent annotation).
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum Lineage<T: Ord + Clone + fmt::Debug> {
-    /// Additive neutral: no derivation at all.
-    Empty,
-    /// The set of tokens touched by the derivations.
-    Tokens(BTreeSet<T>),
-}
-
-impl<T: Ord + Clone + fmt::Debug> Lineage<T> {
-    /// A single-token lineage.
-    pub fn token(t: T) -> Self {
-        Lineage::Tokens(BTreeSet::from([t]))
-    }
-
-    /// The token set (empty for `Empty`).
-    pub fn tokens(&self) -> BTreeSet<T> {
-        match self {
-            Lineage::Empty => BTreeSet::new(),
-            Lineage::Tokens(s) => s.clone(),
-        }
-    }
-}
-
-impl<T: Ord + Clone + fmt::Debug> CommutativeSemiring for Lineage<T> {
-    fn zero() -> Self {
-        Lineage::Empty
-    }
-    fn one() -> Self {
-        Lineage::Tokens(BTreeSet::new())
-    }
-    fn plus(&self, other: &Self) -> Self {
-        match (self, other) {
-            (Lineage::Empty, x) | (x, Lineage::Empty) => x.clone(),
-            (Lineage::Tokens(a), Lineage::Tokens(b)) => {
-                Lineage::Tokens(a.union(b).cloned().collect())
-            }
-        }
-    }
-    fn times(&self, other: &Self) -> Self {
-        match (self, other) {
-            (Lineage::Empty, _) | (_, Lineage::Empty) => Lineage::Empty,
-            (Lineage::Tokens(a), Lineage::Tokens(b)) => {
-                Lineage::Tokens(a.union(b).cloned().collect())
-            }
-        }
-    }
-}
-
-impl<T: Ord + Clone + fmt::Debug> IdempotentPlus for Lineage<T> {}
 
 // ---------------------------------------------------------------------
 // Why-provenance (witness sets)
@@ -222,8 +127,6 @@ impl<T: Ord + Clone + fmt::Debug> CommutativeSemiring for Why<T> {
     }
 }
 
-impl<T: Ord + Clone + fmt::Debug> IdempotentPlus for Why<T> {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -244,53 +147,6 @@ mod tests {
     #[test]
     fn bool_laws_and_idempotence() {
         let samples = [Bool(false), Bool(true)];
-        for a in &samples {
-            assert!(laws::check_idempotent(a));
-            for b in &samples {
-                for c in &samples {
-                    assert_eq!(laws::check_axioms(a, b, c), None);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn tropical_laws() {
-        let samples = [
-            Tropical::Infinity,
-            Tropical::Cost(0),
-            Tropical::Cost(3),
-            Tropical::Cost(9),
-        ];
-        for a in &samples {
-            assert!(laws::check_idempotent(a));
-            for b in &samples {
-                for c in &samples {
-                    assert_eq!(laws::check_axioms(a, b, c), None);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn lineage_collects_all_tokens() {
-        let a = Lineage::token("t1");
-        let b = Lineage::token("t2");
-        let joined = a.times(&b);
-        assert_eq!(joined.tokens(), BTreeSet::from(["t1", "t2"]));
-        // plus also unions, but zero stays absorbing for times
-        assert_eq!(Lineage::<&str>::zero().times(&a), Lineage::zero());
-        assert_eq!(Lineage::<&str>::zero().plus(&a), a);
-    }
-
-    #[test]
-    fn lineage_laws() {
-        let samples = [
-            Lineage::Empty,
-            Lineage::one(),
-            Lineage::token("x"),
-            Lineage::token("y").plus(&Lineage::token("z")),
-        ];
         for a in &samples {
             assert!(laws::check_idempotent(a));
             for b in &samples {

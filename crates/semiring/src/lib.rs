@@ -8,30 +8,24 @@
 //!
 //! * [`traits`] — the commutative-semiring abstraction plus law
 //!   checkers;
-//! * [`instances`] — ℕ (bag), 𝔹 (set), tropical (cost), lineage and
-//!   why-provenance;
+//! * [`instances`] — ℕ (bag), 𝔹 (set) and why-provenance;
 //! * [`polynomial`] — the free semiring `ℕ[X]` with its universal
 //!   evaluation homomorphism;
 //! * [`citation`] — the paper's two-level citation expressions:
 //!   per-rewriting polynomials combined by the distinct operation
-//!   `+R` (Definitions 3.1–3.3);
-//! * [`order`] — the partial orders of §3.4 (fewest views, fewest
-//!   uncovered terms, view inclusion), normal forms, and the lifting
-//!   from monomials to polynomials.
+//!   `+R` (Definitions 3.1–3.3), and their §3.4 normal form under an
+//!   order given as a key per monomial plus a dominance preorder
+//!   within one key class (the orders themselves are `fgc-core`'s
+//!   policy).
 
 #![warn(missing_docs)]
 
 pub mod citation;
 pub mod instances;
-pub mod order;
 pub mod polynomial;
 pub mod traits;
 
-pub use citation::CitationExpr;
-pub use instances::{Bool, Lineage, Natural, Tropical, Why};
-pub use order::{
-    normal_form, poly_leq, FewestUncovered, FewestViews, Lexicographic, MonomialOrder, NoOrder,
-    TokenDominance,
-};
+pub use citation::{maximal, CitationExpr};
+pub use instances::{Bool, Natural, Why};
 pub use polynomial::{Monomial, Polynomial};
-pub use traits::{laws, CommutativeSemiring, IdempotentPlus};
+pub use traits::{laws, CommutativeSemiring};

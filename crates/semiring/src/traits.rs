@@ -50,11 +50,6 @@ pub trait CommutativeSemiring: Clone + PartialEq + Debug {
     }
 }
 
-/// Marker trait: `a + a = a`. The paper leans on idempotence in
-/// Example 3.4 ("Assuming that + is idempotent (a + a = a, e.g. as in
-/// set union), we get a single citation ... for each tuple").
-pub trait IdempotentPlus: CommutativeSemiring {}
-
 /// Law-checking helpers, used by unit and property tests of every
 /// semiring instance in this crate (and available to downstream
 /// crates for their own instances).

@@ -16,6 +16,8 @@
 
 #![allow(dead_code)]
 
+pub mod order;
+
 use fgcite::dist::{Coordinator, CoordinatorConfig, DistServer};
 use fgcite::engine::QuerySpec;
 use fgcite::gtopdb::rng::SmallRng;

@@ -8,14 +8,16 @@
 
 mod common;
 
+use common::order::{expr_normal_form, poly_leq, reference_order, ORDERS};
+use fgcite::engine::CiteToken;
 use fgcite::gtopdb::rng::SmallRng;
 use fgcite::prelude::*;
 use fgcite::query::{equivalent, evaluate, minimize, parse_query};
 use fgcite::semiring::{
-    laws, normal_form, poly_leq, Bool, CommutativeSemiring, FewestViews, Monomial, Natural,
-    Polynomial, Why,
+    laws, Bool, CitationExpr, CommutativeSemiring, Monomial, Natural, Polynomial, Why,
 };
 use fgcite::views::{join_records, union_records};
+use std::collections::BTreeMap;
 
 // ---------------------------------------------------------------------
 // Generators
@@ -171,47 +173,164 @@ fn squash_is_idempotent() {
 // §3.4 normal forms
 // ---------------------------------------------------------------------
 
+/// The paper's five views: every view token cites one of them.
+const VIEWS: [&str; 5] = ["V1", "V2", "V3", "V4", "V5"];
+
+/// A view token (one of three valuations, the empty one included) or,
+/// one time in five, a `C_R` marker.
+fn cite_token(g: &mut SmallRng) -> CiteToken {
+    if g.gen_bool(0.2) {
+        return CiteToken::base(["Family", "FC"][g.gen_range(0..2)]);
+    }
+    let valuation = match g.gen_range(0..3) {
+        0 => Vec::new(),
+        1 => vec![Value::str("11")],
+        _ => vec![Value::str("12")],
+    };
+    CiteToken::view(VIEWS[g.gen_range(0..VIEWS.len())], valuation)
+}
+
+/// 1–8 monomials of 0–3 tokens, exponents and coefficients up to 2.
+fn cite_polynomial(g: &mut SmallRng) -> Polynomial<CiteToken> {
+    let n = g.gen_range(1..9);
+    Polynomial::from_terms(
+        (0..n)
+            .map(|_| {
+                let k = g.gen_range(0..4);
+                let m = Monomial::from_pairs(
+                    (0..k)
+                        .map(|_| (cite_token(g), g.gen_range(1..3) as u32))
+                        .collect::<Vec<_>>(),
+                );
+                (m, g.gen_range(1..3) as u64)
+            })
+            .collect::<Vec<_>>(),
+    )
+}
+
+/// 1–6 alternatives over six labels (a repeated label merges with `+`).
+fn cite_expr(g: &mut SmallRng) -> CitationExpr<String, CiteToken> {
+    let n = g.gen_range(1..7);
+    (0..n).fold(CitationExpr::zero_r(), |acc, _| {
+        let label = format!("Q{}", g.gen_range(0..6));
+        acc.plus_r(&CitationExpr::single(label, cite_polynomial(g)))
+    })
+}
+
+/// The engine's view-inclusion matrix over the paper's views.
+fn paper_inclusion() -> BTreeMap<(String, String), bool> {
+    use fgcite::query::Dependencies;
+    use fgcite::rewrite::{view_inclusion_matrix, ViewDefs};
+    let catalog = fgcite::gtopdb::paper_instance().catalog().clone();
+    let defs = ViewDefs::new(fgcite::gtopdb::paper_views().iter().map(|v| v.view.clone()))
+        .with_dependencies(Dependencies::from_catalog(&catalog));
+    view_inclusion_matrix(&defs)
+}
+
+/// A random matrix over the paper's view names: not reflexive,
+/// transitive or antisymmetric unless by chance.
+fn random_inclusion(g: &mut SmallRng) -> BTreeMap<(String, String), bool> {
+    let mut matrix = BTreeMap::new();
+    for a in VIEWS {
+        for b in VIEWS {
+            matrix.insert((a.to_string(), b.to_string()), g.gen_bool(0.35));
+        }
+    }
+    matrix
+}
+
+/// `Policy::normalize` under `order`, as (label, polynomial) pairs.
+fn normalized(
+    order: OrderChoice,
+    expr: &CitationExpr<String, CiteToken>,
+    inclusion: &BTreeMap<(String, String), bool>,
+) -> Vec<(String, Polynomial<CiteToken>)> {
+    let nf = Policy::default()
+        .with_order(order)
+        .normalize(expr, inclusion);
+    nf.alternatives()
+        .map(|(r, p)| (r.clone(), p.clone()))
+        .collect()
+}
+
+/// The engine's normal forms equal the pairwise definitions for every
+/// order, under the paper's inclusion matrix and under random ones.
+#[test]
+fn normalize_matches_the_pairwise_reference() {
+    let paper = paper_inclusion();
+    forall(256, |g| {
+        let expr = cite_expr(g);
+        let random = random_inclusion(g);
+        for inclusion in [&paper, &random] {
+            for order in ORDERS {
+                let reference = expr_normal_form(&expr, &*reference_order(order, inclusion));
+                assert_eq!(
+                    normalized(order, &expr, inclusion),
+                    reference,
+                    "{order:?} on {expr} under {inclusion:?}"
+                );
+            }
+        }
+    });
+}
+
 #[test]
 fn normal_form_is_idempotent() {
+    let paper = paper_inclusion();
     forall(128, |g| {
-        let p = polynomial(g);
-        let order = FewestViews::new(|t: &String| t.starts_with('v'));
-        let nf = normal_form(&p, &order);
-        assert_eq!(normal_form(&nf, &order), nf);
+        let expr = cite_expr(g);
+        for order in ORDERS {
+            let policy = Policy::default().with_order(order);
+            let nf = policy.normalize(&expr, &paper);
+            assert_eq!(policy.normalize(&nf, &paper), nf, "{order:?} on {expr}");
+        }
     });
 }
 
 #[test]
 fn normal_form_never_grows() {
+    let paper = paper_inclusion();
     forall(128, |g| {
-        let p = polynomial(g);
-        let order = FewestViews::new(|t: &String| t.starts_with('v'));
-        assert!(normal_form(&p, &order).num_monomials() <= p.num_monomials());
+        let expr = cite_expr(g);
+        for order in ORDERS {
+            let nf = Policy::default().with_order(order).normalize(&expr, &paper);
+            assert!(nf.num_alternatives() <= expr.num_alternatives());
+            assert!(
+                nf.total_monomials() <= expr.total_monomials(),
+                "{order:?} on {expr}"
+            );
+        }
     });
 }
 
 #[test]
 fn normal_form_equivalent_to_original() {
+    let paper = paper_inclusion();
     forall(128, |g| {
         // p ≤ nf(p) and nf(p) ≤ p under the lifted order
-        let p = polynomial(g);
-        let order = FewestViews::new(|t: &String| t.starts_with('v'));
-        let nf = normal_form(&p, &order);
-        if !p.is_zero_poly() {
-            assert!(poly_leq(&nf, &p, &order), "{nf} vs {p}");
-            assert!(poly_leq(&p, &nf, &order), "{p} vs {nf}");
+        let p = cite_polynomial(g);
+        let expr = CitationExpr::single("Q".to_string(), p.clone());
+        for order in ORDERS {
+            let nf = Policy::default().with_order(order).normalize(&expr, &paper);
+            let (_, q) = nf.alternatives().next().expect("one alternative");
+            let reference = reference_order(order, &paper);
+            assert!(poly_leq(q, &p, &*reference), "{order:?}: {q} vs {p}");
+            assert!(poly_leq(&p, q, &*reference), "{order:?}: {p} vs {q}");
         }
     });
 }
 
 #[test]
 fn poly_leq_is_reflexive_and_transitive() {
+    let paper = paper_inclusion();
     forall(128, |g| {
-        let (a, b, c) = (polynomial(g), polynomial(g), polynomial(g));
-        let order = FewestViews::new(|t: &String| t.starts_with('v'));
-        assert!(poly_leq(&a, &a, &order));
-        if poly_leq(&a, &b, &order) && poly_leq(&b, &c, &order) {
-            assert!(poly_leq(&a, &c, &order));
+        let (a, b, c) = (cite_polynomial(g), cite_polynomial(g), cite_polynomial(g));
+        for order in ORDERS {
+            let reference = reference_order(order, &paper);
+            assert!(poly_leq(&a, &a, &*reference));
+            if poly_leq(&a, &b, &*reference) && poly_leq(&b, &c, &*reference) {
+                assert!(poly_leq(&a, &c, &*reference), "{order:?}: {a} {b} {c}");
+            }
         }
     });
 }
