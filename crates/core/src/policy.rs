@@ -143,26 +143,22 @@ impl Policy {
         expr: &CitationExpr<R, CiteToken>,
         inclusion: &BTreeMap<(String, String), bool>,
     ) -> CitationExpr<R, CiteToken> {
-        let key = |m: &Monomial<CiteToken>| {
-            let fewest = |counts: fn(&CiteToken) -> bool| Reverse(m.degree_where(counts));
-            match self.order {
-                OrderChoice::FewestViews => (Reverse(0), fewest(CiteToken::is_view)),
-                OrderChoice::FewestUncovered => (fewest(CiteToken::is_base), Reverse(0)),
-                OrderChoice::Composite => (fewest(CiteToken::is_base), fewest(CiteToken::is_view)),
-                OrderChoice::None | OrderChoice::ViewInclusion => (Reverse(0), Reverse(0)),
-            }
-        };
+        let views = |m: &Monomial<CiteToken>| Reverse(m.degree_where(CiteToken::is_view));
+        let uncovered = |m: &Monomial<CiteToken>| Reverse(m.degree_where(CiteToken::is_base));
         match self.order {
             // no order: only equal monomials compare
             OrderChoice::None => expr.normal_form(|m| ((), m), |a, b| a == b),
-            OrderChoice::FewestViews | OrderChoice::FewestUncovered => {
-                expr.normal_form(|m| (key(m), ()), |_, _| true)
+            OrderChoice::FewestViews => expr.normal_form(|m| (views(m), ()), |_, _| true),
+            OrderChoice::FewestUncovered => expr.normal_form(|m| (uncovered(m), ()), |_, _| true),
+            OrderChoice::ViewInclusion => {
+                let tokens = TokenInclusion::new(expr, inclusion);
+                expr.normal_form(|m| ((), tokens.reduce(m)), |a, b| tokens.below(a, b))
             }
-            OrderChoice::ViewInclusion | OrderChoice::Composite => {
+            OrderChoice::Composite => {
                 let tokens = TokenInclusion::new(expr, inclusion);
                 expr.normal_form(
-                    |m| (key(m), tokens.reduce(m)),
-                    |a, b| a.iter().all(|&t| b.iter().any(|&u| tokens.leq(t, u))),
+                    |m| ((uncovered(m), views(m)), tokens.reduce(m)),
+                    |a, b| tokens.below(a, b),
                 )
             }
         }
@@ -236,10 +232,16 @@ impl<'a> TokenInclusion<'a> {
                     .expect("a token of the expression")
             })
             .collect();
-        maximal(&vec![(); ids.len()], |i, j| self.leq(ids[i], ids[j]))
+        maximal(ids.len(), |_| (), |i, j| self.leq(ids[i], ids[j]))
             .into_iter()
             .map(|i| ids[i])
             .collect()
+    }
+
+    /// Is reduced monomial `a` below `b`: each of `a`'s tokens `≤` one
+    /// of `b`'s?
+    fn below(&self, a: &[usize], b: &[usize]) -> bool {
+        a.iter().all(|&t| b.iter().any(|&u| self.leq(t, u)))
     }
 }
 
@@ -300,7 +302,7 @@ where
 mod tests {
     use super::*;
     use fgc_relation::Value;
-    use fgc_semiring::Polynomial;
+    use fgc_semiring::{CommutativeSemiring, Polynomial};
 
     fn token_v1() -> CiteToken {
         CiteToken::view("V1", vec![Value::str("11")])
@@ -404,5 +406,137 @@ mod tests {
             .with_global(Json::str("GtoPdb"))
             .with_global(Json::str("NAR 2014"));
         assert_eq!(p.global_citations.len(), 2);
+    }
+
+    fn v(view: &str) -> CiteToken {
+        CiteToken::view(view, vec![Value::str("11")])
+    }
+
+    fn poly(monomials: &[&[CiteToken]]) -> Polynomial<CiteToken> {
+        Polynomial::from_terms(monomials.iter().map(|m| {
+            let factors = m.iter().map(|t| (t.clone(), 1));
+            (Monomial::from_pairs(factors), 1)
+        }))
+    }
+
+    /// An inclusion matrix holding `(general, specific)` pairs.
+    fn includes(pairs: &[(&str, &str)]) -> BTreeMap<(String, String), bool> {
+        let pairs = pairs
+            .iter()
+            .map(|(g, s)| ((g.to_string(), s.to_string()), true));
+        pairs.collect()
+    }
+
+    /// `p` as one alternative normalized under `order`, printed.
+    fn normal(
+        order: OrderChoice,
+        p: Polynomial<CiteToken>,
+        inclusion: &BTreeMap<(String, String), bool>,
+    ) -> String {
+        let e = CitationExpr::single("Q".to_string(), p);
+        let policy = Policy::default().with_order(order);
+        policy.normalize(&e, inclusion).to_string()
+    }
+
+    #[test]
+    fn fewest_views_keeps_the_fewest_view_monomials() {
+        let none = BTreeMap::new();
+        let p = poly(&[
+            &[v("V5")],
+            &[v("V4"), v("V2")],
+            &[v("V1"), v("V2"), v("V3")],
+        ]);
+        assert_eq!(
+            normal(OrderChoice::FewestViews, p, &none),
+            r#"[Q: CV5("11")]"#
+        );
+        // base markers do not count: both are one view, the Ord-least stays
+        let p = poly(&[&[v("V1"), CiteToken::base("Family")], &[v("V2")]]);
+        assert_eq!(
+            normal(OrderChoice::FewestViews, p, &none),
+            r#"[Q: CV1("11")·C_Family]"#
+        );
+    }
+
+    #[test]
+    fn fewest_uncovered_counts_base_markers() {
+        let p = poly(&[&[v("V1"), v("V2")], &[v("V1"), CiteToken::base("Family")]]);
+        assert_eq!(
+            normal(OrderChoice::FewestUncovered, p, &BTreeMap::new()),
+            r#"[Q: CV1("11")·CV2("11")]"#
+        );
+    }
+
+    #[test]
+    fn composite_breaks_uncovered_ties_by_views() {
+        let none = BTreeMap::new();
+        let p = poly(&[
+            &[v("V1"), v("V2")],
+            &[v("V3")],
+            &[v("V4"), CiteToken::base("Family")],
+        ]);
+        assert_eq!(
+            normal(OrderChoice::Composite, p, &none),
+            r#"[Q: CV3("11")]"#
+        );
+        // then by inclusion: V1 ⊑ V3 beats V3; V2 is incomparable
+        let p = poly(&[&[v("V1")], &[v("V2")], &[v("V3")]]);
+        assert_eq!(
+            normal(OrderChoice::Composite, p, &includes(&[("V3", "V1")])),
+            r#"[Q: CV1("11") + CV2("11")]"#
+        );
+    }
+
+    #[test]
+    fn none_keeps_every_monomial() {
+        let p = poly(&[&[v("V1")], &[v("V1"), v("V2")]]).plus(&poly(&[&[v("V1")]]));
+        assert_eq!(
+            normal(OrderChoice::None, p, &BTreeMap::new()),
+            r#"[Q: CV1("11") + CV1("11")·CV2("11")]"#
+        );
+    }
+
+    #[test]
+    fn view_inclusion_reduces_monomials_before_comparing() {
+        let order = OrderChoice::ViewInclusion;
+        // incomparable views: both stay
+        let p = poly(&[&[v("V1")], &[v("V2")]]);
+        assert_eq!(
+            normal(order, p, &BTreeMap::new()),
+            r#"[Q: CV1("11") + CV2("11")]"#
+        );
+        // V3 ≤ V1 reduces V1·V3 to V1, and V1 ≤ V2: V2 beats it,
+        // though V3 alone is not below V2
+        let p = poly(&[&[v("V1"), v("V3")], &[v("V2")]]);
+        let inclusion = includes(&[("V3", "V1"), ("V1", "V2")]);
+        assert_eq!(normal(order, p, &inclusion), r#"[Q: CV2("11")]"#);
+        // equivalent views: V1·V3 reduces to V1 ≡ V3, the monomials
+        // are equivalent and the Ord-least stays
+        let v3 = || CiteToken::view("V3", vec![]);
+        let p = poly(&[&[v3()], &[v("V1"), v3()]]);
+        let inclusion = includes(&[("V1", "V3"), ("V3", "V1")]);
+        assert_eq!(normal(order, p, &inclusion), r#"[Q: CV1("11")·CV3]"#);
+    }
+
+    #[test]
+    fn alternatives_compare_by_their_normal_forms() {
+        let none = BTreeMap::new();
+        let concise = CitationExpr::single("Qc".to_string(), poly(&[&[v("V5")]]));
+        let verbose = CitationExpr::single(
+            "Qv".to_string(),
+            poly(&[&[v("V4"), v("V2")], &[v("V1"), v("V2")]]),
+        );
+        let e = concise.plus_r(&verbose);
+        let policy = Policy::default().with_order(OrderChoice::FewestViews);
+        assert_eq!(
+            policy.normalize(&e, &none).to_string(),
+            r#"[Qc: CV5("11")]"#
+        );
+        // with no order, an alternative whose monomials another holds
+        // too is below it
+        let small = CitationExpr::single("Q1".to_string(), poly(&[&[v("V1")]]));
+        let big = CitationExpr::single("Q2".to_string(), poly(&[&[v("V1")], &[v("V2")]]));
+        let nf = Policy::union_all().normalize(&small.plus_r(&big), &none);
+        assert_eq!(nf.to_string(), r#"[Q2: CV1("11") + CV2("11")]"#);
     }
 }

@@ -19,7 +19,7 @@ use fgc_query::ast::ConjunctiveQuery;
 use fgc_query::is_contained_in;
 use std::collections::BTreeMap;
 
-/// Lexicographic preference score: smaller is better.
+/// A preference score, compared lexicographically: smaller is better.
 /// `(partial?, uncovered terms, number of views)` — §2.3's two
 /// bullets plus the total/partial distinction.
 pub fn score(r: &Rewriting) -> (bool, usize, usize) {

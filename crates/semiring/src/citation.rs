@@ -136,16 +136,19 @@ impl<R: Ord + Clone + Debug, T: Ord + Clone + Debug> CitationExpr<R, T> {
                         (m, key, form)
                     })
                     .collect();
-                let keys: Vec<K> = monomials.iter().map(|(_, key, _)| *key).collect();
-                let kept = maximal(&keys, |i, j| leq(&monomials[i].2, &monomials[j].2));
+                let kept = maximal(
+                    monomials.len(),
+                    |i| monomials[i].1,
+                    |i, j| leq(&monomials[i].2, &monomials[j].2),
+                );
                 (r, monomials, kept)
             })
             .collect();
-        let keys: Vec<Option<K>> = polys
-            .iter()
-            .map(|(_, monomials, kept)| kept.first().map(|&i| monomials[i].1))
-            .collect();
-        let alternatives = maximal(&keys, |a, b| {
+        let key = |a: usize| {
+            let (_, monomials, kept) = &polys[a];
+            kept.first().map(|&i| monomials[i].1)
+        };
+        let alternatives = maximal(polys.len(), key, |a, b| {
             let ((_, ma, ka), (_, mb, kb)) = (&polys[a], &polys[b]);
             ka.iter()
                 .all(|&i| kb.iter().any(|&j| leq(&ma[i].2, &mb[j].2)))
@@ -161,16 +164,20 @@ impl<R: Ord + Clone + Debug, T: Ord + Clone + Debug> CitationExpr<R, T> {
     }
 }
 
-/// §3.4's keep rule over items numbered in `Ord` order: of the items
-/// with the greatest key, keep each one no other of them beats. `j`
-/// beats `i` when `leq(i, j)` and either `!leq(j, i)` (strictly
+/// §3.4's keep rule over items `0..n` numbered in `Ord` order: of the
+/// items with the greatest key, keep each one no other of them beats.
+/// `j` beats `i` when `leq(i, j)` and either `!leq(j, i)` (strictly
 /// preferable) or `j < i` (equivalent, and `Ord`-less). Returns the
-/// kept numbers in order; an empty input keeps nothing.
-pub fn maximal<K: Ord>(keys: &[K], leq: impl Fn(usize, usize) -> bool) -> Vec<usize> {
-    let Some(top) = keys.iter().max() else {
+/// kept numbers in order; no items keep nothing.
+pub fn maximal<K: Ord>(
+    n: usize,
+    key: impl Fn(usize) -> K,
+    leq: impl Fn(usize, usize) -> bool,
+) -> Vec<usize> {
+    let Some(top) = (0..n).map(&key).max() else {
         return Vec::new();
     };
-    let class: Vec<usize> = (0..keys.len()).filter(|&i| keys[i] == *top).collect();
+    let class: Vec<usize> = (0..n).filter(|&i| key(i) == top).collect();
     let beaten = |i: usize| {
         class
             .iter()
@@ -300,11 +307,12 @@ mod tests {
     fn maximal_keeps_the_top_class_less_beaten_members() {
         // keys [1, 2, 2, 2]: item 0 is out; 1 ≤ 3 strictly; 2 and 3
         // are equivalent, so the smaller number stays
+        let keys = [1, 2, 2, 2];
         let leq = |i: usize, j: usize| i == j || (i == 1 && j == 3) || (i + j == 5);
-        assert_eq!(maximal(&[1, 2, 2, 2], leq), vec![2]);
+        assert_eq!(maximal(4, |i| keys[i], leq), vec![2]);
         // incomparable members all stay; no items keep nothing
-        assert_eq!(maximal(&[0, 0, 0], |i, j| i == j), vec![0, 1, 2]);
-        assert!(maximal::<u8>(&[], |_, _| true).is_empty());
+        assert_eq!(maximal(3, |_| (), |i, j| i == j), vec![0, 1, 2]);
+        assert!(maximal(0, |_| (), |_, _| true).is_empty());
     }
 
     #[test]
