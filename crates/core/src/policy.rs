@@ -35,8 +35,9 @@ impl CombineOp {
 /// Which §3.4 order to use for citation normal forms.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum OrderChoice {
-    /// No order: keep every rewriting's citation (the raw Def. 3.3
-    /// semantics).
+    /// No order: only equal monomials compare. Every monomial stays;
+    /// `+R` drops only an alternative whose monomials another
+    /// alternative also has (§3.4's lifting of the trivial order).
     #[default]
     None,
     /// Example 3.6: prefer citations built from fewer views.
@@ -67,7 +68,7 @@ pub struct Policy {
     /// Interpretation of `Agg` (across output tuples).
     pub agg: CombineOp,
     /// Order used to normalize citation expressions before
-    /// interpretation (§3.4). `None` keeps all alternatives.
+    /// interpretation (§3.4). `None` keeps every monomial.
     pub order: OrderChoice,
     /// Citations included by `Agg`'s neutral element — present even
     /// when the query output is empty.
@@ -150,6 +151,10 @@ impl Policy {
             OrderChoice::None => expr.normal_form(|m| ((), m), |a, b| a == b),
             OrderChoice::FewestViews => expr.normal_form(|m| (views(m), ()), |_, _| true),
             OrderChoice::FewestUncovered => expr.normal_form(|m| (uncovered(m), ()), |_, _| true),
+            // one monomial has nothing to be compared with
+            OrderChoice::ViewInclusion | OrderChoice::Composite if expr.total_monomials() < 2 => {
+                expr.normal_form(|_| ((), ()), |_, _| true)
+            }
             OrderChoice::ViewInclusion => {
                 let tokens = TokenInclusion::new(expr, inclusion);
                 expr.normal_form(|m| ((), tokens.reduce(m)), |a, b| tokens.below(a, b))

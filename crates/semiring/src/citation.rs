@@ -178,6 +178,9 @@ pub fn maximal<K: Ord>(
         return Vec::new();
     };
     let class: Vec<usize> = (0..n).filter(|&i| key(i) == top).collect();
+    if class.len() == 1 {
+        return class;
+    }
     let beaten = |i: usize| {
         class
             .iter()
