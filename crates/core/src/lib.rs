@@ -74,6 +74,8 @@ pub mod engine;
 pub mod error;
 pub mod explain;
 pub mod fixity;
+#[cfg(test)]
+mod order;
 pub mod plan_cache;
 pub mod policy;
 pub mod request;

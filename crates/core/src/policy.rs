@@ -307,7 +307,7 @@ where
 mod tests {
     use super::*;
     use fgc_relation::Value;
-    use fgc_semiring::{CommutativeSemiring, Polynomial};
+    use fgc_semiring::Polynomial;
 
     fn token_v1() -> CiteToken {
         CiteToken::view("V1", vec![Value::str("11")])
@@ -422,105 +422,6 @@ mod tests {
             let factors = m.iter().map(|t| (t.clone(), 1));
             (Monomial::from_pairs(factors), 1)
         }))
-    }
-
-    /// An inclusion matrix holding `(general, specific)` pairs.
-    fn includes(pairs: &[(&str, &str)]) -> BTreeMap<(String, String), bool> {
-        let pairs = pairs
-            .iter()
-            .map(|(g, s)| ((g.to_string(), s.to_string()), true));
-        pairs.collect()
-    }
-
-    /// `p` as one alternative normalized under `order`, printed.
-    fn normal(
-        order: OrderChoice,
-        p: Polynomial<CiteToken>,
-        inclusion: &BTreeMap<(String, String), bool>,
-    ) -> String {
-        let e = CitationExpr::single("Q".to_string(), p);
-        let policy = Policy::default().with_order(order);
-        policy.normalize(&e, inclusion).to_string()
-    }
-
-    #[test]
-    fn fewest_views_keeps_the_fewest_view_monomials() {
-        let none = BTreeMap::new();
-        let p = poly(&[
-            &[v("V5")],
-            &[v("V4"), v("V2")],
-            &[v("V1"), v("V2"), v("V3")],
-        ]);
-        assert_eq!(
-            normal(OrderChoice::FewestViews, p, &none),
-            r#"[Q: CV5("11")]"#
-        );
-        // base markers do not count: both are one view, the Ord-least stays
-        let p = poly(&[&[v("V1"), CiteToken::base("Family")], &[v("V2")]]);
-        assert_eq!(
-            normal(OrderChoice::FewestViews, p, &none),
-            r#"[Q: CV1("11")·C_Family]"#
-        );
-    }
-
-    #[test]
-    fn fewest_uncovered_counts_base_markers() {
-        let p = poly(&[&[v("V1"), v("V2")], &[v("V1"), CiteToken::base("Family")]]);
-        assert_eq!(
-            normal(OrderChoice::FewestUncovered, p, &BTreeMap::new()),
-            r#"[Q: CV1("11")·CV2("11")]"#
-        );
-    }
-
-    #[test]
-    fn composite_breaks_uncovered_ties_by_views() {
-        let none = BTreeMap::new();
-        let p = poly(&[
-            &[v("V1"), v("V2")],
-            &[v("V3")],
-            &[v("V4"), CiteToken::base("Family")],
-        ]);
-        assert_eq!(
-            normal(OrderChoice::Composite, p, &none),
-            r#"[Q: CV3("11")]"#
-        );
-        // then by inclusion: V1 ⊑ V3 beats V3; V2 is incomparable
-        let p = poly(&[&[v("V1")], &[v("V2")], &[v("V3")]]);
-        assert_eq!(
-            normal(OrderChoice::Composite, p, &includes(&[("V3", "V1")])),
-            r#"[Q: CV1("11") + CV2("11")]"#
-        );
-    }
-
-    #[test]
-    fn none_keeps_every_monomial() {
-        let p = poly(&[&[v("V1")], &[v("V1"), v("V2")]]).plus(&poly(&[&[v("V1")]]));
-        assert_eq!(
-            normal(OrderChoice::None, p, &BTreeMap::new()),
-            r#"[Q: CV1("11") + CV1("11")·CV2("11")]"#
-        );
-    }
-
-    #[test]
-    fn view_inclusion_reduces_monomials_before_comparing() {
-        let order = OrderChoice::ViewInclusion;
-        // incomparable views: both stay
-        let p = poly(&[&[v("V1")], &[v("V2")]]);
-        assert_eq!(
-            normal(order, p, &BTreeMap::new()),
-            r#"[Q: CV1("11") + CV2("11")]"#
-        );
-        // V3 ≤ V1 reduces V1·V3 to V1, and V1 ≤ V2: V2 beats it,
-        // though V3 alone is not below V2
-        let p = poly(&[&[v("V1"), v("V3")], &[v("V2")]]);
-        let inclusion = includes(&[("V3", "V1"), ("V1", "V2")]);
-        assert_eq!(normal(order, p, &inclusion), r#"[Q: CV2("11")]"#);
-        // equivalent views: V1·V3 reduces to V1 ≡ V3, the monomials
-        // are equivalent and the Ord-least stays
-        let v3 = || CiteToken::view("V3", vec![]);
-        let p = poly(&[&[v3()], &[v("V1"), v3()]]);
-        let inclusion = includes(&[("V1", "V3"), ("V3", "V1")]);
-        assert_eq!(normal(order, p, &inclusion), r#"[Q: CV1("11")·CV3]"#);
     }
 
     #[test]
