@@ -14,7 +14,7 @@
 
 use crate::error::Result;
 use fgc_query::evaluate;
-use fgc_relation::{Database, Tuple, Value};
+use fgc_relation::{Database, Value};
 use fgc_views::{Json, ViewRegistry};
 use std::collections::HashMap;
 
@@ -122,20 +122,6 @@ pub fn baseline_coverage(store: &PageCitationStore, workload: &[WorkloadItem]) -
         })
         .count();
     covered as f64 / workload.len() as f64
-}
-
-/// Result rows a page lookup corresponds to (the page's instance) —
-/// used to verify the baseline and engine agree where both apply.
-pub fn page_instance(
-    db: &Database,
-    registry: &ViewRegistry,
-    view: &str,
-    params: &[Value],
-) -> Result<Vec<Tuple>> {
-    let v = registry
-        .get(view)
-        .ok_or_else(|| crate::error::CoreError::ViewNameClash(view.to_string()))?;
-    Ok(v.instance(db, params)?)
 }
 
 #[cfg(test)]
@@ -247,7 +233,12 @@ mod tests {
     fn page_instance_matches_view() {
         let d = db();
         let reg = registry();
-        let rows = page_instance(&d, &reg, "V1", &[Value::str("11")]).unwrap();
+        // the rows a page lookup corresponds to: the page's instance
+        let rows = reg
+            .get("V1")
+            .unwrap()
+            .instance(&d, &[Value::str("11")])
+            .unwrap();
         assert_eq!(rows, vec![tuple!["11", "Calcitonin", "gpcr"]]);
     }
 

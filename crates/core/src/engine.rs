@@ -9,10 +9,13 @@
 //!    rewriting's expansion: its view subgoals replaced by the views'
 //!    bodies, so the views stay definitions and are never
 //!    materialized;
-//! 3. per rewriting `Q'` and output tuple `t`, take the bindings
-//!    `β_t` and build the citation polynomial
-//!    `Σ_B Π_i token(V_i, B_i)` (Defs. 3.1–3.2) — symbolically, over
-//!    [`CiteToken`]s;
+//! 3. per rewriting `Q'` and output tuple `t`, build the citation
+//!    polynomial `Σ_B Π_i token(V_i, B_i)` (Defs. 3.1–3.2) —
+//!    symbolically, over [`CiteToken`]s — from the only thing it
+//!    reads of the bindings `β_t`: the set of λ-valuations the view
+//!    subgoals take. The expansion's evaluation projects each
+//!    derivation straight to one valuation row; the distinct rows are
+//!    the monomials (timed as `extent` and `build`);
 //! 4. combine the per-rewriting polynomials with `+R` (Def. 3.3);
 //! 5. normalize under the policy's order (§3.4);
 //! 6. interpret: tokens valuate to `F_V(C_V(...))` (memoized), the
@@ -29,10 +32,14 @@ use crate::token::CiteToken;
 use fgc_obs::{StageSet, CITE_STAGES};
 use fgc_query::ast::{ConjunctiveQuery, Term};
 use fgc_query::eval::EvalOptions;
-use fgc_query::{evaluate_grouped_plan_with, evaluate_plan_with, parse_sql, Binding, QueryPlan};
+use fgc_query::{
+    evaluate_plan_with, evaluate_projected_plan_with, parse_sql, Frame, QueryPlan, ValueRef,
+};
 use fgc_relation::{Database, DatabaseDelta, ShardKeySpec, Tuple, Value};
-use fgc_rewrite::{best_rewritings, enumerate_rewritings, RewriteOptions, Rewriting, ViewDefs};
-use fgc_semiring::{CitationExpr, CommutativeSemiring, Monomial, Polynomial};
+use fgc_rewrite::{
+    best_rewritings, enumerate_rewritings, RewriteOptions, Rewriting, Subgoal, ViewDefs,
+};
+use fgc_semiring::{CitationExpr, Monomial, Polynomial};
 use fgc_views::{Json, ViewRegistry};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -126,7 +133,7 @@ struct RequestCounters {
     hits: u64,
     misses: u64,
     /// Per-stage durations in first-timed order; a stage timed more
-    /// than once (`plan` on the answer and expansion paths, `extent`)
+    /// than once (`plan` on the answer and expansion paths)
     /// accumulates.
     stages: Vec<(&'static str, Duration)>,
 }
@@ -150,10 +157,10 @@ impl RequestCounters {
     }
 }
 
-/// Grouped bindings of one extent query: each output tuple with the
-/// bindings that derive it, in derivation order (the order
-/// [`fgc_query::evaluate_grouped`] produces).
-type ExtentGroups = Vec<(Tuple, Vec<Binding>)>;
+/// Each output tuple of a rewriting's expansion with one row per
+/// derivation: every view subgoal's λ-parameter values, in subgoal
+/// order.
+type ValuationRows = Vec<(Tuple, Vec<Vec<Value>>)>;
 
 /// What every snapshot of one catalog shares. Each cache key names the
 /// relation instances its entry was computed from ([`crate::plan_cache`]).
@@ -432,71 +439,72 @@ impl CitationEngine {
         Ok((labelled, enumeration.exhaustive, enumeration.unsatisfiable))
     }
 
-    /// Resolve a term under a binding to a concrete value.
-    fn resolve(binding: &Binding, t: &Term) -> Value {
-        match t {
-            Term::Const(v) => v.clone(),
-            Term::Var(v) => binding.get(v.as_str()).cloned().unwrap_or(Value::Null),
-        }
-    }
-
-    /// The grouped bindings of one extent query's expansion over the
-    /// store. Def. 3.3 needs only the set of λ-valuations each view
-    /// subgoal takes per answer tuple, and the expansion derives every
-    /// one of them; a valuation with several derivations repeats, and
-    /// [`Polynomial::squash_coefficients`] collapses it. The plan is
-    /// keyed by the expansion, an ordinary query over the store, never
-    /// by the view-named `e`.
+    /// The valuation rows of one rewriting's expansion over the store.
+    /// Def. 3.3 needs only the set of λ-valuations each view subgoal
+    /// takes per answer tuple, and the expansion derives every one of
+    /// them, so each derivation projects straight to its row: once per
+    /// rewriting the view subgoals' λ-parameter terms compile to
+    /// constants and frame slots ([`QueryPlan::value_slot`]). The plan
+    /// is keyed by the expansion, an ordinary query over the store,
+    /// never by the view-named extent query.
     fn extent_groups(
         &self,
-        e: &ConjunctiveQuery,
+        rewriting: &Rewriting,
         counters: &mut RequestCounters,
-    ) -> Result<ExtentGroups> {
-        let plan = self.cached_plan(self.state.view_defs.expand(e)?, counters)?;
-        Ok(evaluate_grouped_plan_with(
-            &self.db,
-            &plan,
-            EvalOptions::default(),
-        )?)
+    ) -> Result<ValuationRows> {
+        let expansion = self.state.view_defs.expand(&rewriting.as_extent_query())?;
+        let plan = self.cached_plan(expansion, counters)?;
+        // a variable the expansion lacks reads as `Null`
+        let params: Vec<ValueRef> = rewriting
+            .view_atoms()
+            .flat_map(|v| v.param_terms())
+            .map(|t| match t {
+                Term::Const(v) => ValueRef::Const(v.clone()),
+                Term::Var(x) => plan
+                    .value_slot(x)
+                    .map_or(ValueRef::Const(Value::Null), ValueRef::Slot),
+            })
+            .collect();
+        let row = |frame: &Frame| -> Vec<Value> {
+            let value = |p: &ValueRef| p.read(frame).unwrap_or(Value::Null);
+            params.iter().map(value).collect()
+        };
+        let options = EvalOptions::default();
+        Ok(evaluate_projected_plan_with(&self.db, &plan, options, row)?)
     }
 
     /// The symbolic citation expressions for every output tuple of
     /// `q` (Defs. 3.1–3.3), before normalization, from each
-    /// rewriting's grouped extent bindings (`extents[i]` belongs to
-    /// `rewritings[i]`).
+    /// rewriting's valuation rows (`extents[i]` belongs to
+    /// `rewritings[i]`). Sorting and deduping a tuple's rows is the
+    /// idempotent `+`; each distinct row is one monomial, a token per
+    /// subgoal (a base relation's is its `C_R` marker).
     fn symbolic_citations(
         rewritings: &[(String, Rewriting)],
-        extents: Vec<ExtentGroups>,
+        extents: Vec<ValuationRows>,
     ) -> SymbolicCitations {
         let mut exprs: SymbolicCitations = HashMap::new();
         for ((label, rewriting), grouped) in rewritings.iter().zip(extents) {
-            for (tuple, bindings) in grouped {
-                let mut poly: Polynomial<CiteToken> = Polynomial::zero();
-                for binding in &bindings {
-                    let mut monomial = Monomial::unit();
-                    for sub in &rewriting.subgoals {
+            for (tuple, mut rows) in grouped {
+                rows.sort_unstable();
+                rows.dedup();
+                let monomials = rows.into_iter().map(|row| {
+                    let mut values = row.into_iter();
+                    Monomial::from_pairs(rewriting.subgoals.iter().map(|sub| {
                         let token = match sub {
-                            fgc_rewrite::Subgoal::View(v) => {
-                                let valuation: Vec<Value> = v
-                                    .param_terms()
-                                    .iter()
-                                    .map(|t| Self::resolve(binding, t))
-                                    .collect();
-                                CiteToken::view(v.view.clone(), valuation)
+                            Subgoal::View(v) => {
+                                let valuation = values.by_ref().take(v.param_positions.len());
+                                CiteToken::view(v.view.clone(), valuation.collect())
                             }
-                            fgc_rewrite::Subgoal::Base(a) => CiteToken::base(a.relation.clone()),
+                            Subgoal::Base(a) => CiteToken::base(a.relation.clone()),
                         };
-                        monomial = monomial.times(&Monomial::token(token));
-                    }
-                    poly = poly.plus(&Polynomial::from_monomial(monomial));
-                }
-                // idempotent +: identical binding citations collapse
-                let poly = poly.squash_coefficients();
-                let expr = CitationExpr::single(label.clone(), poly);
+                        (token, 1)
+                    }))
+                });
                 exprs
                     .entry(tuple)
-                    .and_modify(|e| *e = e.plus_r(&expr))
-                    .or_insert(expr);
+                    .or_insert_with(CitationExpr::zero_r)
+                    .add_alternative(label.clone(), Polynomial::from_monomials(monomials));
             }
         }
         exprs
@@ -553,10 +561,10 @@ impl CitationEngine {
         let extents = counters.time(stages, "extent", |c| {
             rewritings
                 .iter()
-                .map(|(_, r)| self.extent_groups(&r.as_extent_query(), c))
+                .map(|(_, r)| self.extent_groups(r, c))
                 .collect::<Result<Vec<_>>>()
         })?;
-        let mut exprs = counters.time(stages, "extent", |_| {
+        let mut exprs = counters.time(stages, "build", |_| {
             Self::symbolic_citations(&rewritings, extents)
         });
 
@@ -888,11 +896,12 @@ mod tests {
     }
 
     /// A request's `stages` come out in first-timed order — parse,
-    /// rewrite, plan (timed inside evaluate), evaluate, extent, render
-    /// — and each is the sum of that stage's timings in the request:
-    /// `plan` is the answer plan plus one expansion plan per
-    /// rewriting, `extent` the grouped bindings plus the polynomials.
-    /// Each sum is what the request added to the stage's histogram.
+    /// rewrite, plan (timed inside evaluate), evaluate, extent, build,
+    /// render — and each is the sum of that stage's timings in the
+    /// request: `plan` is the answer plan plus one expansion plan per
+    /// rewriting; `extent` (the valuation rows) and `build` (the
+    /// polynomials) are timed once each. Each sum is what the request
+    /// added to the stage's histogram.
     #[test]
     fn stages_are_timed_in_order_and_summed_per_request() {
         let e = engine();
@@ -912,14 +921,13 @@ mod tests {
             let names: Vec<&str> = response.stages.iter().map(|(n, _)| *n).collect();
             assert_eq!(
                 names,
-                ["parse", "rewrite", "plan", "evaluate", "extent", "render"]
+                ["parse", "rewrite", "plan", "evaluate", "extent", "build", "render"]
             );
             let rewritings = response.citation.rewritings.len() as u64;
             assert!(rewritings > 0);
             for ((name, count0, sum0), (_, count1, sum1)) in before.iter().zip(&after) {
                 let timings = match *name {
                     "plan" => 1 + rewritings,
-                    "extent" => 2,
                     _ => 1,
                 };
                 assert_eq!(count1 - count0, timings, "{name}");
@@ -927,6 +935,38 @@ mod tests {
                 assert_eq!((sum1 - sum0) as u128, total.as_nanos(), "{name}");
             }
         }
+    }
+
+    /// The build before normalization, by hand: per rewriting of
+    /// `Q(Ty) :- Family(F, N, Ty), FC(F, C)`, the `gpcr` tuple's three
+    /// derivations (family 11 with two committee members, family 12
+    /// with one) give one monomial per distinct valuation, each with
+    /// coefficient 1 and the uncovered `FC`'s `C_FC` marker: V4's and
+    /// V3's one valuation once, V1's two family ids one each.
+    #[test]
+    fn build_gives_each_distinct_valuation_one_monomial() {
+        let e = engine();
+        let q = parse_query("Q(Ty) :- Family(F, N, Ty), FC(F, C)").unwrap();
+        let options = RewriteOptions::default();
+        let (rewritings, _, _) = e.rewritings(&q, RewriteMode::Exhaustive, options).unwrap();
+        let mut counters = RequestCounters::default();
+        let extents: Vec<_> = rewritings
+            .iter()
+            .map(|(_, r)| e.extent_groups(r, &mut counters).unwrap())
+            .collect();
+        let exprs = CitationEngine::symbolic_citations(&rewritings, extents);
+        let gpcr = &exprs[&Tuple::new(vec![Value::str("gpcr")])];
+        let mut polynomials: Vec<String> =
+            gpcr.alternatives().map(|(_, p)| p.to_string()).collect();
+        polynomials.sort();
+        assert_eq!(
+            polynomials,
+            [
+                "CV1(\"11\")·C_FC + CV1(\"12\")·C_FC",
+                "CV3·C_FC",
+                "CV4(\"gpcr\")·C_FC"
+            ]
+        );
     }
 
     #[test]

@@ -128,7 +128,7 @@ pub struct CiteResponse {
     pub cache_misses: u64,
     /// Per-stage durations of this request's trip through the cite
     /// pipeline, in the order each stage first finished: parse,
-    /// rewrite, plan, evaluate, extent, render. A stage timed more
+    /// rewrite, plan, evaluate, extent, build, render. A stage timed more
     /// than once accumulates: `plan` sums the answer plan and every
     /// expansion plan, and `evaluate`, the whole answer evaluation,
     /// *contains* the answer plan's share of it.

@@ -218,11 +218,6 @@ impl ReplicaPool {
         Err(CallError::Transport(e))
     }
 
-    /// Whether `index`'s circuit currently fails fast.
-    pub fn is_open(&self, index: usize) -> bool {
-        self.circuit_open(&self.slots[index])
-    }
-
     /// Addresses whose circuit currently fails fast — the
     /// coordinator's `/healthz` degradation signal and its causes.
     pub fn open_addrs(&self) -> Vec<SocketAddr> {
@@ -458,12 +453,12 @@ mod tests {
             pool.request(0, "GET", "/healthz", None),
             Err(CallError::Transport(_))
         ));
-        assert!(!pool.is_open(0));
+        assert!(!pool.circuit_open(&pool.slots[0]));
         assert!(matches!(
             pool.request(0, "GET", "/healthz", None),
             Err(CallError::Transport(_))
         ));
-        assert!(pool.is_open(0));
+        assert!(pool.circuit_open(&pool.slots[0]));
         assert!(matches!(
             pool.request(0, "GET", "/healthz", None),
             Err(CallError::CircuitOpen)

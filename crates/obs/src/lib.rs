@@ -234,10 +234,14 @@ impl HistogramSnapshot {
 // Stage sets
 // ---------------------------------------------------------------------------
 
-/// The cite pipeline stages, in execution order. `evaluate` wraps the
-/// whole answer evaluation, so on a serving engine it *contains* the
-/// `plan` sub-span recorded beneath it.
-pub const CITE_STAGES: &[&str] = &["parse", "plan", "evaluate", "rewrite", "extent", "render"];
+/// The cite pipeline stages, in the order `/metrics` lists them (a
+/// request's own breakdown lists them in the order they first ran:
+/// parse, rewrite, plan, evaluate, extent, build, render). `evaluate`
+/// wraps the whole answer evaluation, so on a serving engine it
+/// *contains* the `plan` sub-span recorded beneath it.
+pub const CITE_STAGES: &[&str] = &[
+    "parse", "plan", "evaluate", "rewrite", "extent", "build", "render",
+];
 
 /// A fixed set of named stage histograms (nanosecond samples).
 ///
@@ -637,6 +641,7 @@ mod tests {
                 ("evaluate", 0),
                 ("rewrite", 0),
                 ("extent", 0),
+                ("build", 0),
                 ("render", 1)
             ]
         );

@@ -235,12 +235,6 @@ impl ConjunctiveQuery {
         }
     }
 
-    /// Add λ-parameters (builder style).
-    pub fn with_params(mut self, params: Vec<String>) -> Self {
-        self.params = params;
-        self
-    }
-
     /// Add comparisons (builder style).
     pub fn with_comparisons(mut self, comparisons: Vec<Comparison>) -> Self {
         self.comparisons = comparisons;
@@ -354,15 +348,17 @@ mod tests {
 
     fn v1() -> ConjunctiveQuery {
         // lambda F. V1(F, N, Ty) :- Family(F, N, Ty)
-        ConjunctiveQuery::new(
-            "V1",
-            vec![Term::var("F"), Term::var("N"), Term::var("Ty")],
-            vec![Atom::new(
-                "Family",
+        ConjunctiveQuery {
+            params: vec!["F".into()],
+            ..ConjunctiveQuery::new(
+                "V1",
                 vec![Term::var("F"), Term::var("N"), Term::var("Ty")],
-            )],
-        )
-        .with_params(vec!["F".into()])
+                vec![Atom::new(
+                    "Family",
+                    vec![Term::var("F"), Term::var("N"), Term::var("Ty")],
+                )],
+            )
+        }
     }
 
     #[test]

@@ -3,14 +3,20 @@
 //!
 //! The evaluator is a backtracking index-nested-loop join with a
 //! greedy atom order (most-bound atom first), compiled once into a
-//! [`QueryPlan`]. Three collectors fold the one enumeration of
-//! bindings per distinct output tuple, in first-derivation order —
-//! each compiling a plan per call, with a `_plan_with` form that runs
-//! a plan compiled earlier:
+//! [`QueryPlan`]. Every collector folds the one enumeration of binding
+//! frames per distinct output tuple, in first-derivation order. Each
+//! entry point that compiles a plan per call has a `_plan_with` form
+//! that runs a plan compiled earlier:
 //!
 //! * [`evaluate`] — distinct output tuples (set semantics);
-//! * [`evaluate_grouped`] — output tuples with *all* their bindings,
-//!   the raw material for Definition 3.2's sum over bindings;
+//! * [`evaluate_projected_plan_with`] — output tuples with one
+//!   projection of *each* derivation's frame, in derivation order. The
+//!   citation engine projects each derivation to the λ-parameter slots
+//!   of a rewriting's views ([`QueryPlan::value_slot`]): Definition
+//!   3.2's sum over bindings needs nothing else;
+//! * [`evaluate_grouped`] — the same fold with the name-keyed
+//!   [`Binding`] ([`QueryPlan::binding`]) as the projection: output
+//!   tuples with *all* their bindings, as the definitions state them;
 //! * [`evaluate_annotated`] — semiring-annotated evaluation: each
 //!   base tuple carries an annotation, joins multiply (`·`), multiple
 //!   derivations of the same output add (`+`) — §3.1 of the paper.
@@ -105,15 +111,28 @@ pub fn evaluate_grouped(db: &Database, q: &ConjunctiveQuery) -> Result<Vec<(Tupl
     evaluate_grouped_plan_with(db, &QueryPlan::compile(q, db)?, EvalOptions::default())
 }
 
-/// [`evaluate_grouped`] over a pre-compiled plan. Frames convert to
-/// name-keyed [`Binding`]s only at emission.
+/// [`evaluate_grouped`] over a pre-compiled plan: the projecting
+/// collector with [`QueryPlan::binding`] as its projection.
 pub fn evaluate_grouped_plan_with(
     db: &Database,
     plan: &QueryPlan,
     options: EvalOptions,
 ) -> Result<Vec<(Tuple, Vec<Binding>)>> {
-    let binding = |frame: &Frame, _: &PlanMatchedRows<'_>| plan.binding(frame);
-    Ok(fold_by_head(db, plan, options, binding, |b| vec![b], Vec::push)?.collect())
+    evaluate_projected_plan_with(db, plan, options, |frame| plan.binding(frame))
+}
+
+/// Execute a pre-compiled plan, projecting each derivation's frame
+/// through `project` and grouping the projections per output tuple:
+/// tuples in first-derivation order, each with its projections in
+/// derivation order.
+pub fn evaluate_projected_plan_with<I>(
+    db: &Database,
+    plan: &QueryPlan,
+    options: EvalOptions,
+    project: impl Fn(&Frame) -> I,
+) -> Result<Vec<(Tuple, Vec<I>)>> {
+    let item = |frame: &Frame, _: &PlanMatchedRows<'_>| project(frame);
+    Ok(fold_by_head(db, plan, options, item, |i| vec![i], Vec::push)?.collect())
 }
 
 /// Semiring-annotated evaluation (§3.1): `annotate(relation, row)`

@@ -12,10 +12,11 @@
 //! * [`sql`] — an SPJ SQL front-end translating to CQs;
 //! * [`safety`] — range restriction and schema checks;
 //! * [`eval`] — the one evaluator: [`evaluate`] (distinct tuples),
-//!   [`evaluate_grouped`] (all bindings per tuple, Def. 3.2) and
-//!   [`evaluate_annotated`] (semiring annotations, §3.1) collect the
-//!   same enumeration of bindings over one
-//!   [`Database`](fgc_relation::Database);
+//!   [`evaluate_projected_plan_with`] (one projection of each
+//!   derivation per tuple), [`evaluate_grouped`] (all bindings per
+//!   tuple, Def. 3.2) and [`evaluate_annotated`] (semiring
+//!   annotations, §3.1) collect the same enumeration of bindings over
+//!   one [`Database`](fgc_relation::Database);
 //! * [`plan`] — the compiled [`QueryPlan`] they execute;
 //! * [`containment`] — homomorphism-based containment/equivalence
 //!   (needed by Def. 2.2 rewriting validity and Ex. 3.8 view
@@ -50,11 +51,12 @@ pub use containment::{equivalent, is_contained_in, normalize, Normalized};
 pub use error::{QueryError, Result};
 pub use eval::{
     evaluate, evaluate_annotated, evaluate_annotated_plan_with, evaluate_grouped,
-    evaluate_grouped_plan_with, evaluate_plan_with, Binding, EvalOptions,
+    evaluate_grouped_plan_with, evaluate_plan_with, evaluate_projected_plan_with, Binding,
+    EvalOptions,
 };
 pub use minimize::{is_minimal, minimize};
 pub use parser::{parse_program, parse_query};
-pub use plan::QueryPlan;
+pub use plan::{Frame, QueryPlan, ValueRef};
 pub use reference::{reference_derivations, Derivation};
 pub use safety::{check_against_catalog, check_safety};
 pub use sql::parse_sql;

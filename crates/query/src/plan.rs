@@ -62,11 +62,24 @@ enum ColOp {
     Bind(Slot),
 }
 
-/// A value source known at plan time: a constant or a bound slot.
+/// A value source known at plan time: a constant or a frame slot.
 #[derive(Debug, Clone, PartialEq)]
-enum ValueRef {
+pub enum ValueRef {
+    /// A constant.
     Const(Value),
+    /// Whatever the frame holds in this slot.
     Slot(Slot),
+}
+
+impl ValueRef {
+    /// The value under `frame`; `None` while the slot is unbound.
+    #[inline]
+    pub fn read(&self, frame: &Frame) -> Option<Value> {
+        match self {
+            ValueRef::Const(v) => Some(v.clone()),
+            ValueRef::Slot(s) => frame[*s as usize].clone(),
+        }
+    }
 }
 
 /// One atom of the join, in execution order.
@@ -96,13 +109,7 @@ struct CompiledComparison {
 
 impl CompiledComparison {
     fn holds(&self, frame: &Frame) -> bool {
-        let value = |r: &ValueRef| -> Option<Value> {
-            match r {
-                ValueRef::Const(v) => Some(v.clone()),
-                ValueRef::Slot(s) => frame[*s as usize].clone(),
-            }
-        };
-        match (value(&self.left), value(&self.right)) {
+        match (self.left.read(frame), self.right.read(frame)) {
             (Some(l), Some(r)) => self.op.eval(&l, &r),
             // Scheduled only at depths where both sides are bound;
             // an unbound side would be a planner bug. Release builds
@@ -333,11 +340,6 @@ impl QueryPlan {
         })
     }
 
-    /// Number of variable slots in the frame.
-    pub fn num_slots(&self) -> usize {
-        self.var_names.len()
-    }
-
     /// Number of atoms (= join steps).
     pub fn num_atoms(&self) -> usize {
         self.steps.len()
@@ -353,12 +355,6 @@ impl QueryPlan {
     pub(crate) fn relations<'a>(&self, db: &'a Database) -> Result<Vec<&'a Relation>> {
         let relation = |name: &String| Ok(db.relation(name)?);
         self.atom_relations.iter().map(relation).collect()
-    }
-
-    /// Whether compilation proved the result empty (contradictory
-    /// equality selections).
-    pub fn is_unsatisfiable(&self) -> bool {
-        self.unsatisfiable
     }
 
     /// The frozen join order as original atom indices.
@@ -380,6 +376,14 @@ impl QueryPlan {
                     .map(|v| (name.clone(), v.clone()))
             })
             .collect()
+    }
+
+    /// The frame slot holding `var`'s value, read the way
+    /// [`Self::binding`] reads it (a chained variable reads its
+    /// anchor's slot); `None` for a variable the query lacks.
+    pub fn value_slot(&self, var: &str) -> Option<Slot> {
+        let i = self.var_names.binary_search_by(|n| n.as_str().cmp(var));
+        i.ok().map(|i| self.value_slots[i])
     }
 
     /// Project the head under a complete frame, where every head
@@ -504,11 +508,10 @@ impl<'p, 'v> Exec<'p, 'v> {
         let relation = relations[step.atom];
         let candidates = match &step.probe {
             Some((col, source)) => {
-                let value = match source {
-                    ValueRef::Const(v) => Some(v.clone()),
-                    ValueRef::Slot(s) => self.frame[*s as usize].clone(),
-                };
-                match value.and_then(|v| relation.probe(*col, &v)) {
+                match source
+                    .read(&self.frame)
+                    .and_then(|v| relation.probe(*col, &v))
+                {
                     Some(positions) => Candidates::Probe(positions),
                     None => Candidates::Scan(relation.len()),
                 }
@@ -669,7 +672,7 @@ mod tests {
         // both atoms have the seeded F bound; the smaller relation
         // (FamilyIntro, 2 rows) wins the tie-break
         assert_eq!(plan.join_order(), vec![1, 0]);
-        assert!(!plan.is_unsatisfiable());
+        assert!(!plan.unsatisfiable);
     }
 
     #[test]
@@ -677,7 +680,7 @@ mod tests {
         let db = sample_db();
         let q = parse_query("Q(N) :- Family(F, N, Ty), Ty = \"a\", Ty = \"b\"").unwrap();
         let plan = QueryPlan::compile(&q, &db).unwrap();
-        assert!(plan.is_unsatisfiable());
+        assert!(plan.unsatisfiable);
         let out = crate::evaluate_plan_with(&db, &plan, EvalOptions::default()).unwrap();
         assert!(out.is_empty());
     }
@@ -707,11 +710,34 @@ mod tests {
     }
 
     #[test]
+    fn value_slot_reads_what_binding_reads() {
+        let db = sample_db();
+        // `X` is bound only through the chain `X = F`
+        let q = parse_query("Q(N, X) :- Family(F, N, Ty), X = F").unwrap();
+        let plan = QueryPlan::compile(&q, &db).unwrap();
+        assert_eq!(plan.value_slot("X"), plan.value_slot("F"));
+        assert_eq!(plan.value_slot("Nope"), None);
+        let relations = plan.relations(&db).unwrap();
+        let mut frames = 0;
+        let mut check = |frame: &Frame, _: &PlanMatchedRows<'_>| {
+            let binding = plan.binding(frame);
+            for var in ["F", "N", "Ty", "X"] {
+                let slot = plan.value_slot(var).unwrap() as usize;
+                assert_eq!(frame[slot].as_ref(), binding.get(var));
+            }
+            frames += 1;
+            Ok(())
+        };
+        for_each_frame(&plan, &relations, EvalOptions::default(), &mut check).unwrap();
+        assert_eq!(frames, 3);
+    }
+
+    #[test]
     fn plans_survive_many_variables() {
         let db = sample_db();
         let q = parse_query("Q(A, B, C) :- Family(A, B, C)").unwrap();
         let plan = QueryPlan::compile(&q, &db).unwrap();
-        assert_eq!(plan.num_slots(), 3);
+        assert_eq!(plan.var_names.len(), 3);
         assert_eq!(plan.num_atoms(), 1);
         assert_eq!(plan.atom_relations(), ["Family".to_string()]);
     }

@@ -60,16 +60,25 @@ impl<R: Ord + Clone + Debug, T: Ord + Clone + Debug> CitationExpr<R, T> {
 
     /// `+R`: combine alternatives from different rewritings.
     pub fn plus_r(&self, other: &Self) -> Self {
-        let mut alternatives = self.alternatives.clone();
+        let mut sum = self.clone();
         for (r, p) in &other.alternatives {
-            match alternatives.get_mut(r) {
-                Some(existing) => *existing = existing.plus(p),
-                None => {
-                    alternatives.insert(r.clone(), p.clone());
-                }
+            sum.add_alternative(r.clone(), p.clone());
+        }
+        sum
+    }
+
+    /// `+R` in place with one alternative: `self +R single(rewriting,
+    /// polynomial)`, without copying what `self` holds.
+    pub fn add_alternative(&mut self, rewriting: R, polynomial: Polynomial<T>) {
+        if polynomial.is_zero_poly() {
+            return;
+        }
+        match self.alternatives.get_mut(&rewriting) {
+            Some(existing) => *existing = existing.plus(&polynomial),
+            None => {
+                self.alternatives.insert(rewriting, polynomial);
             }
         }
-        CitationExpr { alternatives }
     }
 
     /// Is this `0R` (no alternative at all)?
@@ -239,6 +248,20 @@ mod tests {
         let c = Expr::single("Q3", poly(&[&["v3"]]));
         assert_eq!(a.plus_r(&b), b.plus_r(&a));
         assert_eq!(a.plus_r(&b).plus_r(&c), a.plus_r(&b.plus_r(&c)));
+    }
+
+    #[test]
+    fn add_alternative_is_plus_r_in_place() {
+        let mut sum = Expr::single("Q1", poly(&[&["v1"]]));
+        sum.add_alternative("Q2", poly(&[&["v2"]]));
+        sum.add_alternative("Q1", poly(&[&["v3"]]));
+        sum.add_alternative("Q3", Polynomial::zero());
+        let expected = Expr::single("Q1", poly(&[&["v1"]]))
+            .plus_r(&Expr::single("Q2", poly(&[&["v2"]])))
+            .plus_r(&Expr::single("Q1", poly(&[&["v3"]])))
+            .plus_r(&Expr::single("Q3", Polynomial::zero()));
+        assert_eq!(sum, expected);
+        assert_eq!(sum.num_alternatives(), 2);
     }
 
     #[test]

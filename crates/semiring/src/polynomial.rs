@@ -182,6 +182,15 @@ impl<T: Ord + Clone> Polynomial<T> {
         Polynomial { terms }
     }
 
+    /// The sum of `monomials` in the idempotent-`+` quotient: each
+    /// distinct monomial once, with coefficient 1 — what
+    /// [`Self::squash_coefficients`] makes of their plain sum.
+    pub fn from_monomials<I: IntoIterator<Item = Monomial<T>>>(monomials: I) -> Self {
+        Polynomial {
+            terms: monomials.into_iter().map(|m| (m, 1)).collect(),
+        }
+    }
+
     /// Number of distinct monomials.
     pub fn num_monomials(&self) -> usize {
         self.terms.len()
@@ -398,6 +407,20 @@ mod tests {
         let p = x().plus(&x()).plus(&x().times(&x()));
         let sc = p.squash_coefficients();
         assert_eq!(sc.num_monomials(), 2); // x and x^2 kept distinct
+    }
+
+    #[test]
+    fn from_monomials_is_the_squashed_sum() {
+        let monomials =
+            [x(), y(), x(), x().times(&y())].map(|p| p.monomials().next().unwrap().clone());
+        let sum = monomials.iter().fold(Polynomial::zero(), |acc, m| {
+            acc.plus(&Polynomial::from_monomial(m.clone()))
+        });
+        assert_eq!(sum.num_monomials(), 3);
+        assert_eq!(
+            Polynomial::from_monomials(monomials),
+            sum.squash_coefficients()
+        );
     }
 
     #[test]

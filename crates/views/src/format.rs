@@ -134,16 +134,6 @@ impl Default for TextStyle {
     }
 }
 
-impl TextStyle {
-    /// Style with a repository name.
-    pub fn for_repository(name: impl Into<String>) -> Self {
-        TextStyle {
-            repository: name.into(),
-            ..TextStyle::default()
-        }
-    }
-}
-
 /// Render a citation value as one or more lines of citation text.
 /// Arrays of records produce one line each; single records produce
 /// one line of `creators. title. trailers. repository`.
@@ -288,7 +278,10 @@ mod tests {
 
     #[test]
     fn text_single_record() {
-        let style = TextStyle::for_repository("IUPHAR/BPS Guide to Pharmacology");
+        let style = TextStyle {
+            repository: "IUPHAR/BPS Guide to Pharmacology".into(),
+            ..TextStyle::default()
+        };
         let text = to_text(&calcitonin(), &style);
         assert_eq!(
             text,
@@ -332,7 +325,11 @@ mod tests {
         let text = to_text(&with_meta, &TextStyle::default());
         assert!(text.contains("Tony Harmar (owner)"));
         assert!(text.contains("URL: guidetopharmacology.org"));
-        let empty = to_text(&Json::Null, &TextStyle::for_repository("X"));
+        let style = TextStyle {
+            repository: "X".into(),
+            ..TextStyle::default()
+        };
+        let empty = to_text(&Json::Null, &style);
         assert!(empty.contains("no citation information"));
     }
 }

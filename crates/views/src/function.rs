@@ -175,11 +175,6 @@ impl CitationFunction {
             Body::Custom(_) => None,
         }
     }
-
-    /// Is this a declarative (analyzable) function?
-    pub fn is_declarative(&self) -> bool {
-        matches!(self.body, Body::Spec(_))
-    }
 }
 
 impl fmt::Debug for CitationFunction {
@@ -309,7 +304,7 @@ mod tests {
     fn custom_function() {
         let f = CitationFunction::custom(|rows| Json::Int(rows.len() as i64));
         assert_eq!(f.apply(&[tuple![1], tuple![2]]), Json::Int(2));
-        assert!(!f.is_declarative());
+        assert!(!matches!(f.body, Body::Spec(_)));
         assert!(f.max_column().is_none());
     }
 
@@ -321,7 +316,7 @@ mod tests {
             vec![CitationFunction::collect("C", 4)],
         )]);
         assert_eq!(f.max_column(), Some(4));
-        assert!(f.is_declarative());
+        assert!(matches!(f.body, Body::Spec(_)));
     }
 
     #[test]

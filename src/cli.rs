@@ -816,7 +816,7 @@ lambda F. CV1(F, N, Pn) :- Family(F, N, Ty), FC(F, C), Person(C, Pn, A)
         ])
         .unwrap();
         assert!(out.contains("stages: "), "{out}");
-        for stage in ["evaluate=", "rewrite=", "extent=", "render="] {
+        for stage in ["evaluate=", "rewrite=", "extent=", "build=", "render="] {
             assert!(out.contains(stage), "missing {stage} in {out}");
         }
     }

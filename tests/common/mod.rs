@@ -16,6 +16,7 @@
 
 #![allow(dead_code)]
 
+pub mod build;
 pub mod order;
 
 use fgcite::dist::{Coordinator, CoordinatorConfig, DistServer};

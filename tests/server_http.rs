@@ -363,7 +363,7 @@ fn cite_at_is_cite_at_a_version() {
     let body = body_with(QUERIES[1], r#""version": 1, "stages": true"#);
     let response = parse_json(&client.post("/cite_at", &body).unwrap().body).unwrap();
     let stages = response.get("stages").expect("stages block");
-    for stage in ["parse", "evaluate", "rewrite", "extent", "render"] {
+    for stage in ["parse", "evaluate", "rewrite", "extent", "build", "render"] {
         assert!(stages.get(stage).is_some(), "{stage}: {response}");
     }
     let slow = parse_json(&client.get("/debug/slow").unwrap().body).unwrap();
@@ -678,7 +678,7 @@ fn observability_surface_rides_every_response() {
         .get("stages")
         .cloned()
         .expect("stages block");
-    for stage in ["parse", "evaluate", "rewrite", "extent", "render"] {
+    for stage in ["parse", "evaluate", "rewrite", "extent", "build", "render"] {
         assert!(
             stages.get(stage).is_some(),
             "missing stage {stage}: {}",
