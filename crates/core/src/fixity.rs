@@ -140,6 +140,7 @@ pub struct VersionMemoryStats {
 /// engine's policy and options — the defaults, unless the history was
 /// seeded with a configured engine ([`Self::from_engine`]); a
 /// [`CiteRequest`]'s overrides carry any other.
+#[derive(Debug)]
 pub struct VersionedCitationEngine {
     history: VersionedDatabase,
     registry: ViewRegistry,
@@ -323,10 +324,12 @@ impl VersionedCitationEngine {
         if let Some(engine) = of_catalog(&engines) {
             return Ok(engine);
         }
-        let engine = Arc::new(CitationEngine::build(
-            Arc::clone(snapshot),
-            self.registry.clone(),
-        )?);
+        // a later catalog's engine is built under the first one's
+        // policy and options, which a seeded history configured
+        let engine = Arc::new(match engines.first() {
+            Some(first) => first.at(Arc::clone(snapshot))?,
+            None => CitationEngine::build(Arc::clone(snapshot), self.registry.clone())?,
+        });
         self.rebuilt.fetch_add(1, Ordering::Relaxed);
         engines.push(Arc::clone(&engine));
         Ok(engine)
@@ -661,6 +664,33 @@ mod tests {
         assert!(std::ptr::eq(served.policy(), engine.policy()));
         assert_eq!(served.plan_stats(), engine.plan_stats());
         assert_eq!(e.version_stats().rebuilt, 1);
+    }
+
+    #[test]
+    fn a_new_catalog_keeps_the_seeded_engines_policy() {
+        use crate::{CombineOp, EngineOptions, RewriteMode};
+        let engine = CitationEngine::build(Arc::new(base_db()), registry())
+            .unwrap()
+            .with_policy(crate::Policy::union_all())
+            .with_options(EngineOptions {
+                mode: RewriteMode::Exhaustive,
+                ..EngineOptions::default()
+            });
+        let mut e = VersionedCitationEngine::from_engine(Arc::new(engine));
+        e.commit_with(100, "schema-change", |db| {
+            db.create_relation(
+                RelationSchema::with_names("Extra", &[("x", DataType::Int)], &[]).unwrap(),
+            )
+        })
+        .unwrap();
+        let q = parse_query("Q(N) :- Family(F, N, Ty)").unwrap();
+        for v in 0..2 {
+            let (_, served) = e.resolve(Id(v)).unwrap();
+            assert_eq!(served.policy().times, CombineOp::Union, "version {v}");
+            assert!(cite(&e, Id(v), &q).unwrap().citation.exhaustive, "v{v}");
+        }
+        // version 1's catalog has an engine of its own
+        assert_eq!(e.version_stats().rebuilt, 2);
     }
 
     #[test]

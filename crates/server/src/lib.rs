@@ -8,9 +8,10 @@
 //! request IDs, deadlines, slow log, per-route stats, 404/405), and
 //! every role is that service plus a table of [`Route`] rows —
 //! [`CiteServer`] adds the engine routes (acceptor → connection
-//! queue → worker → engine: the worker that read a `POST /cite` calls
-//! [`fgc_core::CitationEngine::cite_request`] on the one shared engine,
-//! so every worker shares the same token and plan caches); `fgc-dist`
+//! queue → worker → engine: the worker that read a `POST /cite`
+//! resolves the head version and calls
+//! [`fgc_core::CitationEngine::cite_request`] on its engine, and every
+//! version of a catalog shares the same token and plan caches); `fgc-dist`
 //! adds the coordinator's routes, which forward each cite whole to one
 //! replica — itself a [`CiteServer`].
 //!
@@ -32,20 +33,20 @@
 //! request when the client (or an upstream coordinator) sent one,
 //! assigned at the front door otherwise.
 //!
-//! Every engine server serves a commit history
+//! Every engine server serves a commit history and holds nothing else
 //! ([`CiteServer::start_versioned`]; [`CiteServer::start`] serves one
-//! engine as a one-version history): `/cite` over the head version
-//! and historical citations over each version's own snapshot, all
-//! through one engine per catalog. A version is an argument, and the
-//! catalog's view definitions, inclusion matrix and caches serve
-//! every version of it (`GET /stats` reports the catalog-engine
-//! `hits` and `rebuilt` counters under `fixity`).
+//! engine as a one-version history). Each cite resolves its version
+//! per request, so `/cite` is `/cite_at` at the head without the
+//! fixity stamp, and one engine per catalog — its view definitions,
+//! inclusion matrix and caches — serves every version of it (`GET
+//! /stats` reports the catalog-engine `hits`, one per resolve, and
+//! `rebuilt` under `fixity`).
 //!
-//! Per-request overrides (policy, order, mode, rewrite budgets,
-//! memoization) ride on the JSON body — see [`wire`] for the exact
-//! field set. Malformed HTTP or JSON, oversized bodies, unknown
-//! routes, and bad request fields all answer 4xx without wedging a
-//! worker; a spent deadline answers 504.
+//! Per-request overrides (policy, order, mode, rewrite budgets) and
+//! the opt-in stage breakdown ride on the JSON body — see [`wire`]
+//! for the exact field set. Malformed HTTP or JSON, oversized
+//! bodies, unknown routes, and bad request fields all answer 4xx
+//! without wedging a worker; a spent deadline answers 504.
 //!
 //! ```no_run
 //! use fgc_core::CitationEngine;
@@ -80,6 +81,6 @@ pub use server::{write_storage_metrics, CiteServer};
 pub use service::{Call, HttpService, Response, Route, ServerConfig};
 pub use stats::{EndpointStats, ServerStats};
 pub use wire::{
-    decode_cite_body, decode_cite_request, encode_response, error_body, parse_body,
-    write_response_body, QueryKind, WireError,
+    decode_cite_request, encode_response, error_body, parse_body, write_response_body, QueryKind,
+    WireError,
 };

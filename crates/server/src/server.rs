@@ -1,38 +1,33 @@
 //! The engine role: [`CiteServer`] is the one [`HttpService`] front
-//! door plus the engine's route rows.
+//! door plus the engine's route rows, over a commit history (§4:
+//! "data sources must support versioning") and nothing else.
 //!
 //! ```text
 //! HttpService (acceptor ──► connection queue ──► N workers ──► route table)
 //!     │  every row answers on the worker that read the request
-//!     ▼  POST /cite, /cite_sql
-//! CitationEngine::cite_request(&self, ..)
+//!     ▼  POST /cite, /cite_sql, /cite_at
+//! VersionedCitationEngine::resolve(selector) ──► CitationEngine::cite_request(&self, ..)
 //! ```
 //!
-//! One [`CitationEngine`] is shared by everything (the whole point of
-//! the `&self` serving API): each worker decodes its request and calls
-//! the engine itself, and all of them share its token and plan
-//! caches. Two concurrent citations have nothing else
-//! to amortise, so nothing coalesces them; the worker pool bounds
-//! engine concurrency at `threads`. A replica behind a coordinator is
-//! this same server: the coordinator forwards each cite body to one
-//! replica's own `POST /cite`.
+//! A version is an argument: each cite resolves its selector (the
+//! head on `/cite` and `/cite_sql`; `"version"` or `"at"` on
+//! `/cite_at`) to an engine over that version's snapshot, so `/cite`
+//! is `/cite_at` at the head without the fixity stamp. `/views`,
+//! `/stats` and `/metrics` read the head's engine the same way. A
+//! server started over one engine serves it as a one-version history.
 //!
-//! Every engine server serves a commit history (§4: "data sources
-//! must support versioning"); a server started over one engine serves
-//! it as a one-version history. `POST /cite_at` is `/cite` plus a
-//! version selector: the same decoder, then an engine over the
-//! selected version's snapshot — sharing the head engine's
-//! catalog-level state and caches when the catalogs agree — serves
-//! the request through its `cite_request`.
+//! The engines of a catalog share its state and caches (the whole
+//! point of the `&self` serving API): each worker calls the engine
+//! itself. Two concurrent citations have nothing else to amortise, so
+//! nothing coalesces them; the worker pool bounds engine concurrency
+//! at `threads`. A replica behind a coordinator is this same server.
 //!
 //! Shutdown ([`CiteServer::shutdown`]) is graceful and total: the
 //! service stops accepting, drains and joins its workers.
 
 use crate::service::{Call, HttpService, Response, Route, ServerConfig};
 use crate::stats::ServerStats;
-use crate::wire::{
-    close_body, decode_cite_at_body, decode_cite_body, write_response_body, QueryKind,
-};
+use crate::wire::{close_body, decode_cite_body, write_response_body, QueryKind};
 use fgc_core::{CitationEngine, VersionSelector, VersionedCitation, VersionedCitationEngine};
 use fgc_obs::PromWriter;
 use fgc_relation::storage::StorageStats;
@@ -45,7 +40,7 @@ use std::sync::Arc;
 #[derive(Debug)]
 pub struct CiteServer {
     service: HttpService,
-    engine: Arc<CitationEngine>,
+    versioned: Arc<VersionedCitationEngine>,
 }
 
 impl CiteServer {
@@ -70,12 +65,11 @@ impl CiteServer {
         CiteServer::start_inner(versioned, config, extra)
     }
 
-    /// Bind and start serving a commit history: the engine over the
-    /// head version, resolved once here, answers `/cite` and
-    /// `/cite_sql`, while `POST /cite_at` serves fixity-stamped
-    /// citations against any committed version, `GET /versions` lists
-    /// the history and `GET /stats` has a `fixity` block with the
-    /// catalog-engine counters.
+    /// Bind and start serving a commit history: every cite route
+    /// resolves its version per request — `/cite` and `/cite_sql` the
+    /// head, `POST /cite_at` any committed version, fixity-stamped —
+    /// while `GET /versions` lists the history and `GET /stats` has a
+    /// `fixity` block with the catalog-engine counters.
     pub fn start_versioned(
         versioned: Arc<VersionedCitationEngine>,
         config: ServerConfig,
@@ -88,14 +82,14 @@ impl CiteServer {
         config: ServerConfig,
         extra: Vec<Route>,
     ) -> io::Result<CiteServer> {
-        let (_, head) = versioned
+        // refuses an empty history, or views that do not validate
+        // against the head's catalog, before a port is bound
+        versioned
             .resolve(VersionSelector::Head)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
-        let engine = Arc::new(head);
         let stats = Arc::new(ServerStats::default());
         let app = Arc::new(App {
-            engine: Arc::clone(&engine),
-            versioned,
+            versioned: Arc::clone(&versioned),
             role: config.role.clone(),
         });
         let mut routes = vec![
@@ -110,7 +104,7 @@ impl CiteServer {
         ];
         routes.extend(extra);
         let service = HttpService::start(&config, stats, routes)?;
-        Ok(CiteServer { service, engine })
+        Ok(CiteServer { service, versioned })
     }
 
     /// The actual bound address (resolves port 0).
@@ -123,9 +117,13 @@ impl CiteServer {
         self.service.stats()
     }
 
-    /// The engine `/cite` serves: the head version's.
+    /// The engine over the head version, resolved on each call; it
+    /// shares the catalog engine's counters and caches. Kept for
+    /// `benchmark/src/layers.rs:90`, `benchmark/src/stack.rs:265` and
+    /// `tests/server_http.rs:265`.
     pub fn engine(&self) -> Arc<CitationEngine> {
-        Arc::clone(&self.engine)
+        let head = self.versioned.resolve(VersionSelector::Head);
+        Arc::new(head.expect("the head resolved at start-up").1)
     }
 
     /// Graceful shutdown: stop accepting, drain, join every thread.
@@ -142,85 +140,76 @@ impl CiteServer {
 
 /// What the engine routes share.
 struct App {
-    /// The engine `/cite`, `/cite_sql` and `/views` serve: the head
-    /// version's.
-    engine: Arc<CitationEngine>,
-    /// The history `/cite_at`, `/versions` and the `fixity` stats
-    /// block serve; its store, if any, is read by `/stats`, `/healthz`
-    /// and `/metrics`.
+    /// The history every route serves; its store, if any, is read by
+    /// `/stats`, `/healthz` and `/metrics`.
     versioned: Arc<VersionedCitationEngine>,
     /// Role reported on `/healthz` and as the `/metrics` label.
     role: String,
 }
 
+/// Serve a route that reads the head's engine (`/views`, `/stats`,
+/// `/metrics`). The head resolved at start-up and a served history
+/// cannot shrink, so the 500 is only a guard.
+fn at_head(app: &App, serve: impl FnOnce(&CitationEngine) -> Response) -> Response {
+    match app.versioned.resolve(VersionSelector::Head) {
+        Ok((_, engine)) => serve(&engine),
+        Err(e) => Response::error(500, &e.to_string()),
+    }
+}
+
+// The route picks only the query field and whether the reply is
+// stamped; `serve_cite` does the rest.
 fn serve_datalog(app: &App, call: &Call<'_>) -> Response {
-    serve_cite(app, call, QueryKind::Datalog)
+    serve_cite(app, call, QueryKind::Datalog, false)
 }
 
 fn serve_sql(app: &App, call: &Call<'_>) -> Response {
-    serve_cite(app, call, QueryKind::Sql)
+    serve_cite(app, call, QueryKind::Sql, false)
+}
+
+fn serve_cite_at(app: &App, call: &Call<'_>) -> Response {
+    serve_cite(app, call, QueryKind::Datalog, true)
 }
 
 fn serve_views(app: &App, _: &Call<'_>) -> Response {
-    Response::json(200, views_body(&app.engine))
+    at_head(app, |engine| Response::json(200, views_body(engine)))
 }
 
-fn serve_cite(app: &App, call: &Call<'_>, kind: QueryKind) -> Response {
-    let request = match decode_cite_body(&app.engine, &call.request.body, kind) {
-        Ok(r) => r,
-        Err(message) => return Response::error(400, &message),
-    };
+/// The one cite path: decode the body and resolve its version, cite
+/// through that version's engine, then write the `/cite` body or,
+/// when `stamped` (`/cite_at`), the fixity-stamped one.
+fn serve_cite(app: &App, call: &Call<'_>, kind: QueryKind, stamped: bool) -> Response {
+    let (info, engine, request) =
+        match decode_cite_body(&app.versioned, &call.request.body, kind, stamped) {
+            Ok(decoded) => decoded,
+            // an unknown version is the client's fault
+            Err(message) => return Response::error(400, &message),
+        };
     let include_stages = request.include_stages;
     let request = request.with_request_id(call.request_id);
     // The engine call is not pre-empted: the service refused a spent
     // budget before this handler, and an overrun holds this one
     // worker until the answer is ready.
-    match app.engine.cite_request(&request) {
-        Ok(response) => {
-            let body = write_response_body(&response, include_stages);
-            Response {
-                stages: response.stages,
-                ..Response::json(200, body)
-            }
-        }
+    let response = match engine.cite_request(&request) {
+        Ok(response) => response,
         // engine errors are request-shaped (unknown relation, SQL
         // parse failure against the catalog, ...): the client's fault
-        Err(e) => Response::error(400, &e.to_string()),
-    }
-}
-
-/// `POST /cite_at`: a fixity-stamped citation against a specific
-/// version (`"version": id`), a point in time (`"at": timestamp`),
-/// or the head when neither is given. The rest of the body is a
-/// `/cite` body: `{"query": "Q(...) :- ...", "version": 2, "policy":
-/// "join"}`.
-fn serve_cite_at(app: &App, call: &Call<'_>) -> Response {
-    let (at, request) = match decode_cite_at_body(&call.request.body, app.engine.policy()) {
-        Ok(decoded) => decoded,
-        Err(message) => return Response::error(400, &message),
+        Err(e) => return Response::error(400, &e.to_string()),
     };
-    let include_stages = request.include_stages;
-    let request = request.with_request_id(call.request_id);
-    let served = app
-        .versioned
-        .resolve(at)
-        .and_then(|(info, engine)| Ok((info, engine.cite_request(&request)?)));
-    match served {
-        Ok((info, response)) => {
-            let tuples = response.citation.tuples.len() as i64;
-            let mut body = VersionedCitation::new(info, response.citation).stamped_aggregate();
-            body.set("Tuples", Json::Int(tuples));
-            let mut out = body.to_compact();
-            out.pop(); // the closing brace, written back by `close_body`
-            close_body(&mut out, include_stages.then_some(&response.stages[..]));
-            Response {
-                stages: response.stages,
-                ..Response::json(200, out)
-            }
-        }
-        // an unknown version is the client's fault, as are the
-        // engine's request-shaped errors
-        Err(e) => Response::error(400, &e.to_string()),
+    let body = if stamped {
+        let tuples = response.citation.tuples.len() as i64;
+        let mut body = VersionedCitation::new(info, response.citation).stamped_aggregate();
+        body.set("Tuples", Json::Int(tuples));
+        let mut out = body.to_compact();
+        out.pop(); // the closing brace, written back by `close_body`
+        close_body(&mut out, include_stages.then_some(&response.stages[..]));
+        out
+    } else {
+        write_response_body(&response, include_stages)
+    };
+    Response {
+        stages: response.stages,
+        ..Response::json(200, body)
     }
 }
 
@@ -297,72 +286,74 @@ fn views_body(engine: &CitationEngine) -> String {
 }
 
 fn serve_stats(app: &App, call: &Call<'_>) -> Response {
-    // ratios are server-computed to three places, so dashboards don't
-    // have to divide
-    let ratio = |r: f64| Json::Float((r * 1000.0).round() / 1000.0);
-    let cache = app.engine.cache_stats();
-    let plans = app.engine.plan_stats();
-    let mut body = call.stats.to_json();
-    let fixity = app.versioned.version_stats();
-    let memory = app.versioned.memory_stats();
-    body.set(
-        "fixity",
-        Json::from_pairs([
-            ("versions", Json::Int(fixity.versions as i64)),
-            ("hits", Json::Int(fixity.hits as i64)),
-            ("rebuilt", Json::Int(fixity.rebuilt as i64)),
-            (
-                "resident_bytes",
-                Json::Int(memory.resident_bytes.min(i64::MAX as usize) as i64),
-            ),
-            (
-                "shared_relations",
-                Json::Int(memory.shared_relations as i64),
-            ),
-        ]),
-    );
-    if let Some(storage) = app.versioned.storage().map(|s| s.stats()) {
+    at_head(app, |engine| {
+        // ratios are server-computed to three places, so dashboards don't
+        // have to divide
+        let ratio = |r: f64| Json::Float((r * 1000.0).round() / 1000.0);
+        let cache = engine.cache_stats();
+        let plans = engine.plan_stats();
+        let mut body = call.stats.to_json();
+        let fixity = app.versioned.version_stats();
+        let memory = app.versioned.memory_stats();
         body.set(
-            "storage",
+            "fixity",
             Json::from_pairs([
-                ("versions", Json::Int(storage.versions as i64)),
-                ("segments", Json::Int(storage.segments as i64)),
-                ("wal_records", Json::Int(storage.wal_records as i64)),
-                ("wal_bytes", Json::Int(storage.wal_bytes as i64)),
-                ("disk_bytes", Json::Int(storage.disk_bytes as i64)),
-                ("compactions", Json::Int(storage.compactions as i64)),
+                ("versions", Json::Int(fixity.versions as i64)),
+                ("hits", Json::Int(fixity.hits as i64)),
+                ("rebuilt", Json::Int(fixity.rebuilt as i64)),
+                (
+                    "resident_bytes",
+                    Json::Int(memory.resident_bytes.min(i64::MAX as usize) as i64),
+                ),
+                (
+                    "shared_relations",
+                    Json::Int(memory.shared_relations as i64),
+                ),
             ]),
         );
-    }
-    body.set("served", Json::Int(call.stats.served() as i64));
-    body.set(
-        "engine_cache",
-        Json::from_pairs([
-            ("hits", Json::Int(cache.hits as i64)),
-            ("misses", Json::Int(cache.misses as i64)),
-            ("entries", Json::Int(cache.entries as i64)),
-            ("evictions", Json::Int(cache.evictions as i64)),
-            ("hit_rate", ratio(cache.hit_rate())),
-        ]),
-    );
-    body.set(
-        "plan_cache",
-        Json::from_pairs([
-            ("hits", Json::Int(plans.hits as i64)),
-            ("misses", Json::Int(plans.misses as i64)),
-            ("size", Json::Int(plans.entries as i64)),
-            ("evictions", Json::Int(plans.evictions as i64)),
-            ("hit_rate", ratio(plans.hit_rate())),
-        ]),
-    );
-    body.set(
-        "cache_hit_rates",
-        Json::from_pairs([
-            ("tokens", ratio(cache.hit_rate())),
-            ("plans", ratio(plans.hit_rate())),
-        ]),
-    );
-    Response::json(200, body.to_compact())
+        if let Some(storage) = app.versioned.storage().map(|s| s.stats()) {
+            body.set(
+                "storage",
+                Json::from_pairs([
+                    ("versions", Json::Int(storage.versions as i64)),
+                    ("segments", Json::Int(storage.segments as i64)),
+                    ("wal_records", Json::Int(storage.wal_records as i64)),
+                    ("wal_bytes", Json::Int(storage.wal_bytes as i64)),
+                    ("disk_bytes", Json::Int(storage.disk_bytes as i64)),
+                    ("compactions", Json::Int(storage.compactions as i64)),
+                ]),
+            );
+        }
+        body.set("served", Json::Int(call.stats.served() as i64));
+        body.set(
+            "engine_cache",
+            Json::from_pairs([
+                ("hits", Json::Int(cache.hits as i64)),
+                ("misses", Json::Int(cache.misses as i64)),
+                ("entries", Json::Int(cache.entries as i64)),
+                ("evictions", Json::Int(cache.evictions as i64)),
+                ("hit_rate", ratio(cache.hit_rate())),
+            ]),
+        );
+        body.set(
+            "plan_cache",
+            Json::from_pairs([
+                ("hits", Json::Int(plans.hits as i64)),
+                ("misses", Json::Int(plans.misses as i64)),
+                ("size", Json::Int(plans.entries as i64)),
+                ("evictions", Json::Int(plans.evictions as i64)),
+                ("hit_rate", ratio(plans.hit_rate())),
+            ]),
+        );
+        body.set(
+            "cache_hit_rates",
+            Json::from_pairs([
+                ("tokens", ratio(cache.hit_rate())),
+                ("plans", ratio(plans.hit_rate())),
+            ]),
+        );
+        Response::json(200, body.to_compact())
+    })
 }
 
 /// `GET /metrics`: Prometheus text exposition of the serving tier,
@@ -371,14 +362,17 @@ fn serve_metrics(app: &App, call: &Call<'_>) -> Response {
     let mut w = PromWriter::new();
     let base = [("role", app.role.as_str())];
     call.stats.write_prometheus(&mut w, &base);
-    write_engine_metrics(&mut w, &base, &app.engine);
-    if let Some(storage) = app.versioned.storage() {
-        write_storage_metrics(&mut w, &base, &storage.stats());
-    }
-    // Per-fault-point hit/injection counters: empty (and free) unless
-    // the process-global plane has been armed or set to observe.
-    fgc_fault::global().write_prometheus(&mut w, &base);
-    Response::prometheus(w.finish())
+    at_head(app, |engine| {
+        write_engine_metrics(&mut w, &base, engine);
+        if let Some(storage) = app.versioned.storage() {
+            write_storage_metrics(&mut w, &base, &storage.stats());
+        }
+        // Per-fault-point hit/injection counters: empty (and free)
+        // unless the process-global plane has been armed or set to
+        // observe.
+        fgc_fault::global().write_prometheus(&mut w, &base);
+        Response::prometheus(w.finish())
+    })
 }
 
 /// Append the engine-level metric families — per-stage cite pipeline

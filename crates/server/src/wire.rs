@@ -39,8 +39,10 @@
 use crate::json::parse_json;
 use fgc_core::{
     CitationEngine, CiteRequest, CiteResponse, OrderChoice, Policy, RewriteMode, VersionSelector,
+    VersionedCitationEngine,
 };
 use fgc_query::parse_query;
+use fgc_relation::version::VersionInfo;
 use fgc_relation::Value;
 use fgc_rewrite::RewriteOptions;
 use fgc_views::Json;
@@ -132,38 +134,33 @@ pub fn parse_body(body: &[u8]) -> Result<Json, String> {
     parse_json(text).map_err(|e| format!("invalid JSON: {e}"))
 }
 
-/// The body → [`CiteRequest`] decode every engine front door runs
-/// (a single server or a replica), under the served engine's default
+/// Decode a body on any engine cite route, and resolve the version
+/// that serves it. `versioned` admits an optional `"version"` id or
+/// `"at"` timestamp (`POST /cite_at`; neither selects the head);
+/// elsewhere both are unknown fields and the head serves. The
+/// selector is resolved before the rest of the body is decoded, so an
+/// `order` sent without a `policy` rides on the serving engine's
 /// policy. The error is the 400 message.
-pub fn decode_cite_body(
-    engine: &CitationEngine,
+pub(crate) fn decode_cite_body<'v>(
+    history: &'v VersionedCitationEngine,
     body: &[u8],
     kind: QueryKind,
-) -> Result<CiteRequest, String> {
-    decode_cite_request(&parse_body(body)?, kind, engine.policy()).map_err(|e| e.0)
-}
-
-/// Decode a `POST /cite_at` body: an optional `"version"` id or `"at"`
-/// timestamp (neither: the head), the rest decoded as a `/cite` body.
-/// The error is the 400 message.
-pub(crate) fn decode_cite_at_body(
-    body: &[u8],
-    default_policy: &Policy,
-) -> Result<(VersionSelector, CiteRequest), String> {
+    versioned: bool,
+) -> Result<(&'v VersionInfo, CitationEngine, CiteRequest), String> {
     let Json::Object(mut fields) = parse_body(body)? else {
         return Err("request body must be a JSON object".into());
     };
     // checked before the selector is taken out, or a second copy of
-    // `version` would silently win
-    if let Some(key) = repeated_key(&fields) {
+    // `version` would silently win; `decode_cite_request` checks the
+    // bodies that carry no selector
+    if let Some(key) = versioned.then(|| repeated_key(&fields)).flatten() {
         return Err(format!("duplicate field `{key}`"));
     }
     let mut take = |name: &str| match fields.iter().position(|(key, _)| key == name) {
-        None => Ok(None),
-        Some(i) => match expect_usize(name, &fields.remove(i).1) {
-            Ok(n) => Ok(Some(n as u64)),
-            Err(e) => Err(e.0),
-        },
+        Some(i) if versioned => expect_usize(name, &fields.remove(i).1)
+            .map(|n| Some(n as u64))
+            .map_err(|e| e.0),
+        _ => Ok(None),
     };
     let at = match (take("version")?, take("at")?) {
         (Some(_), Some(_)) => return Err("`version` and `at` are mutually exclusive".into()),
@@ -171,9 +168,10 @@ pub(crate) fn decode_cite_at_body(
         (None, Some(timestamp)) => VersionSelector::At(timestamp),
         (None, None) => VersionSelector::Head,
     };
-    let request = decode_cite_request(&Json::Object(fields), QueryKind::Datalog, default_policy)
-        .map_err(|e| e.0)?;
-    Ok((at, request))
+    let (info, engine) = history.resolve(at).map_err(|e| e.to_string())?;
+    let request =
+        decode_cite_request(&Json::Object(fields), kind, engine.policy()).map_err(|e| e.0)?;
+    Ok((info, engine, request))
 }
 
 /// Decode a request body into a [`CiteRequest`], applying the wire

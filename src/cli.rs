@@ -201,8 +201,10 @@ serve: HTTP routes POST /cite, POST /cite_sql, POST /cite_at,
        Every response echoes `x-request-id` (assigned when the
        request carries none), and a /cite body with `stages: true`
        adds the per-stage latency breakdown. Every engine server
-       serves a commit history (--data alone is one version, `base`):
-       POST /cite_at takes a /cite body plus `version` or `at`,
+       serves a commit history (--data alone is one version, `base`)
+       and resolves each cite's version per request: POST /cite and
+       /cite_sql cite the head, POST /cite_at takes a /cite body
+       plus `version` or `at`,
        GET /versions lists the history, and GET /stats has a
        `fixity` block (catalog-engine hits and builds). The
        compiled-plan cache's hits/misses/size appear under
@@ -351,8 +353,14 @@ pub fn run_cite(
     let response = engine.cite_request(&request)?;
     let stages = response.stages;
     let cited = response.citation;
-    let stamped = commits.map(|_| VersionedCitation::new(info, cited.clone()).stamped_aggregate());
-    let shown = stamped.as_ref().unwrap_or(&cited.aggregate);
+    // the explain text is rendered before the citation moves into its stamp
+    let explained = args
+        .enabled("explain")
+        .then(|| fgc_core::explain(&cited, &policy));
+    let shown = &match commits {
+        Some(_) => VersionedCitation::new(info, cited).stamped_aggregate(),
+        None => cited.aggregate,
+    };
 
     let mut out = String::new();
     match args.get("format").unwrap_or("json") {
@@ -367,8 +375,8 @@ pub fn run_cite(
         }
         other => return Err(CliError(format!("unknown format `{other}`"))),
     }
-    if args.enabled("explain") {
-        let _ = writeln!(out, "\n{}", fgc_core::explain(&cited, &policy));
+    if let Some(explained) = explained {
+        let _ = writeln!(out, "\n{explained}");
         if !stages.is_empty() {
             let breakdown: Vec<String> = stages
                 .iter()
@@ -512,9 +520,10 @@ pub fn apply_faults(args: &Args) -> Result<(), CliError> {
 /// `fgcite serve`: build a commit history from the data/view files —
 /// the persisted one under `--data-dir` when there is one, else the
 /// `--data` snapshot as version 0 plus any `commits` — and start the
-/// HTTP citation service over it: `/cite` answers from the head
-/// version and `/cite_at` serves every version. Returns the running
-/// server; the binary blocks on [`fgc_server::CiteServer::wait`].
+/// HTTP citation service over it: every cite resolves its version
+/// per request, `/cite` the head and `/cite_at` any version. Returns
+/// the running server; the binary blocks on
+/// [`fgc_server::CiteServer::wait`].
 pub fn run_serve(
     args: &Args,
     data: Option<&str>,

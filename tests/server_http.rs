@@ -236,20 +236,16 @@ fn a_plain_server_serves_a_one_version_history() {
     assert_eq!(fixity.get("rebuilt"), Some(&Json::Int(1)), "{fixity}");
 }
 
-/// A plain server keeps its engine's configuration at every version:
-/// under exhaustive + union, `/cite_at` at the head cites what `/cite`
-/// does, and both differ from the default policy's citation.
-#[test]
-fn a_plain_servers_history_keeps_its_engines_policy() {
-    let configured = Arc::new(common::exhaustive_union(common::engine(paper_instance())));
-    let server = CiteServer::start(Arc::clone(&configured), server_config()).unwrap();
-    let mut client = Client::connect(server.addr()).expect("connect");
-    let post = |client: &mut Client, path: &str| {
-        let response = client.post(path, &cite_body(QUERIES[1])).expect("response");
+/// `body` posted to `/cite` and to `/cite_at` (no selector: the
+/// head): `/cite`'s aggregate is `/cite_at`'s `Citation`, and its
+/// tuple count is `Tuples`. Returns the `/cite_at` body.
+fn cite_is_cite_at_head(client: &mut Client, body: &str) -> Json {
+    let mut post = |path: &str| {
+        let response = client.post(path, body).expect("response");
         assert_eq!(response.status, 200, "{path}: {}", response.body);
         parse_json(&response.body).unwrap()
     };
-    let (cite, at) = (post(&mut client, "/cite"), post(&mut client, "/cite_at"));
+    let (cite, at) = (post("/cite"), post("/cite_at"));
     let Some(Json::Array(tuples)) = cite.get("tuples") else {
         panic!("no tuples in {cite}");
     };
@@ -259,10 +255,51 @@ fn a_plain_servers_history_keeps_its_engines_policy() {
         "{at}"
     );
     assert_eq!(at.get("Citation"), cite.get("aggregate"), "{at}\n{cite}");
+    at
+}
+
+/// A plain server keeps its engine's configuration at every version:
+/// under exhaustive + union, `/cite_at` at the head cites what `/cite`
+/// does, and both differ from the default policy's citation. On a
+/// three-version history and under an order-only override `/cite` is
+/// `/cite_at` at the head too, and each `/cite` resolves the head once.
+#[test]
+fn a_plain_servers_history_keeps_its_engines_policy() {
+    let configured = Arc::new(common::exhaustive_union(common::engine(paper_instance())));
+    let server = CiteServer::start(Arc::clone(&configured), server_config()).unwrap();
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let at = cite_is_cite_at_head(&mut client, &cite_body(QUERIES[1]));
     let default = engine().cite(&parse_query(QUERIES[1]).unwrap()).unwrap();
     assert_ne!(at.get("Citation"), Some(&default.aggregate), "{at}");
     // the server reads the configured engine's counters
     assert_eq!(server.engine().plan_stats(), configured.plan_stats());
+
+    let history =
+        VersionedCitationEngine::new(common::paper_history(), fgcite::gtopdb::paper_views());
+    let versioned = CiteServer::start_versioned(Arc::new(history), server_config()).unwrap();
+    let mut history_client = Client::connect(versioned.addr()).expect("connect");
+    let ordered = body_with(QUERIES[1], r#""order": "fewest-views""#);
+    cite_is_cite_at_head(&mut client, &ordered);
+    for body in [cite_body(QUERIES[1]), ordered] {
+        let at = cite_is_cite_at_head(&mut history_client, &body);
+        assert_eq!(at.get("VersionId"), Some(&Json::Int(2)), "{at}");
+    }
+
+    // every `/cite` adds one to `fixity.hits`, beyond what a `/stats`
+    // read adds by itself
+    let hits = |client: &mut Client| match fixity_of(client).get("hits") {
+        Some(Json::Int(n)) => *n,
+        other => panic!("hits missing: {other:?}"),
+    };
+    let (before, read) = (hits(&mut history_client), hits(&mut history_client));
+    let cites = 3;
+    for _ in 0..cites {
+        let response = history_client
+            .post("/cite", &cite_body(QUERIES[1]))
+            .expect("response");
+        assert_eq!(response.status, 200, "{}", response.body);
+    }
+    assert_eq!(hits(&mut history_client) - read, cites + (read - before));
 }
 
 #[test]
